@@ -67,8 +67,15 @@ class AdaptiveSharingManager(SharedHeadroomManager):
     def is_adaptive(self, flow_id: int) -> bool:
         return flow_id in self.adaptive_flows
 
+    def try_admit(self, flow_id: int, size: float) -> bool:
+        """The adaptivity bar; a packet that clears it also clears the
+        (never stricter) inherited test, which then charges it."""
+        if size > 0 and not self._admits(flow_id, size):
+            return False
+        return super().try_admit(flow_id, size)
+
     def _admits(self, flow_id: int, size: float) -> bool:
-        if self._within_reservation(flow_id, size):
+        if self.occupancy(flow_id) + size <= self.threshold(flow_id):
             # Reserved traffic is always served while space remains,
             # independent of adaptivity — reservations are sacred.
             return self.holes + self.headroom >= size

@@ -12,84 +12,42 @@ the property that makes the scheme scale to backbone flow counts.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.core.occupancy import BufferManager
-from repro.errors import ConfigurationError
+from repro.core.occupancy import FlowThresholdManager
+from repro.errors import SimulationError
 
 __all__ = ["FixedThresholdManager"]
 
 
-class FixedThresholdManager(BufferManager):
+class FixedThresholdManager(FlowThresholdManager):
     """Per-flow occupancy thresholds over a shared buffer.
 
-    Args:
-        capacity: total buffer size ``B`` in bytes.
-        thresholds: mapping flow id -> occupancy threshold in bytes
-            (typically from :func:`repro.core.thresholds.compute_thresholds`).
-        default_threshold: threshold applied to flows absent from
-            ``thresholds``; defaults to 0 (unknown flows are dropped),
-            which is the safe choice for guaranteed-service buffers.
+    Arguments as for :class:`FlowThresholdManager`; the default
+    ``default_threshold`` of 0 drops unknown flows, which is the safe
+    choice for guaranteed-service buffers.
     """
 
-    __slots__ = ("thresholds", "default_threshold")
+    __slots__ = ()
 
     DROP_REASON = "threshold"
-
-    has_flow_thresholds = True
 
     # Admission enforces occupancy + size <= threshold, so the
     # threshold is a hard cap the conformance monitor may check.
     enforces_thresholds = True
 
-    def __init__(
-        self,
-        capacity: float,
-        thresholds: Mapping[int, float],
-        default_threshold: float = 0.0,
-    ) -> None:
-        super().__init__(capacity)
-        for flow_id, threshold in thresholds.items():
-            if threshold < 0:
-                raise ConfigurationError(
-                    f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-                )
-        if default_threshold < 0:
-            raise ConfigurationError(
-                f"default threshold must be non-negative, got {default_threshold}"
-            )
-        self.thresholds = dict(thresholds)
-        self.default_threshold = float(default_threshold)
-
-    def threshold(self, flow_id: int) -> float:
-        """Occupancy threshold applied to ``flow_id``."""
-        return self.thresholds.get(flow_id, self.default_threshold)
-
-    def reprovision(self, flow_id: int, threshold: float) -> None:
-        """Install or change ``flow_id``'s threshold while live.
-
-        Drain-safe: a shrinking threshold only binds future admissions;
-        occupancy already above it departs normally.
-        """
-        if threshold < 0:
-            raise ConfigurationError(
-                f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-            )
-        previous = self.threshold(flow_id)
-        self.thresholds[flow_id] = threshold
-        self._trace_reprovision(flow_id, threshold, previous)
-
-    def retire(self, flow_id: int) -> None:
-        """Withdraw the flow's threshold; queued packets still drain."""
-        previous = self.thresholds.pop(flow_id, None)
-        if previous is not None:
-            self._trace_reprovision(flow_id, self.default_threshold, previous)
-        super().retire(flow_id)
-
-    def _reference_threshold(self, flow_id: int) -> float | None:
-        return self.threshold(flow_id)
-
-    def _admits(self, flow_id: int, size: float) -> bool:
-        if self._total + size > self.capacity:
+    def try_admit(self, flow_id: int, size: float) -> bool:
+        """Guard, both threshold tests and the charge in one flat body."""
+        if size <= 0:
+            raise SimulationError(f"packet size must be positive, got {size}")
+        new_total = self._total + size
+        # Fitting the buffer is the predicate's first test, so the generic
+        # path's admitted-beyond-capacity guard cannot fire below it.
+        if new_total > self.capacity:
             return False
-        return self.occupancy(flow_id) + size <= self.threshold(flow_id)
+        after = self._occupancy.get(flow_id, 0.0) + size
+        if after > self.thresholds.get(flow_id, self.default_threshold):
+            return False
+        self._occupancy[flow_id] = after
+        self._total = new_total
+        if self._sink is not None:
+            self._trace_occupancy_step(flow_id, after - size, after)
+        return True

@@ -96,16 +96,4 @@ class FREDManager(REDManager):
         # RED's probabilistic drop.
         if occupancy + size <= self.minq:
             return True
-        if self.avg >= self.max_th:
-            self._count = 0
-            return False
-        prob = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-        self._count += 1
-        if self._count * prob < 1.0:
-            prob = prob / (1.0 - self._count * prob)
-        else:
-            prob = 1.0
-        if self._rng.random() < prob:
-            self._count = 0
-            return False
-        return True
+        return self._passes_early_drop()

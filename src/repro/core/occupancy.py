@@ -3,8 +3,10 @@
 Every buffer-management policy in the paper admits or drops packets based
 on two pieces of state: the flow's own occupancy and some global quantity
 (total occupancy, free space, hole count...).  :class:`BufferManager`
-centralises that accounting so each policy only implements its admission
-predicate plus any extra counters.
+centralises that accounting: a policy supplies an ``_admits`` predicate
+to the generic ``try_admit`` (guard, predicate, charge) or, when that is a
+few comparisons, one flat ``try_admit``; extra counters (holes, headroom,
+RED's idle clock) are updated in its own ``try_admit``/``on_depart``.
 
 The contract with the output port is:
 
@@ -36,16 +38,15 @@ packets depart normally.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import ClassVar
+from typing import ClassVar, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import ReprovisionEvent, ThresholdCrossEvent
 
-__all__ = ["BufferManager"]
+__all__ = ["BufferManager", "FlowThresholdManager"]
 
 
-class BufferManager(ABC):
+class BufferManager:
     """Base class for buffer-admission policies over a shared buffer.
 
     Args:
@@ -169,27 +170,21 @@ class BufferManager(ABC):
         if threshold is None:
             return
         if before < threshold <= after:
-            self._sink.emit(
-                ThresholdCrossEvent(
-                    time=self._clock(),
-                    flow_id=flow_id,
-                    occupancy=after,
-                    threshold=threshold,
-                    direction="up",
-                    node=self._node,
-                )
-            )
+            direction = "up"
         elif after < threshold <= before:
-            self._sink.emit(
-                ThresholdCrossEvent(
-                    time=self._clock(),
-                    flow_id=flow_id,
-                    occupancy=after,
-                    threshold=threshold,
-                    direction="down",
-                    node=self._node,
-                )
+            direction = "down"
+        else:
+            return
+        self._sink.emit(
+            ThresholdCrossEvent(
+                time=self._clock(),
+                flow_id=flow_id,
+                occupancy=after,
+                threshold=threshold,
+                direction=direction,
+                node=self._node,
             )
+        )
 
     # -- runtime reprovisioning -------------------------------------------
 
@@ -236,54 +231,112 @@ class BufferManager(ABC):
     # -- admission contract ----------------------------------------------
 
     def try_admit(self, flow_id: int, size: float) -> bool:
-        """Admit the packet if the policy allows it; charge occupancy."""
+        """Generic path: guard, the :meth:`_admits` predicate, then the charge."""
         if size <= 0:
             raise SimulationError(f"packet size must be positive, got {size}")
         if not self._admits(flow_id, size):
             return False
-        self._charge(flow_id, size)
-        if self._sink is not None:
-            after = self._occupancy.get(flow_id, 0.0)
-            self._trace_occupancy_step(flow_id, after - size, after)
-        return True
-
-    def on_depart(self, flow_id: int, size: float) -> None:
-        """Release the buffer space of a departing packet."""
-        occupancy = self._occupancy.get(flow_id, 0.0) - size
-        if occupancy < -1e-6:
-            raise SimulationError(
-                f"flow {flow_id} occupancy went negative ({occupancy}); "
-                "departure without matching admission"
-            )
-        self._occupancy[flow_id] = max(occupancy, 0.0)
-        self._total = max(self._total - size, 0.0)
-        self._on_release(flow_id, size)
-        if self._sink is not None:
-            after = max(occupancy, 0.0)
-            self._trace_occupancy_step(flow_id, after + size, after)
-        # A retired flow's entry is reclaimed the moment it drains; the
-        # empty-set guard keeps the cost off the common (no-churn) path.
-        if self._retired and flow_id in self._retired and occupancy <= 1e-9:
-            self._occupancy.pop(flow_id, None)
-            self._retired.discard(flow_id)
-
-    def _charge(self, flow_id: int, size: float) -> None:
         new_total = self._total + size
         if new_total > self.capacity + 1e-6:
             raise SimulationError(
                 f"policy {type(self).__name__} admitted beyond capacity "
                 f"({new_total} > {self.capacity})"
             )
-        self._occupancy[flow_id] = self._occupancy.get(flow_id, 0.0) + size
+        after = self._occupancy.get(flow_id, 0.0) + size
+        self._occupancy[flow_id] = after
         self._total = new_total
-        self._on_accept(flow_id, size)
+        if self._sink is not None:
+            self._trace_occupancy_step(flow_id, after - size, after)
+        return True
 
-    @abstractmethod
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release the buffer space of a departing packet."""
+        occupancy = self._occupancy.get(flow_id, 0.0) - size
+        if occupancy < 0.0:
+            if occupancy < -1e-6:
+                raise SimulationError(
+                    f"flow {flow_id} occupancy went negative ({occupancy}); "
+                    "departure without matching admission"
+                )
+            occupancy = 0.0
+        self._occupancy[flow_id] = occupancy
+        total = self._total - size
+        self._total = total if total >= 0.0 else 0.0
+        if self._sink is not None or self._retired:
+            self._after_depart(flow_id, size, occupancy)
+
+    def _after_depart(self, flow_id: int, size: float, occupancy: float) -> None:
+        """Tracing and retired-flow cleanup, kept off the common departure."""
+        if self._sink is not None:
+            self._trace_occupancy_step(flow_id, occupancy + size, occupancy)
+        # A retired flow's entry is reclaimed the moment it drains.
+        if self._retired and flow_id in self._retired and occupancy <= 1e-9:
+            self._occupancy.pop(flow_id, None)
+            self._retired.discard(flow_id)
+
     def _admits(self, flow_id: int, size: float) -> bool:
-        """Policy predicate: may this packet enter the buffer?"""
+        """Policy predicate of the generic path: may this packet enter?"""
+        raise NotImplementedError(f"{type(self).__name__} has no _admits or try_admit")
 
-    def _on_accept(self, flow_id: int, size: float) -> None:
-        """Hook for policies with extra counters (holes, headroom...)."""
 
-    def _on_release(self, flow_id: int, size: float) -> None:
-        """Hook mirroring :meth:`_on_accept` on departures."""
+class FlowThresholdManager(BufferManager):
+    """The live per-flow threshold table the paper's two policies share.
+
+    Args:
+        capacity: total buffer size ``B`` in bytes.
+        thresholds: mapping flow id -> threshold in bytes (typically
+            from :func:`repro.core.thresholds.compute_thresholds`).
+        default_threshold: threshold of flows absent from ``thresholds``.
+    """
+
+    __slots__ = ("thresholds", "default_threshold")
+
+    has_flow_thresholds = True
+
+    def __init__(
+        self,
+        capacity: float,
+        thresholds: Mapping[int, float],
+        default_threshold: float = 0.0,
+    ) -> None:
+        super().__init__(capacity)
+        for flow_id, threshold in thresholds.items():
+            if threshold < 0:
+                raise ConfigurationError(
+                    f"threshold for flow {flow_id} must be non-negative, got {threshold}"
+                )
+        if default_threshold < 0:
+            raise ConfigurationError(
+                f"default threshold must be non-negative, got {default_threshold}"
+            )
+        self.thresholds = dict(thresholds)
+        self.default_threshold = float(default_threshold)
+
+    def threshold(self, flow_id: int) -> float:
+        """Threshold applied to ``flow_id``."""
+        return self.thresholds.get(flow_id, self.default_threshold)
+
+    def reprovision(self, flow_id: int, threshold: float) -> None:
+        """Install or change ``flow_id``'s threshold while live.
+
+        Drain-safe: a shrinking threshold only binds future admissions.
+        No other counter moves — the sharing scheme's holes/headroom
+        track free space, not reservations.
+        """
+        if threshold < 0:
+            raise ConfigurationError(
+                f"threshold for flow {flow_id} must be non-negative, got {threshold}"
+            )
+        previous = self.threshold(flow_id)
+        self.thresholds[flow_id] = threshold
+        self._trace_reprovision(flow_id, threshold, previous)
+
+    def retire(self, flow_id: int) -> None:
+        """Withdraw the flow's threshold; queued packets still drain."""
+        previous = self.thresholds.pop(flow_id, None)
+        if previous is not None:
+            self._trace_reprovision(flow_id, self.default_threshold, previous)
+        super().retire(flow_id)
+
+    def _reference_threshold(self, flow_id: int) -> float | None:
+        return self.threshold(flow_id)

@@ -106,6 +106,10 @@ class REDManager(BufferManager):
         if self.avg < self.min_th:
             self._count = -1
             return True
+        return self._passes_early_drop()
+
+    def _passes_early_drop(self) -> bool:
+        """RED's test above ``min_th``: certain drop at ``max_th``, else a draw."""
         if self.avg >= self.max_th:
             self._count = 0
             return False
@@ -120,6 +124,8 @@ class REDManager(BufferManager):
             return False
         return True
 
-    def _on_release(self, flow_id: int, size: float) -> None:
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release the space and start the idle clock when the queue empties."""
+        super().on_depart(flow_id, size)
         if self._total <= 0:
             self._idle_since = self._clock()

@@ -36,14 +36,14 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.occupancy import BufferManager
+from repro.core.occupancy import FlowThresholdManager
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import HeadroomEvent
 
 __all__ = ["SharedHeadroomManager"]
 
 
-class SharedHeadroomManager(BufferManager):
+class SharedHeadroomManager(FlowThresholdManager):
     """Threshold-based buffer sharing with a protected headroom.
 
     Args:
@@ -55,11 +55,9 @@ class SharedHeadroomManager(BufferManager):
             (0 = unknown flows may only use holes).
     """
 
-    __slots__ = ("thresholds", "default_threshold", "headroom_cap", "headroom", "holes")
+    __slots__ = ("headroom_cap", "headroom", "holes")
 
     DROP_REASON = "shared-buffer"
-
-    has_flow_thresholds = True
 
     def __init__(
         self,
@@ -68,49 +66,12 @@ class SharedHeadroomManager(BufferManager):
         headroom: float,
         default_threshold: float = 0.0,
     ) -> None:
-        super().__init__(capacity)
+        super().__init__(capacity, thresholds, default_threshold)
         if headroom < 0:
             raise ConfigurationError(f"headroom must be non-negative, got {headroom}")
-        for flow_id, threshold in thresholds.items():
-            if threshold < 0:
-                raise ConfigurationError(
-                    f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-                )
-        self.thresholds = dict(thresholds)
-        self.default_threshold = float(default_threshold)
         self.headroom_cap = float(headroom)
         self.headroom = min(self.headroom_cap, self.capacity)
         self.holes = self.capacity - self.headroom
-
-    def threshold(self, flow_id: int) -> float:
-        """Reserved threshold applied to ``flow_id``."""
-        return self.thresholds.get(flow_id, self.default_threshold)
-
-    def reprovision(self, flow_id: int, threshold: float) -> None:
-        """Install or change ``flow_id``'s reserved threshold while live.
-
-        The holes/headroom split tracks *free space*, not reservations,
-        so no counter moves: a changed threshold only re-routes future
-        admissions between the privileged (within-reservation) and the
-        holes-only path.  Drain-safe as in the fixed-partition case.
-        """
-        if threshold < 0:
-            raise ConfigurationError(
-                f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-            )
-        previous = self.threshold(flow_id)
-        self.thresholds[flow_id] = threshold
-        self._trace_reprovision(flow_id, threshold, previous)
-
-    def retire(self, flow_id: int) -> None:
-        """Withdraw the flow's reservation; queued packets still drain."""
-        previous = self.thresholds.pop(flow_id, None)
-        if previous is not None:
-            self._trace_reprovision(flow_id, self.default_threshold, previous)
-        super().retire(flow_id)
-
-    def _reference_threshold(self, flow_id: int) -> float | None:
-        return self.threshold(flow_id)
 
     def register_metrics(self, registry, **labels) -> None:
         super().register_metrics(registry, **labels)
@@ -127,39 +88,64 @@ class SharedHeadroomManager(BufferManager):
             )
         )
 
-    def _within_reservation(self, flow_id: int, size: float) -> bool:
-        return self.occupancy(flow_id) + size <= self.threshold(flow_id)
-
-    def _admits(self, flow_id: int, size: float) -> bool:
-        if self._within_reservation(flow_id, size):
-            return self.holes + self.headroom >= size
-        excess_after = self.occupancy(flow_id) - self.threshold(flow_id) + size
-        return size <= self.holes and excess_after <= self.holes
-
-    def _on_accept(self, flow_id: int, size: float) -> None:
-        # Occupancy has already been charged, so "at or below threshold now"
-        # identifies packets admitted through the privileged path: those may
-        # take from holes first and the remainder from headroom.  Packets
-        # that pushed the flow beyond its threshold were admitted from holes
-        # only.
-        if self.occupancy(flow_id) <= self.threshold(flow_id):
-            from_holes = min(self.holes, size)
-            self.holes -= from_holes
-            self.headroom -= size - from_holes
+    def try_admit(self, flow_id: int, size: float) -> bool:
+        """Guard, both Section-3.3 acceptance rules and the charge, flat."""
+        if size <= 0:
+            raise SimulationError(f"packet size must be positive, got {size}")
+        occupancy = self._occupancy.get(flow_id, 0.0)
+        after = occupancy + size
+        threshold = self.thresholds.get(flow_id, self.default_threshold)
+        holes = self.holes
+        within = after <= threshold
+        if within:
+            if holes + self.headroom < size:
+                return False
+        elif size > holes or occupancy - threshold + size > holes:
+            return False
+        new_total = self._total + size
+        if new_total > self.capacity + 1e-6:
+            raise SimulationError(
+                f"policy {type(self).__name__} admitted beyond capacity "
+                f"({new_total} > {self.capacity})"
+            )
+        self._occupancy[flow_id] = after
+        self._total = new_total
+        # Within the reservation the packet takes from holes first and
+        # the remainder from headroom; beyond it, from holes only.
+        if within and holes < size:
+            self.holes = 0.0
+            self.headroom -= size - holes
         else:
-            self.holes -= size
+            self.holes = holes - size
         self._check_counters()
         if self._sink is not None:
             self._trace_headroom()
+            self._trace_occupancy_step(flow_id, after - size, after)
+        return True
 
-    def _on_release(self, flow_id: int, size: float) -> None:
-        self.headroom += size
-        if self.headroom > self.headroom_cap:
-            self.holes += self.headroom - self.headroom_cap
-            self.headroom = self.headroom_cap
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release the packet's space; freed space refills the headroom first."""
+        occupancy = self._occupancy.get(flow_id, 0.0) - size
+        if occupancy < 0.0:
+            if occupancy < -1e-6:
+                raise SimulationError(
+                    f"flow {flow_id} occupancy went negative ({occupancy}); "
+                    "departure without matching admission"
+                )
+            occupancy = 0.0
+        self._occupancy[flow_id] = occupancy
+        total = self._total - size
+        self._total = total if total >= 0.0 else 0.0
+        headroom = self.headroom + size
+        if headroom > self.headroom_cap:
+            self.holes += headroom - self.headroom_cap
+            headroom = self.headroom_cap
+        self.headroom = headroom
         self._check_counters()
         if self._sink is not None:
             self._trace_headroom()
+        if self._sink is not None or self._retired:
+            self._after_depart(flow_id, size, occupancy)
 
     def _check_counters(self) -> None:
         if self.holes < -1e-6 or self.headroom < -1e-6:
@@ -168,7 +154,7 @@ class SharedHeadroomManager(BufferManager):
                 f"headroom={self.headroom})"
             )
         expected_free = self.capacity - self._total
-        if abs((self.holes + self.headroom) - expected_free) > 1e-3:
+        if not -1e-3 <= (self.holes + self.headroom) - expected_free <= 1e-3:
             raise SimulationError(
                 "holes + headroom diverged from free space: "
                 f"{self.holes} + {self.headroom} != {expected_free}"

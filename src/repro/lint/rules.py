@@ -371,11 +371,11 @@ class HotPathRule(Rule):
     id = "RPR105"
     name = "hot-path-hygiene"
     description = (
-        "classes in repro.sim/repro.core must declare __slots__; mutable "
-        "default arguments are banned everywhere"
+        "classes in repro.sim/core/traffic/sched/metrics must declare __slots__; "
+        "mutable default arguments are banned everywhere"
     )
 
-    _SLOTS_DIRS = (("repro", "sim"), ("repro", "core"))
+    _SLOTS_DIRS = tuple(("repro", p) for p in ("sim", "core", "traffic", "sched", "metrics"))
     #: Base-class names whose subclasses get no benefit from __slots__.
     _EXEMPT_BASE_SUFFIXES = ("Error", "Exception", "Warning")
     _EXEMPT_BASES = frozenset({"Protocol", "Enum", "IntEnum", "NamedTuple", "TypedDict"})

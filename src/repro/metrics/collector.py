@@ -7,7 +7,9 @@ measurement window ``[warmup, end]``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import ConfigurationError
 from repro.metrics.histogram import LogHistogram
@@ -15,7 +17,7 @@ from repro.metrics.histogram import LogHistogram
 __all__ = ["FlowStats", "StatsCollector"]
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Counters for one flow over the measurement window."""
 
@@ -61,7 +63,10 @@ class StatsCollector:
     warmup: float = 0.0
     delay_histograms: bool = False
     flows: dict[int, FlowStats] = field(default_factory=dict)
-    _histograms: dict[int, LogHistogram] = field(default_factory=dict, repr=False)
+    _histograms: dict[int, LogHistogram] = field(
+        default_factory=lambda: defaultdict(partial(LogHistogram, lo=1e-6, hi=100.0)),
+        repr=False,
+    )
 
     def __post_init__(self) -> None:
         if self.warmup < 0:
@@ -71,24 +76,16 @@ class StatsCollector:
         """The flow's delay histogram (requires ``delay_histograms=True``)."""
         if not self.delay_histograms:
             raise ConfigurationError("collector built without delay_histograms=True")
-        histogram = self._histograms.get(flow_id)
-        if histogram is None:
-            histogram = LogHistogram(lo=1e-6, hi=100.0)
-            self._histograms[flow_id] = histogram
-        return histogram
-
-    def _stats(self, flow_id: int) -> FlowStats:
-        stats = self.flows.get(flow_id)
-        if stats is None:
-            stats = FlowStats()
-            self.flows[flow_id] = stats
-        return stats
+        return self._histograms[flow_id]
 
     def on_offered(self, flow_id: int, size: float, now: float) -> None:
         """A packet reached the port (post-shaper offered load)."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        try:
+            stats = self.flows[flow_id]
+        except KeyError:
+            stats = self.flows[flow_id] = FlowStats()
         stats.offered_packets += 1
         stats.offered_bytes += size
 
@@ -96,7 +93,10 @@ class StatsCollector:
         """The buffer manager rejected the packet."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        try:
+            stats = self.flows[flow_id]
+        except KeyError:
+            stats = self.flows[flow_id] = FlowStats()
         stats.dropped_packets += 1
         stats.dropped_bytes += size
 
@@ -104,14 +104,17 @@ class StatsCollector:
         """The packet finished transmission ``delay`` seconds after arrival."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        try:
+            stats = self.flows[flow_id]
+        except KeyError:
+            stats = self.flows[flow_id] = FlowStats()
         stats.departed_packets += 1
         stats.departed_bytes += size
         stats.delay_sum += delay
         if delay > stats.delay_max:
             stats.delay_max = delay
         if self.delay_histograms:
-            self.delay_histogram(flow_id).record(max(delay, 0.0))
+            self._histograms[flow_id].record(delay if delay >= 0.0 else 0.0)
 
     # -- aggregation ----------------------------------------------------
 

@@ -30,6 +30,19 @@ class LogHistogram:
         bins_per_decade: resolution; 10 gives ~26% relative bin width.
     """
 
+    __slots__ = (
+        "lo",
+        "hi",
+        "bins_per_decade",
+        "base",
+        "_log_base",
+        "n_bins",
+        "_counts",
+        "count",
+        "total",
+        "max_value",
+    )
+
     def __init__(self, lo: float = 1e-6, hi: float = 10.0, bins_per_decade: int = 10):
         if not 0 < lo < hi:
             raise ConfigurationError(f"need 0 < lo < hi, got ({lo}, {hi})")
@@ -41,24 +54,25 @@ class LogHistogram:
         self.hi = float(hi)
         self.bins_per_decade = int(bins_per_decade)
         self.base = 10.0 ** (1.0 / bins_per_decade)
+        self._log_base = math.log(self.base)
         self.n_bins = int(math.ceil(math.log(hi / lo, self.base)))
         self._counts = [0] * (self.n_bins + 2)  # +underflow +overflow
         self.count = 0
         self.total = 0.0
         self.max_value = 0.0
 
-    def _bin_index(self, value: float) -> int:
-        if value < self.lo:
-            return 0
-        if value >= self.hi:
-            return self.n_bins + 1
-        return 1 + int(math.log(value / self.lo, self.base))
-
     def record(self, value: float) -> None:
         """Add one observation (must be non-negative)."""
         if value < 0:
             raise ConfigurationError(f"values must be non-negative, got {value}")
-        self._counts[self._bin_index(value)] += 1
+        if value < self.lo:
+            index = 0
+        elif value >= self.hi:
+            index = self.n_bins + 1
+        else:
+            # The division math.log(x, base) performs, on a cached log(base).
+            index = 1 + int(math.log(value / self.lo) / self._log_base)
+        self._counts[index] += 1
         self.count += 1
         self.total += value
         if value > self.max_value:

@@ -35,6 +35,8 @@ class OccupancyProbe:
     ``series[name]`` the aligned values.
     """
 
+    __slots__ = ("sim", "period", "probes", "until", "times", "series")
+
     def __init__(
         self,
         sim: Simulator,

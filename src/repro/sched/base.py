@@ -11,6 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
+from repro.obs.events import EnqueueEvent
 from repro.sim.packet import Packet
 
 __all__ = ["Scheduler"]
@@ -22,16 +23,19 @@ class Scheduler(ABC):
     Schedulers are the emission point for
     :class:`~repro.obs.events.EnqueueEvent`: every admitted packet passes
     through exactly one ``enqueue`` call, so the trace's enqueue count is
-    the admission count.  The class-level ``_sink = None`` default keeps
-    untraced instances on the fast path — concrete ``enqueue``
+    the admission count.  ``_sink`` is ``None`` until a trace is attached,
+    which keeps untraced instances on the fast path — concrete ``enqueue``
     implementations guard emission with one ``is not None`` check.
     """
 
-    #: Trace sink and clock; class-level None means "tracing disabled".
-    _sink = None
-    _clock = None
-    #: Node label stamped on emitted events ('' for single-port runs).
-    _node = ""
+    __slots__ = ("_sink", "_clock", "_node")
+
+    def __init__(self) -> None:
+        #: Trace sink and clock; None means "tracing disabled".
+        self._sink = None
+        self._clock = None
+        #: Node label stamped on emitted events ('' for single-port runs).
+        self._node = ""
 
     def attach_trace(self, sink, clock, node: str = "") -> None:
         """Emit enqueue events into ``sink``, stamped via ``clock``.
@@ -47,6 +51,18 @@ class Scheduler(ABC):
         self._sink = sink
         self._clock = clock
         self._node = node
+
+    def _trace_enqueue(self, packet: Packet, backlog: int) -> None:
+        """Emit the packet's EnqueueEvent; callers test ``_sink`` first."""
+        self._sink.emit(
+            EnqueueEvent(
+                time=self._clock(),
+                flow_id=packet.flow_id,
+                size=packet.size,
+                backlog=backlog,
+                node=self._node,
+            )
+        )
 
     @abstractmethod
     def enqueue(self, packet: Packet) -> None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.obs.events import EnqueueEvent
 from repro.sched.base import Scheduler
 from repro.sim.packet import Packet
 
@@ -18,7 +17,10 @@ __all__ = ["FIFOScheduler"]
 class FIFOScheduler(Scheduler):
     """Serve packets strictly in arrival order."""
 
+    __slots__ = ("_queue", "_bytes")
+
     def __init__(self) -> None:
+        super().__init__()
         self._queue: deque[Packet] = deque()
         self._bytes: float = 0.0
 
@@ -26,15 +28,7 @@ class FIFOScheduler(Scheduler):
         self._queue.append(packet)
         self._bytes += packet.size
         if self._sink is not None:
-            self._sink.emit(
-                EnqueueEvent(
-                    time=self._clock(),
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    backlog=len(self._queue),
-                    node=self._node,
-                )
-            )
+            self._trace_enqueue(packet, len(self._queue))
 
     def dequeue(self) -> Packet | None:
         if not self._queue:

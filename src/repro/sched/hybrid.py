@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EnqueueEvent
 from repro.sched.base import Scheduler
 from repro.sched.wfq import WFQScheduler
 from repro.sim.packet import Packet
@@ -55,6 +54,8 @@ class HybridScheduler(Scheduler):
             ``groups``.
     """
 
+    __slots__ = ("class_of", "groups", "class_rates", "_wfq")
+
     def __init__(
         self,
         clock: Callable[[], float],
@@ -66,6 +67,7 @@ class HybridScheduler(Scheduler):
             raise ConfigurationError(
                 f"got {len(class_rates)} class rates for {len(groups)} groups"
             )
+        super().__init__()
         self.class_of: Mapping[int, int] = validate_grouping(groups)
         self.groups = [tuple(group) for group in groups]
         self.class_rates = tuple(float(rate) for rate in class_rates)
@@ -84,15 +86,7 @@ class HybridScheduler(Scheduler):
         # The inner WFQ is never attached, so the packet is traced exactly
         # once — here, at the port-facing layer.
         if self._sink is not None:
-            self._sink.emit(
-                EnqueueEvent(
-                    time=self._clock(),
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    backlog=len(self._wfq),
-                    node=self._node,
-                )
-            )
+            self._trace_enqueue(packet, len(self._wfq))
 
     def dequeue(self) -> Packet | None:
         return self._wfq.dequeue()

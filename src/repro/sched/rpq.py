@@ -22,7 +22,6 @@ from collections import deque
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EnqueueEvent
 from repro.sched.base import Scheduler
 from repro.sim.packet import Packet
 
@@ -43,6 +42,16 @@ class RPQScheduler(Scheduler):
             (default) rejects unknown flows.
     """
 
+    __slots__ = (
+        "delta",
+        "class_of",
+        "default_class",
+        "_buckets",
+        "_order",
+        "_count",
+        "_bytes",
+    )
+
     def __init__(
         self,
         clock: Callable[[], float],
@@ -61,6 +70,7 @@ class RPQScheduler(Scheduler):
             raise ConfigurationError(
                 f"default class must be >= 0, got {default_class}"
             )
+        super().__init__()
         self._clock = clock
         self.delta = float(delta)
         self.class_of = dict(class_of)
@@ -90,15 +100,7 @@ class RPQScheduler(Scheduler):
         self._count += 1
         self._bytes += packet.size
         if self._sink is not None:
-            self._sink.emit(
-                EnqueueEvent(
-                    time=self._clock(),
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    backlog=self._count,
-                    node=self._node,
-                )
-            )
+            self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
         while self._order:

@@ -21,7 +21,6 @@ from collections import deque
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.events import EnqueueEvent
 from repro.sched.base import Scheduler
 from repro.sim.packet import Packet
 
@@ -45,6 +44,8 @@ class SCFQScheduler(Scheduler):
         weights: mapping flow id -> weight (reserved rate, bytes/second).
     """
 
+    __slots__ = ("_flows", "_hol", "_vtime", "_count", "_bytes")
+
     def __init__(self, weights: Mapping[int, float]) -> None:
         if not weights:
             raise ConfigurationError("SCFQ requires at least one flow weight")
@@ -53,6 +54,7 @@ class SCFQScheduler(Scheduler):
                 raise ConfigurationError(
                     f"weight for flow {key} must be positive, got {weight}"
                 )
+        super().__init__()
         self._flows = {key: _FlowState(float(w)) for key, w in weights.items()}
         self._hol: list[tuple[float, int, int, Packet]] = []
         self._vtime = 0.0  # tag of the packet in service (self-clocking)
@@ -79,15 +81,7 @@ class SCFQScheduler(Scheduler):
         self._count += 1
         self._bytes += packet.size
         if self._sink is not None:
-            self._sink.emit(
-                EnqueueEvent(
-                    time=self._clock(),
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    backlog=self._count,
-                    node=self._node,
-                )
-            )
+            self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
         if not self._hol:

@@ -30,7 +30,6 @@ from collections import deque
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.events import EnqueueEvent
 from repro.sched.base import Scheduler
 from repro.sim.packet import Packet
 
@@ -61,6 +60,18 @@ class WFQScheduler(Scheduler):
             Keys produced by the classifier must appear in ``weights``.
     """
 
+    __slots__ = (
+        "_rate",
+        "_classify",
+        "_flows",
+        "_hol",
+        "_vtime",
+        "_last_update",
+        "_active_weight",
+        "_count",
+        "_bytes",
+    )
+
     def __init__(
         self,
         clock: Callable[[], float],
@@ -75,6 +86,7 @@ class WFQScheduler(Scheduler):
         for key, weight in weights.items():
             if weight <= 0:
                 raise ConfigurationError(f"weight for key {key} must be positive, got {weight}")
+        super().__init__()
         self._clock = clock
         self._rate = link_rate
         self._classify = classifier or (lambda packet: packet.flow_id)
@@ -117,15 +129,7 @@ class WFQScheduler(Scheduler):
         self._count += 1
         self._bytes += packet.size
         if self._sink is not None:
-            self._sink.emit(
-                EnqueueEvent(
-                    time=self._clock(),
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    backlog=self._count,
-                    node=self._node,
-                )
-            )
+            self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
         if not self._hol:

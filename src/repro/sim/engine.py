@@ -202,7 +202,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # `not >=`, so that a NaN key raises too
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
@@ -221,7 +221,7 @@ class Simulator:
         whichever entry point a component uses.
         """
         time = self.now + delay
-        if time < self.now:
+        if not time >= self.now:  # `not >=`, so that a NaN key raises too
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )

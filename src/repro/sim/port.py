@@ -65,7 +65,6 @@ class OutputPort:
         "recycle",
         "label",
         "busy",
-        "_in_service",
         "admitted_packets",
         "dropped_packets",
         "transmitted_packets",
@@ -101,7 +100,6 @@ class OutputPort:
         self.recycle = recycle
         self.label = label
         self.busy = False
-        self._in_service: Packet | None = None
         self.admitted_packets = 0
         self.dropped_packets = 0
         self.transmitted_packets = 0
@@ -154,19 +152,23 @@ class OutputPort:
 
     def receive(self, packet: Packet) -> bool:
         """Handle an arriving packet; returns True if admitted."""
-        now = self.sim.now
-        if self.collector is not None:
-            self.collector.on_offered(packet.flow_id, packet.size, now)
-        if not self.manager.try_admit(packet.flow_id, packet.size):
+        sim = self.sim
+        now = sim.now
+        flow_id = packet.flow_id
+        size = packet.size
+        collector = self.collector
+        if collector is not None:
+            collector.on_offered(flow_id, size, now)
+        if not self.manager.try_admit(flow_id, size):
             self.dropped_packets += 1
-            if self.collector is not None:
-                self.collector.on_drop(packet.flow_id, packet.size, now)
+            if collector is not None:
+                collector.on_drop(flow_id, size, now)
             if self._sink is not None:
                 self._sink.emit(
                     DropEvent(
                         time=now,
-                        flow_id=packet.flow_id,
-                        size=packet.size,
+                        flow_id=flow_id,
+                        size=size,
                         reason=self._drop_reason(packet),
                         node=self.label,
                     )
@@ -176,26 +178,21 @@ class OutputPort:
             return False
         packet.enqueued = now
         self.admitted_packets += 1
-        self.scheduler.enqueue(packet)
+        scheduler = self.scheduler
+        scheduler.enqueue(packet)
         if not self.busy:
-            self._start_transmission()
+            # Idle link: whatever the scheduler ranks first goes into service.
+            head = scheduler.dequeue()
+            if head is not None:
+                self.busy = True
+                sim.schedule_fast(head.size / self.rate, self._finish_transmission, head)
         return True
 
-    def _start_transmission(self) -> None:
-        packet = self.scheduler.dequeue()
-        if packet is None:
-            self.busy = False
-            self._in_service = None
-            return
-        self.busy = True
-        self._in_service = packet
-        self.sim.schedule_fast(
-            packet.size / self.rate, self._finish_transmission, packet
-        )
-
     def _finish_transmission(self, packet: Packet) -> None:
-        now = self.sim.now
-        if packet.enqueued is None:
+        sim = self.sim
+        now = sim.now
+        enqueued = packet.enqueued
+        if enqueued is None:
             # Every serviced packet was admitted through receive(), which
             # stamps `enqueued`; a missing timestamp means the packet
             # bypassed admission and the delay accounting is meaningless.
@@ -203,27 +200,32 @@ class OutputPort:
                 f"packet {packet!r} finished service without an enqueue "
                 "timestamp; it never passed through receive()"
             )
-        self.manager.on_depart(packet.flow_id, packet.size)
+        flow_id = packet.flow_id
+        size = packet.size
+        self.manager.on_depart(flow_id, size)
         self.transmitted_packets += 1
-        if self.collector is not None or self._sink is not None:
-            delay = now - packet.enqueued
-            if self.collector is not None:
-                self.collector.on_depart(packet.flow_id, packet.size, delay, now)
-            if self._sink is not None:
-                self._sink.emit(
-                    DepartEvent(
-                        time=now,
-                        flow_id=packet.flow_id,
-                        size=packet.size,
-                        delay=delay,
-                        node=self.label,
-                    )
+        delay = now - enqueued
+        if self.collector is not None:
+            self.collector.on_depart(flow_id, size, delay, now)
+        if self._sink is not None:
+            self._sink.emit(
+                DepartEvent(
+                    time=now,
+                    flow_id=flow_id,
+                    size=size,
+                    delay=delay,
+                    node=self.label,
                 )
+            )
         if self.downstream is not None:
             self.downstream.receive(packet)
         elif self.recycle:
             packet.release()
-        self._start_transmission()
+        head = self.scheduler.dequeue()
+        if head is None:
+            self.busy = False
+        else:
+            sim.schedule_fast(head.size / self.rate, self._finish_transmission, head)
 
     @property
     def backlog_packets(self) -> int:

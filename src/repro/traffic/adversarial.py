@@ -43,6 +43,17 @@ class ThresholdFillingSource:
         until: stop at this time.
     """
 
+    __slots__ = (
+        "sim",
+        "flow_id",
+        "port",
+        "target",
+        "packet_size",
+        "period",
+        "until",
+        "offered_packets",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -93,6 +104,19 @@ class FillThenBurstSource:
     ``rho B / R`` of the buffer is occupied, it exactly attains the
     ``sigma + rho B / R`` threshold of Proposition 2.
     """
+
+    __slots__ = (
+        "sim",
+        "flow_id",
+        "sigma",
+        "rho",
+        "sink",
+        "packet_size",
+        "until",
+        "burst_fired",
+        "emitted_bytes",
+        "_spacing",
+    )
 
     def __init__(
         self,

@@ -42,6 +42,19 @@ class LeakyBucketShaper:
         sink: downstream object with a ``receive(packet)`` method.
     """
 
+    __slots__ = (
+        "sim",
+        "sigma",
+        "rho",
+        "sink",
+        "_tokens",
+        "_last_update",
+        "_queue",
+        "_release_pending",
+        "shaped_packets",
+        "delayed_packets",
+    )
+
     def __init__(self, sim: Simulator, sigma: float, rho: float, sink) -> None:
         if sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -63,53 +76,60 @@ class LeakyBucketShaper:
         """Packets currently waiting in the shaping queue."""
         return len(self._queue)
 
-    def tokens(self) -> float:
-        """Current token level (after catching up to the clock)."""
-        self._refill()
-        return self._tokens
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        if now > self._last_update:
-            self._tokens = min(self.sigma, self._tokens + self.rho * (now - self._last_update))
-            self._last_update = now
-
     def receive(self, packet: Packet) -> None:
         """Accept a packet from the source; forward now or later."""
-        if packet.size > self.sigma:
+        size = packet.size
+        if size > self.sigma:
             raise SimulationError(
-                f"packet of {packet.size} bytes can never conform to sigma={self.sigma}"
+                f"packet of {size} bytes can never conform to sigma={self.sigma}"
             )
-        self._refill()
-        if not self._queue and self._tokens + _EPSILON_BYTES >= packet.size:
-            self._tokens = max(self._tokens - packet.size, 0.0)
+        now = self.sim.now
+        tokens = self._tokens
+        if now > self._last_update:
+            tokens += self.rho * (now - self._last_update)
+            if tokens > self.sigma:
+                tokens = self.sigma
+            self._last_update = now
+        queue = self._queue
+        if not queue and tokens + _EPSILON_BYTES >= size:
+            tokens -= size
+            self._tokens = tokens if tokens >= 0.0 else 0.0
             self.shaped_packets += 1
             self.sink.receive(packet)
             return
+        self._tokens = tokens
         self.delayed_packets += 1
-        self._queue.append(packet)
-        self._schedule_release()
-
-    def _schedule_release(self) -> None:
-        if self._release_pending or not self._queue:
-            return
-        self._refill()
-        deficit = self._queue[0].size - self._tokens
-        delay = max(deficit, 0.0) / self.rho
-        self._release_pending = True
-        # Releases are gated by _release_pending, never cancelled, so the
-        # handle-free scheduling path is safe.
-        self.sim.schedule_fast(delay, self._release)
+        queue.append(packet)
+        if not self._release_pending:
+            # Releases are gated by _release_pending, never cancelled, so
+            # the handle-free scheduling path is safe.
+            self._release_pending = True
+            deficit = queue[0].size - tokens
+            self.sim.schedule_fast((deficit if deficit >= 0.0 else 0.0) / self.rho, self._release)
 
     def _release(self) -> None:
         self._release_pending = False
-        self._refill()
-        while self._queue and self._tokens + _EPSILON_BYTES >= self._queue[0].size:
-            packet = self._queue.popleft()
-            self._tokens = max(self._tokens - packet.size, 0.0)
+        now = self.sim.now
+        tokens = self._tokens
+        if now > self._last_update:
+            tokens += self.rho * (now - self._last_update)
+            if tokens > self.sigma:
+                tokens = self.sigma
+            self._last_update = now
+            self._tokens = tokens
+        queue = self._queue
+        while queue and tokens + _EPSILON_BYTES >= queue[0].size:
+            packet = queue.popleft()
+            tokens -= packet.size
+            if tokens < 0.0:
+                tokens = 0.0
+            self._tokens = tokens
             self.shaped_packets += 1
             self.sink.receive(packet)
-        self._schedule_release()
+        if queue:
+            self._release_pending = True
+            deficit = queue[0].size - tokens
+            self.sim.schedule_fast((deficit if deficit >= 0.0 else 0.0) / self.rho, self._release)
 
 
 class TokenBucketMeter:
@@ -121,6 +141,8 @@ class TokenBucketMeter:
     process ``sigma_i(t)`` of eq. (3), i.e. the largest burst the flow
     could still emit instantaneously while remaining conformant.
     """
+
+    __slots__ = ("sigma", "rho", "_tokens", "_last")
 
     def __init__(self, sigma: float, rho: float, start: float = 0.0) -> None:
         if sigma <= 0 or rho <= 0:

@@ -68,6 +68,31 @@ class OnOffSource:
             byte-for-byte.
     """
 
+    __slots__ = (
+        "sim",
+        "flow_id",
+        "peak_rate",
+        "avg_rate",
+        "mean_burst",
+        "sink",
+        "rng",
+        "packet_size",
+        "until",
+        "emitted_packets",
+        "emitted_bytes",
+        "_spacing",
+        "_mean_burst_packets",
+        "_burst_p",
+        "_mean_off",
+        "_batch",
+        "_burst_rng",
+        "_off_rng",
+        "_bursts",
+        "_burst_i",
+        "_offs",
+        "_off_i",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -162,23 +187,23 @@ class OnOffSource:
         """
         self.until = self.sim.now
 
-    def _stopped(self) -> bool:
-        return self.until is not None and self.sim.now >= self.until
-
     def _begin_burst(self) -> None:
-        if self._stopped():
+        if self.until is not None and self.sim.now >= self.until:
             return
         self._emit(self._next_burst_packets())
 
     def _emit(self, remaining: int) -> None:
-        if self._stopped():
+        sim = self.sim
+        now = sim.now
+        if self.until is not None and now >= self.until:
             return
-        packet = Packet.acquire(self.flow_id, self.packet_size, self.sim.now)
+        size = self.packet_size
+        packet = Packet.acquire(self.flow_id, size, now)
         self.emitted_packets += 1
-        self.emitted_bytes += packet.size
+        self.emitted_bytes += size
         self.sink.receive(packet)
         if remaining > 1:
-            self.sim.schedule_fast(self._spacing, self._emit, remaining - 1)
+            sim.schedule_fast(self._spacing, self._emit, remaining - 1)
         else:
             # The last packet of the burst "occupies" one spacing at peak
             # rate before the OFF period starts, so the ON-state rate is
@@ -186,11 +211,23 @@ class OnOffSource:
             off = self._spacing
             if self._mean_off > 0:
                 off += self._next_off()
-            self.sim.schedule_fast(off, self._begin_burst)
+            sim.schedule_fast(off, self._begin_burst)
 
 
 class CBRSource:
     """Constant-bit-rate source: one packet every ``packet_size / rate``."""
+
+    __slots__ = (
+        "sim",
+        "flow_id",
+        "rate",
+        "sink",
+        "packet_size",
+        "until",
+        "emitted_packets",
+        "emitted_bytes",
+        "_spacing",
+    )
 
     def __init__(
         self,
@@ -238,6 +275,8 @@ class GreedySource(CBRSource):
     policy, since every departure is immediately replaced.
     """
 
+    __slots__ = ()
+
     def __init__(
         self,
         sim: Simulator,
@@ -259,6 +298,8 @@ class GreedySource(CBRSource):
 
 class TraceSource:
     """Replay an explicit arrival schedule of ``(time, size)`` pairs."""
+
+    __slots__ = ("sim", "flow_id", "sink", "emitted_packets", "emitted_bytes")
 
     def __init__(
         self,

@@ -267,6 +267,23 @@ class TestScheduleFast:
             sim.run(max_events=100)
 
 
+class TestScheduleGuards:
+    """No entry point lets a negative or NaN time reach the queue."""
+
+    @pytest.mark.parametrize("backend", ["heap", "calendar"])
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_fast"])
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_negative_and_nan_times_raise(self, backend, entry, bad):
+        sim = Simulator(equeue=backend)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        # schedule_at takes an absolute time: now + bad is in the past or NaN.
+        argument = sim.now + bad if entry == "schedule_at" else bad
+        with pytest.raises(SimulationError):
+            getattr(sim, entry)(argument, lambda: None)
+        assert sim.pending == 0
+
+
 class TestRunAccounting:
     """run() keeps the pending/cancelled books exactly like step() did."""
 

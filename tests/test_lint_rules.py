@@ -193,6 +193,16 @@ class TestHotPathRPR105:
             """
         assert "RPR105" in rule_ids(snippet, path=CORE_PATH)
 
+    @pytest.mark.parametrize("package", ["traffic", "sched", "metrics"])
+    def test_flags_missing_slots_in_other_per_packet_layers(self, package):
+        snippet = """
+            class Shaper:
+                def __init__(self):
+                    self.tokens = 0.0
+            """
+        path = f"src/repro/{package}/snippet.py"
+        assert "RPR105" in rule_ids(snippet, path=path)
+
     def test_flags_mutable_default_argument(self):
         assert "RPR105" in rule_ids(
             """
