@@ -1,8 +1,7 @@
 """Macro benchmark suite under pytest-benchmark.
 
 The same curated cases the ``repro bench`` harness gates in CI (one
-scenario per scheme family, plus the batched-source micro workload),
-exposed through pytest-benchmark for interactive profiling sessions:
+scenario per scheme family), exposed through pytest-benchmark for interactive profiling sessions:
 
     pytest benchmarks/bench_macro_suite.py --benchmark-only
 
@@ -33,11 +32,3 @@ def test_macro_scheme_family(benchmark, name):
     assert result.events > 0
     assert result.packets is not None and result.packets > 0
 
-
-def test_onoff_batched_source(benchmark):
-    """The block-RNG source emission path in isolation."""
-    case = _QUICK["onoff-batched"]
-    result = benchmark.pedantic(
-        lambda: measure_case(case, trials=1), rounds=3, iterations=1
-    )
-    assert result.events > 0

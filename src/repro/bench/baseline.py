@@ -32,9 +32,9 @@ from repro.errors import ConfigurationError
 __all__ = ["BENCH_SCHEMA", "BenchBaseline", "default_host_tag", "baseline_filename"]
 
 #: Format version tag; bump when the baseline layout changes.
-#: v2: baselines record the event-queue ``backend`` the suite ran
-#: under; comparisons across backends are stale, not regressions.
-BENCH_SCHEMA = "repro-bench-v2"
+#: v2: baselines recorded an event-queue ``backend`` field.
+#: v3: the field is gone (there is one event queue).
+BENCH_SCHEMA = "repro-bench-v3"
 
 _TAG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -63,21 +63,12 @@ def baseline_filename(host_tag: str) -> str:
 
 @dataclass(frozen=True)
 class BenchBaseline:
-    """One suite run, ready to be stored or compared against.
-
-    ``backend`` names the event-queue engine the suite ran under
-    (``repro bench run --backend ...``); cases that pin their own
-    backend in their params (the ``equeue-*`` pair) are unaffected by
-    it.  A baseline measured on one backend never gates a run on
-    another — :func:`repro.bench.compare.compare_baselines` reports
-    such pairs as ``mismatched-backend``.
-    """
+    """One suite run, ready to be stored or compared against."""
 
     host_tag: str
     python: str
     platform: str
     cases: tuple[CaseResult, ...]
-    backend: str = "heap"
 
     def __post_init__(self) -> None:
         names = [case.name for case in self.cases]
@@ -85,21 +76,12 @@ class BenchBaseline:
             raise ConfigurationError(f"duplicate case names in baseline: {names}")
 
     @staticmethod
-    def from_results(
-        results, host_tag: str | None = None, backend: str | None = None
-    ) -> "BenchBaseline":
-        if backend is None:
-            # Imported lazily to keep baseline.py importable without the
-            # experiments package at interpreter teardown in workers.
-            from repro.experiments.config import equeue_backend_setting
-
-            backend = equeue_backend_setting() or "heap"
+    def from_results(results, host_tag: str | None = None) -> "BenchBaseline":
         return BenchBaseline(
             host_tag=host_tag or default_host_tag(),
             python=platform.python_version(),
             platform=f"{platform.system()}-{platform.machine()}",
             cases=tuple(results),
-            backend=backend,
         )
 
     def case(self, name: str) -> CaseResult | None:
@@ -118,7 +100,6 @@ class BenchBaseline:
             "host_tag": self.host_tag,
             "python": self.python,
             "platform": self.platform,
-            "backend": self.backend,
             "cases": {case.name: case.to_dict() for case in self.cases},
         }
 
@@ -170,7 +151,6 @@ class BenchBaseline:
                 cases=tuple(
                     CaseResult.from_dict(case) for case in raw["cases"].values()
                 ),
-                backend=str(raw["backend"]),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigurationError(f"malformed baseline {path}: {exc}") from exc

@@ -3,7 +3,7 @@
 Verbs::
 
     repro bench run [--quick] [--trials N] [--out DIR] [--host-tag TAG]
-                    [--cases a,b,...] [--backend {heap,calendar}]
+                    [--cases a,b,...]
     repro bench compare --baseline PATH [--fresh PATH] [--threshold X]
                     [--noise-mult M] [--quick] [--trials N] [--out DIR]
     repro bench update-baseline [--dir DIR] [--host-tag TAG] [--quick]
@@ -22,9 +22,7 @@ Exit codes (``compare``):
 * ``1`` — at least one performance regression,
 * ``2`` — usage error (also argparse's convention),
 * ``4`` — stale or unusable baseline: file missing/corrupt, case
-  missing from the fresh run, workload digest mismatch, or the
-  baseline was recorded under a different event-queue backend than
-  the fresh run (``mismatched-backend``).
+  missing from the fresh run, or workload digest mismatch.
 """
 
 from __future__ import annotations
@@ -33,14 +31,11 @@ import argparse
 import pathlib
 import sys
 
-import os
-
 from repro.bench.baseline import BenchBaseline, baseline_filename, default_host_tag
 from repro.bench.compare import compare_baselines
 from repro.bench.measure import CaseResult, run_suite
 from repro.bench.suite import resolve_cases
 from repro.errors import ConfigurationError
-from repro.sim.equeue import EQUEUE_BACKENDS, EQUEUE_ENV_VAR
 
 __all__ = ["main", "build_parser"]
 
@@ -81,15 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--host-tag",
             default=None,
             help=f"baseline tag (default: {default_host_tag()!r})",
-        )
-        p.add_argument(
-            "--backend",
-            choices=sorted(EQUEUE_BACKENDS),
-            default=None,
-            help="event-queue backend for the measured suite (sets "
-            f"{EQUEUE_ENV_VAR} for the run and is recorded on the "
-            "baseline; default: the environment's backend, normally "
-            "heap).  Cases that pin their own backend are unaffected.",
         )
 
     run_p = sub.add_parser("run", help="measure the suite and archive results")
@@ -190,29 +176,16 @@ def _measure(args: argparse.Namespace) -> BenchBaseline:
         f"({mode} mode)",
         file=sys.stderr,
     )
-    # --backend steers every case that does not pin its own backend by
-    # exporting REPRO_EQUEUE around the measurement; restored afterwards
-    # so in-process callers (the tests) see no environment drift.
-    previous = os.environ.get(EQUEUE_ENV_VAR)
-    if args.backend is not None:
-        os.environ[EQUEUE_ENV_VAR] = args.backend
-    try:
-        results = run_suite(
-            cases,
-            trials=_trials(args),
-            progress=lambda r: print(
-                f"#   {r.name}: {r.events_per_sec:,.0f} events/s "
-                f"(spread {r.rel_spread:.1%})",
-                file=sys.stderr,
-            ),
-        )
-        return BenchBaseline.from_results(results, host_tag=args.host_tag)
-    finally:
-        if args.backend is not None:
-            if previous is None:
-                os.environ.pop(EQUEUE_ENV_VAR, None)
-            else:
-                os.environ[EQUEUE_ENV_VAR] = previous
+    results = run_suite(
+        cases,
+        trials=_trials(args),
+        progress=lambda r: print(
+            f"#   {r.name}: {r.events_per_sec:,.0f} events/s "
+            f"(spread {r.rel_spread:.1%})",
+            file=sys.stderr,
+        ),
+    )
+    return BenchBaseline.from_results(results, host_tag=args.host_tag)
 
 
 def _archive(baseline: BenchBaseline, out: pathlib.Path) -> pathlib.Path:

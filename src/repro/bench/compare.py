@@ -14,12 +14,9 @@ future regressions are judged against the new floor).
 
 Digest discipline: a case whose content digest differs between baseline
 and fresh run is ``mismatched`` — the workload changed, so comparing the
-numbers would be meaningless.  A baseline recorded under a different
-event-queue backend than the fresh run is ``mismatched-backend`` for
-every case: the pair measures an engine swap, not a code change.
-Mismatches and baseline cases missing from the fresh run are
-*stale-baseline* failures (CLI exit 4), distinct from performance
-regressions (exit 1).
+numbers would be meaningless.  Mismatches and baseline cases missing
+from the fresh run are *stale-baseline* failures (CLI exit 4), distinct
+from performance regressions (exit 1).
 """
 
 from __future__ import annotations
@@ -29,12 +26,7 @@ from dataclasses import dataclass
 from repro.bench.baseline import BenchBaseline
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "CaseComparison",
-    "ComparisonReport",
-    "compare_baselines",
-    "MISMATCHED_BACKEND",
-]
+__all__ = ["CaseComparison", "ComparisonReport", "compare_baselines"]
 
 #: Comparison statuses.
 OK = "ok"
@@ -42,7 +34,6 @@ IMPROVED = "improved"
 REGRESSED = "regressed"
 MISSING = "missing"  # in baseline, absent from the fresh run
 MISMATCHED = "mismatched"  # same name, different workload digest
-MISMATCHED_BACKEND = "mismatched-backend"  # baseline ran another engine
 NEW = "new"  # in the fresh run, absent from the baseline
 
 
@@ -79,11 +70,7 @@ class ComparisonReport:
     @property
     def stale(self) -> list[CaseComparison]:
         """Cases whose baseline no longer matches the suite definition."""
-        return [
-            c
-            for c in self.comparisons
-            if c.status in (MISSING, MISMATCHED, MISMATCHED_BACKEND)
-        ]
+        return [c for c in self.comparisons if c.status in (MISSING, MISMATCHED)]
 
     @property
     def passed(self) -> bool:
@@ -123,28 +110,6 @@ def compare_baselines(
         raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
     if noise_mult < 0:
         raise ConfigurationError(f"noise_mult must be >= 0, got {noise_mult}")
-    if baseline.backend != fresh.backend:
-        # The two suites ran different event-queue engines: every number
-        # pair measures an engine change, not a code change, so the
-        # whole comparison is stale (CLI exit 4) rather than a verdict.
-        return ComparisonReport(
-            comparisons=tuple(
-                CaseComparison(
-                    name=case.name,
-                    status=MISMATCHED_BACKEND,
-                    baseline_eps=case.events_per_sec,
-                    fresh_eps=(
-                        fresh.case(case.name).events_per_sec
-                        if fresh.case(case.name) is not None
-                        else None
-                    ),
-                    allowed_drop=None,
-                )
-                for case in baseline.cases
-            ),
-            threshold=threshold,
-            noise_mult=noise_mult,
-        )
     comparisons: list[CaseComparison] = []
     fresh_by_name = {case.name: case for case in fresh.cases}
     for base_case in baseline.cases:

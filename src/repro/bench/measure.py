@@ -14,9 +14,8 @@ a noisy machine loosens its own gate instead of flagging phantom
 regressions.
 
 Peak RSS comes from ``resource.getrusage`` — the high-water mark of the
-whole process, not per-case, but tracked because the freelist and
-batching work trade allocation pressure for residency and a leak would
-show up here first.
+whole process, not per-case, but tracked because a leak would show up
+here first.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ Two kinds of cases:
   static thresholds, FIFO with shared headroom, WFQ with thresholds, and
   the hybrid grouped scheme) on the paper's Table 1 workload, plus the
   reference three-hop tandem with flow churn through the scenario
-  fabric — once on the default engine and once pinned to the calendar
-  event queue.  Each wraps a campaign job
+  fabric.  Each wraps a campaign job
   (:class:`~repro.experiments.campaign.ScenarioJob` or
   :class:`~repro.experiments.campaign.NetworkJob`), so the case digest
   *is* the job's content digest — a baseline is tied to the exact
@@ -15,14 +14,11 @@ Two kinds of cases:
   parameters, or the job schema invalidates the comparison instead of
   silently measuring something else.
 * **Micro** cases mirror the pytest-benchmark engine workloads (event
-  chain, preloaded heap, cancellation drain) plus a batched-RNG source
-  workload, an admission-dominated churn workload with and without
-  live buffer reclamation, a port loop sampled by an installed
-  sim-time :class:`~repro.obs.timeline.Timeline`, the
-  backend-pinned ``equeue-churn``/``equeue-calendar`` scheduling-churn
-  pair (whose ratio is the calendar engine's measured speedup), and
-  the collapsed ``batched-pipeline`` source->shaper chain.  They are
-  digested over their canonical parameters tagged with
+  chain, preloaded heap, cancellation drain) plus an
+  admission-dominated churn workload with and without live buffer
+  reclamation and a port loop sampled by an installed sim-time
+  :class:`~repro.obs.timeline.Timeline`.  They are digested over their
+  canonical parameters tagged with
   :data:`~repro.bench.baseline.BENCH_SCHEMA`.
 
 Every case is deterministic: a fixed seed, a fixed workload, a fixed
@@ -36,8 +32,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import NetworkJob, ScenarioJob
@@ -54,12 +48,10 @@ from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
 from repro.obs.timeline import Timeline
 from repro.sched.fifo import FIFOScheduler
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
-from repro.traffic.batched import BatchedOnOffSource
 from repro.traffic.profiles import FlowSpec
-from repro.traffic.sources import OnOffSource
 from repro.units import kbytes, mbps, mbytes
 
 __all__ = ["BenchCase", "MACRO", "MICRO", "default_suite", "resolve_cases"]
@@ -77,14 +69,6 @@ MACRO_SIM_TIME_QUICK = 2.0
 #: not dominate the spread estimate.
 MICRO_OPS = 100_000
 MICRO_OPS_QUICK = 50_000
-
-#: Standing population for the backend-speedup pair (full / --quick).
-#: Deliberately larger than the other engine micro cases: the calendar
-#: queue's edge over the heap grows with the pending population, and
-#: the >= 2x acceptance gate is measured on this pair, so it must sit
-#: where the data structure — not fixed per-event overhead — dominates.
-EQUEUE_CHURN_OPS = 600_000
-EQUEUE_CHURN_OPS_QUICK = 400_000
 
 
 @dataclass(frozen=True)
@@ -197,22 +181,6 @@ def _macro_cases(sim_time: float) -> list[BenchCase]:
                 demo_tandem(hops=3, seed=15, sim_time=sim_time, churn=True)
             ),
         ),
-        # The same churn tandem pinned to the calendar backend: the
-        # explicit equeue field enters the job digest, so this case can
-        # never silently compare against the heap-backed tandem-3hop.
-        BenchCase(
-            "tandem-3hop-calendar",
-            MACRO,
-            job=NetworkJob(
-                demo_tandem(
-                    hops=3,
-                    seed=15,
-                    sim_time=sim_time,
-                    churn=True,
-                    equeue="calendar",
-                )
-            ),
-        ),
     ]
 
 
@@ -253,42 +221,6 @@ def _run_cancellation(params: dict) -> int:
     for event in events[::2]:
         event.cancel()
     sim.run()
-    return sim.events_processed
-
-
-class _CountingSink:
-    """Swallow packets, releasing each back to the freelist."""
-
-    __slots__ = ("packets",)
-
-    def __init__(self) -> None:
-        self.packets = 0
-
-    def receive(self, packet) -> None:
-        self.packets += 1
-        packet.release()
-
-
-def _run_onoff_batched(params: dict) -> int:
-    """A batched-RNG on-off source feeding a null sink.
-
-    Isolates the source emission path (freelist acquire + block RNG
-    draws + handle-free scheduling) from the port machinery.
-    """
-    sim = Simulator()
-    sink = _CountingSink()
-    OnOffSource(
-        sim,
-        flow_id=0,
-        peak_rate=mbps(48.0),
-        avg_rate=mbps(12.0),
-        mean_burst=16_000.0,
-        sink=sink,
-        rng=np.random.default_rng(params["seed"]),
-        until=params["sim_time"],
-        rng_batch=params["rng_batch"],
-    )
-    sim.run(until=params["sim_time"])
     return sim.events_processed
 
 
@@ -336,82 +268,6 @@ def _run_churn(params: dict) -> int:
     return run_fabric(scenario).events_processed
 
 
-def _setup_equeue_churn(params: dict) -> tuple:
-    """Untimed preparation for the backend-speedup pair.
-
-    Builds the simulator, the pre-formed ``(time, seq, fn, args,
-    handle)`` entries and the cancellation handles.  Entry construction
-    is identical Python-object work for every backend, so it happens
-    here, outside the timed window — the measurement is the queue, not
-    the tuple allocator.
-    """
-    n = params["n_events"]
-    sim = Simulator(equeue=params["equeue"])
-    noop = lambda: None  # noqa: E731 - a named def adds a frame per event
-    rng = np.random.default_rng(params["seed"])
-    times = rng.uniform(0.0, 60.0, size=n).tolist()
-    entries = []
-    handles = []
-    for i, t in enumerate(times):
-        if i % 4:
-            entries.append((t, i + 1, noop, (), None))
-        else:
-            handle = Event(t, noop, (), sim)
-            handles.append(handle)
-            entries.append((t, i + 1, noop, (), handle))
-    return sim, entries, handles
-
-
-def _run_equeue_churn(params: dict, state: tuple) -> int:
-    """Scheduling churn isolated from callback and setup work.
-
-    Pushes a large pre-built population of pseudo-random-time entries
-    through the backend's ``raw_push`` contract (the ``schedule_fast``
-    hot path), cancels a quarter of them through their handles, then
-    drains — the shape where the event-queue data structure itself
-    (push, lazy-delete bookkeeping, pop ordering) is the entire run.
-    The backend is pinned by ``params`` so the same workload exists as
-    a heap case and a calendar case; their events/sec ratio is the
-    engine speedup, measured on identical work (``equeue-calendar``
-    must stay >= 2x ``equeue-churn``; see docs/engine.md).
-    """
-    sim, entries, handles = state
-    push = sim.equeue.raw_push()
-    for entry in entries:
-        push(entry)
-    for handle in handles:
-        handle.cancel()
-    sim.run()
-    return sim.events_processed
-
-
-def _run_batched_pipeline(params: dict) -> int:
-    """The collapsed source->shaper chain of the batched pipeline.
-
-    A :class:`~repro.traffic.batched.BatchedOnOffSource` with a
-    ``(sigma, rho)`` envelope replays a block-generated, block-shaped
-    stream into a null sink: the scalar pipeline's per-packet RNG and
-    every shaper refill/release event are gone, leaving one handle-free
-    replay event per packet.  Compare against ``onoff-batched`` (same
-    rates, scalar emission) for the remaining per-event floor.
-    """
-    sim = Simulator()
-    sink = _CountingSink()
-    BatchedOnOffSource(
-        sim,
-        0,
-        mbps(48.0),
-        mbps(12.0),
-        16_000.0,
-        sink,
-        np.random.default_rng(params["seed"]),
-        until=params["sim_time"],
-        shaping=(kbytes(50.0), mbps(12.0)),
-    )
-    sim.run(until=params["sim_time"])
-    return sim.events_processed
-
-
 def _run_timeline_sampled(params: dict) -> int:
     """An overloaded port loop under an installed sim-time Timeline.
 
@@ -449,9 +305,7 @@ def _run_timeline_sampled(params: dict) -> int:
     return sim.events_processed + timeline.ticks
 
 
-def _micro_cases(
-    n_events: int, source_time: float, churn_ops: int
-) -> list[BenchCase]:
+def _micro_cases(n_events: int, source_time: float) -> list[BenchCase]:
     return [
         BenchCase(
             "engine-chain",
@@ -470,12 +324,6 @@ def _micro_cases(
             MICRO,
             runner=_run_cancellation,
             params={"n_events": n_events},
-        ),
-        BenchCase(
-            "onoff-batched",
-            MICRO,
-            runner=_run_onoff_batched,
-            params={"seed": 7, "sim_time": source_time, "rng_batch": 256},
         ),
         BenchCase(
             "churn",
@@ -506,31 +354,6 @@ def _micro_cases(
             runner=_run_timeline_sampled,
             params={"n_packets": n_events // 10, "interval": 0.01},
         ),
-        # The engine-speedup pair: identical scheduling-churn workload,
-        # backend pinned per case.  Sized well above the other engine
-        # micro cases: the calendar queue's advantage is a function of
-        # the standing population, and the acceptance gate (calendar
-        # >= 2x heap) is measured on this pair.
-        BenchCase(
-            "equeue-churn",
-            MICRO,
-            runner=_run_equeue_churn,
-            params={"n_events": churn_ops, "seed": 23, "equeue": "heap"},
-            setup=_setup_equeue_churn,
-        ),
-        BenchCase(
-            "equeue-calendar",
-            MICRO,
-            runner=_run_equeue_churn,
-            params={"n_events": churn_ops, "seed": 23, "equeue": "calendar"},
-            setup=_setup_equeue_churn,
-        ),
-        BenchCase(
-            "batched-pipeline",
-            MICRO,
-            runner=_run_batched_pipeline,
-            params={"seed": 7, "sim_time": source_time},
-        ),
     ]
 
 
@@ -538,19 +361,15 @@ def _micro_cases(
 
 
 def default_suite(quick: bool = False) -> list[BenchCase]:
-    """The curated suite: six macro + ten micro cases.
+    """The curated suite: five macro + six micro cases.
 
     ``quick`` shrinks sim time and op counts for CI-class machines; the
     case *digests* change with it, so quick and full baselines never
     cross-compare silently.
     """
     if quick:
-        return _macro_cases(MACRO_SIM_TIME_QUICK) + _micro_cases(
-            MICRO_OPS_QUICK, 10.0, EQUEUE_CHURN_OPS_QUICK
-        )
-    return _macro_cases(MACRO_SIM_TIME) + _micro_cases(
-        MICRO_OPS, 40.0, EQUEUE_CHURN_OPS
-    )
+        return _macro_cases(MACRO_SIM_TIME_QUICK) + _micro_cases(MICRO_OPS_QUICK, 10.0)
+    return _macro_cases(MACRO_SIM_TIME) + _micro_cases(MICRO_OPS, 40.0)
 
 
 def resolve_cases(names: list[str] | None, quick: bool = False) -> list[BenchCase]:

@@ -29,8 +29,8 @@ CI at the lint gate rather than deep inside a campaign:
   ``digest`` field must match the file name.
 
 Tags are matched by family (the part before the ``-v<N>`` suffix), so a
-stale ``repro-bench-v0`` is reported as *drift* against the current
-``repro-bench-v1`` rather than as an unknown artifact.
+stale ``repro-bench-v2`` is reported as *drift* against the current
+``repro-bench-v3`` rather than as an unknown artifact.
 """
 
 from __future__ import annotations

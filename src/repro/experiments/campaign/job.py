@@ -90,13 +90,6 @@ class ScenarioJob:
             result record.
         max_events: optional per-job event budget; the run raises
             :class:`~repro.errors.SimulationError` when exceeded.
-        equeue: event-queue backend for the run (``"heap"`` /
-            ``"calendar"``; see :mod:`repro.sim.equeue`).  ``None``
-            defers to the environment and stays out of the canonical
-            form, so default-backend jobs keep their historical digests.
-            An explicit backend *is* digested: the measurements are
-            byte-identical, but a cache entry must say which engine
-            produced it so performance comparisons stay honest.
     """
 
     flows: tuple[FlowSpec, ...]
@@ -111,7 +104,6 @@ class ScenarioJob:
     packet_size: float = PACKET_SIZE
     delay_histograms: bool = False
     max_events: int | None = None
-    equeue: str | None = None
 
     def __post_init__(self) -> None:
         # Coerce sequence fields so equal jobs hash equal regardless of
@@ -141,24 +133,12 @@ class ScenarioJob:
             raise ConfigurationError(
                 f"max_events must be positive, got {self.max_events}"
             )
-        if self.equeue is not None:
-            from repro.sim.equeue import EQUEUE_BACKENDS
-
-            if self.equeue not in EQUEUE_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown event-queue backend {self.equeue!r}; valid: "
-                    + ", ".join(sorted(EQUEUE_BACKENDS))
-                )
 
     # -- content addressing ---------------------------------------------
 
     def to_dict(self) -> dict:
-        """Canonical JSON-friendly form; round-trips via :meth:`from_dict`.
-
-        ``equeue`` is emitted only when set: the default serializes to
-        the exact historical dict, so existing digests stay valid.
-        """
-        raw = {
+        """Canonical JSON-friendly form; round-trips via :meth:`from_dict`."""
+        return {
             "schema": CAMPAIGN_SCHEMA,
             "flows": [_flow_to_dict(flow) for flow in self.flows],
             "scheme": self.scheme.name,
@@ -175,9 +155,6 @@ class ScenarioJob:
             "delay_histograms": bool(self.delay_histograms),
             "max_events": None if self.max_events is None else int(self.max_events),
         }
-        if self.equeue is not None:
-            raw["equeue"] = self.equeue
-        return raw
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioJob":
@@ -207,7 +184,6 @@ class ScenarioJob:
             max_events=None
             if raw.get("max_events") is None
             else int(raw["max_events"]),
-            equeue=None if raw.get("equeue") is None else str(raw["equeue"]),
         )
 
     def digest(self) -> str:
@@ -235,7 +211,6 @@ class ScenarioJob:
             "packet_size": self.packet_size,
             "delay_histograms": self.delay_histograms,
             "max_events": self.max_events,
-            "equeue": self.equeue,
         }
 
     @staticmethod

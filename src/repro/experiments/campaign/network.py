@@ -46,7 +46,10 @@ __all__ = ["NETWORK_SCHEMA", "NetworkJob", "LinkRecord", "NetworkRecord"]
 #: v2: ``ChurnSpec`` gained the ``reclamation`` knob (serialized into
 #: every churn scenario) and ``ChurnReport`` the ``blocked_unknown``
 #: counter, changing both job and record layouts.
-NETWORK_SCHEMA = "repro-campaign-net-v2"
+#:
+#: v3: ``NetworkScenario`` lost its two execution-only fields (packet
+#: pooling and event-queue selection; neither mechanism exists any more).
+NETWORK_SCHEMA = "repro-campaign-net-v3"
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,7 @@ def execute_job(job):
             cache_hit=False,
             worker=os.getpid(),
             # Both result families carry the engine's execution stats
-            # (outside their serialized forms, so record digests stay
-            # backend-independent).
-            equeue=result.equeue,
+            # (outside their serialized forms).
             cancelled_pending=result.cancelled_pending,
             compactions=result.compactions,
         ),

@@ -22,7 +22,6 @@ __all__ = [
     "campaign_cache_setting",
     "campaign_telemetry_setting",
     "campaign_monitor_enabled",
-    "equeue_backend_setting",
 ]
 
 
@@ -68,19 +67,6 @@ def campaign_telemetry_setting() -> str | None:
     if raw in ("", "0", "false", "no"):
         return None
     return raw
-
-
-def equeue_backend_setting() -> str | None:
-    """The ``REPRO_EQUEUE`` backend name, or ``None`` for the default.
-
-    The engine itself resolves the variable
-    (:func:`repro.sim.equeue.resolve_equeue`); this helper exists for the
-    experiment layers — bench, campaign, CLI — that want to *report*
-    which backend an environment-configured run will use without
-    constructing a simulator.
-    """
-    raw = os.environ.get("REPRO_EQUEUE", "").strip()
-    return raw or None
 
 
 def campaign_monitor_enabled() -> bool:

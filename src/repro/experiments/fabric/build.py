@@ -5,13 +5,10 @@
 * **single-port fast path** — when the scenario is the one-node special
   case (:attr:`NetworkScenario.is_single_port`), the run is constructed
   exactly as the historical :func:`~repro.experiments.runner.run_scenario`
-  did: same object construction order, same seed-spawn order, packets
-  recycled at the port.  The equivalence goldens pin this path
-  byte-for-byte.
+  did: same object construction order, same seed-spawn order.  The
+  equivalence goldens pin this path byte-for-byte.
 * **general path** — nodes, links and routes are materialised as a
-  :class:`repro.net.topology.Network`.  Mid-path ports never recycle
-  (the port itself refuses ``recycle=True`` with a downstream); the
-  delivery sink releases packets instead.  Per-link thresholds are
+  :class:`repro.net.topology.Network`.  Per-link thresholds are
   computed from the *inflated* burst envelope at each hop
   (:func:`~repro.net.topology.per_hop_sigma`), so a conformant flow
   that fits at its first hop keeps its lossless guarantee downstream.
@@ -43,7 +40,6 @@ from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
-from repro.traffic.batched import BatchedOnOffSource, batched_pipeline_enabled
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
@@ -85,10 +81,9 @@ class FabricResult:
 
     scenario: NetworkScenario
     events_processed: int
-    #: Engine execution stats for telemetry: which event-queue backend
-    #: ran the simulation and its end-of-run lazy-deletion counters.
-    #: Execution detail, not measurement — never serialized into records.
-    equeue: str = "heap"
+    #: Engine execution stats for telemetry: the event queue's
+    #: end-of-run lazy-deletion counters.  Execution detail, not
+    #: measurement — never serialized into records.
     cancelled_pending: int = 0
     compactions: int = 0
     links: dict[str, LinkResult] = field(default_factory=dict)
@@ -249,16 +244,16 @@ def _run_single_port(
 ) -> FabricResult:
     """The historical ``run_scenario`` pipeline, verbatim.
 
-    Construction order, seed-spawn order, and the recycling port are
-    exactly those of the pre-fabric runner — this is what keeps the
-    equivalence goldens byte-identical.
+    Construction order and seed-spawn order are exactly those of the
+    pre-fabric runner — this is what keeps the equivalence goldens
+    byte-identical.
     """
     link = scenario.links[0]
     node = scenario.node(link.src)
     flows = tuple(routed.spec for routed in scenario.flows)
     warmup = scenario.effective_warmup
 
-    sim = Simulator(equeue=scenario.equeue)
+    sim = Simulator()
     build: SchemeBuild = build_scheme(
         sim,
         node.scheme,
@@ -271,16 +266,7 @@ def _run_single_port(
     collector = StatsCollector(
         warmup=warmup, delay_histograms=scenario.delay_histograms
     )
-    # The single-port pipeline is closed (no downstream, nothing retains
-    # packets after the port is done), so packet recycling is safe.
-    port = OutputPort(
-        sim,
-        link.rate,
-        build.scheduler,
-        build.manager,
-        collector,
-        recycle=scenario.recycle,
-    )
+    port = OutputPort(sim, link.rate, build.scheduler, build.manager, collector)
     effective = _effective_sink(sink, monitor)
     if effective is not None:
         port.attach_trace(effective)
@@ -302,28 +288,7 @@ def _run_single_port(
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(len(flows))
-    # Off by default: REPRO_BATCHED swaps the scalar source/shaper
-    # chains for block replay (repro.traffic.batched).  A different —
-    # equally valid — random stream, so the equivalence goldens only
-    # cover the scalar path.
-    batched = batched_pipeline_enabled()
     for flow, child in zip(flows, child_seqs):
-        # One generator per flow, constructed in whichever branch runs —
-        # the branches are exclusive, so no stream is ever shared.
-        if batched:
-            BatchedOnOffSource(
-                sim,
-                flow.flow_id,
-                flow.peak_rate,
-                flow.avg_rate,
-                flow.mean_burst,
-                port,
-                np.random.default_rng(child),
-                until=scenario.sim_time,
-                shaping=(flow.bucket, flow.token_rate) if flow.conformant else None,
-                packet_size=scenario.packet_size,
-            )
-            continue
         destination = port
         if flow.conformant:
             destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
@@ -354,7 +319,6 @@ def _run_single_port(
         queue_buffers=build.queue_buffers,
         events_processed=sim.events_processed,
         collector=collector,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
     )
@@ -365,7 +329,6 @@ def _run_single_port(
     return FabricResult(
         scenario=scenario,
         events_processed=sim.events_processed,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
         links={
@@ -393,13 +356,11 @@ def _run_network(
 ) -> FabricResult:
     """The general path: materialise the topology and route flows."""
     warmup = scenario.effective_warmup
-    sim = Simulator(equeue=scenario.equeue)
+    sim = Simulator()
     delivery_collector = StatsCollector(
         warmup=warmup, delay_histograms=scenario.delay_histograms
     )
-    delivery = DeliverySink(
-        collector=delivery_collector, recycle=scenario.recycle
-    )
+    delivery = DeliverySink(collector=delivery_collector)
     net = Network(sim, sink=delivery)
     for node in scenario.nodes:
         net.add_node(node.name)
@@ -565,7 +526,6 @@ def _run_network(
     return FabricResult(
         scenario=scenario,
         events_processed=sim.events_processed,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
         links=links,

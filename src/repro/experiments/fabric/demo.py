@@ -42,7 +42,6 @@ def demo_tandem(
     delay_histograms: bool = True,
     arrival_rate: float = 6.0,
     mean_holding: float = 4.0,
-    equeue: str | None = None,
 ) -> NetworkScenario:
     """The reference ``hops``-hop tandem scenario.
 
@@ -61,8 +60,6 @@ def demo_tandem(
             sweep DSL uses it as its churn-load axis.
         mean_holding: mean exponential holding time of accepted dynamic
             flows, simulated seconds (ignored without ``churn``).
-        equeue: event-queue backend for the run (``"heap"`` /
-            ``"calendar"``); ``None`` defers to ``REPRO_EQUEUE`` / heap.
     """
     link_rate = mbps(48.0)
     buffer_size = mbytes(1.0)
@@ -135,7 +132,6 @@ def demo_tandem(
         sim_time=sim_time,
         seed=seed,
         delay_histograms=delay_histograms,
-        equeue=equeue,
     )
 
 

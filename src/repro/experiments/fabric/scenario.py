@@ -297,18 +297,6 @@ class NetworkScenario:
         delay_histograms: record per-flow delay histograms per hop and
             end-to-end.
         max_events: optional event budget for the run.
-        recycle: release packets to the freelist once done with them —
-            at the port for single-node runs, at the delivery sink for
-            multi-node runs (mid-path ports never recycle).
-        equeue: event-queue backend for the run (``"heap"`` /
-            ``"calendar"``; see :mod:`repro.sim.equeue`).  ``None`` (the
-            default) lets the simulator decide (``REPRO_EQUEUE`` or the
-            heap) and — deliberately — stays *out* of the serialized
-            form, so default-backend scenarios keep their historical
-            content digests.  An explicit backend enters the digest:
-            results are byte-identical either way, but wall-clock
-            characteristics are not, so cache keys and bench baselines
-            must say which engine produced them.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -321,8 +309,6 @@ class NetworkScenario:
     packet_size: float = PACKET_SIZE
     delay_histograms: bool = False
     max_events: int | None = None
-    recycle: bool = True
-    equeue: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -338,16 +324,6 @@ class NetworkScenario:
             raise ConfigurationError(
                 f"max_events must be positive, got {self.max_events}"
             )
-        if self.equeue is not None:
-            # Imported lazily: the fabric layer otherwise only touches the
-            # engine at build time.
-            from repro.sim.equeue import EQUEUE_BACKENDS
-
-            if self.equeue not in EQUEUE_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown event-queue backend {self.equeue!r}; valid: "
-                    + ", ".join(sorted(EQUEUE_BACKENDS))
-                )
         if not self.nodes:
             raise ConfigurationError("a scenario needs at least one node")
         if not self.links:
@@ -437,7 +413,6 @@ class NetworkScenario:
         packet_size: float = PACKET_SIZE,
         delay_histograms: bool = False,
         max_events: int | None = None,
-        equeue: str | None = None,
     ) -> "NetworkScenario":
         """The classic experiment as a two-node, one-link scenario.
 
@@ -466,20 +441,13 @@ class NetworkScenario:
             packet_size=packet_size,
             delay_histograms=delay_histograms,
             max_events=max_events,
-            equeue=equeue,
         )
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Canonical JSON-friendly form; round-trips via :meth:`from_dict`.
-
-        The ``equeue`` key is emitted only when a backend was chosen
-        explicitly: the default (``None``) serializes to the exact
-        historical dict, keeping every existing content digest — goldens,
-        cache keys, sweep aggregates — valid.
-        """
-        raw = {
+        """Canonical JSON-friendly form; round-trips via :meth:`from_dict`."""
+        return {
             "nodes": [node.to_dict() for node in self.nodes],
             "links": [link.to_dict() for link in self.links],
             "flows": [flow.to_dict() for flow in self.flows],
@@ -490,11 +458,7 @@ class NetworkScenario:
             "packet_size": float(self.packet_size),
             "delay_histograms": bool(self.delay_histograms),
             "max_events": None if self.max_events is None else int(self.max_events),
-            "recycle": bool(self.recycle),
         }
-        if self.equeue is not None:
-            raw["equeue"] = self.equeue
-        return raw
 
     @staticmethod
     def from_dict(raw: dict) -> "NetworkScenario":
@@ -513,6 +477,4 @@ class NetworkScenario:
             max_events=None
             if raw.get("max_events") is None
             else int(raw["max_events"]),
-            recycle=bool(raw.get("recycle", True)),
-            equeue=None if raw.get("equeue") is None else str(raw["equeue"]),
         )

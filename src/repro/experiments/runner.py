@@ -43,11 +43,9 @@ class ScenarioResult:
     queue_buffers: list[float] | None = None
     events_processed: int = 0
     collector: StatsCollector | None = None
-    #: Engine execution stats (which event-queue backend ran the
-    #: simulation and its lazy-deletion counters at end of run).  Pure
-    #: execution detail — campaign records never serialize these, so
-    #: record digests are backend-independent.
-    equeue: str = "heap"
+    #: Engine execution stats (the event queue's lazy-deletion counters
+    #: at end of run).  Pure execution detail — campaign records never
+    #: serialize these.
     cancelled_pending: int = 0
     compactions: int = 0
 
@@ -97,7 +95,6 @@ def run_scenario(
     packet_size: float = PACKET_SIZE,
     delay_histograms: bool = False,
     max_events: int | None = None,
-    equeue: str | None = None,
     sink=None,
     registry=None,
     timeline=None,
@@ -121,10 +118,6 @@ def run_scenario(
         max_events: optional event budget for this run; exceeding it
             raises :class:`~repro.errors.SimulationError`.  Campaigns use
             this as a per-job safety valve.
-        equeue: event-queue backend for the run (``"heap"`` /
-            ``"calendar"``; see :mod:`repro.sim.equeue`).  ``None``
-            defers to ``REPRO_EQUEUE`` / the heap default.  Results are
-            byte-identical across backends; only speed differs.
         sink: optional :class:`~repro.obs.sink.TraceSink`; when given, the
             port fans it out to every layer (engine, scheduler, manager)
             and the run emits a structured event stream.
@@ -155,7 +148,6 @@ def run_scenario(
         packet_size=packet_size,
         delay_histograms=delay_histograms,
         max_events=max_events,
-        equeue=equeue,
     )
     return run_fabric(
         scenario, sink=sink, registry=registry, timeline=timeline, monitor=monitor

@@ -16,10 +16,10 @@ Two grid kinds exist:
 * ``"scenario"`` — single-port runs over the paper's named workloads
   (axes over ``workload``, ``scheme``, ``buffer_mb``, ``seed``,
   ``sim_time``, ``warmup``, ``link_mbps``, ``headroom_mb``,
-  ``delay_histograms``, ``max_events``, ``equeue``);
+  ``delay_histograms``, ``max_events``);
 * ``"network"`` — reference-tandem fabric runs (axes over ``hops``,
   ``seed``, ``sim_time``, ``churn``, ``reclamation``, ``arrival_rate``,
-  ``mean_holding``, ``delay_histograms``, ``equeue``).
+  ``mean_holding``, ``delay_histograms``).
 
 Optional :class:`SweepConstraint` predicates prune the product — e.g.
 "only sweep headroom where the scheme shares buffer" — as data, not
@@ -47,7 +47,6 @@ from repro.experiments.spec import (
     WORKLOADS,
     parse_metric,
 )
-from repro.sim.equeue import EQUEUE_BACKENDS
 from repro.units import mbps, mbytes
 
 __all__ = [
@@ -76,7 +75,6 @@ SCENARIO_DEFAULTS: dict = {
     "headroom_mb": 2.0,
     "delay_histograms": False,
     "max_events": None,
-    "equeue": None,
 }
 
 #: Parameters a ``"network"`` grid may set, with their defaults.
@@ -89,7 +87,6 @@ NETWORK_DEFAULTS: dict = {
     "arrival_rate": 6.0,
     "mean_holding": 4.0,
     "delay_histograms": False,
-    "equeue": None,
 }
 
 _DEFAULTS_BY_KIND = {"scenario": SCENARIO_DEFAULTS, "network": NETWORK_DEFAULTS}
@@ -316,12 +313,6 @@ class SweepSpec:
                     raise ConfigurationError(
                         f"parameter {key!r} must be an integer, got {value!r}"
                     )
-            elif key == "equeue":
-                if value is not None and value not in EQUEUE_BACKENDS:
-                    raise ConfigurationError(
-                        f"unknown event-queue backend {value!r}; valid: "
-                        + ", ".join(sorted(EQUEUE_BACKENDS))
-                    )
 
     def _validate_metrics(self) -> None:
         if self.kind == "network":
@@ -394,7 +385,6 @@ class SweepSpec:
                     arrival_rate=float(params["arrival_rate"]),
                     mean_holding=float(params["mean_holding"]),
                     delay_histograms=bool(params["delay_histograms"]),
-                    equeue=params["equeue"],
                 )
             )
         workload = params["workload"]
@@ -413,7 +403,6 @@ class SweepSpec:
             groups=DEFAULT_GROUPS[workload] if scheme.is_hybrid else None,
             delay_histograms=bool(params["delay_histograms"]),
             max_events=None if max_events is None else int(max_events),
-            equeue=params["equeue"],
         )
 
     def jobs(self) -> Iterator[tuple[dict, ScenarioJob | NetworkJob]]:

@@ -17,12 +17,8 @@ rests on (see ``docs/lint.md`` for the rationale and examples):
 * **RPR106** — port encapsulation: ``OutputPort`` is constructed only by
   the port layers (``repro.sim``, ``repro.net``,
   ``repro.experiments.fabric``); everything else goes through the
-  scenario fabric, which enforces the recycling/labelling invariants.
-* **RPR110** — event-queue encapsulation: ``heapq`` is imported only by
-  the engine backends (``repro.sim.equeue``) and the packet-level
-  schedulers (``repro.sched``); simulation events are scheduled through
-  the :class:`~repro.sim.equeue.EventQueue` interface so backends stay
-  interchangeable.
+  scenario fabric, which wires downstream hops, collectors and node
+  labels consistently.
 
 The checks are deliberately syntactic: they over-approximate in known,
 documented ways and rely on ``# repro: noqa`` for the rare deliberate
@@ -46,7 +42,6 @@ __all__ = [
     "SimTimeRule",
     "HotPathRule",
     "PortEncapsulationRule",
-    "EventQueueEncapsulationRule",
 ]
 
 
@@ -457,8 +452,8 @@ class PortEncapsulationRule(Rule):
     )
 
     #: Path-component sequences allowed to construct ports.  These are
-    #: the layers that uphold the port invariants: a recycling port
-    #: never feeds a downstream hop, and multi-port runs carry node
+    #: the layers that uphold the port invariants: every hop's port is
+    #: chained to its downstream node, and multi-port runs carry node
     #: labels on their trace events.
     _ALLOWED_DIRS = (
         ("repro", "sim"),
@@ -475,7 +470,7 @@ class PortEncapsulationRule(Rule):
                     self.id,
                     "direct OutputPort construction outside the port "
                     "layers; build the topology through "
-                    "repro.experiments.fabric (or repro.net) so recycling "
+                    "repro.experiments.fabric (or repro.net) so hop-chaining "
                     "and node-labelling invariants are enforced",
                     node,
                 )
@@ -486,57 +481,5 @@ class PortEncapsulationRule(Rule):
         return any(
             parts[i : i + len(scoped)] == scoped
             for scoped in cls._ALLOWED_DIRS
-            for i in range(len(parts))
-        )
-
-
-@register
-class EventQueueEncapsulationRule(Rule):
-    """RPR110: heapq stays behind the EventQueue interface."""
-
-    id = "RPR110"
-    name = "equeue-encapsulation"
-    description = (
-        "no heapq use outside repro.sim.equeue and the packet-level "
-        "schedulers in repro.sched; schedule simulation events through "
-        "the Simulator / EventQueue interface"
-    )
-
-    #: Path-component sequences allowed to use heapq directly: the
-    #: event-queue backends themselves, and the packet-level priority
-    #: queues inside the schedulers (WFQ/SCFQ/RPQ order *packets* by
-    #: virtual finish time — a different data structure with different
-    #: invariants from the event calendar).
-    _ALLOWED = (
-        ("repro", "sim", "equeue.py"),
-        ("repro", "sched"),
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if self._is_allowed(ctx.path):
-            return
-        for node in ctx.select(ast.Import):
-            for alias in node.names:
-                if alias.name == "heapq" or alias.name.startswith("heapq."):
-                    yield self._finding(ctx, node)
-        for node in ctx.select(ast.ImportFrom):
-            if node.module == "heapq":
-                yield self._finding(ctx, node)
-
-    def _finding(self, ctx: LintContext, node: ast.AST) -> Finding:
-        return ctx.finding(
-            self.id,
-            "heapq import outside the event-queue backends; schedule "
-            "through Simulator / repro.sim.equeue so every engine "
-            "backend sees the same event stream",
-            node,
-        )
-
-    @classmethod
-    def _is_allowed(cls, path: str) -> bool:
-        parts = tuple(part for part in path.replace("\\", "/").split("/") if part)
-        return any(
-            parts[i : i + len(scoped)] == scoped
-            for scoped in cls._ALLOWED
             for i in range(len(parts))
         )

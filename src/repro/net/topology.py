@@ -75,10 +75,6 @@ class DeliverySink:
             per delivered packet with the *end-to-end* delay (creation to
             delivery), so its delay histograms and warmup window apply to
             whole-path latency rather than a single hop.
-        recycle: release delivered packets back to the :class:`Packet`
-            freelist.  The sink is the only safe place to recycle in a
-            multi-node run — mid-path ports refuse ``recycle=True`` — and
-            it must stay off when callers retain packet references.
     """
 
     packets: dict[int, int] = field(default_factory=dict)
@@ -86,7 +82,6 @@ class DeliverySink:
     delay_sum: dict[int, float] = field(default_factory=dict)
     delay_max: dict[int, float] = field(default_factory=dict)
     collector: StatsCollector | None = None
-    recycle: bool = False
 
     def record(self, packet: Packet, now: float) -> None:
         flow_id = packet.flow_id
@@ -98,8 +93,6 @@ class DeliverySink:
             self.delay_max[flow_id] = delay
         if self.collector is not None:
             self.collector.on_depart(flow_id, packet.size, delay, now)
-        if self.recycle:
-            packet.release()
 
     def mean_delay(self, flow_id: int) -> float:
         count = self.packets.get(flow_id, 0)

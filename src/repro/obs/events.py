@@ -27,7 +27,6 @@ __all__ = [
     "ReprovisionEvent",
     "PoolEvent",
     "HeapCompactEvent",
-    "BucketResizeEvent",
     "SampleEvent",
     "ViolationEvent",
     "event_to_dict",
@@ -52,9 +51,9 @@ __all__ = [
 #: sampler) and ``violation`` (a :mod:`repro.obs.monitor` finding: an
 #: observed quantity exceeded its closed-form bound).
 #:
-#: v5: the pluggable event-queue engine core adds ``bucket-resize`` (the
-#: calendar-queue backend re-bucketed itself after observing an
-#: occupancy drift; see :mod:`repro.sim.equeue`).
+#: v5: added a ``bucket-resize`` housekeeping kind for a second
+#: event-queue implementation.  The kind left with that implementation;
+#: traces of heap-queue runs never contained it, so the tag stays.
 TRACE_SCHEMA = "repro-trace-v5"
 
 
@@ -182,38 +181,15 @@ class PoolEvent:
 class HeapCompactEvent:
     """The engine rebuilt its event structure to purge cancelled events.
 
-    Emitted by both event-queue backends (:mod:`repro.sim.equeue`): the
-    binary heap re-heapifies in place, the calendar queue redistributes
-    its surviving entries over fresh buckets.  The trigger rule and the
-    counters are shared, so equivalent runs compact at equivalent
-    points — up to the calendar backend deferring a mid-drain compaction
-    to the next bucket boundary.
+    Emitted by :class:`~repro.sim.equeue.EventQueue` when cancelled
+    entries outnumber live ones in a non-trivial heap and it re-heapifies
+    the survivors in place.
     """
 
     kind: ClassVar[str] = "compact"
     time: float
     removed: int
     remaining: int
-
-
-@dataclass(frozen=True, slots=True)
-class BucketResizeEvent:
-    """The calendar-queue backend changed its bucket width.
-
-    Emitted when the observed per-bucket occupancy drifts outside the
-    backend's target band and the whole structure is re-bucketed (see
-    :class:`~repro.sim.equeue.CalendarEventQueue`).  ``width`` is the
-    new bucket width in simulation seconds, ``previous`` the width it
-    replaced, and ``pending`` the number of entries redistributed.
-    Housekeeping cadence is backend-specific: traces recorded under the
-    heap backend never contain this event.
-    """
-
-    kind: ClassVar[str] = "bucket-resize"
-    time: float
-    width: float
-    previous: float
-    pending: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,7 +245,6 @@ EVENT_TYPES: dict[str, type] = {
         ReprovisionEvent,
         PoolEvent,
         HeapCompactEvent,
-        BucketResizeEvent,
         SampleEvent,
         ViolationEvent,
     )

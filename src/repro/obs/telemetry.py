@@ -64,15 +64,13 @@ class JobTelemetry:
         cache_hit: True when the record came from the result cache.
         worker: OS process id that produced the record; distinguishes
             pool workers from the coordinating process.
-        equeue: event-queue backend that executed the job (``"heap"`` /
-            ``"calendar"``); empty for cache hits, where no engine ran
-            and the original run's backend is unknown.
         cancelled_pending: cancelled events still queued at end of run.
         compactions: queue rebuilds performed to purge cancelled events.
 
     The engine fields are additive to the v1 schema: old telemetry
-    lines deserialize with the defaults below, so mixed-generation
-    telemetry directories keep aggregating.
+    lines deserialize with the defaults below (and keys this version no
+    longer writes are ignored), so mixed-generation telemetry
+    directories keep aggregating.
     """
 
     job_digest: str
@@ -80,7 +78,6 @@ class JobTelemetry:
     events: int
     cache_hit: bool
     worker: int
-    equeue: str = ""
     cancelled_pending: int = 0
     compactions: int = 0
 
@@ -92,7 +89,6 @@ class JobTelemetry:
             "events": int(self.events),
             "cache_hit": bool(self.cache_hit),
             "worker": int(self.worker),
-            "equeue": str(self.equeue),
             "cancelled_pending": int(self.cancelled_pending),
             "compactions": int(self.compactions),
         }
@@ -111,7 +107,6 @@ class JobTelemetry:
             events=int(raw["events"]),
             cache_hit=bool(raw["cache_hit"]),
             worker=int(raw["worker"]),
-            equeue=str(raw.get("equeue", "")),
             cancelled_pending=int(raw.get("cancelled_pending", 0)),
             compactions=int(raw.get("compactions", 0)),
         )
@@ -127,7 +122,7 @@ class CampaignReport:
         "total_wall_time",
         "total_events",
         "_worker_histograms",
-        "_backends",
+        "_engine",
     )
 
     def __init__(self) -> None:
@@ -137,10 +132,15 @@ class CampaignReport:
         self.total_wall_time = 0.0
         self.total_events = 0
         self._worker_histograms: dict[int, LogHistogram] = {}
-        #: Per-backend engine accounting over *executed* jobs (cache
-        #: hits report no backend): backend name -> dict of jobs /
-        #: events / wall_time / cancelled_pending / compactions sums.
-        self._backends: dict[str, dict] = {}
+        #: Engine accounting over *executed* jobs (a cache hit runs no
+        #: engine).
+        self._engine = {
+            "jobs": 0,
+            "events": 0,
+            "wall_time": 0.0,
+            "cancelled_pending": 0,
+            "compactions": 0,
+        }
 
     @staticmethod
     def from_telemetry(entries: Iterable[JobTelemetry]) -> "CampaignReport":
@@ -155,6 +155,12 @@ class CampaignReport:
             self.cache_hits += 1
         else:
             self.executed += 1
+            engine = self._engine
+            engine["jobs"] += 1
+            engine["events"] += entry.events
+            engine["wall_time"] += entry.wall_time
+            engine["cancelled_pending"] += entry.cancelled_pending
+            engine["compactions"] += entry.compactions
         self.total_wall_time += entry.wall_time
         self.total_events += entry.events
         histogram = self._worker_histograms.get(entry.worker)
@@ -164,33 +170,15 @@ class CampaignReport:
             )
             self._worker_histograms[entry.worker] = histogram
         histogram.record(max(entry.wall_time, 0.0))
-        if entry.equeue:
-            stats = self._backends.get(entry.equeue)
-            if stats is None:
-                stats = {
-                    "jobs": 0,
-                    "events": 0,
-                    "wall_time": 0.0,
-                    "cancelled_pending": 0,
-                    "compactions": 0,
-                }
-                self._backends[entry.equeue] = stats
-            stats["jobs"] += 1
-            stats["events"] += entry.events
-            stats["wall_time"] += entry.wall_time
-            stats["cancelled_pending"] += entry.cancelled_pending
-            stats["compactions"] += entry.compactions
 
     @property
-    def backends(self) -> dict[str, dict]:
-        """Per-backend engine accounting, keyed by backend name.
+    def engine(self) -> dict:
+        """Engine totals over executed jobs (a copy).
 
-        Covers executed jobs only (a cache hit runs no engine).  Each
-        value sums ``jobs``, ``events``, ``wall_time``,
-        ``cancelled_pending`` and ``compactions`` over the jobs that
-        backend executed.
+        Sums ``jobs``, ``events``, ``wall_time``, ``cancelled_pending``
+        and ``compactions`` over every entry with ``cache_hit`` false.
         """
-        return {name: dict(stats) for name, stats in sorted(self._backends.items())}
+        return dict(self._engine)
 
     @property
     def workers(self) -> list[int]:
@@ -225,7 +213,7 @@ class CampaignReport:
             "wall_time_p50": histogram.percentile(50.0),
             "wall_time_p95": histogram.percentile(95.0),
             "wall_time_max": histogram.max_value,
-            "backends": self.backends,
+            "engine": self.engine,
         }
 
     def render(self) -> str:
@@ -242,13 +230,13 @@ class CampaignReport:
             f"wall time p95   : {histogram.percentile(95.0):.4f} s",
             f"wall time max   : {histogram.max_value:.4f} s",
         ]
-        for name, stats in self.backends.items():
-            lines.append(
-                f"engine [{name}] : {stats['jobs']} job(s), "
-                f"{stats['events']} events in {stats['wall_time']:.3f} s, "
-                f"{stats['compactions']} compaction(s), "
-                f"{stats['cancelled_pending']} cancelled pending"
-            )
+        engine = self._engine
+        lines.append(
+            f"engine          : {engine['jobs']} job(s), "
+            f"{engine['events']} events in {engine['wall_time']:.3f} s, "
+            f"{engine['compactions']} compaction(s), "
+            f"{engine['cancelled_pending']} cancelled pending"
+        )
         return "\n".join(lines)
 
 

@@ -1,22 +1,16 @@
 """Discrete-event simulation engine.
 
 A deliberately small, fast core: the :class:`Simulator` owns the clock,
-the shared sequence counter and the scheduling API, and delegates event
-*storage* to a pluggable :class:`~repro.sim.equeue.EventQueue` backend.
-Entries are ``(time, sequence, callback, args, handle)`` tuples: the
-sequence number breaks ties so that events scheduled for the same
-instant fire in scheduling order, which makes runs deterministic for a
-given seed — whichever backend holds them.  The ``handle`` slot is an
-:class:`Event` for cancellable events and ``None`` for events scheduled
-through the :meth:`Simulator.schedule_fast` hot path — the per-packet
-traffic of a simulation never cancels, so it never pays for the
-allocation of a cancellation handle.
-
-Two backends ship (see :mod:`repro.sim.equeue`): the default lazy-delete
-binary heap, and an opt-in calendar queue that wins by integer factors
-on large, churning pending populations.  Select one with
-``Simulator(equeue="calendar")`` or the ``REPRO_EQUEUE`` environment
-variable; both produce byte-identical measurement records.
+the shared sequence counter and the scheduling API, and keeps pending
+entries in one :class:`~repro.sim.equeue.EventQueue` (a lazy-delete
+binary heap).  Entries are ``(time, sequence, callback, args, handle)``
+tuples: the sequence number breaks ties so that events scheduled for the
+same instant fire in scheduling order, which makes runs deterministic
+for a given seed.  The ``handle`` slot is an :class:`Event` for
+cancellable events and ``None`` for events scheduled through the
+:meth:`Simulator.schedule_fast` hot path — the per-packet traffic of a
+simulation never cancels, so it never pays for the allocation of a
+cancellation handle.
 
 Components (sources, shapers, ports) hold a reference to the
 :class:`Simulator` and schedule their own callbacks; there is no global
@@ -29,7 +23,7 @@ from math import inf
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.equeue import EventQueue, resolve_equeue
+from repro.sim.equeue import EventQueue
 
 __all__ = ["Event", "Simulator"]
 
@@ -39,7 +33,7 @@ class Event:
 
     Returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`;
     the only supported operation is :meth:`cancel`.  Cancelled events stay
-    queued but are skipped when reached (lazy deletion); the backend
+    queued but are skipped when reached (lazy deletion); the queue
     purges them wholesale once they dominate the pending population.
     Events scheduled via :meth:`Simulator.schedule_fast` have no handle
     and cannot be cancelled.
@@ -70,7 +64,7 @@ class Event:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._note_cancelled()
+            self._sim._equeue.note_cancelled()
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -83,14 +77,9 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator()                      # default binary heap
-        sim = Simulator(equeue="calendar")     # calendar-queue backend
+        sim = Simulator()
         sim.schedule(1.0, callback, arg1, arg2)
         sim.run(until=10.0)
-
-    ``equeue`` accepts a backend name (``"heap"``/``"calendar"``), a
-    ready :class:`~repro.sim.equeue.EventQueue` instance, or ``None`` to
-    consult ``REPRO_EQUEUE`` and default to the heap.
 
     Hot paths that never cancel (per-packet emissions, transmission
     completions) should use :meth:`schedule_fast`, which skips the
@@ -106,30 +95,13 @@ class Simulator:
         "_sink",
     )
 
-    #: Smallest pending population worth compacting; below this lazy
-    #: deletion is cheaper than a rebuild.  (Kept here for backward
-    #: compatibility; the authoritative constant lives in
-    #: :data:`repro.sim.equeue.COMPACT_MIN_PENDING`.)
-    COMPACT_MIN_HEAP = 64
-
-    def __init__(self, equeue: "str | EventQueue | None" = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._equeue = resolve_equeue(equeue)
-        self._equeue.bind(self)
+        self._equeue = EventQueue(self)
         self._push = self._equeue.raw_push()
         self._seq: int = 0
         self._events_processed: int = 0
         self._sink = None
-
-    @property
-    def equeue(self) -> EventQueue:
-        """The live event-queue backend (counters, tuning knobs)."""
-        return self._equeue
-
-    @property
-    def equeue_backend(self) -> str:
-        """Registry name of the active backend (``"heap"``/``"calendar"``)."""
-        return self._equeue.backend
 
     @property
     def events_processed(self) -> int:
@@ -152,7 +124,7 @@ class Simulator:
         return self._equeue.compactions
 
     def attach_trace(self, sink) -> None:
-        """Emit engine events (compactions, bucket resizes) into ``sink``.
+        """Emit engine events (heap compactions) into ``sink``.
 
         Pass ``None`` to detach.  Untraced simulators pay a single
         ``is not None`` check per housekeeping action and nothing per
@@ -164,16 +136,9 @@ class Simulator:
         """Expose the engine's counters through a metrics registry.
 
         Callback gauges sample the live attributes at snapshot time, so
-        the event loop keeps its plain-int hot path.  ``sim.equeue``
-        reports the backend as its registry index (0 = heap,
-        1 = calendar — the order of
-        :data:`repro.sim.equeue.EQUEUE_BACKENDS`); backend-specific
-        gauges (calendar bucket width/resizes) register alongside.
+        the event loop keeps its plain-int hot path.
         """
-        from repro.sim.equeue import EQUEUE_BACKENDS
-
         equeue = self._equeue
-        backend_index = float(list(EQUEUE_BACKENDS).index(equeue.backend))
         registry.gauge_callback(
             "sim.events_processed", lambda: self._events_processed, **labels
         )
@@ -183,18 +148,6 @@ class Simulator:
         )
         registry.gauge_callback("sim.compactions", lambda: equeue.compactions, **labels)
         registry.gauge_callback("sim.now", lambda: self.now, **labels)
-        registry.gauge_callback("sim.equeue", lambda: backend_index, **labels)
-        equeue.register_metrics(registry, **labels)
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`Event.cancel`.
-
-        Cancel-heavy workloads (shapers, adaptive managers) would
-        otherwise grow the queue without bound: lazily-deleted events are
-        only reclaimed when their time is reached.  The backend compacts
-        once more than half of a non-trivial population is dead weight.
-        """
-        self._equeue.note_cancelled()
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -258,11 +211,9 @@ class Simulator:
         ``until`` is left queued under its original ``(time, seq)`` key,
         so firing order across resumed runs is unchanged — as are the
         ``cancelled_pending``/``compactions`` counters, which live on the
-        backend and are never reset by an overshoot.  Handle-free entries
+        queue and are never reset by an overshoot.  Handle-free entries
         (:meth:`schedule_fast`) skip the cancelled-event branch entirely.
         """
-        stop = inf if until is None else until
-        limit = inf if max_events is None else max_events
-        self._equeue.drain(self, stop, limit, max_events)
+        self._equeue.drain(inf if until is None else until, max_events)
         if until is not None and self.now < until:
             self.now = until

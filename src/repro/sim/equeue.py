@@ -1,174 +1,81 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""The engine's event queue: a lazy-delete binary heap.
 
 The :class:`~repro.sim.engine.Simulator` owns the clock, the sequence
-counter and the scheduling API; *how* pending entries are stored and
-drained is this module's job.  Every backend speaks the same entry
-format — ``(time, seq, fn, args, handle)`` tuples ordered by the
-``(time, seq)`` prefix — and implements the same contract:
+counter and the scheduling API; storing and draining pending entries is
+this module's job.  Entries are ``(time, seq, fn, args, handle)`` tuples
+ordered by their ``(time, seq)`` prefix; ``handle`` is an
+:class:`~repro.sim.engine.Event` for cancellable entries and ``None``
+for ``schedule_fast`` ones.
 
-* ``push(entry)`` inserts one entry (also exposed through
-  :meth:`EventQueue.raw_push` so the simulator can cache the cheapest
-  possible callable for its ``schedule_fast`` hot path);
+The simulator talks to the queue through five methods:
+
+* ``raw_push()`` hands out the push callable the simulator caches for
+  the life of the run (a C-level ``partial(heappush, heap)``);
 * ``pop_live()`` removes and returns the earliest non-cancelled entry;
-* ``drain(sim, stop, limit, max_events)`` owns the run loop: it fires
-  entries in ``(time, seq)`` order, discards cancelled ones (keeping the
-  ``cancelled_pending`` counter balanced), stops *before* firing the
+* ``drain(stop, max_events)`` owns the run loop: it fires entries in
+  ``(time, seq)`` order, discards cancelled ones, stops *before* the
   first live entry beyond ``stop`` (leaving it queued), and raises
-  :class:`~repro.errors.SimulationError` once more than ``limit``
+  :class:`~repro.errors.SimulationError` once more than ``max_events``
   entries have fired;
-* ``note_cancelled()`` is the lazy-deletion bookkeeping hook — both
-  backends share the compaction trigger rule (rebuild once cancelled
-  entries dominate a non-trivial structure) and the
-  ``cancelled_pending`` / ``compactions`` counters.
+* ``note_cancelled()`` is the lazy-deletion bookkeeping hook: cancelled
+  entries stay queued until reached, and the heap is rebuilt without
+  them once they outnumber the live ones in a population of at least
+  :data:`COMPACT_MIN_PENDING`;
+* ``len()`` is the pending population, cancelled entries included.
 
-Two backends ship:
-
-* :class:`HeapEventQueue` (``"heap"``, the default) — the binary heap
-  the engine has always used.  O(log n) per operation, unbeatable at
-  small pending populations, byte-identical to the pre-refactor engine.
-* :class:`CalendarEventQueue` (``"calendar"``) — a calendar queue in
-  the spirit of Brown (1988), adapted for an unbounded horizon: a dict
-  of buckets keyed by ``int(time / width)``, a small heap ordering the
-  bucket indices, and one batch ``list.sort()`` per opened bucket.
-  Pushes and pops are O(1) amortized, which wins by integer factors on
-  large, churning pending populations (timer wheels, flow churn) and
-  loses on tiny ones — which is why it is opt-in.
-
-Backends are selected per-run: ``Simulator(equeue="calendar")``, the
-``equeue`` field on :class:`~repro.experiments.fabric.NetworkScenario`
-and the campaign jobs, or the ``REPRO_EQUEUE`` environment variable for
-everything at once.  Whichever backend runs, the ``(time, seq)`` total
-order guarantees the same callbacks fire in the same order at the same
-simulated times, so measurement records are byte-identical — the
-committed equivalence goldens pin this for both backends.
+There is one queue on purpose; ``docs/engine.md`` records the numbers
+behind that and what would reopen the question.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from functools import partial
-from typing import Any, Callable, ClassVar
+from math import inf
+from typing import Callable
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.obs.events import BucketResizeEvent, HeapCompactEvent
+from repro.errors import SimulationError
+from repro.obs.events import HeapCompactEvent
 
-__all__ = [
-    "EQUEUE_BACKENDS",
-    "EQUEUE_ENV_VAR",
-    "CalendarEventQueue",
-    "EventQueue",
-    "HeapEventQueue",
-    "resolve_equeue",
-]
-
-#: Environment variable naming the default backend for every simulator
-#: constructed without an explicit ``equeue`` argument.
-EQUEUE_ENV_VAR = "REPRO_EQUEUE"
+__all__ = ["COMPACT_MIN_PENDING", "EventQueue"]
 
 #: Smallest pending population worth compacting; below this lazy
-#: deletion is cheaper than a rebuild.  Shared by both backends so the
-#: compaction trigger rule — and therefore the counters — line up.
+#: deletion is cheaper than a rebuild.
 COMPACT_MIN_PENDING = 64
 
 
 class EventQueue:
-    """Interface every event-queue backend implements.
+    """Pending-event storage for one :class:`~repro.sim.engine.Simulator`.
 
-    Stateless base: concrete backends define ``__slots__`` and override
-    everything.  ``backend`` is the registry name reported through
-    telemetry and the bench baselines.
+    ``cancelled_pending`` counts cancelled entries still occupying heap
+    slots, ``compactions`` the rebuilds that purged them; both survive a
+    ``run(until=)`` overshoot because they live here, not in the loop.
     """
 
-    __slots__ = ()
+    __slots__ = ("_heap", "_sim", "cancelled_pending", "compactions")
 
-    backend: ClassVar[str] = ""
-
-    def bind(self, sim) -> None:
-        """Attach to the owning simulator (clock + trace sink access)."""
-        raise NotImplementedError
-
-    def raw_push(self) -> Callable[[tuple], None]:
-        """The cheapest push callable for the simulator to cache."""
-        return self.push
-
-    def push(self, entry: tuple) -> None:
-        raise NotImplementedError
-
-    def pop_live(self) -> tuple | None:
-        raise NotImplementedError
-
-    def drain(self, sim, stop: float, limit: float, max_events) -> None:
-        raise NotImplementedError
-
-    def note_cancelled(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def cancelled_pending(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def compactions(self) -> int:
-        raise NotImplementedError
-
-    def register_metrics(self, registry, **labels) -> None:
-        """Backend-specific gauges; the simulator registers the common ones."""
-
-    def _emit(self, event) -> None:
-        """Send a housekeeping event to the simulator's trace sink."""
-        sim = getattr(self, "_sim", None)
-        if sim is not None and sim._sink is not None:
-            sim._sink.emit(event)
-
-
-class HeapEventQueue(EventQueue):
-    """The default backend: a lazy-delete binary heap.
-
-    Verbatim the engine's historical structure — ``drain`` is the
-    pre-refactor ``Simulator.run`` loop — so default-backend runs stay
-    byte-identical in results *and* in speed (``raw_push`` hands the
-    simulator a C-level ``partial(heappush, heap)``; compaction rebuilds
-    the list in place so the cached callable never goes stale).
-    """
-
-    backend = "heap"
-
-    __slots__ = ("_heap", "_cancelled", "_compactions", "_sim")
-
-    def __init__(self) -> None:
+    def __init__(self, sim) -> None:
         self._heap: list[tuple] = []
-        self._cancelled = 0
-        self._compactions = 0
-        self._sim = None
-
-    def bind(self, sim) -> None:
         self._sim = sim
+        self.cancelled_pending = 0
+        self.compactions = 0
 
     def raw_push(self) -> Callable[[tuple], None]:
         return partial(heapq.heappush, self._heap)
 
-    def push(self, entry: tuple) -> None:
-        heapq.heappush(self._heap, entry)
-
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def cancelled_pending(self) -> int:
-        return self._cancelled
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions
-
     def note_cancelled(self) -> None:
-        self._cancelled += 1
+        """Called by :meth:`Event.cancel`; compacts once dead weight dominates.
+
+        Cancel-heavy workloads (shapers, adaptive managers) would
+        otherwise grow the heap without bound: lazily-deleted entries are
+        only reclaimed when their time is reached.
+        """
+        self.cancelled_pending += 1
         heap_size = len(self._heap)
-        if heap_size >= COMPACT_MIN_PENDING and self._cancelled * 2 > heap_size:
+        if heap_size >= COMPACT_MIN_PENDING and self.cancelled_pending * 2 > heap_size:
             self._compact()
 
     def _compact(self) -> None:
@@ -180,22 +87,21 @@ class HeapEventQueue(EventQueue):
         hold aliases to it and a cancel can arrive from a callback
         mid-loop.
         """
-        before = len(self._heap)
-        self._heap[:] = [
-            entry for entry in self._heap
-            if entry[4] is None or not entry[4].cancelled
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [
+            entry for entry in heap if entry[4] is None or not entry[4].cancelled
         ]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self._compactions += 1
+        heapq.heapify(heap)
+        self.cancelled_pending = 0
+        self.compactions += 1
         sim = self._sim
-        self._emit(
-            HeapCompactEvent(
-                time=0.0 if sim is None else sim.now,
-                removed=before - len(self._heap),
-                remaining=len(self._heap),
+        if sim._sink is not None:
+            sim._sink.emit(
+                HeapCompactEvent(
+                    time=sim.now, removed=before - len(heap), remaining=len(heap)
+                )
             )
-        )
 
     def pop_live(self) -> tuple | None:
         heap = self._heap
@@ -203,22 +109,24 @@ class HeapEventQueue(EventQueue):
             entry = heapq.heappop(heap)
             event = entry[4]
             if event is not None and event.cancelled:
-                if self._cancelled:
-                    self._cancelled -= 1
+                if self.cancelled_pending:
+                    self.cancelled_pending -= 1
                 continue
             return entry
         return None
 
-    def drain(self, sim, stop: float, limit: float, max_events) -> None:
+    def drain(self, stop: float, max_events: int | None) -> None:
+        sim = self._sim
         heap = self._heap
         heappop = heapq.heappop
+        limit = inf if max_events is None else max_events
         fired = 0
         while heap:
             entry = heappop(heap)
             event = entry[4]
             if event is not None and event.cancelled:
-                if self._cancelled:
-                    self._cancelled -= 1
+                if self.cancelled_pending:
+                    self.cancelled_pending -= 1
                 continue
             time = entry[0]
             if time > stop:
@@ -232,544 +140,3 @@ class HeapEventQueue(EventQueue):
             fired += 1
             if fired > limit:
                 raise SimulationError(f"exceeded max_events={max_events}")
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar-queue backend: O(1) amortized push/pop at scale.
-
-    Structure (all per-entry work happens in C):
-
-    * ``_buckets`` — ``{bucket index: [entries]}`` where the index is
-      ``int(time / width)``.  Buckets exist only while they hold at
-      least one entry; the horizon is unbounded (no modulo wraparound).
-    * ``_order`` — a small heap of not-yet-opened bucket indices, pushed
-      once per bucket *creation*, so its O(log b) cost amortizes over
-      the bucket's whole population.
-    * ``_cur`` / ``_cur_bucket`` / ``_cur_k`` — the bucket currently
-      being drained: popped from the dict, batch-sorted once, then
-      walked by index.
-    * ``_inbox`` — a heap catching pushes that land at or before the
-      current bucket while it drains (a callback scheduling "now");
-      interleaved entry-by-entry with the sorted bucket, preserving the
-      exact ``(time, seq)`` total order the heap backend produces.
-    * ``_staging`` — the push fast path.  :meth:`raw_push` hands the
-      simulator ``_staging.append`` (a C-level method, matching the
-      heap backend's ``partial(heappush, ...)``), and entries are
-      bucketed lazily in one tight batch loop (:meth:`_flush`) the next
-      time the queue is read.  Observable state (`len`, compaction
-      trigger, entry order) is indistinguishable from eager routing.
-
-    **Width tuning.**  The width starts at :data:`INITIAL_WIDTH` and
-    adapts: every opened bucket's occupancy feeds a rolling window, and
-    when the average leaves the ``[LOW_AVG_OCC, HIGH_AVG_OCC]`` band (or
-    a single bucket exceeds :data:`HARD_MAX_OCC`) the structure is
-    rebuilt with ``width * TARGET_OCC / observed`` — i.e. re-bucketed so
-    the observed inter-event spacing puts ~\\ :data:`TARGET_OCC` entries
-    in each bucket.  Each resize emits a
-    :class:`~repro.obs.events.BucketResizeEvent` and counts in
-    :attr:`bucket_resizes`.
-
-    **Compaction.**  Same trigger rule and counters as the heap backend.
-    A compaction requested mid-drain is deferred to the next bucket
-    boundary (the drain loop holds the open bucket in locals), so under
-    cancel-heavy callbacks its trace timestamp may trail the heap
-    backend's by up to one bucket; semantic events are unaffected.
-    """
-
-    backend = "calendar"
-
-    __slots__ = (
-        "_width",
-        "_inv",
-        "_buckets",
-        "_order",
-        "_cur",
-        "_cur_bucket",
-        "_cur_k",
-        "_inbox",
-        "_staging",
-        "_count",
-        "_cancelled",
-        "_compactions",
-        "_resizes",
-        "_occ_sum",
-        "_occ_n",
-        "_draining",
-        "_compact_pending",
-        "_sim",
-    )
-
-    #: Starting bucket width in simulation seconds; the resize policy
-    #: converges from any starting point in O(1) rebuilds, so the exact
-    #: value only matters for the first few hundred events.
-    INITIAL_WIDTH = 1.0
-    #: Occupancy the resize policy aims for (entries per opened bucket).
-    #: Measured sweet spot on the bench churn workload: larger buckets
-    #: amortise the per-open costs (order-heap pop, dict pop, sort call)
-    #: while ``list.sort`` on a few dozen entries stays effectively free.
-    TARGET_OCC = 32
-    #: Rolling-average band outside which a resize is triggered.
-    LOW_AVG_OCC = 2.0
-    HIGH_AVG_OCC = 64.0
-    #: A single bucket this full triggers an immediate resize (handles a
-    #: grossly mis-sized initial width in one step).
-    HARD_MAX_OCC = 4096
-    #: Opened buckets averaged per resize decision.
-    OCC_WINDOW = 32
-    #: Don't bother widening sparse buckets below this population — the
-    #: structure is cheap when nearly empty.
-    MIN_PENDING_FOR_RESIZE = 256
-    #: Width clamp; keeps ``int(time / width)`` sane for any sim time.
-    MIN_WIDTH = 1e-9
-    MAX_WIDTH = 1e9
-
-    def __init__(self, width: float | None = None) -> None:
-        if width is not None and not width > 0:
-            raise ConfigurationError(f"bucket width must be > 0, got {width!r}")
-        self._width = float(width) if width is not None else self.INITIAL_WIDTH
-        self._inv = 1.0 / self._width
-        self._buckets: dict[int, list[tuple]] = {}
-        self._order: list[int] = []
-        self._cur = -1
-        self._cur_bucket: list[tuple] = []
-        self._cur_k = 0
-        self._inbox: list[tuple] = []
-        # Never rebound: the simulator caches ``_staging.append`` for the
-        # life of the run, so clearing must always be in place.
-        self._staging: list[tuple] = []
-        self._count = 0
-        self._cancelled = 0
-        self._compactions = 0
-        self._resizes = 0
-        self._occ_sum = 0
-        self._occ_n = 0
-        self._draining = False
-        self._compact_pending = False
-        self._sim = None
-
-    def bind(self, sim) -> None:
-        self._sim = sim
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulation seconds."""
-        return self._width
-
-    @property
-    def bucket_resizes(self) -> int:
-        """Times the structure was re-bucketed at a new width."""
-        return self._resizes
-
-    def __len__(self) -> int:
-        return self._count + len(self._staging)
-
-    @property
-    def cancelled_pending(self) -> int:
-        return self._cancelled
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions
-
-    def register_metrics(self, registry, **labels) -> None:
-        registry.gauge_callback("sim.equeue_width", lambda: self._width, **labels)
-        registry.gauge_callback("sim.equeue_resizes", lambda: self._resizes, **labels)
-
-    # -- insertion ---------------------------------------------------------
-
-    def raw_push(self) -> Callable[[tuple], None]:
-        return self._staging.append
-
-    def push(self, entry: tuple) -> None:
-        i = int(entry[0] * self._inv)
-        if i <= self._cur:
-            heapq.heappush(self._inbox, entry)
-        else:
-            bucket = self._buckets.get(i)
-            if bucket is None:
-                self._buckets[i] = [entry]
-                heapq.heappush(self._order, i)
-            else:
-                bucket.append(entry)
-        self._count += 1
-
-    def _flush(self) -> None:
-        """Bucket everything the simulator appended since the last read.
-
-        One batch loop with hoisted locals costs a fraction of a
-        ``push()`` call per entry, which is what lets ``raw_push`` be a
-        bare ``list.append``.  No callback can run while this loop does,
-        so the staging list cannot grow under it.
-        """
-        staging = self._staging
-        if not self._count and len(staging) >= self.MIN_PENDING_FOR_RESIZE:
-            # Empty structure, sizeable batch: pick the width from the
-            # batch itself instead of bucketing at a blind default and
-            # paying a full O(pending) re-bucket the moment the first
-            # bucket opens (the HARD_MAX_OCC path).  Pure sizing — no
-            # entry has been placed yet, so nothing is rebuilt.
-            # A sampled span is plenty: the resize policy tolerates a 2x
-            # mis-estimate, and sampling keeps this O(len/64) instead of
-            # two full passes.  Tuple min/max orders by time first.
-            sample = staging[:: 64 if len(staging) > 4096 else 1]
-            lo = min(sample)[0]
-            hi = max(sample)[0]
-            if hi > lo:
-                width = (hi - lo) * self.TARGET_OCC / len(staging)
-                width = min(max(width, self.MIN_WIDTH), self.MAX_WIDTH)
-                ratio = width / self._width
-                if not 0.5 <= ratio <= 2.0:
-                    previous = self._width
-                    self._width = width
-                    self._inv = 1.0 / width
-                    self._resizes += 1
-                    sim = self._sim
-                    self._emit(
-                        BucketResizeEvent(
-                            time=0.0 if sim is None else sim.now,
-                            width=width,
-                            previous=previous,
-                            pending=len(staging),
-                        )
-                    )
-        inv = self._inv
-        cur = self._cur
-        buckets = self._buckets
-        inbox = self._inbox
-        order = self._order
-        heappush = heapq.heappush
-        get = buckets.get
-        if cur < 0:
-            # No bucket is open (preload, or between runs): nothing can
-            # land in the inbox, so skip that compare per entry.  With
-            # ~TARGET_OCC entries per bucket the subscript hits an
-            # existing list almost always, so EAFP beats a .get() call.
-            for entry in staging:
-                i = int(entry[0] * inv)
-                try:
-                    buckets[i].append(entry)
-                except KeyError:
-                    buckets[i] = [entry]
-                    heappush(order, i)
-        else:
-            for entry in staging:
-                i = int(entry[0] * inv)
-                if i <= cur:
-                    heappush(inbox, entry)
-                else:
-                    bucket = get(i)
-                    if bucket is None:
-                        buckets[i] = [entry]
-                        heappush(order, i)
-                    else:
-                        bucket.append(entry)
-        self._count += len(staging)
-        staging.clear()
-
-    # -- cancellation / compaction ----------------------------------------
-
-    def note_cancelled(self) -> None:
-        self._cancelled += 1
-        pending = self._count + len(self._staging)
-        if pending >= COMPACT_MIN_PENDING and self._cancelled * 2 > pending:
-            if self._draining:
-                # The drain loop iterates the open bucket through locals;
-                # rebuilding under it would desynchronise the walk.  Defer
-                # to the next bucket boundary (a bounded delay: bucket
-                # sizes are capped by the resize policy).
-                self._compact_pending = True
-            else:
-                self._compact()
-
-    def _entries(self) -> list[tuple]:
-        """Every queued entry, in no particular order."""
-        if self._staging:
-            self._flush()
-        out = list(self._cur_bucket[self._cur_k:])
-        out.extend(self._inbox)
-        for bucket in self._buckets.values():
-            out.extend(bucket)
-        return out
-
-    def _rebuild(self, entries: list[tuple]) -> None:
-        """Redistribute ``entries`` over fresh buckets at ``self._width``.
-
-        Only called at safe points (never while ``drain`` walks a
-        bucket).  ``_inbox`` is cleared in place so any alias the drain
-        loop re-reads stays valid.
-        """
-        buckets: dict[int, list[tuple]] = {}
-        inv = self._inv
-        for entry in entries:
-            i = int(entry[0] * inv)
-            bucket = buckets.get(i)
-            if bucket is None:
-                buckets[i] = [entry]
-            else:
-                bucket.append(entry)
-        order = list(buckets)
-        heapq.heapify(order)
-        self._buckets = buckets
-        self._order = order
-        self._inbox[:] = []
-        self._cur = -1
-        self._cur_bucket = []
-        self._cur_k = 0
-        self._count = len(entries)
-
-    def _compact(self) -> None:
-        # Staged entries participate: _entries() flushes them before the
-        # scan, so count them up front or `removed` goes negative.
-        before = self._count + len(self._staging)
-        live = [
-            entry for entry in self._entries()
-            if entry[4] is None or not entry[4].cancelled
-        ]
-        self._rebuild(live)
-        self._cancelled = 0
-        self._compactions += 1
-        self._compact_pending = False
-        sim = self._sim
-        self._emit(
-            HeapCompactEvent(
-                time=0.0 if sim is None else sim.now,
-                removed=before - len(live),
-                remaining=len(live),
-            )
-        )
-
-    # -- width adaptation --------------------------------------------------
-
-    def _maybe_resize(self, occupancy: int) -> bool:
-        """Resize decision at a bucket-open boundary.
-
-        Returns True when the structure was rebuilt (the caller restores
-        the bucket it was opening first, so nothing is lost).
-        """
-        if occupancy > self.HARD_MAX_OCC:
-            return self._resize(self._width * self.TARGET_OCC / occupancy)
-        self._occ_sum += occupancy
-        self._occ_n += 1
-        if self._occ_n < self.OCC_WINDOW:
-            return False
-        avg = self._occ_sum / self._occ_n
-        self._occ_sum = 0
-        self._occ_n = 0
-        if self._count < self.MIN_PENDING_FOR_RESIZE:
-            return False
-        if avg > self.HIGH_AVG_OCC or avg < self.LOW_AVG_OCC:
-            return self._resize(self._width * self.TARGET_OCC / max(avg, 0.25))
-        return False
-
-    def _resize(self, new_width: float) -> bool:
-        new_width = min(max(new_width, self.MIN_WIDTH), self.MAX_WIDTH)
-        ratio = new_width / self._width
-        if 0.5 <= ratio <= 2.0:
-            return False  # not worth an O(pending) rebuild
-        previous = self._width
-        entries = self._entries()
-        self._width = new_width
-        self._inv = 1.0 / new_width
-        self._rebuild(entries)
-        self._resizes += 1
-        sim = self._sim
-        self._emit(
-            BucketResizeEvent(
-                time=0.0 if sim is None else sim.now,
-                width=new_width,
-                previous=previous,
-                pending=self._count,
-            )
-        )
-        return True
-
-    # -- extraction --------------------------------------------------------
-
-    def _open_next(self) -> bool:
-        """Advance to the next non-empty bucket; False when drained dry.
-
-        Bucket boundaries are the safe points: deferred compactions and
-        width resizes happen here, before the new bucket is sorted.
-        """
-        while True:
-            if self._staging:
-                self._flush()
-            if self._compact_pending:
-                self._compact()
-            if not self._order:
-                self._cur = -1
-                self._cur_bucket = []
-                self._cur_k = 0
-                return False
-            i = heapq.heappop(self._order)
-            bucket = self._buckets.pop(i)
-            if self._maybe_resize(len(bucket)):
-                # Rebuilt at a new width — the rebuild recounted only what
-                # was still in the structure, so pushing the popped bucket
-                # back restores both the entries and the count.
-                for entry in bucket:
-                    self.push(entry)
-                continue
-            self._cur = i
-            bucket.sort()
-            self._cur_bucket = bucket
-            self._cur_k = 0
-            return True
-
-    def pop_live(self) -> tuple | None:
-        """Single-entry extraction for :meth:`Simulator.step`.
-
-        Shares all state with :meth:`drain`; the two can be mixed
-        freely.  Width adaptation still applies (bucket opens funnel
-        through :meth:`_open_next`).
-        """
-        heappop = heapq.heappop
-        while True:
-            if self._staging:
-                self._flush()
-            bucket = self._cur_bucket
-            k = self._cur_k
-            if k < len(bucket):
-                entry = bucket[k]
-                inbox = self._inbox
-                if inbox and inbox[0] < entry:
-                    entry = heappop(inbox)
-                else:
-                    self._cur_k = k + 1
-                self._count -= 1
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    if self._cancelled:
-                        self._cancelled -= 1
-                    continue
-                return entry
-            if self._inbox:
-                entry = heappop(self._inbox)
-                self._count -= 1
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    if self._cancelled:
-                        self._cancelled -= 1
-                    continue
-                return entry
-            if not self._open_next():
-                return None
-
-    def drain(self, sim, stop: float, limit: float, max_events) -> None:
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        self._draining = True
-        fired = 0
-        # ``_flush`` only mutates the inbox in place, so the aliases
-        # hoisted below stay valid across every flush point.
-        staging = self._staging
-        try:
-            while True:
-                if staging:
-                    self._flush()
-                bucket = self._cur_bucket
-                k = self._cur_k
-                n = len(bucket)
-                inbox = self._inbox
-                while k < n:
-                    if staging:
-                        self._flush()
-                    entry = bucket[k]
-                    if inbox and inbox[0] < entry:
-                        entry = heappop(inbox)
-                        from_inbox = True
-                    else:
-                        k += 1
-                        from_inbox = False
-                    time, _seq, fn, args, event = entry
-                    if event is not None and event.cancelled:
-                        self._count -= 1
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    if time > stop:
-                        # Leave the entry queued, exactly like the heap
-                        # backend's push-back, and remember the walk
-                        # position for the next run()/step().
-                        if from_inbox:
-                            heappush(inbox, entry)
-                            self._cur_k = k
-                        else:
-                            self._cur_k = k - 1
-                        return
-                    if event is not None:
-                        event.fired = True
-                    self._count -= 1
-                    sim.now = time
-                    sim._events_processed += 1
-                    try:
-                        fn(*args)
-                    except BaseException:
-                        # The entry is consumed; persist the walk
-                        # position or a later run() re-fires it.
-                        self._cur_k = k
-                        raise
-                    fired += 1
-                    if fired > limit:
-                        self._cur_k = k
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                self._cur_k = k
-                # Bucket walked; flush stragglers that arrived behind it.
-                while True:
-                    if staging:
-                        self._flush()
-                    if not inbox:
-                        break
-                    time, _seq, fn, args, event = inbox[0]
-                    if event is not None and event.cancelled:
-                        heappop(inbox)
-                        self._count -= 1
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    if time > stop:
-                        return
-                    heappop(inbox)
-                    if event is not None:
-                        event.fired = True
-                    self._count -= 1
-                    sim.now = time
-                    sim._events_processed += 1
-                    fn(*args)
-                    fired += 1
-                    if fired > limit:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                if not self._open_next():
-                    return
-        finally:
-            self._draining = False
-
-
-#: Registry of selectable backends, keyed by the name used everywhere —
-#: ``Simulator(equeue=...)``, scenario/job fields, ``REPRO_EQUEUE``, the
-#: bench CLI ``--backend`` flag and the baseline files.
-EQUEUE_BACKENDS: dict[str, type[EventQueue]] = {
-    HeapEventQueue.backend: HeapEventQueue,
-    CalendarEventQueue.backend: CalendarEventQueue,
-}
-
-
-def resolve_equeue(spec: "str | EventQueue | None" = None) -> EventQueue:
-    """Materialize an event-queue backend from any accepted spelling.
-
-    ``None`` consults :data:`EQUEUE_ENV_VAR` (``REPRO_EQUEUE``) and
-    falls back to the heap; a string is looked up in
-    :data:`EQUEUE_BACKENDS`; an :class:`EventQueue` instance is used
-    as-is (callers own its lifetime — one simulator per instance).
-    """
-    if spec is None:
-        spec = os.environ.get(EQUEUE_ENV_VAR) or HeapEventQueue.backend
-    if isinstance(spec, EventQueue):
-        return spec
-    factory = EQUEUE_BACKENDS.get(spec)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown event-queue backend {spec!r}; valid: "
-            + ", ".join(sorted(EQUEUE_BACKENDS))
-        )
-    return factory()

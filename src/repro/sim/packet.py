@@ -2,12 +2,8 @@
 
 Packets are plain slotted objects; millions of them are created per
 experiment so construction cost matters more than convenience methods.
-A bounded module-level freelist lets closed pipelines (one port, no
-downstream retention) recycle packet objects instead of allocating:
-:meth:`Packet.acquire` pops from the pool and :meth:`Packet.release`
-returns to it.  Recycled packets are fully re-initialised — including a
-fresh ``seq`` from the shared counter — so a recycling run is
-byte-identical to an allocating one.
+Every packet is a fresh object owned by whoever holds the last
+reference — there is no pool to return it to.
 """
 
 from __future__ import annotations
@@ -17,16 +13,6 @@ import itertools
 __all__ = ["Packet"]
 
 _packet_ids = itertools.count()
-
-#: Recycled packets awaiting reuse.  Bounded so that a pathological
-#: burst of drops cannot pin unbounded memory in the pool.
-_freelist: list["Packet"] = []
-_FREELIST_MAX = 4096
-
-#: ``seq`` sentinel marking a packet as sitting in the freelist; makes
-#: :meth:`Packet.release` idempotent (a double release would otherwise
-#: hand the same object out twice).
-_RELEASED = -1
 
 
 class Packet:
@@ -53,36 +39,8 @@ class Packet:
 
     @classmethod
     def acquire(cls, flow_id: int, size: float, created: float) -> "Packet":
-        """A packet from the freelist (or a fresh one when it is empty).
-
-        Identical to calling the constructor — same field values, same
-        ``seq`` allocation order — except the object may be recycled.
-        Sources should use this in their emission paths; it is safe
-        everywhere because a pool miss simply allocates.
-        """
-        if _freelist:
-            packet = _freelist.pop()
-            packet.flow_id = flow_id
-            packet.size = size
-            packet.created = created
-            packet.enqueued = None
-            packet.seq = next(_packet_ids)
-            return packet
+        """Alias of the constructor, kept for callers of the removed pool."""
         return cls(flow_id, size, created)
-
-    def release(self) -> None:
-        """Return this packet to the freelist.  Idempotent.
-
-        Only the owner of the *last* live reference may call this — for
-        a port, that means dropped packets and packets that finished
-        transmission with no downstream hop.  After release the object
-        may be handed out again with entirely different field values.
-        """
-        if self.seq == _RELEASED:
-            return
-        if len(_freelist) < _FREELIST_MAX:
-            self.seq = _RELEASED
-            _freelist.append(self)
 
     def __repr__(self) -> str:
         return f"Packet(flow={self.flow_id}, size={self.size}, t={self.created:.6f})"

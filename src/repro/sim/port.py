@@ -42,15 +42,7 @@ class OutputPort:
         downstream: optional next hop with a ``receive(packet)`` method;
             transmitted packets are handed to it, which is how multi-node
             topologies (:mod:`repro.net`) are chained.
-        recycle: return packets to the :class:`Packet` freelist once the
-            port is done with them (on drop, and after transmission when
-            there is no downstream hop).  Only safe when nothing outside
-            the port retains packet references — the closed
-            ``run_scenario`` pipeline qualifies; callers that inspect
-            packets afterwards (tests, custom topologies) must not enable
-            it.  Combining ``recycle=True`` with a ``downstream`` hop is
-            refused outright: a recycled packet would be released while
-            the next node still holds it, corrupting the freelist.
+        recycle: accepted and ignored (packets are no longer pooled).
         label: node/link label stamped on emitted trace events ('' for
             single-port runs; :mod:`repro.net` uses ``"src->dst"``).
     """
@@ -62,7 +54,6 @@ class OutputPort:
         "manager",
         "collector",
         "downstream",
-        "recycle",
         "label",
         "busy",
         "admitted_packets",
@@ -84,20 +75,12 @@ class OutputPort:
     ) -> None:
         if rate <= 0:
             raise ConfigurationError(f"link rate must be positive, got {rate}")
-        if recycle and downstream is not None:
-            raise ConfigurationError(
-                "recycle=True is incompatible with a downstream hop: a "
-                "transmitted packet would be handed to the next node while "
-                "dropped packets of the same flow are released mid-path; "
-                "let the terminal delivery sink release packets instead"
-            )
         self.sim = sim
         self.rate = float(rate)
         self.scheduler = scheduler
         self.manager = manager
         self.collector = collector
         self.downstream = downstream
-        self.recycle = recycle
         self.label = label
         self.busy = False
         self.admitted_packets = 0
@@ -173,8 +156,6 @@ class OutputPort:
                         node=self.label,
                     )
                 )
-            if self.recycle:
-                packet.release()
             return False
         packet.enqueued = now
         self.admitted_packets += 1
@@ -219,8 +200,6 @@ class OutputPort:
             )
         if self.downstream is not None:
             self.downstream.receive(packet)
-        elif self.recycle:
-            packet.release()
         head = self.scheduler.dequeue()
         if head is None:
             self.busy = False

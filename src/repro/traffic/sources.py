@@ -14,9 +14,8 @@ All sources emit :class:`repro.sim.packet.Packet` objects into a ``sink``
 
 Sources schedule their per-packet callbacks through
 :meth:`~repro.sim.engine.Simulator.schedule_fast` (emissions are never
-cancelled) and draw packets from the :class:`Packet` freelist, so the
-steady-state emission path allocates no event handles and, in recycling
-pipelines, no packet objects.
+cancelled), so the steady-state emission path allocates one packet and
+no event handle per emission.
 """
 
 from __future__ import annotations
@@ -58,14 +57,6 @@ class OnOffSource:
         packet_size: bytes per packet.
         start: time of the first burst decision.
         until: stop emitting at this time (None = never stop).
-        rng_batch: when set (>= 1), pre-draw burst lengths and OFF gaps
-            in vectorised blocks of this size from two child streams
-            spawned off ``rng``.  The batched stream is deterministic
-            given the seed and *independent of the block size* (blocks
-            refill per distribution from dedicated child generators), but
-            it is a different stream than the default scalar draws —
-            the default ``None`` preserves the legacy per-call draws
-            byte-for-byte.
     """
 
     __slots__ = (
@@ -84,13 +75,6 @@ class OnOffSource:
         "_mean_burst_packets",
         "_burst_p",
         "_mean_off",
-        "_batch",
-        "_burst_rng",
-        "_off_rng",
-        "_bursts",
-        "_burst_i",
-        "_offs",
-        "_off_i",
     )
 
     def __init__(
@@ -105,7 +89,6 @@ class OnOffSource:
         packet_size: float = DEFAULT_PACKET_SIZE,
         start: float = 0.0,
         until: float | None = None,
-        rng_batch: int | None = None,
     ) -> None:
         if not 0 < avg_rate <= peak_rate:
             raise ConfigurationError(
@@ -115,8 +98,6 @@ class OnOffSource:
             raise ConfigurationError(
                 f"mean burst {mean_burst} smaller than one packet ({packet_size})"
             )
-        if rng_batch is not None and rng_batch < 1:
-            raise ConfigurationError(f"rng_batch must be >= 1, got {rng_batch}")
         self.sim = sim
         self.flow_id = flow_id
         self.peak_rate = float(peak_rate)
@@ -134,48 +115,12 @@ class OnOffSource:
         self._burst_p = min(1.0, 1.0 / max(self._mean_burst_packets, 1.0))
         mean_on = self.mean_burst / self.peak_rate
         self._mean_off = mean_on * (self.peak_rate / self.avg_rate - 1.0)
-        self._batch = rng_batch
-        if rng_batch is not None:
-            # Dedicated child streams per distribution: refilling one
-            # block never shifts the other stream, which is what makes
-            # the batched draws independent of the block size.
-            self._burst_rng, self._off_rng = rng.spawn(2)
-            self._bursts: np.ndarray = np.empty(0, dtype=np.int64)
-            self._burst_i = 0
-            self._offs: np.ndarray = np.empty(0)
-            self._off_i = 0
         # Randomise the initial phase so simultaneous sources do not
         # synchronise their first bursts.
         initial_delay = 0.0
         if self._mean_off > 0:
-            initial_delay = self._next_off()
+            initial_delay = float(rng.exponential(self._mean_off))
         sim.schedule_at(start + initial_delay, self._begin_burst)
-
-    # -- random draws -----------------------------------------------------
-
-    def _next_burst_packets(self) -> int:
-        """Next ON-period length in packets (geometric, mean >= 1)."""
-        if self._batch is None:
-            return int(self.rng.geometric(self._burst_p))
-        if self._burst_i >= len(self._bursts):
-            self._bursts = self._burst_rng.geometric(self._burst_p, size=self._batch)
-            self._burst_i = 0
-        value = self._bursts[self._burst_i]
-        self._burst_i += 1
-        return int(value)
-
-    def _next_off(self) -> float:
-        """Next OFF-period duration in seconds (exponential)."""
-        if self._batch is None:
-            return float(self.rng.exponential(self._mean_off))
-        if self._off_i >= len(self._offs):
-            self._offs = self._off_rng.exponential(self._mean_off, size=self._batch)
-            self._off_i = 0
-        value = self._offs[self._off_i]
-        self._off_i += 1
-        return float(value)
-
-    # -- emission ---------------------------------------------------------
 
     def stop(self) -> None:
         """Silence the source from the current instant onwards.
@@ -190,7 +135,8 @@ class OnOffSource:
     def _begin_burst(self) -> None:
         if self.until is not None and self.sim.now >= self.until:
             return
-        self._emit(self._next_burst_packets())
+        # Geometric ON-period length in packets (mean >= 1).
+        self._emit(int(self.rng.geometric(self._burst_p)))
 
     def _emit(self, remaining: int) -> None:
         sim = self.sim
@@ -198,7 +144,7 @@ class OnOffSource:
         if self.until is not None and now >= self.until:
             return
         size = self.packet_size
-        packet = Packet.acquire(self.flow_id, size, now)
+        packet = Packet(self.flow_id, size, now)
         self.emitted_packets += 1
         self.emitted_bytes += size
         self.sink.receive(packet)
@@ -210,7 +156,7 @@ class OnOffSource:
             # exactly the peak rate.
             off = self._spacing
             if self._mean_off > 0:
-                off += self._next_off()
+                off += float(self.rng.exponential(self._mean_off))
             sim.schedule_fast(off, self._begin_burst)
 
 
@@ -259,7 +205,7 @@ class CBRSource:
     def _emit(self) -> None:
         if self.until is not None and self.sim.now >= self.until:
             return
-        packet = Packet.acquire(self.flow_id, self.packet_size, self.sim.now)
+        packet = Packet(self.flow_id, self.packet_size, self.sim.now)
         self.emitted_packets += 1
         self.emitted_bytes += packet.size
         self.sink.receive(packet)
@@ -321,7 +267,7 @@ class TraceSource:
             sim.schedule_at(time, self._emit, size)
 
     def _emit(self, size: float) -> None:
-        packet = Packet.acquire(self.flow_id, size, self.sim.now)
+        packet = Packet(self.flow_id, size, self.sim.now)
         self.emitted_packets += 1
         self.emitted_bytes += size
         self.sink.receive(packet)

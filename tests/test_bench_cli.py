@@ -49,31 +49,12 @@ class TestRun:
     def test_unknown_case_is_usage_error(self, tmp_path):
         assert main(["run", "--cases", "nope", "--out", str(tmp_path)]) == 2
 
-    def test_backend_flag_recorded_and_env_restored(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
-        out = tmp_path / "out"
-        code = main(
-            ["run", *FAST, "--backend", "calendar", "--out", str(out), "--host-tag", "t"]
-        )
-        assert code == 0
-        baseline = BenchBaseline.load(out / "BENCH_t.json")
-        assert baseline.backend == "calendar"
-        assert EQUEUE_ENV_VAR not in os.environ
-
-    def test_default_backend_is_heap(self, tmp_path, monkeypatch):
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
-        baseline = BenchBaseline.load(_run_baseline(tmp_path))
-        assert baseline.backend == "heap"
-
-    def test_unknown_backend_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", *FAST, "--backend", "wheel", "--out", str(tmp_path)])
+    def test_removed_backend_flag_is_usage_error(self, tmp_path):
+        # The flag went with the second event queue; argparse rejects it
+        # whatever value a stale script passes.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *FAST, "--backend", "heap", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestUpdateBaseline:
@@ -94,13 +75,7 @@ class TestCompareExitCodes:
         )
         assert code == 0
 
-    def test_doctored_faster_baseline_regresses(self, tmp_path, capsys, monkeypatch):
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        # _resign rebuilds with the default backend field; pin the
-        # ambient env so the fresh run records the same backend and the
-        # verdict exercised is regression, not mismatched-backend.
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
+    def test_doctored_faster_baseline_regresses(self, tmp_path, capsys):
         path = _run_baseline(tmp_path)
 
         def tenfold_faster(case):
@@ -161,27 +136,6 @@ class TestCompareExitCodes:
         code = main(["compare", "--baseline", str(doctored), "--fresh", str(path)])
         assert code == EXIT_STALE_BASELINE
         assert "stale" in capsys.readouterr().err
-
-    def test_backend_mismatch_is_stale(self, tmp_path, capsys, monkeypatch):
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        # The fresh run must land on the default heap backend so the
-        # doctored "calendar" baseline genuinely mismatches it.
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
-        path = _run_baseline(tmp_path)
-        baseline = BenchBaseline.load(path)
-        other = BenchBaseline(
-            host_tag=baseline.host_tag,
-            python=baseline.python,
-            platform=baseline.platform,
-            cases=baseline.cases,
-            backend="calendar",
-        )
-        other_path = other.write(tmp_path / "other")
-        code = main(["compare", "--baseline", str(other_path), "--fresh", str(path)])
-        assert code == EXIT_STALE_BASELINE
-        out = capsys.readouterr().out
-        assert "mismatched-backend" in out
 
     def test_baseline_dir_resolved_by_host_tag(self, tmp_path):
         path = _run_baseline(tmp_path)

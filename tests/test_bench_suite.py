@@ -33,7 +33,6 @@ class TestSuiteDefinition:
             "wfq-threshold",
             "hybrid-sharing",
             "tandem-3hop",
-            "tandem-3hop-calendar",
         ]
 
     def test_micro_cases_cover_engine_and_sources(self):
@@ -42,31 +41,10 @@ class TestSuiteDefinition:
             "engine-chain",
             "engine-preloaded",
             "engine-cancel",
-            "onoff-batched",
             "churn",
             "churn-reclaim",
             "timeline-sampled",
-            "equeue-churn",
-            "equeue-calendar",
-            "batched-pipeline",
         }
-
-    def test_equeue_pair_differs_only_in_backend(self):
-        cases = {c.name: c for c in default_suite()}
-        heap = cases["equeue-churn"].params
-        calendar = cases["equeue-calendar"].params
-        assert heap["equeue"] == "heap"
-        assert calendar["equeue"] == "calendar"
-        assert {k: v for k, v in heap.items() if k != "equeue"} == {
-            k: v for k, v in calendar.items() if k != "equeue"
-        }
-
-    def test_calendar_tandem_digest_differs_from_heap_tandem(self):
-        cases = {c.name: c for c in default_suite()}
-        assert (
-            cases["tandem-3hop"].digest()
-            != cases["tandem-3hop-calendar"].digest()
-        )
 
     def test_quick_and_full_have_different_digests(self):
         full = {c.name: c.digest() for c in default_suite()}
@@ -144,16 +122,6 @@ class TestMeasure:
         job = resolve_cases(["fifo-threshold"], quick=True)[0].job
         with pytest.raises(ConfigurationError):
             BenchCase("broken", MACRO, job=job, setup=lambda params: None)
-
-    def test_equeue_churn_backends_fire_identical_event_counts(self):
-        quick = {c.name: c for c in default_suite(quick=True)}
-        counts = {}
-        for name in ("equeue-churn", "equeue-calendar"):
-            case = quick[name]
-            params = dict(case.params, n_events=2_000)
-            counts[name] = case.runner(params, case.setup(params))
-        # 2000 entries, every fourth cancelled before the drain.
-        assert counts["equeue-churn"] == counts["equeue-calendar"] == 1_500
 
     def test_nondeterministic_case_rejected(self):
         drifting = iter(range(10))

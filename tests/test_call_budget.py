@@ -16,21 +16,21 @@ import pytest
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
-from repro.sim import packet as packet_module
 from repro.sim.engine import Simulator
 from repro.units import mbytes
 
 #: Python + C calls per offered packet inside ``Simulator.run`` on a
-#: 0.5 s Table-1 scenario (1 MB buffer, seed 1).  The flat path measures
-#: 25.41 / 27.13 / 34.97 / 43.99; the template-method cascade it replaced
-#: (`_admits`/`_charge`/hooks, `_start_transmission`, `_refill`, `_stats`)
-#: measured 42.62 / 51.93 / 52.15 / 68.36.  The ceilings leave ~4% for
-#: interpreter versions that count a builtin differently.
+#: 0.5 s Table-1 scenario (1 MB buffer, seed 1).  Measured 21.34 /
+#: 23.06 / 30.82 / 39.87.  With the packet pool it was 25.41 / 27.13 /
+#: 34.97 / 43.99 (acquire/pop/release/len/append per packet on top of
+#: the constructor); before the flat admit/depart path 42.62 / 51.93 /
+#: 52.15 / 68.36.  The ceilings leave ~4-5% for interpreter versions
+#: that count a builtin differently.
 CEILINGS = {
-    Scheme.FIFO_THRESHOLD: 26.5,
-    Scheme.FIFO_SHARING: 28.5,
-    Scheme.WFQ_THRESHOLD: 36.5,
-    Scheme.HYBRID_SHARING: 45.5,
+    Scheme.FIFO_THRESHOLD: 22.5,
+    Scheme.FIFO_SHARING: 24.5,
+    Scheme.WFQ_THRESHOLD: 32.0,
+    Scheme.HYBRID_SHARING: 41.0,
 }
 
 
@@ -48,9 +48,6 @@ def calls_per_packet(scheme: Scheme) -> float:
         elif event == "call" and frame.f_code is run_code:
             state["inside"] = True
 
-    # The freelist level decides whether release() appends, so start
-    # every measurement from the same (empty) pool.
-    packet_module._freelist.clear()
     # A collection inside the run would add the finalizers of whatever
     # garbage earlier tests left behind to the count.
     gc.collect()

@@ -167,7 +167,7 @@ class TestHeapCompaction:
         assert order == list(range(150))
 
     def test_small_heaps_skip_compaction(self):
-        # Below COMPACT_MIN_HEAP lazy deletion is cheaper than a rebuild.
+        # Below COMPACT_MIN_PENDING lazy deletion is cheaper than a rebuild.
         sim = Simulator()
         for _ in range(10):
             sim.schedule(1.0, lambda: None).cancel()
@@ -270,11 +270,10 @@ class TestScheduleFast:
 class TestScheduleGuards:
     """No entry point lets a negative or NaN time reach the queue."""
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
     @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_fast"])
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
-    def test_negative_and_nan_times_raise(self, backend, entry, bad):
-        sim = Simulator(equeue=backend)
+    def test_negative_and_nan_times_raise(self, entry, bad):
+        sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
         # schedule_at takes an absolute time: now + bad is in the past or NaN.

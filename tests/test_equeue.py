@@ -1,87 +1,39 @@
-"""Event-queue backends: selection, ordering parity, calendar internals.
+"""The event queue's contract, exercised through the simulator.
 
-The engine-level contract (scheduling, run/until, compaction counters)
-is pinned in ``test_engine.py`` against the default backend; this file
-pins what the refactor added — backend selection (`resolve_equeue`),
-the calendar queue's own machinery (staging, inbox, width adaptation,
-deferred compaction), and the cross-backend equivalence the goldens
-rely on: same callbacks, same order, same counters, same records.
+The engine-level API (scheduling, run/until, guards) is pinned in
+``test_engine.py``; this file pins what :mod:`repro.sim.equeue` owns:
+the ``(time, seq)`` firing order, entry consumption, the lazy-deletion
+counters and the compaction rule.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.obs.sink import RingSink
 from repro.sim.engine import Simulator
-from repro.sim.equeue import (
-    EQUEUE_BACKENDS,
-    EQUEUE_ENV_VAR,
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    resolve_equeue,
-)
-
-BACKENDS = sorted(EQUEUE_BACKENDS)
-
-#: Trace kinds that are queue housekeeping, not simulation semantics.
-#: Cadence (and, for bucket resizes, existence) is backend-specific.
-HOUSEKEEPING_KINDS = {"compact", "bucket-resize"}
+from repro.sim.equeue import COMPACT_MIN_PENDING, EventQueue
 
 
-def _semantic(events):
-    return [e for e in events if type(e).kind not in HOUSEKEEPING_KINDS]
+def test_simulator_takes_no_arguments():
+    with pytest.raises(TypeError):
+        Simulator("heap")
+    with pytest.raises(TypeError):
+        Simulator(equeue="heap")
 
 
-class TestResolveEqueue:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
-        assert isinstance(resolve_equeue(), HeapEventQueue)
+class TestOrdering:
+    """Callbacks fire in ``(time, scheduling sequence)`` order."""
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(EQUEUE_ENV_VAR, "calendar")
-        assert isinstance(resolve_equeue(), CalendarEventQueue)
-        assert Simulator().equeue_backend == "calendar"
-
-    def test_empty_env_var_falls_back_to_heap(self, monkeypatch):
-        monkeypatch.setenv(EQUEUE_ENV_VAR, "")
-        assert isinstance(resolve_equeue(), HeapEventQueue)
-
-    def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(EQUEUE_ENV_VAR, "calendar")
-        assert Simulator(equeue="heap").equeue_backend == "heap"
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_name_lookup(self, name):
-        queue = resolve_equeue(name)
-        assert isinstance(queue, EventQueue)
-        assert queue.backend == name
-
-    def test_instance_passthrough(self):
-        queue = CalendarEventQueue(width=2.0)
-        assert resolve_equeue(queue) is queue
-        assert Simulator(equeue=queue).equeue is queue
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="wheel"):
-            resolve_equeue("wheel")
-
-    def test_registry_names_match_class_attributes(self):
-        for name, cls in EQUEUE_BACKENDS.items():
-            assert cls.backend == name
-
-
-class TestOrderingParity:
-    """Both backends fire the same callbacks in the same total order."""
-
-    @staticmethod
-    def _program(sim, fired):
+    def test_mixed_program_fires_in_time_then_sequence_order(self):
         # Ties at equal timestamps, mixed scheduling APIs, a cancel, and
         # a callback that schedules more work mid-run.
+        sim = Simulator()
+        fired = []
+        expected = []
         for i in range(40):
             delay = (i * 37 % 11) * 0.25
+            expected.append((delay, i))
             if i % 2:
                 sim.schedule_fast(delay, fired.append, (delay, i))
             else:
@@ -89,34 +41,29 @@ class TestOrderingParity:
         doomed = sim.schedule(1.0, fired.append, ("doomed", -1))
         doomed.cancel()
         sim.schedule(0.5, lambda: sim.schedule_fast(0.25, fired.append, ("inner", -2)))
-
-    def test_fired_streams_identical(self):
-        streams = {}
-        for backend in BACKENDS:
-            sim = Simulator(equeue=backend)
-            fired = []
-            self._program(sim, fired)
-            sim.run()
-            streams[backend] = (fired, sim.events_processed, sim.now)
-        assert streams["calendar"] == streams["heap"]
-        fired = streams["heap"][0]
+        sim.run()
         assert ("doomed", -1) not in fired
-        assert ("inner", -2) in fired
+        # Scheduled at t=0.5 for t=0.75 after everything above, so it
+        # follows every preloaded t=0.75 entry.
+        inner = fired.index(("inner", -2))
+        assert fired[inner - 1][0] == 0.75 and fired[inner + 1][0] == 1.0
+        del fired[inner]
+        assert fired == sorted(expected)
+        assert sim.events_processed == 42
+        assert sim.now == 2.5
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ties_fire_in_scheduling_order(self, backend):
-        sim = Simulator(equeue=backend)
+    def test_ties_fire_in_scheduling_order(self):
+        sim = Simulator()
         fired = []
         for i in range(10):
             sim.schedule(1.0, fired.append, i)
         sim.run()
         assert fired == list(range(10))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_callback_exception_consumes_the_entry(self, backend):
+    def test_callback_exception_consumes_the_entry(self):
         # A user exception escaping run() must not re-fire the event
         # that raised: the entry was consumed before the callback ran.
-        sim = Simulator(equeue=backend)
+        sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: 1 / 0)
         sim.schedule(2.0, fired.append, "later")
@@ -127,9 +74,8 @@ class TestOrderingParity:
         assert sim.events_processed == 2
         assert sim.pending == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_step_and_run_interleave(self, backend):
-        sim = Simulator(equeue=backend)
+    def test_step_and_run_interleave(self):
+        sim = Simulator()
         fired = []
         for t in (1.0, 2.0, 3.0, 4.0):
             sim.schedule_at(t, fired.append, t)
@@ -140,48 +86,49 @@ class TestOrderingParity:
         assert not sim.step()
         assert fired == [1.0, 2.0, 3.0, 4.0]
 
+    def test_raw_push_and_pop_live_speak_the_entry_format(self):
+        queue = EventQueue(Simulator())
+        push = queue.raw_push()
+        for t in (3, 1, 2):
+            push((float(t), t, (lambda: None), (), None))
+        assert len(queue) == 3
+        assert [queue.pop_live()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert len(queue) == 0
+        assert queue.pop_live() is None
 
-class TestCompactionParity:
-    """Shared trigger rule: counters line up event-for-event."""
 
-    @staticmethod
-    def _cancel_heavy(backend):
-        sim = Simulator(equeue=backend)
+class TestCompaction:
+    """Rebuild once cancelled entries outnumber live ones in >= 64."""
+
+    def test_trigger_point(self):
+        sim = Simulator()
         handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
-        for handle in handles[:51]:
+        for handle in handles[:50]:
             handle.cancel()
-        return sim
+        assert sim.compactions == 0
+        # 51 cancelled of 100 pending crosses the half-dead mark.
+        handles[50].cancel()
+        assert sim.compactions == 1
+        assert sim.cancelled_pending == 0
+        assert sim.pending == 49
+        sim.run()
+        assert sim.events_processed == 49
 
-    def test_trigger_point_identical(self):
-        sims = {b: self._cancel_heavy(b) for b in BACKENDS}
-        for sim in sims.values():
-            # 51 cancelled of 100 pending crosses the half-dead mark.
-            assert sim.compactions == 1
-            assert sim.cancelled_pending == 0
-            assert sim.pending == 49
-        sims["heap"].run()
-        sims["calendar"].run()
-        assert (
-            sims["heap"].events_processed
-            == sims["calendar"].events_processed
-            == 49
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_small_populations_never_compact(self, backend):
-        sim = Simulator(equeue=backend)
-        handles = [sim.schedule(float(i), lambda: None) for i in range(50)]
+    def test_small_populations_never_compact(self):
+        sim = Simulator()
+        handles = [
+            sim.schedule(float(i), lambda: None) for i in range(COMPACT_MIN_PENDING - 1)
+        ]
         for handle in handles:
             handle.cancel()
         assert sim.compactions == 0
-        assert sim.cancelled_pending == 50
+        assert sim.cancelled_pending == COMPACT_MIN_PENDING - 1
         sim.run()
         assert sim.events_processed == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compact_emits_trace_event(self, backend):
+    def test_compact_emits_trace_event(self):
         sink = RingSink()
-        sim = Simulator(equeue=backend)
+        sim = Simulator()
         sim.attach_trace(sink)
         handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
         for handle in handles[:51]:
@@ -191,11 +138,30 @@ class TestCompactionParity:
         assert compacts[0].removed == 51
         assert compacts[0].remaining == 49
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counters_survive_run_until_overshoot(self, backend):
-        # Satellite regression: entries beyond ``until`` stay queued with
-        # their cancelled/compaction bookkeeping intact across resumes.
-        sim = Simulator(equeue=backend)
+    def test_mid_drain_compaction_keeps_the_loop_consistent(self):
+        # A callback cancelling most of the future while run() holds the
+        # heap in a local: the in-place rebuild must neither lose nor
+        # re-fire anything, and the cancelled weight is fully reclaimed.
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(2.0 + i * 0.01, fired.append, i) for i in range(80)]
+
+        def massacre():
+            for handle in handles[:60]:
+                handle.cancel()
+
+        sim.schedule(1.0, massacre)
+        sim.run()
+        assert fired == list(range(60, 80))
+        assert sim.events_processed == 21
+        assert sim.compactions == 1
+        assert sim.cancelled_pending == 0
+        assert sim.pending == 0
+
+    def test_counters_survive_run_until_overshoot(self):
+        # Entries beyond ``until`` stay queued with their cancelled /
+        # compaction bookkeeping intact across resumes.
+        sim = Simulator()
         fired = []
         sim.schedule(1.0, fired.append, "early")
         late_live = sim.schedule(5.0, fired.append, "late")
@@ -211,220 +177,22 @@ class TestCompactionParity:
         assert sim.cancelled_pending == 0
         assert not late_live.cancelled and late_live.fired
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cancel_after_fire_is_a_counter_noop(self, backend):
-        sim = Simulator(equeue=backend)
+    def test_cancel_after_fire_is_a_counter_noop(self):
+        sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         handle.cancel()
         assert not handle.cancelled
         assert sim.cancelled_pending == 0
 
-
-class TestCalendarStaging:
-    """raw_push is a bare list.append; reads flush transparently."""
-
-    def test_raw_push_visible_through_len_and_pop(self):
-        queue = CalendarEventQueue()
-        push = queue.raw_push()
-        entries = [(float(t), t, (lambda: None), (), None) for t in (3, 1, 2)]
-        for entry in entries:
-            push(entry)
-        assert len(queue) == 3
-        popped = [queue.pop_live() for _ in range(3)]
-        assert [e[0] for e in popped] == [1.0, 2.0, 3.0]
-        assert len(queue) == 0
-        assert queue.pop_live() is None
-
-    def test_staged_entries_count_toward_compaction_trigger(self):
-        sim = Simulator(equeue="calendar")
-        handles = [sim.schedule(float(i), lambda: None) for i in range(70)]
-        # Everything above still sits in staging — the trigger must see
-        # it, or a preloaded-then-cancelled workload never compacts.
-        assert isinstance(sim.equeue, CalendarEventQueue)
-        for handle in handles[:36]:
-            handle.cancel()
-        assert sim.compactions == 1
-
-    def test_staging_list_is_never_rebound(self):
-        # The simulator caches the bound append for the whole run; a
-        # flush that rebound the list would silently drop every
-        # subsequent push.
-        sim = Simulator(equeue="calendar")
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.run()  # forces a flush + drain
-        sim.schedule(2.0, fired.append, 2)
-        sim.run()
-        assert fired == [1, 2]
-
-
-class TestCalendarInternals:
-    def test_constructor_width_validation(self):
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(width=0.0)
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(width=-1.0)
-        assert CalendarEventQueue(width=2.5).width == 2.5
-
-    def test_inbox_preserves_order_for_mid_drain_pushes(self):
-        # Width 10 puts everything in one bucket: the callback's pushes
-        # land at/behind the bucket being drained and must interleave in
-        # exact (time, seq) order, not after the bucket.
-        sim = Simulator(equeue=CalendarEventQueue(width=10.0))
-        fired = []
-
-        def burst():
-            fired.append("burst")
-            sim.schedule_fast(0.5, fired.append, "inner-1.5")
-            sim.schedule_fast(0.0, fired.append, "inner-1.0")
-
-        sim.schedule_at(1.0, burst)
-        sim.schedule_at(1.2, fired.append, "pre-1.2")
-        sim.schedule_at(2.0, fired.append, "pre-2.0")
-        sim.run()
-        assert fired == ["burst", "inner-1.0", "pre-1.2", "inner-1.5", "pre-2.0"]
-
-    def test_initial_width_sized_from_preloaded_batch(self):
-        # A large preload into an empty structure picks the width from
-        # the batch span instead of bucketing blind at INITIAL_WIDTH and
-        # paying a full re-bucket on first open.
-        sim = Simulator(equeue="calendar")
-        n = 2 * CalendarEventQueue.MIN_PENDING_FOR_RESIZE
-        for i in range(n):
-            sim.schedule_fast(i * 0.001, lambda: None)
-        sim.run()
-        queue = sim.equeue
-        assert queue.bucket_resizes >= 1
-        assert queue.width != CalendarEventQueue.INITIAL_WIDTH
-        assert sim.events_processed == n
-
-    def test_resize_emits_trace_event(self):
-        sink = RingSink()
-        sim = Simulator(equeue="calendar")
-        sim.attach_trace(sink)
-        n = 2 * CalendarEventQueue.MIN_PENDING_FOR_RESIZE
-        for i in range(n):
-            sim.schedule_fast(i * 0.001, lambda: None)
-        sim.run()
-        resizes = [e for e in sink.events() if type(e).kind == "bucket-resize"]
-        assert len(resizes) == sim.equeue.bucket_resizes >= 1
-        assert resizes[0].previous == CalendarEventQueue.INITIAL_WIDTH
-        assert resizes[0].pending == n
-        assert resizes[-1].width == sim.equeue.width
-
-    def test_width_adapts_upward_for_sparse_buckets(self):
-        # One event per thousand buckets at width=1e-3: the rolling
-        # occupancy average sits far below LOW_AVG_OCC, so the structure
-        # must widen as it drains.
-        queue = CalendarEventQueue(width=1e-3)
-        sim = Simulator(equeue=queue)
-        for i in range(CalendarEventQueue.MIN_PENDING_FOR_RESIZE + 64):
-            sim.schedule_fast(float(i), lambda: None)
-        sim.run()
-        assert queue.width > 1e-3
-        assert queue.bucket_resizes >= 1
-
-    def test_deferred_compaction_settles_after_drain(self):
-        # A callback cancelling most of the future mid-drain: the
-        # compaction is deferred to a bucket boundary, but the counters
-        # end up exactly where the heap backend's do.
-        outcomes = {}
-        for backend in BACKENDS:
-            sim = Simulator(equeue=backend)
-            fired = []
-            handles = [
-                sim.schedule(2.0 + i * 0.01, fired.append, i) for i in range(80)
-            ]
-
-            def massacre(handles=handles):
-                for handle in handles[:60]:
-                    handle.cancel()
-
-            sim.schedule(1.0, massacre)
-            sim.run()
-            outcomes[backend] = (
-                fired,
-                sim.events_processed,
-                sim.compactions,
-                sim.cancelled_pending,
-                sim.pending,
-            )
-        assert outcomes["calendar"] == outcomes["heap"]
-        assert outcomes["heap"][3] == 0  # cancelled weight fully reclaimed
-
-    def test_calendar_metrics_register_width_gauges(self):
+    def test_engine_gauges_report_the_queue_counters(self):
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        sim = Simulator(equeue="calendar")
+        sim = Simulator()
         sim.register_metrics(registry)
+        sim.schedule(1.0, lambda: None).cancel()
         snapshot = registry.snapshot()
-        assert snapshot["sim.equeue_width"] == sim.equeue.width
-        assert snapshot["sim.equeue_resizes"] == 0.0
-        assert snapshot["sim.equeue"] == float(
-            list(EQUEUE_BACKENDS).index("calendar")
-        )
-
-
-class TestCrossBackendScenarioDeterminism:
-    """Satellite: a full scenario is byte-identical across backends."""
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        import hashlib
-        import json
-
-        from repro.bench.suite import default_suite
-        from repro.experiments.campaign import ScenarioRecord
-        from repro.experiments.runner import run_scenario
-
-        case = {c.name: c for c in default_suite(quick=True)}["fifo-threshold"]
-        job = case.job
-        out = {}
-        for backend in BACKENDS:
-            sink = RingSink()
-            kwargs = job.scenario_kwargs()
-            kwargs["equeue"] = backend
-            result = run_scenario(
-                list(job.flows),
-                job.scheme,
-                job.buffer_size,
-                sink=sink,
-                **kwargs,
-            )
-            record = ScenarioRecord.from_result(result, job.digest())
-            canonical = json.dumps(
-                record.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            out[backend] = {
-                "digest": hashlib.sha256(canonical.encode()).hexdigest(),
-                "events": record.events_processed,
-                "flow_stats": record.flow_stats,
-                "trace": sink.events(),
-            }
-        return out
-
-    def test_record_digests_identical(self, runs):
-        assert runs["heap"]["digest"] == runs["calendar"]["digest"]
-
-    def test_blocking_stats_identical(self, runs):
-        assert runs["heap"]["flow_stats"] == runs["calendar"]["flow_stats"]
-        assert runs["heap"]["events"] == runs["calendar"]["events"]
-
-    def test_semantic_trace_streams_identical(self, runs):
-        heap_trace = _semantic(runs["heap"]["trace"])
-        calendar_trace = _semantic(runs["calendar"]["trace"])
-        assert heap_trace, "scenario emitted no semantic trace events"
-        assert heap_trace == calendar_trace
-
-    def test_housekeeping_is_the_only_divergence(self, runs):
-        # The full streams may differ (resize events exist only under
-        # the calendar backend) — but only in housekeeping kinds.
-        for backend in BACKENDS:
-            extra = [
-                type(e).kind
-                for e in runs[backend]["trace"]
-                if type(e).kind in HOUSEKEEPING_KINDS
-            ]
-            assert set(extra) <= HOUSEKEEPING_KINDS
+        assert snapshot["sim.pending"] == 1.0
+        assert snapshot["sim.cancelled_pending"] == 1.0
+        assert snapshot["sim.compactions"] == 0.0

@@ -1,8 +1,8 @@
 """Byte-identity of the hot-path optimisations, pinned by goldens.
 
 ``tests/data/equivalence_goldens.json`` was captured from the simulator
-*before* the engine fast path (``schedule_fast``, pop-once run loop),
-the packet freelist, and the source emission rewrite.  Each golden pins:
+*before* the engine fast path (``schedule_fast``, pop-once run loop)
+and the source emission rewrite.  Each golden pins:
 
 * the campaign job digest (the scenario description is unchanged),
 * the SHA-256 of the canonical JSON of the full
@@ -25,15 +25,12 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.bench.suite import MACRO, default_suite
 from repro.experiments.campaign import ScenarioJob, ScenarioRecord
 from repro.experiments.runner import run_scenario
 from repro.sim.engine import Simulator
-from repro.traffic.sources import OnOffSource
-from repro.units import mbps
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "equivalence_goldens.json"
 
@@ -128,39 +125,3 @@ class TestScheduleFastEquivalence:
         sim_a.run()
         sim_b.run()
         assert fired_mixed == fired_plain
-
-
-class TestRngBatchInvariance:
-    """Batched draws are deterministic and independent of the block size."""
-
-    @staticmethod
-    def _emissions(rng_batch):
-        times = []
-
-        class Sink:
-            def receive(self, packet):
-                times.append((sim.now, packet.flow_id, packet.size))
-
-        sim = Simulator()
-        OnOffSource(
-            sim,
-            flow_id=3,
-            peak_rate=mbps(48.0),
-            avg_rate=mbps(12.0),
-            mean_burst=8_000.0,
-            sink=Sink(),
-            rng=np.random.default_rng(21),
-            until=3.0,
-            rng_batch=rng_batch,
-        )
-        sim.run(until=3.0)
-        assert times, "source emitted nothing"
-        return times
-
-    def test_block_size_does_not_change_the_stream(self):
-        reference = self._emissions(4)
-        assert self._emissions(64) == reference
-        assert self._emissions(1024) == reference
-
-    def test_batched_stream_is_reproducible(self):
-        assert self._emissions(256) == self._emissions(256)

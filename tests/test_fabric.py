@@ -59,7 +59,7 @@ def single_node_scenario(seed=7, sim_time=4.0):
     )
 
 
-def two_hop_scenario(recycle=True, seed=3, sim_time=4.0):
+def two_hop_scenario(seed=3, sim_time=4.0):
     """Target flow crosses both hops; one hostile lane congests each."""
     return NetworkScenario(
         nodes=(
@@ -75,7 +75,6 @@ def two_hop_scenario(recycle=True, seed=3, sim_time=4.0):
         ),
         sim_time=sim_time,
         seed=seed,
-        recycle=recycle,
     )
 
 
@@ -133,25 +132,11 @@ class TestPathEquivalence:
         assert fast.links["n0->n1"].thresholds == general.links["n0->n1"].thresholds
 
 
-class TestPacketRecycling:
-    """Recycling must never corrupt packets that cross several hops."""
-
-    def test_two_hop_run_with_recycling_stays_correct(self):
-        on = run_fabric(two_hop_scenario(recycle=True))
-        off = run_fabric(two_hop_scenario(recycle=False))
-        for label in ("n0->n1", "n1->n2"):
-            stats_on, stats_off = on.links[label].flow_stats, off.links[label].flow_stats
-            assert set(stats_on) == set(stats_off)
-            for flow_id in stats_on:
-                a, b = stats_on[flow_id], stats_off[flow_id]
-                assert a.offered_packets == b.offered_packets
-                assert a.dropped_packets == b.dropped_packets
-                assert a.departed_packets == b.departed_packets
-        assert on.delivery.packets == off.delivery.packets
-        assert on.delivery.bytes == off.delivery.bytes
+class TestPacketHandoff:
+    """Packets cross hops as the same objects, none lost in between."""
 
     def test_second_hop_sees_exactly_what_first_hop_forwarded(self):
-        result = run_fabric(two_hop_scenario(recycle=True))
+        result = run_fabric(two_hop_scenario())
         first = result.links["n0->n1"].flow_stats[1]
         second = result.links["n1->n2"].flow_stats[1]
         assert second.offered_packets == first.departed_packets
@@ -246,7 +231,7 @@ class TestSerialization:
         assert NetworkScenario.from_dict(scenario.to_dict()) == scenario
 
     def test_round_trip_survives_json(self):
-        scenario = two_hop_scenario(recycle=False, seed=21)
+        scenario = two_hop_scenario(seed=21)
         raw = json.loads(json.dumps(scenario.to_dict()))
         assert NetworkScenario.from_dict(raw) == scenario
 

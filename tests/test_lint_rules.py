@@ -287,39 +287,6 @@ class TestPortEncapsulationRPR106:
         assert rule_ids(clean, select=["RPR106"]) == []
 
 
-class TestEventQueueEncapsulationRPR110:
-    def test_flags_plain_import(self):
-        assert "RPR110" in rule_ids("import heapq\n")
-
-    def test_flags_from_import(self):
-        assert "RPR110" in rule_ids("from heapq import heappush\n")
-
-    def test_flags_submodule_style_import(self):
-        assert "RPR110" in rule_ids("import heapq as hq\n")
-
-    def test_equeue_module_is_allowed(self):
-        assert rule_ids("import heapq\n", path="src/repro/sim/equeue.py") == []
-
-    @pytest.mark.parametrize(
-        "path",
-        ["src/repro/sched/wfq.py", "src/repro/sched/scfq.py"],
-    )
-    def test_packet_schedulers_are_allowed(self, path):
-        # WFQ/SCFQ/RPQ order packets by virtual finish time — a separate
-        # priority queue from the event calendar.
-        assert rule_ids("import heapq\n", path=path, select=["RPR110"]) == []
-
-    def test_engine_module_is_not_exempt(self):
-        # The refactor's point: the engine schedules through EventQueue.
-        assert "RPR110" in rule_ids(
-            "import heapq\n", path="src/repro/sim/engine.py"
-        )
-
-    def test_tests_and_benchmarks_exempt(self):
-        assert rule_ids("import heapq\n", path=TEST_PATH) == []
-        assert rule_ids("import heapq\n", path="benchmarks/bench_x.py") == []
-
-
 class TestScoping:
     def test_library_rules_skip_test_files(self):
         bad_everywhere = """

@@ -65,7 +65,6 @@ class TestVocabulary:
             "threshold",
             "headroom",
             "compact",
-            "bucket-resize",
             "reprovision",
             "pool",
             "sample",

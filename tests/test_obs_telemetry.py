@@ -19,14 +19,13 @@ from repro.obs.telemetry import (
 )
 
 
-def make_entry(digest="d0", wall=0.5, events=100, hit=False, worker=1, equeue=""):
+def make_entry(digest="d0", wall=0.5, events=100, hit=False, worker=1):
     return JobTelemetry(
         job_digest=digest,
         wall_time=wall,
         events=events,
         cache_hit=hit,
         worker=worker,
-        equeue=equeue,
     )
 
 
@@ -46,6 +45,10 @@ class TestJobTelemetry:
         raw = entry.to_dict()
         assert raw["schema"] == TELEMETRY_SCHEMA
         assert JobTelemetry.from_dict(raw) == entry
+        # Lines written while telemetry still named an event-queue
+        # backend load too; the extra key is ignored.
+        assert JobTelemetry.from_dict(dict(raw, equeue="heap")) == entry
+        assert "equeue" not in raw
 
     def test_schema_mismatch_rejected(self):
         raw = make_entry().to_dict()
@@ -97,39 +100,36 @@ class TestCampaignReport:
         assert report.wall_histogram().count == 0
         report.render()  # must not raise on empty
 
-
-class TestBackendAccounting:
-    def test_per_backend_sums_over_executed_jobs(self):
+class TestEngineAccounting:
+    def test_engine_totals_sum_over_executed_jobs(self):
         report = CampaignReport.from_telemetry(
             [
-                make_entry("a", wall=1.0, events=10, equeue="heap"),
-                make_entry("b", wall=2.0, events=20, equeue="heap"),
-                make_entry("c", wall=4.0, events=40, equeue="calendar"),
+                make_entry("a", wall=1.0, events=10),
+                make_entry("b", wall=2.0, events=20),
+                # A pre-removal line that still names its backend counts
+                # like any other executed job.
+                JobTelemetry.from_dict(
+                    dict(make_entry("c", wall=4.0, events=40).to_dict(), equeue="heap")
+                ),
             ]
         )
-        backends = report.backends
-        assert set(backends) == {"calendar", "heap"}
-        assert backends["heap"] == {
-            "jobs": 2,
-            "events": 30,
-            "wall_time": pytest.approx(3.0),
+        assert report.engine == {
+            "jobs": 3,
+            "events": 70,
+            "wall_time": pytest.approx(7.0),
             "cancelled_pending": 0,
             "compactions": 0,
         }
-        assert backends["calendar"]["jobs"] == 1
-        assert backends["calendar"]["events"] == 40
 
-    def test_cache_hits_report_no_backend(self):
-        # A cache hit runs no engine: its backend is unknown and must
-        # not pollute the per-backend accounting.
+    def test_cache_hits_excluded_from_engine_totals(self):
+        # A cache hit runs no engine: its (replayed) event count and
+        # lookup time must not pollute the engine accounting.
         report = CampaignReport.from_telemetry(
-            [
-                make_entry("a", equeue="heap"),
-                make_entry("b", hit=True, equeue=""),
-            ]
+            [make_entry("a", events=100), make_entry("b", events=100, hit=True)]
         )
-        assert set(report.backends) == {"heap"}
-        assert report.backends["heap"]["jobs"] == 1
+        assert report.total_events == 200
+        assert report.engine["jobs"] == 1
+        assert report.engine["events"] == 100
 
     def test_engine_counters_accumulate(self):
         entries = [
@@ -139,27 +139,28 @@ class TestBackendAccounting:
                 events=5,
                 cache_hit=False,
                 worker=1,
-                equeue="calendar",
                 cancelled_pending=2,
                 compactions=1,
             )
             for d in ("a", "b")
         ]
-        stats = CampaignReport.from_telemetry(entries).backends["calendar"]
-        assert stats["cancelled_pending"] == 4
-        assert stats["compactions"] == 2
+        engine = CampaignReport.from_telemetry(entries).engine
+        assert engine["cancelled_pending"] == 4
+        assert engine["compactions"] == 2
 
-    def test_backends_in_render_and_to_dict(self):
-        report = CampaignReport.from_telemetry(
-            [make_entry("a", equeue="calendar")]
-        )
-        assert report.to_dict()["backends"]["calendar"]["jobs"] == 1
-        assert "engine [calendar]" in report.render()
+    def test_engine_in_render_and_to_dict(self):
+        report = CampaignReport.from_telemetry([make_entry("a", events=7)])
+        assert report.to_dict()["engine"]["jobs"] == 1
+        engine_lines = [
+            line for line in report.render().splitlines() if line.startswith("engine")
+        ]
+        assert len(engine_lines) == 1
+        assert "1 job(s), 7 events" in engine_lines[0]
 
-    def test_backends_returns_copies(self):
-        report = CampaignReport.from_telemetry([make_entry("a", equeue="heap")])
-        report.backends["heap"]["jobs"] = 999
-        assert report.backends["heap"]["jobs"] == 1
+    def test_engine_returns_a_copy(self):
+        report = CampaignReport.from_telemetry([make_entry("a")])
+        report.engine["jobs"] = 999
+        assert report.engine["jobs"] == 1
 
 
 class TestTelemetryFiles:
@@ -185,12 +186,7 @@ class TestTelemetryFiles:
 
 
 class TestRunnerIntegration:
-    def test_executed_jobs_carry_telemetry(self, monkeypatch):
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        # Jobs without an explicit backend resolve via REPRO_EQUEUE;
-        # pin the env so the recorded backend is the heap default.
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
+    def test_executed_jobs_carry_telemetry(self):
         runner = CampaignRunner()
         jobs = make_jobs(2)
         records = runner.run(jobs)
@@ -201,16 +197,9 @@ class TestRunnerIntegration:
             assert telemetry.cache_hit is False
             assert telemetry.wall_time > 0
             assert telemetry.events == record.events_processed
-            assert telemetry.equeue == "heap"
-
-    def test_executed_jobs_report_their_backend(self):
-        jobs = [
-            dataclasses.replace(job, equeue="calendar") for job in make_jobs(1)
-        ]
-        runner = CampaignRunner()
-        records = runner.run(jobs)
-        assert records[0].telemetry.equeue == "calendar"
-        assert set(runner.last_report.backends) == {"calendar"}
+        engine = runner.last_report.engine
+        assert engine["jobs"] == 2
+        assert engine["events"] == sum(r.events_processed for r in records)
 
     def test_cache_hits_marked(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

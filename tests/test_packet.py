@@ -27,42 +27,15 @@ class TestPacket:
             pass
 
 
-class TestFreelist:
-    """acquire/release recycling keeps packet semantics intact."""
+class TestAcquireAlias:
+    """``Packet.acquire`` is the constructor under its pre-removal name."""
 
     def test_acquire_matches_constructor(self):
-        packet = Packet.acquire(3, 500.0, 1.5)
-        assert (packet.flow_id, packet.size, packet.created) == (3, 500.0, 1.5)
-        assert packet.enqueued is None
-
-    def test_release_then_acquire_reuses_the_object(self):
-        packet = Packet.acquire(0, 500.0, 0.0)
-        packet.release()
-        again = Packet.acquire(9, 100.0, 2.0)
-        assert again is packet
-        assert (again.flow_id, again.size, again.created) == (9, 100.0, 2.0)
-        assert again.enqueued is None
-
-    def test_recycled_packet_gets_a_fresh_sequence_number(self):
-        # WFQ tie-breaking and FIFO ordering lean on seq monotonicity;
-        # recycling must never resurrect an old sequence number.
-        packet = Packet.acquire(0, 500.0, 0.0)
-        old_seq = packet.seq
-        packet.release()
-        again = Packet.acquire(0, 500.0, 0.0)
-        assert again.seq > old_seq
-
-    def test_double_release_is_idempotent(self):
-        packet = Packet.acquire(0, 500.0, 0.0)
-        packet.release()
-        packet.release()  # must not enter the pool twice
-        first = Packet.acquire(1, 500.0, 0.0)
-        second = Packet.acquire(2, 500.0, 0.0)
-        assert first is not second
-
-    def test_stale_state_cleared_on_reuse(self):
-        packet = Packet.acquire(0, 500.0, 0.0)
-        packet.enqueued = 1.25
-        packet.release()
-        again = Packet.acquire(0, 500.0, 2.0)
-        assert again.enqueued is None
+        built = Packet(3, 500.0, 1.5)
+        acquired = Packet.acquire(3, 500.0, 1.5)
+        assert type(acquired) is Packet
+        assert (acquired.flow_id, acquired.size, acquired.created) == (3, 500.0, 1.5)
+        assert acquired.enqueued is None
+        # Same seq allocation order as the constructor: one shared counter.
+        assert acquired.seq == built.seq + 1
+        assert Packet(3, 500.0, 1.5).seq == acquired.seq + 1

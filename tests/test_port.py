@@ -143,62 +143,10 @@ class TestWarmupAccounting:
 
 
 class TestRecycleMode:
-    """recycle=True returns port-owned packets to the freelist."""
-
-    @staticmethod
-    def _recycling_port(rate=1000.0, capacity=1_000.0):
-        sim = Simulator()
-        collector = StatsCollector(warmup=0.0)
-        port = OutputPort(
-            sim,
-            rate,
-            FIFOScheduler(),
-            TailDropManager(capacity),
-            collector,
-            recycle=True,
-        )
-        return sim, port, collector
-
-    def test_default_is_no_recycling(self):
-        _, port, _ = make_port()
-        assert port.recycle is False
-
-    def test_transmitted_packet_returns_to_freelist(self):
-        sim, port, _ = self._recycling_port()
-        packet = Packet.acquire(0, 500.0, 0.0)
-        port.receive(packet)
-        sim.run()
-        assert Packet.acquire(1, 500.0, 1.0) is packet
-
-    def test_dropped_packet_returns_to_freelist(self):
-        sim, port, _ = self._recycling_port(capacity=500.0)
-        port.receive(Packet.acquire(0, 500.0, 0.0))  # fills the buffer
-        overflow = Packet.acquire(1, 500.0, 0.0)
-        assert not port.receive(overflow)
-        assert Packet.acquire(2, 500.0, 0.0) is overflow
-
-    def test_recycle_with_downstream_is_refused(self):
-        # Recycling mid-path would release dropped packets of a flow while
-        # transmitted packets of the same flow are still owned by the next
-        # node; the port refuses the combination outright.
-        sim = Simulator()
-
-        class Hop:
-            def receive(self, packet):
-                pass
-
-        with pytest.raises(ConfigurationError, match="recycle"):
-            OutputPort(
-                sim,
-                1000.0,
-                FIFOScheduler(),
-                TailDropManager(10_000.0),
-                downstream=Hop(),
-                recycle=True,
-            )
+    """``recycle=`` is accepted and ignored: packets are never pooled."""
 
     def test_downstream_hop_keeps_ownership(self):
-        # Without recycling, the packet is handed to the downstream as-is.
+        # The next hop receives the very object the port was given.
         sim = Simulator()
         received = []
 
@@ -212,12 +160,13 @@ class TestRecycleMode:
             FIFOScheduler(),
             TailDropManager(10_000.0),
             downstream=Hop(),
+            recycle=True,
         )
-        packet = Packet.acquire(0, 500.0, 0.0)
+        packet = Packet(0, 500.0, 0.0)
         port.receive(packet)
         sim.run()
-        assert received == [packet]
-        assert Packet.acquire(1, 500.0, 1.0) is not packet
+        assert len(received) == 1 and received[0] is packet
+        assert (packet.flow_id, packet.size, packet.created) == (0, 500.0, 0.0)
 
     def test_accounting_identical_with_and_without_recycling(self):
         def drive(recycle):
@@ -234,7 +183,7 @@ class TestRecycleMode:
             for i in range(8):
                 sim.schedule(
                     i * 0.1,
-                    lambda i=i: port.receive(Packet.acquire(0, 500.0, sim.now)),
+                    lambda i=i: port.receive(Packet(0, 500.0, sim.now)),
                 )
             sim.run()
             stats = collector.flows[0]

@@ -68,7 +68,7 @@ class TestShaperProperties:
 
     @given(schedule=schedules, sigma=sigmas, rho=rhos)
     @settings(max_examples=80, deadline=None)
-    def test_packets_never_released_early(self, schedule, sigma, rho):
+    def test_packets_never_leave_early(self, schedule, sigma, rho):
         _, out = run_shaper(schedule, sigma, rho)
         for time, packet in out:
             assert time >= packet.created - 1e-9

@@ -13,6 +13,7 @@ import pytest
 
 from repro.check.invariants import check_scenario_dict
 from repro.errors import ConfigurationError
+from repro.experiments.campaign import NetworkJob
 from repro.experiments.fabric.scenario import NetworkScenario
 from repro.units import kbytes, mbps, mbytes
 
@@ -84,6 +85,7 @@ def base_dict():
         "packet_size": 1000.0,
         "delay_histograms": False,
         "max_events": None,
+        # Written by the v2 layout; no longer a field.
         "recycle": True,
     }
 
@@ -108,6 +110,12 @@ class TestBaseDictIsValid:
         scenario = NetworkScenario.from_dict(base_dict())
         assert len(scenario.flows) == 1
         assert check_scenario_dict(base_dict()) == []
+        # The stale v2 key loads (ignored) and is not written back ...
+        assert "recycle" not in scenario.to_dict()
+        # ... but a whole v2 job is refused by its schema tag.
+        stale_job = {"schema": "repro-campaign-net-v2", "scenario": base_dict()}
+        with pytest.raises(ConfigurationError, match="schema mismatch"):
+            NetworkJob.from_dict(stale_job)
 
 
 class TestStructuralRejections:

@@ -170,48 +170,36 @@ class TestTraceSource:
             TraceSource(Simulator(), 0, [(1.0, 100.0), (0.5, 100.0)], Recorder())
 
 
-class TestRngBatching:
-    """Opt-in block RNG draws; the default path stays byte-identical."""
+class TestOnOffDraws:
+    """The source's randomness is scalar draws from the given generator."""
 
-    @staticmethod
-    def _emission_times(rng_batch, seed=5, until=2.0):
+    def test_stream_is_interleaved_scalar_draws(self):
+        # Pins the draw order the equivalence goldens depend on: one
+        # exponential for the initial phase, then geometric burst length
+        # and exponential OFF period alternating, all from ``rng`` itself.
+        peak, avg, burst, size, until = 4000.0, 1000.0, 1000.0, 500.0, 2.0
         sim = Simulator()
         sink = Recorder()
         OnOffSource(
-            sim,
-            0,
-            peak_rate=4000.0,
-            avg_rate=1000.0,
-            mean_burst=1000.0,
-            sink=sink,
-            rng=np.random.default_rng(seed),
-            packet_size=500.0,
-            until=until,
-            rng_batch=rng_batch,
+            sim, 0, peak_rate=peak, avg_rate=avg, mean_burst=burst, sink=sink,
+            rng=np.random.default_rng(5), packet_size=size, until=until,
         )
         sim.run(until=until)
-        assert sink.packets
-        return [p.created for p in sink.packets]
 
-    def test_batch_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._emission_times(rng_batch=0)
-
-    def test_batched_stream_reproducible_for_a_seed(self):
-        assert self._emission_times(16) == self._emission_times(16)
-
-    def test_batched_stream_invariant_to_block_size(self):
-        assert self._emission_times(1) == self._emission_times(128)
-
-    def test_batched_draws_use_child_streams(self):
-        # Documented contract: batching switches to spawned child
-        # streams, so it is a *different* deterministic stream than the
-        # legacy scalar draws (which remain the default).
-        assert self._emission_times(None) != self._emission_times(16)
-
-    def test_default_remains_legacy_scalar_draws(self):
-        # Guard the byte-compat default: same seed, no batching, same
-        # stream as a directly-seeded generator making interleaved
-        # scalar draws.
-        times = self._emission_times(None)
-        assert times == self._emission_times(None)
+        rng = np.random.default_rng(5)
+        spacing = size / peak
+        mean_off = (burst / peak) * (peak / avg - 1.0)
+        burst_p = 1.0 / (burst / size)
+        expected = []
+        now = 0.0 + float(rng.exponential(mean_off))
+        while now < until:
+            for _ in range(int(rng.geometric(burst_p)) - 1):
+                expected.append(now)
+                now = now + spacing
+                if now >= until:
+                    break
+            else:
+                expected.append(now)
+                now = now + (spacing + float(rng.exponential(mean_off)))
+        assert expected
+        assert [p.created for p in sink.packets] == expected

@@ -62,6 +62,19 @@ class TestValidation:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario parameter"):
             scenario_spec(axes=(SweepAxis("bandwidth", (1,)),))
+        # The removed event-queue selector is an unknown parameter like
+        # any other, as an axis or a base value, for either kind.
+        with pytest.raises(ConfigurationError, match="unknown scenario parameter"):
+            scenario_spec(axes=(SweepAxis("equeue", ("heap",)),))
+        with pytest.raises(ConfigurationError, match="unknown scenario parameter"):
+            scenario_spec(base={"sim_time": 0.5, "equeue": "heap"})
+        with pytest.raises(ConfigurationError, match="unknown network parameter"):
+            SweepSpec(
+                name="net",
+                kind="network",
+                axes=(SweepAxis("seed", (1,)),),
+                base={"equeue": "heap"},
+            )
 
     def test_base_and_axis_conflict_rejected(self):
         with pytest.raises(ConfigurationError, match="both a base value"):
