@@ -25,16 +25,12 @@ Usage::
     python -m repro obs monitor         # live analytic-bound conformance
     python -m repro obs monitor --undersized   # provoke violations
 
-    python -m repro bench run --quick   # measure the benchmark suite
-    python -m repro bench compare --baseline benchmarks/baselines
-    python -m repro bench update-baseline
-
     python -m repro net demo            # 3-hop tandem with flow churn
     python -m repro net demo --hops 5 --seed 3 --no-churn
     python -m repro net reclaim         # live reprovisioning vs static
     python -m repro net reclaim --trace-out results/reclaim.jsonl
 
-    python -m repro check examples/specs benchmarks/baselines
+    python -m repro check examples/specs examples/sweeps tests/data/equivalence_goldens.json
     python -m repro check --list-invariants
 """
 
@@ -66,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             "figure to run (figure1..figure13), 'all', 'list', 'run' "
             "with --spec for declarative scenarios, 'campaign' with an "
             "action (run/status/clear-cache), 'obs' with an action "
-            "(trace/report/timeline/monitor), 'bench' with an action "
-            "(run/compare/update-baseline), or 'net' with an action "
+            "(trace/report/timeline/monitor), or 'net' with an action "
             "(demo/reclaim)"
         ),
     )
@@ -769,15 +764,9 @@ def run_net_reclaim(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # The bench subsystem owns its argument surface (run / compare /
-        # update-baseline with gate tuning); delegate before parsing, the
-        # same way `repro-lint` has its own CLI.
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "check":
-        # Same delegation for the invariant auditor (specs/artifacts).
+        # The invariant auditor owns its argument surface; delegate
+        # before parsing, the same way `repro-lint` has its own CLI.
         from repro.check.cli import main as check_main
 
         return check_main(argv[1:])

@@ -3,11 +3,9 @@
 Every artifact family the repo commits or caches carries a ``schema``
 version tag written by its producer; readers reject mismatches at use
 time.  This module checks the committed files *ahead* of use, so a
-schema bump that forgets to regenerate baselines/goldens/caches fails
-CI at the lint gate rather than deep inside a campaign:
+schema bump that forgets to regenerate goldens/caches fails CI at the
+lint gate rather than deep inside a campaign:
 
-* bench baselines (``BENCH_*.json``) — :data:`repro.bench.baseline.BENCH_SCHEMA`,
-  including the integrity digest over the payload;
 * campaign cache records — :data:`repro.experiments.campaign.job.CAMPAIGN_SCHEMA`
   / :data:`repro.experiments.campaign.network.NETWORK_SCHEMA`;
 * equivalence goldens — the ``repro-equivalence-v1`` tag the golden test
@@ -29,8 +27,8 @@ CI at the lint gate rather than deep inside a campaign:
   ``digest`` field must match the file name.
 
 Tags are matched by family (the part before the ``-v<N>`` suffix), so a
-stale ``repro-bench-v2`` is reported as *drift* against the current
-``repro-bench-v3`` rather than as an unknown artifact.
+stale ``repro-timeline-v0`` is reported as *drift* against the current
+``repro-timeline-v1`` rather than as an unknown artifact.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bench.baseline import BENCH_SCHEMA, BenchBaseline
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
 from repro.experiments.campaign.network import NETWORK_SCHEMA
@@ -57,7 +54,6 @@ GOLDENS_SCHEMA = "repro-equivalence-v1"
 
 #: family -> the tag current producers write.
 KNOWN_SCHEMAS: dict[str, str] = {
-    "repro-bench": BENCH_SCHEMA,
     "repro-campaign": CAMPAIGN_SCHEMA,
     "repro-campaign-net": NETWORK_SCHEMA,
     "repro-equivalence": GOLDENS_SCHEMA,
@@ -76,7 +72,7 @@ _PER_LINE_FAMILIES = frozenset({"repro-telemetry", "repro-sweep-shard"})
 
 
 def schema_family(tag: str) -> str:
-    """``repro-bench-v1`` -> ``repro-bench`` ('' when not versioned)."""
+    """``repro-trace-v1`` -> ``repro-trace`` ('' when not versioned)."""
     family, sep, version = tag.rpartition("-v")
     if not sep or not version.isdigit():
         return ""
@@ -118,15 +114,6 @@ def _check_tag(tag, path: str, line: int = 1) -> list[Finding]:
                 line,
             )
         ]
-    return []
-
-
-def _check_bench_baseline(path: pathlib.Path) -> list[Finding]:
-    """Full integrity check through the baseline loader."""
-    try:
-        BenchBaseline.load(path)
-    except ConfigurationError as exc:
-        return [Finding("RPR205", f"bench baseline rejected: {exc}", str(path), 1)]
     return []
 
 
@@ -181,9 +168,7 @@ def _check_json_artifact(path: pathlib.Path, raw: dict) -> list[Finding]:
     findings = _check_tag(tag, str(path))
     if findings:
         return findings
-    if tag == BENCH_SCHEMA:
-        findings.extend(_check_bench_baseline(path))
-    elif tag == SWEEP_SPEC_SCHEMA:
+    if tag == SWEEP_SPEC_SCHEMA:
         findings.extend(_check_sweep_spec(path, raw))
     elif tag == AGGREGATE_SCHEMA:
         findings.extend(_check_sweep_aggregate(path, raw))

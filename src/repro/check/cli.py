@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro check examples/specs benchmarks/baselines
+    python -m repro check examples/specs examples/sweeps
     python -m repro.check --format json tests/data/equivalence_goldens.json
     repro-check --strict examples/specs
     repro-check --list-invariants

@@ -13,7 +13,7 @@ protocol).  Two implementations cover the practical cases:
 
 The disabled path is *no sink at all*: components default to
 ``_sink = None`` and guard emission with one ``is not None`` check, so
-tracing costs nothing when off (see ``benchmarks/bench_micro_obs.py``).
+tracing costs nothing when off (the attached rows of ``tests/test_call_budget.py``).
 """
 
 from __future__ import annotations

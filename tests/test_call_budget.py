@@ -5,7 +5,9 @@ FIFO replaces sorted scheduling — so the number of calls the simulator
 makes per packet is a first-class quantity.  Unlike wall time it repeats
 exactly run to run, which makes a committed ceiling a noise-free gate:
 a change that lengthens the per-packet path fails here before any
-benchmark can resolve it.
+benchmark can resolve it.  One row per shape of run: the four scheme
+families on a bare port, the network path with churn (with and without
+live reclamation), and the port with a sink or a timeline attached.
 """
 
 import gc
@@ -13,29 +15,118 @@ import sys
 
 import pytest
 
+from repro.experiments.fabric import (
+    ChurnSpec,
+    LinkSpec,
+    NetworkScenario,
+    NodeSpec,
+    run_fabric,
+)
+from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
+from repro.obs.sink import RingSink
+from repro.obs.timeline import Timeline
 from repro.sim.engine import Simulator
-from repro.units import mbytes
+from repro.traffic.profiles import FlowSpec
+from repro.units import kbytes, mbps, mbytes
 
-#: Python + C calls per offered packet inside ``Simulator.run`` on a
-#: 0.5 s Table-1 scenario (1 MB buffer, seed 1).  Measured 21.34 /
-#: 23.06 / 30.82 / 39.87.  With the packet pool it was 25.41 / 27.13 /
-#: 34.97 / 43.99 (acquire/pop/release/len/append per packet on top of
-#: the constructor); before the flat admit/depart path 42.62 / 51.93 /
-#: 52.15 / 68.36.  The ceilings leave ~4-5% for interpreter versions
-#: that count a builtin differently.
-CEILINGS = {
-    Scheme.FIFO_THRESHOLD: 22.5,
-    Scheme.FIFO_SHARING: 24.5,
-    Scheme.WFQ_THRESHOLD: 32.0,
-    Scheme.HYBRID_SHARING: 41.0,
+
+def port(scheme: Scheme, **attached):
+    """The 0.5 s Table-1 scenario (1 MB buffer, seed 1) on one port."""
+    return run_scenario(
+        table1_flows(),
+        scheme,
+        mbytes(1.0),
+        sim_time=0.5,
+        warmup=0.0,
+        seed=1,
+        groups=CASE1_GROUPS if scheme.is_hybrid else None,
+        **attached,
+    )
+
+
+def tandem(reclamation: bool):
+    """The reference three-hop tandem with flow churn."""
+    return run_fabric(
+        demo_tandem(hops=3, seed=15, sim_time=2.0, churn=True, reclamation=reclamation)
+    )
+
+
+def churn(reclamation: bool):
+    """Admission-dominated churn over two FIFO_THRESHOLD hops.
+
+    No static flows: every event is churn machinery (arrival draws,
+    route-wide admission, threshold bookkeeping, departures) or traffic
+    of the short-lived accepted flows, at an arrival rate well above
+    what the region holds so the reject path dominates.  The pair with
+    and without reclamation bounds the reclamation path's overhead.
+    """
+    hop = dict(scheme=Scheme.FIFO_THRESHOLD, buffer_size=mbytes(1.0))
+    template = FlowSpec(
+        flow_id=0,
+        peak_rate=mbps(8.0),
+        avg_rate=mbps(1.0),
+        bucket=kbytes(50.0),
+        token_rate=mbps(2.0),
+        conformant=True,
+        mean_burst=kbytes(50.0),
+    )
+    return run_fabric(
+        NetworkScenario(
+            nodes=(NodeSpec("a", **hop), NodeSpec("b", **hop), NodeSpec("c")),
+            links=(LinkSpec("a", "b", mbps(48.0)), LinkSpec("b", "c", mbps(48.0))),
+            flows=(),
+            churn=ChurnSpec(
+                arrival_rate=120.0,
+                mean_holding=0.05,
+                templates=(template,),
+                routes=(("a", "b", "c"),),
+                admission="auto",
+                reclamation=reclamation,
+            ),
+            sim_time=2.0,
+            seed=17,
+        )
+    )
+
+
+#: row -> (the run, ceiling on Python + C calls per offered packet inside
+#: ``Simulator.run``).  Measured 21.34 / 23.06 / 30.82 / 39.87 on the
+#: bare port (with the packet pool 25.41 / 27.13 / 34.97 / 43.99; before
+#: the flat admit/depart path 42.62 / 51.93 / 52.15 / 68.36), 33.825 /
+#: 33.846 on the tandem, 36.226 / 51.362 on churn and 37.557 with a sink
+#: attached.  The ceilings leave ~4-5% for interpreter versions that
+#: count a builtin differently; a PR that shortens a path lowers its
+#: ceiling to ~5% above the new count.
+ROWS = {
+    "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
+    "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
+    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 32.0),
+    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 41.0),
+    "tandem-churn": (lambda: tandem(False), 35.5),
+    "tandem-churn-reclaim": (lambda: tandem(True), 35.5),
+    "churn": (lambda: churn(False), 38.0),
+    "churn-reclaim": (lambda: churn(True), 54.0),
+    # Same 14,641 events as detached: a dearer attached path shows here
+    # before any benchmark can resolve it.
+    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 39.5),
+}
+
+#: Network row -> (events, offered packets, dropped packets, churn
+#: arrivals, churn accepted).  Interpreter-independent, so pinned with
+#: ``==``: the byte-level tripwire of the network path.
+NETWORK_PINS = {
+    "tandem-churn": (51_150, 25_224, 0, 12, 3),
+    "tandem-churn-reclaim": (51_150, 25_224, 0, 12, 3),
+    "churn": (4_180, 2_073, 80, 221, 173),
+    "churn-reclaim": (4_180, 2_073, 80, 221, 173),
 }
 
 
-def calls_per_packet(scheme: Scheme) -> float:
-    """Calls made between ``Simulator.run`` entry and exit, per packet."""
+def count_calls(run):
+    """``(calls between Simulator.run entry and exit, run's result)``."""
     run_code = Simulator.run.__code__
     state = {"inside": False, "calls": 0}
 
@@ -54,32 +145,52 @@ def calls_per_packet(scheme: Scheme) -> float:
     gc.disable()
     sys.setprofile(profiler)
     try:
-        result = run_scenario(
-            table1_flows(),
-            scheme,
-            mbytes(1.0),
-            sim_time=0.5,
-            warmup=0.0,
-            seed=1,
-            groups=CASE1_GROUPS if scheme.is_hybrid else None,
-        )
+        result = run()
     finally:
         sys.setprofile(None)
         gc.enable()
-    packets = sum(stats.offered_packets for stats in result.flow_stats.values())
+    return state["calls"], result
+
+
+def flow_stats(result) -> list:
+    """Every port-level FlowStats of a scenario or fabric result."""
+    if hasattr(result, "links"):
+        return [fs for link in result.links.values() for fs in link.flow_stats.values()]
+    return list(result.flow_stats.values())
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_calls_per_packet_within_budget(row):
+    run, ceiling = ROWS[row]
+    calls, result = count_calls(run)
+    packets = sum(stats.offered_packets for stats in flow_stats(result))
     assert packets > 1000
-    return state["calls"] / packets
-
-
-@pytest.mark.parametrize("scheme", list(CEILINGS), ids=lambda scheme: scheme.name)
-def test_calls_per_packet_within_budget(scheme):
-    measured = calls_per_packet(scheme)
-    assert measured <= CEILINGS[scheme], (
-        f"{scheme.name}: {measured:.2f} calls/pkt exceeds the committed "
-        f"ceiling {CEILINGS[scheme]}; the per-packet path got longer"
+    assert calls / packets <= ceiling, (
+        f"{row}: {calls / packets:.2f} calls/pkt exceeds the committed "
+        f"ceiling {ceiling}; the per-packet path got longer"
     )
+    if row in NETWORK_PINS:
+        assert (
+            result.events_processed,
+            packets,
+            sum(stats.dropped_packets for stats in flow_stats(result)),
+            result.churn.arrivals,
+            result.churn.accepted,
+        ) == NETWORK_PINS[row]
 
 
 def test_count_repeats_exactly():
-    first = calls_per_packet(Scheme.FIFO_THRESHOLD)
-    assert calls_per_packet(Scheme.FIFO_THRESHOLD) == first
+    for row in ("FIFO_THRESHOLD", "churn-reclaim"):
+        run, _ = ROWS[row]
+        assert count_calls(run)[0] == count_calls(run)[0], row
+
+
+def test_timeline_cost_is_per_tick_not_per_packet():
+    """A sampler costs one event and a bounded number of calls per tick."""
+    detached_calls, detached = count_calls(ROWS["FIFO_THRESHOLD"][0])
+    timeline = Timeline(0.01)
+    calls, sampled = count_calls(lambda: port(Scheme.FIFO_THRESHOLD, timeline=timeline))
+    assert timeline.ticks == 49
+    assert sampled.events_processed == detached.events_processed + timeline.ticks
+    # Measured 24.98 extra calls per tick.
+    assert calls - detached_calls <= 26.5 * timeline.ticks

@@ -3,7 +3,6 @@
 import json
 import pathlib
 
-from repro.bench.baseline import BENCH_SCHEMA
 from repro.check.artifacts import (
     GOLDENS_SCHEMA,
     KNOWN_SCHEMAS,
@@ -22,7 +21,6 @@ from repro.obs.events import TRACE_SCHEMA
 from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA, Timeline
 
-BASELINE = pathlib.Path("benchmarks/baselines/BENCH_ci-reference.json")
 GOLDENS = pathlib.Path("tests/data/equivalence_goldens.json")
 
 
@@ -32,22 +30,20 @@ def codes(findings):
 
 class TestSchemaFamily:
     def test_versioned_tags_split_on_suffix(self):
-        assert schema_family("repro-bench-v1") == "repro-bench"
+        assert schema_family("repro-trace-v1") == "repro-trace"
         assert schema_family("repro-campaign-net-v3") == "repro-campaign-net"
 
     def test_unversioned_tags_have_no_family(self):
-        assert schema_family("repro-bench") == ""
-        assert schema_family("repro-bench-vNaN") == ""
+        assert schema_family("repro-trace") == ""
+        assert schema_family("repro-trace-vNaN") == ""
 
     def test_every_known_tag_maps_back_to_its_family(self):
+        assert len(KNOWN_SCHEMAS) == 10
         for family, tag in KNOWN_SCHEMAS.items():
             assert schema_family(tag) == family
 
 
 class TestCommittedArtifacts:
-    def test_reference_baseline_is_current(self):
-        assert check_artifact_file(BASELINE) == []
-
     def test_equivalence_goldens_are_current(self):
         assert check_artifact_file(GOLDENS) == []
 
@@ -55,32 +51,24 @@ class TestCommittedArtifacts:
 class TestJsonArtifacts:
     def test_stale_schema_version_is_drift(self, tmp_path):
         target = tmp_path / "old.json"
-        target.write_text(json.dumps({"schema": "repro-bench-v0"}), encoding="utf-8")
+        target.write_text(json.dumps({"schema": "repro-timeline-v0"}), encoding="utf-8")
         findings = check_artifact_file(target)
         assert codes(findings) == ["RPR205"]
         assert "drift" in findings[0].message
 
     def test_unknown_schema_family(self, tmp_path):
         target = tmp_path / "alien.json"
-        target.write_text(json.dumps({"schema": "other-tool-v1"}), encoding="utf-8")
-        findings = check_artifact_file(target)
-        assert codes(findings) == ["RPR205"]
-        assert "unknown artifact schema family" in findings[0].message
+        # repro-bench-v3: a baseline of the retired events/s harness.
+        for tag in ("other-tool-v1", "repro-bench-v3"):
+            target.write_text(json.dumps({"schema": tag}), encoding="utf-8")
+            findings = check_artifact_file(target)
+            assert codes(findings) == ["RPR205"]
+            assert "unknown artifact schema family" in findings[0].message
 
     def test_missing_schema_tag(self, tmp_path):
         target = tmp_path / "untagged.json"
         target.write_text(json.dumps({"results": []}), encoding="utf-8")
         assert codes(check_artifact_file(target)) == ["RPR205"]
-
-    def test_tampered_baseline_fails_integrity(self, tmp_path):
-        raw = json.loads(BASELINE.read_text(encoding="utf-8"))
-        case = next(iter(raw["cases"]))
-        raw["cases"][case]["events"] = raw["cases"][case]["events"] + 1
-        target = tmp_path / "BENCH_tampered.json"
-        target.write_text(json.dumps(raw), encoding="utf-8")
-        findings = check_artifact_file(target)
-        assert codes(findings) == ["RPR205"]
-        assert "baseline rejected" in findings[0].message
 
     def test_non_object_artifact(self, tmp_path):
         target = tmp_path / "list.json"
@@ -132,9 +120,6 @@ class TestJsonlArtifacts:
         target = tmp_path / "trace.jsonl"
         target.write_text("{broken\n", encoding="utf-8")
         assert codes(check_artifact_file(target)) == ["RPR205"]
-
-    def test_bench_tag_constant_matches_registry(self):
-        assert KNOWN_SCHEMAS["repro-bench"] == BENCH_SCHEMA
 
 
 SWEEP_SPEC_DICT = {

@@ -16,7 +16,6 @@ from repro.lint.findings import LintUsageError
 
 REPO_TARGETS = [
     "examples/specs",
-    "benchmarks/baselines",
     "tests/data/equivalence_goldens.json",
 ]
 
@@ -44,7 +43,7 @@ class TestExitCodes:
 
     def test_error_finding_exits_one(self, tmp_path, capsys):
         target = tmp_path / "stale.json"
-        target.write_text(json.dumps({"schema": "repro-bench-v0"}), encoding="utf-8")
+        target.write_text(json.dumps({"schema": "repro-timeline-v0"}), encoding="utf-8")
         assert main([str(target)]) == EXIT_FINDINGS
         assert "RPR205" in capsys.readouterr().out
 
@@ -104,7 +103,7 @@ class TestLibraryEntryPoint:
         nested = tmp_path / "a" / "b"
         nested.mkdir(parents=True)
         target = nested / "stale.json"
-        target.write_text(json.dumps({"schema": "repro-bench-v0"}), encoding="utf-8")
+        target.write_text(json.dumps({"schema": "repro-timeline-v0"}), encoding="utf-8")
         findings = check_paths([str(tmp_path), str(target)])
         assert [finding.rule_id for finding in findings] == ["RPR205"]
 

@@ -73,8 +73,8 @@ class TestInvariantMutations:
         ) == ["RPR204"]
 
     def test_stale_schema_tag_raises_rpr205(self, tmp_path):
-        target = tmp_path / "BENCH_old.json"
-        target.write_text(json.dumps({"schema": "repro-bench-v0"}), encoding="utf-8")
+        target = tmp_path / "old.json"
+        target.write_text(json.dumps({"schema": "repro-timeline-v0"}), encoding="utf-8")
         findings = check_paths([str(target)])
         assert seeded_codes(findings) == ["RPR205"]
         assert failing(findings)  # error severity: fails the gate

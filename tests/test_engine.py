@@ -323,8 +323,9 @@ class TestRunAccounting:
         assert sim.now == 5.0
 
     def test_callbacks_see_live_event_counter(self):
-        # Callbacks may read events_processed mid-run (the micro
-        # benchmarks do); the fast loop must not batch the updates.
+        # Callbacks may read events_processed mid-run (register_metrics
+        # exposes it as a live gauge); the fast loop must not batch the
+        # updates.
         sim = Simulator()
         seen = []
         for i in range(3):

@@ -11,12 +11,13 @@ and the source emission rewrite.  Each golden pins:
 * the event count and per-flow packet counts (readable diagnostics when
   the record digest does drift).
 
-One golden per scheme family, using the same scenario definitions as
-the quick macro benchmark cases, so the workloads whose speed we track
-are exactly the workloads whose outputs are pinned.
+One golden per scheme family on the paper's Table 1 workload; the four
+scenarios are defined here (``_golden_jobs``) and the pinned job digests
+prove they are the ones the goldens were captured from.
 
 Regenerate (only after an *intentional* behaviour change) by running
-this file's ``_golden_entry`` over the suite and rewriting the JSON.
+this file's ``_golden_entry`` over ``_golden_jobs`` and rewriting the
+JSON.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.suite import MACRO, default_suite
 from repro.experiments.campaign import ScenarioJob, ScenarioRecord
 from repro.experiments.runner import run_scenario
+from repro.experiments.schemes import Scheme
+from repro.experiments.workloads import CASE1_GROUPS, table1_flows
 from repro.sim.engine import Simulator
+from repro.units import mbytes
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "equivalence_goldens.json"
 
@@ -41,16 +44,21 @@ def _load_goldens() -> dict:
     return raw
 
 
-def _quick_macro_cases() -> dict:
-    """Quick macro cases that run the classic single-port pipeline.
+def _golden_jobs(sim_time: float) -> dict:
+    """One single-port Table-1 scenario per scheme family, by golden name."""
 
-    Network-fabric macro cases (``NetworkJob``) are covered by their own
-    determinism tests; the goldens pin the single-port path only.
-    """
+    def job(scheme: Scheme, seed: int, **kwargs) -> ScenarioJob:
+        return ScenarioJob.for_scenario(
+            table1_flows(), scheme, mbytes(1.0), seed=seed, sim_time=sim_time, **kwargs
+        )
+
     return {
-        case.name: case
-        for case in default_suite(quick=True)
-        if case.kind == MACRO and isinstance(case.job, ScenarioJob)
+        "fifo-threshold": job(Scheme.FIFO_THRESHOLD, 11),
+        "shared-headroom": job(Scheme.FIFO_SHARING, 12, headroom=mbytes(0.5)),
+        "wfq-threshold": job(Scheme.WFQ_THRESHOLD, 13, delay_histograms=True),
+        "hybrid-sharing": job(
+            Scheme.HYBRID_SHARING, 14, headroom=mbytes(0.5), groups=CASE1_GROUPS
+        ),
     }
 
 
@@ -61,8 +69,7 @@ def _record_digest(record: ScenarioRecord) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _golden_entry(case) -> dict:
-    job = case.job
+def _golden_entry(job: ScenarioJob) -> dict:
     result = run_scenario(
         list(job.flows), job.scheme, job.buffer_size, **job.scenario_kwargs()
     )
@@ -86,21 +93,21 @@ class TestGoldenEquivalence:
         return _load_goldens()
 
     def test_goldens_cover_every_scheme_family(self, goldens):
-        assert set(goldens["goldens"]) == set(_quick_macro_cases())
+        assert set(goldens["goldens"]) == set(_golden_jobs(goldens["sim_time"]))
 
     @pytest.mark.parametrize(
         "name",
         ["fifo-threshold", "shared-headroom", "wfq-threshold", "hybrid-sharing"],
     )
     def test_scenario_byte_identical(self, goldens, name):
-        case = _quick_macro_cases()[name]
+        job = _golden_jobs(goldens["sim_time"])[name]
         golden = goldens["goldens"][name]
         # The scenario *description* must be the one the golden pinned …
-        assert case.job.digest() == golden["job_digest"], (
+        assert job.digest() == golden["job_digest"], (
             f"{name}: scenario definition drifted; the golden no longer "
             "pins the workload it was captured from"
         )
-        fresh = _golden_entry(case)
+        fresh = _golden_entry(job)
         # … and cheap counters first, for a readable failure …
         assert fresh["events_processed"] == golden["events_processed"]
         assert fresh["flow_counts"] == golden["flow_counts"]
