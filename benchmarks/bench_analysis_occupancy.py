@@ -14,7 +14,7 @@ from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.thresholds import flow_threshold
 from repro.experiments.report import format_table
 from repro.metrics.collector import StatsCollector
-from repro.metrics.trace import OccupancyProbe
+from repro.obs.timeline import Timeline
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
@@ -38,29 +38,30 @@ def _run():
     port = OutputPort(sim, LINK, FIFOScheduler(), manager, collector)
     CBRSource(sim, 1, RHO1, port, packet_size=PKT, until=HORIZON)
     ThresholdFillingSource(sim, 2, port, b2, packet_size=PKT, until=HORIZON)
-    probe = OccupancyProbe(
-        sim, 0.01, {"occ1": lambda: manager.occupancy(1)}, until=HORIZON
-    )
+    timeline = Timeline(0.01)
+    timeline.probe("occ1", lambda: manager.occupancy(1))
+    timeline.install(sim, until=HORIZON)
     sim.run(until=HORIZON)
-    return trajectory, probe, threshold1, collector.flows[1].dropped_packets
+    occupancy = timeline.series("occ1")
+    return trajectory, occupancy, threshold1, collector.flows[1].dropped_packets
 
 
 def test_example1_occupancy_trajectory(benchmark, publish):
-    trajectory, probe, threshold1, drops = benchmark.pedantic(
+    trajectory, occupancy, threshold1, drops = benchmark.pedantic(
         _run, rounds=1, iterations=1
     )
+    times, values = occupancy.times(), occupancy.values()
     rows = []
     for interval in trajectory.intervals:
         # Simulated occupancy at the fluid clearing instant t_i.
         sample_index = min(
-            range(len(probe.times)),
-            key=lambda i: abs(probe.times[i] - interval.end),
+            range(len(times)), key=lambda i: abs(times[i] - interval.end)
         )
         rows.append([
             str(interval.index),
             f"{interval.end:.3f}",
             f"{interval.occupancy_flow1_end:,.0f}",
-            f"{probe.series['occ1'][sample_index]:,.0f}",
+            f"{values[sample_index]:,.0f}",
         ])
     table = format_table(
         ["interval", "t_i (s)", "fluid Q1(t_i) (B)", "simulated Q1 (B)"], rows
@@ -73,10 +74,10 @@ def test_example1_occupancy_trajectory(benchmark, publish):
     )
 
     # Envelope: the simulated occupancy never exceeds the threshold.
-    assert probe.maximum("occ1") <= threshold1 + 1e-6
+    assert max(values) <= threshold1 + 1e-6
     # Convergence: the late-time occupancy approaches the fluid limit
     # (within a few packets of B rho / R).
-    steady = probe.series["occ1"][len(probe.series["occ1"]) // 2:]
+    steady = values[len(values) // 2:]
     fluid_limit = trajectory.threshold_flow1
     assert max(steady) > fluid_limit - 6 * PKT
     # Losslessness throughout.

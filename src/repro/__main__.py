@@ -455,18 +455,22 @@ def run_campaign(args: argparse.Namespace) -> int:
 
 
 def _trace_spec_scenario(spec_path: pathlib.Path, out: pathlib.Path) -> None:
-    """Run the first scenario of a spec with a JSONL sink attached."""
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.spec import jobs_for_spec, load_specs
+    """Run the first job of a spec (either kind) with a JSONL sink attached."""
+    from repro.experiments.fabric import NetworkScenario, run_fabric
+    from repro.experiments.spec import NetworkSpec, jobs_for_spec, load_specs
     from repro.obs import JsonlSink
 
     spec = load_specs(spec_path)[0]
-    job = jobs_for_spec(spec)[0]
+    if isinstance(spec, NetworkSpec):
+        scenario = spec.jobs()[0].scenario
+    else:
+        job = jobs_for_spec(spec)[0]
+        scenario = NetworkScenario.single_node(
+            job.flows, job.scheme, job.buffer_size, **job.scenario_kwargs()
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
     with JsonlSink(out) as sink:
-        run_scenario(
-            job.flows, job.scheme, job.buffer_size, sink=sink, **job.scenario_kwargs()
-        )
+        run_fabric(scenario, sink=sink)
 
 
 def run_obs(args: argparse.Namespace) -> int:

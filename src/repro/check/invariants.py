@@ -6,10 +6,10 @@ fabric only enforces *while running*: per-node threshold sums, link
 capacity over reserved rates, connected routes, feasible churn admission
 regions.  This module verifies them statically, over a
 :class:`~repro.experiments.fabric.NetworkScenario` or a raw spec file,
-mirroring the exact math :mod:`repro.experiments.fabric.build` applies
-at run time (burst inflation via
-:func:`~repro.net.topology.per_hop_sigma`, region selection via the
-scheme family, eqs. 5-9 of the paper).
+with the very functions :mod:`repro.experiments.fabric.build` applies at
+run time (burst inflation via
+:meth:`~repro.experiments.fabric.NetworkScenario.hop_sigmas`, region
+selection via the scheme family, eqs. 5-9 of the paper).
 
 Invariant findings reuse :class:`repro.lint.findings.Finding` with
 ``RPR2##`` codes and a severity:
@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.analysis.admission import AdmissionControl, FIFOAdmission, Rejection, WFQAdmission
+from repro.analysis.admission import AdmissionControl, Rejection
 from repro.errors import ConfigurationError
-from repro.experiments.fabric.build import _CHURN_SCHEMES
+from repro.experiments.fabric.build import _CHURN_SCHEMES, _admission_for
 from repro.experiments.fabric.scenario import ChurnSpec, NetworkScenario
 from repro.lint.findings import Finding
 from repro.net.topology import per_hop_sigma
@@ -79,38 +79,6 @@ INVARIANT_CATALOG: dict[str, tuple[str, str]] = {
 }
 
 
-def _admission_for(
-    scheme, mode: str, rate: float, buffer_size: float
-) -> AdmissionControl:
-    """Mirror of the fabric's region selection (build._admission_for)."""
-    if mode == "fifo":
-        return FIFOAdmission(rate, buffer_size)
-    if mode == "wfq":
-        return WFQAdmission(rate, buffer_size)
-    if scheme in _CHURN_SCHEMES:
-        return FIFOAdmission(rate, buffer_size)
-    return WFQAdmission(rate, buffer_size)
-
-
-def _hop_sigmas(scenario: NetworkScenario) -> dict[int, dict[tuple[str, str], float]]:
-    """Inflated burst envelope per flow per hop, exactly as the fabric
-    computes it before sizing thresholds (build._run_network)."""
-    link_delay = {
-        (link.src, link.dst): scenario.node(link.src).buffer_size / link.rate
-        for link in scenario.links
-    }
-    sigmas: dict[int, dict[tuple[str, str], float]] = {}
-    for routed in scenario.flows:
-        hops = list(zip(routed.route, routed.route[1:]))
-        values = per_hop_sigma(
-            routed.spec.bucket,
-            routed.spec.token_rate,
-            [link_delay[hop] for hop in hops],
-        )
-        sigmas[routed.spec.flow_id] = dict(zip(hops, values))
-    return sigmas
-
-
 def check_scenario(
     scenario: NetworkScenario, path: str = "<scenario>", name: str = ""
 ) -> list[Finding]:
@@ -124,7 +92,7 @@ def check_scenario(
     has_churn = scenario.churn is not None
     severity = "error" if has_churn else "warning"
     mode = scenario.churn.admission if has_churn else "auto"
-    hop_sigmas = _hop_sigmas(scenario)
+    hop_sigmas = scenario.hop_sigmas()
 
     regions: dict[tuple[str, str], AdmissionControl] = {}
     for link in scenario.links:
@@ -213,10 +181,6 @@ def _check_churn(
         # partially booked or mis-schemed region would be noise.
         return findings
 
-    link_delay = {
-        (link.src, link.dst): scenario.node(link.src).buffer_size / link.rate
-        for link in scenario.links
-    }
     admissible_pairs = 0
     for template in churn.templates:
         for route in churn.routes:
@@ -224,7 +188,7 @@ def _check_churn(
             sigmas = per_hop_sigma(
                 template.bucket,
                 template.token_rate,
-                [link_delay[hop] for hop in hops],
+                [regions[hop].buffer_size / regions[hop].link_rate for hop in hops],
             )
             if all(
                 regions[hop].check(sigma, template.token_rate)

@@ -28,44 +28,6 @@ __all__ = ["CAMPAIGN_SCHEMA", "ScenarioJob"]
 #: entries then miss instead of silently serving stale measurements.
 CAMPAIGN_SCHEMA = "repro-campaign-v1"
 
-_FLOW_FIELDS = (
-    "flow_id",
-    "peak_rate",
-    "avg_rate",
-    "bucket",
-    "token_rate",
-    "conformant",
-    "mean_burst",
-)
-
-
-def _flow_to_dict(flow: FlowSpec) -> dict:
-    # Numeric fields are coerced so that int-valued inputs (e.g. a rate
-    # given as 1000000 rather than 1000000.0) serialize identically to
-    # their float equivalents: the digest must not depend on which
-    # numeric type the caller happened to use.
-    return {
-        "flow_id": int(flow.flow_id),
-        "peak_rate": float(flow.peak_rate),
-        "avg_rate": float(flow.avg_rate),
-        "bucket": float(flow.bucket),
-        "token_rate": float(flow.token_rate),
-        "conformant": bool(flow.conformant),
-        "mean_burst": float(flow.mean_burst),
-    }
-
-
-def _flow_from_dict(raw: dict) -> FlowSpec:
-    return FlowSpec(
-        flow_id=int(raw["flow_id"]),
-        peak_rate=float(raw["peak_rate"]),
-        avg_rate=float(raw["avg_rate"]),
-        bucket=float(raw["bucket"]),
-        token_rate=float(raw["token_rate"]),
-        conformant=bool(raw["conformant"]),
-        mean_burst=float(raw["mean_burst"]),
-    )
-
 
 @dataclass(frozen=True)
 class ScenarioJob:
@@ -140,7 +102,7 @@ class ScenarioJob:
         """Canonical JSON-friendly form; round-trips via :meth:`from_dict`."""
         return {
             "schema": CAMPAIGN_SCHEMA,
-            "flows": [_flow_to_dict(flow) for flow in self.flows],
+            "flows": [flow.to_dict() for flow in self.flows],
             "scheme": self.scheme.name,
             "buffer_size": float(self.buffer_size),
             "link_rate": float(self.link_rate),
@@ -170,7 +132,7 @@ class ScenarioJob:
             raise ConfigurationError(f"unknown scheme {raw.get('scheme')!r}") from None
         groups = raw.get("groups")
         return ScenarioJob(
-            flows=tuple(_flow_from_dict(entry) for entry in raw["flows"]),
+            flows=tuple(FlowSpec.from_dict(entry) for entry in raw["flows"]),
             scheme=scheme,
             buffer_size=float(raw["buffer_size"]),
             link_rate=float(raw["link_rate"]),

@@ -29,8 +29,9 @@ from repro.experiments.fabric.scenario import NetworkScenario
 from repro.metrics.collector import FlowStats
 from repro.metrics.records import (
     DelaySummary,
-    flow_stats_from_dict,
-    flow_stats_to_dict,
+    link_measurements,
+    link_measurements_from_dict,
+    link_measurements_to_dict,
 )
 from repro.obs.telemetry import JobTelemetry
 
@@ -94,42 +95,15 @@ class LinkRecord:
         return {
             "rate": float(self.rate),
             "buffer_size": float(self.buffer_size),
-            "flow_stats": {
-                str(i): flow_stats_to_dict(self.flow_stats[i])
-                for i in sorted(self.flow_stats)
-            },
-            "thresholds": {
-                str(i): float(self.thresholds[i]) for i in sorted(self.thresholds)
-            },
-            "queue_rates": None
-            if self.queue_rates is None
-            else [float(value) for value in self.queue_rates],
-            "queue_buffers": None
-            if self.queue_buffers is None
-            else [float(value) for value in self.queue_buffers],
+            **link_measurements_to_dict(self),
         }
 
     @staticmethod
     def from_dict(raw: dict) -> "LinkRecord":
-        queue_rates = raw.get("queue_rates")
-        queue_buffers = raw.get("queue_buffers")
         return LinkRecord(
             rate=float(raw["rate"]),
             buffer_size=float(raw["buffer_size"]),
-            flow_stats={
-                int(i): flow_stats_from_dict(entry)
-                for i, entry in sorted(
-                    raw["flow_stats"].items(), key=lambda kv: int(kv[0])
-                )
-            },
-            thresholds={
-                int(i): float(value)
-                for i, value in sorted(
-                    raw["thresholds"].items(), key=lambda kv: int(kv[0])
-                )
-            },
-            queue_rates=None if queue_rates is None else tuple(queue_rates),
-            queue_buffers=None if queue_buffers is None else tuple(queue_buffers),
+            **link_measurements_from_dict(raw),
         )
 
 
@@ -173,18 +147,7 @@ class NetworkRecord:
             label: LinkRecord(
                 rate=link.rate,
                 buffer_size=link.buffer_size,
-                flow_stats={
-                    i: link.flow_stats[i] for i in sorted(link.flow_stats)
-                },
-                thresholds={
-                    i: link.thresholds[i] for i in sorted(link.thresholds)
-                },
-                queue_rates=None
-                if link.queue_rates is None
-                else tuple(link.queue_rates),
-                queue_buffers=None
-                if link.queue_buffers is None
-                else tuple(link.queue_buffers),
+                **link_measurements(link),
             )
             for label, link in sorted(result.links.items())
         }

@@ -13,16 +13,17 @@ original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
 from repro.experiments.schemes import Scheme
-from repro.metrics.collector import FlowStats
+from repro.metrics.collector import FlowStats, LinkMeasures
 from repro.metrics.records import (
     DelaySummary,
-    flow_stats_from_dict,
-    flow_stats_to_dict,
+    link_measurements,
+    link_measurements_from_dict,
+    link_measurements_to_dict,
 )
 from repro.obs.telemetry import JobTelemetry
 
@@ -33,7 +34,7 @@ __all__ = ["ScenarioRecord"]
 
 
 @dataclass(frozen=True)
-class ScenarioRecord:
+class ScenarioRecord(LinkMeasures):
     """Measurements of one simulation run, as plain data.
 
     All byte counters cover the measurement window ``[warmup, sim_time]``.
@@ -94,43 +95,11 @@ class ScenarioRecord:
             warmup=result.warmup,
             seed=result.seed,
             events_processed=result.events_processed,
-            flow_stats={i: result.flow_stats[i] for i in sorted(result.flow_stats)},
-            thresholds={i: result.thresholds[i] for i in sorted(result.thresholds)},
-            queue_rates=None
-            if result.queue_rates is None
-            else tuple(result.queue_rates),
-            queue_buffers=None
-            if result.queue_buffers is None
-            else tuple(result.queue_buffers),
+            **link_measurements(result),
             delays=delays,
         )
 
     # -- measurement API (mirrors ScenarioResult) --------------------------
-
-    @property
-    def duration(self) -> float:
-        return self.sim_time - self.warmup
-
-    def throughput(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Delivered bytes/second over the given flows (default: all)."""
-        ids = self.flow_stats.keys() if flow_ids is None else flow_ids
-        departed = sum(
-            self.flow_stats[i].departed_bytes for i in ids if i in self.flow_stats
-        )
-        return departed / self.duration
-
-    def utilization(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Throughput as a fraction of the link rate."""
-        return self.throughput(flow_ids) / self.link_rate
-
-    def loss_fraction(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Dropped / offered bytes over the given flows (default: all)."""
-        ids = list(self.flow_stats.keys() if flow_ids is None else flow_ids)
-        offered = sum(self.flow_stats[i].offered_bytes for i in ids if i in self.flow_stats)
-        if offered <= 0:
-            return 0.0
-        dropped = sum(self.flow_stats[i].dropped_bytes for i in ids if i in self.flow_stats)
-        return dropped / offered
 
     def delay_percentile(self, flow_id: int, q: float) -> float:
         """Per-flow delay percentile from the eagerly-extracted grid.
@@ -160,19 +129,7 @@ class ScenarioRecord:
             "warmup": float(self.warmup),
             "seed": int(self.seed),
             "events_processed": int(self.events_processed),
-            "flow_stats": {
-                str(i): flow_stats_to_dict(self.flow_stats[i])
-                for i in sorted(self.flow_stats)
-            },
-            "thresholds": {
-                str(i): float(self.thresholds[i]) for i in sorted(self.thresholds)
-            },
-            "queue_rates": None
-            if self.queue_rates is None
-            else [float(value) for value in self.queue_rates],
-            "queue_buffers": None
-            if self.queue_buffers is None
-            else [float(value) for value in self.queue_buffers],
+            **link_measurements_to_dict(self),
             "delays": {
                 str(i): self.delays[i].to_dict() for i in sorted(self.delays)
             },
@@ -191,8 +148,6 @@ class ScenarioRecord:
             scheme = Scheme[raw["scheme"]]
         except KeyError:
             raise ConfigurationError(f"unknown scheme {raw.get('scheme')!r}") from None
-        queue_rates = raw.get("queue_rates")
-        queue_buffers = raw.get("queue_buffers")
         return ScenarioRecord(
             job_digest=str(raw["job_digest"]),
             scheme=scheme,
@@ -202,16 +157,7 @@ class ScenarioRecord:
             warmup=float(raw["warmup"]),
             seed=int(raw["seed"]),
             events_processed=int(raw["events_processed"]),
-            flow_stats={
-                int(i): flow_stats_from_dict(entry)
-                for i, entry in sorted(raw["flow_stats"].items(), key=lambda kv: int(kv[0]))
-            },
-            thresholds={
-                int(i): float(value)
-                for i, value in sorted(raw["thresholds"].items(), key=lambda kv: int(kv[0]))
-            },
-            queue_rates=None if queue_rates is None else tuple(queue_rates),
-            queue_buffers=None if queue_buffers is None else tuple(queue_buffers),
+            **link_measurements_from_dict(raw),
             delays={
                 int(i): DelaySummary.from_dict(entry)
                 for i, entry in sorted(raw["delays"].items(), key=lambda kv: int(kv[0]))

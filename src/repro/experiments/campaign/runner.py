@@ -43,17 +43,54 @@ from repro.obs.telemetry import (
     write_telemetry,
 )
 
-__all__ = ["CampaignRunner", "CampaignStats", "default_runner", "execute_job"]
+__all__ = [
+    "CampaignRunner",
+    "CampaignStats",
+    "default_runner",
+    "execute_job",
+    "preflight_jobs",
+]
+
+
+def preflight_jobs(jobs: dict, rejected: str) -> None:
+    """Audit network scenarios before spending any simulation time.
+
+    ``jobs`` maps digests to jobs.  Only jobs that expose a ``scenario``
+    attribute (the fabric's ``NetworkJob``) are auditable; classic
+    single-port jobs pass through untouched — their parameters are
+    already validated at construction time.  Raises
+    :class:`ConfigurationError`, opening with ``rejected``, listing every
+    error-severity finding across the jobs.
+    """
+    scenarios = {
+        digest: job.scenario for digest, job in jobs.items() if hasattr(job, "scenario")
+    }
+    if not scenarios:
+        return
+    # Lazy import: repro.check.invariants pulls in the admission
+    # machinery, which nothing else on the execute path needs.
+    from repro.check.invariants import check_scenario
+
+    failures = [
+        finding
+        for digest, scenario in scenarios.items()
+        for finding in check_scenario(scenario, path=f"<job {digest[:12]}>")
+        if finding.severity == "error"
+    ]
+    if failures:
+        detail = "\n".join(f"  {f.path}: {f.rule_id} {f.message}" for f in failures)
+        raise ConfigurationError(
+            f"{rejected}: {len(failures)} invariant violation(s)\n{detail}"
+        )
 
 
 def execute_job(job):
     """Run one job to completion and return its measurement record.
 
-    Accepts both job families: a classic
-    :class:`~repro.experiments.campaign.job.ScenarioJob` runs the
-    single-port pipeline and returns a :class:`ScenarioRecord`; a
-    :class:`~repro.experiments.campaign.network.NetworkJob` runs the
-    scenario fabric and returns a
+    Accepts both job families, both run by the scenario fabric: a
+    classic :class:`~repro.experiments.campaign.job.ScenarioJob` (its
+    one-link case) returns a :class:`ScenarioRecord`, a
+    :class:`~repro.experiments.campaign.network.NetworkJob` a
     :class:`~repro.experiments.campaign.network.NetworkRecord`.
 
     Module-level (not a method) so a ``ProcessPoolExecutor`` can pickle
@@ -189,7 +226,7 @@ class CampaignRunner:
         for digest, job in zip(digests, jobs):
             unique.setdefault(digest, job)
         if self.preflight:
-            self._preflight(unique)
+            preflight_jobs(unique, "campaign pre-flight rejected the batch")
 
         records: dict[str, ScenarioRecord] = {}
         if self.cache is not None:
@@ -239,40 +276,6 @@ class CampaignRunner:
         if self.cache is not None:
             self.cache.persist_stats()
         return [records[digest] for digest in digests]
-
-    @staticmethod
-    def _preflight(unique: dict[str, ScenarioJob]) -> None:
-        """Audit network scenarios before spending any simulation time.
-
-        Only jobs that expose a ``scenario`` attribute (the fabric's
-        ``NetworkJob``) are auditable; classic single-port jobs pass
-        through untouched — their parameters are already validated at
-        construction time.  Raises :class:`ConfigurationError` listing
-        every error-severity finding across the batch.
-        """
-        # Lazy import: repro.check.invariants pulls in the fabric and
-        # admission machinery, none of which the runner otherwise needs.
-        from repro.check.invariants import check_scenario
-
-        failures = []
-        for digest, job in unique.items():
-            scenario = getattr(job, "scenario", None)
-            if scenario is None:
-                continue
-            label = f"<job {digest[:12]}>"
-            failures.extend(
-                finding
-                for finding in check_scenario(scenario, path=label)
-                if finding.severity == "error"
-            )
-        if failures:
-            detail = "\n".join(
-                f"  {f.path}: {f.rule_id} {f.message}" for f in failures
-            )
-            raise ConfigurationError(
-                f"campaign pre-flight rejected the batch: "
-                f"{len(failures)} invariant violation(s)\n{detail}"
-            )
 
     def _execute(self, jobs: list[ScenarioJob]) -> list[ScenarioRecord]:
         workers = min(self.workers, len(jobs))

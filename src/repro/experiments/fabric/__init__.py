@@ -2,9 +2,9 @@
 
 One declarative object — :class:`NetworkScenario` — describes any
 experiment from the paper's single output port to a multi-hop tandem
-with dynamic flow churn; :func:`run_fabric` executes it.  The classic
-:func:`~repro.experiments.runner.run_scenario` is the one-node special
-case and delegates here.
+with dynamic flow churn; :func:`run_fabric` executes it, through one
+pipeline.  The classic :func:`~repro.experiments.runner.run_scenario`
+is the one-link case and delegates here.
 
 See ``docs/networks.md`` for the model and the sizing rules.
 """

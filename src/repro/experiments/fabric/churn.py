@@ -47,10 +47,55 @@ from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
 from repro.net.topology import Network, per_hop_sigma
 from repro.sim.engine import Simulator
+from repro.traffic.profiles import FlowSpec
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
 __all__ = ["HopState", "ChurnReport", "FlowChurnProcess"]
+
+
+def _start_source(
+    sim: Simulator,
+    network: Network,
+    scenario,
+    flow: FlowSpec,
+    flow_id: int,
+    seed: np.random.SeedSequence,
+    start: float = 0.0,
+) -> OnOffSource:
+    """Plug one flow's on-off source into its first-hop port.
+
+    The one definition of how a flow is fed in, for static flows (wired
+    by :func:`~repro.experiments.fabric.build.run_fabric`) and churn
+    flows alike: conformant flows pass through a leaky-bucket shaper.
+    """
+    destination = network.entry(flow_id)
+    if flow.conformant:
+        destination = LeakyBucketShaper(
+            sim, flow.bucket, flow.token_rate, destination
+        )
+    return OnOffSource(
+        sim,
+        flow_id,
+        flow.peak_rate,
+        flow.avg_rate,
+        flow.mean_burst,
+        destination,
+        np.random.default_rng(seed),
+        packet_size=scenario.packet_size,
+        start=start,
+        until=scenario.sim_time,
+    )
+
+
+def _check_occupancy(monitor, node: str, flow_id: int, manager) -> None:
+    """Sweep-check a flow's occupancy against its *live* threshold at a hop."""
+    monitor.add_occupancy_check(
+        node,
+        flow_id,
+        lambda: manager.occupancy(flow_id),
+        lambda: manager.threshold(flow_id),
+    )
 
 
 @dataclass
@@ -321,30 +366,18 @@ class FlowChurnProcess:
                 )
             for state in states:
                 if state.enforces_thresholds:
-                    manager = state.manager
-                    self.monitor.add_occupancy_check(
-                        state.label,
-                        flow_id,
-                        (lambda manager=manager, fid=flow_id: manager.occupancy(fid)),
-                        (lambda manager=manager, fid=flow_id: manager.threshold(fid)),
+                    _check_occupancy(
+                        self.monitor, state.label, flow_id, state.manager
                     )
 
-        destination = self.network.entry(flow_id)
-        if template.conformant:
-            destination = LeakyBucketShaper(
-                self.sim, template.bucket, template.token_rate, destination
-            )
-        source = OnOffSource(
+        source = _start_source(
             self.sim,
+            self.network,
+            self.scenario,
+            template,
             flow_id,
-            template.peak_rate,
-            template.avg_rate,
-            template.mean_burst,
-            destination,
-            np.random.default_rng(self._seed_seq.spawn(1)[0]),
-            packet_size=self.scenario.packet_size,
+            self._seed_seq.spawn(1)[0],
             start=self.sim.now,
-            until=self.scenario.sim_time,
         )
         self._active[flow_id] = (source, hop_keys, list(sigmas))
         holding = self._rng.exponential(self.spec.mean_holding)

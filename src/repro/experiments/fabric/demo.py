@@ -1,10 +1,11 @@
 """Canonical multi-hop demo scenario.
 
-One reference tandem used by the CLI (``repro net demo``), the benchmark
-suite (the ``tandem-3hop`` macro case) and the tests: a conformant
-target flow crossing every hop of a FIFO+thresholds tandem, independent
-cross-traffic congesting each hop locally, and (optionally) a churning
-population of dynamic flows admission-tested over the full route.
+One reference tandem used by the CLI (``repro net demo``), the
+benchmark's ``tandem-observed`` workload, the ``tandem-churn`` rows of
+the call budget and the tests: a conformant target flow crossing every
+hop of a FIFO+thresholds tandem, independent cross-traffic congesting
+each hop locally, and (optionally) a churning population of dynamic
+flows admission-tested over the full route.
 
 The numbers follow the paper's single-port experiments: 48 Mbit/s
 links, 1 MByte buffers per hop, (50 KByte, 2 Mbit/s) reservations for

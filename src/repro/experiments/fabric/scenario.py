@@ -27,6 +27,7 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme
 from repro.experiments.workloads import LINK_RATE, PACKET_SIZE
+from repro.net.topology import per_hop_sigma
 from repro.traffic.profiles import FlowSpec
 
 __all__ = [
@@ -42,30 +43,6 @@ __all__ = [
 #: (churn) flows; static flows must use smaller ids so the two
 #: populations can never collide.
 DYNAMIC_FLOW_BASE = 10_000
-
-
-def _flow_to_dict(flow: FlowSpec) -> dict:
-    return {
-        "flow_id": int(flow.flow_id),
-        "peak_rate": float(flow.peak_rate),
-        "avg_rate": float(flow.avg_rate),
-        "bucket": float(flow.bucket),
-        "token_rate": float(flow.token_rate),
-        "conformant": bool(flow.conformant),
-        "mean_burst": float(flow.mean_burst),
-    }
-
-
-def _flow_from_dict(raw: dict) -> FlowSpec:
-    return FlowSpec(
-        flow_id=int(raw["flow_id"]),
-        peak_rate=float(raw["peak_rate"]),
-        avg_rate=float(raw["avg_rate"]),
-        bucket=float(raw["bucket"]),
-        token_rate=float(raw["token_rate"]),
-        conformant=bool(raw["conformant"]),
-        mean_burst=float(raw["mean_burst"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -181,12 +158,12 @@ class RoutedFlow:
             )
 
     def to_dict(self) -> dict:
-        return {"spec": _flow_to_dict(self.spec), "route": list(self.route)}
+        return {"spec": self.spec.to_dict(), "route": list(self.route)}
 
     @staticmethod
     def from_dict(raw: dict) -> "RoutedFlow":
         return RoutedFlow(
-            spec=_flow_from_dict(raw["spec"]), route=tuple(raw["route"])
+            spec=FlowSpec.from_dict(raw["spec"]), route=tuple(raw["route"])
         )
 
 
@@ -261,7 +238,7 @@ class ChurnSpec:
         return {
             "arrival_rate": float(self.arrival_rate),
             "mean_holding": float(self.mean_holding),
-            "templates": [_flow_to_dict(t) for t in self.templates],
+            "templates": [t.to_dict() for t in self.templates],
             "routes": [list(route) for route in self.routes],
             "admission": self.admission,
             "reclamation": bool(self.reclamation),
@@ -272,7 +249,7 @@ class ChurnSpec:
         return ChurnSpec(
             arrival_rate=float(raw["arrival_rate"]),
             mean_holding=float(raw["mean_holding"]),
-            templates=tuple(_flow_from_dict(t) for t in raw["templates"]),
+            templates=tuple(FlowSpec.from_dict(t) for t in raw["templates"]),
             routes=tuple(tuple(route) for route in raw["routes"]),
             admission=str(raw.get("admission", "auto")),
             reclamation=bool(raw.get("reclamation", False)),
@@ -371,8 +348,9 @@ class NetworkScenario:
         """One link, every flow routed over it, no churn.
 
         This is the shape :func:`~repro.experiments.runner.run_scenario`
-        produces; the fabric runs it through the classic single-port
-        pipeline, byte-identical to the historical runner.
+        produces: the paper's single output port.  The fabric runs it
+        like any other scenario, with an unlabelled hop and no delivery
+        sink behind its only link.
         """
         if self.churn is not None or len(self.links) != 1:
             return False
@@ -395,6 +373,29 @@ class NetworkScenario:
     @property
     def effective_warmup(self) -> float:
         return 0.1 * self.sim_time if self.warmup is None else self.warmup
+
+    def hop_sigmas(self) -> dict[int, dict[tuple[str, str], float]]:
+        """``flow id -> {(src, dst): sigma at that hop's entry}``, statics only.
+
+        The burst envelope inflates by ``rho * B / R`` across every
+        upstream hop (:func:`~repro.net.topology.per_hop_sigma`); the
+        fabric sizes thresholds from these values and the invariant
+        auditor books admission regions with them.
+        """
+        link_delay = {
+            (link.src, link.dst): self.node(link.src).buffer_size / link.rate
+            for link in self.links
+        }
+        sigmas: dict[int, dict[tuple[str, str], float]] = {}
+        for routed in self.flows:
+            hops = list(zip(routed.route, routed.route[1:]))
+            values = per_hop_sigma(
+                routed.spec.bucket,
+                routed.spec.token_rate,
+                [link_delay[hop] for hop in hops],
+            )
+            sigmas[routed.spec.flow_id] = dict(zip(hops, values))
+        return sigmas
 
     # -- constructors -----------------------------------------------------
 

@@ -1,12 +1,13 @@
-"""Scenario runner: wire sources, shapers, a port, and measure.
+"""Scenario runner: the paper's single-port experiment, and replications.
 
 ``run_scenario`` reproduces the paper's simulation setup: every flow is a
 Markov-modulated on-off source; conformant flows pass through a leaky-
 bucket regulator; all flows share one output port whose scheduler and
-buffer manager are chosen by the scheme under study.  Statistics are
-collected after a warmup period, and ``run_replications`` repeats a
-scenario over several seeds and returns mean ± 95% CI series, matching
-the paper's 5-run methodology.
+buffer manager are chosen by the scheme under study.  It is the one-link
+case of :func:`~repro.experiments.fabric.run_fabric` and returns that
+link's measurements.  Statistics are collected after a warmup period,
+and ``run_replications`` repeats a scenario over several seeds and
+returns mean ± 95% CI series, matching the paper's 5-run methodology.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme
 from repro.experiments.workloads import LINK_RATE, PACKET_SIZE
-from repro.metrics.collector import FlowStats, StatsCollector
+from repro.metrics.collector import FlowStats, LinkMeasures, StatsCollector
 from repro.metrics.stats import MeanCI, mean_ci
 from repro.traffic.profiles import FlowSpec
 
@@ -25,7 +27,7 @@ __all__ = ["ScenarioResult", "ReplicationResult", "run_scenario", "run_replicati
 
 
 @dataclass
-class ScenarioResult:
+class ScenarioResult(LinkMeasures):
     """Measurements of one simulation run.
 
     All byte counters cover the measurement window ``[warmup, sim_time]``.
@@ -49,36 +51,11 @@ class ScenarioResult:
     cancelled_pending: int = 0
     compactions: int = 0
 
-    @property
-    def duration(self) -> float:
-        return self.sim_time - self.warmup
-
     def delay_percentile(self, flow_id: int, q: float) -> float:
         """Per-flow delay percentile; needs ``delay_histograms=True``."""
         if self.collector is None:
             raise ConfigurationError("scenario was run without a collector")
         return self.collector.delay_histogram(flow_id).percentile(q)
-
-    def throughput(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Delivered bytes/second over the given flows (default: all)."""
-        ids = self.flow_stats.keys() if flow_ids is None else flow_ids
-        departed = sum(
-            self.flow_stats[i].departed_bytes for i in ids if i in self.flow_stats
-        )
-        return departed / self.duration
-
-    def utilization(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Throughput as a fraction of the link rate."""
-        return self.throughput(flow_ids) / self.link_rate
-
-    def loss_fraction(self, flow_ids: Sequence[int] | None = None) -> float:
-        """Dropped / offered bytes over the given flows (default: all)."""
-        ids = list(self.flow_stats.keys() if flow_ids is None else flow_ids)
-        offered = sum(self.flow_stats[i].offered_bytes for i in ids if i in self.flow_stats)
-        if offered <= 0:
-            return 0.0
-        dropped = sum(self.flow_stats[i].dropped_bytes for i in ids if i in self.flow_stats)
-        return dropped / offered
 
 
 def run_scenario(
@@ -132,9 +109,6 @@ def run_scenario(
             the run's analytic bounds and finalized by the fabric (read
             ``monitor.last_report`` afterwards).
     """
-    # Imported lazily: the fabric imports ScenarioResult from this module.
-    from repro.experiments.fabric import NetworkScenario, run_fabric
-
     scenario = NetworkScenario.single_node(
         flows,
         scheme,
@@ -149,9 +123,30 @@ def run_scenario(
         delay_histograms=delay_histograms,
         max_events=max_events,
     )
-    return run_fabric(
+    fabric = run_fabric(
         scenario, sink=sink, registry=registry, timeline=timeline, monitor=monitor
-    ).scenario_result
+    )
+    (link,) = fabric.links.values()
+    result = ScenarioResult(
+        scheme=scheme,
+        buffer_size=link.buffer_size,
+        link_rate=link.rate,
+        sim_time=sim_time,
+        warmup=fabric.warmup,
+        seed=seed,
+        flow_stats=dict(link.flow_stats),
+        thresholds=link.thresholds,
+        queue_rates=link.queue_rates,
+        queue_buffers=link.queue_buffers,
+        events_processed=fabric.events_processed,
+        collector=link.collector,
+        cancelled_pending=fabric.cancelled_pending,
+        compactions=fabric.compactions,
+    )
+    # Flows that never got a packet through still deserve an entry.
+    for flow in flows:
+        result.flow_stats.setdefault(flow.flow_id, FlowStats())
+    return result
 
 
 @dataclass(frozen=True)

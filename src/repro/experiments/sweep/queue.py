@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.cache import ResultCache
-from repro.experiments.campaign.runner import execute_job
+from repro.experiments.campaign.runner import execute_job, preflight_jobs
 from repro.experiments.sweep.aggregate import append_shard_row, metric_row
 from repro.experiments.sweep.spec import SweepSpec
 from repro.obs.telemetry import write_telemetry
@@ -267,35 +267,6 @@ class WorkerSummary:
     outstanding: int
 
 
-def _preflight_job(job, digest: str) -> None:
-    """Audit a network job's invariants before burning simulation time.
-
-    Mirrors :meth:`CampaignRunner._preflight` for the one-job-at-a-time
-    queue: single-port jobs pass through (their constructors already
-    validate), fabric scenarios go through the invariant auditor.
-    """
-    scenario = getattr(job, "scenario", None)
-    if scenario is None:
-        return
-    # Lazy import, exactly like the runner: repro.check.invariants pulls
-    # in the fabric/admission machinery only preflight needs.
-    from repro.check.invariants import check_scenario
-
-    failures = [
-        finding
-        for finding in check_scenario(scenario, path=f"<job {digest[:12]}>")
-        if finding.severity == "error"
-    ]
-    if failures:
-        detail = "\n".join(
-            f"  {f.path}: {f.rule_id} {f.message}" for f in failures
-        )
-        raise ConfigurationError(
-            f"sweep pre-flight rejected job {digest[:12]}: "
-            f"{len(failures)} invariant violation(s)\n{detail}"
-        )
-
-
 def run_sweep_worker(
     spec: SweepSpec,
     cache: ResultCache,
@@ -363,7 +334,9 @@ def run_sweep_worker(
                 continue
             if preflight:
                 try:
-                    _preflight_job(job, digest)
+                    preflight_jobs(
+                        {digest: job}, f"sweep pre-flight rejected job {digest[:12]}"
+                    )
                 except ConfigurationError:
                     release_claim(claim)
                     raise

@@ -9,7 +9,6 @@ from repro.metrics.records import (
     flow_stats_to_dict,
 )
 from repro.metrics.stats import MeanCI, mean_ci, replicate
-from repro.metrics.trace import OccupancyProbe
 
 __all__ = [
     "FlowStats",
@@ -22,5 +21,4 @@ __all__ = [
     "MeanCI",
     "mean_ci",
     "replicate",
-    "OccupancyProbe",
 ]

@@ -10,11 +10,18 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.metrics.histogram import LogHistogram
 
-__all__ = ["FlowStats", "StatsCollector"]
+__all__ = [
+    "FlowStats",
+    "LinkMeasures",
+    "StatsCollector",
+    "byte_loss_fraction",
+    "total_departed_bytes",
+]
 
 
 @dataclass(slots=True)
@@ -47,6 +54,54 @@ class FlowStats:
         if self.departed_packets == 0:
             return 0.0
         return self.delay_sum / self.departed_packets
+
+
+def total_departed_bytes(
+    flows: Mapping[int, FlowStats], flow_ids: Iterable[int] | None = None
+) -> float:
+    """Departed bytes summed over the given flows (default: all)."""
+    ids = flows.keys() if flow_ids is None else flow_ids
+    return sum(flows[i].departed_bytes for i in ids if i in flows)
+
+
+def byte_loss_fraction(
+    flows: Mapping[int, FlowStats], flow_ids: Iterable[int] | None = None
+) -> float:
+    """Dropped / offered bytes over the given flows (default: all)."""
+    ids = list(flows.keys() if flow_ids is None else flow_ids)
+    offered = sum(flows[i].offered_bytes for i in ids if i in flows)
+    if offered <= 0:
+        return 0.0
+    dropped = sum(flows[i].dropped_bytes for i in ids if i in flows)
+    return dropped / offered
+
+
+class LinkMeasures:
+    """The measurement API of one link's results, live or serialized.
+
+    For result types that carry ``flow_stats``, ``sim_time``, ``warmup``
+    and the ``link_rate``: metric callables written against a live
+    result work on its record unchanged.
+    """
+
+    __slots__ = ()
+
+    @property
+    def duration(self) -> float:
+        """Length of the measurement window ``[warmup, sim_time]``."""
+        return self.sim_time - self.warmup
+
+    def throughput(self, flow_ids: Iterable[int] | None = None) -> float:
+        """Delivered bytes/second over the given flows (default: all)."""
+        return total_departed_bytes(self.flow_stats, flow_ids) / self.duration
+
+    def utilization(self, flow_ids: Iterable[int] | None = None) -> float:
+        """Throughput as a fraction of the link rate."""
+        return self.throughput(flow_ids) / self.link_rate
+
+    def loss_fraction(self, flow_ids: Iterable[int] | None = None) -> float:
+        """Dropped / offered bytes over the given flows (default: all)."""
+        return byte_loss_fraction(self.flow_stats, flow_ids)
 
 
 @dataclass
@@ -123,8 +178,7 @@ class StatsCollector:
 
     def total_departed_bytes(self, flow_ids=None) -> float:
         """Departed bytes summed over the given flows (default: all)."""
-        ids = self.flows.keys() if flow_ids is None else flow_ids
-        return sum(self.flows[i].departed_bytes for i in ids if i in self.flows)
+        return total_departed_bytes(self.flows, flow_ids)
 
     def throughput(self, duration: float, flow_ids=None) -> float:
         """Bytes/second delivered over the measurement window."""
@@ -134,9 +188,4 @@ class StatsCollector:
 
     def loss_fraction(self, flow_ids=None) -> float:
         """Dropped / offered bytes over the given flows (default: all)."""
-        ids = list(self.flows.keys() if flow_ids is None else flow_ids)
-        offered = sum(self.flows[i].offered_bytes for i in ids if i in self.flows)
-        if offered <= 0:
-            return 0.0
-        dropped = sum(self.flows[i].dropped_bytes for i in ids if i in self.flows)
-        return dropped / offered
+        return byte_loss_fraction(self.flows, flow_ids)

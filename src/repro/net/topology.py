@@ -141,7 +141,7 @@ class Network:
         net.add_link("a", "b", rate, FIFOScheduler(), manager_ab)
         net.add_link("b", "c", rate, FIFOScheduler(), manager_bc)
         net.set_route(flow_id=1, path=["a", "b", "c"])
-        entry = net.entry(1)          # plug sources into this
+        entry = net.entry(1)          # the a->b port: plug sources into this
         ...
         net.sink.mean_delay(1)        # end-to-end results
     """
@@ -151,7 +151,7 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], OutputPort] = {}
         self.sink = DeliverySink() if sink is None else sink
-        self._entries: dict[int, str] = {}
+        self._entries: dict[int, OutputPort | Node] = {}
 
     def add_node(self, name: str) -> Node:
         if name in self.nodes:
@@ -168,16 +168,26 @@ class Network:
         scheduler,
         manager,
         collector: StatsCollector | None = None,
+        *,
+        label: str | None = None,
+        deliver: bool = True,
     ) -> OutputPort:
-        """Create a directed link; returns its output port."""
+        """Create a directed link; returns its output port.
+
+        ``label`` is what the port stamps on trace events and metrics
+        (default ``"src->dst"``; ``""`` leaves both unlabelled).  With
+        ``deliver=False`` transmitted packets are not handed to ``dst``:
+        for a link past which nothing forwards or counts them.
+        """
         if src not in self.nodes or dst not in self.nodes:
             raise ConfigurationError(f"unknown endpoint in link {src}->{dst}")
         if (src, dst) in self.links:
             raise ConfigurationError(f"duplicate link {src}->{dst}")
         port = OutputPort(
             self.sim, rate, scheduler, manager,
-            collector=collector, downstream=self.nodes[dst],
-            label=f"{src}->{dst}",
+            collector=collector,
+            downstream=self.nodes[dst] if deliver else None,
+            label=f"{src}->{dst}" if label is None else label,
         )
         self.links[(src, dst)] = port
         self.nodes[src].ports[dst] = port
@@ -195,14 +205,16 @@ class Network:
         for index, name in enumerate(path):
             next_name = path[index + 1] if index + 1 < len(path) else None
             self.nodes[name].next_hop[flow_id] = next_name
-        self._entries[flow_id] = path[0]
+        self._entries[flow_id] = (
+            self.links[(path[0], path[1])] if len(path) > 1 else self.nodes[path[0]]
+        )
 
     def attach_trace(self, sink) -> None:
         """Wire one trace sink through every link in the network.
 
-        Each port stamps its ``"src->dst"`` label on the events it emits,
-        so a single merged event stream stays attributable per hop.  Pass
-        ``None`` to detach everywhere.
+        Each port stamps its label on the events it emits, so a single
+        merged event stream stays attributable per hop.  Pass ``None`` to
+        detach everywhere.
         """
         self.sim.attach_trace(sink)
         for port in self.links.values():
@@ -214,19 +226,23 @@ class Network:
         The engine's counters are global to the run, so they are
         registered unlabelled exactly once; per-port and per-manager
         gauges get ``node`` (source node) and ``link`` labels so the same
-        instrument names coexist across hops.
+        instrument names coexist across hops.  A port with an empty label
+        registers unlabelled.
         """
         self.sim.register_metrics(registry)
-        for (src, dst), port in self.links.items():
-            port.register_metrics(
-                registry, engine=False, node=src, link=f"{src}->{dst}"
-            )
+        for (src, _dst), port in self.links.items():
+            labels = {"node": src, "link": port.label} if port.label else {}
+            port.register_metrics(registry, engine=False, **labels)
 
-    def entry(self, flow_id: int) -> Node:
-        """The ingress node of a routed flow (plug sources into this)."""
+    def entry(self, flow_id: int) -> OutputPort | Node:
+        """Where a routed flow enters: plug its source into this.
+
+        The first-hop port, so sources skip the per-packet routing
+        lookup at ingress; the node itself for a one-node route.
+        """
         if flow_id not in self._entries:
             raise ConfigurationError(f"no route installed for flow {flow_id}")
-        return self.nodes[self._entries[flow_id]]
+        return self._entries[flow_id]
 
     def port(self, src: str, dst: str) -> OutputPort:
         """Look up a link's output port."""

@@ -57,6 +57,36 @@ class FlowSpec:
         if self.mean_burst <= 0:
             raise ConfigurationError(f"flow {self.flow_id}: mean burst must be positive")
 
+    def to_dict(self) -> dict:
+        """Canonical JSON-friendly form; round-trips via :meth:`from_dict`.
+
+        Numeric fields are coerced so that int-valued inputs (e.g. a rate
+        given as 1000000 rather than 1000000.0) serialize identically to
+        their float equivalents: a job digest must not depend on which
+        numeric type the caller happened to use.
+        """
+        return {
+            "flow_id": int(self.flow_id),
+            "peak_rate": float(self.peak_rate),
+            "avg_rate": float(self.avg_rate),
+            "bucket": float(self.bucket),
+            "token_rate": float(self.token_rate),
+            "conformant": bool(self.conformant),
+            "mean_burst": float(self.mean_burst),
+        }
+
+    @staticmethod
+    def from_dict(raw: dict) -> "FlowSpec":
+        return FlowSpec(
+            flow_id=int(raw["flow_id"]),
+            peak_rate=float(raw["peak_rate"]),
+            avg_rate=float(raw["avg_rate"]),
+            bucket=float(raw["bucket"]),
+            token_rate=float(raw["token_rate"]),
+            conformant=bool(raw["conformant"]),
+            mean_burst=float(raw["mean_burst"]),
+        )
+
     @property
     def profile(self) -> tuple[float, float]:
         """The reserved ``(sigma, rho)`` pair in (bytes, bytes/second)."""

@@ -7,7 +7,7 @@ from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
 from repro.metrics.collector import StatsCollector
-from repro.metrics.trace import OccupancyProbe
+from repro.obs.timeline import Timeline
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
@@ -33,13 +33,13 @@ class TestThresholdFillingSource:
         manager = FixedThresholdManager(buffer_size, {2: target})
         sim, port, _ = build_port(manager)
         ThresholdFillingSource(sim, 2, port, target, packet_size=PKT, until=5.0)
-        probe = OccupancyProbe(
-            sim, 0.01, {"occ": lambda: manager.occupancy(2)}, until=5.0
-        )
+        timeline = Timeline(0.01)
+        timeline.probe("occ", lambda: manager.occupancy(2))
+        timeline.install(sim, until=5.0)
         sim.run(until=5.0)
         # After the initial fill the occupancy stays within one packet of
         # the target.
-        steady = probe.series["occ"][10:]
+        steady = timeline.series("occ").values()[10:]
         assert min(steady) >= target - 2 * PKT
         assert max(steady) <= target + 1e-9
 

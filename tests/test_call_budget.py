@@ -95,20 +95,23 @@ def churn(reclamation: bool):
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
 #: ``Simulator.run``).  Measured 21.34 / 23.06 / 30.82 / 39.87 on the
 #: bare port (with the packet pool 25.41 / 27.13 / 34.97 / 43.99; before
-#: the flat admit/depart path 42.62 / 51.93 / 52.15 / 68.36), 33.825 /
-#: 33.846 on the tandem, 36.226 / 51.362 on churn and 37.557 with a sink
-#: attached.  The ceilings leave ~4-5% for interpreter versions that
-#: count a builtin differently; a PR that shortens a path lowers its
-#: ceiling to ~5% above the new count.
+#: the flat admit/depart path 42.62 / 51.93 / 52.15 / 68.36), 32.013 /
+#: 32.034 on the tandem and 35.222 / 50.357 on churn (33.825 / 33.846
+#: and 36.226 / 51.362 while sources entered through ``Node.receive``;
+#: the bare port, which never did, counts the same to the digit as the
+#: one-link case of the fabric) and 37.557 with a sink attached.  The
+#: ceilings leave ~4-5% for interpreter versions that count a builtin
+#: differently; a PR that shortens a path lowers its ceiling to ~5%
+#: above the new count.
 ROWS = {
     "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
     "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
     "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 32.0),
     "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 41.0),
-    "tandem-churn": (lambda: tandem(False), 35.5),
-    "tandem-churn-reclaim": (lambda: tandem(True), 35.5),
-    "churn": (lambda: churn(False), 38.0),
-    "churn-reclaim": (lambda: churn(True), 54.0),
+    "tandem-churn": (lambda: tandem(False), 33.6),
+    "tandem-churn-reclaim": (lambda: tandem(True), 33.6),
+    "churn": (lambda: churn(False), 37.0),
+    "churn-reclaim": (lambda: churn(True), 52.9),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
     "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 39.5),

@@ -265,6 +265,26 @@ class TestObsCommands:
         kinds = {json.loads(line)["kind"] for line in lines}
         assert "enqueue" in kinds
 
+    def test_trace_from_network_spec_labels_each_hop(self, tmp_path, capsys):
+        import json
+
+        spec = tmp_path / "net.json"
+        spec.write_text(
+            '{"name": "tiny-net", "network": "tandem", "hops": 2,'
+            ' "sim_time": 0.5, "seeds": [3]}'
+        )
+        out_path = tmp_path / "trace.jsonl"
+        argv = ["obs", "trace", "--spec", str(spec), "--trace-out", str(out_path)]
+        assert main(argv) == 0
+        events = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert {e["node"] for e in events if e["kind"] == "depart"} == {
+            "n0->n1",
+            "n1->n2",
+        }
+
     def test_trace_filters_by_flow_and_type(self, tmp_path, capsys):
         import json
 

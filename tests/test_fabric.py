@@ -1,5 +1,6 @@
-"""Scenario fabric: dispatch, path equivalence, multi-hop guarantees."""
+"""Scenario fabric: one pipeline for every shape, multi-hop guarantees."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,10 +14,12 @@ from repro.experiments.fabric import (
     RoutedFlow,
     run_fabric,
 )
-from repro.experiments.fabric.build import _run_network
 from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
+from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
+from repro.experiments.workloads import CASE1_GROUPS, table1_flows
 from repro.obs import RingSink
+from repro.obs.registry import MetricsRegistry
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
 
@@ -79,24 +82,17 @@ def two_hop_scenario(seed=3, sim_time=4.0):
 
 
 class TestDispatch:
-    def test_single_node_takes_fast_path(self):
-        scenario = single_node_scenario()
-        assert scenario.is_single_port
-        result = run_fabric(scenario)
-        # The fast path is the historical runner: it produces the classic
-        # ScenarioResult and never builds a topology/delivery sink.
-        assert result.scenario_result is not None
-        assert result.delivery is None
-
-    def test_multi_hop_takes_network_path(self):
-        scenario = two_hop_scenario()
-        assert not scenario.is_single_port
-        result = run_fabric(scenario)
-        assert result.scenario_result is None
-        assert result.delivery is not None
+    """Shape selects values (hop label, delivery sink), never a pipeline."""
 
     def test_churn_forces_network_path(self):
-        assert not demo_tandem(hops=1).is_single_port
+        # Churn flows need end-to-end accounting and per-hop labels even
+        # over a single link.
+        scenario = demo_tandem(hops=1, sim_time=0.5)
+        assert not scenario.is_single_port
+        sink = RingSink()
+        result = run_fabric(scenario, sink=sink)
+        assert result.delivery is not None
+        assert {e.node for e in sink.events() if hasattr(e, "node")} == {"n0->n1"}
 
     def test_link_lookup(self):
         result = run_fabric(two_hop_scenario(sim_time=1.0))
@@ -105,31 +101,116 @@ class TestDispatch:
             result.link("n0", "n2")
 
 
-class TestPathEquivalence:
-    """The fast path and the general path measure the same physics."""
+def table1_port(scheme, **kwargs):
+    """``run_scenario`` arguments for Table 1 on a 1 MB port."""
+    return (table1_flows(), scheme, BUF), dict(
+        sim_time=1.0,
+        warmup=0.0,
+        seed=5,
+        headroom=mbytes(0.5),
+        groups=CASE1_GROUPS if scheme.is_hybrid else None,
+        delay_histograms=True,
+        **kwargs,
+    )
 
-    def test_single_node_counters_match_across_paths(self):
-        scenario = single_node_scenario()
-        fast = run_fabric(scenario)
-        general = _run_network(scenario)
-        fast_stats = fast.links["n0->n1"].flow_stats
-        general_stats = general.links["n0->n1"].flow_stats
-        assert set(fast_stats) == set(general_stats)
-        for flow_id in fast_stats:
-            a, b = fast_stats[flow_id], general_stats[flow_id]
-            assert a.offered_packets == b.offered_packets
-            assert a.offered_bytes == b.offered_bytes
-            assert a.dropped_packets == b.dropped_packets
-            assert a.departed_packets == b.departed_packets
-            assert a.departed_bytes == b.departed_bytes
 
-    def test_single_node_thresholds_match_across_paths(self):
-        # One hop means no burst inflation: the general path must size
-        # the same thresholds the classic pipeline did.
-        scenario = single_node_scenario()
-        fast = run_fabric(scenario)
-        general = _run_network(scenario)
-        assert fast.links["n0->n1"].thresholds == general.links["n0->n1"].thresholds
+def with_appended_hop(scenario):
+    """The one-link scenario followed by an uncongested FIFO_NONE hop."""
+    (link,) = scenario.links
+    return dataclasses.replace(
+        scenario,
+        nodes=(
+            scenario.node(link.src),
+            NodeSpec(link.dst, Scheme.FIFO_NONE, mbytes(8.0)),
+            NodeSpec("tail"),
+        ),
+        links=(link, LinkSpec(link.dst, "tail", link.rate)),
+        flows=tuple(
+            RoutedFlow(spec=routed.spec, route=(*routed.route, "tail"))
+            for routed in scenario.flows
+        ),
+    )
+
+
+class TestOnePipeline:
+    """A port is the one-link case of the fabric, structurally."""
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            Scheme.FIFO_THRESHOLD,
+            Scheme.FIFO_SHARING,
+            Scheme.WFQ_THRESHOLD,
+            Scheme.HYBRID_SHARING,
+        ],
+    )
+    def test_first_hop_unchanged_by_an_appended_hop(self, scheme):
+        # Metamorphic: what happens downstream of a link cannot reach
+        # back into it, so the port alone and the first hop of a longer
+        # route measure the same thing — exactly, not approximately.
+        args, kwargs = table1_port(scheme)
+        alone = run_scenario(*args, **kwargs)
+        longer = run_fabric(
+            with_appended_hop(NetworkScenario.single_node(*args, **kwargs))
+        )
+        first = longer.links["n0->n1"]
+        assert alone.flow_stats == first.flow_stats
+        assert alone.thresholds == first.thresholds
+        for flow_id in alone.flow_stats:
+            assert alone.delay_percentile(flow_id, 99.0) == (
+                first.collector.delay_histogram(flow_id).percentile(99.0)
+            )
+
+    def test_run_scenario_is_link_zero_of_the_fabric(self):
+        args, kwargs = table1_port(Scheme.FIFO_THRESHOLD)
+        scenario = NetworkScenario.single_node(*args, **kwargs)
+        assert scenario.is_single_port
+        classic = run_scenario(*args, **kwargs)
+        fabric = run_fabric(scenario)
+        (link,) = fabric.links.values()
+        assert link.label == "n0->n1"
+        assert classic.flow_stats == link.flow_stats
+        assert classic.thresholds == link.thresholds
+        assert classic.events_processed == fabric.events_processed
+        # One link: its statistics already are end to end.
+        assert fabric.delivery is None
+        with pytest.raises(ConfigurationError, match="delivery"):
+            fabric.end_to_end_percentile(0, 99.0)
+
+    def test_flows_that_never_sent_get_a_zero_entry(self):
+        # A 1 ms window: the link itself saw (at most) one of the flows.
+        result = run_scenario(
+            [conformant(1), conformant(2)], Scheme.FIFO_THRESHOLD, BUF,
+            link_rate=LINK, sim_time=1.0, warmup=0.999, seed=2,
+        )
+        assert len(result.collector.flows) < 2
+        assert set(result.flow_stats) == {1, 2}
+
+    def test_single_port_registry_is_unlabelled(self):
+        args, kwargs = table1_port(Scheme.FIFO_THRESHOLD)
+        registry = MetricsRegistry()
+        result = run_scenario(*args, registry=registry, **kwargs)
+        snapshot = registry.snapshot()
+        assert not [key for key in snapshot if "{" in key]
+        assert snapshot["sim.events_processed"] == result.events_processed
+        assert snapshot["port.admitted_packets"] == sum(
+            stats.accepted_packets for stats in result.flow_stats.values()
+        )
+        assert snapshot["port.backlog_packets"] >= 0.0
+        assert "buffer.total_occupancy" in snapshot
+
+    def test_network_registry_labels_each_link(self):
+        registry = MetricsRegistry()
+        result = run_fabric(two_hop_scenario(sim_time=1.0), registry=registry)
+        snapshot = registry.snapshot()
+        # The engine is global to the run: registered once, unlabelled.
+        assert snapshot["sim.events_processed"] == result.events_processed
+        assert not [k for k in snapshot if k.startswith("sim.") and "{" in k]
+        for prefix in ("port.admitted_packets", "buffer.total_occupancy"):
+            assert {k for k in snapshot if k.startswith(prefix)} == {
+                prefix + "{link=n0->n1,node=n0}",
+                prefix + "{link=n1->n2,node=n1}",
+            }
 
 
 class TestPacketHandoff:

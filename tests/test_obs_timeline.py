@@ -198,6 +198,20 @@ class TestSamplingContract:
         assert series.times()[0] == pytest.approx(0.125)
         assert series.times()[-1] == pytest.approx(1.0)
 
+    def test_ticks_read_live_values_and_stop_at_until(self):
+        sim = Simulator()
+        timeline = Timeline(interval=0.25)
+        timeline.probe("clock", lambda: sim.now)
+        timeline.probe("twice", lambda: 2.0 * sim.now)
+        timeline.install(sim, until=1.0)
+        sim.schedule(10.0, lambda: None)  # the engine outlives the window
+        sim.run()
+        clock, twice = timeline.series("clock"), timeline.series("twice")
+        # Each tick reads every probe at the tick's own instant.
+        assert clock.values() == clock.times() == [0.25, 0.5, 0.75, 1.0]
+        assert twice.times() == clock.times()
+        assert twice.values() == [0.5, 1.0, 1.5, 2.0]
+
     def test_sample_now_records_without_engine(self):
         timeline = Timeline()
         box = {"v": 3.0}

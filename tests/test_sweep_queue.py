@@ -228,6 +228,41 @@ class TestWorker:
                 small_spec(), ResultCache(tmp_path), heartbeat_timeout=0.0
             )
 
+    def test_preflight_rejection_names_the_job_and_releases_its_claim(self, tmp_path):
+        import dataclasses
+
+        from repro.experiments.campaign.network import NetworkJob
+        from repro.experiments.fabric.demo import demo_tandem
+
+        scenario = demo_tandem(hops=2, sim_time=0.5)
+        starved = NetworkJob(
+            dataclasses.replace(
+                scenario,
+                nodes=tuple(
+                    node
+                    if node.buffer_size is None
+                    else dataclasses.replace(node, buffer_size=2000.0)
+                    for node in scenario.nodes
+                ),
+            )
+        )
+
+        class OneStarvedCell:
+            def digest(self):
+                return "0" * 64
+
+            def jobs(self):
+                yield {}, starved
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_sweep_worker(
+                OneStarvedCell(), ResultCache(tmp_path), owner="w", preflight=True
+            )
+        assert str(excinfo.value).startswith(
+            f"sweep pre-flight rejected job {starved.digest()[:12]}: "
+        )
+        assert not list(tmp_path.glob("*.claim"))
+
     def test_two_concurrent_workers_partition_the_grid(self, tmp_path):
         spec = small_spec(axes=(SweepAxis("seed", (1, 2, 3, 4, 5, 6)),))
         summaries = {}

@@ -140,8 +140,40 @@ class TestRoutingValidation:
 
     def test_entry_requires_route(self):
         sim, net = two_hop_network()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no route installed for flow 42"):
             net.entry(42)
+
+    def test_entry_is_the_first_hop_port(self):
+        # Sources plug straight into the port: the "no route" guard fired
+        # above, at wiring time, so no per-packet lookup is left at ingress.
+        sim, net = two_hop_network()
+        assert net.entry(1) is net.port("a", "b")
+        net.set_route(2, ["b", "c"])
+        assert net.entry(2) is net.port("b", "c")
+
+    def test_entry_of_a_one_node_route_is_the_node(self):
+        sim, net = two_hop_network()
+        net.set_route(3, ["c"])
+        assert net.entry(3) is net.nodes["c"]
+        net.entry(3).receive(Packet(3, 500.0, 0.0))
+        assert net.sink.packets[3] == 1
+
+    def test_unlabelled_undelivering_link(self):
+        # The one-link case of the fabric: its port carries no label and
+        # nothing past it counts the packets a second time.
+        sim = Simulator()
+        net = Network(sim)
+        net.add_node("a")
+        net.add_node("b")
+        port = net.add_link(
+            "a", "b", RATE, FIFOScheduler(), TailDropManager(50_000.0),
+            label="", deliver=False,
+        )
+        net.set_route(1, ["a", "b"])
+        net.entry(1).receive(Packet(1, 500.0, 0.0))
+        sim.run()
+        assert port.label == "" and port.transmitted_packets == 1
+        assert net.sink.packets == {}
 
     def test_port_lookup(self):
         sim, net = two_hop_network()
