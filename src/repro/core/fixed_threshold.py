@@ -44,10 +44,11 @@ class FixedThresholdManager(FlowThresholdManager):
         if new_total > self.capacity:
             return False
         after = self._occupancy.get(flow_id, 0.0) + size
-        if after > self.thresholds.get(flow_id, self.default_threshold):
+        threshold = self.thresholds.get(flow_id, self.default_threshold)
+        if after > threshold:
             return False
         self._occupancy[flow_id] = after
         self._total = new_total
-        if self._sink is not None:
-            self._trace_occupancy_step(flow_id, after - size, after)
+        if self._sink is not None and after - size < threshold <= after:
+            self._trace_crossing(flow_id, after, threshold, "up")
         return True

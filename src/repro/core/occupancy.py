@@ -158,31 +158,22 @@ class BufferManager:
         """
         return None
 
-    def _trace_occupancy_step(self, flow_id: int, before: float, after: float) -> None:
-        """Emit a ThresholdCrossEvent when [before, after] straddles T.
+    def _trace_crossing(
+        self, flow_id: int, occupancy: float, threshold: float, direction: str
+    ) -> None:
+        """Emit the ThresholdCrossEvent a caller's straddle test found.
 
-        "Up" means the flow *reached or exceeded* its threshold
-        (``before < T <= after``) — admission caps occupancy at exactly
-        ``T``, so a strict-exceed predicate would never fire.  "Down"
-        mirrors it: the flow fell back below ``T``.
+        The test sits in the caller so that a traced packet that crosses
+        nothing — nearly all of them — costs a comparison, not a call.
+        An admission crosses "up" when the flow *reached or exceeded* its
+        threshold (``before < T <= after``) — admission caps occupancy at
+        exactly ``T``, so a strict-exceed predicate would never fire.  A
+        departure mirrors it: "down" when the flow fell back below ``T``
+        (``after < T <= before``).
         """
-        threshold = self._reference_threshold(flow_id)
-        if threshold is None:
-            return
-        if before < threshold <= after:
-            direction = "up"
-        elif after < threshold <= before:
-            direction = "down"
-        else:
-            return
         self._sink.emit(
             ThresholdCrossEvent(
-                time=self._clock(),
-                flow_id=flow_id,
-                occupancy=after,
-                threshold=threshold,
-                direction=direction,
-                node=self._node,
+                self._clock(), flow_id, occupancy, threshold, direction, self._node
             )
         )
 
@@ -219,13 +210,7 @@ class BufferManager:
         """Emit a ReprovisionEvent when a sink is attached."""
         if self._sink is not None and threshold != previous:
             self._sink.emit(
-                ReprovisionEvent(
-                    time=self._clock(),
-                    flow_id=flow_id,
-                    threshold=threshold,
-                    previous=previous,
-                    node=self._node,
-                )
+                ReprovisionEvent(self._clock(), flow_id, threshold, previous, self._node)
             )
 
     # -- admission contract ----------------------------------------------
@@ -246,7 +231,9 @@ class BufferManager:
         self._occupancy[flow_id] = after
         self._total = new_total
         if self._sink is not None:
-            self._trace_occupancy_step(flow_id, after - size, after)
+            threshold = self._reference_threshold(flow_id)
+            if threshold is not None and after - size < threshold <= after:
+                self._trace_crossing(flow_id, after, threshold, "up")
         return True
 
     def on_depart(self, flow_id: int, size: float) -> None:
@@ -268,7 +255,9 @@ class BufferManager:
     def _after_depart(self, flow_id: int, size: float, occupancy: float) -> None:
         """Tracing and retired-flow cleanup, kept off the common departure."""
         if self._sink is not None:
-            self._trace_occupancy_step(flow_id, occupancy + size, occupancy)
+            threshold = self._reference_threshold(flow_id)
+            if threshold is not None and occupancy < threshold <= occupancy + size:
+                self._trace_crossing(flow_id, occupancy, threshold, "down")
         # A retired flow's entry is reclaimed the moment it drains.
         if self._retired and flow_id in self._retired and occupancy <= 1e-9:
             self._occupancy.pop(flow_id, None)
@@ -339,4 +328,4 @@ class FlowThresholdManager(BufferManager):
         super().retire(flow_id)
 
     def _reference_threshold(self, flow_id: int) -> float | None:
-        return self.threshold(flow_id)
+        return self.thresholds.get(flow_id, self.default_threshold)

@@ -203,13 +203,13 @@ class BufferPool:
         if self._sink is not None:
             self._sink.emit(
                 PoolEvent(
-                    time=self._clock(),
-                    reserved=self.reserved_total,
-                    headroom=self.headroom,
-                    holes=self.holes,
-                    capacity=self.capacity,
-                    flows=len(self.reservations),
-                    node=self.node,
+                    self._clock(),
+                    self.reserved_total,
+                    self.headroom,
+                    self.holes,
+                    self.capacity,
+                    len(self.reservations),
+                    self.node,
                 )
             )
 

@@ -80,12 +80,7 @@ class SharedHeadroomManager(FlowThresholdManager):
 
     def _trace_headroom(self) -> None:
         self._sink.emit(
-            HeadroomEvent(
-                time=self._clock(),
-                headroom=self.headroom,
-                holes=self.holes,
-                node=self._node,
-            )
+            HeadroomEvent(self._clock(), self.headroom, self.holes, self._node)
         )
 
     def try_admit(self, flow_id: int, size: float) -> bool:
@@ -120,7 +115,8 @@ class SharedHeadroomManager(FlowThresholdManager):
         self._check_counters()
         if self._sink is not None:
             self._trace_headroom()
-            self._trace_occupancy_step(flow_id, after - size, after)
+            if after - size < threshold <= after:
+                self._trace_crossing(flow_id, after, threshold, "up")
         return True
 
     def on_depart(self, flow_id: int, size: float) -> None:

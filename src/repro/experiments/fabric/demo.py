@@ -1,8 +1,9 @@
 """Canonical multi-hop demo scenario.
 
 One reference tandem used by the CLI (``repro net demo``), the
-benchmark's ``tandem-observed`` workload, the ``tandem-churn`` rows of
-the call budget and the tests: a conformant target flow crossing every
+benchmark's ``tandem-observed`` workload, the ``tandem-churn`` and
+``tandem-observed`` rows of the call budget, the pinned JSONL trace and
+the tests: a conformant target flow crossing every
 hop of a FIFO+thresholds tandem, independent cross-traffic congesting
 each hop locally, and (optionally) a churning population of dynamic
 flows admission-tested over the full route.

@@ -1,9 +1,17 @@
 """Typed trace events.
 
-Each event is a frozen, slotted dataclass with a class-level ``kind``
-tag; the tag is what trace files, filters and the CLI use to name the
-event type.  All times are simulation seconds, all sizes are bytes —
-the library's canonical units.
+Each event is an immutable tuple-backed record (a
+:class:`typing.NamedTuple`) with a class-level ``kind`` tag; the tag is
+what trace files, filters and the CLI use to name the event type.  All
+times are simulation seconds, all sizes are bytes — the library's
+canonical units.
+
+A record's field order is API: it is the positional constructor the
+emit sites use, the key order of :func:`event_to_dict` after ``"kind"``
+and therefore the key order of every JSONL trace line.  Why a tuple and
+not a frozen dataclass: a frozen dataclass pays one
+``object.__setattr__`` per field to build, three times what the whole
+tuple costs, and an attached run builds two events per packet.
 
 The schema is versioned by :data:`TRACE_SCHEMA`: readers reject trace
 files written under a different tag instead of misinterpreting them.
@@ -11,8 +19,7 @@ files written under a different tag instead of misinterpreting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -57,8 +64,7 @@ __all__ = [
 TRACE_SCHEMA = "repro-trace-v5"
 
 
-@dataclass(frozen=True, slots=True)
-class EnqueueEvent:
+class EnqueueEvent(NamedTuple):
     """A packet was admitted and handed to the scheduler.
 
     Emitted by the scheduler (:meth:`~repro.sched.base.Scheduler.enqueue`),
@@ -66,7 +72,7 @@ class EnqueueEvent:
     identifies the emitting hop in multi-node runs ('' for single-port).
     """
 
-    kind: ClassVar[str] = "enqueue"
+    kind = "enqueue"
     time: float
     flow_id: int
     size: float
@@ -74,8 +80,7 @@ class EnqueueEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class DropEvent:
+class DropEvent(NamedTuple):
     """The buffer manager rejected a packet.
 
     ``reason`` classifies the rejection: ``buffer-full`` (no space at
@@ -86,7 +91,7 @@ class DropEvent:
     multi-node runs ('' for single-port).
     """
 
-    kind: ClassVar[str] = "drop"
+    kind = "drop"
     time: float
     flow_id: int
     size: float
@@ -94,11 +99,10 @@ class DropEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class DepartEvent:
+class DepartEvent(NamedTuple):
     """A packet finished transmission and left the buffer."""
 
-    kind: ClassVar[str] = "depart"
+    kind = "depart"
     time: float
     flow_id: int
     size: float
@@ -106,8 +110,7 @@ class DepartEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class ThresholdCrossEvent:
+class ThresholdCrossEvent(NamedTuple):
     """A flow's occupancy crossed its admission threshold.
 
     ``direction`` is ``up`` when an admission brought the occupancy up
@@ -117,7 +120,7 @@ class ThresholdCrossEvent:
     transition.
     """
 
-    kind: ClassVar[str] = "threshold"
+    kind = "threshold"
     time: float
     flow_id: int
     occupancy: float
@@ -126,19 +129,17 @@ class ThresholdCrossEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class HeadroomEvent:
+class HeadroomEvent(NamedTuple):
     """The sharing scheme's headroom/holes split changed (Section 3.3)."""
 
-    kind: ClassVar[str] = "headroom"
+    kind = "headroom"
     time: float
     headroom: float
     holes: float
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class ReprovisionEvent:
+class ReprovisionEvent(NamedTuple):
     """A flow's buffer threshold changed while the run was live.
 
     Emitted by managers with per-flow thresholds when
@@ -149,7 +150,7 @@ class ReprovisionEvent:
     a shrunken threshold depart normally and are never retro-dropped.
     """
 
-    kind: ClassVar[str] = "reprovision"
+    kind = "reprovision"
     time: float
     flow_id: int
     threshold: float
@@ -157,8 +158,7 @@ class ReprovisionEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class PoolEvent:
+class PoolEvent(NamedTuple):
     """A node's buffer-pool split changed (reserve/retire/reprovision).
 
     Snapshot of the :class:`~repro.core.pool.BufferPool` accounting
@@ -167,7 +167,7 @@ class PoolEvent:
     point, which is what makes reclamation auditable from a trace.
     """
 
-    kind: ClassVar[str] = "pool"
+    kind = "pool"
     time: float
     reserved: float
     headroom: float
@@ -177,8 +177,7 @@ class PoolEvent:
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class HeapCompactEvent:
+class HeapCompactEvent(NamedTuple):
     """The engine rebuilt its event structure to purge cancelled events.
 
     Emitted by :class:`~repro.sim.equeue.EventQueue` when cancelled
@@ -186,14 +185,13 @@ class HeapCompactEvent:
     the survivors in place.
     """
 
-    kind: ClassVar[str] = "compact"
+    kind = "compact"
     time: float
     removed: int
     remaining: int
 
 
-@dataclass(frozen=True, slots=True)
-class SampleEvent:
+class SampleEvent(NamedTuple):
     """One periodic sim-time measurement of a named series.
 
     Mirrored into the trace stream by a
@@ -204,15 +202,14 @@ class SampleEvent:
     link label ('' for single-port runs).
     """
 
-    kind: ClassVar[str] = "sample"
+    kind = "sample"
     time: float
     series: str
     value: float
     node: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class ViolationEvent:
+class ViolationEvent(NamedTuple):
     """A monitored quantity exceeded its closed-form bound.
 
     Emitted by the :class:`~repro.obs.monitor.ConformanceMonitor` when
@@ -223,7 +220,7 @@ class ViolationEvent:
     the numbers.  ``flow_id`` is ``-1`` for node-level findings.
     """
 
-    kind: ClassVar[str] = "violation"
+    kind = "violation"
     time: float
     check: str
     severity: str
@@ -250,21 +247,30 @@ EVENT_TYPES: dict[str, type] = {
     )
 }
 
-#: Per-class field-name cache so serialization avoids dataclasses.asdict
-#: (which deep-copies) on the trace hot path.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls)) for cls in EVENT_TYPES.values()
-}
+
+def _same_kind_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_kind_ne(self, other) -> bool:
+    return not _same_kind_eq(self, other)
+
+
+# Tuples compare by value alone, which would make an enqueue equal a
+# depart whose numbers coincide; an event equals only its own kind.
+# Hashing stays the tuple's (equal events still hash equal).
+for _cls in EVENT_TYPES.values():
+    _cls.__eq__ = _same_kind_eq
+    _cls.__ne__ = _same_kind_ne
 
 
 def event_to_dict(event) -> dict:
-    """JSON-friendly form of any trace event (``kind`` key first)."""
-    names = _FIELD_NAMES.get(type(event))
-    if names is None:
+    """JSON-friendly form of any trace event: ``kind``, then field order."""
+    cls = type(event)
+    if EVENT_TYPES.get(getattr(cls, "kind", None)) is not cls:
         raise ConfigurationError(f"not a trace event: {event!r}")
-    payload = {"kind": type(event).kind}
-    for name in names:
-        payload[name] = getattr(event, name)
+    payload = {"kind": cls.kind}
+    payload.update(zip(cls._fields, event))
     return payload
 
 
@@ -276,5 +282,4 @@ def event_from_dict(raw: dict):
         raise ConfigurationError(
             f"unknown event kind {kind!r}; valid: {sorted(EVENT_TYPES)}"
         )
-    kwargs = {name: raw[name] for name in _FIELD_NAMES[cls]}
-    return cls(**kwargs)
+    return cls(*[raw[name] for name in cls._fields])

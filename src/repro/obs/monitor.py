@@ -308,55 +308,75 @@ class ConformanceMonitor:
 
     def emit(self, event) -> None:
         self.events_seen += 1
-        time = getattr(event, "time", None)
-        if time is not None and time > self._last_time:
+        try:
+            time = event.time
+        except AttributeError:
+            return  # not a trace event: counted, nothing to check
+        if time > self._last_time:
             self._last_time = time
-        if isinstance(event, DropEvent):
-            self._checks["conformant-drop"] += 1
-            if event.flow_id in self._watched:
-                self._record(
-                    Violation(
-                        check="conformant-drop",
-                        severity="error",
-                        time=event.time,
-                        flow_id=event.flow_id,
-                        node=event.node,
-                        observed=event.size,
-                        bound=0.0,
-                        message=f"conformant flow dropped ({event.reason})",
-                    )
+        handler = self._HANDLERS.get(type(event))
+        if handler is not None:
+            handler(self, event)
+
+    def _on_drop(self, event: DropEvent) -> None:
+        self._checks["conformant-drop"] += 1
+        if event.flow_id in self._watched:
+            self._record(
+                Violation(
+                    check="conformant-drop",
+                    severity="error",
+                    time=event.time,
+                    flow_id=event.flow_id,
+                    node=event.node,
+                    observed=event.size,
+                    bound=0.0,
+                    message=f"conformant flow dropped ({event.reason})",
                 )
-        elif isinstance(event, DepartEvent):
-            bound = self._hop_bounds.get(event.node)
-            if bound is not None:
-                self._checks["hop-delay"] += 1
-                if event.delay > bound * (1.0 + self.tolerance) + _ABS_SLACK:
-                    self._record(
-                        Violation(
-                            check="hop-delay",
-                            severity="error",
-                            time=event.time,
-                            flow_id=event.flow_id,
-                            node=event.node,
-                            observed=event.delay,
-                            bound=bound,
-                            message="per-hop delay exceeded analytic bound",
-                        )
-                    )
-                if event.flow_id in self._watched:
-                    key = (event.node, event.flow_id)
-                    previous = self._hop_delay_max.get(key, 0.0)
-                    if event.delay > previous:
-                        self._hop_delay_max[key] = event.delay
-        elif isinstance(event, ReprovisionEvent):
-            # A drain-safe shrink: occupancy may sit above the new
-            # threshold until departures bring it down.  Remember the
-            # old value as a temporary cap for the occupancy check.
-            if event.threshold < event.previous:
-                key = (event.node, event.flow_id)
-                cap = self._drain_caps.get(key, 0.0)
-                if event.previous > cap:
-                    self._drain_caps[key] = event.previous
+            )
+
+    def _on_depart(self, event: DepartEvent) -> None:
+        node = event.node
+        bound = self._hop_bounds.get(node)
+        if bound is None:
+            return
+        delay = event.delay
+        flow_id = event.flow_id
+        self._checks["hop-delay"] += 1
+        if delay > bound * (1.0 + self.tolerance) + _ABS_SLACK:
+            self._record(
+                Violation(
+                    check="hop-delay",
+                    severity="error",
+                    time=event.time,
+                    flow_id=flow_id,
+                    node=node,
+                    observed=delay,
+                    bound=bound,
+                    message="per-hop delay exceeded analytic bound",
+                )
+            )
+        if flow_id in self._watched:
+            key = (node, flow_id)
+            if delay > self._hop_delay_max.get(key, 0.0):
+                self._hop_delay_max[key] = delay
+
+    def _on_reprovision(self, event: ReprovisionEvent) -> None:
+        # A drain-safe shrink: occupancy may sit above the new
+        # threshold until departures bring it down.  Remember the
+        # old value as a temporary cap for the occupancy check.
+        if event.threshold < event.previous:
+            key = (event.node, event.flow_id)
+            if event.previous > self._drain_caps.get(key, 0.0):
+                self._drain_caps[key] = event.previous
+
+    #: Event class -> its check, built once.  Dispatch is by exact type:
+    #: a kind nothing checks (enqueue, half of every stream) costs one
+    #: dict miss.
+    _HANDLERS = {
+        DropEvent: _on_drop,
+        DepartEvent: _on_depart,
+        ReprovisionEvent: _on_reprovision,
+    }
 
     # -- the sweep path ------------------------------------------------
 
@@ -472,12 +492,12 @@ class ConformanceMonitor:
         if self._sink is not None:
             self._sink.emit(
                 ViolationEvent(
-                    time=violation.time,
-                    check=violation.check,
-                    severity=violation.severity,
-                    observed=violation.observed,
-                    bound=violation.bound,
-                    flow_id=violation.flow_id,
-                    node=violation.node,
+                    violation.time,
+                    violation.check,
+                    violation.severity,
+                    violation.observed,
+                    violation.bound,
+                    violation.flow_id,
+                    violation.node,
                 )
             )

@@ -81,17 +81,19 @@ class TeeSink:
         *sinks: downstream sinks; at least one is required.
     """
 
-    __slots__ = ("sinks", "emitted")
+    __slots__ = ("sinks", "emitted", "_emits")
 
     def __init__(self, *sinks) -> None:
         if not sinks:
             raise ConfigurationError("TeeSink needs at least one downstream sink")
         self.sinks = tuple(sinks)
         self.emitted = 0
+        # Bound once: every event of an attached run passes through here.
+        self._emits = tuple(sink.emit for sink in sinks)
 
     def emit(self, event) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
+        for emit in self._emits:
+            emit(event)
         self.emitted += 1
 
 

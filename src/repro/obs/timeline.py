@@ -358,7 +358,7 @@ class Timeline:
             value = float(fn())
             self._series[(node, name)].append(now, value)
             if sink is not None:
-                sink.emit(SampleEvent(time=now, series=name, value=value, node=node))
+                sink.emit(SampleEvent(now, name, value, node))
         self.ticks += 1
         if now + self.interval <= until:
             sim.schedule_fast(self.interval, self._tick, until)
@@ -370,7 +370,7 @@ class Timeline:
             value = float(fn())
             self._series[(node, name)].append(time, value)
             if sink is not None:
-                sink.emit(SampleEvent(time=time, series=name, value=value, node=node))
+                sink.emit(SampleEvent(time, name, value, node))
         self.ticks += 1
 
     def summary(

@@ -55,13 +55,7 @@ class Scheduler(ABC):
     def _trace_enqueue(self, packet: Packet, backlog: int) -> None:
         """Emit the packet's EnqueueEvent; callers test ``_sink`` first."""
         self._sink.emit(
-            EnqueueEvent(
-                time=self._clock(),
-                flow_id=packet.flow_id,
-                size=packet.size,
-                backlog=backlog,
-                node=self._node,
-            )
+            EnqueueEvent(self._clock(), packet.flow_id, packet.size, backlog, self._node)
         )
 
     @abstractmethod

@@ -28,13 +28,15 @@ __all__ = ["SCFQScheduler"]
 
 
 class _FlowState:
-    __slots__ = ("weight", "queue", "tags", "last_tag")
+    __slots__ = ("weight", "queue", "tags", "last_tag", "epoch")
 
     def __init__(self, weight: float):
         self.weight = weight
         self.queue: deque[Packet] = deque()
         self.tags: deque[float] = deque()
         self.last_tag = 0.0
+        #: Busy period ``last_tag`` belongs to; a stale one reads as 0.
+        self.epoch = 0
 
 
 class SCFQScheduler(Scheduler):
@@ -44,7 +46,7 @@ class SCFQScheduler(Scheduler):
         weights: mapping flow id -> weight (reserved rate, bytes/second).
     """
 
-    __slots__ = ("_flows", "_hol", "_vtime", "_count", "_bytes")
+    __slots__ = ("_flows", "_hol", "_vtime", "_epoch", "_count", "_bytes")
 
     def __init__(self, weights: Mapping[int, float]) -> None:
         if not weights:
@@ -58,6 +60,7 @@ class SCFQScheduler(Scheduler):
         self._flows = {key: _FlowState(float(w)) for key, w in weights.items()}
         self._hol: list[tuple[float, int, int, Packet]] = []
         self._vtime = 0.0  # tag of the packet in service (self-clocking)
+        self._epoch = 0  # busy periods completed
         self._count = 0
         self._bytes = 0.0
 
@@ -70,6 +73,10 @@ class SCFQScheduler(Scheduler):
         flow = self._flows.get(packet.flow_id)
         if flow is None:
             raise ConfigurationError(f"unknown SCFQ flow {packet.flow_id}")
+        if flow.epoch != self._epoch:
+            # First packet of this flow in the current busy period.
+            flow.epoch = self._epoch
+            flow.last_tag = 0.0
         start = max(self._vtime, flow.last_tag)
         tag = start + packet.size / flow.weight
         flow.last_tag = tag
@@ -101,10 +108,11 @@ class SCFQScheduler(Scheduler):
         self._bytes -= packet.size
         if self._count == 0:
             # New busy period: reset the clock so idle flows do not carry
-            # stale credit or debt across idle gaps.
+            # stale credit or debt across idle gaps.  Tags lapse with the
+            # epoch (checked in ``enqueue``) instead of being cleared here,
+            # which would be O(flows) per drain.
             self._vtime = 0.0
-            for flow_state in self._flows.values():
-                flow_state.last_tag = 0.0
+            self._epoch += 1
         return packet
 
     def __len__(self) -> int:

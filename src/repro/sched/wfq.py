@@ -37,13 +37,15 @@ __all__ = ["WFQScheduler"]
 
 
 class _FlowState:
-    __slots__ = ("weight", "queue", "finishes", "last_finish")
+    __slots__ = ("weight", "queue", "finishes", "last_finish", "epoch")
 
     def __init__(self, weight: float):
         self.weight = weight
         self.queue: deque[Packet] = deque()
         self.finishes: deque[float] = deque()
         self.last_finish = 0.0
+        #: Busy period ``last_finish`` belongs to (see ``_reset_busy_period``).
+        self.epoch = 0
 
 
 class WFQScheduler(Scheduler):
@@ -68,6 +70,7 @@ class WFQScheduler(Scheduler):
         "_vtime",
         "_last_update",
         "_active_weight",
+        "_epoch",
         "_count",
         "_bytes",
     )
@@ -95,6 +98,7 @@ class WFQScheduler(Scheduler):
         self._vtime = 0.0
         self._last_update = clock()
         self._active_weight = 0.0
+        self._epoch = 0
         self._count = 0
         self._bytes = 0.0
 
@@ -117,6 +121,10 @@ class WFQScheduler(Scheduler):
         if flow is None:
             raise ConfigurationError(f"packet classified to unknown WFQ key {key}")
         self._advance_vtime()
+        if flow.epoch != self._epoch:
+            # First packet of this flow in the current busy period.
+            flow.epoch = self._epoch
+            flow.last_finish = 0.0
         start = max(self._vtime, flow.last_finish)
         finish = start + packet.size / flow.weight
         flow.last_finish = finish
@@ -158,12 +166,14 @@ class WFQScheduler(Scheduler):
     def _reset_busy_period(self) -> None:
         # When the queue drains, a new busy period starts from a clean
         # slate: without this, finish stamps from the previous busy period
-        # would penalise (or credit) flows across idle gaps.
+        # would penalise (or credit) flows across idle gaps.  The stamps
+        # are not cleared here — that would be O(flows) on every drain,
+        # i.e. per packet at light load — but lapse with the epoch:
+        # ``enqueue`` zeroes a stamp left by an earlier busy period.
         self._vtime = 0.0
         self._last_update = self._clock()
         self._active_weight = 0.0
-        for flow in self._flows.values():
-            flow.last_finish = 0.0
+        self._epoch += 1
 
     def __len__(self) -> int:
         return self._count

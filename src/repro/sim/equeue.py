@@ -98,9 +98,7 @@ class EventQueue:
         sim = self._sim
         if sim._sink is not None:
             sim._sink.emit(
-                HeapCompactEvent(
-                    time=sim.now, removed=before - len(heap), remaining=len(heap)
-                )
+                HeapCompactEvent(sim.now, before - len(heap), len(heap))
             )
 
     def pop_live(self) -> tuple | None:

@@ -148,13 +148,7 @@ class OutputPort:
                 collector.on_drop(flow_id, size, now)
             if self._sink is not None:
                 self._sink.emit(
-                    DropEvent(
-                        time=now,
-                        flow_id=flow_id,
-                        size=size,
-                        reason=self._drop_reason(packet),
-                        node=self.label,
-                    )
+                    DropEvent(now, flow_id, size, self._drop_reason(packet), self.label)
                 )
             return False
         packet.enqueued = now
@@ -189,15 +183,7 @@ class OutputPort:
         if self.collector is not None:
             self.collector.on_depart(flow_id, size, delay, now)
         if self._sink is not None:
-            self._sink.emit(
-                DepartEvent(
-                    time=now,
-                    flow_id=flow_id,
-                    size=size,
-                    delay=delay,
-                    node=self.label,
-                )
-            )
+            self._sink.emit(DepartEvent(now, flow_id, size, delay, self.label))
         if self.downstream is not None:
             self.downstream.receive(packet)
         head = self.scheduler.dequeue()

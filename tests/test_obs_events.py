@@ -81,6 +81,69 @@ class TestVocabulary:
             event.time = 99.0
 
 
+BY_KIND = pytest.mark.parametrize("event", SAMPLES, ids=lambda e: type(e).kind)
+
+
+def fields_of(event) -> dict:
+    raw = event_to_dict(event)
+    assert next(iter(raw)) == "kind"
+    del raw["kind"]
+    return raw
+
+
+class TestRecordContract:
+    """What every kind promises, whatever backs the record."""
+
+    @BY_KIND
+    def test_no_field_can_be_assigned_or_added(self, event):
+        for name in ("kind", *fields_of(event), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, 99.0)
+
+    @BY_KIND
+    def test_positional_order_is_the_serialized_key_order(self, event):
+        """Field order is API: emit sites build events by position."""
+        fields = fields_of(event)
+        by_position = type(event)(*fields.values())
+        by_keyword = type(event)(**fields)
+        assert by_position == by_keyword == event
+        assert hash(by_position) == hash(by_keyword) == hash(event)
+        assert event_to_dict(by_position) == event_to_dict(event)
+
+    def test_trailing_fields_default(self):
+        assert EnqueueEvent(0.5, 3, 500.0, 7).node == ""
+        assert ViolationEvent(9.5, "hop-delay", "error", 0.03, 0.02).flow_id == -1
+
+    def test_kinds_never_compare_equal(self):
+        # Same five values, field for field; only the kind differs.
+        enqueue = EnqueueEvent(0.0, 1, 500.0, 3, "")
+        depart = DepartEvent(0.0, 1, 500.0, 3.0, "")
+        assert list(fields_of(enqueue).values()) == list(fields_of(depart).values())
+        assert enqueue != depart and not enqueue == depart
+        assert len({enqueue, depart}) == 2
+        assert {enqueue: "e", depart: "d"}[EnqueueEvent(0.0, 1, 500.0, 3)] == "e"
+
+    def test_an_event_is_not_its_bare_tuple(self):
+        event = SAMPLES[0]
+        bare = tuple(fields_of(event).values())
+        assert event != bare and bare != event
+        assert not event == bare and not bare == event
+
+    def test_distinct_samples_are_distinct(self):
+        for i, a in enumerate(SAMPLES):
+            for j, b in enumerate(SAMPLES):
+                assert (a == b) == (i == j)
+                assert (a != b) == (i != j)
+
+    @BY_KIND
+    def test_from_dict_missing_any_field_raises(self, event):
+        for name in fields_of(event):
+            raw = event_to_dict(event)
+            del raw[name]
+            with pytest.raises(KeyError):
+                event_from_dict(raw)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("event", SAMPLES, ids=lambda e: type(e).kind)
     def test_round_trip(self, event):

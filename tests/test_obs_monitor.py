@@ -13,7 +13,19 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.fabric import run_fabric
 from repro.experiments.fabric.demo import demo_tandem, undersized_tandem
-from repro.obs.events import DepartEvent, DropEvent, ReprovisionEvent
+from repro.obs.events import (
+    EVENT_TYPES,
+    DepartEvent,
+    DropEvent,
+    EnqueueEvent,
+    HeadroomEvent,
+    HeapCompactEvent,
+    PoolEvent,
+    ReprovisionEvent,
+    SampleEvent,
+    ThresholdCrossEvent,
+    ViolationEvent,
+)
 from repro.obs.monitor import (
     CHECKS,
     ConformanceMonitor,
@@ -208,6 +220,56 @@ class TestEventChecks:
         assert len(mirrored) == 1
         assert mirrored[0].check == "conformant-drop"
         assert mirrored[0].flow_id == 1
+
+
+class TestDispatch:
+    """One event of every kind, and one object that is no event at all."""
+
+    STREAM = [
+        EnqueueEvent(0.1, 1, 500.0, 1, "a->b"),
+        ThresholdCrossEvent(0.2, 1, 4000.0, 4000.0, "up", "a->b"),
+        HeadroomEvent(0.3, 1500.0, 2.0, "a->b"),
+        PoolEvent(0.4, 6000.0, 1000.0, 3000.0, 10000.0, 2, "a"),
+        HeapCompactEvent(0.5, 120, 40),
+        SampleEvent(0.6, "occupancy", 4500.0, "a->b"),
+        ViolationEvent(0.7, "hop-delay", "error", 0.03, 0.02, 1, "a->b"),
+        object(),  # no .time: counted, otherwise ignored
+        DropEvent(0.8, 1, 500.0, "threshold", "a->b"),
+        DepartEvent(0.9, 1, 500.0, 0.004, "a->b"),
+        ReprovisionEvent(1.0, 1, 1000.0, 2000.0, "a->b"),
+        EnqueueEvent(0.05, 1, 500.0, 1, "a->b"),  # out of order
+    ]
+
+    @staticmethod
+    def state(monitor):
+        return (
+            list(monitor.violations),
+            dict(monitor._checks),
+            dict(monitor._drain_caps),
+            dict(monitor._hop_delay_max),
+        )
+
+    def test_only_drop_depart_and_reprovision_reach_a_check(self):
+        assert {type(e) for e in self.STREAM} >= set(EVENT_TYPES.values())
+        monitor = ConformanceMonitor()
+        monitor.watch_flow(1)
+        monitor.set_hop_bound("a->b", 0.001)
+        last_time = 0.0
+        for seen, event in enumerate(self.STREAM, start=1):
+            before = self.state(monitor)
+            monitor.emit(event)
+            assert monitor.events_seen == seen
+            assert monitor._last_time >= last_time
+            last_time = monitor._last_time
+            changed = self.state(monitor) != before
+            assert changed == isinstance(
+                event, (DropEvent, DepartEvent, ReprovisionEvent)
+            ), event
+        assert last_time == 1.0
+        assert [v.check for v in monitor.violations] == ["conformant-drop", "hop-delay"]
+        assert monitor._hop_delay_max == {("a->b", 1): 0.004}
+        assert monitor._drain_caps == {("a->b", 1): 2000.0}
+        assert monitor.finalize().events_seen == len(self.STREAM)
 
 
 class TestReport:

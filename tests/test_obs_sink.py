@@ -1,13 +1,18 @@
-"""Trace sinks: bounded ring and streaming JSONL."""
+"""Trace sinks: bounded ring, fan-out tee and streaming JSONL."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.fabric import run_fabric
+from repro.experiments.fabric.demo import demo_tandem
 from repro.obs.events import TRACE_SCHEMA, EnqueueEvent
+from repro.obs.monitor import ConformanceMonitor
 from repro.obs.reader import read_events
-from repro.obs.sink import JsonlSink, RingSink, TraceSink
+from repro.obs.sink import JsonlSink, RingSink, TeeSink, TraceSink
+from repro.obs.timeline import Timeline
 
 
 def make_event(i):
@@ -36,6 +41,31 @@ class TestRingSink:
 
     def test_satisfies_protocol(self):
         assert isinstance(RingSink(), TraceSink)
+
+
+class TestTeeSink:
+    def test_every_sink_sees_every_event_in_argument_order(self):
+        seen = []
+
+        class Tagged:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def emit(self, event):
+                seen.append((self.tag, event.flow_id))
+
+        tee = TeeSink(Tagged("a"), Tagged("b"))
+        tee.emit(make_event(1))
+        tee.emit(make_event(2))
+        assert seen == [("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+        assert tee.emitted == 2
+
+    def test_needs_a_downstream_sink(self):
+        with pytest.raises(ConfigurationError):
+            TeeSink()
+
+    def test_satisfies_protocol(self):
+        assert isinstance(TeeSink(RingSink()), TraceSink)
 
 
 class TestJsonlSink:
@@ -81,6 +111,37 @@ class TestJsonlSink:
             assert isinstance(sink, TraceSink)
         finally:
             sink.close()
+
+
+class TestPinnedTrace:
+    def test_reference_tandem_serializes_to_the_same_bytes(self, tmp_path):
+        """The file as written: key order, float text, event order.
+
+        The reference tandem with churn, reclamation, a timeline and the
+        monitor attached writes enqueue, depart, reprovision and pool
+        lines; a reordered field, a lost event or a float that took
+        another route to ``json.dumps`` moves the digest.
+        """
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(path) as sink:
+            result = run_fabric(
+                demo_tandem(hops=3, seed=15, sim_time=1.0, churn=True, reclamation=True),
+                sink=sink,
+                timeline=Timeline(0.01),
+                monitor=ConformanceMonitor(),
+            )
+        data = path.read_bytes()
+        assert data.count(b"\n") == 23_041
+        assert hashlib.sha256(data).hexdigest()[:16] == "158cd0be5a58e336"
+        report = result.monitor_report
+        assert report.ok
+        assert report.events_seen == sink.emitted == 23_040
+        assert report.checks == {
+            "conformant-drop": 0,
+            "occupancy-threshold": 207,
+            "hop-delay": 11_508,
+            "e2e-delay": 2,
+        }
 
 
 class TestReader:

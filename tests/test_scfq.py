@@ -85,6 +85,35 @@ class TestSelfClocking:
         scfq.dequeue()
         assert scfq.virtual_time == 0.0  # reset when the queue drained
 
+    def test_tag_lapses_even_if_the_flow_sat_a_busy_period_out(self):
+        scfq = SCFQScheduler({0: 1.0, 1: 1.0})
+        scfq.enqueue(pkt(0, size=900.0))  # period 1 leaves flow 0 a large tag
+        scfq.dequeue()
+        scfq.enqueue(pkt(1))  # period 2: flow 0 absent
+        scfq.dequeue()
+        scfq.enqueue(pkt(1, size=200.0))  # period 3: both, flow 1 first
+        scfq.enqueue(pkt(0, size=100.0))
+        # Flow 0 is tagged 0 + 100, not 900 + 100: it overtakes flow 1.
+        assert [scfq.dequeue().flow_id for _ in range(2)] == [0, 1]
+
+    def test_drain_does_not_walk_the_flow_table(self):
+        # An idle link dequeues every packet it enqueues, so a reset that
+        # visits all flows is O(flows) per packet at light load.
+        scfq = SCFQScheduler({flow_id: 1.0 for flow_id in range(64)})
+        scfq._flows = NoWalkDict(scfq._flows)
+        for flow_id in range(64):
+            scfq.enqueue(pkt(flow_id))
+            assert scfq.dequeue().flow_id == flow_id
+
+
+class NoWalkDict(dict):
+    """A flow table that may be indexed but never iterated."""
+
+    def _refuse(self):
+        raise AssertionError("scheduler walked every flow")
+
+    __iter__ = keys = values = items = _refuse
+
 
 class TestAccounting:
     def test_len_and_backlog(self):

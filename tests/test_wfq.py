@@ -110,6 +110,35 @@ class TestVirtualTime:
         wfq.enqueue(pkt(1, size=100.0))
         assert wfq.dequeue().flow_id == 0  # arrival order, not stale credit
 
+    def test_stamp_lapses_even_if_the_flow_sat_a_busy_period_out(self):
+        _, wfq = make_wfq({0: 1.0, 1: 1.0})
+        wfq.enqueue(pkt(0, size=900.0))  # period 1 leaves flow 0 a large stamp
+        wfq.dequeue()
+        wfq.enqueue(pkt(1))  # period 2: flow 0 absent
+        wfq.dequeue()
+        wfq.enqueue(pkt(1, size=200.0))  # period 3: both, flow 1 first
+        wfq.enqueue(pkt(0, size=100.0))
+        # Flow 0 is stamped 0 + 100, not 900 + 100: it overtakes flow 1.
+        assert [wfq.dequeue().flow_id for _ in range(2)] == [0, 1]
+
+    def test_drain_does_not_walk_the_flow_table(self):
+        # An idle link dequeues every packet it enqueues, so a reset that
+        # visits all flows is O(flows) per packet at light load.
+        _, wfq = make_wfq({flow_id: 1.0 for flow_id in range(64)})
+        wfq._flows = NoWalkDict(wfq._flows)
+        for flow_id in range(64):
+            wfq.enqueue(pkt(flow_id))
+            assert wfq.dequeue().flow_id == flow_id
+
+
+class NoWalkDict(dict):
+    """A flow table that may be indexed but never iterated."""
+
+    def _refuse(self):
+        raise AssertionError("scheduler walked every flow")
+
+    __iter__ = keys = values = items = _refuse
+
 
 class TestAccounting:
     def test_len_and_backlog(self):
