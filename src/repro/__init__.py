@@ -49,11 +49,13 @@ from repro.core import (
 from repro.experiments import (
     LINK_RATE,
     CampaignRunner,
+    NetworkScenario,
     ResultCache,
     ScenarioJob,
     ScenarioRecord,
     Scheme,
     build_scheme,
+    run_fabric,
     run_replications,
     run_scenario,
     table1_flows,
@@ -95,6 +97,7 @@ __all__ = [
     # experiments
     "LINK_RATE", "Scheme", "build_scheme", "run_scenario",
     "run_replications", "table1_flows", "table2_flows",
-    # campaigns
+    # campaigns: a job is a scenario, a record is its links
+    "NetworkScenario", "run_fabric",
     "ScenarioJob", "ScenarioRecord", "CampaignRunner", "ResultCache",
 ]

@@ -277,41 +277,29 @@ def _print_campaign_stats(runner: CampaignRunner | None) -> None:
         )
 
 
-def _run_network_spec_file(spec, runner: CampaignRunner | None) -> None:
-    from repro.experiments.report import format_table
-    from repro.experiments.spec import run_network_spec
+def _describe(scenario) -> str:
+    """One line on a scenario's shape, for the spec table's heading."""
+    from repro.units import to_mbytes
 
-    scenario = spec.scenario
-    shape = f"{len(scenario.nodes)} nodes, {len(scenario.links)} links"
-    if scenario.churn is not None:
-        shape += ", churn"
-    print(f"{spec.name} [network: {shape}]")
-    rows = []
-    for seed, record in zip(spec.seeds, run_network_spec(spec, runner=runner)):
-        delivered = sum(record.delivery_packets.values())
-        blocking = (
-            "-" if record.churn is None else f"{record.blocking_probability():.3f}"
-        )
-        rows.append(
-            [str(seed), str(record.events_processed), str(delivered), blocking]
-        )
-    print(format_table(["seed", "events", "delivered pkts", "blocking"], rows))
-    _print_campaign_stats(runner)
-    print()
+    nodes = [node for node in scenario.nodes if node.scheme is not None]
+    schemes = " / ".join(dict.fromkeys(node.scheme.value for node in nodes))
+    sizes = sorted({to_mbytes(node.buffer_size) for node in nodes})
+    links = len(scenario.links)
+    churn = ", churn" if scenario.churn is not None else ""
+    return (
+        f"{schemes}, B = {' / '.join(f'{size:g}' for size in sizes)} MB, "
+        f"{links} link{'s' * (links != 1)}{churn}"
+    )
 
 
 def run_spec_file(path: pathlib.Path, runner: CampaignRunner | None = None) -> None:
-    from repro import units
     from repro.experiments.report import format_table
-    from repro.experiments.spec import NetworkSpec, load_specs, run_spec
+    from repro.experiments.spec import load_specs, run_spec
 
     for spec in load_specs(path):
-        if isinstance(spec, NetworkSpec):
-            _run_network_spec_file(spec, runner)
-            continue
         results = run_spec(spec, runner=runner)
         rows = [[label, str(value)] for label, value in results.items()]
-        print(f"{spec.name} [{spec.scheme.value}, B = {units.to_mbytes(spec.buffer_bytes):g} MB]")
+        print(f"{spec.name} [{_describe(spec.scenario)}]")
         print(format_table(["metric", "mean ± 95% CI"], rows))
         _print_campaign_stats(runner)
         print()
@@ -455,19 +443,12 @@ def run_campaign(args: argparse.Namespace) -> int:
 
 
 def _trace_spec_scenario(spec_path: pathlib.Path, out: pathlib.Path) -> None:
-    """Run the first job of a spec (either kind) with a JSONL sink attached."""
-    from repro.experiments.fabric import NetworkScenario, run_fabric
-    from repro.experiments.spec import NetworkSpec, jobs_for_spec, load_specs
+    """Run the first job of a spec with a JSONL sink attached."""
+    from repro.experiments.fabric import run_fabric
+    from repro.experiments.spec import load_specs
     from repro.obs import JsonlSink
 
-    spec = load_specs(spec_path)[0]
-    if isinstance(spec, NetworkSpec):
-        scenario = spec.jobs()[0].scenario
-    else:
-        job = jobs_for_spec(spec)[0]
-        scenario = NetworkScenario.single_node(
-            job.flows, job.scheme, job.buffer_size, **job.scenario_kwargs()
-        )
+    scenario = load_specs(spec_path)[0].jobs()[0].scenario
     out.parent.mkdir(parents=True, exist_ok=True)
     with JsonlSink(out) as sink:
         run_fabric(scenario, sink=sink)

@@ -6,8 +6,10 @@ time.  This module checks the committed files *ahead* of use, so a
 schema bump that forgets to regenerate goldens/caches fails CI at the
 lint gate rather than deep inside a campaign:
 
-* campaign cache records — :data:`repro.experiments.campaign.job.CAMPAIGN_SCHEMA`
-  / :data:`repro.experiments.campaign.network.NETWORK_SCHEMA`;
+* campaign cache records — the one
+  :data:`repro.experiments.campaign.job.CAMPAIGN_SCHEMA` (a stale
+  ``repro-campaign-v1`` entry is drift; the retired
+  ``repro-campaign-net`` family is unknown);
 * equivalence goldens — the ``repro-equivalence-v1`` tag the golden test
   asserts;
 * JSONL trace files — the :data:`repro.obs.events.TRACE_SCHEMA` header,
@@ -38,7 +40,6 @@ import pathlib
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
-from repro.experiments.campaign.network import NETWORK_SCHEMA
 from repro.experiments.sweep.aggregate import AGGREGATE_SCHEMA, SHARD_SCHEMA
 from repro.experiments.sweep.queue import CLAIM_SCHEMA
 from repro.experiments.sweep.spec import SWEEP_SPEC_SCHEMA, SweepSpec
@@ -55,7 +56,6 @@ GOLDENS_SCHEMA = "repro-equivalence-v1"
 #: family -> the tag current producers write.
 KNOWN_SCHEMAS: dict[str, str] = {
     "repro-campaign": CAMPAIGN_SCHEMA,
-    "repro-campaign-net": NETWORK_SCHEMA,
     "repro-equivalence": GOLDENS_SCHEMA,
     "repro-trace": TRACE_SCHEMA,
     "repro-telemetry": TELEMETRY_SCHEMA,

@@ -224,12 +224,11 @@ def check_scenario_dict(raw, path: str = "<scenario>", name: str = "") -> list[F
 
 
 def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:
-    """Audit one spec-file entry (single-port or network form)."""
+    """Audit one spec-file entry (either input form)."""
     # Imported here: the spec module pulls in the campaign runner, which
     # the lint/check import path must not load eagerly.
-    from repro.experiments.spec import NetworkSpec, ScenarioSpec
+    from repro.experiments.spec import ScenarioSpec
 
-    label = str(raw.get("name", f"entry {index}")) if isinstance(raw, dict) else f"entry {index}"
     if not isinstance(raw, dict):
         return [
             Finding(
@@ -240,21 +239,9 @@ def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:
                 1,
             )
         ]
+    label = str(raw.get("name", f"entry {index}"))
     try:
-        if "network" in raw:
-            spec = NetworkSpec.from_dict(raw)
-            scenario = spec.scenario
-        else:
-            single = ScenarioSpec.from_dict(raw)
-            scenario = NetworkScenario.single_node(
-                single.flows,
-                single.scheme,
-                single.buffer_bytes,
-                link_rate=single.link_rate,
-                sim_time=single.sim_time,
-                headroom=single.headroom,
-                groups=single.groups,
-            )
+        scenario = ScenarioSpec.from_dict(raw).scenario
     except ConfigurationError as exc:
         return [Finding("RPR203", f"spec {label!r}: {exc}", path, 1)]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -14,6 +14,7 @@ from repro.experiments.config import (
     full_mode_enabled,
     sweep_config,
 )
+from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.report import format_figure, format_table
 from repro.experiments.runner import (
@@ -22,7 +23,7 @@ from repro.experiments.runner import (
     run_replications,
     run_scenario,
 )
-from repro.experiments.spec import ScenarioSpec, jobs_for_spec, load_specs, run_spec
+from repro.experiments.spec import ScenarioSpec, load_specs, run_spec
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme, SchemeBuild, build_scheme
 from repro.experiments.workloads import (
     CASE1_GROUPS,
@@ -49,6 +50,8 @@ __all__ = [
     "campaign_workers",
     "full_mode_enabled",
     "sweep_config",
+    "NetworkScenario",
+    "run_fabric",
     "ALL_FIGURES",
     "FigureResult",
     "format_figure",
@@ -58,7 +61,6 @@ __all__ = [
     "run_replications",
     "run_scenario",
     "ScenarioSpec",
-    "jobs_for_spec",
     "load_specs",
     "run_spec",
     "DEFAULT_HEADROOM",

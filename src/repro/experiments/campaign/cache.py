@@ -2,8 +2,9 @@
 
 Entries live at ``<root>/<digest>.json`` where ``digest`` is the
 :meth:`~repro.experiments.campaign.job.ScenarioJob.digest` of the job
-that produced the record.  Because the digest covers every input (and
-the :data:`~repro.experiments.campaign.job.CAMPAIGN_SCHEMA` tag),
+that produced the record — one job family, one record layout, one
+:data:`~repro.experiments.campaign.job.CAMPAIGN_SCHEMA` tag for every
+scenario shape.  Because the digest covers every input and the tag,
 invalidation is automatic: change any input or bump the schema and the
 lookup simply misses.  Unreadable, corrupt, or schema-mismatched entries
 are treated as misses, never as errors — a cache must not be able to
@@ -17,8 +18,6 @@ import os
 import pathlib
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
-from repro.experiments.campaign.network import NETWORK_SCHEMA, NetworkRecord
 from repro.experiments.campaign.record import ScenarioRecord
 
 __all__ = ["ResultCache", "DEFAULT_CACHE_DIR"]
@@ -54,34 +53,23 @@ class ResultCache:
         """Where the entry for ``digest`` lives (whether or not it exists)."""
         return self.root / f"{digest}.json"
 
-    def get(self, digest: str) -> ScenarioRecord | NetworkRecord | None:
+    def get(self, digest: str) -> ScenarioRecord | None:
         """The cached record for ``digest``, or ``None`` on any miss.
 
-        The entry's schema tag selects the record family: classic
-        single-port records and network-fabric records share the cache
-        directory, and their digests cover their (distinct) schemas, so
-        the two namespaces can never collide.
+        Entries written under another schema tag (the retired
+        ``repro-campaign-v1`` / ``repro-campaign-net-v3`` forms included)
+        fail :meth:`ScenarioRecord.from_dict` and are misses like any
+        other unreadable file: they are re-simulated, never migrated.
         """
         path = self.path(digest)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(raw, dict):
-            self.misses += 1
-            return None
-        schema = raw.get("schema")
-        if schema == CAMPAIGN_SCHEMA:
-            loader = ScenarioRecord.from_dict
-        elif schema == NETWORK_SCHEMA:
-            loader = NetworkRecord.from_dict
-        else:
-            self.misses += 1
-            return None
-        try:
-            record = loader(raw)
-        except (ConfigurationError, KeyError, TypeError, ValueError):
+            record = ScenarioRecord.from_dict(
+                json.loads(path.read_text(encoding="utf-8"))
+            )
+        except (
+            OSError, ConfigurationError, AttributeError, KeyError, TypeError, ValueError
+        ):
+            # Unreadable, not JSON, not an object, another schema, torn.
             self.misses += 1
             return None
         if record.job_digest != digest:
@@ -92,11 +80,15 @@ class ResultCache:
         self.hits += 1
         return record
 
-    def put(self, record: ScenarioRecord | NetworkRecord) -> pathlib.Path:
+    def put(self, record: ScenarioRecord) -> pathlib.Path:
         """Store a record under its job digest (atomic rename)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(record.job_digest)
-        payload = json.dumps(record.to_dict(), sort_keys=True, indent=1)
+        # One line, no indent: that is the form the C encoder writes.  An
+        # indented entry goes through the pure-Python encoder, a
+        # generator resume per token per nesting level — ~3,000 calls
+        # for a one-link record, most of a short cell's fixed cost.
+        payload = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(payload + "\n", encoding="utf-8")
         os.replace(tmp, path)

@@ -1,61 +1,141 @@
 """The *measure* stage: plain serializable measurement records.
 
-:class:`ScenarioRecord` is the campaign-side split of
-:class:`~repro.experiments.runner.ScenarioResult`: the same measurement
-API (throughput, utilization, loss, delay percentiles) over plain data —
-no live :class:`~repro.metrics.collector.StatsCollector`, no open
-histograms.  That makes records picklable (so they can cross a process
-pool) and JSON-serializable (so they can live in the on-disk cache), and
-a record rebuilt from either representation compares equal to the
-original.
+A :class:`ScenarioRecord` is what one executed
+:class:`~repro.experiments.campaign.job.ScenarioJob` leaves behind: a
+:class:`LinkRecord` per link (per-flow byte counters, thresholds, queue
+split), the end-to-end delivery counters and delay summaries, and the
+churn report when the scenario had dynamic flows — plain data, no live
+:class:`~repro.metrics.collector.StatsCollector`, no open histograms.
+That makes records picklable (so they can cross a process pool) and
+JSON-serializable (so they can live in the on-disk cache), and a record
+rebuilt from either representation compares equal to the original.
+
+A record of a one-link scenario also answers the one-link measurement
+API (``utilization()``, ``loss_fraction()``, ``flow_stats`` …) the
+figures and metric strings are written against, by delegating to its
+only link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
-from repro.experiments.schemes import Scheme
+from repro.experiments.fabric.churn import ChurnReport
 from repro.metrics.collector import FlowStats, LinkMeasures
 from repro.metrics.records import (
     DelaySummary,
-    link_measurements,
-    link_measurements_from_dict,
-    link_measurements_to_dict,
+    flow_stats_from_dict,
+    flow_stats_to_dict,
 )
+from repro.net.topology import DeliverySink
 from repro.obs.telemetry import JobTelemetry
 
-if TYPE_CHECKING:  # circular at runtime: runner builds records
-    from repro.experiments.runner import ScenarioResult
+if TYPE_CHECKING:  # circular at runtime: the fabric builds records
+    from repro.experiments.fabric.build import FabricResult, LinkResult
 
-__all__ = ["ScenarioRecord"]
+__all__ = ["LinkRecord", "ScenarioRecord"]
+
+
+def _dump_by_flow(table: dict, dump: Callable) -> dict:
+    """A flow-keyed table as JSON: string keys, flow-id order."""
+    return {str(i): dump(table[i]) for i in sorted(table)}
+
+
+def _load_by_flow(raw: dict, load: Callable) -> dict:
+    """The inverse of :func:`_dump_by_flow`."""
+    return {i: load(raw[str(i)]) for i in sorted(map(int, raw))}
+
+
+def _floats(values) -> list[float] | None:
+    return None if values is None else [float(value) for value in values]
+
+
+@dataclass(frozen=True)
+class LinkRecord:
+    """Serializable per-link measurements over ``[warmup, sim_time]``."""
+
+    rate: float
+    buffer_size: float
+    flow_stats: dict[int, FlowStats] = field(default_factory=dict)
+    thresholds: dict[int, float] = field(default_factory=dict)
+    queue_rates: tuple[float, ...] | None = None
+    queue_buffers: tuple[float, ...] | None = None
+
+    @staticmethod
+    def from_result(link: "LinkResult", static_ids: Iterable[int]) -> "LinkRecord":
+        """One live link as plain data, in canonical (sorted) order.
+
+        ``static_ids`` are the static flows routed over this link: one
+        that never offered a packet in the window still gets its (zero)
+        entry, so a record always accounts for every flow it was
+        configured with.
+        """
+        live = link.flow_stats
+        return LinkRecord(
+            rate=link.rate,
+            buffer_size=link.buffer_size,
+            flow_stats={
+                i: live[i] if i in live else FlowStats()
+                for i in sorted(live.keys() | set(static_ids))
+            },
+            thresholds={i: link.thresholds[i] for i in sorted(link.thresholds)},
+            queue_rates=None if link.queue_rates is None else tuple(link.queue_rates),
+            queue_buffers=None
+            if link.queue_buffers is None
+            else tuple(link.queue_buffers),
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "rate": float(self.rate),
+            "buffer_size": float(self.buffer_size),
+            "flow_stats": _dump_by_flow(self.flow_stats, flow_stats_to_dict),
+            "thresholds": _dump_by_flow(self.thresholds, float),
+            "queue_rates": _floats(self.queue_rates),
+            "queue_buffers": _floats(self.queue_buffers),
+        }
+
+    @staticmethod
+    def from_dict(raw: dict) -> "LinkRecord":
+        queue_rates = raw.get("queue_rates")
+        queue_buffers = raw.get("queue_buffers")
+        return LinkRecord(
+            rate=float(raw["rate"]),
+            buffer_size=float(raw["buffer_size"]),
+            flow_stats=_load_by_flow(raw["flow_stats"], flow_stats_from_dict),
+            thresholds=_load_by_flow(raw["thresholds"], float),
+            queue_rates=None if queue_rates is None else tuple(queue_rates),
+            queue_buffers=None if queue_buffers is None else tuple(queue_buffers),
+        )
 
 
 @dataclass(frozen=True)
 class ScenarioRecord(LinkMeasures):
     """Measurements of one simulation run, as plain data.
 
-    All byte counters cover the measurement window ``[warmup, sim_time]``.
-    The measurement helpers mirror
-    :class:`~repro.experiments.runner.ScenarioResult`, so metric callables
-    written for live results work on records unchanged.
+    ``delivery_*`` counters cover packets that reached the end of a
+    multi-link route (whole run, like the live
+    :class:`~repro.net.topology.DeliverySink`; empty on a one-link
+    record, whose link statistics already are end to end).  ``delays``
+    holds end-to-end delay summaries over the measurement window when
+    the job recorded histograms.  ``churn`` carries the blocking split
+    when the scenario had dynamic flows.
     """
 
     job_digest: str
-    scheme: Scheme
-    buffer_size: float
-    link_rate: float
     sim_time: float
     warmup: float
     seed: int
     events_processed: int
-    flow_stats: dict[int, FlowStats] = field(default_factory=dict)
-    thresholds: dict[int, float] = field(default_factory=dict)
-    queue_rates: tuple[float, ...] | None = None
-    queue_buffers: tuple[float, ...] | None = None
+    links: dict[str, LinkRecord] = field(default_factory=dict)
+    delivery_packets: dict[int, int] = field(default_factory=dict)
+    delivery_bytes: dict[int, float] = field(default_factory=dict)
+    delivery_delay_max: dict[int, float] = field(default_factory=dict)
     delays: dict[int, DelaySummary] = field(default_factory=dict)
+    churn: ChurnReport | None = None
     #: Execution telemetry, attached by the campaign runner.  Excluded
     #: from equality and from :meth:`to_dict`: telemetry describes *how*
     #: a record was produced, not *what* was measured, so cached, serial
@@ -72,37 +152,101 @@ class ScenarioRecord(LinkMeasures):
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_result(result: "ScenarioResult", job_digest: str) -> "ScenarioRecord":
+    def from_result(result: "FabricResult", job_digest: str) -> "ScenarioRecord":
         """Extract the serializable measurements from a live result.
 
-        Delay percentiles are pulled out of the collector's histograms
-        eagerly (when the run recorded them), which is what frees the
-        record from referencing the live collector.
+        Delay percentiles are pulled out of the end-to-end collector's
+        histograms eagerly (when the run recorded them), which is what
+        frees the record from referencing the live collector.
         """
+        scenario = result.scenario
+        crossing: dict[str, list[int]] = {label: [] for label in result.links}
+        for routed in scenario.flows:
+            for src, dst in zip(routed.route, routed.route[1:]):
+                crossing[f"{src}->{dst}"].append(routed.spec.flow_id)
+        sink, collector = result.delivery, result.delivery_collector
+        if sink is None:
+            # One link: nothing was delivered past it, and its own
+            # collector already measures end to end.
+            (link,) = result.links.values()
+            sink, collector = DeliverySink(), link.collector
         delays: dict[int, DelaySummary] = {}
-        collector = result.collector
-        if collector is not None and collector.delay_histograms:
-            for flow_id in sorted(result.flow_stats):
+        if collector.delay_histograms:
+            static_ids = {routed.spec.flow_id for routed in scenario.flows}
+            for flow_id in sorted(collector.flows.keys() | static_ids):
                 delays[flow_id] = DelaySummary.from_histogram(
                     collector.delay_histogram(flow_id)
                 )
         return ScenarioRecord(
             job_digest=job_digest,
-            scheme=result.scheme,
-            buffer_size=result.buffer_size,
-            link_rate=result.link_rate,
-            sim_time=result.sim_time,
+            sim_time=scenario.sim_time,
             warmup=result.warmup,
-            seed=result.seed,
+            seed=scenario.seed,
             events_processed=result.events_processed,
-            **link_measurements(result),
+            links={
+                label: LinkRecord.from_result(link, crossing[label])
+                for label, link in sorted(result.links.items())
+            },
+            delivery_packets={i: sink.packets[i] for i in sorted(sink.packets)},
+            delivery_bytes={i: sink.bytes[i] for i in sorted(sink.bytes)},
+            delivery_delay_max={i: sink.delay_max[i] for i in sorted(sink.delay_max)},
             delays=delays,
+            churn=result.churn,
         )
 
-    # -- measurement API (mirrors ScenarioResult) --------------------------
+    # -- the one-link measurement API (see LinkMeasures) ---------------------
+
+    @property
+    def sole_link(self) -> LinkRecord:
+        """The only link of a one-link record.
+
+        Raises :class:`~repro.errors.ConfigurationError` on a multi-link
+        record: utilization, loss and the other per-link figures have no
+        single meaning there — read ``record.links[label]``.
+        """
+        if len(self.links) != 1:
+            raise ConfigurationError(
+                f"this record has {len(self.links)} links "
+                f"({', '.join(self.links)}); one-link measurements are "
+                "only defined on a one-link record — read record.links[label]"
+            )
+        (link,) = self.links.values()
+        return link
+
+    @property
+    def flow_stats(self) -> dict[int, FlowStats]:
+        return self.sole_link.flow_stats
+
+    @property
+    def thresholds(self) -> dict[int, float]:
+        return self.sole_link.thresholds
+
+    @property
+    def queue_rates(self) -> tuple[float, ...] | None:
+        return self.sole_link.queue_rates
+
+    @property
+    def queue_buffers(self) -> tuple[float, ...] | None:
+        return self.sole_link.queue_buffers
+
+    @property
+    def link_rate(self) -> float:
+        return self.sole_link.rate
+
+    @property
+    def buffer_size(self) -> float:
+        return self.sole_link.buffer_size
+
+    # -- any-shape measurement API -------------------------------------------
+
+    def blocking_probability(self) -> float:
+        """Churn blocking probability; zero without churn."""
+        if self.churn is None:
+            return 0.0
+        return self.churn.blocking_probability
 
     def delay_percentile(self, flow_id: int, q: float) -> float:
-        """Per-flow delay percentile from the eagerly-extracted grid.
+        """End-to-end delay percentile from the eagerly-extracted grid.
 
         Requires the job to have been run with ``delay_histograms=True``;
         only the :data:`~repro.metrics.records.DELAY_PERCENTILES` grid is
@@ -122,17 +266,18 @@ class ScenarioRecord(LinkMeasures):
         return {
             "schema": CAMPAIGN_SCHEMA,
             "job_digest": self.job_digest,
-            "scheme": self.scheme.name,
-            "buffer_size": float(self.buffer_size),
-            "link_rate": float(self.link_rate),
             "sim_time": float(self.sim_time),
             "warmup": float(self.warmup),
             "seed": int(self.seed),
             "events_processed": int(self.events_processed),
-            **link_measurements_to_dict(self),
-            "delays": {
-                str(i): self.delays[i].to_dict() for i in sorted(self.delays)
+            "links": {
+                label: self.links[label].to_dict() for label in sorted(self.links)
             },
+            "delivery_packets": _dump_by_flow(self.delivery_packets, int),
+            "delivery_bytes": _dump_by_flow(self.delivery_bytes, float),
+            "delivery_delay_max": _dump_by_flow(self.delivery_delay_max, float),
+            "delays": _dump_by_flow(self.delays, DelaySummary.to_dict),
+            "churn": None if self.churn is None else self.churn.to_dict(),
         }
 
     @staticmethod
@@ -144,22 +289,20 @@ class ScenarioRecord(LinkMeasures):
                 f"record schema mismatch: got {schema!r}, expected "
                 f"{CAMPAIGN_SCHEMA!r}"
             )
-        try:
-            scheme = Scheme[raw["scheme"]]
-        except KeyError:
-            raise ConfigurationError(f"unknown scheme {raw.get('scheme')!r}") from None
+        churn = raw.get("churn")
         return ScenarioRecord(
             job_digest=str(raw["job_digest"]),
-            scheme=scheme,
-            buffer_size=float(raw["buffer_size"]),
-            link_rate=float(raw["link_rate"]),
             sim_time=float(raw["sim_time"]),
             warmup=float(raw["warmup"]),
             seed=int(raw["seed"]),
             events_processed=int(raw["events_processed"]),
-            **link_measurements_from_dict(raw),
-            delays={
-                int(i): DelaySummary.from_dict(entry)
-                for i, entry in sorted(raw["delays"].items(), key=lambda kv: int(kv[0]))
+            links={
+                label: LinkRecord.from_dict(entry)
+                for label, entry in sorted(raw["links"].items())
             },
+            delivery_packets=_load_by_flow(raw["delivery_packets"], int),
+            delivery_bytes=_load_by_flow(raw["delivery_bytes"], float),
+            delivery_delay_max=_load_by_flow(raw["delivery_delay_max"], float),
+            delays=_load_by_flow(raw["delays"], DelaySummary.from_dict),
+            churn=None if churn is None else ChurnReport.from_dict(churn),
         )

@@ -36,6 +36,7 @@ from repro.experiments.config import (
     campaign_telemetry_setting,
     campaign_workers,
 )
+from repro.experiments.fabric.build import run_fabric
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_DIR,
     CampaignReport,
@@ -53,17 +54,20 @@ __all__ = [
 
 
 def preflight_jobs(jobs: dict, rejected: str) -> None:
-    """Audit network scenarios before spending any simulation time.
+    """Audit scenarios before spending any simulation time.
 
-    ``jobs`` maps digests to jobs.  Only jobs that expose a ``scenario``
-    attribute (the fabric's ``NetworkJob``) are auditable; classic
-    single-port jobs pass through untouched — their parameters are
-    already validated at construction time.  Raises
+    ``jobs`` maps digests to jobs.  The auditor grades a finding
+    ``error`` only where the fabric itself would refuse to run — a
+    scenario with churn outside its admission region; overloading a
+    churn-less buffer is the paper's own experimental method and at most
+    a ``warning`` — so churn scenarios are the ones audited.  Raises
     :class:`ConfigurationError`, opening with ``rejected``, listing every
     error-severity finding across the jobs.
     """
     scenarios = {
-        digest: job.scenario for digest, job in jobs.items() if hasattr(job, "scenario")
+        digest: job.scenario
+        for digest, job in jobs.items()
+        if job.scenario.churn is not None
     }
     if not scenarios:
         return
@@ -84,14 +88,8 @@ def preflight_jobs(jobs: dict, rejected: str) -> None:
         )
 
 
-def execute_job(job):
+def execute_job(job: ScenarioJob) -> ScenarioRecord:
     """Run one job to completion and return its measurement record.
-
-    Accepts both job families, both run by the scenario fabric: a
-    classic :class:`~repro.experiments.campaign.job.ScenarioJob` (its
-    one-link case) returns a :class:`ScenarioRecord`, a
-    :class:`~repro.experiments.campaign.network.NetworkJob` a
-    :class:`~repro.experiments.campaign.network.NetworkRecord`.
 
     Module-level (not a method) so a ``ProcessPoolExecutor`` can pickle
     it by reference into worker processes.  The returned record carries a
@@ -99,13 +97,6 @@ def execute_job(job):
     process's id, so pool runs attribute wall time to the worker that
     actually simulated the job.
     """
-    # Imported here, not at module top: repro.experiments.runner imports
-    # this package lazily for run_replications, and a top-level import in
-    # both directions would be circular.
-    from repro.experiments.campaign.network import NetworkJob, NetworkRecord
-    from repro.experiments.fabric import run_fabric
-    from repro.experiments.runner import run_scenario
-
     timeline = None
     monitor = None
     if campaign_monitor_enabled():
@@ -117,16 +108,8 @@ def execute_job(job):
 
     # repro: noqa RPR101 — telemetry measures real wall time, never sim state
     start = time.perf_counter()
-    if isinstance(job, NetworkJob):
-        result = run_fabric(job.scenario, timeline=timeline, monitor=monitor)
-        record = NetworkRecord.from_result(result, job.digest())
-    else:
-        result = run_scenario(
-            job.flows, job.scheme, job.buffer_size,
-            timeline=timeline, monitor=monitor,
-            **job.scenario_kwargs(),
-        )
-        record = ScenarioRecord.from_result(result, job.digest())
+    result = run_fabric(job.scenario, timeline=timeline, monitor=monitor)
+    record = ScenarioRecord.from_result(result, job.digest())
     # repro: noqa RPR101 — telemetry measures real wall time, never sim state
     wall = time.perf_counter() - start
     return dataclasses.replace(
@@ -137,8 +120,7 @@ def execute_job(job):
             events=record.events_processed,
             cache_hit=False,
             worker=os.getpid(),
-            # Both result families carry the engine's execution stats
-            # (outside their serialized forms).
+            # The engine's execution stats, outside the serialized form.
             cancelled_pending=result.cancelled_pending,
             compactions=result.compactions,
         ),
@@ -177,12 +159,12 @@ class CampaignRunner:
         telemetry_dir: when given, each :meth:`run` writes its batch
             telemetry as JSONL under this directory (one line per unique
             job; see :mod:`repro.obs.telemetry`).
-        preflight: when true, jobs that carry a network scenario are
-            audited against the buffer-management invariants
-            (:mod:`repro.check.invariants`) before anything executes; an
-            error-severity finding aborts the whole batch with
-            :class:`~repro.errors.ConfigurationError` rather than burning
-            simulation time on a scenario that cannot admit its flows.
+        preflight: when true, the batch is audited against the
+            buffer-management invariants (:func:`preflight_jobs`) before
+            anything executes; an error-severity finding aborts the whole
+            batch with :class:`~repro.errors.ConfigurationError` rather
+            than burning simulation time on a scenario that cannot admit
+            its flows.
     """
 
     __slots__ = (

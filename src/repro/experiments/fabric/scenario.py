@@ -10,8 +10,9 @@ the whole experiment layer — campaigns, caching, benchmarks — treat
 object.
 
 Scenarios are frozen and JSON-round-trippable (``to_dict`` /
-``from_dict``), so a :class:`~repro.experiments.campaign.NetworkJob`
-can content-address them exactly like single-port jobs.
+``from_dict``), which is all a
+:class:`~repro.experiments.campaign.ScenarioJob` needs to
+content-address one: a campaign job *is* a scenario.
 
 Optionally a scenario carries a :class:`ChurnSpec`: a Poisson process
 of flow arrivals with exponential holding times, where each candidate
@@ -98,7 +99,7 @@ class NodeSpec:
         groups = raw.get("groups")
         return NodeSpec(
             name=str(raw["name"]),
-            scheme=None if scheme_name is None else Scheme[scheme_name],
+            scheme=None if scheme_name is None else Scheme.named(scheme_name),
             buffer_size=None
             if raw.get("buffer_size") is None
             else float(raw["buffer_size"]),

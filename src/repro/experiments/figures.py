@@ -103,10 +103,10 @@ def _sweep(
         for seed in config.seeds
     ]
     jobs = [
-        ScenarioJob(
-            flows=flows,
-            scheme=scheme,
-            buffer_size=buffer_size,
+        ScenarioJob.for_scenario(
+            flows,
+            scheme,
+            buffer_size,
             sim_time=config.sim_time,
             seed=seed,
             headroom=headroom,
@@ -266,10 +266,10 @@ def figure7(fast: bool | None = None, runner: CampaignRunner | None = None) -> F
         for seed in config.seeds
     ]
     jobs = [
-        ScenarioJob(
-            flows=tuple(flows),
-            scheme=scheme,
-            buffer_size=buffer_size,
+        ScenarioJob.for_scenario(
+            flows,
+            scheme,
+            buffer_size,
             sim_time=config.sim_time,
             seed=seed,
             headroom=mbytes(headroom_mb),

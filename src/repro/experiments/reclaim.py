@@ -23,15 +23,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import CampaignRunner, NetworkJob
-from repro.experiments.campaign.network import NetworkRecord
+from repro.experiments.campaign import CampaignRunner, ScenarioJob, ScenarioRecord
 from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.report import format_table
 
 __all__ = ["ReclaimStudy", "record_loss", "run_reclaim_study"]
 
 
-def record_loss(record: NetworkRecord) -> float:
+def record_loss(record: ScenarioRecord) -> float:
     """Byte loss fraction over every link of a fabric record."""
     offered = 0.0
     dropped = 0.0
@@ -51,13 +50,13 @@ class ReclaimStudy:
     hops: int
     sim_time: float
     seeds: tuple[int, ...]
-    static: tuple[NetworkRecord, ...]
-    reclaim: tuple[NetworkRecord, ...]
+    static: tuple[ScenarioRecord, ...]
+    reclaim: tuple[ScenarioRecord, ...]
 
-    def mean_blocking(self, records: tuple[NetworkRecord, ...]) -> float:
+    def mean_blocking(self, records: tuple[ScenarioRecord, ...]) -> float:
         return sum(r.blocking_probability() for r in records) / len(records)
 
-    def mean_loss(self, records: tuple[NetworkRecord, ...]) -> float:
+    def mean_loss(self, records: tuple[ScenarioRecord, ...]) -> float:
         return sum(record_loss(r) for r in records) / len(records)
 
     def render(self) -> str:
@@ -102,7 +101,7 @@ def run_reclaim_study(
 ) -> ReclaimStudy:
     """Run the paired comparison on the reference tandem.
 
-    One :class:`~repro.experiments.campaign.network.NetworkJob` per
+    One :class:`~repro.experiments.campaign.ScenarioJob` per
     (seed, mode): the static half runs the churn demo as-is, the
     reclamation half runs the same scenario with live pools.  Both
     batches go through one campaign submission, so records come back
@@ -113,7 +112,7 @@ def run_reclaim_study(
     if runner is None:
         runner = CampaignRunner()
 
-    def job(seed: int, reclamation: bool) -> NetworkJob:
+    def job(seed: int, reclamation: bool) -> ScenarioJob:
         scenario = demo_tandem(
             hops=hops,
             sim_time=sim_time,
@@ -121,7 +120,7 @@ def run_reclaim_study(
             reclamation=reclamation,
             delay_histograms=False,
         )
-        return NetworkJob(dataclasses.replace(scenario, seed=seed))
+        return ScenarioJob(dataclasses.replace(scenario, seed=seed))
 
     jobs = [job(seed, False) for seed in seeds]
     jobs += [job(seed, True) for seed in seeds]

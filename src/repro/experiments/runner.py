@@ -169,7 +169,7 @@ def run_replications(
     *,
     seeds: Sequence[int],
     runner=None,
-    **scenario_kwargs,
+    **keywords,
 ) -> ReplicationResult:
     """Repeat a scenario over seeds and summarise ``metric`` with a 95% CI.
 
@@ -190,7 +190,7 @@ def run_replications(
         runner = CampaignRunner()
     jobs = [
         ScenarioJob.for_scenario(
-            flows, scheme, buffer_size, seed=seed, **scenario_kwargs
+            flows, scheme, buffer_size, seed=seed, **keywords
         )
         for seed in seeds
     ]

@@ -54,6 +54,15 @@ class Scheme(enum.Enum):
     HYBRID_THRESHOLD = "Hybrid + thresholds"
     HYBRID_SHARING = "Hybrid + sharing"
 
+    @classmethod
+    def named(cls, name: str) -> "Scheme":
+        """The member called ``name``, as spec and scenario files spell it."""
+        if name not in cls.__members__:
+            raise ConfigurationError(
+                f"unknown scheme {name!r}; valid: " + ", ".join(cls.__members__)
+            )
+        return cls[name]
+
     @property
     def is_hybrid(self) -> bool:
         return self in (Scheme.HYBRID_THRESHOLD, Scheme.HYBRID_SHARING)

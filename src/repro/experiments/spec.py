@@ -23,9 +23,7 @@ Custom workloads are given in the paper's units (Mb/s and KBytes)::
        "token_mbps": 2, "conformant": true}
     ]
 
-A spec with a ``"network"`` key describes a multi-node fabric run
-instead; it is executed through the same campaign pipeline as a
-:class:`~repro.experiments.campaign.network.NetworkJob` per seed::
+A spec with a ``"network"`` key describes a multi-node fabric instead::
 
     {
       "name": "tandem-churn",
@@ -35,9 +33,12 @@ instead; it is executed through the same campaign pipeline as a
     }
 
 ``"network"`` is either the string ``"tandem"`` (the reference demo
-tandem, tunable via ``hops``/``sim_time``/``churn``) or a full
-:meth:`~repro.experiments.fabric.NetworkScenario.to_dict` scenario
-object (byte units).
+tandem, tunable via ``hops``/``sim_time``/``churn``/``reclamation``) or
+a full :meth:`~repro.experiments.fabric.NetworkScenario.to_dict`
+scenario object (byte units).  Both input forms parse into the same
+thing — a :class:`ScenarioSpec` holding one
+:class:`~repro.experiments.fabric.NetworkScenario` — and run as one
+:class:`~repro.experiments.campaign.ScenarioJob` per seed.
 """
 
 from __future__ import annotations
@@ -45,18 +46,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import CampaignRunner, NetworkJob, ScenarioJob
+from repro.experiments.campaign import CampaignRunner, ScenarioJob
 from repro.experiments.fabric import NetworkScenario
 from repro.experiments.fabric.demo import demo_tandem
-from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme
+from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import (
     CASE1_GROUPS,
     CASE2_GROUPS,
-    LINK_RATE,
     TABLE1_CONFORMANT,
     TABLE2_CONFORMANT,
     table1_flows,
@@ -68,10 +68,7 @@ from repro.units import kbytes, mbps, mbytes
 
 __all__ = [
     "ScenarioSpec",
-    "NetworkSpec",
     "run_spec",
-    "run_network_spec",
-    "jobs_for_spec",
     "load_specs",
     "parse_metric",
     "WORKLOADS",
@@ -88,147 +85,117 @@ DEFAULT_GROUPS = {"table1": CASE1_GROUPS, "table2": CASE2_GROUPS}
 CONFORMANT_SETS = {"table1": TABLE1_CONFORMANT, "table2": TABLE2_CONFORMANT}
 
 
+def _one_link_scenario(raw: dict) -> NetworkScenario:
+    """The workload/scheme/``buffer_mb`` form (paper units) as a scenario."""
+    try:
+        scheme = Scheme.named(str(raw["scheme"]))
+        buffer_mb = float(raw["buffer_mb"])
+    except KeyError as missing:
+        raise ConfigurationError(f"spec missing required key {missing}") from None
+
+    workload = raw.get("workload", "table1")
+    if isinstance(workload, str):
+        if workload not in WORKLOADS:
+            raise ConfigurationError(
+                f"unknown workload {workload!r}; valid: {sorted(WORKLOADS)}"
+            )
+        flows = WORKLOADS[workload]()
+        default_groups = DEFAULT_GROUPS[workload]
+    else:
+        flows = [_flow_from_dict(index, entry) for index, entry in enumerate(workload)]
+        default_groups = None
+
+    groups = raw.get("groups")
+    if groups is None and scheme.is_hybrid:
+        groups = default_groups
+    if scheme.is_hybrid and groups is None:
+        raise ConfigurationError(f"scheme {scheme.name} requires groups")
+    return NetworkScenario.single_node(
+        flows,
+        scheme,
+        mbytes(buffer_mb),
+        link_rate=mbps(float(raw.get("link_mbps", 48.0))),
+        sim_time=float(raw.get("sim_time", 8.0)),
+        headroom=mbytes(float(raw.get("headroom_mb", 2.0))),
+        groups=groups,
+    )
+
+
+def _network_scenario(raw: dict) -> NetworkScenario:
+    """The ``"network": "tandem" | {...}`` form as a scenario."""
+    network = raw["network"]
+    if isinstance(network, dict):
+        return NetworkScenario.from_dict(network)
+    if network != "tandem":
+        raise ConfigurationError(
+            f"unknown named network {network!r}; valid: tandem, "
+            "or an inline scenario object"
+        )
+    return demo_tandem(
+        hops=int(raw.get("hops", 3)),
+        sim_time=float(raw.get("sim_time", 8.0)),
+        churn=bool(raw.get("churn", True)),
+        reclamation=bool(raw.get("reclamation", False)),
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One declarative experiment."""
-
-    name: str
-    scheme: Scheme
-    buffer_bytes: float
-    flows: tuple[FlowSpec, ...]
-    metrics: tuple[str, ...]
-    link_rate: float = LINK_RATE
-    sim_time: float = 8.0
-    seeds: tuple[int, ...] = (1,)
-    headroom: float = DEFAULT_HEADROOM
-    groups: tuple[tuple[int, ...], ...] | None = None
-    conformant_ids: tuple[int, ...] = ()
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ScenarioSpec":
-        """Build and validate a spec from plain JSON-style data."""
-        try:
-            name = str(raw["name"])
-            scheme_name = str(raw["scheme"])
-            buffer_mb = float(raw["buffer_mb"])
-        except KeyError as missing:
-            raise ConfigurationError(f"spec missing required key {missing}") from None
-        try:
-            scheme = Scheme[scheme_name]
-        except KeyError:
-            valid = ", ".join(s.name for s in Scheme)
-            raise ConfigurationError(
-                f"unknown scheme {scheme_name!r}; valid: {valid}"
-            ) from None
-
-        workload = raw.get("workload", "table1")
-        conformant_ids: tuple[int, ...]
-        if isinstance(workload, str):
-            if workload not in WORKLOADS:
-                raise ConfigurationError(
-                    f"unknown workload {workload!r}; valid: {sorted(WORKLOADS)}"
-                )
-            flows = tuple(WORKLOADS[workload]())
-            conformant_ids = tuple(CONFORMANT_SETS[workload])
-            default_groups = DEFAULT_GROUPS[workload]
-        else:
-            flows = tuple(
-                _flow_from_dict(index, entry) for index, entry in enumerate(workload)
-            )
-            conformant_ids = tuple(
-                flow.flow_id for flow in flows if flow.conformant
-            )
-            default_groups = None
-
-        groups = raw.get("groups")
-        if groups is None and scheme.is_hybrid:
-            groups = default_groups
-        if groups is not None:
-            groups = tuple(tuple(int(i) for i in group) for group in groups)
-        if scheme.is_hybrid and groups is None:
-            raise ConfigurationError(f"scheme {scheme.name} requires groups")
-
-        metrics = tuple(str(m) for m in raw.get("metrics", ("utilization",)))
-        for metric in metrics:
-            parse_metric(metric, conformant_ids)  # validate early
-
-        seeds = tuple(int(s) for s in raw.get("seeds", (1,)))
-        if not seeds:
-            raise ConfigurationError("seeds must be non-empty")
-
-        return ScenarioSpec(
-            name=name,
-            scheme=scheme,
-            buffer_bytes=mbytes(buffer_mb),
-            flows=flows,
-            metrics=metrics,
-            link_rate=mbps(float(raw.get("link_mbps", 48.0))),
-            sim_time=float(raw.get("sim_time", 8.0)),
-            seeds=seeds,
-            headroom=mbytes(float(raw.get("headroom_mb", 2.0))),
-            groups=groups,
-            conformant_ids=conformant_ids,
-        )
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """One declarative fabric experiment (multi-node, optional churn)."""
+    """One declarative experiment: a scenario, its seeds and its metrics."""
 
     name: str
     scenario: NetworkScenario
     seeds: tuple[int, ...] = (1,)
+    metrics: tuple[str, ...] = ("utilization",)
+
+    @property
+    def conformant_ids(self) -> tuple[int, ...]:
+        """The static flows a ``:conformant`` metric selects."""
+        return tuple(
+            routed.spec.flow_id for routed in self.scenario.flows if routed.spec.conformant
+        )
 
     @staticmethod
-    def from_dict(raw: dict) -> "NetworkSpec":
-        """Build and validate a network spec from JSON-style data."""
-        try:
-            name = str(raw["name"])
-            network = raw["network"]
-        except KeyError as missing:
-            raise ConfigurationError(f"spec missing required key {missing}") from None
-        if isinstance(network, str):
-            if network != "tandem":
-                raise ConfigurationError(
-                    f"unknown named network {network!r}; valid: tandem, "
-                    "or an inline scenario object"
-                )
-            scenario = demo_tandem(
-                hops=int(raw.get("hops", 3)),
-                sim_time=float(raw.get("sim_time", 8.0)),
-                churn=bool(raw.get("churn", True)),
-                reclamation=bool(raw.get("reclamation", False)),
-            )
-        elif isinstance(network, dict):
-            scenario = NetworkScenario.from_dict(network)
+    def from_dict(raw: dict) -> "ScenarioSpec":
+        """Build and validate a spec from plain JSON-style data.
+
+        The one place either input form becomes a scenario; everything
+        downstream (jobs, pre-flight, tracing, auditing) reads
+        ``spec.scenario``.
+        """
+        if "name" not in raw:
+            raise ConfigurationError("spec missing required key 'name'")
+        if "network" in raw:
+            scenario = _network_scenario(raw)
+            default_metrics = ("delivered", "blocking")
         else:
-            raise ConfigurationError(
-                "'network' must be a named network or a scenario object"
-            )
+            scenario = _one_link_scenario(raw)
+            default_metrics = ("utilization",)
         seeds = tuple(int(s) for s in raw.get("seeds", (1,)))
         if not seeds:
             raise ConfigurationError("seeds must be non-empty")
-        return NetworkSpec(name=name, scenario=scenario, seeds=seeds)
+        spec = ScenarioSpec(
+            name=str(raw["name"]),
+            scenario=scenario,
+            seeds=seeds,
+            metrics=tuple(str(m) for m in raw.get("metrics", default_metrics)),
+        )
+        conformant_ids = spec.conformant_ids
+        for metric in spec.metrics:
+            parse_metric(metric, conformant_ids)  # validate early
+            if metric not in _RECORD_METRICS and len(scenario.links) != 1:
+                raise ConfigurationError(
+                    f"metric {metric!r} reads one link's measurements; this "
+                    f"scenario has {len(scenario.links)} links"
+                )
+        return spec
 
-    def jobs(self) -> list[NetworkJob]:
+    def jobs(self) -> list[ScenarioJob]:
         """The campaign jobs behind this spec: one per seed."""
         return [
-            NetworkJob(dataclasses.replace(self.scenario, seed=seed))
+            ScenarioJob(dataclasses.replace(self.scenario, seed=seed))
             for seed in self.seeds
         ]
-
-
-def run_network_spec(spec: NetworkSpec, runner: CampaignRunner | None = None):
-    """Execute a network spec over its seeds; one record per seed.
-
-    Jobs go through the campaign pipeline (dedup, cache, process pool)
-    exactly like single-port specs; each returned
-    :class:`~repro.experiments.campaign.network.NetworkRecord` pairs with
-    the seed at the same index in ``spec.seeds``.
-    """
-    if runner is None:
-        runner = CampaignRunner()
-    return runner.run(spec.jobs())
 
 
 def _flow_from_dict(index: int, raw: dict) -> FlowSpec:
@@ -254,14 +221,27 @@ def _flow_from_dict(index: int, raw: dict) -> FlowSpec:
     )
 
 
+#: Metrics any record answers, whatever its shape.
+_RECORD_METRICS = {
+    "delivered": lambda record: float(sum(record.delivery_packets.values())),
+    "blocking": lambda record: float(record.blocking_probability()),
+    "events": lambda record: float(record.events_processed),
+}
+
+
 def parse_metric(metric: str, conformant_ids: Sequence[int]):
     """Turn a metric string into (label, extractor).
 
-    Shared by declarative specs and the sweep DSL: ``utilization``,
-    ``loss[:conformant|:ids|:all]`` and ``throughput[:...]`` map to
-    callables over a record's measurement API.
+    Shared by declarative specs and the sweep DSL.  ``utilization``,
+    ``loss[:conformant|:ids|:all]`` and ``throughput[:...]`` read one
+    link's measurements (a multi-link record refuses them);
+    ``delivered`` (packets that reached the end of their route),
+    ``blocking`` (churn blocking probability) and ``events`` work on any
+    record.
     """
     kind, _, argument = metric.partition(":")
+    if metric in _RECORD_METRICS:
+        return metric, _RECORD_METRICS[metric]
     if kind == "utilization":
         return metric, lambda result: 100.0 * result.utilization()
     if kind in ("loss", "throughput"):
@@ -280,25 +260,9 @@ def parse_metric(metric: str, conformant_ids: Sequence[int]):
             lambda result, ids=ids: 8e-6 * result.throughput(ids)  # Mb/s
         )
     raise ConfigurationError(
-        f"unknown metric {metric!r}; use utilization, loss[:ids], throughput[:ids]"
+        f"unknown metric {metric!r}; use utilization, loss[:ids], "
+        f"throughput[:ids], {', '.join(_RECORD_METRICS)}"
     )
-
-
-def jobs_for_spec(spec: ScenarioSpec) -> list[ScenarioJob]:
-    """The campaign jobs behind a spec: one per seed."""
-    return [
-        ScenarioJob(
-            flows=spec.flows,
-            scheme=spec.scheme,
-            buffer_size=spec.buffer_bytes,
-            link_rate=spec.link_rate,
-            sim_time=spec.sim_time,
-            seed=seed,
-            headroom=spec.headroom,
-            groups=spec.groups,
-        )
-        for seed in spec.seeds
-    ]
 
 
 def run_spec(
@@ -314,27 +278,25 @@ def run_spec(
         runner = CampaignRunner()
     extractors = [parse_metric(metric, spec.conformant_ids) for metric in spec.metrics]
     samples: dict[str, list[float]] = {metric: [] for metric in spec.metrics}
-    for record in runner.run(jobs_for_spec(spec)):
+    for record in runner.run(spec.jobs()):
         for label, extractor in extractors:
             samples[label].append(extractor(record))
     return {label: mean_ci(values) for label, values in samples.items()}
 
 
-def load_specs(path: str | pathlib.Path) -> list[ScenarioSpec | NetworkSpec]:
+def load_specs(path: str | pathlib.Path) -> list[ScenarioSpec]:
     """Load one spec or a list of specs from a JSON file.
 
-    Entries with a ``"network"`` key become :class:`NetworkSpec`; the
-    rest are classic single-port :class:`ScenarioSpec`.  The two kinds
-    can be mixed in one file.
+    Entries of either input form can be mixed in one file.
     """
-    raw = json.loads(pathlib.Path(path).read_text())
+    try:
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read spec file: {exc}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"spec file is not valid JSON: {exc}") from None
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list) or not raw:
         raise ConfigurationError("spec file must contain an object or non-empty list")
-    return [
-        NetworkSpec.from_dict(entry)
-        if isinstance(entry, dict) and "network" in entry
-        else ScenarioSpec.from_dict(entry)
-        for entry in raw
-    ]
+    return [ScenarioSpec.from_dict(entry) for entry in raw]

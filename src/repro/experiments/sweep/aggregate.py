@@ -82,15 +82,6 @@ def default_aggregate_path(
 
 # -- metric extraction ----------------------------------------------------
 
-#: Fixed extractors for ``"network"`` sweeps; scenario sweeps go through
-#: :func:`repro.experiments.spec.parse_metric` instead.
-_NETWORK_EXTRACTORS = {
-    "delivered": lambda record: float(sum(record.delivery_packets.values())),
-    "blocking": lambda record: float(record.blocking_probability()),
-    "events": lambda record: float(record.events_processed),
-}
-
-
 def metric_row(spec: SweepSpec, params, record) -> dict:
     """Extract this spec's metric values from one cell's record.
 
@@ -98,12 +89,7 @@ def metric_row(spec: SweepSpec, params, record) -> dict:
     — and the aggregator replaying from cache — produces identical rows
     for identical digests.
     """
-    if spec.kind == "network":
-        return {
-            metric: _NETWORK_EXTRACTORS[metric](record)
-            for metric in spec.metrics
-        }
-    conformant = CONFORMANT_SETS[params["workload"]]
+    conformant = CONFORMANT_SETS.get(params.get("workload"), ())
     row = {}
     for metric in spec.metrics:
         label, extractor = parse_metric(metric, conformant)

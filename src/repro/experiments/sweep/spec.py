@@ -5,15 +5,16 @@ A :class:`SweepSpec` describes a whole campaign — thousands of
 one small, JSON-round-trippable value.  Expansion is *lazy*:
 :meth:`SweepSpec.cells` and :meth:`SweepSpec.jobs` are generators that
 yield one parameter combination (and one content-addressed
-:class:`~repro.experiments.campaign.job.ScenarioJob` /
-:class:`~repro.experiments.campaign.network.NetworkJob`) at a time, so
+:class:`~repro.experiments.campaign.job.ScenarioJob`) at a time, so
 a 10,000-cell grid costs the same peak memory as a 10-cell one.  That
 property is what lets the work-queue runner (:mod:`.queue`) stream a
 grid past the claim files instead of materializing a batch.
 
-Two grid kinds exist:
+Two grid kinds exist — two parameter tables over the one job family
+(every cell is a :class:`ScenarioJob`, i.e. a
+:class:`~repro.experiments.fabric.NetworkScenario`):
 
-* ``"scenario"`` — single-port runs over the paper's named workloads
+* ``"scenario"`` — one-link runs over the paper's named workloads
   (axes over ``workload``, ``scheme``, ``buffer_mb``, ``seed``,
   ``sim_time``, ``warmup``, ``link_mbps``, ``headroom_mb``,
   ``delay_histograms``, ``max_events``);
@@ -38,7 +39,6 @@ from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import ScenarioJob
-from repro.experiments.campaign.network import NetworkJob
 from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.schemes import Scheme
 from repro.experiments.spec import (
@@ -91,9 +91,9 @@ NETWORK_DEFAULTS: dict = {
 
 _DEFAULTS_BY_KIND = {"scenario": SCENARIO_DEFAULTS, "network": NETWORK_DEFAULTS}
 
-#: Metric sets offered per kind; ``"scenario"`` metrics go through
-#: :func:`repro.experiments.spec.parse_metric`, network ones are fixed
-#: record extractors (see :mod:`.aggregate`).
+#: Metric sets offered per kind, all in the one
+#: :func:`repro.experiments.spec.parse_metric` grammar: ``"scenario"``
+#: grids take any metric, network ones the shape-independent three.
 DEFAULT_METRICS = {
     "scenario": ("utilization", "loss"),
     "network": ("delivered", "blocking"),
@@ -372,11 +372,11 @@ class SweepSpec:
             total += 1
         return total
 
-    def job_for_cell(self, params: Mapping) -> ScenarioJob | NetworkJob:
+    def job_for_cell(self, params: Mapping) -> ScenarioJob:
         """The content-addressed job executing one cell."""
         if self.kind == "network":
-            return NetworkJob(
-                scenario=demo_tandem(
+            return ScenarioJob(
+                demo_tandem(
                     hops=int(params["hops"]),
                     seed=int(params["seed"]),
                     sim_time=float(params["sim_time"]),
@@ -391,10 +391,10 @@ class SweepSpec:
         scheme = Scheme[params["scheme"]]
         warmup = params["warmup"]
         max_events = params["max_events"]
-        return ScenarioJob(
-            flows=tuple(WORKLOADS[workload]()),
-            scheme=scheme,
-            buffer_size=mbytes(float(params["buffer_mb"])),
+        return ScenarioJob.for_scenario(
+            WORKLOADS[workload](),
+            scheme,
+            mbytes(float(params["buffer_mb"])),
             link_rate=mbps(float(params["link_mbps"])),
             sim_time=float(params["sim_time"]),
             warmup=None if warmup is None else float(warmup),
@@ -405,7 +405,7 @@ class SweepSpec:
             max_events=None if max_events is None else int(max_events),
         )
 
-    def jobs(self) -> Iterator[tuple[dict, ScenarioJob | NetworkJob]]:
+    def jobs(self) -> Iterator[tuple[dict, ScenarioJob]]:
         """Lazily yield ``(cell params, job)`` pairs in cell order."""
         for params in self.cells():
             yield params, self.job_for_cell(params)

@@ -22,9 +22,6 @@ __all__ = [
     "DelaySummary",
     "flow_stats_to_dict",
     "flow_stats_from_dict",
-    "link_measurements",
-    "link_measurements_to_dict",
-    "link_measurements_from_dict",
 ]
 
 #: Percentile grid extracted from delay histograms.  Eager extraction
@@ -128,58 +125,3 @@ def flow_stats_from_dict(raw: dict) -> FlowStats:
         delay_sum=float(raw["delay_sum"]),
         delay_max=float(raw["delay_max"]),
     )
-
-
-def link_measurements(link) -> dict:
-    """One link's measurements as record fields, in canonical (sorted) order.
-
-    ``link`` is any live result carrying ``flow_stats``, ``thresholds``,
-    ``queue_rates`` and ``queue_buffers``: a single-port scenario result
-    or one link of a fabric result.  Both record families store exactly
-    these four fields, (de)serialized by the two functions below.
-    """
-    return {
-        "flow_stats": {i: link.flow_stats[i] for i in sorted(link.flow_stats)},
-        "thresholds": {i: link.thresholds[i] for i in sorted(link.thresholds)},
-        "queue_rates": None if link.queue_rates is None else tuple(link.queue_rates),
-        "queue_buffers": None
-        if link.queue_buffers is None
-        else tuple(link.queue_buffers),
-    }
-
-
-def link_measurements_to_dict(record) -> dict:
-    """JSON-friendly form of the fields :func:`link_measurements` built."""
-    return {
-        "flow_stats": {
-            str(i): flow_stats_to_dict(record.flow_stats[i])
-            for i in sorted(record.flow_stats)
-        },
-        "thresholds": {
-            str(i): float(record.thresholds[i]) for i in sorted(record.thresholds)
-        },
-        "queue_rates": None
-        if record.queue_rates is None
-        else [float(value) for value in record.queue_rates],
-        "queue_buffers": None
-        if record.queue_buffers is None
-        else [float(value) for value in record.queue_buffers],
-    }
-
-
-def link_measurements_from_dict(raw: dict) -> dict:
-    """Record fields rebuilt from :func:`link_measurements_to_dict` output."""
-    queue_rates = raw.get("queue_rates")
-    queue_buffers = raw.get("queue_buffers")
-    return {
-        "flow_stats": {
-            int(i): flow_stats_from_dict(entry)
-            for i, entry in sorted(raw["flow_stats"].items(), key=lambda kv: int(kv[0]))
-        },
-        "thresholds": {
-            int(i): float(value)
-            for i, value in sorted(raw["thresholds"].items(), key=lambda kv: int(kv[0]))
-        },
-        "queue_rates": None if queue_rates is None else tuple(queue_rates),
-        "queue_buffers": None if queue_buffers is None else tuple(queue_buffers),
-    }

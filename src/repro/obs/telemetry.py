@@ -1,8 +1,9 @@
 """Run telemetry: what the campaign pipeline did, and how fast.
 
-Every executed :class:`~repro.experiments.campaign.job.ScenarioJob`
-yields one :class:`JobTelemetry` — wall time, simulated event count,
-cache hit/miss, worker id.  A batch of telemetries aggregates into a
+Every executed :class:`~repro.experiments.campaign.job.ScenarioJob` — a
+single port or a tandem with churn, there is one job family — yields
+one :class:`JobTelemetry`: wall time, simulated event count, cache
+hit/miss, worker id.  A batch of telemetries aggregates into a
 :class:`CampaignReport`, which keeps one wall-time
 :class:`~repro.metrics.histogram.LogHistogram` *per worker* and merges
 them (:meth:`~repro.metrics.histogram.LogHistogram.merge`) for the

@@ -19,6 +19,13 @@ them count two calls an event (the generated ``__new__`` and
 ceilings therefore sit ~5% above the measured count whichever way a
 change moves it, as a tripwire for the call chain; ``cops_per_pkt`` on
 the ``tandem-observed`` benchmark workload is the judge of cost.
+
+The same counter, inverted, pins the other half of a campaign's cost:
+what one sweep cell spends *outside* ``Simulator.run`` — expanding the
+grid, building and digesting the job, claim traffic, pre-flight, fabric
+build, record, ``cache.put``, shard append — on a cold pass, a warm
+pass and an aggregation (``FIXED_COST_ROWS``).  Wall-time gates cannot
+resolve it (``setup_s`` spreads 26-64% run to run); a call count can.
 """
 
 import gc
@@ -26,6 +33,7 @@ import sys
 
 import pytest
 
+from repro.experiments.campaign import ResultCache
 from repro.experiments.fabric import (
     ChurnSpec,
     LinkSpec,
@@ -36,6 +44,12 @@ from repro.experiments.fabric import (
 from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
+from repro.experiments.sweep import (
+    SweepAxis,
+    SweepSpec,
+    aggregate_sweep,
+    run_sweep_worker,
+)
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
 from repro.obs.monitor import ConformanceMonitor
 from repro.obs.sink import RingSink
@@ -156,19 +170,23 @@ NETWORK_PINS = {
 }
 
 
-def count_calls(run):
-    """``(calls between Simulator.run entry and exit, run's result)``."""
+def count_calls(run, outside=False):
+    """``(calls between Simulator.run entry and exit, run's result)``.
+
+    With ``outside=True`` the complement: every call ``run`` makes while
+    *not* inside ``Simulator.run``.
+    """
     run_code = Simulator.run.__code__
     state = {"inside": False, "calls": 0}
 
     def profiler(frame, event, arg):
-        if state["inside"]:
-            if event == "call" or event == "c_call":
+        if event == "call" or event == "c_call":
+            if not state["inside"] and frame.f_code is run_code and event == "call":
+                state["inside"] = True  # the entry itself belongs to neither side
+            elif state["inside"] != outside:
                 state["calls"] += 1
-            elif event == "return" and frame.f_code is run_code:
-                state["inside"] = False
-        elif event == "call" and frame.f_code is run_code:
-            state["inside"] = True
+        elif event == "return" and state["inside"] and frame.f_code is run_code:
+            state["inside"] = False
 
     # A collection inside the run would add the finalizers of whatever
     # garbage earlier tests left behind to the count.
@@ -229,3 +247,79 @@ def test_timeline_cost_is_per_tick_not_per_packet():
     assert sampled.events_processed == detached.events_processed + timeline.ticks
     # Measured 24.98 extra calls per tick.
     assert calls - detached_calls <= 26.5 * timeline.ticks
+
+
+#: The two shapes of sweep: ten one-link cells over the five scheme
+#: families of the ``sweep-smallcells`` benchmark workload, and four
+#: reference-tandem cells with churn.
+FIXED_COST_SCHEMES = (
+    "FIFO_THRESHOLD", "FIFO_SHARING", "WFQ_THRESHOLD", "WFQ_SHARING", "HYBRID_SHARING"
+)
+FIXED_COST_SWEEPS = {
+    "one-link": SweepSpec(
+        name="budget-one-link",
+        axes=(
+            SweepAxis("scheme", FIXED_COST_SCHEMES),
+            SweepAxis("seed", (1, 2)),
+        ),
+        base={"sim_time": 0.1, "warmup": 0.0},
+    ),
+    "network": SweepSpec(
+        name="budget-network",
+        kind="network",
+        axes=(SweepAxis("hops", (2, 3)), SweepAxis("seed", (1, 2))),
+        base={"sim_time": 0.2},
+    ),
+}
+
+#: sweep -> ceilings on Python + C calls per cell outside
+#: ``Simulator.run``: (cold pass, warm pass, aggregation).  Measured
+#: 1,263.1 / 272.9 / 404.9 one-link and 1,316.5 / 267.75 / 388.5 on the
+#: network sweep.  With the job a flat dataclass, two record families and
+#: indented cache entries the same counter read 3,463.5 / 171.7 / 303.7
+#: and 3,820.0 / 266.75 / 387.5: a warm or aggregated one-link cell now
+#: builds and digests a whole validated scenario (+101 calls), a cold one
+#: no longer pays the pure-Python JSON encoder ~3,100 calls to indent its
+#: cache entry.  Ceilings sit ~5% above the counts; lowering the counts
+#: (grid expanded once per pass, ``Network`` built once per topology) is
+#: what the rows are for.
+FIXED_COST_ROWS = {
+    "one-link": (1326.0, 286.5, 425.0),
+    "network": (1382.0, 281.0, 408.0),
+}
+
+
+def fixed_cost(spec, root):
+    """Calls outside ``Simulator.run`` for cold / warm / aggregate, per cell."""
+    cells = spec.count()
+    caches = [ResultCache(root) for _ in range(3)]
+    cold_calls, cold = count_calls(
+        lambda: run_sweep_worker(spec, caches[0], owner="t", preflight=True),
+        outside=True,
+    )
+    warm_calls, warm = count_calls(
+        lambda: run_sweep_worker(spec, caches[1], owner="t", preflight=True),
+        outside=True,
+    )
+    aggregate_calls, aggregate = count_calls(
+        lambda: aggregate_sweep(spec, caches[2]), outside=True
+    )
+    assert cold.executed == cells and cold.outstanding == 0
+    assert warm.executed == 0 and warm.outstanding == 0
+    assert aggregate["cells"] == cells
+    return tuple(calls / cells for calls in (cold_calls, warm_calls, aggregate_calls))
+
+
+@pytest.mark.parametrize("sweep", list(FIXED_COST_ROWS))
+def test_fixed_cost_per_cell_within_budget(sweep, tmp_path):
+    spec = FIXED_COST_SWEEPS[sweep]
+    fixed_cost(spec, tmp_path / "lazy-imports")  # thrown away: takes them
+    first = fixed_cost(spec, tmp_path / "first")
+    assert fixed_cost(spec, tmp_path / "second") == first, "the count must repeat"
+    for stage, measured, ceiling in zip(
+        ("cold", "warm", "aggregate"), first, FIXED_COST_ROWS[sweep]
+    ):
+        assert measured <= ceiling, (
+            f"{sweep} {stage}: {measured:.2f} calls/cell outside Simulator.run "
+            f"exceeds the committed ceiling {ceiling}; a cell's fixed cost grew"
+        )

@@ -15,9 +15,8 @@ FLOWS = table1_flows()
 
 @pytest.fixture(scope="module")
 def record_and_job():
-    job = ScenarioJob(
-        flows=FLOWS, scheme=Scheme.FIFO_THRESHOLD, buffer_size=mbytes(1),
-        sim_time=0.5, warmup=0.1, seed=3,
+    job = ScenarioJob.for_scenario(
+        FLOWS, Scheme.FIFO_THRESHOLD, mbytes(1), sim_time=0.5, warmup=0.1, seed=3
     )
     return execute_job(job), job
 
@@ -52,7 +51,7 @@ class TestHitMiss:
         record, _job = record_and_job
         path = cache.put(record)
         raw = json.loads(path.read_text())
-        assert raw["schema"] == "repro-campaign-v1"
+        assert raw["schema"] == "repro-campaign-v2"
         assert raw["job_digest"] == record.job_digest
 
 

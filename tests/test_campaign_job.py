@@ -1,20 +1,42 @@
-"""ScenarioJob: digest stability, serialization, validation."""
+"""The campaign pipeline, once per scenario shape.
 
+A job is a scenario and a record is its links, so every behaviour the
+pipeline promises — digest stability and field sensitivity, JSON and
+pickle round-trips, schema refusal, cache put/get, deduplication,
+serial == parallel — is asserted by one suite over two shapes: the
+paper's Table-1 port (the one-link case) and the three-hop reference
+tandem with churn and live reclamation.  What only one shape can show
+(the one-link measurement API; delivery counters and the churn report)
+sits beside the shared tests, unparametrised.
+"""
+
+import dataclasses
+import inspect
 import json
 import pickle
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import CAMPAIGN_SCHEMA, ScenarioJob
+from repro.experiments.campaign import (
+    CAMPAIGN_SCHEMA,
+    CampaignRunner,
+    ResultCache,
+    ScenarioJob,
+    ScenarioRecord,
+    execute_job,
+)
+from repro.experiments.fabric import NetworkScenario
+from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
+from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
 from repro.units import mbytes
 
 FLOWS = table1_flows()
 
-# A pinned digest for a fully-pinned job.  If this test starts failing,
-# either a job field changed meaning (bump CAMPAIGN_SCHEMA!) or digesting
+# A fully-pinned one-link job.  If its digest tests start failing, either
+# a scenario field changed meaning (bump CAMPAIGN_SCHEMA!) or digesting
 # became platform-dependent (a bug: the cache must be shareable).
 PINNED_JOB = dict(
     flows=FLOWS,
@@ -25,21 +47,81 @@ PINNED_JOB = dict(
     seed=7,
 )
 
+#: The schema tags this repo used to write; none of them loads any more.
+RETIRED_SCHEMAS = ("repro-campaign-v0", "repro-campaign-v1", "repro-campaign-net-v3")
+
 
 def make_job(**overrides):
     kwargs = dict(PINNED_JOB)
     kwargs.update(overrides)
-    return ScenarioJob(**kwargs)
+    flows, scheme, buffer_size = (
+        kwargs.pop(key) for key in ("flows", "scheme", "buffer_size")
+    )
+    return ScenarioJob.for_scenario(flows, scheme, buffer_size, **kwargs)
+
+
+def tandem_job(seed=7, **overrides):
+    options = dict(hops=3, sim_time=2.0, churn=True, reclamation=True)
+    options.update(overrides)
+    return ScenarioJob(demo_tandem(seed=seed, **options))
+
+
+#: shape -> seed -> job, cheap enough to execute a handful of times.
+SHAPES = {
+    "one-link": lambda seed=7: make_job(sim_time=0.5, warmup=0.1, seed=seed),
+    "tandem": tandem_job,
+}
+
+
+@pytest.fixture(params=list(SHAPES))
+def shape(request):
+    return SHAPES[request.param]
+
+
+@pytest.fixture(scope="module", params=list(SHAPES))
+def executed(request):
+    """One executed job/record pair per shape, shared by the read-only tests."""
+    job = SHAPES[request.param]()
+    return job, execute_job(job)
+
+
+def canonical(record):
+    return json.dumps(record.to_dict(), sort_keys=True)
 
 
 class TestDigest:
-    def test_digest_is_stable_across_instances(self):
-        assert make_job().digest() == make_job().digest()
+    def test_digest_is_stable_across_instances(self, shape):
+        assert shape().digest() == shape().digest()
 
-    def test_digest_is_hex_sha256(self):
-        digest = make_job().digest()
+    def test_digest_is_hex_sha256(self, shape):
+        digest = shape().digest()
         assert len(digest) == 64
         int(digest, 16)  # raises if not hex
+
+    def test_digest_covers_the_seed(self, shape):
+        assert shape(seed=1).digest() != shape(seed=2).digest()
+
+    def test_schema_tag_participates(self, shape):
+        assert shape().to_dict()["schema"] == CAMPAIGN_SCHEMA == "repro-campaign-v2"
+
+    def test_digest_is_computed_once_outside_the_fields(self, shape, monkeypatch):
+        calls = []
+        to_dict = ScenarioJob.to_dict
+        monkeypatch.setattr(
+            ScenarioJob, "to_dict", lambda self: calls.append(1) or to_dict(self)
+        )
+        job = shape()
+        assert job.digest() == job.digest() == job.digest()
+        assert len(calls) == 1
+        # The memo is no field: equality, hashing and the serialized form
+        # are those of a job that never digested …
+        assert [f.name for f in dataclasses.fields(job)] == ["scenario"]
+        assert job == shape() and hash(job) == hash(shape())
+        assert to_dict(job) == to_dict(shape())
+        # … and it crosses a process pool with the job.
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and clone.digest() == job.digest()
+        assert len(calls) == 1
 
     def test_list_and_tuple_flows_hash_equal(self):
         as_list = make_job(flows=list(FLOWS))
@@ -68,43 +150,61 @@ class TestDigest:
     def test_any_field_change_changes_digest(self, change):
         assert make_job(**change).digest() != make_job().digest()
 
-    def test_schema_tag_participates(self):
-        assert make_job().to_dict()["schema"] == CAMPAIGN_SCHEMA
+    @pytest.mark.parametrize(
+        "change", [{"churn": False}, {"reclamation": False}, {"hops": 2}]
+    )
+    def test_digest_covers_churn_and_topology(self, change):
+        assert tandem_job(**change).digest() != tandem_job().digest()
 
 
 class TestRoundTrips:
-    def test_json_round_trip_preserves_job_and_digest(self):
-        job = make_job(groups=CASE1_GROUPS, delay_histograms=True)
+    def test_json_round_trip_preserves_job_and_digest(self, shape):
+        job = shape()
         rebuilt = ScenarioJob.from_dict(json.loads(json.dumps(job.to_dict())))
         assert rebuilt == job
         assert rebuilt.digest() == job.digest()
-        # A dict written while jobs could still pin an event-queue
-        # backend loads to the same job: results were byte-identical
-        # across backends, so dropping the key is result-neutral.
-        stale = ScenarioJob.from_dict(dict(job.to_dict(), equeue="heap"))
+        # Keys a later writer adds beside the known ones load and are
+        # ignored; the digest is of the job, not of the file.
+        raw = job.to_dict()
+        stale = ScenarioJob.from_dict(
+            dict(raw, scenario=dict(raw["scenario"], equeue="heap"), note="x")
+        )
         assert stale == job
         assert stale.digest() == job.digest()
 
-    def test_pickle_round_trip_preserves_job_and_digest(self):
-        job = make_job(max_events=500_000)
+    def test_pickle_round_trip_preserves_job_and_digest(self, shape):
+        job = shape()
         rebuilt = pickle.loads(pickle.dumps(job))
         assert rebuilt == job
         assert rebuilt.digest() == job.digest()
 
-    def test_from_dict_rejects_wrong_schema(self):
-        raw = make_job().to_dict()
-        raw["schema"] = "repro-campaign-v0"
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("schema", RETIRED_SCHEMAS)
+    def test_from_dict_rejects_wrong_schema(self, shape, schema):
+        raw = shape().to_dict()
+        raw["schema"] = schema
+        with pytest.raises(ConfigurationError, match="schema"):
             ScenarioJob.from_dict(raw)
+
+    def test_from_dict_refuses_a_flat_v1_job_dict(self):
+        # What `ScenarioJob.to_dict` wrote before a job was a scenario.
+        flat = {
+            "schema": "repro-campaign-v1",
+            "flows": [flow.to_dict() for flow in FLOWS],
+            "scheme": "FIFO_THRESHOLD",
+            "buffer_size": mbytes(1),
+            "seed": 7,
+        }
+        with pytest.raises(ConfigurationError, match="repro-campaign-v1"):
+            ScenarioJob.from_dict(flat)
 
     def test_from_dict_rejects_unknown_scheme(self):
         raw = make_job().to_dict()
-        raw["scheme"] = "QUANTUM_FAIRNESS"
-        with pytest.raises(ConfigurationError):
+        raw["scenario"]["nodes"][0]["scheme"] = "QUANTUM_FAIRNESS"
+        with pytest.raises(ConfigurationError, match="FIFO_THRESHOLD"):
             ScenarioJob.from_dict(raw)
 
-    def test_job_is_hashable(self):
-        assert len({make_job(), make_job(), make_job(seed=9)}) == 2
+    def test_job_is_hashable(self, shape):
+        assert len({shape(), shape(), shape(seed=9)}) == 2
 
 
 class TestValidation:
@@ -134,19 +234,168 @@ class TestValidation:
             )
 
     def test_for_scenario_matches_direct_construction(self):
-        built = ScenarioJob.for_scenario(
-            FLOWS, Scheme.FIFO_THRESHOLD, mbytes(1),
-            sim_time=2.0, warmup=0.25, seed=7,
+        direct = ScenarioJob(
+            NetworkScenario.single_node(
+                FLOWS, Scheme.FIFO_THRESHOLD, mbytes(1),
+                sim_time=2.0, warmup=0.25, seed=7,
+            )
         )
-        assert built == make_job()
+        assert direct == make_job()
+        assert direct.digest() == make_job().digest()
 
-
-class TestScenarioKwargs:
-    def test_kwargs_cover_every_runner_parameter(self):
-        kwargs = make_job(groups=CASE1_GROUPS).scenario_kwargs()
-        assert kwargs["seed"] == 7
-        assert kwargs["groups"] == CASE1_GROUPS
-        assert set(kwargs) == {
-            "link_rate", "sim_time", "warmup", "seed", "headroom",
-            "groups", "packet_size", "delay_histograms", "max_events",
+    def test_for_scenario_accepts_exactly_run_scenarios_keywords(self):
+        # Everything run_scenario takes that describes the run; what only
+        # observes it (sink, registry, timeline, monitor) is no job input.
+        observers = {"sink", "registry", "timeline", "monitor"}
+        parameters = inspect.signature(run_scenario).parameters
+        defaults = {
+            name: parameter.default
+            for name, parameter in parameters.items()
+            if name not in observers | {"flows", "scheme", "buffer_size"}
         }
+        port = (FLOWS, Scheme.FIFO_NONE, mbytes(1))
+        assert ScenarioJob.for_scenario(*port, **defaults) == ScenarioJob.for_scenario(*port)
+        for observer in observers:
+            with pytest.raises(ConfigurationError, match="unknown scenario"):
+                ScenarioJob.for_scenario(*port, **{observer: None})
+
+
+class TestExecuteJob:
+    def test_returns_a_record_with_telemetry(self, executed):
+        job, record = executed
+        assert isinstance(record, ScenarioRecord)
+        assert record.job_digest == job.digest()
+        assert record.seed == job.scenario.seed
+        assert set(record.links) == {link.label for link in job.scenario.links}
+        assert record.telemetry is not None
+        assert record.telemetry.cache_hit is False
+        assert record.telemetry.events == record.events_processed > 0
+
+    def test_record_round_trips(self, executed):
+        _job, record = executed
+        raw = json.loads(json.dumps(record.to_dict()))
+        assert raw["schema"] == CAMPAIGN_SCHEMA
+        assert ScenarioRecord.from_dict(raw) == record
+        assert canonical(ScenarioRecord.from_dict(raw)) == canonical(record)
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and canonical(clone) == canonical(record)
+
+    @pytest.mark.parametrize("schema", RETIRED_SCHEMAS)
+    def test_record_from_dict_rejects_wrong_schema(self, executed, schema):
+        _job, record = executed
+        with pytest.raises(ConfigurationError, match="schema"):
+            ScenarioRecord.from_dict(dict(record.to_dict(), schema=schema))
+
+    def test_one_link_record_answers_the_one_link_api(self):
+        job = SHAPES["one-link"]()
+        record = execute_job(job)
+        (link,) = record.links.values()
+        assert record.flow_stats is link.flow_stats
+        assert sorted(record.flow_stats) == [flow.flow_id for flow in FLOWS]
+        assert record.thresholds == link.thresholds
+        assert (record.link_rate, record.buffer_size) == (link.rate, mbytes(1))
+        assert record.queue_rates is None and record.queue_buffers is None
+        assert 0.0 < record.utilization() <= 1.0
+        assert record.loss_fraction(range(6)) == 0.0
+        # Nothing is counted a second time past the only link.
+        assert record.delivery_packets == {} and record.churn is None
+        assert record.blocking_probability() == 0.0
+
+    def test_silent_static_flow_still_has_its_entry(self):
+        # A 0.05 s window is too short for some Table-1 sources to turn
+        # on; the record accounts for every flow it was configured with.
+        job = make_job(sim_time=0.05, warmup=0.0, delay_histograms=True)
+        record = execute_job(job)
+        silent = [i for i, fs in record.flow_stats.items() if fs.offered_packets == 0]
+        assert silent and sorted(record.flow_stats) == sorted(record.delays)
+        assert all(record.delays[i].count == 0 for i in silent)
+
+    def test_tandem_record_carries_the_fabric_measurements(self):
+        record = execute_job(tandem_job(delay_histograms=True))
+        assert set(record.links) == {"n0->n1", "n1->n2", "n2->n3"}
+        assert record.delivery_packets[TARGET_FLOW_ID] > 0
+        assert record.delivery_bytes[TARGET_FLOW_ID] > 0.0
+        assert record.churn is not None
+        assert 0.0 <= record.blocking_probability() <= 1.0
+        assert record.delay_percentile(TARGET_FLOW_ID, 50.0) > 0.0
+
+    def test_multi_link_record_refuses_one_link_measurements(self):
+        record = execute_job(tandem_job(sim_time=0.5))
+        for read in (
+            lambda: record.flow_stats,
+            lambda: record.thresholds,
+            lambda: record.link_rate,
+            lambda: record.utilization(),
+            lambda: record.loss_fraction(),
+        ):
+            with pytest.raises(ConfigurationError, match="3 links"):
+                read()
+
+
+class TestResultCache:
+    def test_put_get_round_trip(self, executed, tmp_path):
+        job, record = executed
+        cache = ResultCache(tmp_path)
+        cache.put(record)
+        cached = cache.get(job.digest())
+        assert isinstance(cached, ScenarioRecord)
+        assert cached == record
+
+    @pytest.mark.parametrize("schema", RETIRED_SCHEMAS)
+    def test_entry_under_a_retired_schema_is_a_miss(self, executed, tmp_path, schema):
+        job, record = executed
+        cache = ResultCache(tmp_path)
+        path = cache.put(record)
+        path.write_text(json.dumps(dict(record.to_dict(), schema=schema)))
+        assert cache.get(job.digest()) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_runner_replays_jobs_from_cache(self, shape, tmp_path):
+        jobs = [shape(seed=seed) for seed in (1, 2)]
+        cold = CampaignRunner(cache=ResultCache(tmp_path))
+        first = cold.run(jobs)
+        assert cold.last_stats.executed == 2
+        warm = CampaignRunner(cache=ResultCache(tmp_path))
+        second = warm.run(jobs)
+        assert warm.last_stats.cache_hits == 2
+        assert warm.last_stats.executed == 0
+        assert second == first
+        assert all(record.telemetry.cache_hit for record in second)
+
+
+class TestParallelism:
+    def test_parallel_run_matches_serial(self, shape):
+        # The same seeded jobs produce identical records — blocking
+        # probabilities included — whether simulated in-process or
+        # across a process pool.
+        jobs = [shape(seed=seed) for seed in (1, 2, 3)]
+        serial = CampaignRunner(workers=1).run(jobs)
+        parallel = CampaignRunner(workers=2).run(jobs)
+        assert serial == parallel
+        assert [canonical(r) for r in serial] == [canonical(r) for r in parallel]
+
+    def test_duplicate_jobs_simulate_once(self, shape):
+        runner = CampaignRunner()
+        records = runner.run([shape(seed=7), shape(seed=7)])
+        assert runner.last_stats.submitted == 2
+        assert runner.last_stats.unique == 1
+        assert records[0] is records[1]
+
+    def test_mixed_batch_serial_parallel_and_replay_are_byte_identical(self, tmp_path):
+        # Both shapes in one batch, through one runner, into one cache
+        # directory under the one tag.
+        jobs = [make(seed=seed) for seed in (1, 2) for make in SHAPES.values()]
+        serial = CampaignRunner(workers=1).run(jobs)
+        pooled = CampaignRunner(workers=2, cache=ResultCache(tmp_path))
+        parallel = pooled.run(jobs)
+        assert pooled.last_stats.executed == len(jobs)
+        replay = CampaignRunner(workers=2, cache=ResultCache(tmp_path))
+        cached = replay.run(jobs)
+        assert replay.last_stats.executed == 0
+        assert (
+            [canonical(r) for r in serial]
+            == [canonical(r) for r in parallel]
+            == [canonical(r) for r in cached]
+        )
+        for path in ResultCache(tmp_path).entries():
+            assert json.loads(path.read_text())["schema"] == CAMPAIGN_SCHEMA

@@ -1,5 +1,6 @@
 """CampaignRunner: ordering, deduplication, caching, parallel == serial."""
 
+import dataclasses
 import json
 import pickle
 
@@ -23,9 +24,7 @@ FAST = dict(sim_time=0.5, warmup=0.1)
 def sweep_jobs():
     """A miniature Figure-1-style sweep: schemes x buffers x seeds."""
     return [
-        ScenarioJob(
-            flows=FLOWS, scheme=scheme, buffer_size=buffer, seed=seed, **FAST
-        )
+        ScenarioJob.for_scenario(FLOWS, scheme, buffer, seed=seed, **FAST)
         for scheme in (Scheme.FIFO_NONE, Scheme.FIFO_THRESHOLD)
         for buffer in (mbytes(0.5), mbytes(1))
         for seed in (1, 2)
@@ -43,8 +42,8 @@ class TestSerialExecution:
         assert len(records) == len(jobs)
         for job, record in zip(jobs, records):
             assert record.job_digest == job.digest()
-            assert record.scheme is job.scheme
-            assert record.seed == job.seed
+            assert record.seed == job.scenario.seed
+            assert record.buffer_size == job.scenario.nodes[0].buffer_size
 
     def test_record_matches_direct_execution(self):
         job = sweep_jobs()[0]
@@ -111,8 +110,7 @@ class TestCaching:
         runner.run([job])
 
         changed = ScenarioJob(
-            flows=job.flows, scheme=job.scheme,
-            buffer_size=job.buffer_size, seed=job.seed + 100, **FAST
+            dataclasses.replace(job.scenario, seed=job.scenario.seed + 100)
         )
         runner.run([changed])
         assert runner.last_stats.cache_hits == 0
@@ -137,37 +135,41 @@ class TestValidation:
             CampaignRunner(chunk_size=0)
 
 
+def with_buffers(scenario, buffer_size):
+    """The scenario with every forwarding node's buffer set to ``buffer_size``."""
+    return dataclasses.replace(
+        scenario,
+        nodes=tuple(
+            node
+            if node.buffer_size is None
+            else dataclasses.replace(node, buffer_size=buffer_size)
+            for node in scenario.nodes
+        ),
+    )
+
+
 class TestPreflight:
     """The invariant audit that runs before any simulation time is spent."""
 
-    def _network_job(self, *, buffer_size=None):
-        import dataclasses
-
-        from repro.experiments.campaign.network import NetworkJob
+    def _churn_job(self, *, buffer_size=None):
         from repro.experiments.fabric.demo import demo_tandem
 
         scenario = demo_tandem(hops=2, sim_time=0.5, delay_histograms=False)
         if buffer_size is not None:
-            scenario = dataclasses.replace(
-                scenario,
-                nodes=tuple(
-                    node
-                    if node.buffer_size is None
-                    else dataclasses.replace(node, buffer_size=buffer_size)
-                    for node in scenario.nodes
-                ),
-            )
-        return NetworkJob(scenario=scenario)
+            scenario = with_buffers(scenario, buffer_size)
+        return ScenarioJob(scenario)
 
     def test_clean_scenario_passes_preflight(self):
-        job = self._network_job()
+        job = self._churn_job()
         [record] = CampaignRunner(preflight=True).run([job])
         assert record.job_digest == job.digest()
 
     def test_infeasible_scenario_rejected_before_execution(self):
+        # A churn scenario outside its admission region is refused before
+        # anything runs — a clean one-link job in the batch included.
         runner = CampaignRunner(preflight=True)
         with pytest.raises(ConfigurationError, match="pre-flight"):
-            runner.run([self._network_job(buffer_size=2000.0)])
+            runner.run([sweep_jobs()[0], self._churn_job(buffer_size=2000.0)])
         assert runner.last_stats is None  # nothing executed
 
     def test_preflight_off_by_default(self):
@@ -176,12 +178,40 @@ class TestPreflight:
         # the run, not the auditor.
         runner = CampaignRunner()
         with pytest.raises(ConfigurationError) as excinfo:
-            runner.run([self._network_job(buffer_size=2000.0)])
+            runner.run([self._churn_job(buffer_size=2000.0)])
         assert "pre-flight" not in str(excinfo.value)
 
-    def test_single_port_jobs_skip_preflight(self):
-        [record] = CampaignRunner(preflight=True).run([sweep_jobs()[0]])
+    def test_overloaded_one_link_job_passes_preflight_and_executes(self):
+        # Under-buffering Table 1 (0.05 MB) is the paper's own overload
+        # method: the auditor warns, pre-flight acts on errors only.
+        from repro.check.invariants import check_scenario
+
+        job = ScenarioJob.for_scenario(
+            FLOWS, Scheme.FIFO_THRESHOLD, mbytes(0.05), seed=1, **FAST
+        )
+        findings = check_scenario(job.scenario)
+        assert findings and {f.severity for f in findings} == {"warning"}
+        [record] = CampaignRunner(preflight=True).run([job])
         assert record.events_processed > 0
+        assert record.loss_fraction() > 0.0
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("buffer_mb", [0.01, 0.05, 1.0])
+    def test_churnless_scenario_never_yields_an_error_finding(self, scheme, buffer_mb):
+        # What lets pre-flight audit churn scenarios only: without churn
+        # no finding is error-severity, however overloaded the scenario.
+        from repro.check.invariants import check_scenario
+        from repro.experiments.fabric.demo import demo_tandem
+        from repro.experiments.workloads import CASE1_GROUPS
+
+        port = ScenarioJob.for_scenario(
+            FLOWS, scheme, mbytes(buffer_mb),
+            groups=CASE1_GROUPS if scheme.is_hybrid else None,
+        ).scenario
+        squeezed = with_buffers(demo_tandem(hops=3, churn=False), mbytes(buffer_mb))
+        for scenario in (port, squeezed):
+            assert scenario.churn is None
+            assert all(f.severity == "warning" for f in check_scenario(scenario))
 
 
 class TestMonitoredJobs:
@@ -224,14 +254,13 @@ class TestMonitoredJobs:
         assert monitored_dict == plain_dict
 
     def test_monitored_network_job_reports_conformance(self, monkeypatch):
-        from repro.experiments.campaign.network import NetworkJob
         from repro.experiments.fabric.demo import demo_tandem
 
         monkeypatch.setenv("REPRO_MONITOR", "1")
         scenario = demo_tandem(
             hops=2, sim_time=0.5, churn=False, delay_histograms=False
         )
-        record = execute_job(NetworkJob(scenario=scenario))
+        record = execute_job(ScenarioJob(scenario))
         assert record.monitor is not None
         assert record.monitor.ok, record.monitor.render()
         assert record.timeline_summary.series

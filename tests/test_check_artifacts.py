@@ -38,7 +38,7 @@ class TestSchemaFamily:
         assert schema_family("repro-trace-vNaN") == ""
 
     def test_every_known_tag_maps_back_to_its_family(self):
-        assert len(KNOWN_SCHEMAS) == 10
+        assert len(KNOWN_SCHEMAS) == 9
         for family, tag in KNOWN_SCHEMAS.items():
             assert schema_family(tag) == family
 
@@ -55,6 +55,20 @@ class TestJsonArtifacts:
         findings = check_artifact_file(target)
         assert codes(findings) == ["RPR205"]
         assert "drift" in findings[0].message
+
+    def test_retired_campaign_tags(self, tmp_path):
+        # One campaign family, one tag: a flat one-port entry from before
+        # a job was a scenario is drift, the fabric's own family is gone.
+        reports = {}
+        for tag in ("repro-campaign-v1", "repro-campaign-net-v3"):
+            target = tmp_path / f"{tag}.json"
+            target.write_text(json.dumps({"schema": tag}), encoding="utf-8")
+            [finding] = check_artifact_file(target)
+            assert finding.rule_id == "RPR205"
+            reports[tag] = finding.message
+        assert "drift" in reports["repro-campaign-v1"]
+        assert "repro-campaign-v2" in reports["repro-campaign-v1"]
+        assert "unknown artifact schema family" in reports["repro-campaign-net-v3"]
 
     def test_unknown_schema_family(self, tmp_path):
         target = tmp_path / "alien.json"

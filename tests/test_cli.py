@@ -69,7 +69,7 @@ class TestCampaignCommands:
         assert main(["campaign", "status", "--cache-dir", str(tmp_path / "c")]) == 0
         out = capsys.readouterr().out
         assert "entries         : 0" in out
-        assert "repro-campaign-v1" in out
+        assert "schema tag      : repro-campaign-v2" in out
 
     def test_status_counts_entries(self, tmp_path, capsys):
         cache_dir = tmp_path / "c"

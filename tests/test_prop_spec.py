@@ -44,9 +44,11 @@ class TestSpecParsing:
     @settings(max_examples=100, deadline=None)
     def test_units_convert_correctly(self, raw):
         spec = ScenarioSpec.from_dict(raw)
-        assert spec.buffer_bytes == mbytes(raw["buffer_mb"])
-        assert spec.headroom == mbytes(raw["headroom_mb"])
-        for flow, flow_raw in zip(spec.flows, raw["workload"]):
+        node = spec.scenario.nodes[0]
+        assert node.buffer_size == mbytes(raw["buffer_mb"])
+        assert node.headroom == mbytes(raw["headroom_mb"])
+        for routed, flow_raw in zip(spec.scenario.flows, raw["workload"]):
+            flow = routed.spec
             assert flow.peak_rate == mbps(flow_raw["peak_mbps"])
             assert flow.bucket == kbytes(flow_raw["bucket_kb"])
             assert flow.token_rate == mbps(flow_raw["token_mbps"])
@@ -56,9 +58,10 @@ class TestSpecParsing:
     @settings(max_examples=100, deadline=None)
     def test_flow_ids_sequential_and_conformant_set_consistent(self, raw):
         spec = ScenarioSpec.from_dict(raw)
-        assert [flow.flow_id for flow in spec.flows] == list(range(len(spec.flows)))
+        flows = [routed.spec for routed in spec.scenario.flows]
+        assert [flow.flow_id for flow in flows] == list(range(len(flows)))
         assert set(spec.conformant_ids) == {
-            flow.flow_id for flow in spec.flows if flow.conformant
+            flow.flow_id for flow in flows if flow.conformant
         }
 
     @given(raw=spec_dicts)

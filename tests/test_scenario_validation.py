@@ -13,7 +13,7 @@ import pytest
 
 from repro.check.invariants import check_scenario_dict
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import NetworkJob
+from repro.experiments.campaign import ScenarioJob
 from repro.experiments.fabric.scenario import NetworkScenario
 from repro.units import kbytes, mbps, mbytes
 
@@ -112,13 +112,26 @@ class TestBaseDictIsValid:
         assert check_scenario_dict(base_dict()) == []
         # The stale v2 key loads (ignored) and is not written back ...
         assert "recycle" not in scenario.to_dict()
-        # ... but a whole v2 job is refused by its schema tag.
-        stale_job = {"schema": "repro-campaign-net-v2", "scenario": base_dict()}
-        with pytest.raises(ConfigurationError, match="schema mismatch"):
-            NetworkJob.from_dict(stale_job)
+        # ... but a whole job of the retired fabric family is refused by
+        # its schema tag, the same scenario under the one tag is a job.
+        for retired in ("repro-campaign-net-v2", "repro-campaign-net-v3"):
+            stale_job = {"schema": retired, "scenario": base_dict()}
+            with pytest.raises(ConfigurationError, match="schema mismatch"):
+                ScenarioJob.from_dict(stale_job)
+        job = ScenarioJob.from_dict({"schema": "repro-campaign-v2", "scenario": base_dict()})
+        assert job.scenario == scenario
 
 
 class TestStructuralRejections:
+    def test_typoed_scheme_names_the_valid_ones(self):
+        # Was a bare KeyError from the constructor and "malformed
+        # scenario: KeyError(...)" from the checker.
+        raw = base_dict()
+        raw["nodes"][0]["scheme"] = "FIFO_TRESHOLD"
+        assert_both_reject(raw, "unknown scheme 'FIFO_TRESHOLD'; valid: FIFO_NONE")
+        [finding] = check_scenario_dict(raw)
+        assert "malformed" not in finding.message
+
     def test_route_over_missing_link(self):
         raw = base_dict()
         raw["flows"][0]["route"] = ["a", "c"]

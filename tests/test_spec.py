@@ -30,10 +30,13 @@ class TestFromDict:
     def test_basic_fields(self):
         spec = spec_with()
         assert spec.name == "demo"
-        assert spec.scheme is Scheme.FIFO_THRESHOLD
-        assert spec.buffer_bytes == mbytes(1.0)
-        assert len(spec.flows) == 9
+        node = spec.scenario.nodes[0]
+        assert spec.scenario.is_single_port
+        assert node.scheme is Scheme.FIFO_THRESHOLD
+        assert node.buffer_size == mbytes(1.0)
+        assert len(spec.scenario.flows) == 9
         assert spec.conformant_ids == tuple(range(6))
+        assert [job.scenario.seed for job in spec.jobs()] == [1]
 
     def test_missing_required_key(self):
         raw = dict(BASE)
@@ -63,7 +66,7 @@ class TestFromDict:
 
     def test_hybrid_gets_default_groups(self):
         spec = spec_with(scheme="HYBRID_SHARING")
-        assert spec.groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        assert spec.scenario.nodes[0].groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
     def test_custom_workload(self):
         spec = spec_with(workload=[
@@ -71,14 +74,53 @@ class TestFromDict:
             {"peak_mbps": 40, "avg_mbps": 16, "bucket_kb": 50, "token_mbps": 2,
              "conformant": False, "burst_kb": 250},
         ])
-        assert len(spec.flows) == 2
-        assert spec.flows[0].conformant
-        assert not spec.flows[1].conformant
+        first, second = (routed.spec for routed in spec.scenario.flows)
+        assert first.conformant
+        assert not second.conformant
         assert spec.conformant_ids == (0,)
 
     def test_custom_workload_missing_key(self):
         with pytest.raises(ConfigurationError):
             spec_with(workload=[{"peak_mbps": 16}])
+
+
+TANDEM = {"name": "net", "network": "tandem", "hops": 2, "sim_time": 0.5, "seeds": [1, 2]}
+
+
+class TestNetworkForm:
+    """The ``"network"`` input form parses into the same ScenarioSpec."""
+
+    def test_named_tandem(self):
+        spec = ScenarioSpec.from_dict(TANDEM)
+        assert len(spec.scenario.links) == 2 and spec.scenario.churn is not None
+        assert spec.metrics == ("delivered", "blocking")
+        assert [job.scenario.seed for job in spec.jobs()] == [1, 2]
+
+    def test_inline_scenario_equals_the_named_one(self):
+        named = ScenarioSpec.from_dict(TANDEM)
+        inline = ScenarioSpec.from_dict(
+            dict(TANDEM, network=named.scenario.to_dict())
+        )
+        assert inline == named
+        assert [j.digest() for j in inline.jobs()] == [j.digest() for j in named.jobs()]
+
+    def test_unknown_named_network(self):
+        with pytest.raises(ConfigurationError, match="tandem"):
+            ScenarioSpec.from_dict(dict(TANDEM, network="fat-tree"))
+
+    def test_typoed_scheme_in_an_inline_scenario_names_the_valid_ones(self):
+        raw = ScenarioSpec.from_dict(TANDEM).scenario.to_dict()
+        raw["nodes"][0]["scheme"] = "FIFO_TRESHOLD"
+        with pytest.raises(ConfigurationError, match="FIFO_TRESHOLD.*FIFO_THRESHOLD"):
+            ScenarioSpec.from_dict(dict(TANDEM, network=raw))
+
+    def test_one_link_metric_on_a_multi_link_scenario_rejected_early(self):
+        with pytest.raises(ConfigurationError, match="2 links"):
+            ScenarioSpec.from_dict(dict(TANDEM, metrics=["utilization"]))
+
+    def test_runs_through_the_same_run_spec(self):
+        results = run_spec(ScenarioSpec.from_dict(dict(TANDEM, metrics=["events", "delivered"])))
+        assert results["events"].n == 2 and results["delivered"].mean > 0
 
 
 class TestRunSpec:
@@ -120,6 +162,23 @@ class TestLoadSpecs:
         path = tmp_path / "bad.json"
         path.write_text("[]")
         with pytest.raises(ConfigurationError):
+            load_specs(path)
+
+    def test_both_input_forms_mix_in_one_file(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps([BASE, TANDEM]))
+        one_link, tandem = load_specs(path)
+        assert type(one_link) is type(tandem) is ScenarioSpec
+        assert (len(one_link.scenario.links), len(tandem.scenario.links)) == (1, 2)
+
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read spec file"):
+            load_specs(tmp_path / "missing.json")
+
+    def test_invalid_json_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "torn.json"
+        path.write_text('{"name": "demo", ')
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_specs(path)
 
 

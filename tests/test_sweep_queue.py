@@ -231,11 +231,11 @@ class TestWorker:
     def test_preflight_rejection_names_the_job_and_releases_its_claim(self, tmp_path):
         import dataclasses
 
-        from repro.experiments.campaign.network import NetworkJob
+        from repro.experiments.campaign import ScenarioJob
         from repro.experiments.fabric.demo import demo_tandem
 
         scenario = demo_tandem(hops=2, sim_time=0.5)
-        starved = NetworkJob(
+        starved = ScenarioJob(
             dataclasses.replace(
                 scenario,
                 nodes=tuple(

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import ScenarioJob
-from repro.experiments.campaign.network import NetworkJob
 from repro.experiments.sweep import (
     SWEEP_SPEC_SCHEMA,
     SweepAxis,
@@ -175,15 +174,16 @@ class TestExpansion:
         digests = set()
         for params, job in pairs:
             assert isinstance(job, ScenarioJob)
-            assert job.scheme.name == params["scheme"]
-            assert job.seed == params["seed"]
+            assert job.scenario.is_single_port
+            assert job.scenario.nodes[0].scheme.name == params["scheme"]
+            assert job.scenario.seed == params["seed"]
             digests.add(job.digest())
         assert len(digests) == 8  # all distinct cells
 
     def test_hybrid_scheme_gets_default_groups(self):
         spec = scenario_spec(axes=(SweepAxis("scheme", ("HYBRID_THRESHOLD",)),))
         [(_params, job)] = [next(iter(spec.jobs()))]
-        assert job.groups is not None
+        assert job.scenario.nodes[0].groups is not None
 
     def test_network_jobs_carry_the_axes(self):
         spec = SweepSpec(
@@ -198,7 +198,7 @@ class TestExpansion:
         pairs = list(spec.jobs())
         assert len(pairs) == 2
         for params, job in pairs:
-            assert isinstance(job, NetworkJob)
+            assert isinstance(job, ScenarioJob)
             assert job.scenario.churn.arrival_rate == params["arrival_rate"]
             assert len(job.scenario.links) == 2
 
