@@ -1,0 +1,204 @@
+"""Scaling artefact: what a packet costs as the number of flows grows.
+
+The paper's thesis is a cost comparison.  A threshold test on a FIFO is
+``O(1)`` per packet whatever the number of flows ``N``; WFQ sorts, which
+is ``O(log N)``; the Section-4 hybrid sorts over its ``k`` queues only.
+This bench measures that shape on the simulator itself, for
+``FIFO_THRESHOLD``, ``FIFO_SHARING``, ``WFQ_THRESHOLD`` and
+``HYBRID_SHARING`` (k = 3) at N = 16 ... 4096 flows:
+
+* **calls per packet** — Python + C calls per offered packet inside
+  ``Simulator.run``, from the call budget's counter
+  (``tests/test_call_budget.py``), which repeats to the digit.  It must
+  be flat in N for all four: a per-packet walk over the flow table
+  would show here.  The ``log`` of a sorted discipline does not — a heap
+  operation is one C call however deep it sifts — which is why the
+  next column exists.
+* **head-of-line population** — entries in the scheduler's heap, read
+  after every enqueue (when it is fullest).  This is the argument of the
+  ``log``: at most N for WFQ (one entry per *backlogged* flow, never one
+  per packet), at most k for the hybrid, and FIFO has no heap.
+* **wall time per packet** — informational; it moves with the host.
+
+The flows follow the recipe of the end-to-end benchmark's
+``port-wfq-manyflow`` workload (own copy: ``benchmarks/e2e`` is frozen
+and its 256-flow table is part of that workload): two in three
+conformant and shaped to their reservation, the rest offering 2.5-3.4x
+theirs in bursts of five buckets; 68% of the link reserved, about 112%
+offered.  Link and buffer grow in proportion to N, so a flow's traffic
+and its share of both are the same at every N and only the number of
+flows changes.
+"""
+
+import random
+import time
+
+import numpy as np
+
+from repro.experiments.report import format_table
+from repro.experiments.schemes import Scheme, build_scheme
+from repro.metrics.collector import StatsCollector
+from repro.sim.engine import Simulator
+from repro.sim.port import OutputPort
+from repro.traffic.profiles import FlowSpec
+from repro.traffic.shaper import LeakyBucketShaper
+from repro.traffic.sources import OnOffSource
+from repro.units import kbytes, mbps, mbytes
+from tests.test_call_budget import count_calls
+
+FLOW_COUNTS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+SCHEMES = (
+    Scheme.FIFO_THRESHOLD,
+    Scheme.FIFO_SHARING,
+    Scheme.WFQ_THRESHOLD,
+    Scheme.HYBRID_SHARING,
+)
+K = 3
+#: port-wfq-manyflow's 48 Mb/s and 4 MB for 256 flows, per flow.
+LINK_MBPS_PER_FLOW = 48.0 / 256
+BUFFER_MB_PER_FLOW = 4.0 / 256
+SIM_TIME = 2.5
+POPULATION_SEED = 1998
+SEED = 22
+#: Calls per packet move a little with N because the traffic mix does
+#: (share of packets dropped, delayed by a shaper, or finding the link
+#: idle); a walk over N flows would multiply them.
+FLAT_WITHIN = 0.10
+
+
+def make_flows(n: int) -> list:
+    rng = random.Random(POPULATION_SEED)
+    link_mbps = LINK_MBPS_PER_FLOW * n
+    weights = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    total = sum(weights)
+    flows = []
+    for flow_id, weight in enumerate(weights):
+        rho = 0.68 * link_mbps * weight / total
+        bucket = rng.choice((2.5, 4.0, 6.0))
+        if flow_id % 3 != 2:
+            avg, peak, burst, conformant = rho, rho * rng.choice((4, 5, 8)), bucket, True
+        else:
+            avg = rho * rng.uniform(2.5, 3.4)
+            peak, burst, conformant = avg * rng.choice((3, 5)), 5 * bucket, False
+        flows.append(
+            FlowSpec(
+                flow_id=flow_id,
+                peak_rate=mbps(peak),
+                avg_rate=mbps(avg),
+                bucket=kbytes(bucket),
+                token_rate=mbps(rho),
+                conformant=conformant,
+                mean_burst=kbytes(burst),
+            )
+        )
+    return flows
+
+
+class HeadOfLineProbe:
+    """A trace sink for the scheduler alone: heap population at each enqueue."""
+
+    def __init__(self, scheduler) -> None:
+        self.heap = getattr(scheduler, "_hol", ())  # FIFO has none
+        self.peak = self.total = self.samples = 0
+
+    def emit(self, event) -> None:
+        population = len(self.heap)
+        self.peak = max(self.peak, population)
+        self.total += population
+        self.samples += 1
+
+
+def build_port(scheme: Scheme, n: int):
+    """``(sim, scheduler, collector)`` of one port fed by ``n`` flows."""
+    flows = make_flows(n)
+    link = mbps(LINK_MBPS_PER_FLOW * n)
+    sim = Simulator()
+    # The hybrid's classes follow the recipe's three behaviours.
+    groups = [[f.flow_id for f in flows if f.flow_id % K == g] for g in range(K)]
+    build = build_scheme(
+        sim, scheme, flows, mbytes(BUFFER_MB_PER_FLOW * n), link,
+        groups=groups if scheme.is_hybrid else None,
+    )
+    collector = StatsCollector(warmup=0.0)
+    port = OutputPort(sim, link, build.scheduler, build.manager, collector)
+    for flow, child in zip(flows, np.random.SeedSequence(SEED).spawn(n)):
+        destination = port
+        if flow.conformant:
+            destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
+        OnOffSource(
+            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
+            destination, np.random.default_rng(child), until=SIM_TIME,
+        )
+    return sim, build.scheduler, collector
+
+
+def measure(scheme: Scheme, n: int) -> dict:
+    """One cell: a counted run, a probed run and a timed run of the same path."""
+    sim, _, collector = build_port(scheme, n)
+    calls, _ = count_calls(lambda: sim.run(until=SIM_TIME))
+    packets = sum(stats.offered_packets for stats in collector.flows.values())
+
+    sim, scheduler, _ = build_port(scheme, n)
+    probe = HeadOfLineProbe(scheduler)
+    scheduler.attach_trace(probe, lambda: 0.0)
+    sim.run(until=SIM_TIME)
+
+    sim, _, _ = build_port(scheme, n)
+    started = time.perf_counter()
+    sim.run(until=SIM_TIME)
+    wall = time.perf_counter() - started
+    return {
+        "packets": packets,
+        "calls_per_pkt": calls / packets,
+        "hol_peak": probe.peak,
+        "hol_mean": probe.total / probe.samples,
+        "us_per_pkt": 1e6 * wall / packets,
+    }
+
+
+def test_per_packet_cost_is_flat_in_the_number_of_flows(publish):
+    cells = {(scheme, n): measure(scheme, n) for scheme in SCHEMES for n in FLOW_COUNTS}
+
+    def table(title, schemes, cell_text):
+        rows = [
+            [str(n), f"{cells[SCHEMES[0], n]['packets']:,}"]
+            + [cell_text(cells[scheme, n]) for scheme in schemes]
+            for n in FLOW_COUNTS
+        ]
+        header = ["N", "packets"] + [scheme.name for scheme in schemes]
+        return f"{title}\n{format_table(header, rows)}"
+
+    publish(
+        "analysis_scaling",
+        "Per-packet cost against the number of flows N\n"
+        f"[link and buffer proportional to N, {SIM_TIME:g} s, hybrid k = {K}]\n\n"
+        + table(
+            "Calls per offered packet inside Simulator.run (exact)",
+            SCHEMES, lambda cell: f"{cell['calls_per_pkt']:.2f}",
+        )
+        + "\n\n"
+        + table(
+            "Head-of-line heap entries after each enqueue: peak (mean)",
+            SCHEMES[2:], lambda cell: f"{cell['hol_peak']} ({cell['hol_mean']:.1f})",
+        )
+        + "\n\n"
+        + table(
+            "Wall microseconds per packet (informational)",
+            SCHEMES, lambda cell: f"{cell['us_per_pkt']:.1f}",
+        ),
+    )
+
+    for scheme in SCHEMES:
+        per_n = [cells[scheme, n]["calls_per_pkt"] for n in FLOW_COUNTS]
+        assert max(per_n) <= min(per_n) * (1.0 + FLAT_WITHIN), (scheme.name, per_n)
+    for n in FLOW_COUNTS:
+        assert cells[Scheme.FIFO_THRESHOLD, n]["hol_peak"] == 0
+        assert cells[Scheme.FIFO_SHARING, n]["hol_peak"] == 0
+        # One entry per backlogged flow (class), never one per packet.
+        assert 0 < cells[Scheme.WFQ_THRESHOLD, n]["hol_peak"] <= n
+        assert 0 < cells[Scheme.HYBRID_SHARING, n]["hol_peak"] <= K
+    # The argument of WFQ's log grows with N; the hybrid's cannot.
+    assert (
+        cells[Scheme.WFQ_THRESHOLD, FLOW_COUNTS[-1]]["hol_peak"]
+        > cells[Scheme.WFQ_THRESHOLD, FLOW_COUNTS[0]]["hol_peak"]
+    )

@@ -31,7 +31,7 @@ class HybridBufferManager:
         managers: one :class:`BufferManager` per class, index-aligned.
     """
 
-    __slots__ = ("class_of", "managers", "capacity")
+    __slots__ = ("class_of", "managers", "capacity", "_by_flow")
 
     #: Per-flow thresholds live in the class sub-managers; reprovision
     #: and retire delegate, so the composite honours the same contract.
@@ -40,21 +40,25 @@ class HybridBufferManager:
     def __init__(self, class_of: Mapping[int, int], managers: Sequence[BufferManager]):
         if not managers:
             raise ConfigurationError("hybrid manager needs at least one sub-manager")
-        for flow_id, class_id in class_of.items():
+        self.class_of = dict(class_of)
+        self.managers = list(managers)
+        self.capacity = sum(manager.capacity for manager in managers)
+        #: flow id -> its class manager, for the per-packet path.  Built
+        #: once: ``class_of`` never changes (``retire`` keeps the entry).
+        self._by_flow: dict[int, BufferManager] = {}
+        for flow_id, class_id in self.class_of.items():
             if not 0 <= class_id < len(managers):
                 raise ConfigurationError(
                     f"flow {flow_id} mapped to class {class_id}, "
                     f"but only {len(managers)} managers supplied"
                 )
-        self.class_of = dict(class_of)
-        self.managers = list(managers)
-        self.capacity = sum(manager.capacity for manager in managers)
+            self._by_flow[flow_id] = self.managers[class_id]
 
     def _manager_for(self, flow_id: int) -> BufferManager:
-        class_id = self.class_of.get(flow_id)
-        if class_id is None:
-            raise ConfigurationError(f"flow {flow_id} not assigned to any class")
-        return self.managers[class_id]
+        try:
+            return self._by_flow[flow_id]
+        except KeyError:
+            raise ConfigurationError(f"flow {flow_id} not assigned to any class") from None
 
     def attach_trace(self, sink, clock, node: str = "") -> None:
         """Propagate the trace sink to every class sub-manager."""
@@ -70,12 +74,22 @@ class HybridBufferManager:
         """Classification comes from the class manager that rejected."""
         return self._manager_for(flow_id).drop_reason(flow_id, size)
 
+    # The per-packet pair spells ``_manager_for`` out: one call less each way.
+
     def try_admit(self, flow_id: int, size: float) -> bool:
         """Admission is decided entirely by the flow's class manager."""
-        return self._manager_for(flow_id).try_admit(flow_id, size)
+        try:
+            manager = self._by_flow[flow_id]
+        except KeyError:
+            raise ConfigurationError(f"flow {flow_id} not assigned to any class") from None
+        return manager.try_admit(flow_id, size)
 
     def on_depart(self, flow_id: int, size: float) -> None:
-        self._manager_for(flow_id).on_depart(flow_id, size)
+        try:
+            manager = self._by_flow[flow_id]
+        except KeyError:
+            raise ConfigurationError(f"flow {flow_id} not assigned to any class") from None
+        manager.on_depart(flow_id, size)
 
     def occupancy(self, flow_id: int) -> float:
         return self._manager_for(flow_id).occupancy(flow_id)

@@ -6,19 +6,19 @@ and is guaranteed an aggregate rate ``R_i`` (eq. 16); inside each queue the
 buffer-management technique provides per-flow guarantees.
 
 Scheduling-wise this is exactly WFQ where the "flows" are the classes, so
-the implementation wraps :class:`repro.sched.wfq.WFQScheduler` with a
-packet-to-class classifier.  Packets of the same class are served FIFO
-because WFQ keeps a FIFO queue per key.
+:class:`HybridScheduler` *is* a :class:`repro.sched.wfq.WFQScheduler` whose
+scheduling key comes from the flow-to-class table: a packet reaches its
+class queue through the one WFQ ``enqueue`` body, with nothing wrapped
+around it.  Packets of the same class are served FIFO because WFQ keeps a
+FIFO queue per key.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sched.base import Scheduler
 from repro.sched.wfq import WFQScheduler
-from repro.sim.packet import Packet
 
 __all__ = ["HybridScheduler", "validate_grouping"]
 
@@ -42,7 +42,7 @@ def validate_grouping(groups: Sequence[Sequence[int]]) -> dict[int, int]:
     return class_of
 
 
-class HybridScheduler(Scheduler):
+class HybridScheduler(WFQScheduler):
     """WFQ over ``k`` FIFO queues, one per flow group.
 
     Args:
@@ -54,7 +54,7 @@ class HybridScheduler(Scheduler):
             ``groups``.
     """
 
-    __slots__ = ("class_of", "groups", "class_rates", "_wfq")
+    __slots__ = ("groups", "class_rates")
 
     def __init__(
         self,
@@ -67,37 +67,12 @@ class HybridScheduler(Scheduler):
             raise ConfigurationError(
                 f"got {len(class_rates)} class rates for {len(groups)} groups"
             )
-        super().__init__()
-        self.class_of: Mapping[int, int] = validate_grouping(groups)
         self.groups = [tuple(group) for group in groups]
         self.class_rates = tuple(float(rate) for rate in class_rates)
-        weights = {class_id: rate for class_id, rate in enumerate(self.class_rates)}
-        self._wfq = WFQScheduler(
-            clock,
-            link_rate,
-            weights,
-            classifier=lambda packet: self.class_of[packet.flow_id],
+        super().__init__(
+            clock, link_rate, dict(enumerate(self.class_rates)), validate_grouping(groups)
         )
-
-    def enqueue(self, packet: Packet) -> None:
-        if packet.flow_id not in self.class_of:
-            raise ConfigurationError(f"flow {packet.flow_id} not assigned to any class")
-        self._wfq.enqueue(packet)
-        # The inner WFQ is never attached, so the packet is traced exactly
-        # once — here, at the port-facing layer.
-        if self._sink is not None:
-            self._trace_enqueue(packet, len(self._wfq))
-
-    def dequeue(self) -> Packet | None:
-        return self._wfq.dequeue()
-
-    def __len__(self) -> int:
-        return len(self._wfq)
-
-    @property
-    def backlog_bytes(self) -> float:
-        return self._wfq.backlog_bytes
 
     def class_queue_length(self, class_id: int) -> int:
         """Number of packets queued in the given class queue."""
-        return self._wfq.queue_length(class_id)
+        return self.queue_length(class_id)

@@ -46,6 +46,7 @@ class RPQScheduler(Scheduler):
         "delta",
         "class_of",
         "default_class",
+        "_now",
         "_buckets",
         "_order",
         "_count",
@@ -71,7 +72,7 @@ class RPQScheduler(Scheduler):
                 f"default class must be >= 0, got {default_class}"
             )
         super().__init__()
-        self._clock = clock
+        self._now = clock
         self.delta = float(delta)
         self.class_of = dict(class_of)
         self.default_class = default_class
@@ -81,7 +82,7 @@ class RPQScheduler(Scheduler):
         self._bytes = 0.0
 
     def _epoch(self) -> int:
-        return int(math.floor(self._clock() / self.delta))
+        return int(math.floor(self._now() / self.delta))
 
     def _class_for(self, flow_id: int) -> int:
         klass = self.class_of.get(flow_id, self.default_class)

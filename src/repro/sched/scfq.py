@@ -16,53 +16,25 @@ end.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Callable, Mapping
+from heapq import heappop, heappush, heapreplace
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sched.base import Scheduler
+from repro.sched.base import FinishTagScheduler
 from repro.sim.packet import Packet
 
 __all__ = ["SCFQScheduler"]
 
 
-class _FlowState:
-    __slots__ = ("weight", "queue", "tags", "last_tag", "epoch")
-
-    def __init__(self, weight: float):
-        self.weight = weight
-        self.queue: deque[Packet] = deque()
-        self.tags: deque[float] = deque()
-        self.last_tag = 0.0
-        #: Busy period ``last_tag`` belongs to; a stale one reads as 0.
-        self.epoch = 0
-
-
-class SCFQScheduler(Scheduler):
+class SCFQScheduler(FinishTagScheduler):
     """Self-clocked fair queueing over a fixed set of flows.
 
     Args:
         weights: mapping flow id -> weight (reserved rate, bytes/second).
     """
 
-    __slots__ = ("_flows", "_hol", "_vtime", "_epoch", "_count", "_bytes")
+    __slots__ = ()
 
-    def __init__(self, weights: Mapping[int, float]) -> None:
-        if not weights:
-            raise ConfigurationError("SCFQ requires at least one flow weight")
-        for key, weight in weights.items():
-            if weight <= 0:
-                raise ConfigurationError(
-                    f"weight for flow {key} must be positive, got {weight}"
-                )
-        super().__init__()
-        self._flows = {key: _FlowState(float(w)) for key, w in weights.items()}
-        self._hol: list[tuple[float, int, int, Packet]] = []
-        self._vtime = 0.0  # tag of the packet in service (self-clocking)
-        self._epoch = 0  # busy periods completed
-        self._count = 0
-        self._bytes = 0.0
+    NAME = "SCFQ"
 
     @property
     def virtual_time(self) -> float:
@@ -70,58 +42,50 @@ class SCFQScheduler(Scheduler):
         return self._vtime
 
     def enqueue(self, packet: Packet) -> None:
-        flow = self._flows.get(packet.flow_id)
-        if flow is None:
-            raise ConfigurationError(f"unknown SCFQ flow {packet.flow_id}")
+        key = packet.flow_id
+        try:
+            flow = self._flows[key]
+        except KeyError:
+            raise ConfigurationError(f"unknown SCFQ flow {key}") from None
+        # F = max(V, F_prev) + L / w; a tag left by an earlier busy period
+        # has lapsed and reads as 0 <= V.
+        start = self._vtime
         if flow.epoch != self._epoch:
-            # First packet of this flow in the current busy period.
             flow.epoch = self._epoch
-            flow.last_tag = 0.0
-        start = max(self._vtime, flow.last_tag)
-        tag = start + packet.size / flow.weight
-        flow.last_tag = tag
-        was_empty = not flow.queue
-        flow.queue.append(packet)
-        flow.tags.append(tag)
-        if was_empty:
-            heapq.heappush(self._hol, (tag, packet.seq, packet.flow_id, packet))
+        elif flow.last_finish > start:
+            start = flow.last_finish
+        size = packet.size
+        flow.last_finish = tag = start + size / flow.weight
+        entry = (tag, packet.seq, key, packet)
+        queue = flow.queue
+        if not queue:
+            heappush(self._hol, entry)
+        queue.append(entry)
         self._count += 1
-        self._bytes += packet.size
+        self._bytes += size
         if self._sink is not None:
             self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
-        if not self._hol:
+        hol = self._hol
+        if not hol:
             return None
-        tag, _seq, flow_id, packet = heapq.heappop(self._hol)
-        flow = self._flows[flow_id]
-        if not flow.queue or flow.queue[0] is not packet:
+        entry = hol[0]
+        queue = self._flows[entry[2]].queue
+        if not queue or queue.popleft() is not entry:
             raise SimulationError("SCFQ head-of-line heap out of sync")
-        flow.queue.popleft()
-        flow.tags.popleft()
-        self._vtime = tag  # self-clocking: V := tag of packet entering service
-        if flow.queue:
-            heapq.heappush(
-                self._hol, (flow.tags[0], flow.queue[0].seq, flow_id, flow.queue[0])
-            )
+        if queue:
+            heapreplace(hol, queue[0])
+        else:
+            heappop(hol)
+        self._vtime = entry[0]  # self-clocking: V := tag of the packet entering service
+        packet = entry[3]
         self._count -= 1
         self._bytes -= packet.size
         if self._count == 0:
-            # New busy period: reset the clock so idle flows do not carry
-            # stale credit or debt across idle gaps.  Tags lapse with the
-            # epoch (checked in ``enqueue``) instead of being cleared here,
-            # which would be O(flows) per drain.
+            # New busy period: restart the clock so idle flows do not
+            # carry stale credit or debt across idle gaps; their tags
+            # lapse with the epoch.
             self._vtime = 0.0
             self._epoch += 1
         return packet
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def backlog_bytes(self) -> float:
-        return self._bytes
-
-    def queue_length(self, flow_id: int) -> int:
-        """Number of packets queued for the given flow."""
-        return len(self._flows[flow_id].queue)

@@ -5,7 +5,7 @@ FIFO replaces sorted scheduling — so the number of calls the simulator
 makes per packet is a first-class quantity.  Unlike wall time it repeats
 exactly run to run, which makes a committed ceiling a noise-free gate:
 a change that lengthens the per-packet path fails here before any
-benchmark can resolve it.  One row per shape of run: the four scheme
+benchmark can resolve it.  One row per shape of run: the five scheme
 families on a bare port, the network path with churn (with and without
 live reclamation), and the attached path — the port with a sink or a
 timeline, and the reference tandem with sink, timeline and monitor.
@@ -127,9 +127,13 @@ def churn(reclamation: bool):
 
 
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
-#: ``Simulator.run``).  Measured 21.34 / 23.06 / 30.75 / 39.80 on the
-#: bare port (with the packet pool 25.41 / 27.13 / 34.97 / 43.99; before
-#: the flat admit/depart path 42.62 / 51.93 / 52.15 / 68.36; the two WFQ
+#: ``Simulator.run``).  Measured 21.34 / 23.06 / 24.06 / 22.38 / 27.60 on
+#: the bare port (the three sorted rows 30.75 / 26.38 / 39.80 before the
+#: flat enqueue/dequeue bodies, when a packet also paid a classifier
+#: lambda, ``dict.get``, ``_advance_vtime``, ``max``, a second deque and
+#: a pop-then-push, and the hybrid two wrappers and three manager hops;
+#: with the packet pool 25.41 / 27.13 / 34.97 / - / 43.99; before the
+#: flat admit/depart path 42.62 / 51.93 / 52.15 / - / 68.36; the two WFQ
 #: rows 30.82 / 39.87 while every drain walked the flow table), 32.013 /
 #: 32.034 on the tandem and 35.222 / 50.357 on churn (33.825 / 33.846
 #: and 36.226 / 51.362 while sources entered through ``Node.receive``;
@@ -143,8 +147,10 @@ def churn(reclamation: bool):
 ROWS = {
     "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
     "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
-    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 32.0),
-    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 41.0),
+    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 25.3),
+    # SCFQ has no benchmark workload: this row is its only cost gate.
+    "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 23.5),
+    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 29.0),
     "tandem-churn": (lambda: tandem(False), 33.6),
     "tandem-churn-reclaim": (lambda: tandem(True), 33.6),
     "churn": (lambda: churn(False), 37.0),
@@ -233,7 +239,7 @@ def test_calls_per_packet_within_budget(row):
 
 
 def test_count_repeats_exactly():
-    for row in ("FIFO_THRESHOLD", "churn-reclaim"):
+    for row in ("FIFO_THRESHOLD", "HYBRID_SHARING", "churn-reclaim"):
         run, _ = ROWS[row]
         assert count_calls(run)[0] == count_calls(run)[0], row
 

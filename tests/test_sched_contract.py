@@ -1,0 +1,343 @@
+"""The sorted schedulers' contract, checked against reference models.
+
+``WFQScheduler`` and ``SCFQScheduler`` (and the hybrid, which is a WFQ
+keyed through ``class_of``) spell ``enqueue``/``dequeue`` as one flat
+body each: virtual time advanced inline, compare-and-assign for ``max``,
+one heap entry per packet built at ``enqueue`` and ``heapreplace`` at
+service.  The references below are the straightforward spelling those
+bodies replaced — a queue and a parallel deque of tags per flow, ``max``,
+an ``_advance_vtime`` helper, pop-then-push — and a Hypothesis property
+requires the same packets out in the same order, every ``virtual_time``
+read and every ``queue_length`` identical.  Comparisons are exact
+(``==``): the flat bodies promise the same float operations in the same
+order, which is what keeps the equivalence goldens byte-identical.
+
+The second half pins the clock contract: the clock a trace stamps its
+events with is not the clock a discipline reads for its own rule.
+"""
+
+import heapq
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigurationError, SimulationError
+from repro.obs.sink import RingSink
+from repro.sched.base import Scheduler
+from repro.sched.hybrid import HybridScheduler
+from repro.sched.rpq import RPQScheduler
+from repro.sched.scfq import SCFQScheduler
+from repro.sched.wfq import WFQScheduler
+from repro.sim.packet import Packet
+
+LINK_RATE = 10_000.0
+
+
+class _RefFlow:
+    def __init__(self, weight):
+        self.weight, self.queue, self.tags = weight, deque(), deque()
+        self.last_tag, self.epoch = 0.0, 0
+
+
+class _Reference(Scheduler):
+    """Bookkeeping only; each discipline below spells out its own two bodies."""
+
+    def __init__(self, weights, class_of=None):
+        super().__init__()
+        self.flows = {key: _RefFlow(float(w)) for key, w in weights.items()}
+        self.class_of = class_of
+        self.hol, self.vtime, self.epoch, self.count, self.bytes = [], 0.0, 0, 0, 0.0
+
+    def flow_of(self, packet):
+        key = packet.flow_id if self.class_of is None else self.class_of.get(packet.flow_id)
+        if key not in self.flows:
+            raise ConfigurationError(f"no queue for flow {packet.flow_id}")
+        return key, self.flows[key]
+
+    def stamp(self, flow, packet):
+        if flow.epoch != self.epoch:
+            flow.epoch, flow.last_tag = self.epoch, 0.0
+        flow.last_tag = max(self.vtime, flow.last_tag) + packet.size / flow.weight
+        flow.queue.append(packet)
+        flow.tags.append(flow.last_tag)
+        return flow.last_tag
+
+    def counted(self, packet, sign):
+        self.count += sign
+        self.bytes += sign * packet.size
+
+    def __len__(self):
+        return self.count
+
+    def queue_length(self, key):
+        return len(self.flows[key].queue)
+
+
+class ReferenceSCFQ(_Reference):
+    """Self-clocking: V is the tag of the packet entering service."""
+
+    @property
+    def virtual_time(self):
+        return self.vtime
+
+    def enqueue(self, packet):
+        key, flow = self.flow_of(packet)
+        was_empty = not flow.queue
+        tag = self.stamp(flow, packet)
+        if was_empty:
+            heapq.heappush(self.hol, (tag, packet.seq, key, packet))
+        self.counted(packet, +1)
+        if self._sink is not None:
+            self._trace_enqueue(packet, self.count)
+
+    def dequeue(self):
+        if not self.hol:
+            return None
+        tag, _seq, key, packet = heapq.heappop(self.hol)
+        flow = self.flows[key]
+        assert flow.queue.popleft() is packet
+        flow.tags.popleft()
+        self.vtime = tag
+        if flow.queue:
+            heapq.heappush(self.hol, (flow.tags[0], flow.queue[0].seq, key, flow.queue[0]))
+        self.counted(packet, -1)
+        if self.count == 0:
+            self.vtime = 0.0
+            self.epoch += 1
+        return packet
+
+
+class ReferenceWFQ(_Reference):
+    """V advances at ``R / sum(backlogged weights)`` between operations."""
+
+    def __init__(self, clock, link_rate, weights, class_of=None):
+        super().__init__(weights, class_of)
+        self.clock, self.rate = clock, link_rate
+        self.last_update, self.active_weight = clock(), 0.0
+
+    @property
+    def virtual_time(self):
+        self._advance_vtime()
+        return self.vtime
+
+    def _advance_vtime(self):
+        now = self.clock()
+        if now > self.last_update:
+            if self.active_weight > 0:
+                self.vtime += (now - self.last_update) * self.rate / self.active_weight
+            self.last_update = now
+
+    def enqueue(self, packet):
+        key, flow = self.flow_of(packet)
+        self._advance_vtime()
+        was_empty = not flow.queue
+        finish = self.stamp(flow, packet)
+        if was_empty:
+            self.active_weight += flow.weight
+            heapq.heappush(self.hol, (finish, packet.seq, key, packet))
+        self.counted(packet, +1)
+        if self._sink is not None:
+            self._trace_enqueue(packet, self.count)
+
+    def dequeue(self):
+        if not self.hol:
+            return None
+        self._advance_vtime()
+        _finish, _seq, key, packet = heapq.heappop(self.hol)
+        flow = self.flows[key]
+        assert flow.queue.popleft() is packet
+        flow.tags.popleft()
+        if flow.queue:
+            heapq.heappush(self.hol, (flow.tags[0], flow.queue[0].seq, key, flow.queue[0]))
+        else:
+            self.active_weight -= flow.weight
+            if self.active_weight < 1e-9:
+                self.active_weight = 0.0
+        self.counted(packet, -1)
+        if self.count == 0:
+            self.vtime = 0.0
+            self.last_update = self.clock()
+            self.active_weight = 0.0
+            self.epoch += 1
+        return packet
+
+
+N_FLOWS = 8
+weights_strategy = st.lists(
+    st.floats(min_value=1.0, max_value=5000.0, allow_nan=False), min_size=1, max_size=6
+)
+#: ("enq", flow, size) | ("deq",) | ("drain",) | ("tick", dt); the trailing
+#: bool says whether ``virtual_time`` is read (which advances WFQ's clock
+#: bookkeeping) after the operation.  Zero steps and full drains are the
+#: edges: same-instant arrivals, and stamps that lapse with the epoch.
+#: Arrivals are listed three times and drains once so that backlogs build
+#: up between the drains.
+enq = st.tuples(
+    st.just("enq"),
+    st.integers(min_value=0, max_value=N_FLOWS - 1),
+    st.floats(min_value=1.0, max_value=1500.0, allow_nan=False),
+)
+tick = st.tuples(
+    st.just("tick"), st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=0.5))
+)
+deq = st.just(("deq",))
+ops_strategy = st.lists(
+    st.tuples(
+        st.one_of(enq, enq, enq, tick, tick, deq, deq, st.just(("drain",))),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+def make_pair(kind, clock, weights, class_of):
+    """``(scheduler under test, reference, flow ids it accepts)``."""
+    if kind == "scfq":
+        return SCFQScheduler(weights), ReferenceSCFQ(weights), list(weights)
+    if kind == "hybrid":
+        groups = [[f for f in range(N_FLOWS) if f % len(weights) == k] for k in weights]
+        rates = list(weights.values())
+        real = HybridScheduler(clock, LINK_RATE, groups, rates)
+        reference = ReferenceWFQ(clock, LINK_RATE, dict(enumerate(rates)), real.class_of)
+        return real, reference, list(real.class_of)
+    if class_of is not None:
+        class_of = {flow: key % len(weights) for flow, key in class_of.items()}
+    real = WFQScheduler(clock, LINK_RATE, weights, class_of=class_of)
+    reference = ReferenceWFQ(clock, LINK_RATE, weights, class_of)
+    return real, reference, list(weights if class_of is None else class_of)
+
+
+@pytest.mark.parametrize("kind", ["wfq", "scfq", "hybrid"])
+@given(
+    weights=weights_strategy,
+    ops=ops_strategy,
+    class_of=st.one_of(
+        st.none(),
+        st.dictionaries(st.integers(0, N_FLOWS - 1), st.integers(0, 5), min_size=1),
+    ),
+    traced=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, class_of, traced):
+    now = [0.0]
+    clock = lambda: now[0]  # noqa: E731
+    real, reference, flows = make_pair(kind, clock, dict(enumerate(weights)), class_of)
+    sinks = RingSink(), RingSink()
+    if traced:
+        real.attach_trace(sinks[0], clock, "n")
+        reference.attach_trace(sinks[1], clock, "n")
+
+    def serve():
+        packet = real.dequeue()
+        assert packet is reference.dequeue()
+        return packet
+
+    for (op, *args), probe in ops:
+        if op == "enq":
+            packet = Packet(flows[args[0] % len(flows)], args[1], now[0])
+            real.enqueue(packet)
+            reference.enqueue(packet)
+        elif op == "deq":
+            serve()
+        elif op == "drain":
+            while serve() is not None:
+                pass
+        else:
+            now[0] += args[0]
+        if probe:
+            assert real.virtual_time == reference.virtual_time
+        assert len(real) == len(reference)
+        lengths = [real.queue_length(key) for key in reference.flows]
+        assert lengths == [reference.queue_length(key) for key in reference.flows]
+        # One heap entry per backlogged key, never one per packet, and
+        # every head-of-line finish tag equal (layouts may differ).
+        assert len(real._hol) == sum(1 for length in lengths if length)
+        assert sorted(real._hol) == sorted(reference.hol)
+    while serve() is not None:
+        pass
+    assert real.virtual_time == reference.virtual_time == 0.0
+    assert real.backlog_bytes == reference.bytes
+    assert sinks[0].events() == sinks[1].events()
+    assert (len(sinks[0]) > 0) == (traced and any(op[0] == "enq" for op, _ in ops))
+
+
+def test_unknown_flow_and_unknown_key_raise_configuration_error():
+    wfq = WFQScheduler(lambda: 0.0, LINK_RATE, {0: 1.0}, class_of={0: 0, 1: 9})
+    with pytest.raises(ConfigurationError, match="flow 2 not assigned to any class"):
+        wfq.enqueue(Packet(2, 100.0, 0.0))
+    with pytest.raises(ConfigurationError, match="unknown WFQ key 9"):
+        wfq.enqueue(Packet(1, 100.0, 0.0))
+    assert len(wfq) == 0 and wfq.dequeue() is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: WFQScheduler(lambda: 0.0, LINK_RATE, {0: 1.0}), lambda: SCFQScheduler({0: 1.0})],
+    ids=["wfq", "scfq"],
+)
+@pytest.mark.parametrize("damage", ["rotate", "clear"])
+def test_heap_out_of_sync_with_the_queue_is_a_simulation_error(make, damage):
+    scheduler = make()
+    for _ in range(2):
+        scheduler.enqueue(Packet(0, 100.0, 0.0))
+    getattr(scheduler._flows[0].queue, damage)()
+    with pytest.raises(SimulationError, match="out of sync"):
+        scheduler.dequeue()
+
+
+def _wfq(clock):
+    return WFQScheduler(clock, LINK_RATE, {0: 100.0, 1: 300.0})
+
+
+def _hybrid(clock):
+    return HybridScheduler(clock, LINK_RATE, [[0], [1]], [100.0, 300.0])
+
+
+def _rpq(clock):
+    return RPQScheduler(clock, 0.01, {0: 3, 1: 0})
+
+
+def _service_order(make, trace):
+    """Service order and every ``virtual_time`` read of a fixed arrival script.
+
+    Four packets in, ``trace`` says what happens: None (nothing),
+    "detached" (a trace is attached and detached again) or "skewed" (a
+    trace is attached whose clock is an hour ahead of the scheduler's).
+    """
+    now = [0.0]
+    scheduler = make(lambda: now[0])
+    sink = RingSink()
+    served, vtimes = [], []
+    for step in range(16):
+        if step == 4 and trace is not None:
+            scheduler.attach_trace(sink, lambda: now[0] + 3600.0, "n")
+            if trace == "detached":
+                scheduler.attach_trace(None, None)
+        now[0] += 0.004
+        scheduler.enqueue(Packet(step % 2, 100.0 + 40.0 * (step % 3), now[0]))
+        if step % 3 == 2:
+            served.append(scheduler.dequeue().flow_id)
+        vtimes.append(getattr(scheduler, "virtual_time", None))
+    while (packet := scheduler.dequeue()) is not None:
+        served.append(packet.flow_id)
+    return (served, vtimes), [event.time for event in sink.events()]
+
+
+@pytest.mark.parametrize("make", [_wfq, _hybrid, _rpq])
+class TestTraceClockIsNotTheSchedulersClock:
+    def test_scheduler_works_after_the_trace_is_detached(self, make):
+        # attach_trace(None) used to clear the clock WFQ and RPQ read for
+        # virtual time / epochs: the next enqueue raised TypeError.
+        outcome, stamps = _service_order(make, "detached")
+        assert outcome == _service_order(make, None)[0]
+        assert stamps == []
+
+    def test_a_skewed_trace_clock_moves_no_finish_tag(self, make):
+        # ... and attaching used to swap the discipline's time source
+        # for the trace's.
+        outcome, stamps = _service_order(make, "skewed")
+        assert outcome == _service_order(make, None)[0]
+        assert len(stamps) == 12 and min(stamps) > 3600.0

@@ -164,7 +164,7 @@ class TestClassifier:
         sim = Simulator()
         wfq = WFQScheduler(
             lambda: sim.now, 1000.0, {0: 1.0, 1: 1.0},
-            classifier=lambda packet: packet.flow_id % 2,
+            class_of={4: 0, 7: 1},
         )
         wfq.enqueue(pkt(4))  # class 0
         wfq.enqueue(pkt(7))  # class 1
