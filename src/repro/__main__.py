@@ -44,7 +44,7 @@ import sys
 from repro.experiments.campaign import CampaignRunner, ResultCache
 from repro.experiments.campaign.cache import DEFAULT_CACHE_DIR
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import ALL_FIGURES, FIGURES
 from repro.experiments.report import format_figure
 
 
@@ -262,6 +262,7 @@ def run_target(
     figure = ALL_FIGURES[name](fast=fast, runner=runner)
     text = format_figure(figure)
     print(text)
+    _print_campaign_stats(runner)
     print()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -769,9 +770,8 @@ def main(argv: list[str] | None = None) -> int:
         run_spec_file(args.spec, runner=_build_runner(args))
         return 0
     if args.target == "list":
-        for name, fn in ALL_FIGURES.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:10s} {doc}")
+        for name, figure in FIGURES.items():
+            print(f"{name:10s} {figure.caption}")
         return 0
     if args.target == "all":
         runner = _build_runner(args)

@@ -33,12 +33,19 @@ A spec with a ``"network"`` key describes a multi-node fabric instead::
     }
 
 ``"network"`` is either the string ``"tandem"`` (the reference demo
-tandem, tunable via ``hops``/``sim_time``/``churn``/``reclamation``) or
-a full :meth:`~repro.experiments.fabric.NetworkScenario.to_dict`
-scenario object (byte units).  Both input forms parse into the same
-thing — a :class:`ScenarioSpec` holding one
+tandem, tunable through the ``"network"`` parameters below) or a full
+:meth:`~repro.experiments.fabric.NetworkScenario.to_dict` scenario
+object (byte units, carrying its own parameters).  Both input forms
+parse into the same thing — a :class:`ScenarioSpec` holding one
 :class:`~repro.experiments.fabric.NetworkScenario` — and run as one
 :class:`~repro.experiments.campaign.ScenarioJob` per seed.
+
+This module also owns what a spec entry, a sweep cell
+(:mod:`repro.experiments.sweep`) and a figure
+(:mod:`repro.experiments.figures`) share: the typed parameter table per
+topology kind (:data:`PARAMETERS`), the one translation from paper-unit
+parameters to a scenario (:func:`scenario_from_params`) and the metric
+grammar (:func:`parse_metric`).
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import CampaignRunner, ScenarioJob
@@ -62,81 +69,145 @@ from repro.experiments.workloads import (
     table1_flows,
     table2_flows,
 )
-from repro.metrics.stats import MeanCI, mean_ci
+from repro.metrics.stats import MeanCI
 from repro.traffic.profiles import FlowSpec
-from repro.units import kbytes, mbps, mbytes
+from repro.units import kbytes, mbps, mbytes, to_mbps
 
 __all__ = [
     "ScenarioSpec",
     "run_spec",
     "load_specs",
     "parse_metric",
+    "validate_metrics",
+    "scenario_from_params",
+    "check_param",
+    "PARAMETERS",
+    "DEFAULTS",
     "WORKLOADS",
     "DEFAULT_GROUPS",
     "CONFORMANT_SETS",
 ]
 
-#: Named workload registry shared with the sweep DSL
-#: (:mod:`repro.experiments.sweep`): name -> flow-population factory.
+#: Named workload registry: name -> flow-population factory.
 WORKLOADS = {"table1": table1_flows, "table2": table2_flows}
 #: Default hybrid grouping per named workload.
 DEFAULT_GROUPS = {"table1": CASE1_GROUPS, "table2": CASE2_GROUPS}
 #: Conformant flow-id partition per named workload.
 CONFORMANT_SETS = {"table1": TABLE1_CONFORMANT, "table2": TABLE2_CONFORMANT}
 
+#: The parameters of an experiment, per topology kind: name -> (type,
+#: default), in the paper's units.  ``"scenario"`` is one link over a
+#: named workload, ``"network"`` the reference tandem.  A tuple type
+#: lists the valid names; ``float`` takes integers too; ``bool`` is never
+#: a number; ``None`` is a value only where it is the default.
+PARAMETERS: dict[str, dict[str, tuple]] = {
+    "scenario": {
+        "workload": (tuple(WORKLOADS), "table1"),
+        "scheme": (tuple(Scheme.__members__), "FIFO_THRESHOLD"),
+        "buffer_mb": (float, 1.0),
+        "seed": (int, 1),
+        "sim_time": (float, 8.0),
+        "warmup": (float, None),
+        "link_mbps": (float, 48.0),
+        "headroom_mb": (float, 2.0),
+        "delay_histograms": (bool, False),
+        "max_events": (int, None),
+    },
+    "network": {
+        "hops": (int, 3),
+        "seed": (int, 1),
+        "sim_time": (float, 8.0),
+        "churn": (bool, True),
+        "reclamation": (bool, False),
+        "arrival_rate": (float, 6.0),
+        "mean_holding": (float, 4.0),
+        "delay_histograms": (bool, False),
+    },
+}
 
-def _one_link_scenario(raw: dict) -> NetworkScenario:
-    """The workload/scheme/``buffer_mb`` form (paper units) as a scenario."""
-    try:
-        scheme = Scheme.named(str(raw["scheme"]))
-        buffer_mb = float(raw["buffer_mb"])
-    except KeyError as missing:
-        raise ConfigurationError(f"spec missing required key {missing}") from None
+#: kind -> parameter -> default: what an undeclared parameter reads as.
+DEFAULTS = {
+    kind: {name: default for name, (_type, default) in table.items()}
+    for kind, table in PARAMETERS.items()
+}
 
-    workload = raw.get("workload", "table1")
-    if isinstance(workload, str):
-        if workload not in WORKLOADS:
-            raise ConfigurationError(
-                f"unknown workload {workload!r}; valid: {sorted(WORKLOADS)}"
-            )
-        flows = WORKLOADS[workload]()
-        default_groups = DEFAULT_GROUPS[workload]
-    else:
-        flows = [_flow_from_dict(index, entry) for index, entry in enumerate(workload)]
-        default_groups = None
-
-    groups = raw.get("groups")
-    if groups is None and scheme.is_hybrid:
-        groups = default_groups
-    if scheme.is_hybrid and groups is None:
-        raise ConfigurationError(f"scheme {scheme.name} requires groups")
-    return NetworkScenario.single_node(
-        flows,
-        scheme,
-        mbytes(buffer_mb),
-        link_rate=mbps(float(raw.get("link_mbps", 48.0))),
-        sim_time=float(raw.get("sim_time", 8.0)),
-        headroom=mbytes(float(raw.get("headroom_mb", 2.0))),
-        groups=groups,
-    )
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _network_scenario(raw: dict) -> NetworkScenario:
-    """The ``"network": "tandem" | {...}`` form as a scenario."""
-    network = raw["network"]
-    if isinstance(network, dict):
-        return NetworkScenario.from_dict(network)
-    if network != "tandem":
+def check_param(kind: str, name: str, value) -> None:
+    """Refuse a parameter ``kind`` does not have or a value of the wrong type.
+
+    The describe-stage check of both describers: a bad value fails where
+    it is written down, not in a worker building the job.
+    """
+    table = PARAMETERS[kind]
+    if name not in table:
         raise ConfigurationError(
-            f"unknown named network {network!r}; valid: tandem, "
-            "or an inline scenario object"
+            f"unknown {kind} parameter {name!r}; valid: {sorted(table)}"
         )
-    return demo_tandem(
-        hops=int(raw.get("hops", 3)),
-        sim_time=float(raw.get("sim_time", 8.0)),
-        churn=bool(raw.get("churn", True)),
-        reclamation=bool(raw.get("reclamation", False)),
+    expected, default = table[name]
+    if value is None and default is None:
+        return
+    if isinstance(expected, tuple):
+        if value not in expected:
+            raise ConfigurationError(
+                f"unknown {name} {value!r}; valid: {', '.join(expected)}"
+            )
+        return
+    accepted = (int, float) if expected is float else expected
+    if not isinstance(value, accepted) or isinstance(value, bool) != (expected is bool):
+        raise ConfigurationError(
+            f"parameter {name!r} must be {_TYPE_NAMES[expected]}, got {value!r}"
+        )
+
+
+def scenario_from_params(kind: str, params: Mapping) -> NetworkScenario:
+    """The scenario one set of paper-unit parameters describes.
+
+    ``params`` holds checked values (:func:`check_param`: integers and
+    booleans pass through as they are, numbers become floats); whatever
+    it leaves out reads as its default.  Spec entries may carry two inputs
+    no sweep axis can: ``workload`` as a list of
+    :class:`~repro.traffic.profiles.FlowSpec` and explicit ``groups``.
+    """
+    params = {**DEFAULTS[kind], **params}
+    if kind == "network":
+        return demo_tandem(
+            hops=params["hops"],
+            seed=params["seed"],
+            sim_time=float(params["sim_time"]),
+            churn=params["churn"],
+            reclamation=params["reclamation"],
+            arrival_rate=float(params["arrival_rate"]),
+            mean_holding=float(params["mean_holding"]),
+            delay_histograms=params["delay_histograms"],
+        )
+    workload = params["workload"]
+    named = isinstance(workload, str)
+    scheme = Scheme.named(params["scheme"])
+    groups = params.get("groups")
+    if groups is None and scheme.is_hybrid:
+        if not named:
+            raise ConfigurationError(f"scheme {scheme.name} requires groups")
+        groups = DEFAULT_GROUPS[workload]
+    warmup = params["warmup"]
+    return NetworkScenario.single_node(
+        WORKLOADS[workload]() if named else workload,
+        scheme,
+        mbytes(float(params["buffer_mb"])),
+        link_rate=mbps(float(params["link_mbps"])),
+        sim_time=float(params["sim_time"]),
+        warmup=None if warmup is None else float(warmup),
+        seed=params["seed"],
+        headroom=mbytes(float(params["headroom_mb"])),
+        groups=groups,
+        delay_histograms=params["delay_histograms"],
+        max_events=params["max_events"],
     )
+
+
+#: Keys of a spec entry that are not parameters of its scenario.
+_ENTRY_KEYS = ("name", "seeds", "metrics", "network")
 
 
 @dataclass(frozen=True)
@@ -161,33 +232,58 @@ class ScenarioSpec:
 
         The one place either input form becomes a scenario; everything
         downstream (jobs, pre-flight, tracing, auditing) reads
-        ``spec.scenario``.
+        ``spec.scenario``.  Every key is honoured or refused: a
+        parameter of the entry's kind is checked (:func:`check_param`)
+        and reaches :func:`scenario_from_params`, anything else raises.
+        ``seed`` is not a key — an entry replicates over ``seeds`` — and
+        an inline scenario object takes no parameters, it carries them.
         """
         if "name" not in raw:
             raise ConfigurationError("spec missing required key 'name'")
-        if "network" in raw:
-            scenario = _network_scenario(raw)
-            default_metrics = ("delivered", "blocking")
-        else:
-            scenario = _one_link_scenario(raw)
-            default_metrics = ("utilization",)
-        seeds = tuple(int(s) for s in raw.get("seeds", (1,)))
-        if not seeds:
-            raise ConfigurationError("seeds must be non-empty")
+        network = raw.get("network")
+        inline = isinstance(network, dict)
+        kind = "network" if "network" in raw else "scenario"
+        if kind == "network" and not inline and network != "tandem":
+            raise ConfigurationError(
+                f"unknown named network {network!r}; valid: tandem, "
+                "or an inline scenario object"
+            )
+        valid = [] if inline else [key for key in PARAMETERS[kind] if key != "seed"]
+        if kind == "scenario":
+            valid.append("groups")
+        params = {key: value for key, value in raw.items() if key not in _ENTRY_KEYS}
+        for key, value in params.items():
+            if key not in valid:
+                raise ConfigurationError(
+                    f"unknown spec key {key!r}; this entry takes "
+                    f"{sorted([*valid, *_ENTRY_KEYS])}"
+                )
+            if key == "workload" and isinstance(value, list):
+                params[key] = [_flow_from_dict(i, flow) for i, flow in enumerate(value)]
+            elif key != "groups":
+                check_param(kind, key, value)
+        for required in ("scheme", "buffer_mb") if kind == "scenario" else ():
+            if required not in params:
+                raise ConfigurationError(f"spec missing required key {required!r}")
+        seeds = tuple(raw.get("seeds", (1,)))
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise ConfigurationError(
+                f"seeds must be non-empty and not repeat a value, got {list(seeds)}"
+            )
+        for seed in seeds:
+            check_param(kind, "seed", seed)
+        default_metrics = ("utilization",) if kind == "scenario" else ("delivered", "blocking")
         spec = ScenarioSpec(
             name=str(raw["name"]),
-            scenario=scenario,
+            scenario=(
+                NetworkScenario.from_dict(network)
+                if inline
+                else scenario_from_params(kind, params)
+            ),
             seeds=seeds,
             metrics=tuple(str(m) for m in raw.get("metrics", default_metrics)),
         )
-        conformant_ids = spec.conformant_ids
-        for metric in spec.metrics:
-            parse_metric(metric, conformant_ids)  # validate early
-            if metric not in _RECORD_METRICS and len(scenario.links) != 1:
-                raise ConfigurationError(
-                    f"metric {metric!r} reads one link's measurements; this "
-                    f"scenario has {len(scenario.links)} links"
-                )
+        validate_metrics(spec.metrics, spec.conformant_ids, len(spec.scenario.links))
         return spec
 
     def jobs(self) -> list[ScenarioJob]:
@@ -232,12 +328,12 @@ _RECORD_METRICS = {
 def parse_metric(metric: str, conformant_ids: Sequence[int]):
     """Turn a metric string into (label, extractor).
 
-    Shared by declarative specs and the sweep DSL.  ``utilization``,
-    ``loss[:conformant|:ids|:all]`` and ``throughput[:...]`` read one
-    link's measurements (a multi-link record refuses them);
-    ``delivered`` (packets that reached the end of their route),
-    ``blocking`` (churn blocking probability) and ``events`` work on any
-    record.
+    The one metric grammar of spec entries, sweeps and figures.
+    ``utilization`` (% of the link), ``loss[:conformant|:ids|:all]`` (%
+    of offered bytes) and ``throughput[:...]`` (Mb/s) read one link's
+    measurements (a multi-link record refuses them); ``delivered``
+    (packets that reached the end of their route), ``blocking`` (churn
+    blocking probability) and ``events`` work on any record.
     """
     kind, _, argument = metric.partition(":")
     if metric in _RECORD_METRICS:
@@ -256,13 +352,24 @@ def parse_metric(metric: str, conformant_ids: Sequence[int]):
                 raise ConfigurationError(f"bad metric flow list in {metric!r}") from None
         if kind == "loss":
             return metric, lambda result, ids=ids: 100.0 * result.loss_fraction(ids)
-        return metric, (
-            lambda result, ids=ids: 8e-6 * result.throughput(ids)  # Mb/s
-        )
+        return metric, lambda result, ids=ids: to_mbps(result.throughput(ids))
     raise ConfigurationError(
         f"unknown metric {metric!r}; use utilization, loss[:ids], "
         f"throughput[:ids], {', '.join(_RECORD_METRICS)}"
     )
+
+
+def validate_metrics(
+    metrics: Sequence[str], conformant_ids: Sequence[int], links: int
+) -> None:
+    """Refuse a metric outside the grammar or one a ``links``-link record cannot answer."""
+    for metric in metrics:
+        parse_metric(metric, conformant_ids)
+        if metric not in _RECORD_METRICS and links != 1:
+            raise ConfigurationError(
+                f"metric {metric!r} reads one link's measurements; this "
+                f"scenario has {links} links"
+            )
 
 
 def run_spec(
@@ -272,16 +379,21 @@ def run_spec(
 
     The seeds are submitted as one campaign batch through ``runner``
     (default: serial, no cache), so spec execution shares the pipeline's
-    deduplication, caching, and parallel dispatch.
+    deduplication, caching, and parallel dispatch; the samples fold
+    through the one seed fold of sweeps and figures.
     """
+    # The sweep package builds on this module; only this call goes back.
+    from repro.experiments.sweep.aggregate import fold_seeds
+
     if runner is None:
         runner = CampaignRunner()
     extractors = [parse_metric(metric, spec.conformant_ids) for metric in spec.metrics]
-    samples: dict[str, list[float]] = {metric: [] for metric in spec.metrics}
-    for record in runner.run(spec.jobs()):
-        for label, extractor in extractors:
-            samples[label].append(extractor(record))
-    return {label: mean_ci(values) for label, values in samples.items()}
+    rows = (
+        ({"seed": seed}, {label: extractor(record) for label, extractor in extractors})
+        for seed, record in zip(spec.seeds, runner.run(spec.jobs()))
+    )
+    [group] = fold_seeds(spec.metrics, rows)
+    return group["metrics"]
 
 
 def load_specs(path: str | pathlib.Path) -> list[ScenarioSpec]:

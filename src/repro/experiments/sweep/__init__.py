@@ -8,7 +8,8 @@ grid across N worker processes on N hosts using only atomic claim files
 in the shared cache directory; streaming aggregation
 (:mod:`~repro.experiments.sweep.aggregate`) folds the results into one
 deterministic ``repro-sweep-v1`` artifact, byte-identical however the
-work was sharded, killed, or resumed.
+work was sharded, killed, or resumed — and ``run_grid`` folds the same
+artifact in memory from one campaign batch, which is how a figure runs.
 
 CLI surface: ``repro campaign sweep run | status | aggregate``; see
 ``docs/campaigns.md`` for the multi-host story.
@@ -20,8 +21,10 @@ from repro.experiments.sweep.aggregate import (
     aggregate_sweep,
     append_shard_row,
     default_aggregate_path,
+    fold_seeds,
     metric_row,
     read_shard_index,
+    run_grid,
     shard_dir,
     shard_path,
     write_aggregate,
@@ -70,12 +73,14 @@ __all__ = [
     "claim_path",
     "default_aggregate_path",
     "default_owner",
+    "fold_seeds",
     "load_sweep",
     "metric_row",
     "read_claim",
     "read_shard_index",
     "reap_stale_claims",
     "release_claim",
+    "run_grid",
     "run_sweep_worker",
     "scan_claims",
     "scan_queue",

@@ -6,8 +6,11 @@ cell parameters, extracted metric values — to a worker-local file under
 index, then walks the sweep's cells **in expansion order**, pulling each
 cell's metric row from the index (or, for cells another campaign already
 cached, from the result cache one record at a time).  Per-cell groups
-(the cell minus its ``seed``) fold into mean +/- CI via the existing
-:func:`repro.metrics.stats.mean_ci` machinery.
+(the cell minus its ``seed``) fold into mean +/- CI in
+:func:`fold_seeds` — the one seed fold, which :func:`run_grid` (records
+straight from a :class:`~repro.experiments.campaign.CampaignRunner`, no
+shards; the figures' route) and
+:func:`repro.experiments.spec.run_spec` go through as well.
 
 Determinism is the point: the walk order is the spec's expansion order
 and every metric value is a pure function of a content-addressed record,
@@ -21,9 +24,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.cache import ResultCache
+from repro.experiments.campaign.runner import CampaignRunner
 from repro.experiments.sweep.spec import SweepSpec
 from repro.experiments.spec import CONFORMANT_SETS, parse_metric
 from repro.metrics.stats import mean_ci
@@ -34,8 +39,10 @@ __all__ = [
     "aggregate_sweep",
     "append_shard_row",
     "default_aggregate_path",
+    "fold_seeds",
     "metric_row",
     "read_shard_index",
+    "run_grid",
     "shard_dir",
     "shard_path",
     "write_aggregate",
@@ -180,6 +187,64 @@ def read_shard_index(
 # -- aggregation ----------------------------------------------------------
 
 
+def fold_seeds(
+    metrics: Sequence[str], rows: Iterable[tuple[Mapping, Mapping]]
+) -> list[dict]:
+    """Fold ``(cell parameters, metric values)`` rows into seed groups.
+
+    Rows differing only in ``seed`` form one group, in first-seen order:
+    its parameters without the seed, its seeds, and per metric the mean
+    +/- 95% CI (:class:`~repro.metrics.stats.MeanCI`) over them — the
+    paper's replications.
+    """
+    groups: dict = {}
+    for params, values in rows:
+        key = SweepSpec.group_key(params)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {
+                "params": {k: v for k, v in params.items() if k != "seed"},
+                "seeds": [],
+                "samples": {metric: [] for metric in metrics},
+            }
+        group["seeds"].append(int(params["seed"]))
+        for metric in metrics:
+            value = values.get(metric)
+            if value is None:
+                raise ConfigurationError(
+                    f"the row of cell {dict(params)} lacks metric {metric!r}"
+                )
+            group["samples"][metric].append(float(value))
+    return [
+        {
+            "params": group["params"],
+            "seeds": group["seeds"],
+            "metrics": {
+                metric: mean_ci(group["samples"][metric]) for metric in metrics
+            },
+        }
+        for group in groups.values()
+    ]
+
+
+def _aggregate(spec: SweepSpec, cells: int, groups: list[dict]) -> dict:
+    """The canonical aggregate artifact around a grid's folded groups."""
+    for group in groups:
+        group["metrics"] = {
+            metric: {"mean": ci.mean, "halfwidth": ci.halfwidth, "n": ci.n}
+            for metric, ci in group["metrics"].items()
+        }
+    return {
+        "schema": AGGREGATE_SCHEMA,
+        "name": spec.name,
+        "kind": spec.kind,
+        "sweep_digest": spec.digest(),
+        "sweep": spec.to_dict(),
+        "cells": cells,
+        "groups": groups,
+    }
+
+
 def aggregate_sweep(spec: SweepSpec, cache: ResultCache) -> dict:
     """Fold a completed sweep into its canonical aggregate dict.
 
@@ -190,72 +255,45 @@ def aggregate_sweep(spec: SweepSpec, cache: ResultCache) -> dict:
     (the sweep has not finished).
     """
     index = read_shard_index(cache.root, spec.digest())
-    groups: dict = {}
-    order: list = []
-    cells = 0
-    missing = 0
-    for params, job in spec.jobs():
-        cells += 1
-        digest = job.digest()
-        metrics = index.get(digest)
-        if metrics is None:
-            record = cache.get(digest)
-            if record is None:
-                missing += 1
-                continue
-            metrics = metric_row(spec, params, record)
-        key = spec.group_key(params)
-        group = groups.get(key)
-        if group is None:
-            group = {
-                "params": {k: v for k, v in params.items() if k != "seed"},
-                "seeds": [],
-                "samples": {metric: [] for metric in spec.metrics},
-            }
-            groups[key] = group
-            order.append(key)
-        group["seeds"].append(int(params["seed"]))
-        for metric in spec.metrics:
-            value = metrics.get(metric)
-            if value is None:
-                raise ConfigurationError(
-                    f"shard row for {digest[:12]} lacks metric {metric!r}"
-                )
-            group["samples"][metric].append(float(value))
+    cells = missing = 0
+
+    def rows():
+        nonlocal cells, missing
+        for params, job in spec.jobs():
+            cells += 1
+            digest = job.digest()
+            metrics = index.get(digest)
+            if metrics is None:
+                record = cache.get(digest)
+                if record is None:
+                    missing += 1
+                    continue
+                metrics = metric_row(spec, params, record)
+            yield params, metrics
+
+    groups = fold_seeds(spec.metrics, rows())
     if missing:
         raise ConfigurationError(
             f"sweep {spec.name!r} is incomplete: {missing} of {cells} cells "
             "have no cached record; run more workers (repro campaign sweep "
             "run) before aggregating"
         )
+    return _aggregate(spec, cells, groups)
 
-    rows = []
-    for key in order:
-        group = groups[key]
-        metrics_out = {}
-        for metric in spec.metrics:
-            ci = mean_ci(group["samples"][metric])
-            metrics_out[metric] = {
-                "mean": ci.mean,
-                "halfwidth": ci.halfwidth,
-                "n": ci.n,
-            }
-        rows.append(
-            {
-                "params": group["params"],
-                "seeds": group["seeds"],
-                "metrics": metrics_out,
-            }
-        )
-    return {
-        "schema": AGGREGATE_SCHEMA,
-        "name": spec.name,
-        "kind": spec.kind,
-        "sweep_digest": spec.digest(),
-        "sweep": spec.to_dict(),
-        "cells": cells,
-        "groups": rows,
-    }
+
+def run_grid(spec: SweepSpec, runner: CampaignRunner) -> dict:
+    """Run a whole grid as one campaign batch; returns its aggregate.
+
+    The in-memory route to what :func:`aggregate_sweep` reads back from
+    shards and cache: same cells, same rows, same fold, same dict.
+    """
+    cells = list(spec.jobs())
+    records = runner.run([job for _params, job in cells])
+    rows = (
+        (params, metric_row(spec, params, record))
+        for (params, _job), record in zip(cells, records)
+    )
+    return _aggregate(spec, len(cells), fold_seeds(spec.metrics, rows))
 
 
 def write_aggregate(aggregate: dict, path: str | os.PathLike) -> pathlib.Path:

@@ -10,17 +10,12 @@ a 10,000-cell grid costs the same peak memory as a 10-cell one.  That
 property is what lets the work-queue runner (:mod:`.queue`) stream a
 grid past the claim files instead of materializing a batch.
 
-Two grid kinds exist — two parameter tables over the one job family
-(every cell is a :class:`ScenarioJob`, i.e. a
-:class:`~repro.experiments.fabric.NetworkScenario`):
-
-* ``"scenario"`` — one-link runs over the paper's named workloads
-  (axes over ``workload``, ``scheme``, ``buffer_mb``, ``seed``,
-  ``sim_time``, ``warmup``, ``link_mbps``, ``headroom_mb``,
-  ``delay_histograms``, ``max_events``);
-* ``"network"`` — reference-tandem fabric runs (axes over ``hops``,
-  ``seed``, ``sim_time``, ``churn``, ``reclamation``, ``arrival_rate``,
-  ``mean_holding``, ``delay_histograms``).
+A grid's ``kind`` names which parameter table of
+:data:`repro.experiments.spec.PARAMETERS` its axes and base values come
+from — ``"scenario"`` (one link over a named workload) or ``"network"``
+(the reference tandem); the table types every declared value at the
+describe stage and :func:`~repro.experiments.spec.scenario_from_params`
+turns each cell into its job, exactly as it does for a spec entry.
 
 Optional :class:`SweepConstraint` predicates prune the product — e.g.
 "only sweep headroom where the scheme shares buffer" — as data, not
@@ -33,21 +28,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import ScenarioJob
-from repro.experiments.fabric.demo import demo_tandem
-from repro.experiments.schemes import Scheme
 from repro.experiments.spec import (
     CONFORMANT_SETS,
-    DEFAULT_GROUPS,
-    WORKLOADS,
-    parse_metric,
+    DEFAULTS,
+    check_param,
+    scenario_from_params,
+    validate_metrics,
 )
-from repro.units import mbps, mbytes
 
 __all__ = [
     "SWEEP_SPEC_SCHEMA",
@@ -63,42 +57,11 @@ __all__ = [
 #: instead of silently mixing generations.
 SWEEP_SPEC_SCHEMA = "repro-sweep-spec-v1"
 
-#: Parameters a ``"scenario"`` grid may set, with their defaults.
-SCENARIO_DEFAULTS: dict = {
-    "workload": "table1",
-    "scheme": "FIFO_THRESHOLD",
-    "buffer_mb": 1.0,
-    "seed": 1,
-    "sim_time": 8.0,
-    "warmup": None,
-    "link_mbps": 48.0,
-    "headroom_mb": 2.0,
-    "delay_histograms": False,
-    "max_events": None,
-}
-
-#: Parameters a ``"network"`` grid may set, with their defaults.
-NETWORK_DEFAULTS: dict = {
-    "hops": 3,
-    "seed": 1,
-    "sim_time": 8.0,
-    "churn": True,
-    "reclamation": False,
-    "arrival_rate": 6.0,
-    "mean_holding": 4.0,
-    "delay_histograms": False,
-}
-
-_DEFAULTS_BY_KIND = {"scenario": SCENARIO_DEFAULTS, "network": NETWORK_DEFAULTS}
-
-#: Metric sets offered per kind, all in the one
-#: :func:`repro.experiments.spec.parse_metric` grammar: ``"scenario"``
-#: grids take any metric, network ones the shape-independent three.
+#: Metrics aggregated when a spec names none (they enter its digest).
 DEFAULT_METRICS = {
     "scenario": ("utilization", "loss"),
     "network": ("delivered", "blocking"),
 }
-NETWORK_METRICS = ("delivered", "blocking", "events")
 
 _CONSTRAINT_OPS = ("==", "!=", "<", "<=", ">", ">=", "in", "not-in")
 _SCALAR_TYPES = (str, int, float, bool)
@@ -236,119 +199,59 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a sweep needs a non-empty name")
-        if self.kind not in _DEFAULTS_BY_KIND:
+        if self.kind not in DEFAULTS:
             raise ConfigurationError(
-                f"unknown sweep kind {self.kind!r}; valid: "
-                f"{sorted(_DEFAULTS_BY_KIND)}"
+                f"unknown sweep kind {self.kind!r}; valid: {sorted(DEFAULTS)}"
             )
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if isinstance(self.base, Mapping):
-            base_items = tuple(sorted(self.base.items()))
-        else:
-            base_items = tuple(sorted((str(k), v) for k, v in self.base))
-        object.__setattr__(self, "base", base_items)
-        if not self.metrics:
-            object.__setattr__(self, "metrics", DEFAULT_METRICS[self.kind])
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "base", tuple(sorted(dict(self.base).items())))
+        object.__setattr__(
+            self, "metrics", tuple(self.metrics) or DEFAULT_METRICS[self.kind]
+        )
 
-        defaults = _DEFAULTS_BY_KIND[self.kind]
         axis_names = [axis.name for axis in self.axes]
         if len(set(axis_names)) != len(axis_names):
             raise ConfigurationError(f"duplicate axis names in {axis_names}")
-        for key, value in self.base:
+        for key, _value in self.base:
             if key in axis_names:
                 raise ConfigurationError(
                     f"parameter {key!r} is both a base value and an axis"
                 )
-            if not _is_scalar(value):
-                raise ConfigurationError(
-                    f"base parameter {key!r} value {value!r} is not a JSON scalar"
-                )
-        for param in itertools.chain(axis_names, (k for k, _v in self.base)):
-            if param not in defaults:
-                raise ConfigurationError(
-                    f"unknown {self.kind} parameter {param!r}; valid: "
-                    f"{sorted(defaults)}"
-                )
-        known = set(defaults)
+        # Every declared value is typed here, at the describe stage, not
+        # in a worker twenty minutes into the sweep.
+        declared = [
+            *self.base,
+            *((axis.name, value) for axis in self.axes for value in axis.values),
+        ]
+        for key, value in declared:
+            check_param(self.kind, key, value)
+        defaults = DEFAULTS[self.kind]
         for constraint in self.constraints:
-            if constraint.param not in known:
-                raise ConfigurationError(
-                    f"constraint references unknown parameter {constraint.param!r}"
+            for param in (constraint.param, constraint.other):
+                if param is not None and param not in defaults:
+                    raise ConfigurationError(
+                        f"constraint references unknown parameter {param!r}"
+                    )
+
+        # ... and every metric must parse, and be answerable, for every
+        # workload and tandem length the grid can produce.
+        def values(name: str) -> list:
+            return [v for key, v in declared if key == name] or [defaults.get(name)]
+
+        for workload in values("workload"):
+            for hops in values("hops"):
+                validate_metrics(
+                    self.metrics,
+                    CONFORMANT_SETS.get(workload, ()),
+                    1 if hops is None else hops,
                 )
-            if constraint.other is not None and constraint.other not in known:
-                raise ConfigurationError(
-                    f"constraint references unknown parameter {constraint.other!r}"
-                )
-        self._validate_values()
-        self._validate_metrics()
-
-    # -- eager validation ------------------------------------------------
-
-    def _iter_declared(self) -> Iterator[tuple[str, object]]:
-        for key, value in self.base:
-            yield key, value
-        for axis in self.axes:
-            for value in axis.values:
-                yield axis.name, value
-
-    def _validate_values(self) -> None:
-        """Reject bad schemes/workloads at the describe stage, not in a
-        worker twenty minutes into a sweep."""
-        for key, value in self._iter_declared():
-            if key == "scheme":
-                if not isinstance(value, str) or value not in Scheme.__members__:
-                    raise ConfigurationError(
-                        f"unknown scheme {value!r}; valid: "
-                        + ", ".join(Scheme.__members__)
-                    )
-            elif key == "workload":
-                if value not in WORKLOADS:
-                    raise ConfigurationError(
-                        f"unknown workload {value!r}; valid: {sorted(WORKLOADS)}"
-                    )
-            elif key in ("seed", "hops", "max_events"):
-                if value is not None and not isinstance(value, int):
-                    raise ConfigurationError(
-                        f"parameter {key!r} must be an integer, got {value!r}"
-                    )
-
-    def _validate_metrics(self) -> None:
-        if self.kind == "network":
-            for metric in self.metrics:
-                if metric not in NETWORK_METRICS:
-                    raise ConfigurationError(
-                        f"unknown network metric {metric!r}; valid: "
-                        f"{NETWORK_METRICS}"
-                    )
-            return
-        # Scenario metrics share the declarative-spec grammar; validate
-        # against every workload the grid can produce.
-        workloads = sorted(
-            {value for key, value in self._iter_declared() if key == "workload"}
-        ) or [SCENARIO_DEFAULTS["workload"]]
-        for workload in workloads:
-            for metric in self.metrics:
-                parse_metric(metric, CONFORMANT_SETS[workload])
 
     # -- expansion -------------------------------------------------------
 
-    @property
-    def base_params(self) -> dict:
-        """The fixed overrides as a fresh dict."""
-        return dict(self.base)
-
-    def defaults(self) -> dict:
-        """The full default parameter set for this spec's kind."""
-        return dict(_DEFAULTS_BY_KIND[self.kind])
-
     def total_cells(self) -> int:
         """Grid size before constraints (product of axis lengths)."""
-        total = 1
-        for axis in self.axes:
-            total *= len(axis.values)
-        return total
+        return math.prod(len(axis.values) for axis in self.axes)
 
     def cells(self) -> Iterator[dict]:
         """Lazily yield one full parameter dict per surviving cell.
@@ -356,8 +259,7 @@ class SweepSpec:
         Row-major over the declared axis order; peak memory is
         O(axes), independent of the grid size.
         """
-        template = self.defaults()
-        template.update(self.base)
+        template = {**DEFAULTS[self.kind], **dict(self.base)}
         names = [axis.name for axis in self.axes]
         for combo in itertools.product(*(axis.values for axis in self.axes)):
             params = dict(template)
@@ -367,50 +269,19 @@ class SweepSpec:
 
     def count(self) -> int:
         """Number of cells after constraints (iterates, stays lazy)."""
-        total = 0
-        for _params in self.cells():
-            total += 1
-        return total
+        return sum(1 for _params in self.cells())
 
     def job_for_cell(self, params: Mapping) -> ScenarioJob:
         """The content-addressed job executing one cell."""
-        if self.kind == "network":
-            return ScenarioJob(
-                demo_tandem(
-                    hops=int(params["hops"]),
-                    seed=int(params["seed"]),
-                    sim_time=float(params["sim_time"]),
-                    churn=bool(params["churn"]),
-                    reclamation=bool(params["reclamation"]),
-                    arrival_rate=float(params["arrival_rate"]),
-                    mean_holding=float(params["mean_holding"]),
-                    delay_histograms=bool(params["delay_histograms"]),
-                )
-            )
-        workload = params["workload"]
-        scheme = Scheme[params["scheme"]]
-        warmup = params["warmup"]
-        max_events = params["max_events"]
-        return ScenarioJob.for_scenario(
-            WORKLOADS[workload](),
-            scheme,
-            mbytes(float(params["buffer_mb"])),
-            link_rate=mbps(float(params["link_mbps"])),
-            sim_time=float(params["sim_time"]),
-            warmup=None if warmup is None else float(warmup),
-            seed=int(params["seed"]),
-            headroom=mbytes(float(params["headroom_mb"])),
-            groups=DEFAULT_GROUPS[workload] if scheme.is_hybrid else None,
-            delay_histograms=bool(params["delay_histograms"]),
-            max_events=None if max_events is None else int(max_events),
-        )
+        return ScenarioJob(scenario_from_params(self.kind, params))
 
     def jobs(self) -> Iterator[tuple[dict, ScenarioJob]]:
         """Lazily yield ``(cell params, job)`` pairs in cell order."""
         for params in self.cells():
             yield params, self.job_for_cell(params)
 
-    def group_key(self, params: Mapping) -> str:
+    @staticmethod
+    def group_key(params: Mapping) -> str:
         """Canonical aggregation key: the cell minus its ``seed`` axis.
 
         Cells differing only in seed fold into one aggregate group
@@ -449,7 +320,7 @@ class SweepSpec:
                 SweepConstraint.from_dict(entry)
                 for entry in raw.get("constraints", ())
             ),
-            base=tuple(sorted(dict(raw.get("base", {})).items())),
+            base=raw.get("base", {}),
             metrics=tuple(raw.get("metrics", ())),
         )
 

@@ -1,9 +1,13 @@
 """Property-based tests: scenario-spec parsing over random inputs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.spec import ScenarioSpec
+from repro.errors import ConfigurationError
+from repro.experiments.schemes import Scheme
+from repro.experiments.spec import PARAMETERS, ScenarioSpec
+from repro.experiments.sweep import SweepAxis, SweepSpec
 from repro.units import kbytes, mbps, mbytes
 
 flow_dicts = st.builds(
@@ -70,3 +74,53 @@ class TestSpecParsing:
         first = ScenarioSpec.from_dict(raw)
         second = ScenarioSpec.from_dict(raw)
         assert first == second
+
+
+#: Paper-unit parameters of a one-link experiment over a named workload:
+#: what a spec entry and a sweep cell can both say.
+named_points = st.fixed_dictionaries(
+    {
+        "workload": st.sampled_from(["table1", "table2"]),
+        "scheme": st.sampled_from(sorted(Scheme.__members__)),
+        "buffer_mb": st.one_of(
+            st.integers(min_value=1, max_value=8),
+            st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+        ),
+    },
+    optional={
+        "sim_time": st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
+        "warmup": st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+        "link_mbps": st.floats(min_value=10.0, max_value=100.0, allow_nan=False),
+        "headroom_mb": st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        "delay_histograms": st.booleans(),
+        "max_events": st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
+    },
+)
+seed_lists = st.lists(
+    st.integers(min_value=0, max_value=10_000), min_size=1, max_size=3, unique=True
+)
+
+
+class TestOneTranslation:
+    @given(point=named_points, seeds=seed_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_a_spec_entry_and_a_sweep_cell_are_the_same_job(self, point, seeds):
+        entry = ScenarioSpec.from_dict({"name": "prop", "seeds": seeds, **point})
+        sweep = SweepSpec(name="prop", axes=(SweepAxis("seed", seeds),), base=point)
+        assert [job.digest() for job in entry.jobs()] == [
+            job.digest() for _params, job in sweep.jobs()
+        ]
+
+    @given(
+        point=named_points,
+        typo=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_key_is_a_parameter_or_an_error(self, point, typo):
+        known = {*PARAMETERS["scenario"], "groups", "name", "seeds", "metrics", "network"}
+        if typo in known - {"seed"}:
+            return
+        with pytest.raises(ConfigurationError, match="unknown spec key"):
+            ScenarioSpec.from_dict({"name": "prop", **point, typo: 1})
+        with pytest.raises(ConfigurationError, match="unknown scenario parameter"):
+            SweepSpec(name="prop", axes=(SweepAxis("seed", (1,)),), base={**point, typo: 1})

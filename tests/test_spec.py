@@ -1,5 +1,6 @@
 """Declarative scenario specifications."""
 
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,36 @@ class TestFromDict:
         with pytest.raises(ConfigurationError):
             spec_with(seeds=[])
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seeds": [1, 1, 1]}, "not repeat a value"),
+            ({"seeds": [True]}, "'seed' must be an integer"),
+            ({"seeds": [1.5]}, "'seed' must be an integer"),
+            ({"buffer_mb": "big"}, "'buffer_mb' must be a number"),
+            ({"delay_histograms": "yes"}, "must be true or false"),
+            ({"sim_tme": 3}, "unknown spec key 'sim_tme'.*sim_time"),
+            ({"seed": 3}, "unknown spec key 'seed'.*seeds"),
+            ({"hops": 2}, "unknown spec key 'hops'"),
+        ],
+    )
+    def test_every_key_is_typed_or_refused(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            spec_with(**overrides)
+
+    @pytest.mark.parametrize(
+        "key, value, read",
+        [
+            ("warmup", 0.0, lambda scenario: scenario.warmup),
+            ("delay_histograms", True, lambda scenario: scenario.delay_histograms),
+            ("max_events", 5000, lambda scenario: scenario.max_events),
+        ],
+    )
+    def test_every_parameter_is_honoured(self, key, value, read):
+        plain, changed = spec_with(), spec_with(**{key: value})
+        assert read(changed.scenario) == value != read(plain.scenario)
+        assert changed.jobs()[0].digest() != plain.jobs()[0].digest()
+
     def test_hybrid_gets_default_groups(self):
         spec = spec_with(scheme="HYBRID_SHARING")
         assert spec.scenario.nodes[0].groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
@@ -87,6 +118,11 @@ class TestFromDict:
 TANDEM = {"name": "net", "network": "tandem", "hops": 2, "sim_time": 0.5, "seeds": [1, 2]}
 
 
+def inline(scenario_dict):
+    """An entry carrying its scenario inline: it takes no parameters."""
+    return {"name": "net", "network": scenario_dict, "seeds": [1, 2]}
+
+
 class TestNetworkForm:
     """The ``"network"`` input form parses into the same ScenarioSpec."""
 
@@ -98,11 +134,53 @@ class TestNetworkForm:
 
     def test_inline_scenario_equals_the_named_one(self):
         named = ScenarioSpec.from_dict(TANDEM)
-        inline = ScenarioSpec.from_dict(
-            dict(TANDEM, network=named.scenario.to_dict())
+        inlined = ScenarioSpec.from_dict(inline(named.scenario.to_dict()))
+        assert inlined == named
+        assert [j.digest() for j in inlined.jobs()] == [j.digest() for j in named.jobs()]
+
+    @pytest.mark.parametrize(
+        "key, value, read",
+        [
+            ("arrival_rate", 2.0, lambda scenario: scenario.churn.arrival_rate),
+            ("mean_holding", 1.5, lambda scenario: scenario.churn.mean_holding),
+            ("delay_histograms", True, lambda scenario: scenario.delay_histograms),
+        ],
+    )
+    def test_tandem_parameters_are_honoured(self, key, value, read):
+        plain = ScenarioSpec.from_dict(TANDEM)
+        changed = ScenarioSpec.from_dict(dict(TANDEM, **{key: value}))
+        assert read(changed.scenario) == value != read(plain.scenario)
+        assert changed.jobs()[0].digest() != plain.jobs()[0].digest()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (dict(TANDEM, buffer_mb=1.0), "unknown spec key 'buffer_mb'"),
+            (dict(TANDEM, workload="table1"), "unknown spec key 'workload'"),
+            (dict(TANDEM, hops=2.5), "'hops' must be an integer"),
+            (dict(TANDEM, churn="yes"), "'churn' must be true or false"),
+            (dict(inline({}), hops=2), "unknown spec key 'hops'"),
+        ],
+    )
+    def test_tandem_keys_are_typed_or_refused(self, raw, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioSpec.from_dict(raw)
+
+    def test_the_tandem_default_matches_the_sweep_cell(self):
+        """One table, one default: the same experiment is one job."""
+        from repro.experiments.sweep import SweepAxis, SweepSpec
+
+        entry = ScenarioSpec.from_dict(TANDEM)
+        sweep = SweepSpec(
+            name="same",
+            kind="network",
+            axes=(SweepAxis("seed", (1, 2)),),
+            base={"hops": 2, "sim_time": 0.5},
         )
-        assert inline == named
-        assert [j.digest() for j in inline.jobs()] == [j.digest() for j in named.jobs()]
+        assert not entry.scenario.delay_histograms
+        assert [job.digest() for job in entry.jobs()] == [
+            job.digest() for _params, job in sweep.jobs()
+        ]
 
     def test_unknown_named_network(self):
         with pytest.raises(ConfigurationError, match="tandem"):
@@ -112,7 +190,7 @@ class TestNetworkForm:
         raw = ScenarioSpec.from_dict(TANDEM).scenario.to_dict()
         raw["nodes"][0]["scheme"] = "FIFO_TRESHOLD"
         with pytest.raises(ConfigurationError, match="FIFO_TRESHOLD.*FIFO_THRESHOLD"):
-            ScenarioSpec.from_dict(dict(TANDEM, network=raw))
+            ScenarioSpec.from_dict(inline(raw))
 
     def test_one_link_metric_on_a_multi_link_scenario_rejected_early(self):
         with pytest.raises(ConfigurationError, match="2 links"):
@@ -180,6 +258,31 @@ class TestLoadSpecs:
         path.write_text('{"name": "demo", ')
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_specs(path)
+
+
+class TestDigestsHeld:
+    """Job digests captured before spec entries, sweep cells and figures
+    shared one parameter→scenario translation."""
+
+    def test_committed_one_link_entries(self):
+        digests = [
+            job.digest()[:16]
+            for spec in load_specs("examples/specs/table1_thresholds.json")
+            for job in spec.jobs()
+        ]
+        assert digests == [
+            "df46e03cd1112ed0", "1d8f216e970c89b9", "7052bcf18302f871", "35991a329ede7a2f",
+        ]
+
+    def test_committed_sweep_cells(self):
+        from repro.experiments.sweep import load_sweep
+
+        spec = load_sweep("examples/sweeps/ci_grid.json")
+        assert spec.digest()[:16] == "d9cdadb59b6b5e7c"
+        cells = hashlib.sha256(
+            "".join(job.digest() for _params, job in spec.jobs()).encode("ascii")
+        )
+        assert cells.hexdigest()[:16] == "554f7a8039d74dda"
 
 
 class TestCLIRun:

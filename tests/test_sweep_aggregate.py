@@ -1,12 +1,14 @@
 """Streaming aggregation: shards, torn lines, byte-identical folds."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.cache import ResultCache
-from repro.experiments.campaign.runner import execute_job
+from repro.experiments.campaign.runner import CampaignRunner, execute_job
+from repro.experiments.spec import ScenarioSpec, run_spec
 from repro.experiments.sweep import (
     AGGREGATE_SCHEMA,
     SHARD_SCHEMA,
@@ -15,13 +17,16 @@ from repro.experiments.sweep import (
     aggregate_sweep,
     append_shard_row,
     default_aggregate_path,
+    load_sweep,
     metric_row,
     read_shard_index,
+    run_grid,
     run_sweep_worker,
     shard_dir,
     shard_path,
     write_aggregate,
 )
+from repro.metrics.stats import MeanCI
 
 FAST = {"sim_time": 0.5, "warmup": 0.1}
 
@@ -194,3 +199,38 @@ class TestAggregate:
         path = default_aggregate_path(tmp_path, spec)
         assert path.name == f"{spec.digest()}.json"
         assert path.parent.name == "aggregates"
+
+
+class TestDescribersAgree:
+    """A spec entry, a sweep and its aggregate are one grid, folded once."""
+
+    def test_spec_entry_is_the_single_group_of_its_grid(self):
+        metrics = ("utilization", "loss:conformant", "throughput:6,8")
+        point = {"scheme": "WFQ_SHARING", "buffer_mb": 0.5, "sim_time": 0.3}
+        entry = ScenarioSpec.from_dict(
+            {"name": "entry", "seeds": [1, 2], "metrics": list(metrics), **point}
+        )
+        grid = SweepSpec(
+            name="grid", axes=(SweepAxis("seed", (1, 2)),), base=point, metrics=metrics
+        )
+        assert [job.digest() for job in entry.jobs()] == [
+            job.digest() for _params, job in grid.jobs()
+        ]
+        [group] = run_grid(grid, CampaignRunner())["groups"]
+        assert group["seeds"] == [1, 2]
+        assert run_spec(entry) == {
+            metric: MeanCI(**cell) for metric, cell in group["metrics"].items()
+        }
+
+    def test_in_memory_grid_equals_the_shard_and_cache_routes(self, tmp_path):
+        spec = dataclasses.replace(
+            load_sweep("examples/sweeps/ci_grid.json"),
+            base={"sim_time": 0.3, "warmup": 0.05},
+        )
+        cache = ResultCache(tmp_path / "batch")
+        in_memory = run_grid(spec, CampaignRunner(cache=cache))
+        assert in_memory["cells"] == 12 and len(in_memory["groups"]) == 4
+        assert aggregate_sweep(spec, cache) == in_memory  # records, no shards
+        queue = ResultCache(tmp_path / "queue")
+        run_sweep_worker(spec, queue, "w1", heartbeat_timeout=30.0)
+        assert aggregate_sweep(spec, queue) == in_memory  # shard rows

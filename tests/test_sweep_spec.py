@@ -96,13 +96,46 @@ class TestValidation:
             scenario_spec(metrics=("latency",))
 
     def test_network_metrics_validated(self):
-        with pytest.raises(ConfigurationError, match="unknown network metric"):
+        # One grammar for both kinds: a one-link metric is refused
+        # because the default tandem has three links, not by vocabulary.
+        with pytest.raises(ConfigurationError, match="reads one link.*3 links"):
             SweepSpec(
                 name="net",
                 kind="network",
                 axes=(SweepAxis("seed", (1,)),),
                 metrics=("utilization",),
             )
+        one_hop = SweepSpec(
+            name="net",
+            kind="network",
+            axes=(SweepAxis("seed", (1,)),),
+            base={"hops": 1},
+            metrics=("utilization", "delivered"),
+        )
+        assert one_hop.metrics == ("utilization", "delivered")
+
+    @pytest.mark.parametrize(
+        "kind, axis, base, message",
+        [
+            ("scenario", ("seed", (True, 2)), {}, "'seed' must be an integer"),
+            ("scenario", ("buffer_mb", ("big",)), {}, "'buffer_mb' must be a number"),
+            ("scenario", ("seed", (1,)), {"buffer_mb": "big"}, "must be a number"),
+            ("scenario", ("seed", (1,)), {"sim_time": None}, "must be a number"),
+            ("scenario", ("seed", (1,)), {"delay_histograms": 1}, "must be true or false"),
+            ("scenario", ("max_events", (2.5,)), {}, "must be an integer"),
+            ("network", ("hops", (2.5,)), {}, "'hops' must be an integer"),
+            ("network", ("seed", (1,)), {"churn": "yes"}, "'churn' must be true or false"),
+            ("network", ("arrival_rate", (True,)), {}, "must be a number"),
+        ],
+    )
+    def test_values_are_typed_at_the_describe_stage(self, kind, axis, base, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SweepSpec(name="typed", kind=kind, axes=(SweepAxis(*axis),), base=base)
+
+    def test_integers_are_numbers_and_none_only_where_it_is_the_default(self):
+        spec = scenario_spec(base={"sim_time": 1, "warmup": None, "max_events": None})
+        [job] = [job for _params, job in list(spec.jobs())[:1]]
+        assert job.scenario.sim_time == 1.0 and job.scenario.warmup is None
 
     def test_constraint_on_unknown_parameter_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown parameter"):
