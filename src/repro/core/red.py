@@ -51,7 +51,7 @@ class REDManager(BufferManager):
         "weight",
         "mean_tx_time",
         "_rng",
-        "_clock",
+        "_now",
         "avg",
         "_count",
         "_idle_since",
@@ -85,14 +85,15 @@ class REDManager(BufferManager):
         self.weight = float(weight)
         self.mean_tx_time = float(mean_tx_time)
         self._rng = rng
-        self._clock = clock
+        # Not BufferManager._clock: attach_trace owns that slot.
+        self._now = clock
         self.avg = 0.0
         self._count = -1  # packets since last drop; -1 = no recent drop
         self._idle_since: float | None = clock()
 
     def _update_average(self) -> None:
         if self._idle_since is not None:
-            idle = max(self._clock() - self._idle_since, 0.0)
+            idle = max(self._now() - self._idle_since, 0.0)
             slots = idle / self.mean_tx_time
             self.avg *= (1.0 - self.weight) ** slots
             self._idle_since = None
@@ -128,4 +129,4 @@ class REDManager(BufferManager):
         """Release the space and start the idle clock when the queue empties."""
         super().on_depart(flow_id, size)
         if self._total <= 0:
-            self._idle_since = self._clock()
+            self._idle_since = self._now()

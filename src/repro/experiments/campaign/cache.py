@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.record import ScenarioRecord
 
-__all__ = ["ResultCache", "DEFAULT_CACHE_DIR"]
+__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "open_creating_parents"]
 
 #: Default location, relative to the working directory (kept under
 #: ``results/`` next to the rendered figures it accelerates).
@@ -32,6 +33,27 @@ DEFAULT_CACHE_DIR = pathlib.Path("results") / "cache"
 _STATS_NAME = "stats.meta"
 
 
+def open_creating_parents(path: str, flags: int) -> int:
+    """``os.open(path, flags, 0o644)``, making missing directories on a miss.
+
+    A cache directory exists from its first file on, so its writers
+    (entry, stats, claim, shard row) open first and create directories
+    only on the ``FileNotFoundError`` of a first write, instead of a
+    ``mkdir(parents=True, exist_ok=True)`` before every one.
+    """
+    try:
+        return os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return os.open(path, flags, 0o644)
+
+
+def _tmp_name(stem: str) -> str:
+    """A scratch name beside ``stem`` no other writer uses: the pid tells
+    processes apart, the thread id workers sharing one process."""
+    return f"{stem}.tmp.{os.getpid()}.{threading.get_ident()}"
+
+
 class ResultCache:
     """Digest-keyed store of :class:`ScenarioRecord` JSON files.
 
@@ -39,12 +61,15 @@ class ResultCache:
         root: cache directory; created lazily on the first store.
     """
 
-    __slots__ = ("root", "hits", "misses", "stores")
+    __slots__ = ("root", "_prefix", "hits", "misses", "stores")
 
     def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
         self.root = pathlib.Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise ConfigurationError(f"cache root {self.root} is not a directory")
+        # Per-cell lookups and stores name entries by string
+        # concatenation: a pathlib join re-parses the path on every call.
+        self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -80,23 +105,23 @@ class ResultCache:
         self.hits += 1
         return record
 
-    def put(self, record: ScenarioRecord) -> pathlib.Path:
-        """Store a record under its job digest (atomic rename)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(record.job_digest)
+    def put(self, record: ScenarioRecord) -> None:
+        """Store a record at :meth:`path` of its job digest (atomic rename)."""
         # One line, no indent: that is the form the C encoder writes.  An
         # indented entry goes through the pure-Python encoder, a
         # generator resume per token per nesting level — ~3,000 calls
         # for a one-link record, most of a short cell's fixed cost.
         payload = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        stem = self._prefix + record.job_digest
+        tmp = _tmp_name(stem)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        with open(open_creating_parents(tmp, flags), "wb") as handle:
+            handle.write((payload + "\n").encode("utf-8"))
+        os.replace(tmp, stem + ".json")
         self.stores += 1
-        return path
 
     def __contains__(self, digest: str) -> bool:
-        return self.path(digest).is_file()
+        return os.path.isfile(f"{self._prefix}{digest}.json")
 
     # -- persisted accounting ----------------------------------------------
 
@@ -136,9 +161,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.stats_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(totals, sort_keys=True) + "\n", encoding="utf-8")
+        tmp = _tmp_name(self._prefix + "stats")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        with open(open_creating_parents(tmp, flags), "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(totals, sort_keys=True) + "\n")
         os.replace(tmp, self.stats_path)
         return totals
 

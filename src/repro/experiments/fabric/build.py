@@ -254,14 +254,16 @@ def run_fabric(
         key = (link.src, link.dst)
         label = "" if single else link.label
         # Thresholds at this hop are sized for the *inflated* envelope:
-        # sigma grows by rho * D across every upstream hop.
-        effective = [
-            dataclasses.replace(
-                routed.spec, bucket=hop_sigmas[routed.spec.flow_id][key]
-            )
-            for routed in scenario.flows
-            if key in hop_sigmas[routed.spec.flow_id]
-        ]
+        # sigma grows by rho * D across every upstream hop.  At a flow's
+        # first hop nothing has inflated yet, so its spec serves as is.
+        effective = []
+        for routed in scenario.flows:
+            sigma = hop_sigmas[routed.spec.flow_id].get(key)
+            if sigma is not None:
+                spec = routed.spec
+                effective.append(
+                    spec if sigma == spec.bucket else dataclasses.replace(spec, bucket=sigma)
+                )
         build = build_scheme(
             sim,
             node.scheme,

@@ -33,6 +33,32 @@ __all__ = ["demo_tandem", "undersized_tandem", "TARGET_FLOW_ID"]
 #: Flow id of the conformant end-to-end target flow.
 TARGET_FLOW_ID = 0
 
+# The tandem's constant parts, built once: a sweep describes a tandem
+# per cell and per pass.  The target flow's shape is also the churning
+# flows' template (whose flow id the churn process ignores).
+_LINK_RATE = mbps(48.0)
+_BUFFER_SIZE = mbytes(1.0)
+_TARGET = FlowSpec(
+    flow_id=TARGET_FLOW_ID,
+    peak_rate=mbps(8.0),
+    avg_rate=mbps(2.0),
+    bucket=kbytes(50.0),
+    token_rate=mbps(2.0),
+    conformant=True,
+    mean_burst=kbytes(50.0),
+)
+# Independent cross-traffic per hop: bursty, over-subscribed relative
+# to its reservation (mean burst 5x the bucket, like the paper's
+# non-conformant flows).
+_CROSS = dict(
+    peak_rate=mbps(24.0),
+    avg_rate=mbps(6.0),
+    bucket=kbytes(50.0),
+    token_rate=mbps(4.0),
+    conformant=False,
+    mean_burst=kbytes(250.0),
+)
+
 
 def demo_tandem(
     *,
@@ -63,44 +89,23 @@ def demo_tandem(
         mean_holding: mean exponential holding time of accepted dynamic
             flows, simulated seconds (ignored without ``churn``).
     """
-    link_rate = mbps(48.0)
-    buffer_size = mbytes(1.0)
     names = [f"n{i}" for i in range(hops + 1)]
     nodes = tuple(
-        NodeSpec(name=name, scheme=Scheme.FIFO_THRESHOLD, buffer_size=buffer_size)
+        NodeSpec(name=name, scheme=Scheme.FIFO_THRESHOLD, buffer_size=_BUFFER_SIZE)
         for name in names[:-1]
     ) + (NodeSpec(name=names[-1]),)
     links = tuple(
-        LinkSpec(names[i], names[i + 1], link_rate) for i in range(hops)
+        LinkSpec(names[i], names[i + 1], _LINK_RATE) for i in range(hops)
     )
 
-    target = FlowSpec(
-        flow_id=TARGET_FLOW_ID,
-        peak_rate=mbps(8.0),
-        avg_rate=mbps(2.0),
-        bucket=kbytes(50.0),
-        token_rate=mbps(2.0),
-        conformant=True,
-        mean_burst=kbytes(50.0),
-    )
-    flows = [RoutedFlow(spec=target, route=tuple(names))]
-    # Independent cross-traffic per hop: bursty, over-subscribed relative
-    # to its reservation (mean burst 5x the bucket, like the paper's
-    # non-conformant flows), entering at hop i and leaving at node i+1.
+    flows = [RoutedFlow(spec=_TARGET, route=tuple(names))]
+    # Two cross-traffic flows per hop, entering at hop i and leaving at
+    # node i+1.
     for hop in range(hops):
         for lane in range(2):
-            flow_id = 100 + 2 * hop + lane
             flows.append(
                 RoutedFlow(
-                    spec=FlowSpec(
-                        flow_id=flow_id,
-                        peak_rate=mbps(24.0),
-                        avg_rate=mbps(6.0),
-                        bucket=kbytes(50.0),
-                        token_rate=mbps(4.0),
-                        conformant=False,
-                        mean_burst=kbytes(250.0),
-                    ),
+                    spec=FlowSpec(flow_id=100 + 2 * hop + lane, **_CROSS),
                     route=(names[hop], names[hop + 1]),
                 )
             )
@@ -110,17 +115,7 @@ def demo_tandem(
         churn_spec = ChurnSpec(
             arrival_rate=arrival_rate,
             mean_holding=mean_holding,
-            templates=(
-                FlowSpec(
-                    flow_id=0,
-                    peak_rate=mbps(8.0),
-                    avg_rate=mbps(2.0),
-                    bucket=kbytes(50.0),
-                    token_rate=mbps(2.0),
-                    conformant=True,
-                    mean_burst=kbytes(50.0),
-                ),
-            ),
+            templates=(_TARGET,),
             routes=(tuple(names),),
             admission="auto",
             reclamation=reclamation,

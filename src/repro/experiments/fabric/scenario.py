@@ -142,13 +142,15 @@ class RoutedFlow:
     route: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "route", tuple(self.route))
-        if len(self.route) < 2:
+        route = tuple(self.route)
+        object.__setattr__(self, "route", route)
+        length = len(route)
+        if length < 2:
             raise ConfigurationError(
                 f"flow {self.spec.flow_id}: a route needs at least two nodes, "
-                f"got {list(self.route)}"
+                f"got {list(route)}"
             )
-        if len(set(self.route)) != len(self.route):
+        if len(set(route)) != length:
             raise ConfigurationError(
                 f"flow {self.spec.flow_id}: route contains a loop"
             )
@@ -359,6 +361,13 @@ class NetworkScenario:
         path = (link.src, link.dst)
         return all(flow.route == path for flow in self.flows)
 
+    @property
+    def conformant_ids(self) -> tuple[int, ...]:
+        """The static flows shaped to their reservation, in declaration order."""
+        return tuple(
+            routed.spec.flow_id for routed in self.flows if routed.spec.conformant
+        )
+
     def node(self, name: str) -> NodeSpec:
         for node in self.nodes:
             if node.name == name:
@@ -428,9 +437,7 @@ class NetworkScenario:
             scheme=scheme,
             buffer_size=buffer_size,
             headroom=headroom,
-            groups=None
-            if groups is None
-            else tuple(tuple(int(i) for i in g) for g in groups),
+            groups=groups,
         )
         terminal = NodeSpec(name="n1")
         return NetworkScenario(

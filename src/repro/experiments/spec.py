@@ -222,9 +222,7 @@ class ScenarioSpec:
     @property
     def conformant_ids(self) -> tuple[int, ...]:
         """The static flows a ``:conformant`` metric selects."""
-        return tuple(
-            routed.spec.flow_id for routed in self.scenario.flows if routed.spec.conformant
-        )
+        return self.scenario.conformant_ids
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioSpec":

@@ -27,10 +27,11 @@ import pathlib
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.cache import ResultCache
+from repro.experiments.campaign.cache import ResultCache, open_creating_parents
 from repro.experiments.campaign.runner import CampaignRunner
+from repro.experiments.fabric import NetworkScenario
 from repro.experiments.sweep.spec import SweepSpec
-from repro.experiments.spec import CONFORMANT_SETS, parse_metric
+from repro.experiments.spec import parse_metric
 from repro.metrics.stats import mean_ci
 
 __all__ = [
@@ -89,14 +90,16 @@ def default_aggregate_path(
 
 # -- metric extraction ----------------------------------------------------
 
-def metric_row(spec: SweepSpec, params, record) -> dict:
+def metric_row(spec: SweepSpec, scenario: NetworkScenario, record) -> dict:
     """Extract this spec's metric values from one cell's record.
 
-    A pure function of the (content-addressed) record, so every worker
-    — and the aggregator replaying from cache — produces identical rows
+    ``scenario`` is the cell's (``job.scenario``): ``:conformant`` selects
+    its conformant static flows, as it does for a spec entry.  A pure
+    function of the content-addressed job and record, so every worker —
+    and the aggregator replaying from cache — produces identical rows
     for identical digests.
     """
-    conformant = CONFORMANT_SETS.get(params.get("workload"), ())
+    conformant = scenario.conformant_ids
     row = {}
     for metric in spec.metrics:
         label, extractor = parse_metric(metric, conformant)
@@ -122,7 +125,13 @@ def append_shard_row(
     at most one torn final line, which readers skip.
     """
     path = shard_path(cache_root, sweep_digest, owner)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _append_shard_row(os.fspath(path), sweep_digest, digest, params, metrics)
+    return path
+
+
+def _append_shard_row(path: str, sweep_digest: str, digest: str, params, metrics) -> None:
+    """:func:`append_shard_row` into a known shard file: a worker names
+    its shard once, not once per cell."""
     line = (
         json.dumps(
             {
@@ -138,12 +147,11 @@ def append_shard_row(
         )
         + "\n"
     )
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = open_creating_parents(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     try:
         os.write(fd, line.encode("utf-8"))
     finally:
         os.close(fd)
-    return path
 
 
 def read_shard_index(
@@ -268,7 +276,7 @@ def aggregate_sweep(spec: SweepSpec, cache: ResultCache) -> dict:
                 if record is None:
                     missing += 1
                     continue
-                metrics = metric_row(spec, params, record)
+                metrics = metric_row(spec, job.scenario, record)
             yield params, metrics
 
     groups = fold_seeds(spec.metrics, rows())
@@ -290,8 +298,8 @@ def run_grid(spec: SweepSpec, runner: CampaignRunner) -> dict:
     cells = list(spec.jobs())
     records = runner.run([job for _params, job in cells])
     rows = (
-        (params, metric_row(spec, params, record))
-        for (params, _job), record in zip(cells, records)
+        (params, metric_row(spec, job.scenario, record))
+        for (params, job), record in zip(cells, records)
     )
     return _aggregate(spec, len(cells), fold_seeds(spec.metrics, rows))
 

@@ -9,8 +9,8 @@ server, nothing to deploy.  Three file conventions do all the work:
 * ``<digest>.claim`` — a cell some worker is executing right now.
   Created with ``O_CREAT | O_EXCL``, which the filesystem guarantees to
   succeed for exactly one contender; the file carries the owner id and
-  pid, and a daemon thread touches its mtime every few seconds as a
-  heartbeat while the simulation runs.
+  pid, and the worker's one daemon heartbeat thread touches its mtime
+  every few seconds while the cell executes.
 * a stale claim — mtime older than the heartbeat timeout — marks a
   worker that died without releasing.  Reaping renames the claim to a
   per-process tomb name with ``os.replace`` before deleting it, so when
@@ -38,9 +38,9 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.cache import ResultCache
+from repro.experiments.campaign.cache import ResultCache, open_creating_parents
 from repro.experiments.campaign.runner import execute_job, preflight_jobs
-from repro.experiments.sweep.aggregate import append_shard_row, metric_row
+from repro.experiments.sweep.aggregate import _append_shard_row, metric_row, shard_path
 from repro.experiments.sweep.spec import SweepSpec
 from repro.obs.telemetry import write_telemetry
 
@@ -104,30 +104,22 @@ def try_claim(
     ``O_CREAT | O_EXCL`` makes the filesystem the arbiter: of N racing
     workers exactly one sees the create succeed.
     """
-    root = pathlib.Path(cache_root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = claim_path(root, digest)
-    payload = (
-        json.dumps(
-            {
-                "schema": CLAIM_SCHEMA,
-                "digest": digest,
-                "owner": owner,
-                "pid": os.getpid(),
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    path = claim_path(cache_root, digest)
+    return path if _claim(os.fspath(path), digest, owner) else None
+
+
+def _claim(path: str, digest: str, owner: str) -> bool:
+    """:func:`try_claim` at a known claim path; False when it is held."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        fd = open_creating_parents(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
     except FileExistsError:
-        return None
+        return False
+    payload = {"schema": CLAIM_SCHEMA, "digest": digest, "owner": owner, "pid": os.getpid()}
     try:
-        os.write(fd, payload.encode("utf-8"))
+        os.write(fd, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
     finally:
         os.close(fd)
-    return path
+    return True
 
 
 def release_claim(path: str | os.PathLike) -> None:
@@ -223,21 +215,32 @@ def reap_stale_claims(
 
 
 class _Heartbeat(threading.Thread):
-    """Touches a claim's mtime every ``interval`` seconds until stopped."""
+    """Touches the executing cell's claim every ``interval`` seconds.
 
-    def __init__(self, path: pathlib.Path, interval: float) -> None:
-        super().__init__(name=f"heartbeat-{path.name[:12]}", daemon=True)
-        self._path = path
+    One thread serves a whole :func:`run_sweep_worker` call: the worker
+    sets :attr:`claim` before a cell executes and clears it afterwards,
+    and the thread touches whatever it finds there.
+    """
+
+    def __init__(self, interval: float) -> None:
+        super().__init__(name="sweep-heartbeat", daemon=True)
+        #: Path of the claim being executed now; None between cells.
+        self.claim: str | None = None
         self._interval = interval
         # Not named _stop: threading.Thread owns a private _stop method.
         self._halt = threading.Event()
 
     def run(self) -> None:
         while not self._halt.wait(self._interval):
+            claim = self.claim
+            if claim is None:
+                continue
             try:
-                os.utime(self._path, None)
+                os.utime(claim, None)
             except OSError:
-                return  # claim reaped under us; executing on is still safe
+                # Released since it was read, or reaped under us
+                # (executing on is still safe): nothing to keep fresh.
+                pass
 
     def stop(self) -> None:
         self._halt.set()
@@ -288,7 +291,14 @@ def run_sweep_worker(
     only cells left are claimed by live peers.  ``wait=True`` keeps
     polling until the whole sweep is done, which makes the call a
     barrier: when it returns with ``outstanding == 0`` the aggregate
-    can be built.
+    can be built.  Only the first pass walks the grid; later passes
+    revisit just the cells the pass before found claimed by a live peer
+    (so a cache cleared mid-sweep is not noticed: cells this call saw
+    complete stay done).
+
+    One heartbeat thread, started at the first cell this call executes,
+    keeps the executing cell's claim fresh; it is stopped and joined
+    before the call returns or raises.
 
     Interruption-safety: a killed worker leaves its claim to go stale
     (reaped by the next pass of any peer after ``heartbeat_timeout``)
@@ -305,67 +315,79 @@ def run_sweep_worker(
     if heartbeat_interval is None:
         heartbeat_interval = max(0.05, heartbeat_timeout / 4.0)
     sweep_digest = spec.digest()
+    # Claim and shard names, built once: pathlib would re-parse the cache
+    # root for every cell.
+    claim_prefix = os.path.join(cache.root, "")
+    shard = os.fspath(shard_path(cache.root, sweep_digest, owner))
 
     executed = 0
     reaped = 0
     passes = 0
     entries = []
-    while True:
-        passes += 1
-        reaped += len(reap_stale_claims(cache.root, heartbeat_timeout))
-        outstanding = 0
-        progress = False
-        for params, job in spec.jobs():
-            digest = job.digest()
-            if digest in cache:
-                if passes == 1:
-                    # Resume semantics in the lifetime stats: every cell
-                    # this worker found already complete was served from
-                    # the cache (a warm re-run shows cells == hits).
-                    cache.hits += 1
-                continue
-            claim = try_claim(cache.root, digest, owner)
-            if claim is None:
-                outstanding += 1
-                continue
-            if digest in cache:
-                # Completed between our membership check and the claim.
-                release_claim(claim)
-                continue
-            if preflight:
-                try:
-                    preflight_jobs(
-                        {digest: job}, f"sweep pre-flight rejected job {digest[:12]}"
-                    )
-                except ConfigurationError:
+    heartbeat = None
+    # The first pass streams the grid; a later one revisits only the
+    # cells the pass before found claimed by a live peer.
+    cells = spec.jobs()
+    try:
+        while True:
+            passes += 1
+            reaped += len(reap_stale_claims(cache.root, heartbeat_timeout))
+            claimed_elsewhere = []
+            progress = False
+            for params, job in cells:
+                digest = job.digest()
+                if digest in cache:
+                    if passes == 1:
+                        # Resume semantics in the lifetime stats: every
+                        # cell this worker found already complete was
+                        # served from the cache (a warm re-run shows
+                        # cells == hits).
+                        cache.hits += 1
+                    continue
+                claim = f"{claim_prefix}{digest}.claim"
+                if not _claim(claim, digest, owner):
+                    claimed_elsewhere.append((params, job))
+                    continue
+                if digest in cache:
+                    # Completed between our membership check and the claim.
                     release_claim(claim)
-                    raise
-            heartbeat = _Heartbeat(claim, heartbeat_interval)
-            heartbeat.start()
-            try:
-                record = execute_job(job)
-            finally:
-                heartbeat.stop()
-            cache.put(record)
-            append_shard_row(
-                cache.root,
-                sweep_digest,
-                owner,
-                digest,
-                params,
-                metric_row(spec, params, record),
-            )
-            release_claim(claim)
-            executed += 1
-            progress = True
-            if record.telemetry is not None:
-                entries.append(record.telemetry)
-        if outstanding == 0:
-            break
-        if not progress:
-            if not wait:
+                    continue
+                if preflight:
+                    try:
+                        preflight_jobs(
+                            {digest: job}, f"sweep pre-flight rejected job {digest[:12]}"
+                        )
+                    except ConfigurationError:
+                        release_claim(claim)
+                        raise
+                if heartbeat is None:
+                    heartbeat = _Heartbeat(heartbeat_interval)
+                    heartbeat.start()
+                heartbeat.claim = claim
+                try:
+                    record = execute_job(job)
+                finally:
+                    heartbeat.claim = None
+                cache.put(record)
+                _append_shard_row(
+                    shard, sweep_digest, digest, params,
+                    metric_row(spec, job.scenario, record),
+                )
+                release_claim(claim)
+                executed += 1
+                progress = True
+                if record.telemetry is not None:
+                    entries.append(record.telemetry)
+            if not claimed_elsewhere:
                 break
-            time.sleep(poll_interval)
+            if not progress:
+                if not wait:
+                    break
+                time.sleep(poll_interval)
+            cells = claimed_elsewhere
+    finally:
+        if heartbeat is not None:
+            heartbeat.stop()
 
     if telemetry_dir is not None and entries:
         write_telemetry(telemetry_dir, entries)
@@ -375,7 +397,7 @@ def run_sweep_worker(
         executed=executed,
         reaped=reaped,
         passes=passes,
-        outstanding=outstanding,
+        outstanding=len(claimed_elsewhere),
     )
 
 

@@ -83,26 +83,35 @@ def _flow(
     )
 
 
+# Built and validated once: a FlowSpec is frozen, so every caller can
+# share the same nine (thirty) specs — a sweep cell used to rebuild them
+# for each job it described.
+_TABLE1_FLOWS = (
+    *(_flow(flow_id, 16.0, 2.0, 50.0, 2.0, True, 50.0) for flow_id in range(3)),
+    *(_flow(flow_id, 40.0, 8.0, 100.0, 8.0, True, 100.0) for flow_id in range(3, 6)),
+    *(_flow(flow_id, 40.0, 4.0, 50.0, 0.4, False, 250.0) for flow_id in (6, 7)),
+    _flow(8, 40.0, 16.0, 50.0, 2.0, False, 250.0),
+)
+
+_TABLE2_FLOWS = (
+    *(_flow(flow_id, 8.0, 0.6, 15.0, 0.6, True, 15.0) for flow_id in range(10)),
+    *(_flow(flow_id, 24.0, 2.4, 30.0, 2.4, False, 30.0) for flow_id in range(10, 20)),
+    *(_flow(flow_id, 8.0, 2.4, 35.0, 0.3, False, 500.0) for flow_id in range(20, 30)),
+)
+
+
 def table1_flows() -> list[FlowSpec]:
-    """The 9-flow workload of Table 1.
+    """The 9-flow workload of Table 1 (a fresh list of shared specs).
 
     Conformant flows use their token bucket as the mean burst (their
     traffic is regulated anyway); non-conformant flows burst 5x their
     bucket, as stated in Section 3.2.
     """
-    flows = []
-    for flow_id in range(3):
-        flows.append(_flow(flow_id, 16.0, 2.0, 50.0, 2.0, True, 50.0))
-    for flow_id in range(3, 6):
-        flows.append(_flow(flow_id, 40.0, 8.0, 100.0, 8.0, True, 100.0))
-    for flow_id in (6, 7):
-        flows.append(_flow(flow_id, 40.0, 4.0, 50.0, 0.4, False, 250.0))
-    flows.append(_flow(8, 40.0, 16.0, 50.0, 2.0, False, 250.0))
-    return flows
+    return list(_TABLE1_FLOWS)
 
 
 def table2_flows() -> list[FlowSpec]:
-    """The 30-flow workload of Table 2 (Case 2).
+    """The 30-flow workload of Table 2, Case 2 (a fresh list of shared specs).
 
     * 0-9: conformant, shaped to (15 KB, 0.6 Mb/s).
     * 10-19: moderately non-conformant — mean rate and mean burst match
@@ -110,11 +119,4 @@ def table2_flows() -> list[FlowSpec]:
       exceed the envelope.
     * 20-29: aggressive — mean rate 8x the reservation, 500 KB bursts.
     """
-    flows = []
-    for flow_id in range(10):
-        flows.append(_flow(flow_id, 8.0, 0.6, 15.0, 0.6, True, 15.0))
-    for flow_id in range(10, 20):
-        flows.append(_flow(flow_id, 24.0, 2.4, 30.0, 2.4, False, 30.0))
-    for flow_id in range(20, 30):
-        flows.append(_flow(flow_id, 8.0, 2.4, 35.0, 0.3, False, 500.0))
-    return flows
+    return list(_TABLE2_FLOWS)

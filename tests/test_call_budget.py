@@ -280,18 +280,21 @@ FIXED_COST_SWEEPS = {
 
 #: sweep -> ceilings on Python + C calls per cell outside
 #: ``Simulator.run``: (cold pass, warm pass, aggregation).  Measured
-#: 1,263.1 / 272.9 / 404.9 one-link and 1,316.5 / 267.75 / 388.5 on the
-#: network sweep.  With the job a flat dataclass, two record families and
-#: indented cache entries the same counter read 3,463.5 / 171.7 / 303.7
-#: and 3,820.0 / 266.75 / 387.5: a warm or aggregated one-link cell now
-#: builds and digests a whole validated scenario (+101 calls), a cold one
-#: no longer pays the pure-Python JSON encoder ~3,100 calls to indent its
-#: cache entry.  Ceilings sit ~5% above the counts; lowering the counts
-#: (grid expanded once per pass, ``Network`` built once per topology) is
-#: what the rows are for.
+#: 768.6 / 164.7 / 316.5 one-link and 925.25 / 208.25 / 344.75 on the
+#: network sweep; the same host read 1,264.9 / 275.7 / 409.7 and
+#: 1,317.0 / 268.25 / 391.75 while every cell started and joined its own
+#: heartbeat thread, rebuilt the Table-1 flows (and the tandem's constant
+#: specs) on every pass, copied each flow at its first hop, made its
+#: directories before each of three writes and named its files through
+#: pathlib.  (Earlier, with two record families and indented cache
+#: entries: 3,463.5 / 171.7 / 303.7 and 3,820.0 / 266.75 / 387.5.)  What
+#: is left is mostly describing, digesting and building the scenario,
+#: seeding its sources and extracting the record.  The counts depend a
+#: little on the depth of the cache path (pathlib parses it once per
+#: pass); ceilings sit ~5% above them.
 FIXED_COST_ROWS = {
-    "one-link": (1326.0, 286.5, 425.0),
-    "network": (1382.0, 281.0, 408.0),
+    "one-link": (805.0, 172.5, 332.0),
+    "network": (971.0, 218.5, 361.5),
 }
 
 

@@ -49,7 +49,8 @@ class TestHitMiss:
 
     def test_stored_file_is_valid_json(self, cache, record_and_job):
         record, _job = record_and_job
-        path = cache.put(record)
+        cache.put(record)
+        path = cache.path(record.job_digest)
         raw = json.loads(path.read_text())
         assert raw["schema"] == "repro-campaign-v2"
         assert raw["job_digest"] == record.job_digest
@@ -58,13 +59,15 @@ class TestHitMiss:
 class TestRobustness:
     def test_corrupt_entry_is_a_miss(self, cache, record_and_job):
         record, job = record_and_job
-        path = cache.put(record)
+        cache.put(record)
+        path = cache.path(record.job_digest)
         path.write_text("{ not json")
         assert cache.get(job.digest()) is None
 
     def test_schema_mismatch_is_a_miss(self, cache, record_and_job):
         record, job = record_and_job
-        path = cache.put(record)
+        cache.put(record)
+        path = cache.path(record.job_digest)
         raw = json.loads(path.read_text())
         raw["schema"] = "repro-campaign-v999"
         path.write_text(json.dumps(raw))
@@ -73,7 +76,8 @@ class TestRobustness:
     def test_renamed_entry_is_a_miss(self, cache, record_and_job):
         # Content addressing: the payload must match the file name.
         record, job = record_and_job
-        path = cache.put(record)
+        cache.put(record)
+        path = cache.path(record.job_digest)
         imposter = cache.path("0" * 64)
         path.rename(imposter)
         assert cache.get("0" * 64) is None

@@ -345,7 +345,8 @@ class TestResultCache:
     def test_entry_under_a_retired_schema_is_a_miss(self, executed, tmp_path, schema):
         job, record = executed
         cache = ResultCache(tmp_path)
-        path = cache.put(record)
+        cache.put(record)
+        path = cache.path(record.job_digest)
         path.write_text(json.dumps(dict(record.to_dict(), schema=schema)))
         assert cache.get(job.digest()) is None
         assert (cache.hits, cache.misses) == (0, 1)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.fred import FREDManager
 from repro.core.red import REDManager
 from repro.errors import ConfigurationError
+from repro.obs.sink import RingSink
 
 
 class FakeClock:
@@ -110,3 +112,59 @@ class TestAverageQueue:
             manager2.try_admit(1, 1_000.0)
         blocked_same = not manager2.try_admit(1, 1.0)
         assert blocked_new == blocked_same
+
+
+def _red(clock):
+    return REDManager(
+        10_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock,
+        max_p=0.1, weight=0.2,
+    )
+
+
+def _fred(clock):
+    return FREDManager(
+        20_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock,
+        minq=1_000.0, maxq=4_000.0, max_p=0.1, weight=0.2,
+    )
+
+
+def _admissions(make, trace):
+    """Decisions and averages of a fixed script with idle periods.
+
+    The queue empties every fifth step, then sits idle; ``trace`` says
+    what happens right after the first idle period starts: None
+    (nothing), "detached" (a trace is attached and detached again) or
+    "skewed" (a trace is attached whose clock is an hour ahead).
+    """
+    now = [0.0]
+    manager = make(lambda: now[0])
+    held, history = [], []
+    for step in range(40):
+        if step == 5 and trace is not None:
+            manager.attach_trace(RingSink(), lambda: now[0] + 3600.0, "n")
+            if trace == "detached":
+                manager.attach_trace(None, None)
+        now[0] += 0.001
+        admitted = manager.try_admit(step % 3, 700.0)
+        if admitted:
+            held.append(step % 3)
+        if step % 5 == 4:
+            for flow_id in held:
+                manager.on_depart(flow_id, 700.0)
+            held.clear()
+            now[0] += 0.003
+        history.append((admitted, manager.avg))
+    return history
+
+
+@pytest.mark.parametrize("make", [_red, _fred])
+class TestTraceClockIsNotTheIdleClock:
+    def test_manager_works_after_the_trace_is_detached(self, make):
+        # attach_trace(None) used to clear the clock RED and FRED read
+        # for their idle decay: the next admission raised TypeError.
+        assert _admissions(make, "detached") == _admissions(make, None)
+
+    def test_a_skewed_trace_clock_moves_no_average(self, make):
+        # ... and attaching used to swap the idle clock for the trace's,
+        # so an idle period begun before the attach decayed for an hour.
+        assert _admissions(make, "skewed") == _admissions(make, None)

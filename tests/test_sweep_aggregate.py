@@ -59,7 +59,7 @@ class TestMetricRow:
         spec = small_spec()
         params, job = next(iter(spec.jobs()))
         record = execute_job(job)
-        row = metric_row(spec, params, record)
+        row = metric_row(spec, job.scenario, record)
         assert set(row) == {"utilization", "loss"}
         assert all(isinstance(v, float) for v in row.values())
 
@@ -73,7 +73,7 @@ class TestMetricRow:
         )
         params, job = next(iter(spec.jobs()))
         record = execute_job(job)
-        row = metric_row(spec, params, record)
+        row = metric_row(spec, job.scenario, record)
         assert set(row) == {"delivered", "blocking", "events"}
         assert row["events"] > 0
 
@@ -221,6 +221,35 @@ class TestDescribersAgree:
         assert run_spec(entry) == {
             metric: MeanCI(**cell) for metric, cell in group["metrics"].items()
         }
+
+    def test_conformant_metrics_read_the_cells_own_flows(self, tmp_path):
+        # A tandem grid has no workload parameter: its cells' conformant
+        # flows are their scenario's (the target flow), as an entry's are.
+        metrics = ("loss:conformant", "throughput:conformant", "delivered")
+        point = {"hops": 1, "sim_time": 0.5}
+        entry = ScenarioSpec.from_dict(
+            {"name": "entry", "network": "tandem", "seeds": [1, 2],
+             "metrics": list(metrics), **point}
+        )
+        grid = SweepSpec(
+            name="grid", kind="network", axes=(SweepAxis("seed", (1, 2)),),
+            base=point, metrics=metrics,
+        )
+        assert [job.digest() for job in entry.jobs()] == [
+            job.digest() for _params, job in grid.jobs()
+        ]
+        in_memory = run_grid(grid, CampaignRunner())
+        [group] = in_memory["groups"]
+        assert group["metrics"]["throughput:conformant"]["mean"] > 0.0
+        assert run_spec(entry) == {
+            metric: MeanCI(**cell) for metric, cell in group["metrics"].items()
+        }
+        queue = ResultCache(tmp_path)
+        run_sweep_worker(grid, queue, "w1")
+        assert aggregate_sweep(grid, queue) == in_memory  # shard rows
+        for path in shard_dir(queue.root).glob("*.jsonl"):
+            path.unlink()
+        assert aggregate_sweep(grid, queue) == in_memory  # cached records
 
     def test_in_memory_grid_equals_the_shard_and_cache_routes(self, tmp_path):
         spec = dataclasses.replace(

@@ -35,7 +35,7 @@ from repro.experiments.sweep import (
     try_claim,
     write_aggregate,
 )
-from repro.experiments.sweep.queue import _Heartbeat
+from repro.experiments.sweep import queue as sweep_queue
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -162,17 +162,6 @@ class TestClaims:
         assert sum(counts) == stale_count
         assert scan_claims(tmp_path, 60.0) == []
 
-    def test_heartbeat_keeps_claim_fresh(self, tmp_path):
-        path = try_claim(tmp_path, "a" * 64, "w1")
-        age_claim(path, seconds=10.0)
-        before = os.stat(path).st_mtime
-        beat = _Heartbeat(path, interval=0.05)
-        beat.start()
-        time.sleep(0.3)
-        beat.stop()
-        assert os.stat(path).st_mtime > before
-        release_claim(path)
-
 
 class TestWorker:
     def test_single_worker_completes_the_grid(self, tmp_path):
@@ -287,6 +276,91 @@ class TestWorker:
         assert len(set(digests)) == 6  # no cell executed twice
         assert sweep_status(spec, ResultCache(tmp_path)).complete
 
+    def test_later_passes_revisit_only_cells_claimed_elsewhere(
+        self, tmp_path, monkeypatch
+    ):
+        spec = small_spec()
+        _params, job = next(iter(spec.jobs()))
+        peer_record = execute_job(job)
+        peer = try_claim(tmp_path, job.digest(), "peer")
+        built = []
+        job_for_cell = SweepSpec.job_for_cell
+        monkeypatch.setattr(
+            SweepSpec,
+            "job_for_cell",
+            lambda self, params: built.append(params) or job_for_cell(self, params),
+        )
+        passes = []
+        reap = sweep_queue.reap_stale_claims
+
+        def reap_at_the_top_of_a_pass(root, timeout):
+            passes.append(root)
+            if len(passes) == 4:  # the peer finishes while w1 polls
+                ResultCache(tmp_path).put(peer_record)
+                release_claim(peer)
+            return reap(root, timeout)
+
+        monkeypatch.setattr(sweep_queue, "reap_stale_claims", reap_at_the_top_of_a_pass)
+        summary = run_sweep_worker(
+            spec, ResultCache(tmp_path), "w1", wait=True, poll_interval=0.01
+        )
+        assert (summary.executed, summary.passes, summary.outstanding) == (3, 4, 0)
+        # The grid was expanded once; passes 2-4 looked at the peer's cell.
+        assert len(built) == 4
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+class TestHeartbeat:
+    def test_one_thread_serves_every_cell_of_a_call(self, tmp_path, started_threads):
+        spec = small_spec()
+        assert run_sweep_worker(spec, ResultCache(tmp_path), "w1").executed == 4
+        assert len(started_threads) == 1
+        # A warm pass executes nothing, so it has no claim to keep fresh.
+        assert run_sweep_worker(spec, ResultCache(tmp_path), "w2").executed == 0
+        assert len(started_threads) == 1
+        assert not started_threads[0].is_alive()
+
+    def test_long_cell_keeps_its_claim_fresh(self, tmp_path, monkeypatch):
+        fresher = []
+
+        def slow_execute(job):
+            [claim] = tmp_path.glob("*.claim")
+            age_claim(claim, seconds=10.0)
+            before = os.stat(claim).st_mtime
+            time.sleep(0.3)
+            fresher.append(os.stat(claim).st_mtime > before)
+            return execute_job(job)
+
+        monkeypatch.setattr(sweep_queue, "execute_job", slow_execute)
+        spec = small_spec(axes=(SweepAxis("seed", (1, 2)),))
+        run_sweep_worker(spec, ResultCache(tmp_path), "w1", heartbeat_interval=0.05)
+        assert fresher == [True, True]  # the one thread followed the second claim
+
+    def test_no_thread_outlives_a_call_whose_cell_raises(
+        self, tmp_path, monkeypatch, started_threads
+    ):
+        def failing_execute(job):
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(sweep_queue, "execute_job", failing_execute)
+        with pytest.raises(RuntimeError, match="exploded"):
+            run_sweep_worker(small_spec(), ResultCache(tmp_path), "w1")
+        assert len(started_threads) == 1
+        assert not started_threads[0].is_alive()
+
 
 class TestCrashResume:
     """Satellite (e): kill after k jobs, resume, byte-identical output."""
@@ -306,7 +380,7 @@ class TestCrashResume:
             cache.put(record)
             append_shard_row(
                 root, spec.digest(), "victim", job.digest(), params,
-                metric_row(spec, params, record),
+                metric_row(spec, job.scenario, record),
             )
             release_claim(claim)
         _params, third = jobs[2]
