@@ -77,11 +77,11 @@ def _factories():
         "dynamic threshold [1]": lambda sim: DynamicThresholdManager(BUFFER),
         "RED [3]": lambda sim: REDManager(
             BUFFER, 0.25 * BUFFER, 0.75 * BUFFER,
-            np.random.default_rng(3), lambda: sim.now, mean_tx_time=mean_tx,
+            np.random.default_rng(3), sim, mean_tx_time=mean_tx,
         ),
         "FRED [5]": lambda sim: FREDManager(
             BUFFER, 0.25 * BUFFER, 0.75 * BUFFER,
-            np.random.default_rng(4), lambda: sim.now,
+            np.random.default_rng(4), sim,
             minq=BUFFER / 32, maxq=BUFFER / 4, mean_tx_time=mean_tx,
         ),
     }

@@ -118,7 +118,7 @@ def _sweep():
             for group in CASE1_GROUPS
         ]
         rates = queue_rates(requirements, LINK_RATE)
-        return HybridScheduler(lambda: sim.now, LINK_RATE, CASE1_GROUPS, rates)
+        return HybridScheduler(sim, LINK_RATE, CASE1_GROUPS, rates)
 
     def rpq_factory(sim, flows):
         # Deadline class from the flow's natural burst-drain time
@@ -128,15 +128,13 @@ def _sweep():
             flow.flow_id: max(0, round((flow.bucket / flow.token_rate) / delta) - 1)
             for flow in flows
         }
-        return RPQScheduler(lambda: sim.now, delta, class_of)
+        return RPQScheduler(sim, delta, class_of)
 
     return {
         "FIFO": _run("FIFO", lambda sim, flows: FIFOScheduler()),
         "RPQ [10]": _run("RPQ", rpq_factory),
         "SCFQ": _run("SCFQ", lambda sim, flows: SCFQScheduler(wfq_weights)),
-        "WFQ": _run("WFQ", lambda sim, flows: WFQScheduler(
-            lambda: sim.now, LINK_RATE, wfq_weights
-        )),
+        "WFQ": _run("WFQ", lambda sim, flows: WFQScheduler(sim, LINK_RATE, wfq_weights)),
         "Hybrid (k=3)": _run("Hybrid", hybrid_factory, hybrid=True),
     }
 

@@ -13,16 +13,30 @@ This bench measures that shape on the simulator itself, for
   be flat in N for all four: a per-packet walk over the flow table
   would show here.  The ``log`` of a sorted discipline does not — a heap
   operation is one C call however deep it sifts — which is why the
-  next column exists.
+  next columns exist.
 * **head-of-line population** — entries in the scheduler's heap, read
   after every enqueue (when it is fullest).  This is the argument of the
   ``log``: at most N for WFQ (one entry per *backlogged* flow, never one
   per packet), at most k for the hybrid, and FIFO has no heap.
-* **wall time per packet** — informational; it moves with the host.
+* **host cost per packet** — in cops, the end-to-end benchmark's unit
+  (``benchmarks/e2e/calibrate.py``, imported unedited): each timed run
+  sits between two calibrations, with gc collected, frozen and disabled
+  around it as ``benchmarks/e2e/run.py`` does, and a cell's cost is the
+  median over ``SAMPLE_PATHS`` sample paths (source seeds).
+* **where that cost goes** — one run of the first sample path under
+  ``cProfile``, folded by the owning layer with the benchmark's own
+  ``layers.fold_profile``, and the median cost split in those shares.
+  The *mechanism* the paper costs (``core``, ``sched``, ``sim.port``) is
+  kept apart from what the simulation itself adds per flow: the sources
+  and shapers (one of each per flow), the event heap (``sim.equeue``,
+  one pending event per source) and the collector (``metrics``).  The
+  summary gives each part's least-squares slope in cops per packet per
+  doubling of N.
 
-The flows follow the recipe of the end-to-end benchmark's
-``port-wfq-manyflow`` workload (own copy: ``benchmarks/e2e`` is frozen
-and its 256-flow table is part of that workload): two in three
+Wall-derived columns move with the host and are informational: nothing
+is asserted on them.  The flows follow the recipe of the end-to-end
+benchmark's ``port-wfq-manyflow`` workload (own copy: ``benchmarks/e2e``
+is frozen and its 256-flow table is part of that workload): two in three
 conformant and shaped to their reservation, the rest offering 2.5-3.4x
 theirs in bursts of five buckets; 68% of the link reserved, about 112%
 offered.  Link and buffer grow in proportion to N, so a flow's traffic
@@ -30,11 +44,18 @@ and its share of both are the same at every N and only the number of
 flows changes.
 """
 
+import cProfile
+import gc
+import math
+import pathlib
 import random
+import statistics
+import sys
 import time
 
 import numpy as np
 
+import repro
 from repro.experiments.report import format_table
 from repro.experiments.schemes import Scheme, build_scheme
 from repro.metrics.collector import StatsCollector
@@ -45,6 +66,12 @@ from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 from repro.units import kbytes, mbps, mbytes
 from tests.test_call_budget import count_calls
+
+# The end-to-end benchmark's calibration kernel and profile fold, as it
+# uses them (its modules import each other by bare name).
+sys.path.append(str(pathlib.Path(__file__).resolve().parent / "e2e"))
+from calibrate import calibrate, cops
+from layers import fold_profile
 
 FLOW_COUNTS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 SCHEMES = (
@@ -59,11 +86,23 @@ LINK_MBPS_PER_FLOW = 48.0 / 256
 BUFFER_MB_PER_FLOW = 4.0 / 256
 SIM_TIME = 2.5
 POPULATION_SEED = 1998
+#: Sample path ``p`` seeds its sources from ``SEED + p``; path 0 is the
+#: one counted, probed and profiled.
 SEED = 22
+SAMPLE_PATHS = 3
 #: Calls per packet move a little with N because the traffic mix does
 #: (share of packets dropped, delayed by a shaper, or finding the link
 #: idle); a walk over N flows would multiply them.
 FLAT_WITHIN = 0.10
+SRC = pathlib.Path(repro.__file__).parent.parent
+#: Cost parts: the mechanism, the simulation's own per-flow machinery,
+#: and the rest (engine loop, packets, standard library).
+PARTS = {
+    "mechanism": ("core", "sched", "sim.port"),
+    "sources+shaper": ("traffic.sources", "traffic.shaper"),
+    "sim.equeue": ("sim.equeue",),
+    "metrics": ("metrics",),
+}
 
 
 def make_flows(n: int) -> list:
@@ -108,7 +147,7 @@ class HeadOfLineProbe:
         self.samples += 1
 
 
-def build_port(scheme: Scheme, n: int):
+def build_port(scheme: Scheme, n: int, path: int = 0):
     """``(sim, scheduler, collector)`` of one port fed by ``n`` flows."""
     flows = make_flows(n)
     link = mbps(LINK_MBPS_PER_FLOW * n)
@@ -121,7 +160,7 @@ def build_port(scheme: Scheme, n: int):
     )
     collector = StatsCollector(warmup=0.0)
     port = OutputPort(sim, link, build.scheduler, build.manager, collector)
-    for flow, child in zip(flows, np.random.SeedSequence(SEED).spawn(n)):
+    for flow, child in zip(flows, np.random.SeedSequence(SEED + path).spawn(n)):
         destination = port
         if flow.conformant:
             destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
@@ -132,32 +171,84 @@ def build_port(scheme: Scheme, n: int):
     return sim, build.scheduler, collector
 
 
+def offered(collector) -> int:
+    return sum(stats.offered_packets for stats in collector.flows.values())
+
+
+def timed_cops_per_pkt(scheme: Scheme, n: int, path: int) -> float:
+    """One timed run of a sample path, in cops per offered packet."""
+    sim, _, collector = build_port(scheme, n, path)
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        before = calibrate()
+        started = time.perf_counter()
+        sim.run(until=SIM_TIME)
+        wall = time.perf_counter() - started
+        after = calibrate()
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    return cops(wall, before, after) / offered(collector)
+
+
+def layer_shares(scheme: Scheme, n: int) -> dict:
+    """Share of profiled self time per part, from a traced run of path 0."""
+    sim, _, collector = build_port(scheme, n)
+    profile = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.enable()
+        sim.run(until=SIM_TIME)
+        profile.disable()
+    finally:
+        gc.enable()
+    folded = fold_profile(profile, SRC, offered(collector))
+    shares = {
+        part: sum(folded[f"{layer}.self_frac"] for layer in layers)
+        for part, layers in PARTS.items()
+    }
+    shares["rest"] = 1.0 - sum(shares.values())
+    return shares
+
+
 def measure(scheme: Scheme, n: int) -> dict:
-    """One cell: a counted run, a probed run and a timed run of the same path."""
+    """One cell: counted, probed and profiled on path 0, timed on every path."""
     sim, _, collector = build_port(scheme, n)
     calls, _ = count_calls(lambda: sim.run(until=SIM_TIME))
-    packets = sum(stats.offered_packets for stats in collector.flows.values())
+    packets = offered(collector)
 
     sim, scheduler, _ = build_port(scheme, n)
     probe = HeadOfLineProbe(scheduler)
     scheduler.attach_trace(probe, lambda: 0.0)
     sim.run(until=SIM_TIME)
 
-    sim, _, _ = build_port(scheme, n)
-    started = time.perf_counter()
-    sim.run(until=SIM_TIME)
-    wall = time.perf_counter() - started
+    cost = statistics.median(timed_cops_per_pkt(scheme, n, path) for path in range(SAMPLE_PATHS))
+    shares = layer_shares(scheme, n)
     return {
         "packets": packets,
         "calls_per_pkt": calls / packets,
         "hol_peak": probe.peak,
         "hol_mean": probe.total / probe.samples,
-        "us_per_pkt": 1e6 * wall / packets,
+        "cops_per_pkt": cost,
+        "parts": {part: cost * share for part, share in shares.items()},
     }
+
+
+def slope_per_doubling(values) -> float:
+    """Least-squares slope of ``values`` against log2 N over FLOW_COUNTS."""
+    xs = [math.log2(n) for n in FLOW_COUNTS]
+    mean_x, mean_y = statistics.fmean(xs), statistics.fmean(values)
+    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, values)) / sum(
+        (x - mean_x) ** 2 for x in xs
+    )
 
 
 def test_per_packet_cost_is_flat_in_the_number_of_flows(publish):
     cells = {(scheme, n): measure(scheme, n) for scheme in SCHEMES for n in FLOW_COUNTS}
+    part_names = [*PARTS, "rest"]
 
     def table(title, schemes, cell_text):
         rows = [
@@ -167,6 +258,28 @@ def test_per_packet_cost_is_flat_in_the_number_of_flows(publish):
         ]
         header = ["N", "packets"] + [scheme.name for scheme in schemes]
         return f"{title}\n{format_table(header, rows)}"
+
+    def split(scheme):
+        rows = [
+            [str(n), f"{cells[scheme, n]['cops_per_pkt']:.1f}"]
+            + [f"{cells[scheme, n]['parts'][part]:.1f}" for part in part_names]
+            for n in FLOW_COUNTS
+        ]
+        return f"{scheme.name}\n{format_table(['N', 'cops/pkt', *part_names], rows)}"
+
+    slopes = {
+        (scheme, part): slope_per_doubling(
+            [cells[scheme, n]["parts"][part] for n in FLOW_COUNTS]
+        )
+        for scheme in SCHEMES
+        for part in part_names
+    }
+    slope_rows = [
+        [scheme.name]
+        + [f"{slopes[scheme, part]:+.2f}" for part in part_names]
+        + [f"{slope_per_doubling([cells[scheme, n]['cops_per_pkt'] for n in FLOW_COUNTS]):+.2f}"]
+        for scheme in SCHEMES
+    ]
 
     publish(
         "analysis_scaling",
@@ -183,9 +296,18 @@ def test_per_packet_cost_is_flat_in_the_number_of_flows(publish):
         )
         + "\n\n"
         + table(
-            "Wall microseconds per packet (informational)",
-            SCHEMES, lambda cell: f"{cell['us_per_pkt']:.1f}",
-        ),
+            f"Host cost per offered packet, cops, median of {SAMPLE_PATHS} sample paths "
+            "(informational)",
+            SCHEMES, lambda cell: f"{cell['cops_per_pkt']:.1f}",
+        )
+        + "\n\n"
+        + "The cost split by layer, cops per packet (profiled self-time shares of "
+        "sample path 0;\nmechanism = core + sched + sim.port; informational)\n\n"
+        + "\n\n".join(split(scheme) for scheme in SCHEMES)
+        + "\n\n"
+        + "Slope in N: least-squares cops per packet per doubling of N, N = "
+        f"{FLOW_COUNTS[0]} ... {FLOW_COUNTS[-1]}\n"
+        + format_table(["scheme", *part_names, "total"], slope_rows),
     )
 
     for scheme in SCHEMES:

@@ -15,12 +15,15 @@ machinery (EWMA average, probabilistic drop between ``min_th`` and
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.red import REDManager
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 __all__ = ["FREDManager"]
 
@@ -44,7 +47,7 @@ class FREDManager(REDManager):
         min_th: float,
         max_th: float,
         rng: np.random.Generator,
-        clock: Callable[[], float],
+        sim: Simulator,
         minq: float,
         maxq: float,
         max_p: float = 0.02,
@@ -52,7 +55,7 @@ class FREDManager(REDManager):
         mean_tx_time: float = 1e-3,
     ) -> None:
         super().__init__(
-            capacity, min_th, max_th, rng, clock,
+            capacity, min_th, max_th, rng, sim,
             max_p=max_p, weight=weight, mean_tx_time=mean_tx_time,
         )
         if not 0 < minq <= maxq:

@@ -16,12 +16,15 @@ roughly uniformly spaced.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.occupancy import BufferManager
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 __all__ = ["REDManager"]
 
@@ -36,8 +39,8 @@ class REDManager(BufferManager):
         max_p: drop probability at ``max_th``.
         weight: EWMA weight ``w_q`` for the average queue size.
         rng: random generator used for probabilistic drops.
-        clock: simulation-time callable; needed to decay the average over
-            idle periods.
+        sim: the simulator (any object with a float ``now``); its clock
+            decays the average over idle periods.
         mean_tx_time: transmission time of a typical packet, used by the
             idle-decay rule.
     """
@@ -51,7 +54,7 @@ class REDManager(BufferManager):
         "weight",
         "mean_tx_time",
         "_rng",
-        "_now",
+        "_sim",
         "avg",
         "_count",
         "_idle_since",
@@ -63,7 +66,7 @@ class REDManager(BufferManager):
         min_th: float,
         max_th: float,
         rng: np.random.Generator,
-        clock: Callable[[], float],
+        sim: Simulator,
         max_p: float = 0.02,
         weight: float = 0.002,
         mean_tx_time: float = 1e-3,
@@ -86,14 +89,14 @@ class REDManager(BufferManager):
         self.mean_tx_time = float(mean_tx_time)
         self._rng = rng
         # Not BufferManager._clock: attach_trace owns that slot.
-        self._now = clock
+        self._sim = sim
         self.avg = 0.0
         self._count = -1  # packets since last drop; -1 = no recent drop
-        self._idle_since: float | None = clock()
+        self._idle_since: float | None = sim.now
 
     def _update_average(self) -> None:
         if self._idle_since is not None:
-            idle = max(self._now() - self._idle_since, 0.0)
+            idle = max(self._sim.now - self._idle_since, 0.0)
             slots = idle / self.mean_tx_time
             self.avg *= (1.0 - self.weight) ** slots
             self._idle_since = None
@@ -129,4 +132,4 @@ class REDManager(BufferManager):
         """Release the space and start the idle clock when the queue empties."""
         super().on_depart(flow_id, size)
         if self._total <= 0:
-            self._idle_since = self._now()
+            self._idle_since = self._sim.now

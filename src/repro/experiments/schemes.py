@@ -126,7 +126,7 @@ def _build_hybrid(
     # minimum requirements (Section 4.2).
     queue_buffers = [buffer_size * b / total_min for b in min_buffers]
 
-    scheduler = HybridScheduler(lambda: sim.now, link_rate, groups, rates)
+    scheduler = HybridScheduler(sim, link_rate, groups, rates)
     managers = []
     thresholds: dict[int, float] = {}
     for class_id, group in enumerate(groups):
@@ -172,7 +172,7 @@ def build_scheme(
     """Construct the scheduler and buffer manager for a scheme.
 
     Args:
-        sim: simulation engine (WFQ needs its clock).
+        sim: simulation engine (WFQ and the hybrid read its clock).
         scheme: which combination to build.
         flows: the flow population (reservations define thresholds and
             WFQ weights).
@@ -196,7 +196,7 @@ def build_scheme(
     elif scheme in (Scheme.SCFQ_THRESHOLD, Scheme.SCFQ_SHARING):
         scheduler = SCFQScheduler(_wfq_weights(flows))
     else:
-        scheduler = WFQScheduler(lambda: sim.now, link_rate, _wfq_weights(flows))
+        scheduler = WFQScheduler(sim, link_rate, _wfq_weights(flows))
 
     if scheme in (Scheme.FIFO_NONE, Scheme.WFQ_NONE):
         manager: object = TailDropManager(buffer_size)

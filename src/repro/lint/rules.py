@@ -12,8 +12,10 @@ rests on (see ``docs/lint.md`` for the rationale and examples):
   ``assert`` (stripped under ``python -O``).
 * **RPR104** — sim-time safety: no float ``==`` on simulation times, no
   scheduling with negative literal delays.
-* **RPR105** — hot-path hygiene: classes in ``repro.sim``/``repro.core``
-  declare ``__slots__``; no mutable default arguments anywhere.
+* **RPR105** — hot-path hygiene: classes in the per-packet packages
+  declare ``__slots__`` and hand ``schedule_fast`` a callback bound
+  once, not a fresh ``self.<method>``; no mutable default arguments
+  anywhere.
 * **RPR106** — port encapsulation: ``OutputPort`` is constructed only by
   the port layers (``repro.sim``, ``repro.net``,
   ``repro.experiments.fabric``); everything else goes through the
@@ -361,13 +363,14 @@ class SimTimeRule(Rule):
 
 @register
 class HotPathRule(Rule):
-    """RPR105: hot-path classes use __slots__; no mutable default args."""
+    """RPR105: hot-path classes use __slots__ and pre-bound callbacks; no mutable default args."""
 
     id = "RPR105"
     name = "hot-path-hygiene"
     description = (
-        "classes in repro.sim/core/traffic/sched/metrics must declare __slots__; "
-        "mutable default arguments are banned everywhere"
+        "classes in repro.sim/core/traffic/sched/metrics must declare __slots__ "
+        "and pass schedule_fast a callback bound once; mutable default "
+        "arguments are banned everywhere"
     )
 
     _SLOTS_DIRS = tuple(("repro", p) for p in ("sim", "core", "traffic", "sched", "metrics"))
@@ -386,8 +389,39 @@ class HotPathRule(Rule):
                         "millions of packets",
                         node,
                     )
+            yield from self._check_callbacks(ctx)
         for node in ctx.select(ast.FunctionDef, ast.AsyncFunctionDef):
             yield from self._check_defaults(ctx, node)
+
+    def _check_callbacks(self, ctx: LintContext) -> Iterator[Finding]:
+        """``schedule_fast(..., self.<method>, ...)`` builds a bound method per call.
+
+        ``<method>`` is any method defined in the file, so a subclass
+        scheduling its base's method is caught when both live together.
+        """
+        methods = {
+            statement.name
+            for cls in ctx.select(ast.ClassDef)
+            for statement in cls.body
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ctx.select(ast.Call):
+            if not (isinstance(node.func, ast.Attribute) and node.func.attr == "schedule_fast"):
+                continue
+            for arg in (*node.args, *(keyword.value for keyword in node.keywords)):
+                if (
+                    isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "self"
+                    and arg.attr in methods
+                ):
+                    yield ctx.finding(
+                        self.id,
+                        f"schedule_fast() given self.{arg.attr}, a new bound "
+                        "method on every call; bind the callback once in "
+                        "`__init__`",
+                        arg,
+                    )
 
     @classmethod
     def _in_slots_scope(cls, path: str) -> bool:

@@ -7,15 +7,16 @@ measurement window ``[warmup, end]``.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from math import log
 from typing import Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.metrics.histogram import LogHistogram
 
 __all__ = [
+    "DELAY_HI",
+    "DELAY_LO",
     "FlowStats",
     "LinkMeasures",
     "StatsCollector",
@@ -104,34 +105,59 @@ class LinkMeasures:
         return byte_loss_fraction(self.flow_stats, flow_ids)
 
 
+#: Binning of the per-flow delay histograms, in seconds.
+DELAY_LO, DELAY_HI = 1e-6, 100.0
+# The histogram's own binning, read once: on_depart indexes with the
+# expression LogHistogram.record uses.
+_SHAPE = LogHistogram(DELAY_LO, DELAY_HI)
+_LOG_BASE = _SHAPE._log_base
+_OVERFLOW = _SHAPE.n_bins + 1
+
+
 @dataclass
 class StatsCollector:
     """Accumulates :class:`FlowStats` for every flow seen at a port.
 
     Args:
         warmup: events strictly before this time are ignored.
-        delay_histograms: when True, a per-flow
-            :class:`~repro.metrics.histogram.LogHistogram` of departure
-            delays is kept (seconds; see :meth:`delay_histogram`).
+        delay_histograms: when True, per-flow departure delays are
+            binned as a :class:`~repro.metrics.histogram.LogHistogram`
+            over ``[DELAY_LO, DELAY_HI)`` seconds (see
+            :meth:`delay_histogram`).
+
+    A flow's histogram is not a second record: its count, total and
+    maximum are the flow's ``departed_packets``, ``delay_sum`` and
+    ``delay_max``, so ``on_depart`` only adds one to a bin, in a list
+    kept beside ``flows``.
     """
 
     warmup: float = 0.0
     delay_histograms: bool = False
     flows: dict[int, FlowStats] = field(default_factory=dict)
-    _histograms: dict[int, LogHistogram] = field(
-        default_factory=lambda: defaultdict(partial(LogHistogram, lo=1e-6, hi=100.0)),
-        repr=False,
-    )
+    _bins: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.warmup < 0:
             raise ConfigurationError(f"warmup must be non-negative, got {self.warmup}")
 
     def delay_histogram(self, flow_id: int) -> LogHistogram:
-        """The flow's delay histogram (requires ``delay_histograms=True``)."""
+        """A snapshot of the flow's delay histogram (needs ``delay_histograms=True``).
+
+        Built from the flow's bins and :class:`FlowStats` at the time of
+        the call; later departures do not reach it.  A flow that never
+        departed gives an empty histogram.
+        """
         if not self.delay_histograms:
             raise ConfigurationError("collector built without delay_histograms=True")
-        return self._histograms[flow_id]
+        histogram = LogHistogram(DELAY_LO, DELAY_HI)
+        bins = self._bins.get(flow_id)
+        if bins is not None:
+            stats = self.flows[flow_id]
+            histogram._counts[:] = bins
+            histogram.count = stats.departed_packets
+            histogram.total = stats.delay_sum
+            histogram.max_value = stats.delay_max
+        return histogram
 
     def on_offered(self, flow_id: int, size: float, now: float) -> None:
         """A packet reached the port (post-shaper offered load)."""
@@ -169,7 +195,16 @@ class StatsCollector:
         if delay > stats.delay_max:
             stats.delay_max = delay
         if self.delay_histograms:
-            self._histograms[flow_id].record(delay if delay >= 0.0 else 0.0)
+            try:
+                bins = self._bins[flow_id]
+            except KeyError:
+                bins = self._bins[flow_id] = [0] * (_OVERFLOW + 1)
+            if delay < DELAY_LO:
+                bins[0] += 1
+            elif delay >= DELAY_HI:
+                bins[_OVERFLOW] += 1
+            else:
+                bins[1 + int(log(delay / DELAY_LO) / _LOG_BASE)] += 1
 
     # -- aggregation ----------------------------------------------------
 

@@ -46,9 +46,9 @@ class Scheduler(ABC):
         Pass ``sink=None`` to detach.  ``node`` labels emitted events
         with the owning hop in multi-node runs.  ``clock`` stamps the
         events and nothing else: a discipline that reads time for its
-        own rule (WFQ's virtual time, RPQ's rotation) keeps the clock it
-        was constructed with, so attaching or detaching a trace never
-        changes the service order.
+        own rule (WFQ's virtual time, RPQ's rotation) reads ``now`` off
+        the simulator it was constructed with, so attaching or detaching
+        a trace never changes the service order.
         """
         if sink is not None and clock is None:
             raise ConfigurationError("attach_trace needs a clock with its sink")
@@ -87,10 +87,11 @@ class FlowQueue:
 
     def __init__(self, weight: float):
         self.weight = weight
-        #: ``(finish, seq, key, packet)`` entries in arrival order, built
+        #: ``(finish, seq, self, packet)`` entries in arrival order, built
         #: once at ``enqueue``; the head one is the key's only entry in
-        #: the scheduler's head-of-line heap.
-        self.queue: deque[tuple[float, int, int, Packet]] = deque()
+        #: the scheduler's head-of-line heap, and service finds the queue
+        #: in it without a flow-table lookup.
+        self.queue: deque[tuple[float, int, FlowQueue, Packet]] = deque()
         self.last_finish = 0.0
         #: Busy period ``last_finish`` belongs to; a stale one reads as 0.
         self.epoch = 0
@@ -104,7 +105,8 @@ class FinishTagScheduler(Scheduler):
     so only its head-of-line entry competes: the heap holds one entry per
     *backlogged key*, never one per packet, and a packet costs
     ``O(log keys)``.  ``(finish, seq)`` is a total order (``seq`` is
-    unique), so service order does not depend on heap layout.  When the
+    unique), so service order does not depend on heap layout, and the
+    :class:`FlowQueue` an entry carries third is never compared.  When the
     last packet leaves, the busy period ends: virtual time restarts at 0
     and ``_epoch`` moves on, which lapses every key's ``last_finish``
     without an ``O(keys)`` walk per drain.
@@ -127,7 +129,7 @@ class FinishTagScheduler(Scheduler):
             if weight <= 0:
                 raise ConfigurationError(f"weight for key {key} must be positive, got {weight}")
             self._flows[key] = FlowQueue(float(weight))
-        self._hol: list[tuple[float, int, int, Packet]] = []
+        self._hol: list[tuple[float, int, FlowQueue, Packet]] = []
         self._vtime = 0.0
         self._epoch = 0  # busy periods completed
         self._count = 0

@@ -15,10 +15,13 @@ FIFO queue per key.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sched.wfq import WFQScheduler
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 __all__ = ["HybridScheduler", "validate_grouping"]
 
@@ -46,7 +49,7 @@ class HybridScheduler(WFQScheduler):
     """WFQ over ``k`` FIFO queues, one per flow group.
 
     Args:
-        clock: zero-argument callable returning the current time.
+        sim: the simulator whose clock virtual time follows.
         link_rate: output link rate in bytes/second.
         groups: sequence of flow-id groups; group ``i`` forms class ``i``.
         class_rates: rate ``R_i`` (bytes/second) guaranteed to each class;
@@ -58,7 +61,7 @@ class HybridScheduler(WFQScheduler):
 
     def __init__(
         self,
-        clock: Callable[[], float],
+        sim: Simulator,
         link_rate: float,
         groups: Sequence[Sequence[int]],
         class_rates: Sequence[float],
@@ -70,7 +73,7 @@ class HybridScheduler(WFQScheduler):
         self.groups = [tuple(group) for group in groups]
         self.class_rates = tuple(float(rate) for rate in class_rates)
         super().__init__(
-            clock, link_rate, dict(enumerate(self.class_rates)), validate_grouping(groups)
+            sim, link_rate, dict(enumerate(self.class_rates)), validate_grouping(groups)
         )
 
     def class_queue_length(self, class_id: int) -> int:

@@ -19,11 +19,14 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
 from repro.sched.base import Scheduler
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 __all__ = ["RPQScheduler"]
 
@@ -32,7 +35,8 @@ class RPQScheduler(Scheduler):
     """Coarse EDF via rotating FIFO priority buckets.
 
     Args:
-        clock: zero-argument callable returning the simulation time.
+        sim: the simulator whose clock rotates the priorities (any
+            object with a float ``now``).
         delta: rotation period in seconds (the deadline granularity).
         class_of: mapping flow id -> deadline class, a non-negative
             integer; a packet of class ``c`` arriving in epoch ``e`` is
@@ -46,7 +50,7 @@ class RPQScheduler(Scheduler):
         "delta",
         "class_of",
         "default_class",
-        "_now",
+        "_sim",
         "_buckets",
         "_order",
         "_count",
@@ -55,7 +59,7 @@ class RPQScheduler(Scheduler):
 
     def __init__(
         self,
-        clock: Callable[[], float],
+        sim: Simulator,
         delta: float,
         class_of: Mapping[int, int],
         default_class: int | None = None,
@@ -72,7 +76,7 @@ class RPQScheduler(Scheduler):
                 f"default class must be >= 0, got {default_class}"
             )
         super().__init__()
-        self._now = clock
+        self._sim = sim
         self.delta = float(delta)
         self.class_of = dict(class_of)
         self.default_class = default_class
@@ -82,7 +86,7 @@ class RPQScheduler(Scheduler):
         self._bytes = 0.0
 
     def _epoch(self) -> int:
-        return int(math.floor(self._now() / self.delta))
+        return int(math.floor(self._sim.now / self.delta))
 
     def _class_for(self, flow_id: int) -> int:
         klass = self.class_of.get(flow_id, self.default_class)

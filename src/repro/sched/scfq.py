@@ -56,7 +56,7 @@ class SCFQScheduler(FinishTagScheduler):
             start = flow.last_finish
         size = packet.size
         flow.last_finish = tag = start + size / flow.weight
-        entry = (tag, packet.seq, key, packet)
+        entry = (tag, packet.seq, flow, packet)
         queue = flow.queue
         if not queue:
             heappush(self._hol, entry)
@@ -71,7 +71,7 @@ class SCFQScheduler(FinishTagScheduler):
         if not hol:
             return None
         entry = hol[0]
-        queue = self._flows[entry[2]].queue
+        queue = entry[2].queue
         if not queue or queue.popleft() is not entry:
             raise SimulationError("SCFQ head-of-line heap out of sync")
         if queue:

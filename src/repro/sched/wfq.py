@@ -26,11 +26,14 @@ small number of FIFO queues).
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sched.base import FinishTagScheduler
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 __all__ = ["WFQScheduler"]
 
@@ -39,8 +42,8 @@ class WFQScheduler(FinishTagScheduler):
     """Virtual-time weighted fair queueing over a fixed set of flows.
 
     Args:
-        clock: zero-argument callable returning the current simulation
-            time (typically ``lambda: sim.now``).
+        sim: the simulator whose clock virtual time follows (any object
+            with a float ``now``).
         link_rate: output link rate in bytes/second.
         weights: mapping from scheduling key to weight.  Weights are
             reserved rates in bytes/second; they need not sum to
@@ -50,13 +53,13 @@ class WFQScheduler(FinishTagScheduler):
             ``flow_id``.  Either way the key must appear in ``weights``.
     """
 
-    __slots__ = ("class_of", "_now", "_rate", "_last_update", "_active_weight")
+    __slots__ = ("class_of", "_sim", "_rate", "_last_update", "_active_weight")
 
     NAME = "WFQ"
 
     def __init__(
         self,
-        clock: Callable[[], float],
+        sim: Simulator,
         link_rate: float,
         weights: Mapping[int, float],
         class_of: Mapping[int, int] | None = None,
@@ -65,15 +68,15 @@ class WFQScheduler(FinishTagScheduler):
             raise ConfigurationError(f"link_rate must be positive, got {link_rate}")
         super().__init__(weights)
         self.class_of = class_of
-        self._now = clock
+        self._sim = sim
         self._rate = link_rate
-        self._last_update = clock()
+        self._last_update = sim.now
         self._active_weight = 0.0
 
     @property
     def virtual_time(self) -> float:
         """Current system virtual time (after catching up to the clock)."""
-        now = self._now()
+        now = self._sim.now
         if now > self._last_update:
             if self._active_weight > 0:
                 self._vtime += (now - self._last_update) * self._rate / self._active_weight
@@ -92,7 +95,7 @@ class WFQScheduler(FinishTagScheduler):
         except KeyError:
             raise ConfigurationError(f"packet classified to unknown WFQ key {key}") from None
         # V catches up to the clock at rate R / (backlogged weight).
-        now = self._now()
+        now = self._sim.now
         if now > self._last_update:
             if self._active_weight > 0:
                 self._vtime += (now - self._last_update) * self._rate / self._active_weight
@@ -106,7 +109,7 @@ class WFQScheduler(FinishTagScheduler):
             start = flow.last_finish
         size = packet.size
         flow.last_finish = finish = start + size / flow.weight
-        entry = (finish, packet.seq, key, packet)
+        entry = (finish, packet.seq, flow, packet)
         queue = flow.queue
         if not queue:
             self._active_weight += flow.weight
@@ -121,13 +124,13 @@ class WFQScheduler(FinishTagScheduler):
         hol = self._hol
         if not hol:
             return None
-        now = self._now()
+        now = self._sim.now
         if now > self._last_update:
             if self._active_weight > 0:
                 self._vtime += (now - self._last_update) * self._rate / self._active_weight
             self._last_update = now
         entry = hol[0]
-        flow = self._flows[entry[2]]
+        flow = entry[2]
         queue = flow.queue
         if not queue or queue.popleft() is not entry:
             raise SimulationError("WFQ head-of-line heap out of sync with flow queue")

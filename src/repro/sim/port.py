@@ -60,6 +60,7 @@ class OutputPort:
         "dropped_packets",
         "transmitted_packets",
         "_sink",
+        "_bound_finish",
     )
 
     def __init__(
@@ -87,6 +88,8 @@ class OutputPort:
         self.dropped_packets = 0
         self.transmitted_packets = 0
         self._sink = None
+        # Bound once: every transmission schedules this callback.
+        self._bound_finish = self._finish_transmission
 
     def attach_trace(self, sink) -> None:
         """Wire a :class:`~repro.obs.sink.TraceSink` through the whole port.
@@ -160,7 +163,7 @@ class OutputPort:
             head = scheduler.dequeue()
             if head is not None:
                 self.busy = True
-                sim.schedule_fast(head.size / self.rate, self._finish_transmission, head)
+                sim.schedule_fast(head.size / self.rate, self._bound_finish, head)
         return True
 
     def _finish_transmission(self, packet: Packet) -> None:
@@ -190,7 +193,7 @@ class OutputPort:
         if head is None:
             self.busy = False
         else:
-            sim.schedule_fast(head.size / self.rate, self._finish_transmission, head)
+            sim.schedule_fast(head.size / self.rate, self._bound_finish, head)
 
     @property
     def backlog_packets(self) -> int:

@@ -53,6 +53,7 @@ class LeakyBucketShaper:
         "_release_pending",
         "shaped_packets",
         "delayed_packets",
+        "_bound_release",
     )
 
     def __init__(self, sim: Simulator, sigma: float, rho: float, sink) -> None:
@@ -70,6 +71,8 @@ class LeakyBucketShaper:
         self._release_pending = False
         self.shaped_packets = 0
         self.delayed_packets = 0
+        # Bound once: every shaping gap schedules a release.
+        self._bound_release = self._release
 
     @property
     def backlog(self) -> int:
@@ -105,7 +108,9 @@ class LeakyBucketShaper:
             # the handle-free scheduling path is safe.
             self._release_pending = True
             deficit = queue[0].size - tokens
-            self.sim.schedule_fast((deficit if deficit >= 0.0 else 0.0) / self.rho, self._release)
+            self.sim.schedule_fast(
+                (deficit if deficit >= 0.0 else 0.0) / self.rho, self._bound_release
+            )
 
     def _release(self) -> None:
         self._release_pending = False
@@ -129,7 +134,9 @@ class LeakyBucketShaper:
         if queue:
             self._release_pending = True
             deficit = queue[0].size - tokens
-            self.sim.schedule_fast((deficit if deficit >= 0.0 else 0.0) / self.rho, self._release)
+            self.sim.schedule_fast(
+                (deficit if deficit >= 0.0 else 0.0) / self.rho, self._bound_release
+            )
 
 
 class TokenBucketMeter:

@@ -75,6 +75,8 @@ class OnOffSource:
         "_mean_burst_packets",
         "_burst_p",
         "_mean_off",
+        "_bound_emit",
+        "_bound_begin_burst",
     )
 
     def __init__(
@@ -115,6 +117,9 @@ class OnOffSource:
         self._burst_p = min(1.0, 1.0 / max(self._mean_burst_packets, 1.0))
         mean_on = self.mean_burst / self.peak_rate
         self._mean_off = mean_on * (self.peak_rate / self.avg_rate - 1.0)
+        # Bound once: every emission and every OFF gap schedules one.
+        self._bound_emit = self._emit
+        self._bound_begin_burst = self._begin_burst
         # Randomise the initial phase so simultaneous sources do not
         # synchronise their first bursts.
         initial_delay = 0.0
@@ -149,7 +154,7 @@ class OnOffSource:
         self.emitted_bytes += size
         self.sink.receive(packet)
         if remaining > 1:
-            sim.schedule_fast(self._spacing, self._emit, remaining - 1)
+            sim.schedule_fast(self._spacing, self._bound_emit, remaining - 1)
         else:
             # The last packet of the burst "occupies" one spacing at peak
             # rate before the OFF period starts, so the ON-state rate is
@@ -157,7 +162,7 @@ class OnOffSource:
             off = self._spacing
             if self._mean_off > 0:
                 off += float(self.rng.exponential(self._mean_off))
-            sim.schedule_fast(off, self._begin_burst)
+            sim.schedule_fast(off, self._bound_begin_burst)
 
 
 class CBRSource:
@@ -173,6 +178,7 @@ class CBRSource:
         "emitted_packets",
         "emitted_bytes",
         "_spacing",
+        "_bound_emit",
     )
 
     def __init__(
@@ -196,6 +202,8 @@ class CBRSource:
         self.emitted_packets = 0
         self.emitted_bytes = 0.0
         self._spacing = self.packet_size / self.rate
+        # Bound once: every emission schedules the next.
+        self._bound_emit = self._emit
         sim.schedule_at(start, self._emit)
 
     def stop(self) -> None:
@@ -209,7 +217,7 @@ class CBRSource:
         self.emitted_packets += 1
         self.emitted_bytes += packet.size
         self.sink.receive(packet)
-        self.sim.schedule_fast(self._spacing, self._emit)
+        self.sim.schedule_fast(self._spacing, self._bound_emit)
 
 
 class GreedySource(CBRSource):

@@ -127,38 +127,52 @@ def churn(reclamation: bool):
 
 
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
-#: ``Simulator.run``).  Measured 21.34 / 23.06 / 24.06 / 22.38 / 27.60 on
-#: the bare port (the three sorted rows 30.75 / 26.38 / 39.80 before the
-#: flat enqueue/dequeue bodies, when a packet also paid a classifier
-#: lambda, ``dict.get``, ``_advance_vtime``, ``max``, a second deque and
-#: a pop-then-push, and the hybrid two wrappers and three manager hops;
-#: with the packet pool 25.41 / 27.13 / 34.97 / - / 43.99; before the
-#: flat admit/depart path 42.62 / 51.93 / 52.15 / - / 68.36; the two WFQ
-#: rows 30.82 / 39.87 while every drain walked the flow table), 32.013 /
-#: 32.034 on the tandem and 35.222 / 50.357 on churn (33.825 / 33.846
-#: and 36.226 / 51.362 while sources entered through ``Node.receive``;
-#: the bare port, which never did, counts the same to the digit as the
-#: one-link case of the fabric), 34.203 with a sink attached and 57.016
-#: on the observed tandem (37.557 and 65.635 with dataclass events, an
-#: ``isinstance`` chain in the monitor and four calls around each
-#: threshold lookup).  The ceilings leave ~4-5% for interpreter versions that
-#: count a builtin differently; a PR that shortens a path lowers its
-#: ceiling to ~5% above the new count.
+#: ``Simulator.run``).  Measured 21.341 / 23.058 / 22.375 / 22.381 /
+#: 25.900 on the bare port and 23.213 for WFQ with delay histograms on
+#: (24.064 / 27.602 / 25.744 for the WFQ, hybrid and histogram rows while
+#: WFQ and the hybrid read time through a ``lambda: sim.now`` twice a
+#: packet and a departure's delay went through ``LogHistogram.record``
+#: behind a ``defaultdict``; the three sorted rows 30.75 / 26.38 / 39.80
+#: before the flat enqueue/dequeue bodies, when a packet also paid a
+#: classifier lambda, ``dict.get``, ``_advance_vtime``, ``max``, a second
+#: deque and a pop-then-push, and the hybrid two wrappers and three
+#: manager hops; with the packet pool 25.41 / 27.13 / 34.97 / - / 43.99;
+#: before the flat admit/depart path 42.62 / 51.93 / 52.15 / - / 68.36;
+#: the two WFQ rows 30.82 / 39.87 while every drain walked the flow
+#: table), 30.180 / 30.200 on the tandem, which keeps delay histograms
+#: per hop and end to end (32.013 / 32.034 through ``record``) and
+#: 35.222 / 50.357 on churn (33.825 / 33.846 and 36.226 / 51.362 while
+#: sources entered through ``Node.receive``; the bare port, which never
+#: did, counts the same to the digit as the one-link case of the
+#: fabric), 34.203 with a sink attached and 55.182 on the observed tandem
+#: (57.016 through ``record``; 37.557 and 65.635 with dataclass events,
+#: an ``isinstance`` chain in the monitor and four calls around each
+#: threshold lookup).
+#: Callbacks bound once per component and head-of-line entries that
+#: carry their queue cost less without counting less: a bound-method
+#: allocation and a subscript are not calls.  The ceilings leave ~4-5%
+#: for interpreter versions that count a builtin differently; a PR that
+#: shortens a path lowers its ceiling to ~5% above the new count.
 ROWS = {
     "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
     "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
-    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 25.3),
+    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 23.5),
+    # port-wfq-manyflow's shape on nine flows: WFQ with the per-flow
+    # delay histograms on, so the collector's departure leg shows.
+    "WFQ_THRESHOLD-hist": (
+        lambda: port(Scheme.WFQ_THRESHOLD, delay_histograms=True), 24.4
+    ),
     # SCFQ has no benchmark workload: this row is its only cost gate.
     "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 23.5),
-    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 29.0),
-    "tandem-churn": (lambda: tandem(False), 33.6),
-    "tandem-churn-reclaim": (lambda: tandem(True), 33.6),
+    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 27.2),
+    "tandem-churn": (lambda: tandem(False), 31.7),
+    "tandem-churn-reclaim": (lambda: tandem(True), 31.7),
     "churn": (lambda: churn(False), 37.0),
     "churn-reclaim": (lambda: churn(True), 52.9),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
     "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 35.9),
-    "tandem-observed": (observed_tandem, 59.9),
+    "tandem-observed": (observed_tandem, 57.9),
 }
 
 #: Network row -> (events, offered packets, dropped packets, churn
@@ -239,7 +253,7 @@ def test_calls_per_packet_within_budget(row):
 
 
 def test_count_repeats_exactly():
-    for row in ("FIFO_THRESHOLD", "HYBRID_SHARING", "churn-reclaim"):
+    for row in ("FIFO_THRESHOLD", "WFQ_THRESHOLD-hist", "HYBRID_SHARING", "churn-reclaim"):
         run, _ = ROWS[row]
         assert count_calls(run)[0] == count_calls(run)[0], row
 

@@ -3,14 +3,15 @@
 Each test plants exactly one defect — an oversubscribed buffer, a rate
 overflow, a broken route, an infeasible churn region, a stale schema
 tag, a leaky buffer-pool trace, an orphan RNG stream, an unregistered
-trace event, a hot-loop time accumulation — and asserts the
-auditor/linter reports the matching
-finding code.  This is the proof that the checks detect, not just that
-they stay quiet on clean input.
+trace event, a hot-loop time accumulation, a per-call bound method
+handed to ``schedule_fast`` — and asserts the auditor/linter reports
+the matching finding code.  This is the proof that the checks detect,
+not just that they stay quiet on clean input.
 """
 
 import dataclasses
 import json
+import pathlib
 import textwrap
 
 from repro.check.cli import check_paths, failing
@@ -18,6 +19,8 @@ from repro.check.invariants import check_scenario, check_scenario_dict
 from repro.obs.events import TRACE_SCHEMA
 from repro.experiments.fabric.demo import demo_tandem
 from repro.lint import lint_paths
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def seeded_codes(findings):
@@ -134,6 +137,15 @@ class TestProgramRuleMutations:
             EVENT_TYPES = {cls.kind: cls for cls in (Enqueue,)}
             """,
         )
+
+    def test_per_call_bound_method_in_the_port_raises_rpr105(self, tmp_path):
+        # The port's own source, with its pre-bound transmission callback
+        # put back to the per-call ``self._finish_transmission``.
+        source = (SRC / "repro" / "sim" / "port.py").read_text(encoding="utf-8")
+        assert lint_codes(tmp_path / "clean", "src/repro/sim/port.py", source) == []
+        mutated = source.replace("self._bound_finish, head)", "self._finish_transmission, head)")
+        assert mutated != source
+        assert lint_codes(tmp_path / "mutated", "src/repro/sim/port.py", mutated) == ["RPR105"]
 
     def test_hot_loop_accumulation_raises_rpr109(self, tmp_path):
         assert "RPR109" in lint_codes(

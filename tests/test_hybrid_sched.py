@@ -10,7 +10,7 @@ from repro.sim.packet import Packet
 
 def make_hybrid(groups, rates, link_rate=1000.0):
     sim = Simulator()
-    return sim, HybridScheduler(lambda: sim.now, link_rate, groups, rates)
+    return sim, HybridScheduler(sim, link_rate, groups, rates)
 
 
 def pkt(flow_id, size=100.0):

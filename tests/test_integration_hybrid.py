@@ -21,9 +21,7 @@ class TestClassRateGuarantees:
         # Two classes, rates 3:1, both saturated by greedy flows: served
         # bytes track the class rates.
         sim = Simulator()
-        scheduler = HybridScheduler(
-            lambda: sim.now, LINK, [[1], [2]], [750_000.0, 250_000.0]
-        )
+        scheduler = HybridScheduler(sim, LINK, [[1], [2]], [750_000.0, 250_000.0])
         manager = HybridBufferManager(
             {1: 0, 2: 1},
             [FixedThresholdManager(30_000.0, {1: 30_000.0}),
@@ -43,9 +41,7 @@ class TestClassRateGuarantees:
         # just its assigned rate — the WFQ across classes is work
         # conserving.
         sim = Simulator()
-        scheduler = HybridScheduler(
-            lambda: sim.now, LINK, [[1], [2]], [250_000.0, 750_000.0]
-        )
+        scheduler = HybridScheduler(sim, LINK, [[1], [2]], [250_000.0, 750_000.0])
         manager = HybridBufferManager(
             {1: 0, 2: 1},
             [FixedThresholdManager(30_000.0, {1: 30_000.0}),
@@ -67,7 +63,7 @@ class TestWithinClassIsolation:
         class_buffer = 50_000.0
         rho = 250_000.0
         threshold = rho / LINK * class_buffer + PKT
-        scheduler = HybridScheduler(lambda: sim.now, LINK, [[1, 2]], [LINK])
+        scheduler = HybridScheduler(sim, LINK, [[1, 2]], [LINK])
         manager = HybridBufferManager(
             {1: 0, 2: 0},
             [FixedThresholdManager(
@@ -88,7 +84,7 @@ class TestEquivalenceLimits:
     def test_one_class_hybrid_behaves_like_fifo(self):
         # A single class containing all flows is exactly a FIFO queue.
         sim = Simulator()
-        scheduler = HybridScheduler(lambda: sim.now, LINK, [[1, 2]], [LINK])
+        scheduler = HybridScheduler(sim, LINK, [[1, 2]], [LINK])
         packets = [Packet(1, PKT, 0.0), Packet(2, PKT, 0.0), Packet(1, PKT, 0.0)]
         for packet in packets:
             scheduler.enqueue(packet)
@@ -99,10 +95,8 @@ class TestEquivalenceLimits:
         # weights, packet for packet.
         weights = {1: 100.0, 2: 300.0}
         sim_a, sim_b = Simulator(), Simulator()
-        hybrid = HybridScheduler(
-            lambda: sim_a.now, LINK, [[1], [2]], [100.0, 300.0]
-        )
-        wfq = WFQScheduler(lambda: sim_b.now, LINK, weights)
+        hybrid = HybridScheduler(sim_a, LINK, [[1], [2]], [100.0, 300.0])
+        wfq = WFQScheduler(sim_b, LINK, weights)
         order_a, order_b = [], []
         for _ in range(6):
             for flow_id in (1, 2):

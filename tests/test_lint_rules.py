@@ -233,6 +233,42 @@ class TestHotPathRPR105:
             """
         assert rule_ids(clean, path=SIM_PATH, select=["RPR105"]) == []
 
+    @pytest.mark.parametrize("package", ["sim", "traffic", "sched", "core", "metrics"])
+    def test_flags_schedule_fast_with_a_fresh_bound_method(self, package):
+        snippet = """
+            class Source:
+                __slots__ = ("sim",)
+
+                def _emit(self):
+                    self.sim.schedule_fast(1.0, self._emit)
+            """
+        path = f"src/repro/{package}/snippet.py"
+        assert rule_ids(snippet, path=path, select=["RPR105"]) == ["RPR105"]
+
+    def test_accepts_a_callback_bound_once(self):
+        clean = """
+            class Source:
+                __slots__ = ("sim", "_bound_emit", "_spacing")
+
+                def __init__(self, sim):
+                    self.sim = sim
+                    self._spacing = 1.0
+                    self._bound_emit = self._emit
+                    sim.schedule_at(0.0, self._emit)
+
+                def _emit(self):
+                    self.sim.schedule_fast(self._spacing, self._bound_emit)
+            """
+        assert rule_ids(clean, path=SIM_PATH, select=["RPR105"]) == []
+
+    def test_bound_callback_check_stays_in_the_per_packet_packages(self):
+        snippet = """
+            class Ticker:
+                def _tick(self):
+                    self.sim.schedule_fast(1.0, self._tick)
+            """
+        assert rule_ids(snippet, path="src/repro/obs/snippet.py", select=["RPR105"]) == []
+
     def test_no_slots_requirement_outside_hot_paths(self):
         snippet = """
             class Report:

@@ -217,8 +217,12 @@ def spied(cls):
     return Spied
 
 
-def build(kind, thresholds, clock):
-    """A ``(real manager, reference)`` pair for one policy kind."""
+def build(kind, thresholds, sim):
+    """A ``(real manager, reference)`` pair for one policy kind.
+
+    ``sim`` is anything with a float ``now``: RED and FRED read it for
+    their idle decay.
+    """
     if kind == "tail-drop":
         return TailDropManager(CAPACITY), Reference(CAPACITY, fits)
     if kind == "fixed":
@@ -244,10 +248,10 @@ def build(kind, thresholds, clock):
     if kind in ("red", "fred"):
         rng = np.random.default_rng(7)
         if kind == "red":
-            real = spied(REDManager)(CAPACITY, 2_000.0, 6_000.0, rng, clock, weight=0.2)
+            real = spied(REDManager)(CAPACITY, 2_000.0, 6_000.0, rng, sim, weight=0.2)
         else:
             real = spied(FREDManager)(
-                CAPACITY, 2_000.0, 6_000.0, rng, clock, minq=1_000.0, maxq=4_000.0, weight=0.2
+                CAPACITY, 2_000.0, 6_000.0, rng, sim, minq=1_000.0, maxq=4_000.0, weight=0.2
             )
         return real, Reference(CAPACITY, lambda ref, flow, size: real.verdict)
     half = CAPACITY / 2
@@ -299,7 +303,8 @@ class ManagerContract(RuleBasedStateMachine):
     def setup(self, kind, thresholds, traced):
         self.kind = kind
         self.now = 0.0
-        self.real, self.ref = build(kind, thresholds, lambda: self.now)
+        # The machine is its managers' clock as well as their trace sink.
+        self.real, self.ref = build(kind, thresholds, self)
         self.queued = []
         self.traced = traced
         self.emitted = []

@@ -68,7 +68,7 @@ class TestWFQTracksGPS:
     @settings(max_examples=60, deadline=None)
     def test_departures_within_pgps_style_bound(self, arrivals):
         normalized, departures = departures_under(
-            lambda sim: WFQScheduler(lambda: sim.now, RATE, WEIGHTS), arrivals
+            lambda sim: WFQScheduler(sim, RATE, WEIGHTS), arrivals
         )
         gps = gps_finish_times(normalized, WEIGHTS, RATE)
         # Exact PGPS bound is L_max / R; allow 2x for the standard
@@ -82,7 +82,7 @@ class TestWFQTracksGPS:
     def test_departures_never_beat_ideal_service(self, arrivals):
         # No packet can depart before arrival + its own transmission time.
         normalized, departures = departures_under(
-            lambda sim: WFQScheduler(lambda: sim.now, RATE, WEIGHTS), arrivals
+            lambda sim: WFQScheduler(sim, RATE, WEIGHTS), arrivals
         )
         for (time, _flow, size), departure in zip(normalized, departures):
             assert departure >= time + size / RATE - 1e-9

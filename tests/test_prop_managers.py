@@ -8,6 +8,8 @@ Every manager must preserve, for any admissible operation sequence:
 * (sharing) holes + headroom + occupancy == capacity, headroom <= H.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,23 +174,18 @@ class TestREDInvariants:
     @given(ops=operations)
     @settings(max_examples=40, deadline=None)
     def test_invariants(self, ops):
-        clock_value = [0.0]
         manager = REDManager(
-            10_000.0, 2_000.0, 8_000.0, np.random.default_rng(0),
-            lambda: clock_value[0],
+            10_000.0, 2_000.0, 8_000.0, np.random.default_rng(0), SimpleNamespace(now=0.0)
         )
         drive(manager, ops)
 
     @given(ops=operations)
     @settings(max_examples=40, deadline=None)
     def test_average_stays_finite_and_nonnegative(self, ops):
-        clock_value = [0.0]
-        manager = REDManager(
-            10_000.0, 2_000.0, 8_000.0, np.random.default_rng(1),
-            lambda: clock_value[0],
-        )
+        clock = SimpleNamespace(now=0.0)
+        manager = REDManager(10_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock)
         for flow_id, size, _ in ops:
-            clock_value[0] += 0.001
+            clock.now += 0.001
             manager.try_admit(flow_id, size)
             assert 0.0 <= manager.avg <= manager.capacity
 
@@ -197,9 +194,8 @@ class TestFREDInvariants:
     @given(ops=operations)
     @settings(max_examples=40, deadline=None)
     def test_invariants(self, ops):
-        clock_value = [0.0]
         manager = FREDManager(
             10_000.0, 2_000.0, 8_000.0, np.random.default_rng(2),
-            lambda: clock_value[0], minq=500.0, maxq=4_000.0,
+            SimpleNamespace(now=0.0), minq=500.0, maxq=4_000.0,
         )
         drive(manager, ops)

@@ -38,9 +38,7 @@ def run_port(arrivals, manager, scheduler_kind):
     if scheduler_kind == "fifo":
         scheduler = FIFOScheduler()
     else:
-        scheduler = WFQScheduler(
-            lambda: sim.now, 100_000.0, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-        )
+        scheduler = WFQScheduler(sim, 100_000.0, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0})
     collector = StatsCollector()
     port = OutputPort(sim, 100_000.0, scheduler, manager, collector)
     time = 0.0

@@ -1,5 +1,7 @@
 """Property-based tests: RPQ and SCFQ conservation and ordering."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +24,12 @@ class TestRPQProperties:
     @given(arrivals=arrivals, delta=st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=80, deadline=None)
     def test_conservation_and_fifo_within_flow(self, arrivals, delta):
-        clock = [0.0]
-        rpq = RPQScheduler(lambda: clock[0], delta, {0: 0, 1: 1, 2: 2, 3: 3})
+        clock = SimpleNamespace(now=0.0)
+        rpq = RPQScheduler(clock, delta, {0: 0, 1: 1, 2: 2, 3: 3})
         sent = []
         for gap, flow_id, size in arrivals:
-            clock[0] += gap
-            packet = Packet(flow_id, size, clock[0])
+            clock.now += gap
+            packet = Packet(flow_id, size, clock.now)
             sent.append(packet)
             rpq.enqueue(packet)
         served = []
@@ -45,14 +47,14 @@ class TestRPQProperties:
     @given(arrivals=arrivals, delta=st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=80, deadline=None)
     def test_served_in_bucket_order(self, arrivals, delta):
-        clock = [0.0]
+        clock = SimpleNamespace(now=0.0)
         class_of = {0: 0, 1: 1, 2: 2, 3: 3}
-        rpq = RPQScheduler(lambda: clock[0], delta, class_of)
+        rpq = RPQScheduler(clock, delta, class_of)
         bucket_of = {}
         for gap, flow_id, size in arrivals:
-            clock[0] += gap
-            packet = Packet(flow_id, size, clock[0])
-            bucket_of[packet.seq] = int(clock[0] / delta) + class_of[flow_id]
+            clock.now += gap
+            packet = Packet(flow_id, size, clock.now)
+            bucket_of[packet.seq] = int(clock.now / delta) + class_of[flow_id]
             rpq.enqueue(packet)
         served_buckets = []
         while True:

@@ -25,10 +25,7 @@ arrivals_strategy = st.lists(
 
 def build(weights):
     sim = Simulator()
-    wfq = WFQScheduler(
-        lambda: sim.now, 10_000.0,
-        {i: w for i, w in enumerate(weights)},
-    )
+    wfq = WFQScheduler(sim, 10_000.0, {i: w for i, w in enumerate(weights)})
     return sim, wfq
 
 

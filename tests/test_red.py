@@ -1,5 +1,7 @@
 """RED buffer manager."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,9 @@ from repro.errors import ConfigurationError
 from repro.obs.sink import RingSink
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 def make_red(capacity=10_000.0, min_th=2_000.0, max_th=8_000.0, max_p=0.1,
              weight=0.5, seed=1):
-    clock = FakeClock()
+    clock = SimpleNamespace(now=0.0)
     manager = REDManager(
         capacity, min_th, max_th, np.random.default_rng(seed), clock,
         max_p=max_p, weight=weight,
@@ -29,7 +23,7 @@ def make_red(capacity=10_000.0, min_th=2_000.0, max_th=8_000.0, max_p=0.1,
 
 class TestValidation:
     def test_thresholds_must_be_ordered(self):
-        clock = FakeClock()
+        clock = SimpleNamespace(now=0.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             REDManager(1000.0, 500.0, 400.0, rng, clock)
@@ -37,7 +31,7 @@ class TestValidation:
             REDManager(1000.0, 0.0, 400.0, rng, clock)
 
     def test_max_p_range(self):
-        clock = FakeClock()
+        clock = SimpleNamespace(now=0.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             REDManager(1000.0, 100.0, 400.0, rng, clock, max_p=0.0)
@@ -136,15 +130,15 @@ def _admissions(make, trace):
     (nothing), "detached" (a trace is attached and detached again) or
     "skewed" (a trace is attached whose clock is an hour ahead).
     """
-    now = [0.0]
-    manager = make(lambda: now[0])
+    clock = SimpleNamespace(now=0.0)
+    manager = make(clock)
     held, history = [], []
     for step in range(40):
         if step == 5 and trace is not None:
-            manager.attach_trace(RingSink(), lambda: now[0] + 3600.0, "n")
+            manager.attach_trace(RingSink(), lambda: clock.now + 3600.0, "n")
             if trace == "detached":
                 manager.attach_trace(None, None)
-        now[0] += 0.001
+        clock.now += 0.001
         admitted = manager.try_admit(step % 3, 700.0)
         if admitted:
             held.append(step % 3)
@@ -152,7 +146,7 @@ def _admissions(make, trace):
             for flow_id in held:
                 manager.on_depart(flow_id, 700.0)
             held.clear()
-            now[0] += 0.003
+            clock.now += 0.003
         history.append((admitted, manager.avg))
     return history
 

@@ -1,5 +1,7 @@
 """Rotating Priority Queues scheduler."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,16 +9,8 @@ from repro.sched.rpq import RPQScheduler
 from repro.sim.packet import Packet
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 def make_rpq(class_of=None, delta=1.0, default_class=None):
-    clock = FakeClock()
+    clock = SimpleNamespace(now=0.0)
     if class_of is None:
         class_of = {0: 0, 1: 1, 2: 2}
     return clock, RPQScheduler(clock, delta, class_of, default_class=default_class)
@@ -29,11 +23,11 @@ def pkt(flow_id, size=100.0):
 class TestValidation:
     def test_bad_delta(self):
         with pytest.raises(ConfigurationError):
-            RPQScheduler(FakeClock(), 0.0, {0: 0})
+            RPQScheduler(SimpleNamespace(now=0.0), 0.0, {0: 0})
 
     def test_negative_class(self):
         with pytest.raises(ConfigurationError):
-            RPQScheduler(FakeClock(), 1.0, {0: -1})
+            RPQScheduler(SimpleNamespace(now=0.0), 1.0, {0: -1})
 
     def test_unknown_flow_rejected_without_default(self):
         _, rpq = make_rpq()

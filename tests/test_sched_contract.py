@@ -12,12 +12,18 @@ read and every ``queue_length`` identical.  Comparisons are exact
 (``==``): the flat bodies promise the same float operations in the same
 order, which is what keeps the equivalence goldens byte-identical.
 
+Each discipline reads time as ``sim.now`` off the object it was built
+with; here that is a stand-in with a settable ``now``.  Head-of-line
+entries carry their key's ``FlowQueue`` third, so they are compared with
+the reference's through a ``(finish, seq, key, packet)`` projection.
+
 The second half pins the clock contract: the clock a trace stamps its
 events with is not the clock a discipline reads for its own rule.
 """
 
 import heapq
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -112,10 +118,10 @@ class ReferenceSCFQ(_Reference):
 class ReferenceWFQ(_Reference):
     """V advances at ``R / sum(backlogged weights)`` between operations."""
 
-    def __init__(self, clock, link_rate, weights, class_of=None):
+    def __init__(self, sim, link_rate, weights, class_of=None):
         super().__init__(weights, class_of)
-        self.clock, self.rate = clock, link_rate
-        self.last_update, self.active_weight = clock(), 0.0
+        self.sim, self.rate = sim, link_rate
+        self.last_update, self.active_weight = sim.now, 0.0
 
     @property
     def virtual_time(self):
@@ -123,7 +129,7 @@ class ReferenceWFQ(_Reference):
         return self.vtime
 
     def _advance_vtime(self):
-        now = self.clock()
+        now = self.sim.now
         if now > self.last_update:
             if self.active_weight > 0:
                 self.vtime += (now - self.last_update) * self.rate / self.active_weight
@@ -158,7 +164,7 @@ class ReferenceWFQ(_Reference):
         self.counted(packet, -1)
         if self.count == 0:
             self.vtime = 0.0
-            self.last_update = self.clock()
+            self.last_update = self.sim.now
             self.active_weight = 0.0
             self.epoch += 1
         return packet
@@ -193,21 +199,27 @@ ops_strategy = st.lists(
 )
 
 
-def make_pair(kind, clock, weights, class_of):
+def make_pair(kind, sim, weights, class_of):
     """``(scheduler under test, reference, flow ids it accepts)``."""
     if kind == "scfq":
         return SCFQScheduler(weights), ReferenceSCFQ(weights), list(weights)
     if kind == "hybrid":
         groups = [[f for f in range(N_FLOWS) if f % len(weights) == k] for k in weights]
         rates = list(weights.values())
-        real = HybridScheduler(clock, LINK_RATE, groups, rates)
-        reference = ReferenceWFQ(clock, LINK_RATE, dict(enumerate(rates)), real.class_of)
+        real = HybridScheduler(sim, LINK_RATE, groups, rates)
+        reference = ReferenceWFQ(sim, LINK_RATE, dict(enumerate(rates)), real.class_of)
         return real, reference, list(real.class_of)
     if class_of is not None:
         class_of = {flow: key % len(weights) for flow, key in class_of.items()}
-    real = WFQScheduler(clock, LINK_RATE, weights, class_of=class_of)
-    reference = ReferenceWFQ(clock, LINK_RATE, weights, class_of)
+    real = WFQScheduler(sim, LINK_RATE, weights, class_of=class_of)
+    reference = ReferenceWFQ(sim, LINK_RATE, weights, class_of)
     return real, reference, list(weights if class_of is None else class_of)
+
+
+def keyed_hol(scheduler):
+    """The head-of-line heap as ``(finish, seq, key, packet)`` entries."""
+    key_of = {flow: key for key, flow in scheduler._flows.items()}
+    return [(finish, seq, key_of[flow], packet) for finish, seq, flow, packet in scheduler._hol]
 
 
 @pytest.mark.parametrize("kind", ["wfq", "scfq", "hybrid"])
@@ -222,13 +234,12 @@ def make_pair(kind, clock, weights, class_of):
 )
 @settings(max_examples=120, deadline=None)
 def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, class_of, traced):
-    now = [0.0]
-    clock = lambda: now[0]  # noqa: E731
-    real, reference, flows = make_pair(kind, clock, dict(enumerate(weights)), class_of)
+    sim = SimpleNamespace(now=0.0)
+    real, reference, flows = make_pair(kind, sim, dict(enumerate(weights)), class_of)
     sinks = RingSink(), RingSink()
     if traced:
-        real.attach_trace(sinks[0], clock, "n")
-        reference.attach_trace(sinks[1], clock, "n")
+        real.attach_trace(sinks[0], lambda: sim.now, "n")
+        reference.attach_trace(sinks[1], lambda: sim.now, "n")
 
     def serve():
         packet = real.dequeue()
@@ -237,7 +248,7 @@ def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, cla
 
     for (op, *args), probe in ops:
         if op == "enq":
-            packet = Packet(flows[args[0] % len(flows)], args[1], now[0])
+            packet = Packet(flows[args[0] % len(flows)], args[1], sim.now)
             real.enqueue(packet)
             reference.enqueue(packet)
         elif op == "deq":
@@ -246,16 +257,17 @@ def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, cla
             while serve() is not None:
                 pass
         else:
-            now[0] += args[0]
+            sim.now += args[0]
         if probe:
             assert real.virtual_time == reference.virtual_time
         assert len(real) == len(reference)
         lengths = [real.queue_length(key) for key in reference.flows]
         assert lengths == [reference.queue_length(key) for key in reference.flows]
         # One heap entry per backlogged key, never one per packet, and
-        # every head-of-line finish tag equal (layouts may differ).
+        # every head-of-line finish tag equal (layouts may differ); each
+        # entry carries its own key's queue.
         assert len(real._hol) == sum(1 for length in lengths if length)
-        assert sorted(real._hol) == sorted(reference.hol)
+        assert sorted(keyed_hol(real)) == sorted(reference.hol)
     while serve() is not None:
         pass
     assert real.virtual_time == reference.virtual_time == 0.0
@@ -265,7 +277,7 @@ def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, cla
 
 
 def test_unknown_flow_and_unknown_key_raise_configuration_error():
-    wfq = WFQScheduler(lambda: 0.0, LINK_RATE, {0: 1.0}, class_of={0: 0, 1: 9})
+    wfq = WFQScheduler(SimpleNamespace(now=0.0), LINK_RATE, {0: 1.0}, class_of={0: 0, 1: 9})
     with pytest.raises(ConfigurationError, match="flow 2 not assigned to any class"):
         wfq.enqueue(Packet(2, 100.0, 0.0))
     with pytest.raises(ConfigurationError, match="unknown WFQ key 9"):
@@ -275,7 +287,10 @@ def test_unknown_flow_and_unknown_key_raise_configuration_error():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: WFQScheduler(lambda: 0.0, LINK_RATE, {0: 1.0}), lambda: SCFQScheduler({0: 1.0})],
+    [
+        lambda: WFQScheduler(SimpleNamespace(now=0.0), LINK_RATE, {0: 1.0}),
+        lambda: SCFQScheduler({0: 1.0}),
+    ],
     ids=["wfq", "scfq"],
 )
 @pytest.mark.parametrize("damage", ["rotate", "clear"])
@@ -288,16 +303,16 @@ def test_heap_out_of_sync_with_the_queue_is_a_simulation_error(make, damage):
         scheduler.dequeue()
 
 
-def _wfq(clock):
-    return WFQScheduler(clock, LINK_RATE, {0: 100.0, 1: 300.0})
+def _wfq(sim):
+    return WFQScheduler(sim, LINK_RATE, {0: 100.0, 1: 300.0})
 
 
-def _hybrid(clock):
-    return HybridScheduler(clock, LINK_RATE, [[0], [1]], [100.0, 300.0])
+def _hybrid(sim):
+    return HybridScheduler(sim, LINK_RATE, [[0], [1]], [100.0, 300.0])
 
 
-def _rpq(clock):
-    return RPQScheduler(clock, 0.01, {0: 3, 1: 0})
+def _rpq(sim):
+    return RPQScheduler(sim, 0.01, {0: 3, 1: 0})
 
 
 def _service_order(make, trace):
@@ -307,17 +322,17 @@ def _service_order(make, trace):
     "detached" (a trace is attached and detached again) or "skewed" (a
     trace is attached whose clock is an hour ahead of the scheduler's).
     """
-    now = [0.0]
-    scheduler = make(lambda: now[0])
+    sim = SimpleNamespace(now=0.0)
+    scheduler = make(sim)
     sink = RingSink()
     served, vtimes = [], []
     for step in range(16):
         if step == 4 and trace is not None:
-            scheduler.attach_trace(sink, lambda: now[0] + 3600.0, "n")
+            scheduler.attach_trace(sink, lambda: sim.now + 3600.0, "n")
             if trace == "detached":
                 scheduler.attach_trace(None, None)
-        now[0] += 0.004
-        scheduler.enqueue(Packet(step % 2, 100.0 + 40.0 * (step % 3), now[0]))
+        sim.now += 0.004
+        scheduler.enqueue(Packet(step % 2, 100.0 + 40.0 * (step % 3), sim.now))
         if step % 3 == 2:
             served.append(scheduler.dequeue().flow_id)
         vtimes.append(getattr(scheduler, "virtual_time", None))

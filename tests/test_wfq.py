@@ -10,7 +10,7 @@ from repro.sim.packet import Packet
 
 def make_wfq(weights, rate=1000.0):
     sim = Simulator()
-    return sim, WFQScheduler(lambda: sim.now, rate, weights)
+    return sim, WFQScheduler(sim, rate, weights)
 
 
 def pkt(flow_id, size=100.0):
@@ -21,17 +21,17 @@ class TestValidation:
     def test_empty_weights_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            WFQScheduler(lambda: sim.now, 1000.0, {})
+            WFQScheduler(sim, 1000.0, {})
 
     def test_non_positive_weight_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            WFQScheduler(lambda: sim.now, 1000.0, {0: 0.0})
+            WFQScheduler(sim, 1000.0, {0: 0.0})
 
     def test_non_positive_rate_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            WFQScheduler(lambda: sim.now, -1.0, {0: 1.0})
+            WFQScheduler(sim, -1.0, {0: 1.0})
 
     def test_unknown_flow_rejected(self):
         _, wfq = make_wfq({0: 1.0})
@@ -162,10 +162,7 @@ class TestAccounting:
 class TestClassifier:
     def test_classifier_maps_flows_to_classes(self):
         sim = Simulator()
-        wfq = WFQScheduler(
-            lambda: sim.now, 1000.0, {0: 1.0, 1: 1.0},
-            class_of={4: 0, 7: 1},
-        )
+        wfq = WFQScheduler(sim, 1000.0, {0: 1.0, 1: 1.0}, class_of={4: 0, 7: 1})
         wfq.enqueue(pkt(4))  # class 0
         wfq.enqueue(pkt(7))  # class 1
         assert wfq.queue_length(0) == 1
