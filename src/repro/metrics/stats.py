@@ -4,6 +4,10 @@ The paper "averaged the results over 5 simulation runs and found the 95%
 confidence intervals for throughput measurements to be less than 2%"; this
 module provides the same machinery (Student-t intervals over independent
 replications).
+
+scipy is imported inside :func:`mean_ci`, the one place that needs it, so
+``import repro`` loads numpy and the standard library only; the first
+interval loads scipy.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy import stats as _scipy_stats
 
 from repro.errors import ConfigurationError
 
@@ -60,8 +62,12 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
     mean = sum(samples) / n
     if n == 1:
         return MeanCI(mean=mean, halfwidth=0.0, n=1)
+    # The dotted form: ``from scipy import stats`` would pay a fromlist
+    # walk on every call.
+    import scipy.stats
+
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t_crit = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     halfwidth = t_crit * math.sqrt(variance / n)
     return MeanCI(mean=mean, halfwidth=halfwidth, n=n)
 

@@ -25,7 +25,8 @@ what one sweep cell spends *outside* ``Simulator.run`` — expanding the
 grid, building and digesting the job, claim traffic, pre-flight, fabric
 build, record, ``cache.put``, shard append — on a cold pass, a warm
 pass and an aggregation (``FIXED_COST_ROWS``).  Wall-time gates cannot
-resolve it (``setup_s`` spreads 26-64% run to run); a call count can.
+resolve it (``setup_s`` is mostly imports and spreads 15-36% run to run
+on the sweep workload); a call count can.
 """
 
 import gc
