@@ -12,5 +12,5 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    install_requires=["numpy>=1.23"],
 )

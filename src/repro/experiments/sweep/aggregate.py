@@ -27,7 +27,7 @@ import pathlib
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.cache import ResultCache, open_creating_parents
+from repro.experiments.campaign.cache import ResultCache, _tmp_name, open_creating_parents
 from repro.experiments.campaign.runner import CampaignRunner
 from repro.experiments.fabric import NetworkScenario
 from repro.experiments.sweep.spec import SweepSpec
@@ -314,7 +314,7 @@ def write_aggregate(aggregate: dict, path: str | os.PathLike) -> pathlib.Path:
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(aggregate, sort_keys=True, indent=1, allow_nan=False)
-    tmp = target.with_suffix(f".tmp.{os.getpid()}")
+    tmp = target.with_name(_tmp_name(target.stem))
     tmp.write_text(payload + "\n", encoding="utf-8")
     os.replace(tmp, target)
     return target

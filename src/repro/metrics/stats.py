@@ -5,20 +5,26 @@ confidence intervals for throughput measurements to be less than 2%"; this
 module provides the same machinery (Student-t intervals over independent
 replications).
 
-scipy is imported inside :func:`mean_ci`, the one place that needs it, so
-``import repro`` loads numpy and the standard library only; the first
-interval loads scipy.
+The Student-t quantile is computed here with the standard library's
+``decimal`` and is correctly rounded (:func:`_t_quantile`), so an
+interval needs nothing beyond ``import repro``: numpy and the standard
+library.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 
 __all__ = ["MeanCI", "mean_ci", "replicate"]
+
+#: pi to 60 digits, for the odd-df series.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,8 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
     mean = sum(samples) / n
     if n == 1:
         return MeanCI(mean=mean, halfwidth=0.0, n=1)
-    # The dotted form: ``from scipy import stats`` would pay a fromlist
-    # walk on every call.
-    import scipy.stats
-
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    t_crit = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t_crit = _t_quantile(0.5 + confidence / 2.0, n - 1)
     halfwidth = t_crit * math.sqrt(variance / n)
     return MeanCI(mean=mean, halfwidth=halfwidth, n=n)
 
@@ -77,3 +79,67 @@ def replicate(run: Callable[[int], float], seeds: Sequence[int], confidence: flo
     if not seeds:
         raise ConfigurationError("replicate needs at least one seed")
     return mean_ci([run(seed) for seed in seeds], confidence=confidence)
+
+
+@functools.lru_cache(maxsize=None)
+def _t_quantile(q: float, df: int) -> float:
+    """The ``q``-quantile of Student's t with ``df`` degrees of freedom,
+    correctly rounded, for 0.5 <= q <= 1 and integer df >= 1.
+
+    Newton's method on theta = atan(t / sqrt(df)) in 40-digit decimal:
+    P(|T| <= t) = 2q - 1 is a finite series in theta (:func:`_abs_t_cdf`)
+    and concave on [0, pi/2], so from theta = 0 every step stays below
+    the root and the steps shrink to it (at most 20 for q <= 0.9999995).
+    Cached: an aggregation asks the same pair for every group.
+    """
+    if q == 1.0:
+        return math.inf
+    with localcontext() as context:
+        context.prec = 40
+        target = 2 * Decimal(q) - 1
+        theta = Decimal(0)
+        while True:
+            value, slope = _abs_t_cdf(theta, df)
+            step = (target - value) / slope
+            theta += step
+            if step <= theta.scaleb(-25):
+                break
+        sin, cos = _sin_cos(theta)
+        return float(Decimal(df).sqrt() * sin / cos)
+
+
+def _abs_t_cdf(theta: Decimal, df: int) -> tuple[Decimal, Decimal]:
+    """P(|T| <= sqrt(df) tan theta) and its derivative in theta, in the
+    current decimal context (Abramowitz & Stegun 26.7.3 for odd df,
+    26.7.4 for even): a sum of terms in cos**p theta, p = df - 2,
+    df - 4, ... >= 0, whose last term times (df - 1) cos theta is the
+    derivative (both scaled by 2/pi for odd df)."""
+    if df == 1:
+        return 2 * theta / _PI, 2 / _PI
+    sin, cos = _sin_cos(theta)
+    cos2 = cos * cos
+    odd = df % 2
+    term = total = cos if odd else Decimal(1)
+    for power in range(odd + 2, df - 1, 2):
+        term = term * cos2 * (power - 1) / power
+        total += term
+    slope = (df - 1) * term * cos
+    if odd:
+        return 2 * (theta + sin * total) / _PI, 2 * slope / _PI
+    return sin * total, slope
+
+
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x by their Taylor series, in the current decimal context."""
+    x2 = x * x
+    sin = sin_term = x
+    cos = cos_term = Decimal(1)
+    n = 1
+    while True:
+        cos_term = -cos_term * x2 / (n * (n + 1))
+        sin_term = -sin_term * x2 / ((n + 1) * (n + 2))
+        n += 2
+        if sin + sin_term == sin and cos + cos_term == cos:
+            return sin, cos
+        sin += sin_term
+        cos += cos_term

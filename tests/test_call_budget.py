@@ -295,9 +295,11 @@ FIXED_COST_SWEEPS = {
 
 #: sweep -> ceilings on Python + C calls per cell outside
 #: ``Simulator.run``: (cold pass, warm pass, aggregation).  Measured
-#: 768.6 / 164.7 / 316.5 one-link and 925.25 / 208.25 / 344.75 on the
-#: network sweep; the same host read 1,264.9 / 275.7 / 409.7 and
-#: 1,317.0 / 268.25 / 391.75 while every cell started and joined its own
+#: 767.0 / 164.7 / 197.5 one-link and 921.75 / 208.25 / 225.75 on the
+#: network sweep.  The aggregation read 316.5 / 344.75 while each
+#: group's interval called scipy's ``t.ppf`` (about 120 calls); the
+#: cached quantile is one call.  Cold and warm read 1,264.9 / 275.7 and
+#: 1,317.0 / 268.25 while every cell started and joined its own
 #: heartbeat thread, rebuilt the Table-1 flows (and the tandem's constant
 #: specs) on every pass, copied each flow at its first hop, made its
 #: directories before each of three writes and named its files through
@@ -308,8 +310,8 @@ FIXED_COST_SWEEPS = {
 #: little on the depth of the cache path (pathlib parses it once per
 #: pass); ceilings sit ~5% above them.
 FIXED_COST_ROWS = {
-    "one-link": (805.0, 172.5, 332.0),
-    "network": (971.0, 218.5, 361.5),
+    "one-link": (805.0, 172.5, 207.5),
+    "network": (971.0, 218.5, 237.0),
 }
 
 

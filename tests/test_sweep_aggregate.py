@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import threading
 
 import pytest
 
@@ -192,6 +194,36 @@ class TestAggregate:
         assert first.endswith(b"\n")
         write_aggregate(aggregate_sweep(spec, cache), out)
         assert out.read_bytes() == first
+        assert not list(out.parent.glob("*.tmp.*"))
+
+    def test_two_threads_writing_one_aggregate_both_succeed(self, tmp_path, monkeypatch):
+        """Both threads have written their scratch file before either moves
+        it into place: with one scratch name per process the second
+        ``os.replace`` found nothing to move."""
+        out = tmp_path / "aggregates" / "one.json"
+        barrier = threading.Barrier(2, timeout=10)
+        replace = os.replace
+
+        def interleaved(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        errors = []
+
+        def write(value):
+            try:
+                write_aggregate({"writer": value}, out)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(value,)) for value in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert json.loads(out.read_text(encoding="utf-8")) in ({"writer": 1}, {"writer": 2})
         assert not list(out.parent.glob("*.tmp.*"))
 
     def test_default_path_is_digest_keyed(self, tmp_path):
