@@ -8,7 +8,6 @@ bandwidth from the aggressive class to the adaptive class without
 touching conformant-flow protection.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveSharingManager
@@ -25,6 +24,7 @@ from repro.metrics.collector import StatsCollector
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 from repro.units import mbytes, to_mbps
@@ -46,14 +46,14 @@ def _run(nonadaptive_share):
     )
     collector = StatsCollector(warmup=0.1 * SIM_TIME)
     port = OutputPort(sim, LINK_RATE, FIFOScheduler(), manager, collector)
-    seed_seq = np.random.SeedSequence(SEED).spawn(len(flows))
+    seed_seq = SeedSequence(SEED).spawn(len(flows))
     for flow, child in zip(flows, seed_seq):
         sink = port
         if flow.conformant:
             sink = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            sink, np.random.default_rng(child), until=SIM_TIME,
+            sink, Generator(child), until=SIM_TIME,
         )
     sim.run(until=SIM_TIME)
     duration = 0.9 * SIM_TIME

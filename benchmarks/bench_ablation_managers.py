@@ -7,7 +7,6 @@ the design point the paper argues for: per-flow reservations are what
 deliver heterogeneous guarantees; flow-agnostic AQM cannot.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.dynamic_threshold import DynamicThresholdManager
@@ -29,6 +28,7 @@ from repro.metrics.collector import StatsCollector
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 from repro.units import mbytes
@@ -45,14 +45,14 @@ def _run_with_manager(manager_factory):
     manager = manager_factory(sim)
     collector = StatsCollector(warmup=0.1 * SIM_TIME)
     port = OutputPort(sim, LINK_RATE, FIFOScheduler(), manager, collector)
-    seed_seq = np.random.SeedSequence(SEED).spawn(len(flows))
+    seed_seq = SeedSequence(SEED).spawn(len(flows))
     for flow, child in zip(flows, seed_seq):
         sink = port
         if flow.conformant:
             sink = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            sink, np.random.default_rng(child), until=SIM_TIME,
+            sink, Generator(child), until=SIM_TIME,
         )
     sim.run(until=SIM_TIME)
     duration = 0.9 * SIM_TIME
@@ -77,11 +77,11 @@ def _factories():
         "dynamic threshold [1]": lambda sim: DynamicThresholdManager(BUFFER),
         "RED [3]": lambda sim: REDManager(
             BUFFER, 0.25 * BUFFER, 0.75 * BUFFER,
-            np.random.default_rng(3), sim, mean_tx_time=mean_tx,
+            Generator(SeedSequence(3)), sim, mean_tx_time=mean_tx,
         ),
         "FRED [5]": lambda sim: FREDManager(
             BUFFER, 0.25 * BUFFER, 0.75 * BUFFER,
-            np.random.default_rng(4), sim,
+            Generator(SeedSequence(4)), sim,
             minq=BUFFER / 32, maxq=BUFFER / 4, mean_tx_time=mean_tx,
         ),
     }

@@ -10,8 +10,6 @@ Python-flavoured) rendition of the scalability argument.
 
 import time
 
-import numpy as np
-
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.hybrid import HybridBufferManager
 from repro.core.thresholds import compute_thresholds, hybrid_flow_threshold
@@ -31,6 +29,7 @@ from repro.sched.scfq import SCFQScheduler
 from repro.sched.wfq import WFQScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 from repro.units import mbytes, to_mbps
@@ -80,14 +79,14 @@ def _run(name, scheduler_factory, hybrid=False):
     manager = _build_manager(sim, flows, hybrid)
     collector = StatsCollector(warmup=0.1 * SIM_TIME)
     port = OutputPort(sim, LINK_RATE, scheduler, manager, collector)
-    seed_seq = np.random.SeedSequence(SEED).spawn(len(flows))
+    seed_seq = SeedSequence(SEED).spawn(len(flows))
     for flow, child in zip(flows, seed_seq):
         sink = port
         if flow.conformant:
             sink = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            sink, np.random.default_rng(child), until=SIM_TIME,
+            sink, Generator(child), until=SIM_TIME,
         )
     started = time.perf_counter()
     sim.run(until=SIM_TIME)

@@ -53,14 +53,13 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 import repro
 from repro.experiments.report import format_table
 from repro.experiments.schemes import Scheme, build_scheme
 from repro.metrics.collector import StatsCollector
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.profiles import FlowSpec
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
@@ -160,13 +159,13 @@ def build_port(scheme: Scheme, n: int, path: int = 0):
     )
     collector = StatsCollector(warmup=0.0)
     port = OutputPort(sim, link, build.scheduler, build.manager, collector)
-    for flow, child in zip(flows, np.random.SeedSequence(SEED + path).spawn(n)):
+    for flow, child in zip(flows, SeedSequence(SEED + path).spawn(n)):
         destination = port
         if flow.conformant:
             destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            destination, np.random.default_rng(child), until=SIM_TIME,
+            destination, Generator(child), until=SIM_TIME,
         )
     return sim, build.scheduler, collector
 

@@ -7,7 +7,6 @@ thresholds whose burst terms follow the network-calculus inflation
 ``sigma + rho * sum(D_upstream)`` (see ``repro.net.per_hop_sigma``).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.fixed_threshold import FixedThresholdManager
@@ -18,6 +17,7 @@ from repro.metrics.collector import StatsCollector
 from repro.net.tandem import build_tandem
 from repro.net.topology import per_hop_sigma
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import GreedySource, OnOffSource
 from repro.units import mbps, to_mbps
@@ -79,7 +79,7 @@ def _run(hops, with_thresholds):
     shaper = LeakyBucketShaper(sim, SIGMA, RHO, net.entry(1))
     OnOffSource(
         sim, 1, peak_rate=mbps(6.0), avg_rate=RHO, mean_burst=SIGMA,
-        sink=shaper, rng=np.random.default_rng(5), packet_size=PKT,
+        sink=shaper, rng=Generator(SeedSequence(5)), packet_size=PKT,
         until=SIM_TIME,
     )
     sim.run(until=SIM_TIME + 5.0)

@@ -5,12 +5,12 @@ empirically: each flow, run in isolation for a long window, must hit its
 specified average rate and stay below its peak rate.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.report import format_table
 from repro.experiments.workloads import table1_flows
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.sources import OnOffSource
 from repro.units import to_kbytes, to_mbps
 
@@ -30,7 +30,7 @@ def _measure_source_rates(flows, horizon=120.0, seed=1234):
         counter = _Counter()
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            counter, np.random.default_rng((seed, flow.flow_id)),
+            counter, Generator(SeedSequence((seed, flow.flow_id))),
             until=horizon,
         )
         sim.run(until=horizon)

@@ -4,7 +4,6 @@ Regenerates Table 2 and validates the three traffic classes empirically:
 average rates on spec, aggressive flows offering ~8x their reservation.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.report import format_table
@@ -13,6 +12,7 @@ from repro.experiments.workloads import (
     table2_flows,
 )
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.sources import OnOffSource
 from repro.units import to_kbytes, to_mbps
 
@@ -32,7 +32,7 @@ def _measure_class_rates(flows, horizon=120.0, seed=99):
         counter = _Counter()
         OnOffSource(
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            counter, np.random.default_rng((seed, flow.flow_id)),
+            counter, Generator(SeedSequence((seed, flow.flow_id))),
             until=horizon,
         )
         sim.run(until=horizon)

@@ -12,12 +12,11 @@ starve it.
 Run:  python examples/multihop_backbone.py
 """
 
-import numpy as np
-
 from repro import FixedThresholdManager, Simulator, StatsCollector, TailDropManager
 from repro.core.thresholds import flow_threshold
 from repro.experiments.report import format_table
 from repro.net import build_tandem, per_hop_sigma
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic import GreedySource, LeakyBucketShaper, OnOffSource
 from repro.units import mbps, to_mbps
 
@@ -59,7 +58,7 @@ def run(with_thresholds: bool):
     shaper = LeakyBucketShaper(sim, SIGMA, RHO, net.entry(1))
     OnOffSource(
         sim, 1, peak_rate=mbps(6.0), avg_rate=RHO, mean_burst=SIGMA,
-        sink=shaper, rng=np.random.default_rng(7), packet_size=PKT,
+        sink=shaper, rng=Generator(SeedSequence(7)), packet_size=PKT,
         until=SIM_TIME,
     )
     sim.run(until=SIM_TIME + 5.0)

@@ -12,5 +12,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.23"],
+    install_requires=[],
+    extras_require={"test": ["numpy>=1.23", "pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -3,9 +3,9 @@
 These register with the :mod:`repro.lint` engine like any other rule but
 run over the whole program at once (:class:`~repro.lint.registry.ProjectRule`):
 
-* **RPR107** — RNG lineage: every ``numpy`` Generator/SeedSequence must
-  descend from a seeded root (no argument-less ``default_rng()`` /
-  ``SeedSequence()``), no module-level generator streams, no legacy
+* **RPR107** — RNG lineage: every ``Generator``/``SeedSequence`` (the
+  library's :mod:`repro.sim.rng` or numpy's) must descend from a seeded
+  root (no argument-less constructor), no module-level streams, no legacy
   global seeding, and no single stream handed to two components — give
   each consumer its own ``spawn()`` child instead.
 * **RPR108** — trace-event registration: every class carrying a ``kind``
@@ -63,17 +63,16 @@ class RngLineageRule(ProjectRule):
     id = "RPR107"
     name = "rng-lineage"
     description = (
-        "numpy Generators/SeedSequences must be seeded (no OS-entropy "
+        "Generators/SeedSequences must be seeded (no OS-entropy "
         "roots), never module-level, and never shared across components "
         "— spawn() a child stream per consumer"
     )
 
+    #: The library's streams, and numpy's: library code that imports it
+    #: again is held to the same lineage.
     _FACTORIES = frozenset(
-        {
-            "numpy.random.default_rng",
-            "numpy.random.Generator",
-            "numpy.random.SeedSequence",
-        }
+        {"repro.sim.rng.Generator", "repro.sim.rng.SeedSequence"}
+        | {f"numpy.random.{name}" for name in ("default_rng", "Generator", "SeedSequence")}
     )
     _GLOBAL_SEED = "numpy.random.seed"
 

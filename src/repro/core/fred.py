@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.red import REDManager
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
+    from repro.sim.rng import Generator
 
 __all__ = ["FREDManager"]
 
@@ -46,7 +45,7 @@ class FREDManager(REDManager):
         capacity: float,
         min_th: float,
         max_th: float,
-        rng: np.random.Generator,
+        rng: Generator,
         sim: Simulator,
         minq: float,
         maxq: float,

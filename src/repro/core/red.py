@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.occupancy import BufferManager
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
+    from repro.sim.rng import Generator
 
 __all__ = ["REDManager"]
 
@@ -65,7 +64,7 @@ class REDManager(BufferManager):
         capacity: float,
         min_th: float,
         max_th: float,
-        rng: np.random.Generator,
+        rng: Generator,
         sim: Simulator,
         max_p: float = 0.02,
         weight: float = 0.002,

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.admission import AdmissionControl, FIFOAdmission, WFQAdmission
 from repro.analysis.delay import worst_case_fifo_delay
 from repro.core.pool import BufferPool
@@ -42,6 +40,7 @@ from repro.net.topology import DeliverySink, Network
 from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
 from repro.sim.engine import Simulator
+from repro.sim.rng import SeedSequence
 
 __all__ = ["LinkResult", "FabricResult", "run_fabric"]
 
@@ -322,7 +321,7 @@ def run_fabric(
                 )
         monitor.install(sim, scenario.sim_time)
 
-    seed_seq = np.random.SeedSequence(scenario.seed)
+    seed_seq = SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(len(scenario.flows))
     for routed, child in zip(scenario.flows, child_seqs):
         _start_source(sim, net, scenario, routed.spec, routed.spec.flow_id, child)
@@ -360,7 +359,7 @@ def _start_churn(
     scenario: NetworkScenario,
     builds: dict[tuple[str, str], SchemeBuild],
     hop_sigmas: dict[int, dict[tuple[str, str], float]],
-    seed_seq: np.random.SeedSequence,
+    seed_seq: SeedSequence,
     *,
     sink=None,
     monitor=None,

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.admission import AdmissionControl, Decision, Rejection
 from repro.core.pool import BufferPool
 from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
 from repro.net.topology import Network, per_hop_sigma
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.profiles import FlowSpec
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
@@ -60,7 +59,7 @@ def _start_source(
     scenario,
     flow: FlowSpec,
     flow_id: int,
-    seed: np.random.SeedSequence,
+    seed: SeedSequence,
     start: float = 0.0,
 ) -> OnOffSource:
     """Plug one flow's on-off source into its first-hop port.
@@ -81,7 +80,7 @@ def _start_source(
         flow.avg_rate,
         flow.mean_burst,
         destination,
-        np.random.default_rng(seed),
+        Generator(seed),
         packet_size=scenario.packet_size,
         start=start,
         until=scenario.sim_time,
@@ -232,7 +231,7 @@ class FlowChurnProcess:
         network: Network,
         scenario,
         hops: dict[tuple[str, str], HopState],
-        seed_seq: np.random.SeedSequence,
+        seed_seq: SeedSequence,
         first_flow_id: int,
         *,
         monitor=None,
@@ -265,7 +264,7 @@ class FlowChurnProcess:
         self.report = ChurnReport()
         self.monitor = monitor
         self._seed_seq = seed_seq
-        self._rng = np.random.default_rng(seed_seq)
+        self._rng = Generator(seed_seq)
         self._next_id = first_flow_id
         self._active: dict[int, tuple[OnOffSource, tuple[tuple[str, str], ...], list[float]]] = {}
         sim.schedule_fast(
@@ -273,13 +272,6 @@ class FlowChurnProcess:
         )
 
     # -- arrival ----------------------------------------------------------
-
-    def _draw_candidate(self):
-        template = self.spec.templates[
-            int(self._rng.integers(len(self.spec.templates)))
-        ]
-        route = self.spec.routes[int(self._rng.integers(len(self.spec.routes)))]
-        return template, route
 
     def _hop_decision(self, state: HopState, sigma: float, rho: float) -> Decision:
         """One hop's admission test for a candidate ``(sigma, rho)``.
@@ -337,7 +329,8 @@ class FlowChurnProcess:
         self.sim.schedule_fast(
             self._rng.exponential(1.0 / self.spec.arrival_rate), self._arrival
         )
-        template, route = self._draw_candidate()
+        template = self.spec.templates[self._rng.integers(len(self.spec.templates))]
+        route = self.spec.routes[self._rng.integers(len(self.spec.routes))]
         self.report.arrivals += 1
 
         hop_keys = tuple(zip(route, route[1:]))

@@ -270,9 +270,9 @@ class NetworkScenario:
         churn: optional dynamic flow lifecycle.
         sim_time: total simulated seconds.
         warmup: measurement start; ``None`` means 10% of ``sim_time``.
-        seed: root seed; static flows draw child streams in declaration
-            order, churn draws one extra child after them (so adding
-            churn never perturbs the static flows' sample paths).
+        seed: root seed, a non-negative integer; static flows draw child
+            streams in declaration order, churn one extra child after them
+            (so adding churn never perturbs the static flows' sample paths).
         packet_size: bytes per packet.
         delay_histograms: record per-flow delay histograms per hop and
             end-to-end.
@@ -296,6 +296,8 @@ class NetworkScenario:
         object.__setattr__(self, "flows", tuple(self.flows))
         if self.sim_time <= 0:
             raise ConfigurationError(f"sim_time must be positive, got {self.sim_time}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.warmup is not None and not 0 <= self.warmup < self.sim_time:
             raise ConfigurationError(
                 f"need 0 <= warmup < sim_time, got {self.warmup}"
@@ -463,7 +465,7 @@ class NetworkScenario:
             "churn": None if self.churn is None else self.churn.to_dict(),
             "sim_time": float(self.sim_time),
             "warmup": None if self.warmup is None else float(self.warmup),
-            "seed": int(self.seed),
+            "seed": self.seed,
             "packet_size": float(self.packet_size),
             "delay_histograms": bool(self.delay_histograms),
             "max_events": None if self.max_events is None else int(self.max_events),
@@ -480,10 +482,8 @@ class NetworkScenario:
             churn=None if churn is None else ChurnSpec.from_dict(churn),
             sim_time=float(raw["sim_time"]),
             warmup=None if raw.get("warmup") is None else float(raw["warmup"]),
-            seed=int(raw["seed"]),
+            seed=raw["seed"],
             packet_size=float(raw["packet_size"]),
             delay_histograms=bool(raw["delay_histograms"]),
-            max_events=None
-            if raw.get("max_events") is None
-            else int(raw["max_events"]),
+            max_events=None if raw.get("max_events") is None else int(raw["max_events"]),
         )

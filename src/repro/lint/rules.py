@@ -95,7 +95,7 @@ class DeterminismRule(Rule):
                     yield ctx.finding(
                         self.id,
                         "import of stdlib 'random' (module-level global "
-                        "state); use a seeded numpy Generator passed in "
+                        "state); use a seeded repro.sim.rng Generator passed in "
                         "explicitly",
                         node,
                     )
@@ -104,7 +104,7 @@ class DeterminismRule(Rule):
                 yield ctx.finding(
                     self.id,
                     "import from stdlib 'random' (module-level global "
-                    "state); use a seeded numpy Generator passed in "
+                    "state); use a seeded repro.sim.rng Generator passed in "
                     "explicitly",
                     node,
                 )

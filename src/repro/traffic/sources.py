@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
+from repro.sim.rng import Generator
 
 __all__ = ["OnOffSource", "CBRSource", "GreedySource", "TraceSource"]
 
@@ -53,7 +52,7 @@ class OnOffSource:
             behaviour; == peak degenerates to CBR).
         mean_burst: mean bytes per ON period.
         sink: downstream ``receive(packet)`` target.
-        rng: numpy random generator (one per source for reproducibility).
+        rng: the source's own random stream.
         packet_size: bytes per packet.
         start: time of the first burst decision.
         until: stop emitting at this time (None = never stop).
@@ -76,7 +75,6 @@ class OnOffSource:
         "_burst_p",
         "_mean_off",
         "_bound_emit",
-        "_bound_begin_burst",
     )
 
     def __init__(
@@ -87,7 +85,7 @@ class OnOffSource:
         avg_rate: float,
         mean_burst: float,
         sink,
-        rng: np.random.Generator,
+        rng: Generator,
         packet_size: float = DEFAULT_PACKET_SIZE,
         start: float = 0.0,
         until: float | None = None,
@@ -117,15 +115,14 @@ class OnOffSource:
         self._burst_p = min(1.0, 1.0 / max(self._mean_burst_packets, 1.0))
         mean_on = self.mean_burst / self.peak_rate
         self._mean_off = mean_on * (self.peak_rate / self.avg_rate - 1.0)
-        # Bound once: every emission and every OFF gap schedules one.
+        # Bound once: every emission schedules the next.
         self._bound_emit = self._emit
-        self._bound_begin_burst = self._begin_burst
         # Randomise the initial phase so simultaneous sources do not
         # synchronise their first bursts.
         initial_delay = 0.0
         if self._mean_off > 0:
-            initial_delay = float(rng.exponential(self._mean_off))
-        sim.schedule_at(start + initial_delay, self._begin_burst)
+            initial_delay = rng.exponential(self._mean_off)
+        sim.schedule_at(start + initial_delay, self._emit, rng.geometric(self._burst_p))
 
     def stop(self) -> None:
         """Silence the source from the current instant onwards.
@@ -136,12 +133,6 @@ class OnOffSource:
         cancelled, so they fire and see the stop condition instead.
         """
         self.until = self.sim.now
-
-    def _begin_burst(self) -> None:
-        if self.until is not None and self.sim.now >= self.until:
-            return
-        # Geometric ON-period length in packets (mean >= 1).
-        self._emit(int(self.rng.geometric(self._burst_p)))
 
     def _emit(self, remaining: int) -> None:
         sim = self.sim
@@ -158,11 +149,13 @@ class OnOffSource:
         else:
             # The last packet of the burst "occupies" one spacing at peak
             # rate before the OFF period starts, so the ON-state rate is
-            # exactly the peak rate.
+            # exactly the peak rate.  The next burst's geometric length
+            # (mean >= 1 packets) is drawn with its OFF gap: the stream's
+            # order stays OFF, burst, OFF, burst.
             off = self._spacing
             if self._mean_off > 0:
-                off += float(self.rng.exponential(self._mean_off))
-            sim.schedule_fast(off, self._bound_begin_burst)
+                off += self.rng.exponential(self._mean_off)
+            sim.schedule_fast(off, self._bound_emit, self.rng.geometric(self._burst_p))
 
 
 class CBRSource:

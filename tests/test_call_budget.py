@@ -128,8 +128,8 @@ def churn(reclamation: bool):
 
 
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
-#: ``Simulator.run``).  Measured 21.341 / 23.058 / 22.375 / 22.381 /
-#: 25.900 on the bare port and 23.213 for WFQ with delay histograms on
+#: ``Simulator.run``).  Measured 21.345 / 23.062 / 22.379 / 22.384 /
+#: 25.904 on the bare port and 23.217 for WFQ with delay histograms on
 #: (24.064 / 27.602 / 25.744 for the WFQ, hybrid and histogram rows while
 #: WFQ and the hybrid read time through a ``lambda: sim.now`` twice a
 #: packet and a departure's delay went through ``LogHistogram.record``
@@ -140,15 +140,22 @@ def churn(reclamation: bool):
 #: manager hops; with the packet pool 25.41 / 27.13 / 34.97 / - / 43.99;
 #: before the flat admit/depart path 42.62 / 51.93 / 52.15 / - / 68.36;
 #: the two WFQ rows 30.82 / 39.87 while every drain walked the flow
-#: table), 30.180 / 30.200 on the tandem, which keeps delay histograms
+#: table), 30.183 / 30.204 on the tandem, which keeps delay histograms
 #: per hop and end to end (32.013 / 32.034 through ``record``) and
-#: 35.222 / 50.357 on churn (33.825 / 33.846 and 36.226 / 51.362 while
+#: 35.212 / 50.348 on churn (33.825 / 33.846 and 36.226 / 51.362 while
 #: sources entered through ``Node.receive``; the bare port, which never
 #: did, counts the same to the digit as the one-link case of the
-#: fabric), 34.203 with a sink attached and 55.182 on the observed tandem
+#: fabric), 34.207 with a sink attached and 55.186 on the observed tandem
 #: (57.016 through ``record``; 37.557 and 65.635 with dataclass events,
 #: an ``isinstance`` chain in the monitor and four calls around each
 #: threshold lookup).
+#: The random draws count since ``repro.sim.rng`` replaced numpy, whose
+#: Cython methods the profiler never saw: a burst's OFF gap and length
+#: are two calls where a burst start used to cost ``_begin_burst`` and
+#: the call into ``_emit``, so the port rows read +26 calls (21.341 /
+#: 23.058 / 22.375 / 22.381 / 25.900 / 23.213 with numpy) and the
+#: tandem +82 (30.180 / 30.200 / 55.182).  Churn fell (35.222 / 50.357):
+#: seeding an arriving flow is four calls, where numpy's took ten.
 #: Callbacks bound once per component and head-of-line entries that
 #: carry their queue cost less without counting less: a bound-method
 #: allocation and a subscript are not calls.  The ceilings leave ~4-5%
@@ -295,8 +302,10 @@ FIXED_COST_SWEEPS = {
 
 #: sweep -> ceilings on Python + C calls per cell outside
 #: ``Simulator.run``: (cold pass, warm pass, aggregation).  Measured
-#: 767.0 / 164.7 / 197.5 one-link and 921.75 / 208.25 / 225.75 on the
-#: network sweep.  The aggregation read 316.5 / 344.75 while each
+#: 717.0 / 164.7 / 197.5 one-link and 883.75 / 208.25 / 225.75 on the
+#: network sweep.  Cold read 767.0 / 921.75 while numpy seeded the
+#: sources (92 calls a one-link cell; ``repro.sim.rng`` takes 21, plus
+#: each source's first two draws).  The aggregation read 316.5 / 344.75 while each
 #: group's interval called scipy's ``t.ppf`` (about 120 calls); the
 #: cached quantile is one call.  Cold and warm read 1,264.9 / 275.7 and
 #: 1,317.0 / 268.25 while every cell started and joined its own
@@ -310,8 +319,8 @@ FIXED_COST_SWEEPS = {
 #: little on the depth of the cache path (pathlib parses it once per
 #: pass); ceilings sit ~5% above them.
 FIXED_COST_ROWS = {
-    "one-link": (805.0, 172.5, 207.5),
-    "network": (971.0, 218.5, 237.0),
+    "one-link": (753.0, 172.5, 207.5),
+    "network": (928.0, 218.5, 237.0),
 }
 
 

@@ -227,6 +227,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_job(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_invalid_seed_refused_when_described(self, seed):
+        # Used to digest and pass pre-flight, then fail inside the run.
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            make_job(seed=seed)
+
     def test_for_scenario_rejects_unknown_kwargs(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             ScenarioJob.for_scenario(

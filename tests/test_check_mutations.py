@@ -112,16 +112,15 @@ def lint_codes(tmp_path, relpath, source):
 
 class TestProgramRuleMutations:
     def test_orphan_rng_raises_rpr107(self, tmp_path):
-        assert "RPR107" in lint_codes(
-            tmp_path,
-            "src/repro/analysis/streams.py",
-            """
-            import numpy as np
-
-            def make():
-                return np.random.default_rng()
-            """,
+        # The fabric's own source, with its root stream unseeded.
+        relpath = "src/repro/experiments/fabric/build.py"
+        source = (SRC / "repro" / "experiments" / "fabric" / "build.py").read_text(
+            encoding="utf-8"
         )
+        assert lint_codes(tmp_path / "clean", relpath, source) == []
+        mutated = source.replace("SeedSequence(scenario.seed)", "SeedSequence()")
+        assert mutated != source
+        assert lint_codes(tmp_path / "mutated", relpath, mutated) == ["RPR107"]
 
     def test_unregistered_event_raises_rpr108(self, tmp_path):
         assert "RPR108" in lint_codes(

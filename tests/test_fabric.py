@@ -304,6 +304,22 @@ class TestScenarioValidation:
                 flows=(RoutedFlow(spec=conformant(1), route=("n0", "n1")),),
             )
 
+    # A seed the random streams cannot take used to pass construction,
+    # digesting and pre-flight and fail inside the run (None drew an
+    # OS-entropy root: a run that never repeats).
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            single_node_scenario(seed=seed)
+
+    def test_from_dict_refuses_a_fractional_seed(self):
+        raw = demo_tandem(hops=2, seed=2).to_dict()
+        raw["seed"] = 2.5  # used to load silently as seed 2
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            NetworkScenario.from_dict(raw)
+        raw["seed"] = 2
+        assert NetworkScenario.from_dict(raw) == demo_tandem(hops=2, seed=2)
+
 
 class TestSerialization:
     def test_round_trip_with_churn(self):

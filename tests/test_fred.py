@@ -2,18 +2,18 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.fred import FREDManager
 from repro.errors import ConfigurationError
+from repro.sim.rng import Generator, SeedSequence
 
 
 def make_fred(capacity=20_000.0, min_th=2_000.0, max_th=8_000.0,
               minq=1_000.0, maxq=4_000.0, max_p=0.1, weight=1.0, seed=1):
     clock = SimpleNamespace(now=0.0)
     manager = FREDManager(
-        capacity, min_th, max_th, np.random.default_rng(seed), clock,
+        capacity, min_th, max_th, Generator(SeedSequence(seed)), clock,
         minq=minq, maxq=maxq, max_p=max_p, weight=weight,
     )
     return manager, clock
@@ -22,7 +22,7 @@ def make_fred(capacity=20_000.0, min_th=2_000.0, max_th=8_000.0,
 class TestValidation:
     def test_minq_maxq_ordering(self):
         clock = SimpleNamespace(now=0.0)
-        rng = np.random.default_rng(0)
+        rng = Generator(SeedSequence(0))
         with pytest.raises(ConfigurationError):
             FREDManager(1000.0, 100.0, 400.0, rng, clock, minq=300.0, maxq=200.0)
         with pytest.raises(ConfigurationError):

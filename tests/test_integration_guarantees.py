@@ -8,7 +8,6 @@ one-packet slack relative to the fluid analysis, so thresholds get one
 extra packet of margin where noted.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.fixed_threshold import FixedThresholdManager
@@ -18,6 +17,7 @@ from repro.metrics.collector import StatsCollector
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import CBRSource, GreedySource, OnOffSource
 
@@ -108,7 +108,7 @@ class TestProposition2:
         shaper = LeakyBucketShaper(sim, sigma, rho, port)
         OnOffSource(
             sim, 1, peak_rate=800_000.0, avg_rate=250_000.0, mean_burst=20_000.0,
-            sink=shaper, rng=np.random.default_rng(5), packet_size=PKT, until=20.0,
+            sink=shaper, rng=Generator(SeedSequence(5)), packet_size=PKT, until=20.0,
         )
         GreedySource(sim, 2, LINK, port, packet_size=PKT, until=20.0)
         sim.run(until=25.0)
@@ -144,7 +144,7 @@ class TestProposition2:
         shaper = LeakyBucketShaper(sim, sigma, rho, port)
         OnOffSource(
             sim, 1, 800_000.0, 250_000.0, 20_000.0, shaper,
-            np.random.default_rng(9), packet_size=PKT, until=10.0,
+            Generator(SeedSequence(9)), packet_size=PKT, until=10.0,
         )
         GreedySource(sim, 2, LINK, port, packet_size=PKT, until=10.0)
         peak = 0.0

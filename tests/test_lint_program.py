@@ -179,6 +179,51 @@ class TestRngLineageRPR107:
         )
         assert ids == []
 
+    def test_library_streams_follow_the_same_lineage(self, tmp_path):
+        """``repro.sim.rng`` constructors: each fault flagged, the seeded tree clean."""
+        cases = {
+            "unseeded-root": (
+                """
+                from repro.sim.rng import Generator, SeedSequence
+
+                def make():
+                    return Generator(SeedSequence())
+                """,
+                ["RPR107"],
+            ),
+            "module-level-stream": (
+                """
+                from repro.sim import rng
+
+                RNG = rng.Generator(rng.SeedSequence(7))
+                """,
+                ["RPR107"],
+            ),
+            "one-stream-two-components": (
+                """
+                from repro.sim.rng import Generator, SeedSequence
+
+                def build(seed):
+                    stream = Generator(SeedSequence(seed))
+                    return SourceA(stream), SourceB(stream)
+                """,
+                ["RPR107"],
+            ),
+            "seeded-tree": (
+                """
+                from repro.sim.rng import Generator, SeedSequence
+
+                def build(seed):
+                    first, second = SeedSequence(seed).spawn(2)
+                    return SourceA(Generator(first)), SourceB(Generator(second))
+                """,
+                [],
+            ),
+        }
+        for name, (source, expected) in cases.items():
+            files = {"src/repro/analysis/a.py": source}
+            assert project_rule_ids(tmp_path / name, files, select=["RPR107"]) == expected, name
+
     def test_test_files_out_of_scope(self, tmp_path):
         ids = project_rule_ids(
             tmp_path,

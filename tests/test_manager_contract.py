@@ -14,7 +14,6 @@ Comparisons are exact (``==``): the flat paths promise the same float
 operations in the same order, not merely close results.
 """
 
-import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -30,6 +29,7 @@ from repro.core.shared_headroom import SharedHeadroomManager
 from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import HeadroomEvent, ReprovisionEvent, ThresholdCrossEvent
+from repro.sim.rng import Generator, SeedSequence
 
 CAPACITY = 10_000.0
 HEADROOM = 1_500.0
@@ -246,7 +246,7 @@ def build(kind, thresholds, sim):
             Reference(CAPACITY, dynamic, crossing=dynamic_threshold),
         )
     if kind in ("red", "fred"):
-        rng = np.random.default_rng(7)
+        rng = Generator(SeedSequence(7))
         if kind == "red":
             real = spied(REDManager)(CAPACITY, 2_000.0, 6_000.0, rng, sim, weight=0.2)
         else:

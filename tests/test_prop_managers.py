@@ -10,7 +10,6 @@ Every manager must preserve, for any admissible operation sequence:
 
 from types import SimpleNamespace
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,7 @@ from repro.core.fred import FREDManager
 from repro.core.red import REDManager
 from repro.core.shared_headroom import SharedHeadroomManager
 from repro.core.tail_drop import TailDropManager
+from repro.sim.rng import Generator, SeedSequence
 
 # An operation is (flow_id, size, depart_fraction); we admit, and later
 # depart queued packets driven by the fraction.
@@ -175,7 +175,7 @@ class TestREDInvariants:
     @settings(max_examples=40, deadline=None)
     def test_invariants(self, ops):
         manager = REDManager(
-            10_000.0, 2_000.0, 8_000.0, np.random.default_rng(0), SimpleNamespace(now=0.0)
+            10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(0)), SimpleNamespace(now=0.0)
         )
         drive(manager, ops)
 
@@ -183,7 +183,7 @@ class TestREDInvariants:
     @settings(max_examples=40, deadline=None)
     def test_average_stays_finite_and_nonnegative(self, ops):
         clock = SimpleNamespace(now=0.0)
-        manager = REDManager(10_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock)
+        manager = REDManager(10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(1)), clock)
         for flow_id, size, _ in ops:
             clock.now += 0.001
             manager.try_admit(flow_id, size)
@@ -195,7 +195,7 @@ class TestFREDInvariants:
     @settings(max_examples=40, deadline=None)
     def test_invariants(self, ops):
         manager = FREDManager(
-            10_000.0, 2_000.0, 8_000.0, np.random.default_rng(2),
+            10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(2)),
             SimpleNamespace(now=0.0), minq=500.0, maxq=4_000.0,
         )
         drive(manager, ops)

@@ -2,20 +2,20 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.fred import FREDManager
 from repro.core.red import REDManager
 from repro.errors import ConfigurationError
 from repro.obs.sink import RingSink
+from repro.sim.rng import Generator, SeedSequence
 
 
 def make_red(capacity=10_000.0, min_th=2_000.0, max_th=8_000.0, max_p=0.1,
              weight=0.5, seed=1):
     clock = SimpleNamespace(now=0.0)
     manager = REDManager(
-        capacity, min_th, max_th, np.random.default_rng(seed), clock,
+        capacity, min_th, max_th, Generator(SeedSequence(seed)), clock,
         max_p=max_p, weight=weight,
     )
     return manager, clock
@@ -24,7 +24,7 @@ def make_red(capacity=10_000.0, min_th=2_000.0, max_th=8_000.0, max_p=0.1,
 class TestValidation:
     def test_thresholds_must_be_ordered(self):
         clock = SimpleNamespace(now=0.0)
-        rng = np.random.default_rng(0)
+        rng = Generator(SeedSequence(0))
         with pytest.raises(ConfigurationError):
             REDManager(1000.0, 500.0, 400.0, rng, clock)
         with pytest.raises(ConfigurationError):
@@ -32,7 +32,7 @@ class TestValidation:
 
     def test_max_p_range(self):
         clock = SimpleNamespace(now=0.0)
-        rng = np.random.default_rng(0)
+        rng = Generator(SeedSequence(0))
         with pytest.raises(ConfigurationError):
             REDManager(1000.0, 100.0, 400.0, rng, clock, max_p=0.0)
         with pytest.raises(ConfigurationError):
@@ -110,14 +110,14 @@ class TestAverageQueue:
 
 def _red(clock):
     return REDManager(
-        10_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock,
+        10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(1)), clock,
         max_p=0.1, weight=0.2,
     )
 
 
 def _fred(clock):
     return FREDManager(
-        20_000.0, 2_000.0, 8_000.0, np.random.default_rng(1), clock,
+        20_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(1)), clock,
         minq=1_000.0, maxq=4_000.0, max_p=0.1, weight=0.2,
     )
 

@@ -1,11 +1,15 @@
 """Traffic sources: on-off, CBR, greedy, trace."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.sources import CBRSource, GreedySource, OnOffSource, TraceSource
+
+
+def gaps(times):
+    return [later - earlier for earlier, later in zip(times, times[1:])]
 
 
 class Recorder:
@@ -24,8 +28,8 @@ class TestCBRSource:
         sim.run(until=1.0)
         times = [p.created for p in sink.packets]
         assert times[0] == 0.0
-        deltas = np.diff(times)
-        assert np.allclose(deltas, 0.1)
+        deltas = gaps(times)
+        assert deltas == pytest.approx([0.1] * len(deltas))
 
     def test_rate_achieved(self):
         sim = Simulator()
@@ -76,7 +80,7 @@ class TestOnOffSource:
         sink = Recorder()
         OnOffSource(
             sim, 0, peak_rate=10_000.0, avg_rate=2_000.0, mean_burst=2_000.0,
-            sink=sink, rng=np.random.default_rng(42), packet_size=100.0,
+            sink=sink, rng=Generator(SeedSequence(42)), packet_size=100.0,
             until=200.0,
         )
         sim.run(until=200.0)
@@ -88,13 +92,13 @@ class TestOnOffSource:
         sink = Recorder()
         OnOffSource(
             sim, 0, peak_rate=10_000.0, avg_rate=2_000.0, mean_burst=2_000.0,
-            sink=sink, rng=np.random.default_rng(7), packet_size=100.0,
+            sink=sink, rng=Generator(SeedSequence(7)), packet_size=100.0,
             until=50.0,
         )
         sim.run(until=50.0)
         times = [p.created for p in sink.packets]
         spacing = 100.0 / 10_000.0
-        min_gap = min(np.diff(times))
+        min_gap = min(gaps(times))
         assert min_gap >= spacing - 1e-9
 
     def test_cbr_degenerate_when_avg_equals_peak(self):
@@ -102,7 +106,7 @@ class TestOnOffSource:
         sink = Recorder()
         OnOffSource(
             sim, 0, peak_rate=1_000.0, avg_rate=1_000.0, mean_burst=1_000.0,
-            sink=sink, rng=np.random.default_rng(0), packet_size=100.0,
+            sink=sink, rng=Generator(SeedSequence(0)), packet_size=100.0,
             until=5.0,
         )
         sim.run(until=5.0)
@@ -115,7 +119,7 @@ class TestOnOffSource:
             sink = Recorder()
             OnOffSource(
                 sim, 0, 10_000.0, 2_000.0, 2_000.0, sink,
-                np.random.default_rng(seed), packet_size=100.0, until=20.0,
+                Generator(SeedSequence(seed)), packet_size=100.0, until=20.0,
             )
             sim.run(until=20.0)
             return [round(p.created, 9) for p in sink.packets]
@@ -127,14 +131,14 @@ class TestOnOffSource:
         with pytest.raises(ConfigurationError):
             OnOffSource(
                 Simulator(), 0, 1_000.0, 500.0, 50.0, Recorder(),
-                np.random.default_rng(0), packet_size=100.0,
+                Generator(SeedSequence(0)), packet_size=100.0,
             )
 
     def test_avg_above_peak_rejected(self):
         with pytest.raises(ConfigurationError):
             OnOffSource(
                 Simulator(), 0, 1_000.0, 2_000.0, 1_000.0, Recorder(),
-                np.random.default_rng(0),
+                Generator(SeedSequence(0)),
             )
 
     def test_mean_burst_size_approximately_respected(self):
@@ -142,14 +146,13 @@ class TestOnOffSource:
         sink = Recorder()
         source = OnOffSource(
             sim, 0, peak_rate=100_000.0, avg_rate=10_000.0, mean_burst=1_000.0,
-            sink=sink, rng=np.random.default_rng(11), packet_size=100.0,
+            sink=sink, rng=Generator(SeedSequence(11)), packet_size=100.0,
             until=300.0,
         )
         sim.run(until=300.0)
-        times = np.array([p.created for p in sink.packets])
-        gaps = np.diff(times)
+        times = [p.created for p in sink.packets]
         # A gap much larger than the peak spacing separates bursts.
-        burst_count = 1 + int(np.sum(gaps > 5 * (100.0 / 100_000.0)))
+        burst_count = 1 + sum(gap > 5 * (100.0 / 100_000.0) for gap in gaps(times))
         mean_burst = sum(p.size for p in sink.packets) / burst_count
         assert mean_burst == pytest.approx(1_000.0, rel=0.3)
 
@@ -182,24 +185,24 @@ class TestOnOffDraws:
         sink = Recorder()
         OnOffSource(
             sim, 0, peak_rate=peak, avg_rate=avg, mean_burst=burst, sink=sink,
-            rng=np.random.default_rng(5), packet_size=size, until=until,
+            rng=Generator(SeedSequence(5)), packet_size=size, until=until,
         )
         sim.run(until=until)
 
-        rng = np.random.default_rng(5)
+        rng = Generator(SeedSequence(5))
         spacing = size / peak
         mean_off = (burst / peak) * (peak / avg - 1.0)
         burst_p = 1.0 / (burst / size)
         expected = []
-        now = 0.0 + float(rng.exponential(mean_off))
+        now = 0.0 + rng.exponential(mean_off)
         while now < until:
-            for _ in range(int(rng.geometric(burst_p)) - 1):
+            for _ in range(rng.geometric(burst_p) - 1):
                 expected.append(now)
                 now = now + spacing
                 if now >= until:
                     break
             else:
                 expected.append(now)
-                now = now + (spacing + float(rng.exponential(mean_off)))
+                now = now + (spacing + rng.exponential(mean_off))
         assert expected
         assert [p.created for p in sink.packets] == expected

@@ -88,6 +88,12 @@ scipy = [name for name, module in sys.modules.items() if name.startswith("scipy"
 assert not scipy, scipy
 """
 
+#: Every surface above, with numpy blocked as well: nothing a run, a
+#: sweep, an aggregate, a spec or the auditor does draws on numpy.
+NO_NUMPY_STEPS = (
+    'import sys\nsys.modules["numpy"] = None\n' + NO_INTERVAL_STEPS + INTERVAL_STEPS
+)
+
 #: ``import repro``'s modules, as JSON; with ``stub`` the quantile's
 #: ``decimal`` import is satisfied by a stand-in, as if it were not there.
 IMPORT_REPRO = """
@@ -275,7 +281,15 @@ class TestTQuantile:
 
 
 class TestImportFootprint:
-    """Intervals need no scipy; the quantile costs ``import repro`` two modules."""
+    """No numpy or scipy anywhere; the quantile costs ``import repro`` two modules."""
+
+    def test_import_repro_loads_no_numpy(self):
+        result = run_python('import sys, repro\nassert "numpy" not in sys.modules')
+        assert result.returncode == 0, result.stderr
+
+    def test_every_surface_runs_without_numpy(self):
+        result = run_python(NO_NUMPY_STEPS)
+        assert result.returncode == 0, result.stderr
 
     def test_no_interval_surface_runs_without_scipy(self):
         result = run_python('import sys\nsys.modules["scipy"] = None\n' + NO_INTERVAL_STEPS)
@@ -287,11 +301,13 @@ class TestImportFootprint:
 
     def test_quantile_adds_exactly_decimals_two_modules(self):
         """``import repro`` loads what it loaded before the quantile plus
-        ``decimal`` and ``_decimal`` (331 -> 333 modules on CPython 3.11)."""
+        ``decimal``, ``_decimal`` and ``numbers`` (240 -> 243 modules on
+        CPython 3.11): ``decimal``'s two, and the ``numbers`` it imports,
+        which numpy loaded first while ``import repro`` loaded numpy."""
         loaded = {}
         for stub in (False, True):
             result = run_python(IMPORT_REPRO.format(stub=stub))
             assert result.returncode == 0, result.stderr
             loaded[stub] = set(json.loads(result.stdout))
-        assert loaded[False] - loaded[True] == {"_decimal"}
+        assert loaded[False] - loaded[True] == {"_decimal", "numbers"}
         assert loaded[True] <= loaded[False]

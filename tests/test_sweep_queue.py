@@ -252,6 +252,14 @@ class TestWorker:
         )
         assert not list(tmp_path.glob("*.claim"))
 
+    def test_negative_seed_fails_before_its_cell_is_claimed(self, tmp_path):
+        # Used to be claimed, pass pre-flight and raise inside the run,
+        # leaving its claim behind for the next worker to run into.
+        spec = small_spec(axes=(SweepAxis("seed", (1, -1)),))
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            run_sweep_worker(spec, ResultCache(tmp_path), owner="w", preflight=True)
+        assert not list(tmp_path.glob("*.claim"))
+
     def test_two_concurrent_workers_partition_the_grid(self, tmp_path):
         spec = small_spec(axes=(SweepAxis("seed", (1, 2, 3, 4, 5, 6)),))
         summaries = {}

@@ -10,10 +10,9 @@ from repro.metrics.collector import StatsCollector
 from repro.net.tandem import build_tandem
 from repro.net.topology import per_hop_sigma
 from repro.sim.engine import Simulator
+from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import CBRSource, GreedySource, OnOffSource
-
-import numpy as np
 
 LINK = 1_000_000.0
 PKT = 500.0
@@ -123,7 +122,7 @@ class TestEndToEndGuarantee:
         shaper = LeakyBucketShaper(sim, sigma, rho, net.entry(1))
         OnOffSource(
             sim, 1, peak_rate=800_000.0, avg_rate=rho, mean_burst=sigma,
-            sink=shaper, rng=np.random.default_rng(17), packet_size=PKT,
+            sink=shaper, rng=Generator(SeedSequence(17)), packet_size=PKT,
             until=20.0,
         )
         sim.run(until=25.0)
