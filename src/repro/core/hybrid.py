@@ -65,11 +65,6 @@ class HybridBufferManager:
         for manager in self.managers:
             manager.attach_trace(sink, clock, node)
 
-    def register_metrics(self, registry, **labels) -> None:
-        """Register each class partition under a ``class`` label."""
-        for class_id, manager in enumerate(self.managers):
-            manager.register_metrics(registry, **labels, **{"class": class_id})
-
     def drop_reason(self, flow_id: int, size: float) -> str:
         """Classification comes from the class manager that rejected."""
         return self._manager_for(flow_id).drop_reason(flow_id, size)

@@ -124,20 +124,6 @@ class BufferManager:
         self._clock = clock
         self._node = node
 
-    def register_metrics(self, registry, **labels) -> None:
-        """Expose occupancy accounting through a metrics registry."""
-        registry.gauge_callback(
-            "buffer.total_occupancy", lambda: self._total, **labels
-        )
-        registry.gauge_callback(
-            "buffer.free_space", lambda: self.capacity - self._total, **labels
-        )
-        registry.gauge_callback(
-            "buffer.active_flows",
-            lambda: sum(1 for value in self._occupancy.values() if value > 0),
-            **labels,
-        )
-
     def drop_reason(self, flow_id: int, size: float) -> str:
         """Classify the rejection :meth:`try_admit` just returned.
 

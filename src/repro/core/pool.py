@@ -221,12 +221,3 @@ class BufferPool:
             raise ConfigurationError("attach_trace needs a clock with its sink")
         self._sink = sink
         self._clock = clock
-
-    def register_metrics(self, registry, **labels) -> None:
-        """Expose the live split through a metrics registry."""
-        registry.gauge_callback("pool.reserved", lambda: self.reserved_total, **labels)
-        registry.gauge_callback("pool.headroom", lambda: self.headroom, **labels)
-        registry.gauge_callback("pool.holes", lambda: self.holes, **labels)
-        registry.gauge_callback(
-            "pool.flows", lambda: len(self.reservations), **labels
-        )

@@ -73,11 +73,6 @@ class SharedHeadroomManager(FlowThresholdManager):
         self.headroom = min(self.headroom_cap, self.capacity)
         self.holes = self.capacity - self.headroom
 
-    def register_metrics(self, registry, **labels) -> None:
-        super().register_metrics(registry, **labels)
-        registry.gauge_callback("buffer.headroom", lambda: self.headroom, **labels)
-        registry.gauge_callback("buffer.holes", lambda: self.holes, **labels)
-
     def _trace_headroom(self) -> None:
         self._sink.emit(
             HeadroomEvent(self._clock(), self.headroom, self.holes, self._node)

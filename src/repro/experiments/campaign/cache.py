@@ -20,8 +20,14 @@ import threading
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.record import ScenarioRecord
+from repro.obs.telemetry import JobTelemetry, batch_digest
 
-__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "open_creating_parents"]
+__all__ = [
+    "ResultCache",
+    "DEFAULT_CACHE_DIR",
+    "open_creating_parents",
+    "write_telemetry",
+]
 
 #: Default location, relative to the working directory (kept under
 #: ``results/`` next to the rendered figures it accelerates).
@@ -52,6 +58,28 @@ def _tmp_name(stem: str) -> str:
     """A scratch name beside ``stem`` no other writer uses: the pid tells
     processes apart, the thread id workers sharing one process."""
     return f"{stem}.tmp.{os.getpid()}.{threading.get_ident()}"
+
+
+def write_telemetry(
+    directory: str | os.PathLike, entries: list[JobTelemetry]
+) -> pathlib.Path:
+    """Write one JSONL telemetry file for a batch of jobs.
+
+    The file name derives from the batch's job digests, so re-running the
+    same batch overwrites its own telemetry instead of accumulating
+    duplicates; like a cache entry it lands by atomic rename of a
+    per-thread scratch file.  Returns the file path.
+    """
+    name = batch_digest([entry.job_digest for entry in entries])
+    stem = os.path.join(directory, f"campaign-{name}")
+    payload = "".join(json.dumps(entry.to_dict()) + "\n" for entry in entries)
+    tmp = _tmp_name(stem)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    with open(open_creating_parents(tmp, flags), "w", encoding="utf-8") as handle:
+        handle.write(payload)
+    path = stem + ".jsonl"
+    os.replace(tmp, path)
+    return pathlib.Path(path)
 
 
 class ResultCache:

@@ -27,7 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.experiments.campaign.cache import (
+    DEFAULT_CACHE_DIR,
+    ResultCache,
+    write_telemetry,
+)
 from repro.experiments.campaign.job import ScenarioJob
 from repro.experiments.campaign.record import ScenarioRecord
 from repro.experiments.config import (
@@ -37,12 +41,7 @@ from repro.experiments.config import (
     campaign_workers,
 )
 from repro.experiments.fabric.build import run_fabric
-from repro.obs.telemetry import (
-    DEFAULT_TELEMETRY_DIR,
-    CampaignReport,
-    JobTelemetry,
-    write_telemetry,
-)
+from repro.obs.telemetry import DEFAULT_TELEMETRY_DIR, CampaignReport, JobTelemetry
 
 __all__ = [
     "CampaignRunner",

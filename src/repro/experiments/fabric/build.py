@@ -4,7 +4,7 @@
 single output port and a multi-hop tandem with churn alike — through one
 body: nodes, links and routes are materialised as a
 :class:`repro.net.topology.Network`; each link gets its scheme, collector
-and port; sink, registry, monitor and timeline are attached; sources are
+and port; sink, monitor and timeline are attached; sources are
 plugged into their first-hop ports; the engine runs.
 
 Per-link thresholds are computed from the *inflated* burst envelope at
@@ -198,7 +198,6 @@ def run_fabric(
     scenario: NetworkScenario,
     *,
     sink=None,
-    registry=None,
     timeline=None,
     monitor=None,
 ) -> FabricResult:
@@ -209,9 +208,6 @@ def run_fabric(
         sink: optional :class:`~repro.obs.sink.TraceSink`; events carry
             per-hop ``node`` labels (the empty label on a one-link
             scenario).
-        registry: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            the engine registers once and each link under ``node``/
-            ``link`` labels (unlabelled on a one-link scenario).
         timeline: optional :class:`~repro.obs.timeline.Timeline`; probes
             for every hop's occupancy/free space (plus headroom, pool
             split and churn counts where applicable, and per-flow
@@ -224,7 +220,7 @@ def run_fabric(
             :attr:`FabricResult.monitor_report`.
     """
     # What a one-link, no-churn scenario does differently, as values: its
-    # hop carries the empty label (so traces, gauges and series read as
+    # hop carries the empty label (so traces and series read as
     # "the port"), nothing is counted a second time past its only link,
     # and the timeline also samples the port's packet backlog.
     single = scenario.is_single_port
@@ -307,8 +303,6 @@ def run_fabric(
         net.set_route(routed.spec.flow_id, list(routed.route))
     if effective_sink is not None:
         net.attach_trace(effective_sink)
-    if registry is not None:
-        net.register_metrics(registry)
     if monitor is not None:
         for routed in scenario.flows:
             if routed.spec.conformant:

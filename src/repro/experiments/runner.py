@@ -73,7 +73,6 @@ def run_scenario(
     delay_histograms: bool = False,
     max_events: int | None = None,
     sink=None,
-    registry=None,
     timeline=None,
     monitor=None,
 ) -> ScenarioResult:
@@ -98,9 +97,6 @@ def run_scenario(
         sink: optional :class:`~repro.obs.sink.TraceSink`; when given, the
             port fans it out to every layer (engine, scheduler, manager)
             and the run emits a structured event stream.
-        registry: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            when given, the port and its components register their gauges
-            and counters into it before the run starts.
         timeline: optional :class:`~repro.obs.timeline.Timeline`; the
             fabric wires occupancy probes and installs the sampler (the
             caller keeps the reference and reads the filled series).
@@ -123,9 +119,7 @@ def run_scenario(
         delay_histograms=delay_histograms,
         max_events=max_events,
     )
-    fabric = run_fabric(
-        scenario, sink=sink, registry=registry, timeline=timeline, monitor=monitor
-    )
+    fabric = run_fabric(scenario, sink=sink, timeline=timeline, monitor=monitor)
     (link,) = fabric.links.values()
     result = ScenarioResult(
         scheme=scheme,

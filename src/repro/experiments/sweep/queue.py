@@ -38,11 +38,14 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign.cache import ResultCache, open_creating_parents
+from repro.experiments.campaign.cache import (
+    ResultCache,
+    open_creating_parents,
+    write_telemetry,
+)
 from repro.experiments.campaign.runner import execute_job, preflight_jobs
 from repro.experiments.sweep.aggregate import _append_shard_row, metric_row, shard_path
 from repro.experiments.sweep.spec import SweepSpec
-from repro.obs.telemetry import write_telemetry
 
 __all__ = [
     "CLAIM_SCHEMA",

@@ -121,28 +121,3 @@ class LogHistogram:
                     return self.max_value
                 return math.sqrt(low * high)
         return self.max_value
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Both histograms must share the exact binning (``lo``, ``hi``,
-        ``bins_per_decade``); counts add bin-wise, so merging per-worker
-        histograms is equivalent to having recorded every value into one
-        histogram.  ``total`` adds and ``max_value`` takes the larger.
-        """
-        if (
-            other.lo != self.lo
-            or other.hi != self.hi
-            or other.bins_per_decade != self.bins_per_decade
-        ):
-            raise ConfigurationError(
-                "cannot merge histograms with different binning: "
-                f"(lo={self.lo}, hi={self.hi}, bpd={self.bins_per_decade}) vs "
-                f"(lo={other.lo}, hi={other.hi}, bpd={other.bins_per_decade})"
-            )
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value

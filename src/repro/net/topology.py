@@ -220,20 +220,6 @@ class Network:
         for port in self.links.values():
             port.attach_trace(sink)
 
-    def register_metrics(self, registry) -> None:
-        """Register engine gauges once and each link under its own labels.
-
-        The engine's counters are global to the run, so they are
-        registered unlabelled exactly once; per-port and per-manager
-        gauges get ``node`` (source node) and ``link`` labels so the same
-        instrument names coexist across hops.  A port with an empty label
-        registers unlabelled.
-        """
-        self.sim.register_metrics(registry)
-        for (src, _dst), port in self.links.items():
-            labels = {"node": src, "link": port.label} if port.label else {}
-            port.register_metrics(registry, engine=False, **labels)
-
     def entry(self, flow_id: int) -> OutputPort | Node:
         """Where a routed flow enters: plug its source into this.
 

@@ -1,6 +1,6 @@
 """repro.obs — structured observability for the simulator and campaigns.
 
-Three cooperating layers, all opt-in and zero-cost when disabled:
+Four cooperating layers, all opt-in and zero-cost when disabled:
 
 * **event tracing** (:mod:`repro.obs.events`, :mod:`repro.obs.sink`) —
   typed, structured events emitted by the engine, port, buffer managers
@@ -8,16 +8,12 @@ Three cooperating layers, all opt-in and zero-cost when disabled:
   hold ``_sink = None`` by default and guard every emission with a single
   ``if self._sink is not None`` check, so untraced runs pay one pointer
   comparison per hook point and nothing else.
-* **metrics** (:mod:`repro.obs.registry`) — a named registry of
-  counters, gauges and log-histograms (with labels) that components
-  register into; snapshots are plain dicts and registries merge, so
-  per-worker metrics aggregate cleanly.
 * **run telemetry** (:mod:`repro.obs.telemetry`) — per-job wall time,
   event counts, cache hits and worker ids recorded by the campaign
   pipeline and aggregated into a :class:`~repro.obs.telemetry.CampaignReport`.
 * **sim-time timelines** (:mod:`repro.obs.timeline`) — a deterministic
   periodic sampler recording occupancy/headroom/pool/churn series into
-  bounded rings, with JSONL/CSV export (``repro-timeline-v1``) and
+  bounded rings, with JSONL export (``repro-timeline-v1``) and
   windowed reductions.
 * **conformance monitoring** (:mod:`repro.obs.monitor`) — a live
   checker comparing observed drops, occupancy and delays against the
@@ -44,7 +40,6 @@ from repro.obs.events import (
 )
 from repro.obs.monitor import ConformanceMonitor, MonitorReport, Violation
 from repro.obs.reader import filter_events, read_events, replay_flow_counts
-from repro.obs.registry import MetricsRegistry
 from repro.obs.sink import JsonlSink, RingSink, TeeSink, TraceSink
 from repro.obs.telemetry import CampaignReport, JobTelemetry
 from repro.obs.timeline import (
@@ -68,7 +63,6 @@ __all__ = [
     "HeapCompactEvent",
     "JobTelemetry",
     "JsonlSink",
-    "MetricsRegistry",
     "MonitorReport",
     "PoolEvent",
     "ReprovisionEvent",

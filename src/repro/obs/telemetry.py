@@ -4,11 +4,11 @@ Every executed :class:`~repro.experiments.campaign.job.ScenarioJob` — a
 single port or a tandem with churn, there is one job family — yields
 one :class:`JobTelemetry`: wall time, simulated event count, cache
 hit/miss, worker id.  A batch of telemetries aggregates into a
-:class:`CampaignReport`, which keeps one wall-time
-:class:`~repro.metrics.histogram.LogHistogram` *per worker* and merges
-them (:meth:`~repro.metrics.histogram.LogHistogram.merge`) for the
-campaign-wide percentiles — the same aggregation a sharded deployment
-would do.
+:class:`CampaignReport`: totals, the set of workers that contributed and
+one wall-time :class:`~repro.metrics.histogram.LogHistogram` for the
+campaign-wide percentiles.  Batches persist as JSONL
+(:func:`~repro.experiments.campaign.cache.write_telemetry`, beside the
+result cache) and load back through :func:`read_telemetry_dir`.
 
 Telemetry is observability data, not measurement data: it never enters a
 record's digest, cache entry, or serialized form, so byte-identical
@@ -34,7 +34,6 @@ __all__ = [
     "JobTelemetry",
     "CampaignReport",
     "batch_digest",
-    "write_telemetry",
     "read_telemetry_dir",
 ]
 
@@ -43,13 +42,6 @@ TELEMETRY_SCHEMA = "repro-telemetry-v1"
 
 #: Default location, next to the result cache it reports on.
 DEFAULT_TELEMETRY_DIR = pathlib.Path("results") / "telemetry"
-
-#: Binning of the per-worker wall-time histograms (seconds).  All workers
-#: must share it or the merge in :meth:`CampaignReport.wall_histogram`
-#: would be rejected.
-_WALL_LO = 1e-4
-_WALL_HI = 1e4
-_WALL_BINS_PER_DECADE = 5
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,8 @@ class CampaignReport:
         "executed",
         "total_wall_time",
         "total_events",
-        "_worker_histograms",
+        "_workers",
+        "_wall",
         "_engine",
     )
 
@@ -132,7 +125,9 @@ class CampaignReport:
         self.executed = 0
         self.total_wall_time = 0.0
         self.total_events = 0
-        self._worker_histograms: dict[int, LogHistogram] = {}
+        self._workers: set[int] = set()
+        #: Wall seconds per job, over every worker.
+        self._wall = LogHistogram(lo=1e-4, hi=1e4, bins_per_decade=5)
         #: Engine accounting over *executed* jobs (a cache hit runs no
         #: engine).
         self._engine = {
@@ -164,13 +159,8 @@ class CampaignReport:
             engine["compactions"] += entry.compactions
         self.total_wall_time += entry.wall_time
         self.total_events += entry.events
-        histogram = self._worker_histograms.get(entry.worker)
-        if histogram is None:
-            histogram = LogHistogram(
-                lo=_WALL_LO, hi=_WALL_HI, bins_per_decade=_WALL_BINS_PER_DECADE
-            )
-            self._worker_histograms[entry.worker] = histogram
-        histogram.record(max(entry.wall_time, 0.0))
+        self._workers.add(entry.worker)
+        self._wall.record(max(entry.wall_time, 0.0))
 
     @property
     def engine(self) -> dict:
@@ -184,7 +174,7 @@ class CampaignReport:
     @property
     def workers(self) -> list[int]:
         """Worker ids that contributed, sorted."""
-        return sorted(self._worker_histograms)
+        return sorted(self._workers)
 
     @property
     def hit_fraction(self) -> float:
@@ -193,16 +183,11 @@ class CampaignReport:
         return self.cache_hits / self.jobs
 
     def wall_histogram(self) -> LogHistogram:
-        """All per-worker wall-time histograms merged into one."""
-        merged = LogHistogram(
-            lo=_WALL_LO, hi=_WALL_HI, bins_per_decade=_WALL_BINS_PER_DECADE
-        )
-        for worker in self.workers:
-            merged.merge(self._worker_histograms[worker])
-        return merged
+        """Wall time per job, over every worker."""
+        return self._wall
 
     def to_dict(self) -> dict:
-        histogram = self.wall_histogram()
+        histogram = self._wall
         return {
             "jobs": self.jobs,
             "cache_hits": self.cache_hits,
@@ -219,7 +204,7 @@ class CampaignReport:
 
     def render(self) -> str:
         """Human-readable summary for the ``repro obs report`` CLI."""
-        histogram = self.wall_histogram()
+        histogram = self._wall
         lines = [
             f"jobs            : {self.jobs}",
             f"executed        : {self.executed}",
@@ -247,27 +232,6 @@ def batch_digest(job_digests: Sequence[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def write_telemetry(
-    directory: str | os.PathLike,
-    entries: Sequence[JobTelemetry],
-) -> pathlib.Path:
-    """Write one JSONL telemetry file for a batch of jobs.
-
-    The file name derives from the batch's job digests, so re-running the
-    same batch overwrites its own telemetry instead of accumulating
-    duplicates.  Returns the file path.
-    """
-    root = pathlib.Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    name = batch_digest([entry.job_digest for entry in entries])
-    path = root / f"campaign-{name}.jsonl"
-    payload = "".join(json.dumps(entry.to_dict()) + "\n" for entry in entries)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
 def read_telemetry_dir(directory: str | os.PathLike) -> list[JobTelemetry]:
     """Load every telemetry entry under a directory, file order.
 
@@ -289,8 +253,10 @@ def read_telemetry_dir(directory: str | os.PathLike) -> list[JobTelemetry]:
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                entries.append(JobTelemetry.from_dict(raw))
-            except (ValueError, KeyError, TypeError, ConfigurationError):
+                entries.append(JobTelemetry.from_dict(json.loads(line)))
+            except (
+                AttributeError, ConfigurationError, KeyError, TypeError, ValueError
+            ):
+                # Not JSON, not an object, another schema, a missing field.
                 continue
     return entries

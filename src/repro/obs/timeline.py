@@ -9,7 +9,7 @@ so sampling is deterministic, wall-clock-free, and draws no randomness.
 Two runs of the same scenario produce byte-identical series.
 
 Samples land in bounded ring storage (:class:`TimelineSeries`), export
-to JSONL/CSV under the ``repro-timeline-v1`` schema, and reduce to
+to JSONL under the ``repro-timeline-v1`` schema, and reduce to
 windowed statistics (min/mean/max, time-above-threshold).  The layer
 follows the observability contract established in PR 3: a timeline
 that is constructed but never installed adds **zero** code to the hot
@@ -384,20 +384,16 @@ class Timeline:
                 reduced[series.key] = stats
         return TimelineSummary(interval=self.interval, ticks=self.ticks, series=reduced)
 
-    def _merged_rows(self) -> tuple[list[str], dict[float, dict[str, float]]]:
-        """Series keys (sorted) plus samples grouped by exact tick time."""
-        keys = sorted(series.key for series in self._series.values())
-        rows: dict[float, dict[str, float]] = {}
-        for series in self._series.values():
-            for time, value in zip(series._times, series._values):
-                rows.setdefault(time, {})[series.key] = value
-        return keys, rows
-
     def write_jsonl(self, path: str | os.PathLike) -> pathlib.Path:
         """Write the retained samples as schema-tagged JSONL, time-ordered."""
         out = pathlib.Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
-        keys, rows = self._merged_rows()
+        keys = sorted(series.key for series in self._series.values())
+        # Samples grouped by exact tick time, each tick in probe order.
+        rows: dict[float, dict[str, float]] = {}
+        for series in self._series.values():
+            for time, value in zip(series._times, series._values):
+                rows.setdefault(time, {})[series.key] = value
         with out.open("w", encoding="utf-8") as fh:
             fh.write(
                 json.dumps(
@@ -428,22 +424,6 @@ class Timeline:
                         )
                         + "\n"
                     )
-        return out
-
-    def write_csv(self, path: str | os.PathLike) -> pathlib.Path:
-        """Write a wide CSV: one ``time`` column plus one column per series."""
-        out = pathlib.Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        keys, rows = self._merged_rows()
-        with out.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(["time", *keys]) + "\n")
-            for time in sorted(rows):
-                cells = [f"{time:.9g}"]
-                row = rows[time]
-                for key in keys:
-                    value = row.get(key)
-                    cells.append("" if value is None else f"{value:.9g}")
-                fh.write(",".join(cells) + "\n")
         return out
 
     def render(self, width: int = 40) -> str:

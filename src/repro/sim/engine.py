@@ -132,23 +132,6 @@ class Simulator:
         """
         self._sink = sink
 
-    def register_metrics(self, registry, **labels) -> None:
-        """Expose the engine's counters through a metrics registry.
-
-        Callback gauges sample the live attributes at snapshot time, so
-        the event loop keeps its plain-int hot path.
-        """
-        equeue = self._equeue
-        registry.gauge_callback(
-            "sim.events_processed", lambda: self._events_processed, **labels
-        )
-        registry.gauge_callback("sim.pending", lambda: len(equeue), **labels)
-        registry.gauge_callback(
-            "sim.cancelled_pending", lambda: equeue.cancelled_pending, **labels
-        )
-        registry.gauge_callback("sim.compactions", lambda: equeue.compactions, **labels)
-        registry.gauge_callback("sim.now", lambda: self.now, **labels)
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         return self.schedule_at(self.now + delay, fn, *args)

@@ -106,30 +106,6 @@ class OutputPort:
         if hasattr(self.manager, "attach_trace"):
             self.manager.attach_trace(sink, clock, self.label)
 
-    def register_metrics(self, registry, engine: bool = True, **labels) -> None:
-        """Expose port counters (and sub-component gauges) in ``registry``.
-
-        ``engine=False`` skips the shared engine gauges — multi-port
-        topologies register the engine once and each port under its own
-        labels (see :meth:`repro.net.topology.Network.register_metrics`).
-        """
-        registry.gauge_callback(
-            "port.admitted_packets", lambda: self.admitted_packets, **labels
-        )
-        registry.gauge_callback(
-            "port.dropped_packets", lambda: self.dropped_packets, **labels
-        )
-        registry.gauge_callback(
-            "port.transmitted_packets", lambda: self.transmitted_packets, **labels
-        )
-        registry.gauge_callback(
-            "port.backlog_packets", lambda: self.backlog_packets, **labels
-        )
-        if engine:
-            self.sim.register_metrics(registry, **labels)
-        if hasattr(self.manager, "register_metrics"):
-            self.manager.register_metrics(registry, **labels)
-
     def _drop_reason(self, packet: Packet) -> str:
         reason = getattr(self.manager, "drop_reason", None)
         if reason is None:

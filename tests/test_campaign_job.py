@@ -26,7 +26,7 @@ from repro.experiments.campaign import (
     ScenarioRecord,
     execute_job,
 )
-from repro.experiments.fabric import NetworkScenario
+from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
@@ -251,8 +251,14 @@ class TestValidation:
 
     def test_for_scenario_accepts_exactly_run_scenarios_keywords(self):
         # Everything run_scenario takes that describes the run; what only
-        # observes it (sink, registry, timeline, monitor) is no job input.
-        observers = {"sink", "registry", "timeline", "monitor"}
+        # observes it (sink, timeline, monitor) is no job input, and is
+        # exactly what run_fabric takes besides the scenario.
+        observers = {"sink", "timeline", "monitor"}
+        assert observers == {
+            name
+            for name, parameter in inspect.signature(run_fabric).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
         parameters = inspect.signature(run_scenario).parameters
         defaults = {
             name: parameter.default

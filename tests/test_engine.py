@@ -323,9 +323,8 @@ class TestRunAccounting:
         assert sim.now == 5.0
 
     def test_callbacks_see_live_event_counter(self):
-        # Callbacks may read events_processed mid-run (register_metrics
-        # exposes it as a live gauge); the fast loop must not batch the
-        # updates.
+        # Callbacks may read events_processed mid-run (a timeline probe
+        # can sample it); the fast loop must not batch the updates.
         sim = Simulator()
         seen = []
         for i in range(3):

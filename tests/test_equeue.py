@@ -186,13 +186,8 @@ class TestCompaction:
         assert sim.cancelled_pending == 0
 
     def test_engine_gauges_report_the_queue_counters(self):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
         sim = Simulator()
-        sim.register_metrics(registry)
         sim.schedule(1.0, lambda: None).cancel()
-        snapshot = registry.snapshot()
-        assert snapshot["sim.pending"] == 1.0
-        assert snapshot["sim.cancelled_pending"] == 1.0
-        assert snapshot["sim.compactions"] == 0.0
+        assert sim.pending == 1
+        assert sim.cancelled_pending == 1
+        assert sim.compactions == 0

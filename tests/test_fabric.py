@@ -18,8 +18,7 @@ from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
-from repro.obs import RingSink
-from repro.obs.registry import MetricsRegistry
+from repro.obs import EnqueueEvent, RingSink, Timeline
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
 
@@ -186,31 +185,29 @@ class TestOnePipeline:
         assert len(result.collector.flows) < 2
         assert set(result.flow_stats) == {1, 2}
 
-    def test_single_port_registry_is_unlabelled(self):
+    def test_single_port_series_are_unlabelled(self):
         args, kwargs = table1_port(Scheme.FIFO_THRESHOLD)
-        registry = MetricsRegistry()
-        result = run_scenario(*args, registry=registry, **kwargs)
-        snapshot = registry.snapshot()
-        assert not [key for key in snapshot if "{" in key]
-        assert snapshot["sim.events_processed"] == result.events_processed
-        assert snapshot["port.admitted_packets"] == sum(
+        timeline = Timeline(interval=0.1)
+        sink = RingSink()
+        result = run_scenario(*args, sink=sink, timeline=timeline, **kwargs)
+        series = {s.key: s for s in timeline.all_series()}
+        assert set(series) == {"occupancy", "free_space", "backlog_packets"}
+        assert series["backlog_packets"].stats().minimum >= 0.0
+        # Every admitted packet is enqueued once; with no warmup the
+        # collector counts each of them as accepted.
+        enqueued = sum(isinstance(event, EnqueueEvent) for event in sink.events())
+        assert enqueued == sum(
             stats.accepted_packets for stats in result.flow_stats.values()
         )
-        assert snapshot["port.backlog_packets"] >= 0.0
-        assert "buffer.total_occupancy" in snapshot
 
-    def test_network_registry_labels_each_link(self):
-        registry = MetricsRegistry()
-        result = run_fabric(two_hop_scenario(sim_time=1.0), registry=registry)
-        snapshot = registry.snapshot()
-        # The engine is global to the run: registered once, unlabelled.
-        assert snapshot["sim.events_processed"] == result.events_processed
-        assert not [k for k in snapshot if k.startswith("sim.") and "{" in k]
-        for prefix in ("port.admitted_packets", "buffer.total_occupancy"):
-            assert {k for k in snapshot if k.startswith(prefix)} == {
-                prefix + "{link=n0->n1,node=n0}",
-                prefix + "{link=n1->n2,node=n1}",
-            }
+    def test_network_series_label_each_link(self):
+        timeline = Timeline(interval=0.1)
+        run_fabric(two_hop_scenario(sim_time=1.0), timeline=timeline)
+        assert {s.key for s in timeline.all_series()} == {
+            f"{link}/{name}"
+            for link in ("n0->n1", "n1->n2")
+            for name in ("occupancy", "free_space")
+        }
 
 
 class TestPacketHandoff:

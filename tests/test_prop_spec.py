@@ -122,5 +122,10 @@ class TestOneTranslation:
             return
         with pytest.raises(ConfigurationError, match="unknown spec key"):
             ScenarioSpec.from_dict({"name": "prop", **point, typo: 1})
-        with pytest.raises(ConfigurationError, match="unknown scenario parameter"):
+        # ``seed`` is this sweep's axis, so a base ``seed`` is refused as a
+        # collision rather than as an unknown name.
+        message = (
+            "both a base value and an axis" if typo == "seed" else "unknown scenario parameter"
+        )
+        with pytest.raises(ConfigurationError, match=message):
             SweepSpec(name="prop", axes=(SweepAxis("seed", (1,)),), base={**point, typo: 1})
