@@ -57,6 +57,7 @@ import repro
 from repro.experiments.report import format_table
 from repro.experiments.schemes import Scheme, build_scheme
 from repro.metrics.collector import StatsCollector
+from repro.obs.events import EnqueueEvent
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
 from repro.sim.rng import Generator, SeedSequence
@@ -133,13 +134,15 @@ def make_flows(n: int) -> list:
 
 
 class HeadOfLineProbe:
-    """A trace sink for the scheduler alone: heap population at each enqueue."""
+    """A trace sink that reads the scheduler's heap population at each enqueue."""
 
     def __init__(self, scheduler) -> None:
         self.heap = getattr(scheduler, "_hol", ())  # FIFO has none
         self.peak = self.total = self.samples = 0
 
     def emit(self, event) -> None:
+        if type(event) is not EnqueueEvent:
+            return
         population = len(self.heap)
         self.peak = max(self.peak, population)
         self.total += population
@@ -147,7 +150,7 @@ class HeadOfLineProbe:
 
 
 def build_port(scheme: Scheme, n: int, path: int = 0):
-    """``(sim, scheduler, collector)`` of one port fed by ``n`` flows."""
+    """``(sim, port, collector)``: one port fed by ``n`` flows."""
     flows = make_flows(n)
     link = mbps(LINK_MBPS_PER_FLOW * n)
     sim = Simulator()
@@ -167,7 +170,7 @@ def build_port(scheme: Scheme, n: int, path: int = 0):
             sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
             destination, Generator(child), until=SIM_TIME,
         )
-    return sim, build.scheduler, collector
+    return sim, port, collector
 
 
 def offered(collector) -> int:
@@ -219,9 +222,9 @@ def measure(scheme: Scheme, n: int) -> dict:
     calls, _ = count_calls(lambda: sim.run(until=SIM_TIME))
     packets = offered(collector)
 
-    sim, scheduler, _ = build_port(scheme, n)
-    probe = HeadOfLineProbe(scheduler)
-    scheduler.attach_trace(probe, lambda: 0.0)
+    sim, port, _ = build_port(scheme, n)
+    probe = HeadOfLineProbe(port.scheduler)
+    port.attach_trace(probe)
     sim.run(until=SIM_TIME)
 
     cost = statistics.median(timed_cops_per_pkt(scheme, n, path) for path in range(SAMPLE_PATHS))

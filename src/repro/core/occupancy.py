@@ -32,7 +32,7 @@ scenarios (churn with reclamation, see :mod:`repro.core.pool`):
 
 Both are **drain-safe**: occupancy above a shrunken (or withdrawn)
 threshold is never evicted — admission predicates only bind *future*
-arrivals, and departures never consult the threshold, so in-flight
+arrivals, and departures read it only to trace a crossing, so in-flight
 packets depart normally.
 """
 
@@ -235,17 +235,16 @@ class BufferManager:
         self._occupancy[flow_id] = occupancy
         total = self._total - size
         self._total = total if total >= 0.0 else 0.0
-        if self._sink is not None or self._retired:
-            self._after_depart(flow_id, size, occupancy)
-
-    def _after_depart(self, flow_id: int, size: float, occupancy: float) -> None:
-        """Tracing and retired-flow cleanup, kept off the common departure."""
         if self._sink is not None:
             threshold = self._reference_threshold(flow_id)
             if threshold is not None and occupancy < threshold <= occupancy + size:
                 self._trace_crossing(flow_id, occupancy, threshold, "down")
-        # A retired flow's entry is reclaimed the moment it drains.
-        if self._retired and flow_id in self._retired and occupancy <= 1e-9:
+        if self._retired:
+            self._reclaim(flow_id, occupancy)
+
+    def _reclaim(self, flow_id: int, occupancy: float) -> None:
+        """A retired flow's entry is reclaimed the moment it drains."""
+        if flow_id in self._retired and occupancy <= 1e-9:
             self._occupancy.pop(flow_id, None)
             self._retired.discard(flow_id)
 
@@ -306,12 +305,29 @@ class FlowThresholdManager(BufferManager):
         self.thresholds[flow_id] = threshold
         self._trace_reprovision(flow_id, threshold, previous)
 
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release the packet's space; a traced one reads its threshold here."""
+        occupancy = self._occupancy.get(flow_id, 0.0) - size
+        if occupancy < 0.0:
+            if occupancy < -1e-6:
+                raise SimulationError(
+                    f"flow {flow_id} occupancy went negative ({occupancy}); "
+                    "departure without matching admission"
+                )
+            occupancy = 0.0
+        self._occupancy[flow_id] = occupancy
+        total = self._total - size
+        self._total = total if total >= 0.0 else 0.0
+        if self._sink is not None:
+            threshold = self.thresholds.get(flow_id, self.default_threshold)
+            if occupancy < threshold <= occupancy + size:
+                self._trace_crossing(flow_id, occupancy, threshold, "down")
+        if self._retired:
+            self._reclaim(flow_id, occupancy)
+
     def retire(self, flow_id: int) -> None:
         """Withdraw the flow's threshold; queued packets still drain."""
         previous = self.thresholds.pop(flow_id, None)
         if previous is not None:
             self._trace_reprovision(flow_id, self.default_threshold, previous)
         super().retire(flow_id)
-
-    def _reference_threshold(self, flow_id: int) -> float | None:
-        return self.thresholds.get(flow_id, self.default_threshold)

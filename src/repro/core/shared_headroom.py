@@ -135,8 +135,11 @@ class SharedHeadroomManager(FlowThresholdManager):
         self._check_counters()
         if self._sink is not None:
             self._trace_headroom()
-        if self._sink is not None or self._retired:
-            self._after_depart(flow_id, size, occupancy)
+            threshold = self.thresholds.get(flow_id, self.default_threshold)
+            if occupancy < threshold <= occupancy + size:
+                self._trace_crossing(flow_id, occupancy, threshold, "down")
+        if self._retired:
+            self._reclaim(flow_id, occupancy)
 
     def _check_counters(self) -> None:
         if self.holes < -1e-6 or self.headroom < -1e-6:

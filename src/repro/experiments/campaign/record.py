@@ -187,9 +187,9 @@ class ScenarioRecord(LinkMeasures):
                 label: LinkRecord.from_result(link, crossing[label])
                 for label, link in sorted(result.links.items())
             },
-            delivery_packets={i: sink.packets[i] for i in sorted(sink.packets)},
-            delivery_bytes={i: sink.bytes[i] for i in sorted(sink.bytes)},
-            delivery_delay_max={i: sink.delay_max[i] for i in sorted(sink.delay_max)},
+            delivery_packets=dict(sorted(sink.packets.items())),
+            delivery_bytes=dict(sorted(sink.bytes.items())),
+            delivery_delay_max=dict(sorted(sink.delay_max.items())),
             delays=delays,
             churn=result.churn,
         )

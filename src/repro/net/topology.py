@@ -9,8 +9,8 @@ with thresholds — can be studied.
 
 Model:
 
-* a :class:`Node` holds one output port per outgoing link and a routing
-  table ``flow_id -> next node``;
+* a :class:`Node` holds a routing table ``flow_id -> egress port`` (one
+  of its outgoing links' ports, ``None`` where the flow leaves);
 * packets entering a node are immediately offered to the egress port for
   their flow (forwarding is instantaneous; only links cost time);
 * at the route's last node the packet is *delivered*: end-to-end
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.metrics.collector import StatsCollector
+from repro.metrics.collector import FlowStats, StatsCollector
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
@@ -70,6 +70,9 @@ def per_hop_sigma(sigma: float, rho: float, hop_delays: list[float]) -> list[flo
 class DeliverySink:
     """End-to-end statistics for packets leaving the network.
 
+    One :class:`~repro.metrics.collector.FlowStats` per delivered flow;
+    ``packets``, ``bytes``, ``delay_sum`` and ``delay_max`` read it.
+
     Args:
         collector: optional :class:`StatsCollector` fed one ``on_depart``
             per delivered packet with the *end-to-end* delay (creation to
@@ -77,58 +80,67 @@ class DeliverySink:
             whole-path latency rather than a single hop.
     """
 
-    packets: dict[int, int] = field(default_factory=dict)
-    bytes: dict[int, float] = field(default_factory=dict)
-    delay_sum: dict[int, float] = field(default_factory=dict)
-    delay_max: dict[int, float] = field(default_factory=dict)
+    flows: dict[int, FlowStats] = field(default_factory=dict)
     collector: StatsCollector | None = None
 
     def record(self, packet: Packet, now: float) -> None:
         flow_id = packet.flow_id
-        self.packets[flow_id] = self.packets.get(flow_id, 0) + 1
-        self.bytes[flow_id] = self.bytes.get(flow_id, 0.0) + packet.size
+        try:
+            stats = self.flows[flow_id]
+        except KeyError:
+            stats = self.flows[flow_id] = FlowStats()
+        size = packet.size
         delay = now - packet.created
-        self.delay_sum[flow_id] = self.delay_sum.get(flow_id, 0.0) + delay
-        if delay > self.delay_max.get(flow_id, 0.0):
-            self.delay_max[flow_id] = delay
+        stats.departed_packets += 1
+        stats.departed_bytes += size
+        stats.delay_sum += delay
+        if delay > stats.delay_max:
+            stats.delay_max = delay
         if self.collector is not None:
-            self.collector.on_depart(flow_id, packet.size, delay, now)
+            self.collector.on_depart(flow_id, size, delay, now)
+
+    #: ``{flow: value}`` views; a flow only ever delivered at zero delay
+    #: has no ``delay_max`` entry.
+    packets = property(lambda self: {i: s.departed_packets for i, s in self.flows.items()})
+    bytes = property(lambda self: {i: s.departed_bytes for i, s in self.flows.items()})
+    delay_sum = property(lambda self: {i: s.delay_sum for i, s in self.flows.items()})
+    delay_max = property(
+        lambda self: {i: s.delay_max for i, s in self.flows.items() if s.delay_max > 0.0}
+    )
 
     def mean_delay(self, flow_id: int) -> float:
-        count = self.packets.get(flow_id, 0)
-        return self.delay_sum.get(flow_id, 0.0) / count if count else 0.0
+        stats = self.flows.get(flow_id)
+        return 0.0 if stats is None else stats.mean_delay
 
     def throughput(self, flow_id: int, duration: float) -> float:
         if duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {duration}")
-        return self.bytes.get(flow_id, 0.0) / duration
+        stats = self.flows.get(flow_id)
+        return 0.0 if stats is None else stats.departed_bytes / duration
 
 
 class Node:
-    """A forwarding element: routing table plus per-link output ports."""
+    """A forwarding element: a routing table onto its links' output ports."""
 
     def __init__(self, name: str, network: "Network"):
         self.name = name
         self.network = network
-        self.ports: dict[str, OutputPort] = {}
-        self.next_hop: dict[int, str | None] = {}
+        #: flow id -> egress port, or None at the route's last node;
+        #: resolved by :meth:`Network.set_route`.
+        self.next_hop: dict[int, OutputPort | None] = {}
 
     def receive(self, packet: Packet) -> None:
         """Forward a packet: egress port for transit, sink at the end."""
-        if packet.flow_id not in self.next_hop:
+        try:
+            port = self.next_hop[packet.flow_id]
+        except KeyError:
             raise ConfigurationError(
                 f"node {self.name}: no route for flow {packet.flow_id}"
-            )
-        destination = self.next_hop[packet.flow_id]
-        if destination is None:
-            self.network.sink.record(packet, self.network.sim.now)
-            return
-        port = self.ports.get(destination)
+            ) from None
         if port is None:
-            raise ConfigurationError(
-                f"node {self.name}: no link towards {destination}"
-            )
-        port.receive(packet)
+            self.network.sink.record(packet, self.network.sim.now)
+        else:
+            port.receive(packet)
 
 
 class Network:
@@ -190,7 +202,6 @@ class Network:
             label=f"{src}->{dst}" if label is None else label,
         )
         self.links[(src, dst)] = port
-        self.nodes[src].ports[dst] = port
         return port
 
     def set_route(self, flow_id: int, path: list[str]) -> None:
@@ -202,9 +213,9 @@ class Network:
         for src, dst in zip(path, path[1:]):
             if (src, dst) not in self.links:
                 raise ConfigurationError(f"route uses missing link {src}->{dst}")
-        for index, name in enumerate(path):
-            next_name = path[index + 1] if index + 1 < len(path) else None
-            self.nodes[name].next_hop[flow_id] = next_name
+        for src, dst in zip(path, path[1:]):
+            self.nodes[src].next_hop[flow_id] = self.links[(src, dst)]
+        self.nodes[path[-1]].next_hop[flow_id] = None
         self._entries[flow_id] = (
             self.links[(path[0], path[1])] if len(path) > 1 else self.nodes[path[0]]
         )

@@ -3,8 +3,9 @@
 Four cooperating layers, all opt-in and zero-cost when disabled:
 
 * **event tracing** (:mod:`repro.obs.events`, :mod:`repro.obs.sink`) —
-  typed, structured events emitted by the engine, port, buffer managers
-  and schedulers into a :class:`~repro.obs.sink.TraceSink`.  Components
+  typed, structured events emitted by the engine, the output port (every
+  packet event) and buffer managers into a
+  :class:`~repro.obs.sink.TraceSink`.  Components
   hold ``_sink = None`` by default and guard every emission with a single
   ``if self._sink is not None`` check, so untraced runs pay one pointer
   comparison per hook point and nothing else.

@@ -67,8 +67,8 @@ TRACE_SCHEMA = "repro-trace-v5"
 class EnqueueEvent(NamedTuple):
     """A packet was admitted and handed to the scheduler.
 
-    Emitted by the scheduler (:meth:`~repro.sched.base.Scheduler.enqueue`),
-    so ``backlog`` is the queue length *after* the insert.  ``node``
+    Emitted by the output port right after ``scheduler.enqueue``, so
+    ``backlog`` is the queue length *after* the insert.  ``node``
     identifies the emitting hop in multi-node runs ('' for single-port).
     """
 

@@ -126,6 +126,8 @@ class MonitorReport:
     sweeps: int = 0
     #: Number of individual bound evaluations performed, per check.
     checks: dict = field(default_factory=dict)
+    #: Violations found past ``max_violations`` and not retained.
+    suppressed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -146,6 +148,7 @@ class MonitorReport:
             "sweeps": self.sweeps,
             "checks": dict(self.checks),
             "violations": [v.to_dict() for v in self.violations],
+            "suppressed": self.suppressed,
         }
 
     @classmethod
@@ -155,10 +158,13 @@ class MonitorReport:
             events_seen=int(raw.get("events_seen", 0)),
             sweeps=int(raw.get("sweeps", 0)),
             checks=dict(raw.get("checks", ())),
+            suppressed=int(raw.get("suppressed", 0)),
         )
 
     def render(self) -> str:
         verdict = "OK" if self.ok else f"{len(self.violations)} violation(s)"
+        if self.suppressed:
+            verdict += f" ({self.suppressed} more suppressed)"
         evaluated = ", ".join(
             f"{name}={self.checks.get(name, 0)}" for name in CHECKS
         )
@@ -445,14 +451,15 @@ class ConformanceMonitor:
         because delivery delay includes shaper holding time.
         """
         now = self._last_time if self._sim is None else max(self._sim.now, self._last_time)
+        delivered = None if delivery is None else delivery.delay_max
         for flow_id in sorted(self._routes):
             route = self._routes[flow_id]
             bounds = [self._hop_bounds.get(node) for node in route]
             if any(bound is None for bound in bounds):
                 continue
             bound = sum(bounds)
-            if flow_id not in self._shaped and delivery is not None:
-                observed = delivery.delay_max.get(flow_id, 0.0)
+            if flow_id not in self._shaped and delivered is not None:
+                observed = delivered.get(flow_id, 0.0)
                 source = "delivery max delay"
             else:
                 observed = sum(
@@ -478,6 +485,7 @@ class ConformanceMonitor:
             events_seen=self.events_seen,
             sweeps=self.sweeps,
             checks=dict(self._checks),
+            suppressed=self.suppressed,
         )
         self.last_report = report
         return report

@@ -13,7 +13,6 @@ from collections import deque
 from typing import Mapping
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EnqueueEvent
 from repro.sim.packet import Packet
 
 __all__ = ["Scheduler", "FlowQueue", "FinishTagScheduler"]
@@ -22,45 +21,12 @@ __all__ = ["Scheduler", "FlowQueue", "FinishTagScheduler"]
 class Scheduler(ABC):
     """Order of service for packets already admitted to the buffer.
 
-    Schedulers are the emission point for
-    :class:`~repro.obs.events.EnqueueEvent`: every admitted packet passes
-    through exactly one ``enqueue`` call, so the trace's enqueue count is
-    the admission count.  ``_sink`` is ``None`` until a trace is attached,
-    which keeps untraced instances on the fast path — concrete ``enqueue``
-    implementations guard emission with one ``is not None`` check.
+    A scheduler emits no trace events: the output port that owns it emits
+    the :class:`~repro.obs.events.EnqueueEvent` of every packet it hands
+    to ``enqueue``, so a discipline's body is the same traced or not.
     """
 
-    __slots__ = ("_sink", "_clock", "_node")
-
-    def __init__(self) -> None:
-        #: Trace sink and the clock that stamps its events; None means
-        #: "tracing disabled".
-        self._sink = None
-        self._clock = None
-        #: Node label stamped on emitted events ('' for single-port runs).
-        self._node = ""
-
-    def attach_trace(self, sink, clock, node: str = "") -> None:
-        """Emit enqueue events into ``sink``, stamped via ``clock``.
-
-        Pass ``sink=None`` to detach.  ``node`` labels emitted events
-        with the owning hop in multi-node runs.  ``clock`` stamps the
-        events and nothing else: a discipline that reads time for its
-        own rule (WFQ's virtual time, RPQ's rotation) reads ``now`` off
-        the simulator it was constructed with, so attaching or detaching
-        a trace never changes the service order.
-        """
-        if sink is not None and clock is None:
-            raise ConfigurationError("attach_trace needs a clock with its sink")
-        self._sink = sink
-        self._clock = clock
-        self._node = node
-
-    def _trace_enqueue(self, packet: Packet, backlog: int) -> None:
-        """Emit the packet's EnqueueEvent; callers test ``_sink`` first."""
-        self._sink.emit(
-            EnqueueEvent(self._clock(), packet.flow_id, packet.size, backlog, self._node)
-        )
+    __slots__ = ()
 
     @abstractmethod
     def enqueue(self, packet: Packet) -> None:
@@ -123,7 +89,6 @@ class FinishTagScheduler(Scheduler):
     def __init__(self, weights: Mapping[int, float]) -> None:
         if not weights:
             raise ConfigurationError(f"{self.NAME} requires at least one flow weight")
-        super().__init__()
         self._flows: dict[int, FlowQueue] = {}
         for key, weight in weights.items():
             if weight <= 0:

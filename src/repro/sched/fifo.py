@@ -20,15 +20,12 @@ class FIFOScheduler(Scheduler):
     __slots__ = ("_queue", "_bytes")
 
     def __init__(self) -> None:
-        super().__init__()
         self._queue: deque[Packet] = deque()
         self._bytes: float = 0.0
 
     def enqueue(self, packet: Packet) -> None:
         self._queue.append(packet)
         self._bytes += packet.size
-        if self._sink is not None:
-            self._trace_enqueue(packet, len(self._queue))
 
     def dequeue(self) -> Packet | None:
         if not self._queue:

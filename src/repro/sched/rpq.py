@@ -75,7 +75,6 @@ class RPQScheduler(Scheduler):
             raise ConfigurationError(
                 f"default class must be >= 0, got {default_class}"
             )
-        super().__init__()
         self._sim = sim
         self.delta = float(delta)
         self.class_of = dict(class_of)
@@ -104,8 +103,6 @@ class RPQScheduler(Scheduler):
         bucket.append(packet)
         self._count += 1
         self._bytes += packet.size
-        if self._sink is not None:
-            self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
         while self._order:

@@ -117,8 +117,6 @@ class WFQScheduler(FinishTagScheduler):
         queue.append(entry)
         self._count += 1
         self._bytes += size
-        if self._sink is not None:
-            self._trace_enqueue(packet, self._count)
 
     def dequeue(self) -> Packet | None:
         hol = self._hol

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.collector import StatsCollector
-from repro.obs.events import DepartEvent, DropEvent
+from repro.obs.events import DepartEvent, DropEvent, EnqueueEvent
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 
@@ -94,16 +94,15 @@ class OutputPort:
     def attach_trace(self, sink) -> None:
         """Wire a :class:`~repro.obs.sink.TraceSink` through the whole port.
 
-        The port fans the sink out to the engine (heap compactions), the
-        scheduler (enqueues), and the manager (threshold crossings,
-        headroom) so one call traces every layer.  Pass ``None`` to
-        detach everywhere.
+        The port emits every packet event itself (enqueue, drop, depart)
+        and fans the sink out to the engine (heap compactions) and the
+        manager (threshold crossings, headroom), so one call traces every
+        layer.  Pass ``None`` to detach everywhere.
         """
         self._sink = sink
-        clock = None if sink is None else (lambda: self.sim.now)
         self.sim.attach_trace(sink)
-        self.scheduler.attach_trace(sink, clock, self.label)
         if hasattr(self.manager, "attach_trace"):
+            clock = None if sink is None else (lambda: self.sim.now)
             self.manager.attach_trace(sink, clock, self.label)
 
     def _drop_reason(self, packet: Packet) -> str:
@@ -134,7 +133,13 @@ class OutputPort:
         self.admitted_packets += 1
         scheduler = self.scheduler
         scheduler.enqueue(packet)
-        if not self.busy:
+        busy = self.busy
+        if self._sink is not None:
+            # The queue after the insert: admitted, not yet transmitted
+            # and not the one in service.
+            backlog = self.admitted_packets - self.transmitted_packets - busy
+            self._sink.emit(EnqueueEvent(now, flow_id, size, backlog, self.label))
+        if not busy:
             # Idle link: whatever the scheduler ranks first goes into service.
             head = scheduler.dequeue()
             if head is not None:

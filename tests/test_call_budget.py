@@ -158,7 +158,16 @@ def churn(reclamation: bool):
 #: seeding an arriving flow is four calls, where numpy's took ten.
 #: Callbacks bound once per component and head-of-line entries that
 #: carry their queue cost less without counting less: a bound-method
-#: allocation and a subscript are not calls.  The ceilings leave ~4-5%
+#: allocation and a subscript are not calls.  The network rows fell when
+#: a node's route became its egress port (``Node.receive`` had a
+#: ``ports.get``) and a delivery one ``FlowStats`` (four ``dict.get``s):
+#: 30.183 / 30.204 -> 26.388 / 26.408 on the tandem, 35.212 / 50.348 ->
+#: 32.233 / 47.369 on churn.  The attached rows fell further when the
+#: port emitted the enqueue event itself (the scheduler called
+#: ``_trace_enqueue`` and a clock lambda) and the paper's two policies
+#: tested a departure's crossing inline (through ``_after_depart`` and
+#: ``_reference_threshold``): 34.207 -> 29.894 with a sink, 55.186 ->
+#: 46.005 on the observed tandem.  The ceilings leave ~4-5%
 #: for interpreter versions that count a builtin differently; a PR that
 #: shortens a path lowers its ceiling to ~5% above the new count.
 ROWS = {
@@ -173,14 +182,14 @@ ROWS = {
     # SCFQ has no benchmark workload: this row is its only cost gate.
     "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 23.5),
     "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 27.2),
-    "tandem-churn": (lambda: tandem(False), 31.7),
-    "tandem-churn-reclaim": (lambda: tandem(True), 31.7),
-    "churn": (lambda: churn(False), 37.0),
-    "churn-reclaim": (lambda: churn(True), 52.9),
+    "tandem-churn": (lambda: tandem(False), 27.7),
+    "tandem-churn-reclaim": (lambda: tandem(True), 27.7),
+    "churn": (lambda: churn(False), 33.8),
+    "churn-reclaim": (lambda: churn(True), 49.7),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
-    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 35.9),
-    "tandem-observed": (observed_tandem, 57.9),
+    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 31.4),
+    "tandem-observed": (observed_tandem, 48.3),
 }
 
 #: Network row -> (events, offered packets, dropped packets, churn

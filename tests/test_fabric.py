@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.campaign.record import ScenarioRecord
 from repro.experiments.fabric import (
     DYNAMIC_FLOW_BASE,
     LinkSpec,
@@ -18,7 +19,7 @@ from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
-from repro.obs import EnqueueEvent, RingSink, Timeline
+from repro.obs import ConformanceMonitor, EnqueueEvent, RingSink, Timeline
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
 
@@ -218,6 +219,29 @@ class TestPacketHandoff:
         first = result.links["n0->n1"].flow_stats[1]
         second = result.links["n1->n2"].flow_stats[1]
         assert second.offered_packets == first.departed_packets
+
+
+class TestAttachedEqualsDetached:
+    """Observing the reference tandem moves no byte of its record."""
+
+    @pytest.mark.parametrize("reclamation", [False, True], ids=["static", "reclaim"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_hook_attached_leaves_the_record_unchanged(self, seed, reclamation):
+        scenario = demo_tandem(hops=3, seed=seed, sim_time=2.0, reclamation=reclamation)
+        detached = ScenarioRecord.from_result(run_fabric(scenario), "digest").to_dict()
+        timeline = Timeline(0.01)
+        result = run_fabric(
+            scenario, sink=RingSink(), timeline=timeline, monitor=ConformanceMonitor()
+        )
+        assert result.monitor_report.ok
+        attached = ScenarioRecord.from_result(result, "digest").to_dict()
+        # The timeline's and the monitor's ticks are engine events of
+        # their own; nothing else may differ.
+        ticks = timeline.ticks + result.monitor_report.sweeps
+        assert attached["events_processed"] == detached["events_processed"] + ticks
+        attached["events_processed"] -= ticks
+        assert json.dumps(attached) == json.dumps(detached)
+        assert detached["delivery_packets"]
 
 
 class TestEndToEndProtection:

@@ -207,8 +207,13 @@ class TestEventChecks:
             )
         assert len(monitor.violations) == 3
         assert monitor.suppressed == 7
+        report = monitor.finalize()
         # The check counter keeps the true magnitude either way.
-        assert monitor.finalize().checks["conformant-drop"] == 10
+        assert report.checks["conformant-drop"] == 10
+        # ... and so does the report, through its round trip.
+        assert report.suppressed == 7
+        assert MonitorReport.from_dict(report.to_dict()) == report
+        assert "3 violation(s) (7 more suppressed)" in report.render()
 
     def test_attach_trace_mirrors_violations(self):
         ring = RingSink()
@@ -296,6 +301,8 @@ class TestReport:
         assert clone == report
         assert not clone.ok
         assert clone.error_count == 1 and clone.warning_count == 0
+        # A report written before ``suppressed`` existed reads as none.
+        assert MonitorReport.from_dict({"events_seen": 1}).suppressed == 0
 
     def test_report_render(self):
         ok = MonitorReport(events_seen=10, sweeps=2)

@@ -17,8 +17,13 @@ with; here that is a stand-in with a settable ``now``.  Head-of-line
 entries carry their key's ``FlowQueue`` third, so they are compared with
 the reference's through a ``(finish, seq, key, packet)`` projection.
 
-The second half pins the clock contract: the clock a trace stamps its
-events with is not the clock a discipline reads for its own rule.
+The second half is tracing, which a discipline takes no part in: the
+output port emits every packet's ``EnqueueEvent`` itself.  A property
+over all five disciplines behind a traced port requires each event to be
+the one a scheduler-side emitter would have built — backlog
+``len(scheduler)`` right after the insert, stamped with the port's clock
+and label — and a fixed script requires that attaching or detaching a
+trace moves no departure and no ``virtual_time`` read.
 """
 
 import heapq
@@ -29,14 +34,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.events import EnqueueEvent
 from repro.obs.sink import RingSink
 from repro.sched.base import Scheduler
+from repro.sched.fifo import FIFOScheduler
 from repro.sched.hybrid import HybridScheduler
 from repro.sched.rpq import RPQScheduler
 from repro.sched.scfq import SCFQScheduler
 from repro.sched.wfq import WFQScheduler
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
+from repro.sim.port import OutputPort
 
 LINK_RATE = 10_000.0
 
@@ -95,8 +105,6 @@ class ReferenceSCFQ(_Reference):
         if was_empty:
             heapq.heappush(self.hol, (tag, packet.seq, key, packet))
         self.counted(packet, +1)
-        if self._sink is not None:
-            self._trace_enqueue(packet, self.count)
 
     def dequeue(self):
         if not self.hol:
@@ -144,8 +152,6 @@ class ReferenceWFQ(_Reference):
             self.active_weight += flow.weight
             heapq.heappush(self.hol, (finish, packet.seq, key, packet))
         self.counted(packet, +1)
-        if self._sink is not None:
-            self._trace_enqueue(packet, self.count)
 
     def dequeue(self):
         if not self.hol:
@@ -230,16 +236,11 @@ def keyed_hol(scheduler):
         st.none(),
         st.dictionaries(st.integers(0, N_FLOWS - 1), st.integers(0, 5), min_size=1),
     ),
-    traced=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, class_of, traced):
+def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, class_of):
     sim = SimpleNamespace(now=0.0)
     real, reference, flows = make_pair(kind, sim, dict(enumerate(weights)), class_of)
-    sinks = RingSink(), RingSink()
-    if traced:
-        real.attach_trace(sinks[0], lambda: sim.now, "n")
-        reference.attach_trace(sinks[1], lambda: sim.now, "n")
 
     def serve():
         packet = real.dequeue()
@@ -272,8 +273,6 @@ def test_flat_bodies_match_the_reference_to_the_last_bit(kind, weights, ops, cla
         pass
     assert real.virtual_time == reference.virtual_time == 0.0
     assert real.backlog_bytes == reference.bytes
-    assert sinks[0].events() == sinks[1].events()
-    assert (len(sinks[0]) > 0) == (traced and any(op[0] == "enq" for op, _ in ops))
 
 
 def test_unknown_flow_and_unknown_key_raise_configuration_error():
@@ -303,56 +302,114 @@ def test_heap_out_of_sync_with_the_queue_is_a_simulation_error(make, damage):
         scheduler.dequeue()
 
 
-def _wfq(sim):
-    return WFQScheduler(sim, LINK_RATE, {0: 100.0, 1: 300.0})
+PORT = "n0->n1"
 
 
-def _hybrid(sim):
-    return HybridScheduler(sim, LINK_RATE, [[0], [1]], [100.0, 300.0])
+def recording(cls):
+    """``cls`` whose ``enqueue`` also builds the event a scheduler-side
+    emitter would have: stamped with the clock, backlog after the insert."""
+
+    class Recording(cls):
+        def enqueue(self, packet):
+            super().enqueue(packet)
+            self.expected.append(
+                EnqueueEvent(self.clock.now, packet.flow_id, packet.size, len(self), PORT)
+            )
+
+    return Recording
 
 
-def _rpq(sim):
-    return RPQScheduler(sim, 0.01, {0: 3, 1: 0})
+WEIGHTS = {0: 100.0, 1: 300.0, 2: 50.0, 3: 1.0}
+#: name -> scheduler over flows 0-3 on a ``LINK_RATE`` port, built from
+#: the class it is given (the discipline itself, or a recording subclass).
+DISCIPLINES = {
+    "fifo": (FIFOScheduler, lambda cls, sim: cls()),
+    "wfq": (WFQScheduler, lambda cls, sim: cls(sim, LINK_RATE, WEIGHTS)),
+    "scfq": (SCFQScheduler, lambda cls, sim: cls(WEIGHTS)),
+    "rpq": (RPQScheduler, lambda cls, sim: cls(sim, 0.01, {0: 3, 1: 0, 2: 1, 3: 0})),
+    "hybrid": (HybridScheduler, lambda cls, sim: cls(sim, LINK_RATE, [[0, 2], [1, 3]], [1, 3])),
+}
 
 
-def _service_order(make, trace):
-    """Service order and every ``virtual_time`` read of a fixed arrival script.
-
-    Four packets in, ``trace`` says what happens: None (nothing),
-    "detached" (a trace is attached and detached again) or "skewed" (a
-    trace is attached whose clock is an hour ahead of the scheduler's).
-    """
-    sim = SimpleNamespace(now=0.0)
-    scheduler = make(sim)
+@pytest.mark.parametrize("kind", list(DISCIPLINES))
+@given(
+    arrivals=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.05)),
+            st.integers(0, 3),
+            st.floats(min_value=40.0, max_value=1500.0),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    capacity=st.floats(min_value=1500.0, max_value=8000.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_port_emits_the_enqueue_event_the_scheduler_would_have(kind, arrivals, capacity):
+    cls, make = DISCIPLINES[kind]
+    sim = Simulator()
+    scheduler = make(recording(cls), sim)
+    scheduler.clock, scheduler.expected = sim, []
+    port = OutputPort(sim, LINK_RATE, scheduler, TailDropManager(capacity), label=PORT)
     sink = RingSink()
-    served, vtimes = [], []
-    for step in range(16):
-        if step == 4 and trace is not None:
-            scheduler.attach_trace(sink, lambda: sim.now + 3600.0, "n")
-            if trace == "detached":
-                scheduler.attach_trace(None, None)
-        sim.now += 0.004
-        scheduler.enqueue(Packet(step % 2, 100.0 + 40.0 * (step % 3), sim.now))
-        if step % 3 == 2:
-            served.append(scheduler.dequeue().flow_id)
-        vtimes.append(getattr(scheduler, "virtual_time", None))
-    while (packet := scheduler.dequeue()) is not None:
-        served.append(packet.flow_id)
-    return (served, vtimes), [event.time for event in sink.events()]
+    port.attach_trace(sink)
+    now = 0.0
+    for gap, flow_id, size in arrivals:
+        now += gap
+        sim.schedule_at(now, port.receive, Packet(flow_id, size, now))
+    sim.run()
+    emitted = [event for event in sink.events() if type(event) is EnqueueEvent]
+    assert emitted == scheduler.expected
+    assert len(emitted) == port.admitted_packets == len(arrivals) - port.dropped_packets
 
 
-@pytest.mark.parametrize("make", [_wfq, _hybrid, _rpq])
-class TestTraceClockIsNotTheSchedulersClock:
-    def test_scheduler_works_after_the_trace_is_detached(self, make):
-        # attach_trace(None) used to clear the clock WFQ and RPQ read for
-        # virtual time / epochs: the next enqueue raised TypeError.
-        outcome, stamps = _service_order(make, "detached")
-        assert outcome == _service_order(make, None)[0]
-        assert stamps == []
+#: Sixteen arrivals, one every 4 ms, 100-180 bytes on a 10 kB/s link:
+#: the queue builds, so tracing has service decisions to disturb.
+SCRIPT = [(0.004 * (step + 1), step % 2, 100.0 + 40.0 * (step % 3)) for step in range(16)]
 
-    def test_a_skewed_trace_clock_moves_no_finish_tag(self, make):
-        # ... and attaching used to swap the discipline's time source
-        # for the trace's.
-        outcome, stamps = _service_order(make, "skewed")
-        assert outcome == _service_order(make, None)[0]
-        assert len(stamps) == 12 and min(stamps) > 3600.0
+
+def _service(kind, trace):
+    """Departures and every ``virtual_time`` read of ``SCRIPT`` behind a port.
+
+    ``trace`` says what happens between the fourth and fifth arrivals:
+    None (nothing), "attached" (a trace is attached) or "detached" (a
+    trace is attached and detached again).
+    """
+    cls, make = DISCIPLINES[kind]
+    sim = Simulator()
+    scheduler = make(cls, sim)
+    departed, vtimes = [], []
+    delivered = SimpleNamespace(
+        receive=lambda packet: departed.append((sim.now, packet.flow_id, packet.size))
+    )
+    port = OutputPort(sim, LINK_RATE, scheduler, TailDropManager(1e6), downstream=delivered)
+    sink = RingSink()
+    if trace is not None:
+        sim.schedule_at(0.018, port.attach_trace, sink)
+        if trace == "detached":
+            sim.schedule_at(0.018, port.attach_trace, None)
+
+    def probe():
+        vtimes.append(getattr(scheduler, "virtual_time", None))  # RPQ has none
+
+    for when, flow_id, size in SCRIPT:
+        sim.schedule_at(when, port.receive, Packet(flow_id, size, when))
+        sim.schedule_at(when + 0.001, probe)
+    sim.run()
+    return departed, vtimes, sink
+
+
+@pytest.mark.parametrize("kind", ["wfq", "hybrid", "rpq"])
+class TestPortTracing:
+    """Attaching or detaching a port's trace moves no service decision."""
+
+    def test_a_detached_trace_moves_no_departure(self, kind):
+        departed, vtimes, sink = _service(kind, "detached")
+        assert (departed, vtimes) == _service(kind, None)[:2]
+        assert sink.events() == []
+
+    def test_an_attached_trace_moves_no_departure(self, kind):
+        departed, vtimes, sink = _service(kind, "attached")
+        assert (departed, vtimes) == _service(kind, None)[:2]
+        stamps = [event.time for event in sink.events() if type(event) is EnqueueEvent]
+        assert stamps == [when for when, _, _ in SCRIPT[4:]]

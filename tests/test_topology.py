@@ -117,6 +117,17 @@ class TestRoutingValidation:
         sim, net = two_hop_network()
         with pytest.raises(ConfigurationError):
             net.nodes["a"].receive(Packet(99, 500.0, 0.0))
+        # Routes resolve to ports at set_route; the transit and the
+        # delivering node of flow 1 still refuse a flow they do not route.
+        for name in ("b", "c"):
+            with pytest.raises(ConfigurationError, match=f"node {name}: no route for flow 99"):
+                net.nodes[name].receive(Packet(99, 500.0, 0.0))
+
+    def test_routes_resolve_to_the_egress_port(self):
+        sim, net = two_hop_network()
+        assert net.nodes["a"].next_hop[1] is net.port("a", "b")
+        assert net.nodes["b"].next_hop[1] is net.port("b", "c")
+        assert net.nodes["c"].next_hop[1] is None
 
     def test_route_with_missing_link_rejected(self):
         sim, net = two_hop_network()
@@ -157,6 +168,8 @@ class TestRoutingValidation:
         assert net.entry(3) is net.nodes["c"]
         net.entry(3).receive(Packet(3, 500.0, 0.0))
         assert net.sink.packets[3] == 1
+        # Delivered the instant it was created: no positive delay to keep.
+        assert net.sink.delay_sum == {3: 0.0} and net.sink.delay_max == {}
 
     def test_unlabelled_undelivering_link(self):
         # The one-link case of the fabric: its port carries no label and
