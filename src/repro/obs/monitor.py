@@ -232,7 +232,7 @@ class ConformanceMonitor:
             raise ConfigurationError(
                 f"max_violations must be >= 1, got {max_violations}"
             )
-        self.interval = interval
+        self.interval = float(interval)
         self.tolerance = tolerance
         self.max_violations = max_violations
         self.violations: list[Violation] = []
@@ -395,15 +395,14 @@ class ConformanceMonitor:
         self._sim = sim
         sim.schedule_fast(self.interval, self._sweep, until)
 
-    def _sweep(self, until: float) -> None:
-        sim = self._sim
-        now = sim.now
+    def _sweep(self, until: float) -> float | None:
+        """Sweep, then return the delay to the next sweep; overrides return ``super()``'s."""
+        now = self._sim.now
         if now > self._last_time:
             self._last_time = now
         self.sweeps += 1
         self.sweep_once(now)
-        if now + self.interval <= until:
-            sim.schedule_fast(self.interval, self._sweep, until)
+        return self.interval if now + self.interval <= until else None
 
     def sweep_once(self, now: float) -> None:
         """Evaluate every registered occupancy check at sim-time ``now``."""

@@ -4,8 +4,8 @@ The trace layer records *every* transition; at million-flow scale that
 is the wrong observable.  A :class:`Timeline` instead samples live
 component state (occupancy, headroom, pool split, churn counts) at a
 fixed **simulation-time** cadence — the tick is an ordinary engine
-event scheduled with :meth:`~repro.sim.engine.Simulator.schedule_fast`,
-so sampling is deterministic, wall-clock-free, and draws no randomness.
+event that returns the interval to re-queue itself, so sampling is
+deterministic, wall-clock-free, and draws no randomness.
 Two runs of the same scenario produce byte-identical series.
 
 Samples land in bounded ring storage (:class:`TimelineSeries`), export
@@ -305,7 +305,7 @@ class Timeline:
             raise ConfigurationError(f"interval must be > 0, got {interval}")
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.interval = interval
+        self.interval = float(interval)
         self.capacity = capacity
         self.flows = tuple(flows)
         self.ticks = 0
@@ -350,9 +350,9 @@ class Timeline:
         self._sim = sim
         sim.schedule_fast(self.interval, self._tick, until)
 
-    def _tick(self, until: float) -> None:
-        sim = self._sim
-        now = sim.now
+    def _tick(self, until: float) -> float | None:
+        """Sample, then return the delay to the next tick; overrides return ``super()``'s."""
+        now = self._sim.now
         sink = self._sink
         for (node, name), fn in self._probes.items():
             value = float(fn())
@@ -360,8 +360,7 @@ class Timeline:
             if sink is not None:
                 sink.emit(SampleEvent(now, name, value, node))
         self.ticks += 1
-        if now + self.interval <= until:
-            sim.schedule_fast(self.interval, self._tick, until)
+        return self.interval if now + self.interval <= until else None
 
     def sample_now(self, time: float) -> None:
         """Take one out-of-band sample at ``time`` (e.g. a final flush)."""

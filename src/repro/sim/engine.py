@@ -14,7 +14,9 @@ cancellation handle.
 
 Components (sources, shapers, ports) hold a reference to the
 :class:`Simulator` and schedule their own callbacks; there is no global
-registry.  The engine knows nothing about packets or networking.
+registry; one that runs again returns its next delay as a ``float`` and
+the queue re-queues it (``EventQueue.drain``).  The engine knows nothing
+about packets or networking.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from __future__ import annotations
 from math import inf
 from typing import Any, Callable
 
-from repro.errors import SimulationError
-from repro.sim.equeue import EventQueue
+from repro.sim.equeue import EventQueue, past_time_error
 
 __all__ = ["Event", "Simulator"]
 
@@ -81,9 +82,9 @@ class Simulator:
         sim.schedule(1.0, callback, arg1, arg2)
         sim.run(until=10.0)
 
-    Hot paths that never cancel (per-packet emissions, transmission
-    completions) should use :meth:`schedule_fast`, which skips the
-    :class:`Event` handle allocation entirely.
+    Hot paths that never cancel should use :meth:`schedule_fast`, which
+    skips the :class:`Event` handle allocation entirely; a callback that
+    reschedules itself as its last act returns the delay instead.
     """
 
     __slots__ = (
@@ -139,9 +140,7 @@ class Simulator:
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
         if not time >= self.now:  # `not >=`, so that a NaN key raises too
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self.now}"
-            )
+            raise past_time_error(time, self.now)
         event = Event(time, fn, args, self)
         self._seq += 1
         self._push((time, self._seq, fn, args, event))
@@ -158,9 +157,7 @@ class Simulator:
         """
         time = self.now + delay
         if not time >= self.now:  # `not >=`, so that a NaN key raises too
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self.now}"
-            )
+            raise past_time_error(time, self.now)
         self._seq += 1
         self._push((time, self._seq, fn, args, None))
 
@@ -177,7 +174,9 @@ class Simulator:
             event.fired = True
         self.now = entry[0]
         self._events_processed += 1
-        entry[2](*entry[3])
+        delay = entry[2](*entry[3])
+        if delay.__class__ is float:  # the re-queue rule of EventQueue.drain
+            self.schedule_fast(delay, entry[2], *entry[3])
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:

@@ -13,10 +13,10 @@ The simulator talks to the queue through five methods:
   the life of the run (a C-level ``partial(heappush, heap)``);
 * ``pop_live()`` removes and returns the earliest non-cancelled entry;
 * ``drain(stop, max_events)`` owns the run loop: it fires entries in
-  ``(time, seq)`` order, discards cancelled ones, stops *before* the
-  first live entry beyond ``stop`` (leaving it queued), and raises
-  :class:`~repro.errors.SimulationError` once more than ``max_events``
-  entries have fired;
+  ``(time, seq)`` order, re-queues a callback that returns a delay,
+  skips cancelled ones, stops *before* the first live entry beyond
+  ``stop`` (leaving it queued), and raises ``SimulationError`` once
+  more than ``max_events`` entries have fired;
 * ``note_cancelled()`` is the lazy-deletion bookkeeping hook: cancelled
   entries stay queued until reached, and the heap is rebuilt without
   them once they outnumber the live ones in a population of at least
@@ -37,11 +37,16 @@ from typing import Callable
 from repro.errors import SimulationError
 from repro.obs.events import HeapCompactEvent
 
-__all__ = ["COMPACT_MIN_PENDING", "EventQueue"]
+__all__ = ["COMPACT_MIN_PENDING", "EventQueue", "past_time_error"]
 
 #: Smallest pending population worth compacting; below this lazy
 #: deletion is cheaper than a rebuild.
 COMPACT_MIN_PENDING = 64
+
+
+def past_time_error(time: float, now: float) -> SimulationError:
+    """The one refusal of an entry keyed before the clock, or at NaN."""
+    return SimulationError(f"cannot schedule event at t={time} before current time t={now}")
 
 
 class EventQueue:
@@ -114,9 +119,17 @@ class EventQueue:
         return None
 
     def drain(self, stop: float, max_events: int | None) -> None:
+        """Fire entries up to ``stop``; re-queue each callback that returns a float.
+
+        It goes back at ``now + delay`` with the rank and guard
+        ``schedule_fast`` as its last scheduling act would give it; any
+        other return means done.  A callback that queues anything after
+        its own next firing (churn's ``_arrival``) must call ``schedule_fast``.
+        """
         sim = self._sim
         heap = self._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
         limit = inf if max_events is None else max_events
         fired = 0
         while heap:
@@ -128,13 +141,19 @@ class EventQueue:
                 continue
             time = entry[0]
             if time > stop:
-                heapq.heappush(heap, entry)
+                heappush(heap, entry)
                 break
             if event is not None:
                 event.fired = True
             sim.now = time
             sim._events_processed += 1
-            entry[2](*entry[3])
+            delay = entry[2](*entry[3])
+            if delay.__class__ is float:
+                again = time + delay
+                if not again >= time:  # `not >=`, so that a NaN delay raises too
+                    raise past_time_error(again, time)
+                sim._seq += 1
+                heappush(heap, (again, sim._seq, entry[2], entry[3], None))
             fired += 1
             if fired > limit:
                 raise SimulationError(f"exceeded max_events={max_events}")

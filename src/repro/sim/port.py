@@ -55,11 +55,11 @@ class OutputPort:
         "collector",
         "downstream",
         "label",
-        "busy",
         "admitted_packets",
         "dropped_packets",
         "transmitted_packets",
         "_sink",
+        "_serving",
         "_bound_finish",
     )
 
@@ -83,12 +83,12 @@ class OutputPort:
         self.collector = collector
         self.downstream = downstream
         self.label = label
-        self.busy = False
         self.admitted_packets = 0
         self.dropped_packets = 0
         self.transmitted_packets = 0
         self._sink = None
-        # Bound once: every transmission schedules this callback.
+        self._serving: Packet | None = None  # the packet on the link
+        # Bound once: every idle-link start schedules this callback.
         self._bound_finish = self._finish_transmission
 
     def attach_trace(self, sink) -> None:
@@ -133,23 +133,24 @@ class OutputPort:
         self.admitted_packets += 1
         scheduler = self.scheduler
         scheduler.enqueue(packet)
-        busy = self.busy
+        idle = self._serving is None
         if self._sink is not None:
             # The queue after the insert: admitted, not yet transmitted
             # and not the one in service.
-            backlog = self.admitted_packets - self.transmitted_packets - busy
+            backlog = self.admitted_packets - self.transmitted_packets - (not idle)
             self._sink.emit(EnqueueEvent(now, flow_id, size, backlog, self.label))
-        if not busy:
+        if idle:
             # Idle link: whatever the scheduler ranks first goes into service.
             head = scheduler.dequeue()
             if head is not None:
-                self.busy = True
-                sim.schedule_fast(head.size / self.rate, self._bound_finish, head)
+                self._serving = head
+                sim.schedule_fast(head.size / self.rate, self._bound_finish)
         return True
 
-    def _finish_transmission(self, packet: Packet) -> None:
-        sim = self.sim
-        now = sim.now
+    def _finish_transmission(self) -> float | None:
+        """Return the next packet's time on the link, if any; overrides return ``super()``'s."""
+        packet = self._serving
+        now = self.sim.now
         enqueued = packet.enqueued
         if enqueued is None:
             # Every serviced packet was admitted through receive(), which
@@ -170,13 +171,15 @@ class OutputPort:
             self._sink.emit(DepartEvent(now, flow_id, size, delay, self.label))
         if self.downstream is not None:
             self.downstream.receive(packet)
-        head = self.scheduler.dequeue()
-        if head is None:
-            self.busy = False
-        else:
-            sim.schedule_fast(head.size / self.rate, self._bound_finish, head)
+        head = self._serving = self.scheduler.dequeue()
+        return None if head is None else head.size / self.rate
+
+    @property
+    def busy(self) -> bool:
+        """Whether a packet is on the link."""
+        return self._serving is not None
 
     @property
     def backlog_packets(self) -> int:
         """Packets in the buffer, including the one in service."""
-        return len(self.scheduler) + (1 if self.busy else 0)
+        return len(self.scheduler) + (self._serving is not None)

@@ -73,14 +73,15 @@ class ThresholdFillingSource:
         self.port = port
         self.target = float(target)
         self.packet_size = float(packet_size)
-        self.period = period if period is not None else packet_size / port.rate
+        self.period = float(period if period is not None else packet_size / port.rate)
         self.until = until
         self.offered_packets = 0
         sim.schedule(0.0, self._top_up)
 
-    def _top_up(self) -> None:
+    def _top_up(self) -> float | None:
+        """Refill to ``target``; return the period. Overrides return ``super()``'s."""
         if self.until is not None and self.sim.now >= self.until:
-            return
+            return None
         occupancy = self.port.manager.occupancy(self.flow_id)
         while occupancy + self.packet_size <= self.target:
             packet = Packet(self.flow_id, self.packet_size, self.sim.now)
@@ -88,7 +89,7 @@ class ThresholdFillingSource:
             if not self.port.receive(packet):
                 break
             occupancy = self.port.manager.occupancy(self.flow_id)
-        self.sim.schedule(self.period, self._top_up)
+        return self.period
 
 
 class FillThenBurstSource:
@@ -158,11 +159,12 @@ class FillThenBurstSource:
         self.emitted_bytes += size
         self.sink.receive(packet)
 
-    def _emit_cbr(self) -> None:
+    def _emit_cbr(self) -> float | None:
+        """Emit one packet; return the spacing. Overrides return ``super()``'s."""
         if self._stopped():
-            return
+            return None
         self._emit(self.packet_size)
-        self.sim.schedule(self._spacing, self._emit_cbr)
+        return self._spacing
 
     def _dump_burst(self) -> None:
         if self._stopped() or self.burst_fired:

@@ -71,7 +71,7 @@ class LeakyBucketShaper:
         self._release_pending = False
         self.shaped_packets = 0
         self.delayed_packets = 0
-        # Bound once: every shaping gap schedules a release.
+        # Bound once: every release chain starts with this callback.
         self._bound_release = self._release
 
     @property
@@ -112,7 +112,8 @@ class LeakyBucketShaper:
                 (deficit if deficit >= 0.0 else 0.0) / self.rho, self._bound_release
             )
 
-    def _release(self) -> None:
+    def _release(self) -> float | None:
+        """Release what tokens cover; return the next wait. Overrides return ``super()``'s."""
         self._release_pending = False
         now = self.sim.now
         tokens = self._tokens
@@ -134,9 +135,8 @@ class LeakyBucketShaper:
         if queue:
             self._release_pending = True
             deficit = queue[0].size - tokens
-            self.sim.schedule_fast(
-                (deficit if deficit >= 0.0 else 0.0) / self.rho, self._bound_release
-            )
+            return (deficit if deficit >= 0.0 else 0.0) / self.rho
+        return None
 
 
 class TokenBucketMeter:

@@ -12,14 +12,15 @@ All sources emit :class:`repro.sim.packet.Packet` objects into a ``sink``
 * :class:`TraceSource` — replays an explicit (time, size) schedule;
   handy for deterministic tests.
 
-Sources schedule their per-packet callbacks through
-:meth:`~repro.sim.engine.Simulator.schedule_fast` (emissions are never
-cancelled), so the steady-state emission path allocates one packet and
-no event handle per emission.
+Each emission returns the gap to the next one and the event queue
+re-queues it (:meth:`~repro.sim.equeue.EventQueue.drain`; emissions are
+never cancelled), so the steady-state emission path allocates one packet
+and no event handle per emission.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -74,7 +75,7 @@ class OnOffSource:
         "_mean_burst_packets",
         "_burst_p",
         "_mean_off",
-        "_bound_emit",
+        "_remaining",
     )
 
     def __init__(
@@ -90,7 +91,12 @@ class OnOffSource:
         start: float = 0.0,
         until: float | None = None,
     ) -> None:
-        if not 0 < avg_rate <= peak_rate:
+        if not (0.0 < peak_rate < inf and 0.0 < avg_rate < inf and 0.0 < packet_size < inf):
+            raise ConfigurationError(  # a zero gap returned for ever stalls the clock
+                f"rates and packet_size must be positive and finite, got "
+                f"({peak_rate}, {avg_rate}, {packet_size})"
+            )
+        if not avg_rate <= peak_rate:
             raise ConfigurationError(
                 f"need 0 < avg_rate <= peak_rate, got ({avg_rate}, {peak_rate})"
             )
@@ -115,47 +121,47 @@ class OnOffSource:
         self._burst_p = min(1.0, 1.0 / max(self._mean_burst_packets, 1.0))
         mean_on = self.mean_burst / self.peak_rate
         self._mean_off = mean_on * (self.peak_rate / self.avg_rate - 1.0)
-        # Bound once: every emission schedules the next.
-        self._bound_emit = self._emit
         # Randomise the initial phase so simultaneous sources do not
         # synchronise their first bursts.
         initial_delay = 0.0
         if self._mean_off > 0:
             initial_delay = rng.exponential(self._mean_off)
-        sim.schedule_at(start + initial_delay, self._emit, rng.geometric(self._burst_p))
+        self._remaining = rng.geometric(self._burst_p)  # packets left in the burst
+        sim.schedule_at(start + initial_delay, self._emit)
 
     def stop(self) -> None:
         """Silence the source from the current instant onwards.
 
         Dynamic-flow teardown (:mod:`repro.experiments.fabric`) calls
-        this when a churning flow departs: pending emission callbacks
-        were scheduled through the handle-free fast path and cannot be
-        cancelled, so they fire and see the stop condition instead.
+        this when a churning flow departs: the pending emission has no
+        handle to cancel, so it fires and ends the chain instead.
         """
         self.until = self.sim.now
 
-    def _emit(self, remaining: int) -> None:
-        sim = self.sim
-        now = sim.now
+    def _emit(self) -> float | None:
+        """Emit one packet; return the gap to the next. Overrides return ``super()``'s."""
+        now = self.sim.now
         if self.until is not None and now >= self.until:
-            return
+            return None
         size = self.packet_size
         packet = Packet(self.flow_id, size, now)
         self.emitted_packets += 1
         self.emitted_bytes += size
         self.sink.receive(packet)
-        if remaining > 1:
-            sim.schedule_fast(self._spacing, self._bound_emit, remaining - 1)
-        else:
-            # The last packet of the burst "occupies" one spacing at peak
-            # rate before the OFF period starts, so the ON-state rate is
-            # exactly the peak rate.  The next burst's geometric length
-            # (mean >= 1 packets) is drawn with its OFF gap: the stream's
-            # order stays OFF, burst, OFF, burst.
-            off = self._spacing
-            if self._mean_off > 0:
-                off += self.rng.exponential(self._mean_off)
-            sim.schedule_fast(off, self._bound_emit, self.rng.geometric(self._burst_p))
+        remaining = self._remaining - 1
+        if remaining:
+            self._remaining = remaining
+            return self._spacing
+        # The last packet of the burst "occupies" one spacing at peak
+        # rate before the OFF period starts, so the ON-state rate is
+        # exactly the peak rate.  The next burst's geometric length
+        # (mean >= 1 packets) is drawn with its OFF gap: the stream's
+        # order stays OFF, burst, OFF, burst.
+        off = self._spacing
+        if self._mean_off > 0:
+            off += self.rng.exponential(self._mean_off)
+        self._remaining = self.rng.geometric(self._burst_p)
+        return off
 
 
 class CBRSource:
@@ -171,7 +177,6 @@ class CBRSource:
         "emitted_packets",
         "emitted_bytes",
         "_spacing",
-        "_bound_emit",
     )
 
     def __init__(
@@ -184,8 +189,10 @@ class CBRSource:
         start: float = 0.0,
         until: float | None = None,
     ) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate}")
+        if not (0.0 < rate < inf and 0.0 < packet_size < inf):
+            raise ConfigurationError(
+                f"rate and packet_size must be positive and finite, got ({rate}, {packet_size})"
+            )
         self.sim = sim
         self.flow_id = flow_id
         self.rate = float(rate)
@@ -195,22 +202,22 @@ class CBRSource:
         self.emitted_packets = 0
         self.emitted_bytes = 0.0
         self._spacing = self.packet_size / self.rate
-        # Bound once: every emission schedules the next.
-        self._bound_emit = self._emit
         sim.schedule_at(start, self._emit)
 
     def stop(self) -> None:
         """Silence the source from the current instant onwards."""
         self.until = self.sim.now
 
-    def _emit(self) -> None:
-        if self.until is not None and self.sim.now >= self.until:
-            return
-        packet = Packet(self.flow_id, self.packet_size, self.sim.now)
+    def _emit(self) -> float | None:
+        """Emit one packet; return the gap to the next. Overrides return ``super()``'s."""
+        now = self.sim.now
+        if self.until is not None and now >= self.until:
+            return None
+        packet = Packet(self.flow_id, self.packet_size, now)
         self.emitted_packets += 1
         self.emitted_bytes += packet.size
         self.sink.receive(packet)
-        self.sim.schedule_fast(self._spacing, self._bound_emit)
+        return self._spacing
 
 
 class GreedySource(CBRSource):
@@ -262,6 +269,8 @@ class TraceSource:
         self.emitted_bytes = 0.0
         last = -1.0
         for time, size in schedule:
+            if not 0.0 < size < inf:
+                raise ConfigurationError(f"packet size must be positive and finite, got {size}")
             if time < last:
                 raise ConfigurationError("trace schedule must be time-ordered")
             last = time

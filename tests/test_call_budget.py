@@ -167,9 +167,13 @@ def churn(reclamation: bool):
 #: ``_trace_enqueue`` and a clock lambda) and the paper's two policies
 #: tested a departure's crossing inline (through ``_after_depart`` and
 #: ``_reference_threshold``): 34.207 -> 29.894 with a sink, 55.186 ->
-#: 46.005 on the observed tandem.  The ceilings leave ~4-5%
-#: for interpreter versions that count a builtin differently; a PR that
-#: shortens a path lowers its ceiling to ~5% above the new count.
+#: 46.005 on the observed tandem.  No row moved when a callback that
+#: runs again began returning its next delay for the event queue to
+#: re-queue: each ``schedule_fast`` frame it saved became the one
+#: ``heappush`` C call the queue makes itself, so cost fell at the same
+#: count (``SCHEDULE_FAST_PINS`` pins the frames).  The ceilings leave
+#: ~4-5% for interpreter versions that count a builtin differently; a PR
+#: that shortens a path lowers its ceiling to ~5% above the new count.
 ROWS = {
     "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
     "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
@@ -207,20 +211,34 @@ NETWORK_PINS = {
 }
 
 
-def count_calls(run, outside=False):
+#: row -> ceiling on ``Simulator.schedule_fast`` frames per offered
+#: packet.  A callback that runs again returns its next delay and the
+#: event queue re-queues it, so the frames left start a chain from
+#: elsewhere: an idle link's first transmission, a shaper's first
+#: release, the churn process.  Measured 0.053 / 0.631; 2.213 / 2.028,
+#: one per event bar the churn's, while every emission, transmission and
+#: release rescheduled itself through the method.
+SCHEDULE_FAST_PINS = {"FIFO_THRESHOLD": 0.056, "tandem-churn": 0.663}
+
+
+def count_calls(run, outside=False, frames_of=None):
     """``(calls between Simulator.run entry and exit, run's result)``.
 
     With ``outside=True`` the complement: every call ``run`` makes while
-    *not* inside ``Simulator.run``.
+    *not* inside ``Simulator.run``.  With ``frames_of`` a function, only
+    its frames count.
     """
     run_code = Simulator.run.__code__
+    only = None if frames_of is None else frames_of.__code__
     state = {"inside": False, "calls": 0}
 
     def profiler(frame, event, arg):
         if event == "call" or event == "c_call":
             if not state["inside"] and frame.f_code is run_code and event == "call":
                 state["inside"] = True  # the entry itself belongs to neither side
-            elif state["inside"] != outside:
+            elif state["inside"] != outside and (
+                only is None or (event == "call" and frame.f_code is only)
+            ):
                 state["calls"] += 1
         elif event == "return" and state["inside"] and frame.f_code is run_code:
             state["inside"] = False
@@ -267,6 +285,18 @@ def test_calls_per_packet_within_budget(row):
             assert result.monitor_report.ok
             pins += (result.monitor_report.events_seen,)
         assert pins == NETWORK_PINS[row]
+
+
+@pytest.mark.parametrize("row", list(SCHEDULE_FAST_PINS))
+def test_schedule_fast_frames_per_packet_within_budget(row):
+    run, _ = ROWS[row]
+    frames, result = count_calls(run, frames_of=Simulator.schedule_fast)
+    packets = sum(stats.offered_packets for stats in flow_stats(result))
+    assert count_calls(run, frames_of=Simulator.schedule_fast)[0] == frames
+    assert frames / packets <= SCHEDULE_FAST_PINS[row], (
+        f"{row}: {frames / packets:.3f} schedule_fast frames/pkt exceeds "
+        f"{SCHEDULE_FAST_PINS[row]}; a chain reschedules itself through the method again"
+    )
 
 
 def test_count_repeats_exactly():

@@ -138,11 +138,12 @@ class TestProgramRuleMutations:
         )
 
     def test_per_call_bound_method_in_the_port_raises_rpr105(self, tmp_path):
-        # The port's own source, with its pre-bound transmission callback
-        # put back to the per-call ``self._finish_transmission``.
+        # The port's own source, with the pre-bound callback of an idle
+        # link's first transmission put back to the per-call
+        # ``self._finish_transmission``.
         source = (SRC / "repro" / "sim" / "port.py").read_text(encoding="utf-8")
         assert lint_codes(tmp_path / "clean", "src/repro/sim/port.py", source) == []
-        mutated = source.replace("self._bound_finish, head)", "self._finish_transmission, head)")
+        mutated = source.replace("self._bound_finish)", "self._finish_transmission)")
         assert mutated != source
         assert lint_codes(tmp_path / "mutated", "src/repro/sim/port.py", mutated) == ["RPR105"]
 

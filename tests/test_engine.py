@@ -1,9 +1,17 @@
 """Discrete-event engine behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.tail_drop import TailDropManager
 from repro.errors import SimulationError
+from repro.obs.monitor import ConformanceMonitor
+from repro.obs.timeline import Timeline
+from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
+from repro.sim.packet import Packet
+from repro.sim.port import OutputPort
 
 
 class TestScheduling:
@@ -331,3 +339,172 @@ class TestRunAccounting:
             sim.schedule_fast(float(i), lambda: seen.append(sim.events_processed))
         sim.run()
         assert seen == [1, 2, 3]
+
+
+#: Delays on a coarse grid, 0.0 included, so same-instant ties are common.
+GRID = (0.0, 0.25, 0.5, 1.0)
+ONE_SHOT_KINDS = ("schedule", "schedule_fast", "cancelled")
+one_shot_strategy = st.tuples(st.sampled_from(GRID), st.sampled_from(ONE_SHOT_KINDS))
+
+chains_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(GRID),  # first firing
+        st.lists(st.sampled_from(GRID), max_size=6),  # each later gap
+        # per firing: a one-shot spawned before the reschedule, or none
+        st.lists(st.one_of(st.none(), one_shot_strategy), max_size=6),
+    ),
+    min_size=1,
+    max_size=4,
+)
+one_shots_strategy = st.lists(one_shot_strategy, max_size=6)
+
+
+def one_shot(sim, log, delay, kind, name):
+    """Queue a callback that only logs; ``cancelled`` queues and cancels one."""
+    def note():
+        log.append((sim.now, name))
+
+    if kind == "schedule_fast":
+        sim.schedule_fast(delay, note)
+    else:
+        event = sim.schedule(delay, note)
+        if kind == "cancelled":
+            event.cancel()
+
+
+class Chain:
+    """A callback that runs again: by ``schedule_fast`` as its last act, or by return."""
+
+    def __init__(self, sim, log, name, gaps, spawns, returning):
+        self.sim = sim
+        self.log = log
+        self.name = name
+        self.gaps = gaps
+        self.spawns = spawns
+        self.returning = returning
+        self.fired = 0
+
+    def fire(self, *args):
+        sim = self.sim
+        k = self.fired
+        self.fired += 1
+        self.log.append((sim.now, self.name, args))
+        spawn = self.spawns[k] if k < len(self.spawns) else None
+        if spawn is not None:
+            one_shot(sim, self.log, *spawn, f"{self.name}/{k}")
+        if k >= len(self.gaps):
+            return None
+        if self.returning:
+            return self.gaps[k]
+        sim.schedule_fast(self.gaps[k], self.fire, *args)
+        return None
+
+
+def firing_log(chains, one_shots, returning, drive):
+    sim = Simulator()
+    log = []
+    for i, (start, gaps, spawns) in enumerate(chains):
+        chain = Chain(sim, log, f"c{i}", gaps, spawns, returning)
+        sim.schedule_at(start, chain.fire, i, "arg")
+    for j, (delay, kind) in enumerate(one_shots):
+        one_shot(sim, log, delay, kind, f"o{j}")
+    drive(sim)
+    return log, sim.events_processed, sim.pending
+
+
+def run_all(sim):
+    sim.run()
+
+
+def step_all(sim):
+    while sim.step():
+        pass
+
+
+def resumed(cuts):
+    def drive(sim):
+        for cut in sorted(cuts):
+            sim.run(until=cut)
+        sim.run()
+
+    return drive
+
+
+class TestRequeue:
+    """A callback that returns its next delay is re-queued exactly where
+    ``schedule_fast`` as its last scheduling act would have put it."""
+
+    @given(
+        chains=chains_strategy,
+        one_shots=one_shots_strategy,
+        cuts=st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 2.0)), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_order_identical_to_explicit_rescheduling(self, chains, one_shots, cuts):
+        drives = (run_all, step_all, resumed(cuts))
+        logs = [
+            firing_log(chains, one_shots, returning, drive)
+            for drive in drives
+            for returning in (False, True)
+        ]
+        assert logs[0][0]
+        assert all(log == logs[0] for log in logs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("-inf")])
+    @pytest.mark.parametrize("drive", [run_all, step_all])
+    def test_bad_delay_raises(self, bad, drive):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: bad)
+        with pytest.raises(SimulationError, match="before current time"):
+            drive(sim)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("done", [None, True, 1, 0])
+    @pytest.mark.parametrize("drive", [run_all, step_all])
+    def test_anything_but_a_float_means_done(self, done, drive):
+        sim = Simulator()
+        fired = []
+
+        def callback():
+            fired.append(sim.now)
+            return done
+
+        sim.schedule_fast(1.0, callback)
+        drive(sim)
+        assert fired == [1.0]
+        assert sim.pending == 0
+
+    def test_requeued_entry_carries_no_handle(self):
+        sim = Simulator()
+        fired = []
+
+        def callback():
+            fired.append(sim.now)
+            return 1.0 if len(fired) < 3 else None
+
+        event = sim.schedule(0.0, callback)
+        sim.run()
+        assert fired == [0.0, 1.0, 2.0]
+        assert event.fired
+        event.cancel()  # a fired handle: no phantom weight
+        assert sim.cancelled_pending == 0
+
+    def test_port_receive_scheduled_directly_still_works(self):
+        # ``receive`` returns a bool: done, not a delay.
+        sim = Simulator()
+        port = OutputPort(sim, 1_000.0, FIFOScheduler(), TailDropManager(10_000.0))
+        sim.schedule_at(0.5, port.receive, Packet(0, 500.0, 0.5))
+        sim.run()
+        assert port.admitted_packets == port.transmitted_packets == 1
+        assert sim.now == 1.0
+        assert sim.events_processed == 2
+
+    @pytest.mark.parametrize("interval", [1, 1.0])
+    def test_integer_intervals_tick_like_float_ones(self, interval):
+        sim = Simulator()
+        timeline = Timeline(interval)
+        monitor = ConformanceMonitor(interval=interval)
+        timeline.install(sim, 5.0)
+        monitor.install(sim, 5.0)
+        sim.run(until=5.0)
+        assert timeline.ticks == monitor.sweeps == 5

@@ -98,8 +98,8 @@ class TestAccountingIntegrity:
 
         sim, port, _ = make_port()
         rogue = Packet(0, 500.0, 0.0)
-        port.busy = True  # pretend the link grabbed it directly
-        sim.schedule(0.5, port._finish_transmission, rogue)
+        port._serving = rogue  # pretend the link grabbed it directly
+        sim.schedule(0.5, port._finish_transmission)
         with pytest.raises(SimulationError, match="enqueue"):
             sim.run()
 

@@ -8,12 +8,16 @@ small additional slack; SCFQ's bound is looser (it grows with the number
 of flows), which the same harness demonstrates.
 """
 
+from collections import defaultdict, deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.gps import gps_finish_times
 from repro.core.tail_drop import TailDropManager
 from repro.metrics.collector import StatsCollector
+from repro.obs.events import DepartEvent
+from repro.obs.sink import RingSink
 from repro.sched.scfq import SCFQScheduler
 from repro.sched.wfq import WFQScheduler
 from repro.sim.engine import Simulator
@@ -36,21 +40,14 @@ arrivals_strategy = st.lists(
 
 
 def departures_under(scheduler_factory, arrivals):
-    """Run arrivals through a port; return [(arrival, departure_time)]."""
+    """Run arrivals through a port; return them and each one's departure time."""
     sim = Simulator()
     scheduler = scheduler_factory(sim)
     collector = StatsCollector()
-    records = []
-
-    # OutputPort is slotted, so tracing hooks go in a subclass rather
-    # than instance monkeypatching.
-    class TracedPort(OutputPort):
-        def _finish_transmission(self, packet):
-            super()._finish_transmission(packet)
-            records.append((packet, sim.now))
-
+    sink = RingSink()
     # Big buffer: no drops, this is purely about ordering/timing.
-    port = TracedPort(sim, RATE, scheduler, TailDropManager(1e9), collector)
+    port = OutputPort(sim, RATE, scheduler, TailDropManager(1e9), collector)
+    port.attach_trace(sink)
     time = 0.0
     normalized = []
     for gap, flow_id, size in arrivals:
@@ -59,8 +56,14 @@ def departures_under(scheduler_factory, arrivals):
         packet = Packet(flow_id, size, time)
         sim.schedule_at(time, port.receive, packet)
     sim.run()
-    records.sort(key=lambda record: record[0].seq)
-    return normalized, [departure for _packet, departure in records]
+    # Both disciplines serve a flow's own packets in arrival order, so
+    # the k-th departure of a flow is its k-th arrival.
+    per_flow = defaultdict(deque)
+    for event in sink.events():
+        if isinstance(event, DepartEvent):
+            per_flow[event.flow_id].append(event.time)
+    departures = [per_flow[flow_id].popleft() for _time, flow_id, _size in normalized]
+    return normalized, departures
 
 
 class TestWFQTracksGPS:

@@ -1,5 +1,6 @@
 """Property-based tests: output-port conservation laws."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,8 @@ from repro.core.dynamic_threshold import DynamicThresholdManager
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.tail_drop import TailDropManager
 from repro.metrics.collector import StatsCollector
+from repro.obs.events import DepartEvent
+from repro.obs.sink import RingSink
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.wfq import WFQScheduler
 from repro.sim.engine import Simulator
@@ -87,16 +90,9 @@ class TestConservation:
     def test_fifo_departures_in_admission_order(self, arrivals, make_manager):
         sim = Simulator()
         collector = StatsCollector()
-        departed = []
-
-        # OutputPort is slotted, so tracing hooks go in a subclass rather
-        # than instance monkeypatching.
-        class TracedPort(OutputPort):
-            def _finish_transmission(self, packet):
-                departed.append(packet.seq)
-                super()._finish_transmission(packet)
-
-        port = TracedPort(sim, 100_000.0, FIFOScheduler(), make_manager(), collector)
+        sink = RingSink()
+        port = OutputPort(sim, 100_000.0, FIFOScheduler(), make_manager(), collector)
+        port.attach_trace(sink)
         time = 0.0
         admitted = []
         for gap, flow_id, size in arrivals:
@@ -105,11 +101,16 @@ class TestConservation:
 
             def offer(packet=packet):
                 if port.receive(packet):
-                    admitted.append(packet.seq)
+                    admitted.append((packet.flow_id, packet.size, sim.now))
 
             sim.schedule_at(time, offer)
         sim.run()
-        assert departed == admitted
+        departs = [event for event in sink.events() if isinstance(event, DepartEvent)]
+        assert [(e.flow_id, e.size) for e in departs] == [a[:2] for a in admitted]
+        # Each departure's delay leads back to its own admission instant.
+        assert [e.time - e.delay for e in departs] == pytest.approx(
+            [a[2] for a in admitted], abs=1e-12
+        )
 
     @given(
         arrivals=arrivals_strategy,

@@ -206,3 +206,52 @@ class TestOnOffDraws:
                 now = now + (spacing + rng.exponential(mean_off))
         assert expected
         assert [p.created for p in sink.packets] == expected
+
+
+class TestDelaysThatCannotAdvanceTheClock:
+    """Sizes and rates must be positive and finite: an emission returns
+    its gap to the next one, and a zero gap returned for ever would spin
+    the clock at one instant."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rate": float("inf")},
+            {"rate": float("nan")},
+            {"rate": 1000.0, "packet_size": 0.0},
+            {"rate": 1000.0, "packet_size": -500.0},
+            {"rate": 1000.0, "packet_size": float("inf")},
+        ],
+    )
+    def test_cbr_refuses(self, kwargs):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            CBRSource(Simulator(), 0, sink=Recorder(), **kwargs)
+
+    def test_greedy_refuses_an_infinite_link(self):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            GreedySource(Simulator(), 0, link_rate=float("inf"), sink=Recorder())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"packet_size": 0.0},
+            {"packet_size": -500.0},
+            {"packet_size": float("nan")},
+            {"peak_rate": float("inf")},
+            {"peak_rate": float("inf"), "avg_rate": float("inf")},
+            {"avg_rate": float("nan")},
+        ],
+    )
+    def test_on_off_refuses(self, kwargs):
+        params = dict(peak_rate=1_000.0, avg_rate=500.0, mean_burst=1_000.0)
+        params.update(kwargs)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            OnOffSource(
+                Simulator(), 0, sink=Recorder(), rng=Generator(SeedSequence(0)),
+                **params,
+            )
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("inf"), float("nan")])
+    def test_trace_refuses(self, size):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            TraceSource(Simulator(), 0, [(0.0, 100.0), (1.0, size)], Recorder())
