@@ -30,8 +30,8 @@ Usage::
     python -m repro net reclaim         # live reprovisioning vs static
     python -m repro net reclaim --trace-out results/reclaim.jsonl
 
-    python -m repro check examples/specs examples/sweeps tests/data/equivalence_goldens.json
-    python -m repro check --list-invariants
+    python -m repro check src/repro tests benchmarks examples
+    python -m repro check --list-rules
 """
 
 from __future__ import annotations
@@ -751,8 +751,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "check":
-        # The invariant auditor owns its argument surface; delegate
-        # before parsing, the same way `repro-lint` has its own CLI.
+        # `repro check` owns its argument surface (it is also
+        # `python -m repro.check` and `repro-check`); delegate before parsing.
         from repro.check.cli import main as check_main
 
         return check_main(argv[1:])

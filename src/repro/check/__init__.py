@@ -1,57 +1,59 @@
-"""repro.check — whole-program static analysis and the invariant auditor.
+"""repro.check — static checks: the code rules and the invariant auditor.
 
-Two layers:
+One package, one CLI (``repro check`` / ``python -m repro.check`` /
+``repro-check``), one rule catalog (:func:`~repro.check.engine.catalog`)
+and one file walk (:func:`~repro.check.engine.check_paths`):
 
-* **Layer 1** (:mod:`repro.check.project`, :mod:`repro.check.program_rules`)
-  upgrades :mod:`repro.lint` to a whole-program pass: a project indexer
-  (module symbol tables + import graph over one shared parse per file)
-  powering the cross-module rules RPR107 (RNG lineage), RPR108
-  (trace-event registration) and RPR109 (hot-loop time accumulation).
-  These register themselves with the lint engine and run as part of any
-  ``repro-lint`` invocation.
+* **code rules** (:mod:`~repro.check.rules`,
+  :mod:`~repro.check.program_rules`, RPR0xx/1xx) over ``*.py`` files:
+  determinism, canonical units, eager errors, sim-time safety, hot-path
+  hygiene and the whole-program checks, with ``# repro: noqa RPR### —
+  reason`` for deliberate exceptions;
+* **the buffer-invariant auditor** (:mod:`~repro.check.invariants`,
+  :mod:`~repro.check.artifacts`, RPR2xx) over specs and artifacts:
+  threshold sums fit buffers, reserved rates fit links, routes connect,
+  churn regions are feasible, artifacts carry current schema tags.  It
+  is also the campaign runner's pre-flight.
 
-* **Layer 2** (:mod:`repro.check.invariants`, :mod:`repro.check.artifacts`,
-  :mod:`repro.check.cli`) is the buffer-invariant auditor: a semantic
-  checker over scenario/spec files and on-disk artifacts that verifies —
-  without running the engine — that threshold sums fit buffers, link
-  capacities cover reserved rates, routes are connected, churn admission
-  regions are feasible, and artifacts carry current ``*_SCHEMA`` tags.
-  Exposed as ``repro check`` / ``repro-check`` and as the campaign
-  runner's pre-flight.
-
-This ``__init__`` stays import-light on purpose: the lint engine imports
-:mod:`repro.check.program_rules` at startup, and the invariant layer's
-heavier imports (fabric, admission math) must not ride along.
+``docs/checking.md`` gives each rule's rationale with good/bad examples.
+Names resolve lazily, so importing :mod:`repro.check.invariants` (the
+pre-flight) or :mod:`repro.check.findings` loads none of the code-rule
+modules, and checking ``*.py`` files loads none of the auditor's.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "check_paths",
-    "check_scenario",
-    "check_scenario_dict",
-    "check_spec_file",
-    "check_artifact_file",
-    "INVARIANT_CATALOG",
-]
+import importlib
+
+#: public name -> the submodule defining it.
+_EXPORTS = {
+    "Finding": "findings",
+    "LintParseError": "findings",
+    "LintUsageError": "findings",
+    "INVARIANT_CATALOG": "registry",
+    "LintContext": "registry",
+    "ProjectRule": "registry",
+    "RULE_REGISTRY": "engine",  # engine import registers the rules
+    "Rule": "registry",
+    "register": "registry",
+    "catalog": "engine",
+    "check_paths": "engine",
+    "failing": "engine",
+    "lint_source": "engine",
+    "render_json": "reporters",
+    "render_text": "reporters",
+    "summarize": "reporters",
+    "check_scenario": "invariants",
+    "check_scenario_dict": "invariants",
+    "check_spec_file": "invariants",
+    "check_artifact_file": "artifacts",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in (
-        "check_scenario",
-        "check_scenario_dict",
-        "check_spec_file",
-        "INVARIANT_CATALOG",
-    ):
-        from repro.check import invariants
-
-        return getattr(invariants, name)
-    if name == "check_artifact_file":
-        from repro.check.artifacts import check_artifact_file
-
-        return check_artifact_file
-    if name == "check_paths":
-        from repro.check.cli import check_paths
-
-        return check_paths
-    raise AttributeError(f"module 'repro.check' has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.check' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.check.{module}"), name)

@@ -1,4 +1,4 @@
-"""``python -m repro.check`` — the invariant auditor CLI."""
+"""``python -m repro.check`` — the same CLI as ``python -m repro check``."""
 
 import sys
 

@@ -1,15 +1,24 @@
-"""Schema-version audits of on-disk artifacts (RPR205).
+"""The invariant auditor's file leg: specs and artifacts (RPR203/205/206).
+
+:func:`check_data_file` reads and parses each ``*.json``, ``*.jsonl`` or
+``*.claim`` file once and routes it: a scenario spec goes to
+:func:`repro.check.invariants.check_spec_data`, a schema-tagged artifact
+to the audits below.
 
 Every artifact family the repo commits or caches carries a ``schema``
 version tag written by its producer; readers reject mismatches at use
 time.  This module checks the committed files *ahead* of use, so a
 schema bump that forgets to regenerate goldens/caches fails CI at the
-lint gate rather than deep inside a campaign:
+``repro check`` gate rather than deep inside a campaign:
 
 * campaign cache records — the one
   :data:`repro.experiments.campaign.job.CAMPAIGN_SCHEMA` (a stale
   ``repro-campaign-v1`` entry is drift; the retired
-  ``repro-campaign-net`` family is unknown);
+  ``repro-campaign-net`` family is unknown); a current entry must decode
+  through :meth:`~repro.experiments.campaign.record.ScenarioRecord.from_dict`
+  and, under a ``<digest>.json`` name, carry that job digest — what
+  :meth:`~repro.experiments.campaign.cache.ResultCache.get` demands of a
+  hit;
 * equivalence goldens — the ``repro-equivalence-v1`` tag the golden test
   asserts;
 * JSONL trace files — the :data:`repro.obs.events.TRACE_SCHEMA` header,
@@ -37,18 +46,27 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
+from repro.check.findings import Finding
+from repro.check.invariants import check_spec_data
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
+from repro.experiments.campaign.record import ScenarioRecord
 from repro.experiments.sweep.aggregate import AGGREGATE_SCHEMA, SHARD_SCHEMA
 from repro.experiments.sweep.queue import CLAIM_SCHEMA
 from repro.experiments.sweep.spec import SWEEP_SPEC_SCHEMA, SweepSpec
-from repro.lint.findings import Finding
 from repro.obs.events import TRACE_SCHEMA
 from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA
 
-__all__ = ["GOLDENS_SCHEMA", "KNOWN_SCHEMAS", "check_artifact_file", "schema_family"]
+__all__ = [
+    "GOLDENS_SCHEMA",
+    "KNOWN_SCHEMAS",
+    "check_artifact_file",
+    "check_data_file",
+    "schema_family",
+]
 
 #: The tag tests/test_equivalence.py pins for the committed goldens.
 GOLDENS_SCHEMA = "repro-equivalence-v1"
@@ -65,6 +83,12 @@ KNOWN_SCHEMAS: dict[str, str] = {
     "repro-sweep-shard": SHARD_SCHEMA,
     "repro-claim": CLAIM_SCHEMA,
 }
+
+#: A cache entry's file stem: the 64-hex job digest it is stored under.
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+
+#: Top-level keys that make a JSON object a scenario spec (with ``name``).
+_SPEC_KEYS = ("scheme", "network")
 
 #: JSONL families whose every line carries (and must agree on) the tag;
 #: other JSONL artifacts only tag their header line.
@@ -163,12 +187,35 @@ def _check_sweep_aggregate(path: pathlib.Path, raw: dict) -> list[Finding]:
     return []
 
 
+def _check_cache_entry(path: pathlib.Path, raw: dict) -> list[Finding]:
+    """A cache entry must be a hit for :meth:`ResultCache.get`: a record
+    that decodes, stored under the name of its own job digest."""
+    try:
+        record = ScenarioRecord.from_dict(raw)
+    except (ConfigurationError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [Finding("RPR205", f"campaign record does not decode: {exc!r}", str(path), 1)]
+    stem = path.stem
+    if _DIGEST_RE.fullmatch(stem) and record.job_digest != stem:
+        return [
+            Finding(
+                "RPR205",
+                f"cache entry digest mismatch: file is named {stem[:16]}... "
+                f"but the record holds job {record.job_digest[:16]}...",
+                str(path),
+                1,
+            )
+        ]
+    return []
+
+
 def _check_json_artifact(path: pathlib.Path, raw: dict) -> list[Finding]:
     tag = raw.get("schema")
     findings = _check_tag(tag, str(path))
     if findings:
         return findings
-    if tag == SWEEP_SPEC_SCHEMA:
+    if tag == CAMPAIGN_SCHEMA:
+        findings.extend(_check_cache_entry(path, raw))
+    elif tag == SWEEP_SPEC_SCHEMA:
         findings.extend(_check_sweep_spec(path, raw))
     elif tag == AGGREGATE_SCHEMA:
         findings.extend(_check_sweep_aggregate(path, raw))
@@ -375,3 +422,42 @@ def check_artifact_file(path: str | pathlib.Path) -> list[Finding]:
             )
         ]
     return _check_json_artifact(file_path, raw)
+
+
+def _is_spec(raw) -> bool:
+    """A spec object, or a non-empty list of them."""
+    entries = raw if isinstance(raw, list) else [raw]
+    return bool(entries) and all(
+        isinstance(entry, dict)
+        and "name" in entry
+        and any(key in entry for key in _SPEC_KEYS)
+        for entry in entries
+    )
+
+
+def check_data_file(path: pathlib.Path, explicit: bool) -> list[Finding]:
+    """Audit one spec or artifact file, read and parsed once.
+
+    ``*.jsonl`` and ``*.claim`` files are artifacts; a JSON object with a
+    ``schema`` tag is an artifact, a spec object (a ``name`` plus a
+    ``scheme`` or ``network`` key) or a list of them is a scenario spec.
+    Anything else is an RPR203 finding when ``explicit`` (the file was
+    named on the command line) and skipped otherwise.
+    """
+    if path.suffix in (".jsonl", ".claim"):
+        return check_artifact_file(path)
+    name = str(path)
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        return [Finding("RPR203", f"cannot read spec file: {exc}", name, 1)]
+    except ValueError as exc:  # not JSON, or not UTF-8
+        return [Finding("RPR203", f"not valid JSON: {exc}", name, 1)]
+    if isinstance(raw, dict) and "schema" in raw:
+        return _check_json_artifact(path, raw)
+    if _is_spec(raw):
+        return check_spec_data(raw, name)
+    if not explicit:
+        return []
+    message = "unrecognized file: neither a scenario/spec object nor a schema-tagged artifact"
+    return [Finding("RPR203", message, name, 1)]

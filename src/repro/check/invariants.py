@@ -11,7 +11,7 @@ run time (burst inflation via
 :meth:`~repro.experiments.fabric.NetworkScenario.hop_sigmas`, region
 selection via the scheme family, eqs. 5-9 of the paper).
 
-Invariant findings reuse :class:`repro.lint.findings.Finding` with
+Invariant findings reuse :class:`repro.check.findings.Finding` with
 ``RPR2##`` codes and a severity:
 
 * scenarios **with churn** must satisfy the full admission region — the
@@ -33,51 +33,16 @@ from repro.analysis.admission import AdmissionControl, Rejection
 from repro.errors import ConfigurationError
 from repro.experiments.fabric.build import _CHURN_SCHEMES, _admission_for
 from repro.experiments.fabric.scenario import ChurnSpec, NetworkScenario
-from repro.lint.findings import Finding
+from repro.check.findings import Finding
 from repro.net.topology import per_hop_sigma
 
 __all__ = [
-    "INVARIANT_CATALOG",
     "check_scenario",
     "check_scenario_dict",
+    "check_spec_data",
     "check_spec_entry",
     "check_spec_file",
 ]
-
-#: code -> (name, one-line description), the ``--list-invariants`` catalog.
-INVARIANT_CATALOG: dict[str, tuple[str, str]] = {
-    "RPR201": (
-        "buffer-region",
-        "per-flow threshold/burst sums must fit the node buffer "
-        "(buffer-limited admission, eqs. 6/8-9)",
-    ),
-    "RPR202": (
-        "link-capacity",
-        "reserved token rates must not exceed the link rate "
-        "(bandwidth-limited admission, eqs. 5/7)",
-    ),
-    "RPR203": (
-        "scenario-structure",
-        "scenario/spec files must construct: known nodes and links, "
-        "connected routes, positive rates, well-formed workloads",
-    ),
-    "RPR204": (
-        "churn-feasibility",
-        "churn hops must run FIFO-family schemes and leave a residual "
-        "region where at least one template/route pair is admissible",
-    ),
-    "RPR205": (
-        "artifact-schema",
-        "cache/baseline/golden/trace artifacts must carry the current "
-        "*_SCHEMA version tags",
-    ),
-    "RPR206": (
-        "pool-consistency",
-        "traced buffer pools must conserve capacity at every transition: "
-        "reserved + headroom + holes == B, all components non-negative",
-    ),
-}
-
 
 def check_scenario(
     scenario: NetworkScenario, path: str = "<scenario>", name: str = ""
@@ -226,7 +191,7 @@ def check_scenario_dict(raw, path: str = "<scenario>", name: str = "") -> list[F
 def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:
     """Audit one spec-file entry (either input form)."""
     # Imported here: the spec module pulls in the campaign runner, which
-    # the lint/check import path must not load eagerly.
+    # the check import path must not load eagerly.
     from repro.experiments.spec import ScenarioSpec
 
     if not isinstance(raw, dict):
@@ -251,6 +216,17 @@ def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:
     return check_scenario(scenario, path, label)
 
 
+def check_spec_data(raw, path: str) -> list[Finding]:
+    """Audit parsed spec-file contents (one spec object or a list of them)."""
+    entries = raw if isinstance(raw, list) else [raw]
+    if not entries:
+        return [Finding("RPR203", "spec file contains no entries", path, 1)]
+    findings: list[Finding] = []
+    for index, entry in enumerate(entries):
+        findings.extend(check_spec_entry(entry, path, index))
+    return findings
+
+
 def check_spec_file(path: str | pathlib.Path) -> list[Finding]:
     """Audit a JSON spec file (one spec object or a list of them)."""
     file_path = str(path)
@@ -258,12 +234,6 @@ def check_spec_file(path: str | pathlib.Path) -> list[Finding]:
         raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         return [Finding("RPR203", f"cannot read spec file: {exc}", file_path, 1)]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         return [Finding("RPR203", f"not valid JSON: {exc}", file_path, 1)]
-    entries = raw if isinstance(raw, list) else [raw]
-    if not entries:
-        return [Finding("RPR203", "spec file contains no entries", file_path, 1)]
-    findings: list[Finding] = []
-    for index, entry in enumerate(entries):
-        findings.extend(check_spec_entry(entry, file_path, index))
-    return findings
+    return check_spec_data(raw, file_path)

@@ -1,7 +1,7 @@
-"""Cross-module lint rules powered by the project indexer.
+"""Cross-module code rules powered by the project indexer.
 
-These register with the :mod:`repro.lint` engine like any other rule but
-run over the whole program at once (:class:`~repro.lint.registry.ProjectRule`):
+These register with the :mod:`repro.check.engine` like any other rule but
+run over the whole program at once (:class:`~repro.check.registry.ProjectRule`):
 
 * **RPR107** — RNG lineage: every ``Generator``/``SeedSequence`` (the
   library's :mod:`repro.sim.rng` or numpy's) must descend from a seeded
@@ -18,7 +18,7 @@ run over the whole program at once (:class:`~repro.lint.registry.ProjectRule`):
   value and a multiplication instead.
 
 RPR107/108 need cross-module name resolution, so they only see what the
-current pass parsed: linting a subtree without ``repro.obs`` simply skips
+current pass parsed: checking a subtree without ``repro.obs`` simply skips
 the registration check rather than guessing.
 """
 
@@ -28,9 +28,9 @@ import ast
 from typing import Iterator
 
 from repro.check.project import ModuleInfo, ProjectContext
-from repro.lint.findings import Finding
-from repro.lint.registry import LintContext, ProjectRule, Rule, register
-from repro.lint.rules import SimTimeRule, _dotted_name
+from repro.check.findings import Finding
+from repro.check.registry import LintContext, ProjectRule, Rule, register
+from repro.check.rules import SimTimeRule, _dotted_name
 
 __all__ = ["RngLineageRule", "TraceEventRegistryRule", "TimeAccumulationRule"]
 

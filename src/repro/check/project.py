@@ -1,7 +1,7 @@
 """Project indexer: module symbol tables and the import graph.
 
-Turns the per-file :class:`~repro.lint.registry.LintContext` objects the
-lint engine already holds (one parse per file, shared node index) into a
+Turns the per-file :class:`~repro.check.registry.LintContext` objects the
+engine already holds (one parse per file, shared node index) into a
 whole-program view: each file becomes a :class:`ModuleInfo` carrying its
 dotted module name, top-level symbols, and import bindings; the
 :class:`ProjectContext` resolves names *across* modules — through

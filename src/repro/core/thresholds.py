@@ -13,7 +13,7 @@ thresholds up proportionally so the buffer is fully partitioned.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -100,9 +100,3 @@ def hybrid_flow_threshold(
         raise ConfigurationError(f"queue buffer must be positive, got {queue_buffer}")
     return sigma + (rho / queue_rate_sum) * queue_buffer
 
-
-def normalized_shares(rhos: Sequence[float], link_rate: float) -> list[float]:
-    """Buffer shares ``rho_i / R`` used by the peak-rate rule (Prop. 1)."""
-    if link_rate <= 0:
-        raise ConfigurationError(f"link rate must be positive, got {link_rate}")
-    return [rho / link_rate for rho in rhos]

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import pathlib
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.experiments.workloads import table1_flows
 from repro.units import mbytes
 
 FLOWS = table1_flows()
+SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
 FAST = dict(sim_time=0.5, warmup=0.1)
 
 
@@ -212,6 +217,44 @@ class TestPreflight:
         for scenario in (port, squeezed):
             assert scenario.churn is None
             assert all(f.severity == "warning" for f in check_scenario(scenario))
+
+
+    def test_preflight_loads_no_code_rule_module(self):
+        # The pre-flight needs the auditor only: the code-rule engine,
+        # its rules and the reporters stay unloaded, and the audit adds
+        # at most the check package, its findings and the invariants.
+        code = textwrap.dedent(
+            """
+            import sys
+            import repro.experiments.campaign.runner as runner
+            import repro.experiments.fabric
+            import repro.experiments.sweep
+            from repro.experiments.campaign import ScenarioJob
+            from repro.experiments.fabric.demo import demo_tandem
+
+            job = ScenarioJob(demo_tandem(hops=2, churn=True))
+            before = set(sys.modules)
+            runner.preflight_jobs({job.digest(): job}, "rejected")
+            added = {m for m in set(sys.modules) - before if m.startswith("repro.")}
+            assert added <= {
+                "repro.check", "repro.check.findings", "repro.check.invariants"
+            }, sorted(added)
+            linter = [
+                f"repro.check.{name}"
+                for name in ("engine", "rules", "suppressions", "registry",
+                             "reporters", "program_rules", "project")
+                if f"repro.check.{name}" in sys.modules
+            ]
+            assert linter == [], linter
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC_ROOT), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestMonitoredJobs:

@@ -3,12 +3,19 @@
 import json
 import pathlib
 
+import pytest
+
 from repro.check.artifacts import (
     GOLDENS_SCHEMA,
     KNOWN_SCHEMAS,
     check_artifact_file,
     schema_family,
 )
+from repro.check.engine import check_paths
+from repro.experiments.campaign import ResultCache, ScenarioJob, execute_job
+from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
+from repro.experiments.schemes import Scheme
+from repro.experiments.workloads import table1_flows
 from repro.experiments.sweep import (
     AGGREGATE_SCHEMA,
     CLAIM_SCHEMA,
@@ -20,6 +27,7 @@ from repro.experiments.sweep import (
 from repro.obs.events import TRACE_SCHEMA
 from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA, Timeline
+from repro.units import mbytes
 
 GOLDENS = pathlib.Path("tests/data/equivalence_goldens.json")
 
@@ -91,6 +99,46 @@ class TestJsonArtifacts:
 
     def test_goldens_tag_matches_equivalence_test_pin(self):
         assert json.loads(GOLDENS.read_text(encoding="utf-8"))["schema"] == GOLDENS_SCHEMA
+
+
+class TestCacheEntries:
+    """``repro check <cache>`` accepts exactly what ``ResultCache.get`` hits."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        job = ScenarioJob.for_scenario(
+            table1_flows(), Scheme.FIFO_THRESHOLD, mbytes(1), sim_time=0.5, warmup=0.1, seed=3
+        )
+        return execute_job(job)
+
+    def test_stored_record_is_clean(self, tmp_path, record):
+        cache = ResultCache(tmp_path)
+        cache.put(record)
+        assert cache.get(record.job_digest) == record
+        assert check_paths([str(tmp_path)]) == []
+
+    def test_schema_only_entry_is_flagged(self, tmp_path, record):
+        cache = ResultCache(tmp_path)
+        cache.path(record.job_digest).write_text(
+            json.dumps({"schema": CAMPAIGN_SCHEMA}), encoding="utf-8"
+        )
+        assert cache.get(record.job_digest) is None
+        findings = check_paths([str(tmp_path)])
+        assert codes(findings) == ["RPR205"]
+        assert "does not decode" in findings[0].message
+
+    def test_record_under_another_digest_is_flagged(self, tmp_path, record):
+        cache = ResultCache(tmp_path)
+        cache.put(record)
+        other = "0" * 64
+        cache.path(other).write_text(
+            cache.path(record.job_digest).read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        assert cache.get(other) is None
+        findings = check_paths([str(tmp_path)])
+        assert codes(findings) == ["RPR205"]
+        assert findings[0].path == str(cache.path(other))
+        assert "digest mismatch" in findings[0].message
 
 
 class TestJsonlArtifacts:

@@ -8,7 +8,8 @@ their findings carry ``error`` severity.
 
 import dataclasses
 
-from repro.check.invariants import INVARIANT_CATALOG, check_scenario, check_spec_file
+from repro.check.invariants import check_scenario, check_spec_file
+from repro.check.registry import INVARIANT_CATALOG
 from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.fabric.scenario import (
     ChurnSpec,

@@ -14,11 +14,10 @@ import json
 import pathlib
 import textwrap
 
-from repro.check.cli import check_paths, failing
+from repro.check.engine import check_paths, failing
 from repro.check.invariants import check_scenario, check_scenario_dict
 from repro.obs.events import TRACE_SCHEMA
 from repro.experiments.fabric.demo import demo_tandem
-from repro.lint import lint_paths
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -107,7 +106,7 @@ def lint_codes(tmp_path, relpath, source):
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return seeded_codes(lint_paths([str(tmp_path / "src")]))
+    return seeded_codes(check_paths([str(tmp_path / "src")]))
 
 
 class TestProgramRuleMutations:

@@ -1,6 +1,6 @@
 """Whole-program lint: the project indexer and RPR107/108/109.
 
-The cross-module rules run through ``lint_paths`` over miniature
+The cross-module rules run through ``check_paths`` over miniature
 multi-file projects materialised under ``tmp_path`` with a ``src/repro``
 layout, so name resolution crosses real module boundaries the same way
 it does over the repo.
@@ -10,8 +10,8 @@ import ast
 import textwrap
 
 from repro.check.project import build_project, module_name_for
-from repro.lint import lint_paths, lint_source
-from repro.lint.registry import LintContext
+from repro.check.engine import check_paths, lint_source
+from repro.check.registry import LintContext
 
 SIM_PATH = "src/repro/sim/snippet.py"
 LIB_PATH = "src/repro/analysis/snippet.py"
@@ -28,7 +28,7 @@ def write_project(tmp_path, files):
 
 def project_rule_ids(tmp_path, files, select):
     root = write_project(tmp_path, files)
-    return [finding.rule_id for finding in lint_paths([root], select=select)]
+    return [finding.rule_id for finding in check_paths([root], select=select)]
 
 
 class TestProjectIndexer:

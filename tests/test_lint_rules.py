@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source
+from repro.check.engine import lint_source
 
 LIB_PATH = "src/repro/analysis/snippet.py"
 SIM_PATH = "src/repro/sim/snippet.py"
@@ -336,13 +336,13 @@ class TestScoping:
         assert rule_ids(bad_everywhere, path="benchmarks/bench_snippet.py") == []
 
     def test_unknown_rule_id_rejected(self):
-        from repro.lint import LintUsageError
+        from repro.check.findings import LintUsageError
 
         with pytest.raises(LintUsageError):
             lint_source("x = 1\n", LIB_PATH, select=["RPR999"])
 
     def test_syntax_error_raises_parse_error(self):
-        from repro.lint import LintParseError
+        from repro.check.findings import LintParseError
 
         with pytest.raises(LintParseError):
             lint_source("def broken(:\n", LIB_PATH)

@@ -2,7 +2,8 @@
 
 import textwrap
 
-from repro.lint import lint_source, render_json, render_text, unsuppressed
+from repro.check.engine import failing, lint_source
+from repro.check.reporters import render_json, render_text
 
 LIB_PATH = "src/repro/analysis/snippet.py"
 
@@ -22,7 +23,7 @@ class TestSuppression:
                 assert x >= 0  {NOQA} RPR103 — hypothesis shrinking helper
             """
         )
-        assert unsuppressed(findings) == []
+        assert failing(findings) == []
         assert len(findings) == 1
         assert findings[0].suppressed
         assert findings[0].suppress_reason == "hypothesis shrinking helper"
@@ -37,7 +38,7 @@ class TestSuppression:
         )
         assert len(findings) == 1
         assert findings[0].suppressed
-        assert unsuppressed(findings) == []
+        assert failing(findings) == []
 
     def test_suppression_is_rule_specific(self):
         findings = lint(
@@ -49,7 +50,7 @@ class TestSuppression:
         ids = {(finding.rule_id, finding.suppressed) for finding in findings}
         assert ("RPR103", True) in ids
         assert ("RPR102", False) in ids  # units finding not covered
-        assert len(unsuppressed(findings)) == 1
+        assert len(failing(findings)) == 1
 
     def test_multiple_rule_ids_in_one_comment(self):
         findings = lint(
@@ -58,7 +59,7 @@ class TestSuppression:
                 assert x * 1000 >= 0  {NOQA} RPR102, RPR103 — both deliberate
             """
         )
-        assert unsuppressed(findings) == []
+        assert failing(findings) == []
         assert {finding.rule_id for finding in findings} == {"RPR102", "RPR103"}
 
     def test_reason_defaults_to_empty(self):
@@ -88,7 +89,7 @@ class TestMalformedNoqa:
 
     def test_rpr001_counts_toward_exit_code(self):
         findings = lint(f"x = 1  {NOQA}\n")
-        assert unsuppressed(findings) != []
+        assert failing(findings) != []
 
     def test_noqa_inside_string_literal_ignored(self):
         findings = lint(f'MESSAGE = "{NOQA} RPR10"\n')
@@ -135,7 +136,7 @@ class TestStalePragmaRPR002:
 
     def test_stale_pragma_counts_toward_exit_code(self):
         findings = lint(f"x = 1  {NOQA} RPR103 — obsolete\n")
-        assert unsuppressed(findings) != []
+        assert failing(findings) != []
 
     def test_restricted_select_skips_staleness(self):
         findings = lint_source(

@@ -5,7 +5,7 @@ the reprs from rotting (they interpolate attributes that refactors move)
 and keeps coverage pragmas honest.
 """
 
-from repro.lint.findings import Finding
+from repro.check.findings import Finding
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 
