@@ -3,7 +3,10 @@
 Every benchmark regenerates one table or figure of the paper, prints it as
 an ASCII table, and archives it under ``results/``.  Benchmarks run in
 fast mode by default (see ``repro.experiments.config``); set
-``REPRO_FULL=1`` for the paper-faithful sweeps.
+``REPRO_FULL=1`` for the paper-faithful sweeps.  The figures run through
+``default_runner()``, so ``REPRO_WORKERS``, ``REPRO_CACHE`` and
+``REPRO_TELEMETRY`` apply as on the command line (docs/campaigns.md,
+"Run options").
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ Usage::
     python -m repro figure4 --full      # paper-faithful sizing
     python -m repro all --out results/  # everything, archived to files
     python -m repro all --workers 4 --cache-dir results/cache
+    python -m repro run --spec spec.json
 
     python -m repro campaign run --spec spec.json --workers 4
     python -m repro campaign status     # cache, entries, queue state
@@ -19,7 +20,7 @@ Usage::
 
     python -m repro obs trace --spec spec.json --trace-out trace.jsonl
     python -m repro obs trace --input trace.jsonl --flow 3 --type drop
-    python -m repro obs trace --input net.jsonl --node n0->n1 --kind drop
+    python -m repro obs trace --input net.jsonl --node n0->n1 --type drop
     python -m repro obs report          # summarize results/telemetry
     python -m repro obs timeline        # sim-time series over a demo run
     python -m repro obs monitor         # live analytic-bound conformance
@@ -32,6 +33,11 @@ Usage::
 
     python -m repro check src/repro tests benchmarks examples
     python -m repro check --list-rules
+
+Each verb accepts only the options it reads (``python -m repro <verb>
+--help``).  ``--workers``, ``--cache-dir`` and ``--telemetry-dir`` resolve
+in :func:`~repro.experiments.campaign.default_runner`: the flag, else its
+``REPRO_*`` variable, else the verb's default (docs/campaigns.md).
 """
 
 from __future__ import annotations
@@ -41,241 +47,163 @@ import os
 import pathlib
 import sys
 
-from repro.experiments.campaign import CampaignRunner, ResultCache
-from repro.experiments.campaign.cache import DEFAULT_CACHE_DIR
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import default_runner
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
-from repro.experiments.figures import ALL_FIGURES, FIGURES
+from repro.experiments.config import positive
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.report import format_figure
+from repro.experiments.sweep import DEFAULT_HEARTBEAT_TIMEOUT
+from repro.obs.timeline import DEFAULT_INTERVAL
+
+
+def _positive(convert: type):
+    """An argparse type over :func:`positive`: a refused value is a usage error."""
+
+    def parse(text: str):
+        try:
+            return positive(text, convert)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    path, count, seconds = pathlib.Path, _positive(int), _positive(float)
+
+    def options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    def directory(name: str, default: bool | None, parser=None) -> argparse.ArgumentParser:
+        # ``True`` is the campaign verbs' default: results/<name> unless
+        # the variable names another directory (see default_runner).
+        parser = parser or options()
+        fallback = f"results/{name}" if default else "none"
+        text = f"{name} directory (default: REPRO_{name.upper()}, else {fallback})"
+        parser.add_argument(f"--{name}-dir", type=path, default=default, help=text)
+        return parser
+
+    def runner(default: bool | None) -> argparse.ArgumentParser:
+        parser = directory("telemetry", default, directory("cache", default))
+        parser.add_argument("--workers", type=count, help="processes (REPRO_WORKERS, else 1)")
+        return parser
+
+    figure = options(runner(None))
+    figure.add_argument("--full", action="store_true", help="paper-faithful sizing (REPRO_FULL)")
+    figure.add_argument("--out", type=path, help="directory to archive the figures into")
+    spec, sweep_spec, tandem, trace, undersized = (options() for _ in range(5))
+    spec.add_argument("--spec", type=path, required=True, help="JSON scenario spec")
+    sweep_spec.add_argument("--spec", type=path, required=True, help="JSON sweep spec")
+    tandem.add_argument("--hops", type=count, default=3, help="tandem length (default: 3)")
+    tandem.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
+    demo = options(tandem)
+    demo.add_argument("--no-churn", action="store_true", help="no flow churn, no reclamation")
+    sampling = options(demo)
+    sampling.add_argument(
+        "--interval", type=seconds, default=DEFAULT_INTERVAL,
+        help="sampling cadence in simulated seconds (default: %(default)s)",
+    )
+    sampling.add_argument("--timeline-out", type=path, help="write the timeline as JSONL")
+    sampling.add_argument("--json", action="store_true", dest="as_json", help="print JSON")
+    undersized.add_argument("--undersized", action="store_true", help="the undersized tandem")
+    queue = directory("cache", True)
+    queue.add_argument(
+        "--heartbeat-timeout", type=seconds, default=DEFAULT_HEARTBEAT_TIMEOUT,
+        help="seconds after which a silent claim is orphaned (default: %(default)s)",
+    )
+    worker = directory("telemetry", True)
+    worker.add_argument("--owner", help="unique worker id (default: <host>-<pid>)")
+    worker.add_argument("--wait", action="store_true", help="poll until every cell is done")
+    aggregate = directory("cache", True)
+    aggregate.add_argument("--out", type=path, help="default: <cache>/aggregates/<digest>.json")
+    source = trace.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=path, help="JSONL trace to read")
+    source.add_argument("--spec", type=path, help="trace this spec's first job")
+    trace.add_argument(
+        "--trace-out", type=path, default=path("results", "trace.jsonl"),
+        help="where --spec writes the trace (default: %(default)s)",
+    )
+    trace.add_argument("--flow", type=int, action="append", help="only this flow id")
+    trace.add_argument("--type", action="append", dest="event_type", help="only this kind")
+    trace.add_argument("--node", action="append", help="only this node ('': one port)")
+    trace.add_argument("--since", type=float, help="drop events before this sim time")
+    trace.add_argument("--until", type=float, help="drop events after this sim time")
+    reclaim = options(runner(None), tandem)
+    reclaim.add_argument("--trace-out", type=path, help="also trace one run, for RPR206")
+
+    verbs = {
+        **{name: (run_figures, figure) for name in [*FIGURES, "all"]},
+        "list": (run_list,),
+        "run": (run_spec_file, runner(None), spec),
+        "campaign run": (run_spec_file, runner(True), spec),
+        "campaign status": (run_campaign_status, queue),
+        "campaign clear-cache": (run_campaign_clear, directory("cache", True)),
+        "campaign sweep run": (run_sweep, sweep_spec, queue, worker),
+        "campaign sweep status": (run_sweep_status, sweep_spec, queue),
+        "campaign sweep aggregate": (run_sweep_aggregate, sweep_spec, aggregate),
+        "obs trace": (run_obs_trace, trace),
+        "obs report": (run_obs_report, directory("telemetry", True)),
+        "obs timeline": (run_obs_timeline, sampling),
+        "obs monitor": (run_obs_monitor, sampling, undersized),
+        "net demo": (run_net_demo, demo),
+        "net reclaim": (run_net_reclaim, reclaim),
+    }
+    about = {
+        "all": "Every figure, in order.",
+        "campaign": "Pre-flighted spec runs and the result cache.",
+        "campaign sweep": "Claim-based sweep workers over a shared cache.",
+        "obs": "Traces, telemetry, timelines and the live monitor.",
+        "net": "Multi-hop fabric demos.",
+    }
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description=(
-            "Reproduce figures from 'Scalable QoS Provision Through "
-            "Buffer Management' (SIGCOMM 1998)."
-        ),
+        description="Reproduce figures from 'Scalable QoS Provision Through "
+        "Buffer Management' (SIGCOMM 1998).",
     )
-    parser.add_argument(
-        "target",
-        help=(
-            "figure to run (figure1..figure13), 'all', 'list', 'run' "
-            "with --spec for declarative scenarios, 'campaign' with an "
-            "action (run/status/clear-cache), 'obs' with an action "
-            "(trace/report/timeline/monitor), or 'net' with an action "
-            "(demo/reclaim)"
-        ),
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default=None,
-        help="campaign action (run, status, clear-cache, sweep), obs action "
-        "(trace, report, timeline, monitor), or net action (demo, reclaim)",
-    )
-    parser.add_argument(
-        "subaction",
-        nargs="?",
-        default=None,
-        help="sweep verb for 'campaign sweep' (run, status, aggregate)",
-    )
-    parser.add_argument(
-        "--spec",
-        type=pathlib.Path,
-        default=None,
-        help="JSON scenario spec file (used with 'run' and 'campaign run') "
-        "or sweep spec file ('campaign sweep ...')",
-    )
-    parser.add_argument(
-        "--owner",
-        default=None,
-        help="worker id for 'campaign sweep run' claims and shards "
-        "(default: <hostname>-<pid>; must be unique per worker)",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        help="seconds after which a silent claim counts as orphaned and "
-        "is reaped ('campaign sweep run/status', 'campaign status'; "
-        "default 60)",
-    )
-    parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="'campaign sweep run': keep polling until every cell is "
-        "complete instead of exiting when only peer-claimed cells remain",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-faithful sweep sizing (slow); default is fast mode",
-    )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="directory to archive rendered figures into; for 'campaign "
-        "sweep aggregate', the aggregate file path (default: "
-        "<cache>/aggregates/<sweep-digest>.json)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for campaign execution (default: serial, "
-        "or the REPRO_WORKERS environment variable)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=pathlib.Path,
-        default=None,
-        help="content-addressed result cache directory (default: no cache "
-        "for figures, results/cache for campaign actions; REPRO_CACHE "
-        "also enables it)",
-    )
-    parser.add_argument(
-        "--telemetry-dir",
-        type=pathlib.Path,
-        default=None,
-        help="run-telemetry directory (default: results/telemetry for "
-        "'campaign run' and 'obs report'; REPRO_TELEMETRY also enables it)",
-    )
-    parser.add_argument(
-        "--input",
-        type=pathlib.Path,
-        default=None,
-        help="existing JSONL trace to read ('obs trace')",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=pathlib.Path,
-        default=None,
-        help="where 'obs trace --spec' writes the JSONL event stream "
-        "(default: results/trace.jsonl); for 'net reclaim', write one "
-        "traced reclamation run here for offline RPR206 auditing",
-    )
-    parser.add_argument(
-        "--flow",
-        type=int,
-        action="append",
-        default=None,
-        help="restrict 'obs trace' output to this flow id (repeatable)",
-    )
-    parser.add_argument(
-        "--type",
-        action="append",
-        default=None,
-        dest="event_type",
-        help="restrict 'obs trace' output to this event kind, e.g. "
-        "enqueue, drop, depart (repeatable)",
-    )
-    parser.add_argument(
-        "--kind",
-        action="append",
-        default=None,
-        dest="event_type",
-        help="alias for --type (merged with it when both are given)",
-    )
-    parser.add_argument(
-        "--node",
-        action="append",
-        default=None,
-        help="restrict 'obs trace' output to events from this node label, "
-        "e.g. n0->n1 (repeatable; '' selects single-port events)",
-    )
-    parser.add_argument(
-        "--hops",
-        type=int,
-        default=3,
-        help="tandem length for 'net demo' / 'net reclaim' / "
-        "'obs timeline' / 'obs monitor' (default 3)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="root seed for 'net demo' and the obs demo runs; first of "
-        "three seeds for 'net reclaim' (default 0)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="sampling/sweep cadence in simulated seconds for "
-        "'obs timeline' / 'obs monitor' (default 0.05)",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        type=pathlib.Path,
-        default=None,
-        help="write the sampled timeline as JSONL (repro-timeline-v1) "
-        "for 'obs timeline' / 'obs monitor'",
-    )
-    parser.add_argument(
-        "--undersized",
-        action="store_true",
-        help="run the deliberately undersized tandem in 'obs monitor' "
-        "(provokes conformant-drop violations)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="machine-readable JSON output for 'obs timeline' / "
-        "'obs monitor'",
-    )
-    parser.add_argument(
-        "--no-churn",
-        action="store_true",
-        help="disable the dynamic-flow population in 'net demo'",
-    )
-    parser.add_argument(
-        "--since",
-        type=float,
-        default=None,
-        help="drop trace events before this simulation time",
-    )
-    parser.add_argument(
-        "--until",
-        type=float,
-        default=None,
-        help="drop trace events after this simulation time",
-    )
+    groups = {"": parser.add_subparsers(dest="target", metavar="verb", required=True)}
+    for words, (handler, *parents) in verbs.items():
+        prefix, _, name = words.rpartition(" ")
+        if prefix not in groups:
+            outer, _, group = prefix.rpartition(" ")
+            groups[prefix] = groups[outer].add_parser(
+                group, help=about[prefix]
+            ).add_subparsers(dest=f"{group}_verb", metavar="verb", required=True)
+        caption = FIGURES[name].caption if name in FIGURES else about.get(words)
+        verb = groups[prefix].add_parser(
+            name, parents=parents, help=caption or handler.__doc__
+        )
+        verb.set_defaults(handler=handler)
     return parser
 
 
-def _build_runner(args: argparse.Namespace) -> CampaignRunner | None:
-    """The runner requested by CLI flags, or None for env defaults."""
-    if args.workers is None and args.cache_dir is None:
-        return None
-    cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
-    return CampaignRunner(workers=args.workers or 1, cache=cache)
+def _print_campaign_stats(runner) -> None:
+    stats = runner.last_stats
+    print(
+        f"[campaign: {stats.submitted} jobs, {stats.unique} unique, "
+        f"{stats.cache_hits} cached, {stats.executed} executed]"
+    )
 
 
-def run_target(
-    name: str,
-    fast: bool,
-    out: pathlib.Path | None,
-    runner: CampaignRunner | None = None,
-) -> None:
-    figure = ALL_FIGURES[name](fast=fast, runner=runner)
-    text = format_figure(figure)
-    print(text)
-    _print_campaign_stats(runner)
-    print()
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.txt").write_text(text + "\n")
+def run_figures(args: argparse.Namespace) -> int:
+    """Run one figure, or every figure for ``all``, and print its table."""
+    runner = default_runner(args.workers, args.cache_dir, args.telemetry_dir)
+    for name in FIGURES if args.target == "all" else [args.target]:
+        text = format_figure(run_figure(name, False if args.full else None, runner))
+        print(text)
+        _print_campaign_stats(runner)
+        print()
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / f"{name}.txt").write_text(text + "\n")
+    return 0
 
 
-def _print_campaign_stats(runner: CampaignRunner | None) -> None:
-    if runner is not None and runner.last_stats is not None:
-        stats = runner.last_stats
-        print(
-            f"[campaign: {stats.submitted} jobs, {stats.unique} unique, "
-            f"{stats.cache_hits} cached, {stats.executed} executed]"
-        )
+def run_list(args: argparse.Namespace) -> int:
+    """What can be reproduced."""
+    for name, figure in FIGURES.items():
+        print(f"{name:10s} {figure.caption}")
+    return 0
 
 
 def _describe(scenario) -> str:
@@ -293,100 +221,112 @@ def _describe(scenario) -> str:
     )
 
 
-def run_spec_file(path: pathlib.Path, runner: CampaignRunner | None = None) -> None:
+def run_spec_file(args: argparse.Namespace) -> int:
+    """Run a declarative scenario spec; 'campaign run' pre-flights it first."""
     from repro.experiments.report import format_table
     from repro.experiments.spec import load_specs, run_spec
 
-    for spec in load_specs(path):
+    preflight = args.target == "campaign"
+    runner = default_runner(
+        args.workers, args.cache_dir, args.telemetry_dir, preflight=preflight
+    )
+    for spec in load_specs(args.spec):
         results = run_spec(spec, runner=runner)
         rows = [[label, str(value)] for label, value in results.items()]
         print(f"{spec.name} [{_describe(spec.scenario)}]")
         print(format_table(["metric", "mean ± 95% CI"], rows))
         _print_campaign_stats(runner)
         print()
+    return 0
 
 
-def _campaign_cache(args: argparse.Namespace) -> ResultCache:
-    return ResultCache(args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR)
+def run_campaign_status(args: argparse.Namespace) -> int:
+    """Cache entries, lifetime hit/miss/store counts and claims."""
+    from repro import units
+    from repro.experiments.sweep import scan_queue
+
+    cache = default_runner(cache_dir=args.cache_dir).cache
+    entries = cache.entries()
+    stats = cache.persisted_stats()
+    queue = scan_queue(cache.root, args.heartbeat_timeout)
+    print(f"cache directory : {cache.root}")
+    print(f"schema tag      : {CAMPAIGN_SCHEMA}")
+    print(f"entries         : {len(entries)}")
+    print(f"size            : {units.to_mbytes(cache.size_bytes()):.3f} MB")
+    print(f"cached bytes    : {cache.size_bytes()}")
+    print(f"claimed         : {queue.claimed}")
+    print(f"orphaned claims : {queue.orphaned}")
+    print(f"lifetime hits   : {stats['hits']}")
+    print(f"lifetime misses : {stats['misses']}")
+    print(f"lifetime stores : {stats['stores']}")
+    return 0
 
 
-def _telemetry_dir(args: argparse.Namespace) -> pathlib.Path:
-    from repro.obs.telemetry import DEFAULT_TELEMETRY_DIR
-
-    return args.telemetry_dir if args.telemetry_dir is not None else DEFAULT_TELEMETRY_DIR
-
-
-def _heartbeat_timeout(args: argparse.Namespace) -> float:
-    from repro.experiments.sweep import DEFAULT_HEARTBEAT_TIMEOUT
-
-    if args.heartbeat_timeout is None:
-        return DEFAULT_HEARTBEAT_TIMEOUT
-    return args.heartbeat_timeout
+def run_campaign_clear(args: argparse.Namespace) -> int:
+    """Delete every cached result."""
+    cache = default_runner(cache_dir=args.cache_dir).cache
+    removed = cache.clear()
+    print(f"removed {removed} cached result(s) from {cache.root}")
+    return 0
 
 
-def run_campaign_sweep(args: argparse.Namespace) -> int:
+def run_sweep(args: argparse.Namespace) -> int:
+    """Claim and run cells until none is left unclaimed."""
+    from repro.experiments.sweep import load_sweep, run_sweep_worker, sweep_status
+
+    spec = load_sweep(args.spec)
+    runner = default_runner(cache_dir=args.cache_dir, telemetry_dir=args.telemetry_dir)
+    summary = run_sweep_worker(
+        spec,
+        runner.cache,
+        owner=args.owner,
+        heartbeat_timeout=args.heartbeat_timeout,
+        wait=args.wait,
+        preflight=True,
+        telemetry_dir=runner.telemetry_dir,
+    )
+    status = sweep_status(spec, runner.cache, heartbeat_timeout=args.heartbeat_timeout)
+    print(f"sweep           : {spec.name} ({spec.digest()[:16]})")
+    print(f"worker          : {summary.owner}")
+    print(f"executed        : {summary.executed}")
+    print(f"reaped claims   : {summary.reaped}")
+    print(f"passes          : {summary.passes}")
+    print(f"cells           : {status.cells}")
+    print(f"completed       : {status.completed}")
+    print(f"outstanding     : {summary.outstanding}")
+    return 0 if status.complete else 1
+
+
+def run_sweep_status(args: argparse.Namespace) -> int:
+    """Completed, claimed, orphaned and pending cells."""
+    from repro.experiments.sweep import load_sweep, sweep_status
+
+    spec = load_sweep(args.spec)
+    cache = default_runner(cache_dir=args.cache_dir).cache
+    status = sweep_status(spec, cache, heartbeat_timeout=args.heartbeat_timeout)
+    print(f"sweep           : {spec.name} ({spec.digest()[:16]})")
+    print(f"cache directory : {cache.root}")
+    print(f"cells           : {status.cells}")
+    print(f"completed       : {status.completed}")
+    print(f"claimed         : {status.claimed}")
+    print(f"orphaned claims : {status.orphaned}")
+    print(f"pending         : {status.pending}")
+    return 0 if status.complete else 1
+
+
+def run_sweep_aggregate(args: argparse.Namespace) -> int:
+    """Fold a complete sweep into its aggregate file."""
     from repro.experiments.sweep import (
         aggregate_sweep,
         default_aggregate_path,
         load_sweep,
-        run_sweep_worker,
-        sweep_status,
         write_aggregate,
     )
 
-    if args.subaction not in ("run", "status", "aggregate"):
-        print(
-            f"unknown sweep verb {args.subaction!r}; use run, status, "
-            "or aggregate",
-            file=sys.stderr,
-        )
-        return 2
-    if args.spec is None:
-        print(
-            f"'campaign sweep {args.subaction}' requires --spec <sweep.json>",
-            file=sys.stderr,
-        )
-        return 2
     spec = load_sweep(args.spec)
-    cache = _campaign_cache(args)
-    timeout = _heartbeat_timeout(args)
-
-    if args.subaction == "run":
-        summary = run_sweep_worker(
-            spec,
-            cache,
-            owner=args.owner,
-            heartbeat_timeout=timeout,
-            wait=args.wait,
-            preflight=True,
-            telemetry_dir=_telemetry_dir(args),
-        )
-        status = sweep_status(spec, cache, heartbeat_timeout=timeout)
-        print(f"sweep           : {spec.name} ({spec.digest()[:16]})")
-        print(f"worker          : {summary.owner}")
-        print(f"executed        : {summary.executed}")
-        print(f"reaped claims   : {summary.reaped}")
-        print(f"passes          : {summary.passes}")
-        print(f"cells           : {status.cells}")
-        print(f"completed       : {status.completed}")
-        print(f"outstanding     : {summary.outstanding}")
-        return 0 if status.complete else 1
-    if args.subaction == "status":
-        status = sweep_status(spec, cache, heartbeat_timeout=timeout)
-        print(f"sweep           : {spec.name} ({spec.digest()[:16]})")
-        print(f"cache directory : {cache.root}")
-        print(f"cells           : {status.cells}")
-        print(f"completed       : {status.completed}")
-        print(f"claimed         : {status.claimed}")
-        print(f"orphaned claims : {status.orphaned}")
-        print(f"pending         : {status.pending}")
-        return 0 if status.complete else 1
+    cache = default_runner(cache_dir=args.cache_dir).cache
     aggregate = aggregate_sweep(spec, cache)
-    out = (
-        args.out
-        if args.out is not None
-        else default_aggregate_path(cache.root, spec)
-    )
+    out = args.out if args.out is not None else default_aggregate_path(cache.root, spec)
     path = write_aggregate(aggregate, out)
     print(f"sweep           : {spec.name} ({spec.digest()[:16]})")
     print(f"cells           : {aggregate['cells']}")
@@ -395,206 +335,75 @@ def run_campaign_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_campaign(args: argparse.Namespace) -> int:
-    from repro import units
-
-    if args.action == "sweep":
-        return run_campaign_sweep(args)
-    if args.action == "run":
-        if args.spec is None:
-            print("'campaign run' requires --spec <file.json>", file=sys.stderr)
-            return 2
-        runner = CampaignRunner(
-            workers=args.workers or 1,
-            cache=_campaign_cache(args),
-            telemetry_dir=_telemetry_dir(args),
-            preflight=True,
-        )
-        run_spec_file(args.spec, runner=runner)
-        return 0
-    if args.action == "status":
-        from repro.experiments.sweep import scan_queue
-
-        cache = _campaign_cache(args)
-        entries = cache.entries()
-        stats = cache.persisted_stats()
-        queue = scan_queue(cache.root, _heartbeat_timeout(args))
-        print(f"cache directory : {cache.root}")
-        print(f"schema tag      : {CAMPAIGN_SCHEMA}")
-        print(f"entries         : {len(entries)}")
-        print(f"size            : {units.to_mbytes(cache.size_bytes()):.3f} MB")
-        print(f"cached bytes    : {cache.size_bytes()}")
-        print(f"claimed         : {queue.claimed}")
-        print(f"orphaned claims : {queue.orphaned}")
-        print(f"lifetime hits   : {stats['hits']}")
-        print(f"lifetime misses : {stats['misses']}")
-        print(f"lifetime stores : {stats['stores']}")
-        return 0
-    if args.action == "clear-cache":
-        cache = _campaign_cache(args)
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.root}")
-        return 0
-    print(
-        f"unknown campaign action {args.action!r}; use run, status, "
-        "clear-cache, or sweep",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def _trace_spec_scenario(spec_path: pathlib.Path, out: pathlib.Path) -> None:
-    """Run the first job of a spec with a JSONL sink attached."""
-    from repro.experiments.fabric import run_fabric
-    from repro.experiments.spec import load_specs
-    from repro.obs import JsonlSink
-
-    scenario = load_specs(spec_path)[0].jobs()[0].scenario
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with JsonlSink(out) as sink:
-        run_fabric(scenario, sink=sink)
-
-
-def run_obs(args: argparse.Namespace) -> int:
+def run_obs_trace(args: argparse.Namespace) -> int:
+    """Filter a JSONL event trace, or trace a spec's first job."""
     import json
 
     from repro.obs import event_to_dict, filter_events, read_events
-    from repro.obs.telemetry import CampaignReport, read_telemetry_dir
 
-    if args.action == "trace":
-        if (args.input is None) == (args.spec is None):
-            print(
-                "'obs trace' needs exactly one of --input <trace.jsonl> "
-                "or --spec <file.json>",
-                file=sys.stderr,
-            )
-            return 2
-        if args.input is not None:
-            trace_path = args.input
-        else:
-            trace_path = (
-                args.trace_out
-                if args.trace_out is not None
-                else pathlib.Path("results") / "trace.jsonl"
-            )
-            _trace_spec_scenario(args.spec, trace_path)
-            print(f"# trace written to {trace_path}", file=sys.stderr)
-        events = filter_events(
-            read_events(trace_path),
-            flows=args.flow,
-            kinds=args.event_type,
-            nodes=args.node,
-            since=args.since,
-            until=args.until,
-        )
-        try:
-            for event in events:
-                print(json.dumps(event_to_dict(event)))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Downstream consumer (head, jq -n, ...) closed the pipe:
-            # normal for a line-dump tool, not an error.  Re-point stdout
-            # at devnull so interpreter shutdown doesn't re-raise.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    if args.action == "report":
-        directory = _telemetry_dir(args)
-        entries = read_telemetry_dir(directory)
-        print(f"telemetry dir   : {directory}")
-        if not entries:
-            print("no telemetry found; run a campaign first")
-            return 0
-        print(CampaignReport.from_telemetry(entries).render())
-        return 0
-    if args.action == "timeline":
-        return run_obs_timeline(args)
-    if args.action == "monitor":
-        return run_obs_monitor(args)
-    print(
-        f"unknown obs action {args.action!r}; use trace, report, "
-        "timeline, or monitor",
-        file=sys.stderr,
+    trace_path = args.input
+    if trace_path is None:
+        from repro.experiments.fabric import run_fabric
+        from repro.experiments.spec import load_specs
+        from repro.obs import JsonlSink
+
+        trace_path = args.trace_out
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        with JsonlSink(trace_path) as sink:
+            run_fabric(load_specs(args.spec)[0].jobs()[0].scenario, sink=sink)
+        print(f"# trace written to {trace_path}", file=sys.stderr)
+    events = filter_events(
+        read_events(trace_path),
+        flows=args.flow,
+        kinds=args.event_type,
+        nodes=args.node,
+        since=args.since,
+        until=args.until,
     )
-    return 2
-
-
-def _obs_demo_interval(args: argparse.Namespace) -> float:
-    from repro.obs.timeline import DEFAULT_INTERVAL
-
-    return DEFAULT_INTERVAL if args.interval is None else args.interval
-
-
-def _write_timeline_out(args: argparse.Namespace, timeline) -> None:
-    if args.timeline_out is None:
-        return
-    args.timeline_out.parent.mkdir(parents=True, exist_ok=True)
-    timeline.write_jsonl(args.timeline_out)
-    print(f"# timeline written to {args.timeline_out}", file=sys.stderr)
-
-
-def run_obs_timeline(args: argparse.Namespace) -> int:
-    """Sample the reference tandem demo and render the sim-time series."""
-    import json
-
-    from repro.experiments.fabric import run_fabric
-    from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
-    from repro.obs.timeline import Timeline
-
-    if args.hops < 1:
-        print("'obs timeline' needs --hops >= 1", file=sys.stderr)
-        return 2
-    interval = _obs_demo_interval(args)
-    if interval <= 0:
-        print("'obs timeline' needs --interval > 0", file=sys.stderr)
-        return 2
-    timeline = Timeline(interval=interval, flows=(TARGET_FLOW_ID,))
-    scenario = demo_tandem(
-        hops=args.hops,
-        seed=args.seed,
-        churn=not args.no_churn,
-        reclamation=not args.no_churn,
-        delay_histograms=False,
-    )
-    result = run_fabric(scenario, timeline=timeline)
-    _write_timeline_out(args, timeline)
-    if args.as_json:
-        print(json.dumps(timeline.summary().to_dict(), sort_keys=True))
-        return 0
-    print(
-        f"timeline: {args.hops}-hop tandem, seed {args.seed}, "
-        f"{scenario.sim_time:g} s simulated, {timeline.ticks} samples "
-        f"every {interval:g} s, {result.events_processed} events"
-    )
-    print()
-    print(timeline.render())
+    try:
+        for event in events:
+            print(json.dumps(event_to_dict(event)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Downstream consumer (head, jq -n, ...) closed the pipe:
+        # normal for a line-dump tool, not an error.  Re-point stdout
+        # at devnull so interpreter shutdown doesn't re-raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
-def run_obs_monitor(args: argparse.Namespace) -> int:
-    """Run a demo tandem under the live conformance monitor."""
-    import json
+def run_obs_report(args: argparse.Namespace) -> int:
+    """Summarize run telemetry."""
+    from repro.obs.telemetry import CampaignReport, read_telemetry_dir
 
+    directory = default_runner(telemetry_dir=args.telemetry_dir).telemetry_dir
+    entries = read_telemetry_dir(directory)
+    print(f"telemetry dir   : {directory}")
+    if not entries:
+        print("no telemetry found; run a campaign first")
+        return 0
+    print(CampaignReport.from_telemetry(entries).render())
+    return 0
+
+
+def _run_demo(args: argparse.Namespace, monitor=None):
+    """The demo tandem of ``obs timeline``/``obs monitor``, sampled.
+
+    Returns the scenario, the result and the timeline (``None`` when a
+    monitor rides alone, without ``--timeline-out``).
+    """
     from repro.experiments.fabric import run_fabric
     from repro.experiments.fabric.demo import (
         TARGET_FLOW_ID,
         demo_tandem,
         undersized_tandem,
     )
-    from repro.obs.monitor import ConformanceMonitor
     from repro.obs.timeline import Timeline
 
-    if args.hops < 1:
-        print("'obs monitor' needs --hops >= 1", file=sys.stderr)
-        return 2
-    interval = _obs_demo_interval(args)
-    if interval <= 0:
-        print("'obs monitor' needs --interval > 0", file=sys.stderr)
-        return 2
-    monitor = ConformanceMonitor(interval=interval)
     timeline = None
-    if args.timeline_out is not None:
-        timeline = Timeline(interval=interval, flows=(TARGET_FLOW_ID,))
-    if args.undersized:
+    if monitor is None or args.timeline_out is not None:
+        timeline = Timeline(interval=args.interval, flows=(TARGET_FLOW_ID,))
+    if getattr(args, "undersized", False):
         scenario = undersized_tandem(hops=args.hops, seed=args.seed)
     else:
         scenario = demo_tandem(
@@ -605,9 +414,41 @@ def run_obs_monitor(args: argparse.Namespace) -> int:
             delay_histograms=False,
         )
     result = run_fabric(scenario, timeline=timeline, monitor=monitor)
+    if args.timeline_out is not None:
+        args.timeline_out.parent.mkdir(parents=True, exist_ok=True)
+        timeline.write_jsonl(args.timeline_out)
+        print(f"# timeline written to {args.timeline_out}", file=sys.stderr)
+    return scenario, result, timeline
+
+
+def run_obs_timeline(args: argparse.Namespace) -> int:
+    """Sample the demo tandem and render its sim-time series."""
+    import json
+
+    scenario, result, timeline = _run_demo(args)
+    if args.as_json:
+        print(json.dumps(timeline.summary().to_dict(), sort_keys=True))
+        return 0
+    print(
+        f"timeline: {args.hops}-hop tandem, seed {args.seed}, "
+        f"{scenario.sim_time:g} s simulated, {timeline.ticks} samples "
+        f"every {args.interval:g} s, {result.events_processed} events"
+    )
+    print()
+    print(timeline.render())
+    return 0
+
+
+def run_obs_monitor(args: argparse.Namespace) -> int:
+    """Run the demo tandem under the live conformance monitor."""
+    import json
+
+    from repro.obs.monitor import ConformanceMonitor
+
+    scenario, result, _timeline = _run_demo(
+        args, ConformanceMonitor(interval=args.interval)
+    )
     report = result.monitor_report
-    if timeline is not None:
-        _write_timeline_out(args, timeline)
     if args.as_json:
         print(json.dumps(report.to_dict(), sort_keys=True))
         return 0 if report.ok else 1
@@ -621,23 +462,13 @@ def run_obs_monitor(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def run_net(args: argparse.Namespace) -> int:
+def run_net_demo(args: argparse.Namespace) -> int:
+    """Tandem with flow churn: per-hop drops, end-to-end delay, blocking."""
     from repro.experiments.fabric import run_fabric
     from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
     from repro.experiments.report import format_table
     from repro.units import to_millis
 
-    if args.action == "reclaim":
-        return run_net_reclaim(args)
-    if args.action != "demo":
-        print(
-            f"unknown net action {args.action!r}; use demo or reclaim",
-            file=sys.stderr,
-        )
-        return 2
-    if args.hops < 1:
-        print("'net demo' needs --hops >= 1", file=sys.stderr)
-        return 2
     scenario = demo_tandem(hops=args.hops, seed=args.seed, churn=not args.no_churn)
     result = run_fabric(scenario)
 
@@ -712,16 +543,15 @@ def run_net(args: argparse.Namespace) -> int:
 
 
 def run_net_reclaim(args: argparse.Namespace) -> int:
+    """Live reprovisioning against static thresholds, three seeds."""
     from repro.experiments.fabric import run_fabric
     from repro.experiments.fabric.demo import demo_tandem
     from repro.experiments.reclaim import run_reclaim_study
     from repro.obs import JsonlSink
 
-    if args.hops < 1:
-        print("'net reclaim' needs --hops >= 1", file=sys.stderr)
-        return 2
     seeds = (args.seed, args.seed + 1, args.seed + 2)
-    study = run_reclaim_study(hops=args.hops, seeds=seeds, runner=_build_runner(args))
+    runner = default_runner(args.workers, args.cache_dir, args.telemetry_dir)
+    study = run_reclaim_study(hops=args.hops, seeds=seeds, runner=runner)
     print(
         f"reclamation study: {args.hops}-hop tandem, "
         f"{study.sim_time:g} s per run, seeds {', '.join(map(str, seeds))}"
@@ -756,33 +586,12 @@ def main(argv: list[str] | None = None) -> int:
         from repro.check.cli import main as check_main
 
         return check_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.target == "campaign":
-        return run_campaign(args)
-    if args.target == "obs":
-        return run_obs(args)
-    if args.target == "net":
-        return run_net(args)
-    if args.target == "run":
-        if args.spec is None:
-            print("the 'run' target requires --spec <file.json>", file=sys.stderr)
-            return 2
-        run_spec_file(args.spec, runner=_build_runner(args))
-        return 0
-    if args.target == "list":
-        for name, figure in FIGURES.items():
-            print(f"{name:10s} {figure.caption}")
-        return 0
-    if args.target == "all":
-        runner = _build_runner(args)
-        for name in ALL_FIGURES:
-            run_target(name, fast=not args.full, out=args.out, runner=runner)
-        return 0
-    if args.target not in ALL_FIGURES:
-        print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
-        return 2
-    run_target(args.target, fast=not args.full, out=args.out, runner=_build_runner(args))
-    return 0
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # A usage error (2) or --help (0); argparse has printed it.
+        return stop.code
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,7 @@ from repro.experiments.campaign import (
     ScenarioJob,
     ScenarioRecord,
 )
-from repro.experiments.config import (
-    SweepConfig,
-    campaign_cache_setting,
-    campaign_workers,
-    full_mode_enabled,
-    sweep_config,
-)
+from repro.experiments.config import SweepConfig, sweep_config
 from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.report import format_figure, format_table
@@ -46,9 +40,6 @@ __all__ = [
     "ScenarioJob",
     "ScenarioRecord",
     "SweepConfig",
-    "campaign_cache_setting",
-    "campaign_workers",
-    "full_mode_enabled",
     "sweep_config",
     "NetworkScenario",
     "run_fabric",

@@ -141,13 +141,6 @@ class ScenarioRecord(LinkMeasures):
     #: a record was produced, not *what* was measured, so cached, serial
     #: and parallel runs stay byte-identical.
     telemetry: JobTelemetry | None = field(default=None, compare=False)
-    #: Per-job observability, attached when ``REPRO_MONITOR`` is set:
-    #: the sim-time timeline summary and the conformance-monitor report
-    #: (:class:`~repro.obs.timeline.TimelineSummary` /
-    #: :class:`~repro.obs.monitor.MonitorReport`).  Treated exactly like
-    #: telemetry — excluded from equality and serialization.
-    timeline_summary: object | None = field(default=None, compare=False)
-    monitor: object | None = field(default=None, compare=False)
 
     # -- construction -----------------------------------------------------
 

@@ -34,14 +34,9 @@ from repro.experiments.campaign.cache import (
 )
 from repro.experiments.campaign.job import ScenarioJob
 from repro.experiments.campaign.record import ScenarioRecord
-from repro.experiments.config import (
-    campaign_cache_setting,
-    campaign_monitor_enabled,
-    campaign_telemetry_setting,
-    campaign_workers,
-)
+from repro.experiments.config import positive
 from repro.experiments.fabric.build import run_fabric
-from repro.obs.telemetry import DEFAULT_TELEMETRY_DIR, CampaignReport, JobTelemetry
+from repro.obs.telemetry import DEFAULT_TELEMETRY_DIR, JobTelemetry
 
 __all__ = [
     "CampaignRunner",
@@ -96,18 +91,9 @@ def execute_job(job: ScenarioJob) -> ScenarioRecord:
     process's id, so pool runs attribute wall time to the worker that
     actually simulated the job.
     """
-    timeline = None
-    monitor = None
-    if campaign_monitor_enabled():
-        from repro.obs.monitor import ConformanceMonitor
-        from repro.obs.timeline import Timeline
-
-        timeline = Timeline()
-        monitor = ConformanceMonitor()
-
     # repro: noqa RPR101 — telemetry measures real wall time, never sim state
     start = time.perf_counter()
-    result = run_fabric(job.scenario, timeline=timeline, monitor=monitor)
+    result = run_fabric(job.scenario)
     record = ScenarioRecord.from_result(result, job.digest())
     # repro: noqa RPR101 — telemetry measures real wall time, never sim state
     wall = time.perf_counter() - start
@@ -123,8 +109,6 @@ def execute_job(job: ScenarioJob) -> ScenarioRecord:
             cancelled_pending=result.cancelled_pending,
             compactions=result.compactions,
         ),
-        timeline_summary=None if timeline is None else timeline.summary(),
-        monitor=None if monitor is None else monitor.last_report,
     )
 
 
@@ -137,13 +121,6 @@ class CampaignStats:
     cache_hits: int
     executed: int
 
-    @property
-    def hit_fraction(self) -> float:
-        """Fraction of unique jobs served from cache (0 when empty)."""
-        if self.unique == 0:
-            return 0.0
-        return self.cache_hits / self.unique
-
 
 class CampaignRunner:
     """Executes job batches serially or across a process pool.
@@ -152,9 +129,6 @@ class CampaignRunner:
         workers: process count; ``1`` (the default) runs in-process.
         cache: optional result cache consulted before and filled after
             execution.
-        chunk_size: jobs per pool dispatch; defaults to a size that gives
-            each worker several chunks (dynamic load balancing without
-            per-job dispatch overhead).
         telemetry_dir: when given, each :meth:`run` writes its batch
             telemetry as JSONL under this directory (one line per unique
             job; see :mod:`repro.obs.telemetry`).
@@ -166,35 +140,22 @@ class CampaignRunner:
             its flows.
     """
 
-    __slots__ = (
-        "workers",
-        "cache",
-        "chunk_size",
-        "telemetry_dir",
-        "preflight",
-        "last_stats",
-        "last_report",
-    )
+    __slots__ = ("workers", "cache", "telemetry_dir", "preflight", "last_stats")
 
     def __init__(
         self,
         workers: int = 1,
         cache: ResultCache | None = None,
-        chunk_size: int | None = None,
         telemetry_dir=None,
         preflight: bool = False,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers
         self.cache = cache
-        self.chunk_size = chunk_size
         self.telemetry_dir = telemetry_dir
         self.preflight = preflight
         self.last_stats: CampaignStats | None = None
-        self.last_report: CampaignReport | None = None
 
     def run(self, jobs: Sequence[ScenarioJob]) -> list[ScenarioRecord]:
         """Execute a batch; returns records aligned with ``jobs``.
@@ -246,14 +207,10 @@ class CampaignRunner:
             cache_hits=cache_hits,
             executed=len(pending),
         )
-        entries = [
-            records[digest].telemetry
-            for digest in unique
-            if records[digest].telemetry is not None
-        ]
-        self.last_report = CampaignReport.from_telemetry(entries)
-        if self.telemetry_dir is not None and entries:
-            write_telemetry(self.telemetry_dir, entries)
+        if self.telemetry_dir is not None and unique:
+            write_telemetry(
+                self.telemetry_dir, [records[digest].telemetry for digest in unique]
+            )
         if self.cache is not None:
             self.cache.persist_stats()
         return [records[digest] for digest in digests]
@@ -262,40 +219,61 @@ class CampaignRunner:
         workers = min(self.workers, len(jobs))
         if workers <= 1:
             return [execute_job(job) for job in jobs]
-        chunk = self.chunk_size
-        if chunk is None:
-            # Aim for ~4 chunks per worker: coarse enough to amortise
-            # dispatch, fine enough that a slow chunk cannot serialise
-            # the tail of the batch.
-            chunk = max(1, len(jobs) // (workers * 4))
+        # Aim for ~4 chunks per worker: coarse enough to amortise dispatch,
+        # fine enough that a slow chunk cannot serialise the tail of the
+        # batch.
+        chunk = max(1, len(jobs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(execute_job, jobs, chunksize=chunk))
 
 
-def default_runner() -> CampaignRunner:
-    """The environment-configured runner used by the figure sweeps.
+def default_runner(
+    workers: int | None = None,
+    cache_dir=None,
+    telemetry_dir=None,
+    *,
+    preflight: bool = False,
+) -> CampaignRunner:
+    """The one place run options become a :class:`CampaignRunner`.
 
-    ``REPRO_WORKERS`` sets the process count (default 1, i.e. serial),
-    ``REPRO_CACHE`` enables the on-disk cache (``1`` for the default
-    ``results/cache`` location, any other non-empty value is used as the
-    cache directory; unset/``0`` disables caching), and
-    ``REPRO_TELEMETRY`` enables run telemetry the same way (``1`` for
-    ``results/telemetry``, any other non-empty value is a directory).
+    Every field resolves the same way: the argument (a command-line
+    flag; ``None`` when it was not given), else its ``REPRO_*``
+    variable, else the default.
+
+    * ``workers``: else ``REPRO_WORKERS``, which must be a positive
+      integer (anything else is a :class:`ConfigurationError` in the
+      words ``--workers`` uses), else 1, i.e. serial.
+    * ``cache_dir``: else ``REPRO_CACHE``, else no cache.
+    * ``telemetry_dir``: else ``REPRO_TELEMETRY``, else no telemetry.
+
+    A directory variable set to ``1``/``true``/``yes`` names the default
+    directory (``results/cache``, ``results/telemetry``); unset, empty,
+    ``0``, ``false`` and ``no`` leave the default.  A directory argument
+    of ``True`` means "no flag, and the default is the default
+    directory", which is the campaign verbs' default.
     """
-    setting = campaign_cache_setting()
-    if setting is None:
-        cache = None
-    elif setting in ("1", "true", "yes"):
-        cache = ResultCache(DEFAULT_CACHE_DIR)
-    else:
-        cache = ResultCache(setting)
-    telemetry_setting = campaign_telemetry_setting()
-    if telemetry_setting is None:
-        telemetry_dir = None
-    elif telemetry_setting in ("1", "true", "yes"):
-        telemetry_dir = DEFAULT_TELEMETRY_DIR
-    else:
-        telemetry_dir = telemetry_setting
+    if workers is None:
+        raw = os.environ.get("REPRO_WORKERS", "").strip()
+        try:
+            workers = positive(raw) if raw else 1
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"REPRO_WORKERS: {exc}") from None
+    cache_dir = _directory(cache_dir, "REPRO_CACHE", DEFAULT_CACHE_DIR)
     return CampaignRunner(
-        workers=campaign_workers(), cache=cache, telemetry_dir=telemetry_dir
+        workers,
+        None if cache_dir is None else ResultCache(cache_dir),
+        _directory(telemetry_dir, "REPRO_TELEMETRY", DEFAULT_TELEMETRY_DIR),
+        preflight,
     )
+
+
+def _directory(value, variable: str, default):
+    """One directory field: the flag's path, else ``variable``, else the default."""
+    if value is not None and value is not True:
+        return value
+    raw = os.environ.get(variable, "").strip()
+    if raw in ("1", "true", "yes"):
+        return default
+    if raw not in ("", "0", "false", "no"):
+        return raw
+    return default if value else None

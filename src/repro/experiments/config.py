@@ -12,74 +12,28 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.units import mbytes
 
-__all__ = [
-    "SweepConfig",
-    "sweep_config",
-    "full_mode_enabled",
-    "campaign_workers",
-    "campaign_cache_setting",
-    "campaign_telemetry_setting",
-    "campaign_monitor_enabled",
-]
+__all__ = ["SweepConfig", "sweep_config", "positive"]
 
 
-def full_mode_enabled() -> bool:
-    """True when the REPRO_FULL environment variable requests full runs."""
-    return os.environ.get("REPRO_FULL", "").strip() not in ("", "0", "false", "no")
+def positive(text: str, convert: type = int):
+    """``convert(text)`` when it is above zero, else a :class:`ConfigurationError`.
 
-
-def campaign_workers() -> int:
-    """Worker-process count for campaign execution (``REPRO_WORKERS``).
-
-    Unset, empty, or unparsable values mean serial execution (1).
+    The one check behind ``--workers``, ``--hops``, ``--interval``,
+    ``--heartbeat-timeout`` and ``REPRO_WORKERS``, so a flag and its
+    variable refuse a value in the same words.
     """
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
     try:
-        workers = int(raw)
+        value = convert(text)
     except ValueError:
-        return 1
-    return workers if workers >= 1 else 1
-
-
-def campaign_cache_setting() -> str | None:
-    """The raw ``REPRO_CACHE`` setting, or ``None`` when caching is off.
-
-    ``1``/``true``/``yes`` request the default cache location; any other
-    non-empty value is a cache directory path.  Interpretation lives in
-    :func:`repro.experiments.campaign.default_runner`.
-    """
-    raw = os.environ.get("REPRO_CACHE", "").strip()
-    if raw in ("", "0", "false", "no"):
-        return None
-    return raw
-
-
-def campaign_telemetry_setting() -> str | None:
-    """The raw ``REPRO_TELEMETRY`` setting, or ``None`` when disabled.
-
-    ``1``/``true``/``yes`` request the default telemetry location
-    (``results/telemetry``); any other non-empty value is a directory
-    path.  ``0``/``false``/``no``/unset disable run telemetry.
-    """
-    raw = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if raw in ("", "0", "false", "no"):
-        return None
-    return raw
-
-
-def campaign_monitor_enabled() -> bool:
-    """True when ``REPRO_MONITOR`` asks campaign jobs to self-verify.
-
-    With monitoring on, every executed job runs with a sim-time
-    :class:`~repro.obs.timeline.Timeline` and a
-    :class:`~repro.obs.monitor.ConformanceMonitor` attached; the
-    summary and the violation report land on the record's
-    non-serialized observability fields (cache entries stay
-    byte-identical, like telemetry).
-    """
-    return os.environ.get("REPRO_MONITOR", "").strip() not in ("", "0", "false", "no")
+        value = 0
+    if not value > 0:
+        raise ConfigurationError(
+            f"expected a positive {convert.__name__}, got {text!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,10 +43,6 @@ class SweepConfig:
     buffers: tuple[float, ...]
     seeds: tuple[int, ...]
     sim_time: float
-
-    @property
-    def n_runs_per_scheme(self) -> int:
-        return len(self.buffers) * len(self.seeds)
 
 
 #: Buffer grid of Figures 1-6 and 8-13 (MBytes), paper range 0.5-5.
@@ -104,11 +54,12 @@ def sweep_config(fast: bool | None = None) -> SweepConfig:
     """Resolve the sweep sizing for the requested mode.
 
     Args:
-        fast: ``True`` forces fast mode, ``False`` forces full mode,
-            ``None`` consults the ``REPRO_FULL`` environment variable.
+        fast: ``True`` forces fast mode, ``False`` forces full mode
+            (``--full``), ``None`` consults ``REPRO_FULL``: full mode
+            unless it is unset, empty, ``0``, ``false`` or ``no``.
     """
     if fast is None:
-        fast = not full_mode_enabled()
+        fast = os.environ.get("REPRO_FULL", "").strip() in ("", "0", "false", "no")
     if fast:
         return SweepConfig(
             buffers=tuple(mbytes(b) for b in _FAST_BUFFERS_MB),

@@ -203,7 +203,7 @@ def run_figure(
     return result
 
 
-#: Registry used by the CLI, the report generator and the benchmarks:
+#: Registry used by the benchmarks:
 #: name -> ``callable(fast=None, runner=None)``.
 ALL_FIGURES: dict[str, Callable[..., FigureResult]] = {
     name: functools.partial(run_figure, name) for name in FIGURES

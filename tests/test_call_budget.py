@@ -341,8 +341,9 @@ FIXED_COST_SWEEPS = {
 
 #: sweep -> ceilings on Python + C calls per cell outside
 #: ``Simulator.run``: (cold pass, warm pass, aggregation).  Measured
-#: 717.0 / 164.7 / 197.5 one-link and 883.75 / 208.25 / 225.75 on the
-#: network sweep.  Cold read 767.0 / 921.75 while numpy seeded the
+#: 698.8 / 163.5 / 196.9 one-link and 866.75 / 205.25 / 224.25 on the
+#: network sweep.  Cold read 705.8 / 873.75 while every executed job
+#: read a monitoring switch from the environment.  Cold read 767.0 / 921.75 while numpy seeded the
 #: sources (92 calls a one-link cell; ``repro.sim.rng`` takes 21, plus
 #: each source's first two draws).  The aggregation read 316.5 / 344.75 while each
 #: group's interval called scipy's ``t.ppf`` (about 120 calls); the
@@ -358,8 +359,8 @@ FIXED_COST_SWEEPS = {
 #: little on the depth of the cache path (pathlib parses it once per
 #: pass); ceilings sit ~5% above them.
 FIXED_COST_ROWS = {
-    "one-link": (753.0, 172.5, 207.5),
-    "network": (928.0, 218.5, 237.0),
+    "one-link": (746.0, 172.5, 207.5),
+    "network": (921.0, 218.5, 237.0),
 }
 
 

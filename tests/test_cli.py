@@ -1,6 +1,9 @@
 """Command-line interface (python -m repro)."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,7 +42,9 @@ class TestCommands:
         # "bench": `repro bench` was retired; no verb or shim stays behind.
         for target in ("figure99", "bench"):
             assert main([target]) == 2
-            assert "unknown target" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and repr(target) in err
+            assert "figure13" in err and "list" in err and "campaign" in err
 
     def test_run_single_figure(self, capsys):
         assert main(["figure1"]) == 0
@@ -88,7 +93,9 @@ class TestCampaignCommands:
 
     def test_unknown_action_rejected(self, capsys):
         assert main(["campaign", "flush"]) == 2
-        assert "unknown campaign action" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'flush'" in err
+        assert "status" in err and "clear-cache" in err and "sweep" in err
 
     def test_run_requires_spec(self, capsys):
         assert main(["campaign", "run"]) == 2
@@ -165,17 +172,20 @@ class TestSweepCommands:
         return spec
 
     def argv(self, verb, spec, tmp_path, *extra):
+        telemetry = ["--telemetry-dir", str(tmp_path / "telemetry")]
         return [
             "campaign", "sweep", verb, "--spec", str(spec),
             "--cache-dir", str(tmp_path / "cache"),
-            "--telemetry-dir", str(tmp_path / "telemetry"),
+            *(telemetry if verb == "run" else []),
             *extra,
         ]
 
     def test_unknown_verb_rejected(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
         assert main(self.argv("harvest", spec, tmp_path)) == 2
-        assert "unknown sweep verb" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'harvest'" in err
+        assert "run" in err and "status" in err and "aggregate" in err
 
     def test_run_requires_spec(self, capsys):
         assert main(["campaign", "sweep", "run"]) == 2
@@ -341,7 +351,8 @@ class TestObsCommands:
     def test_unknown_action_rejected(self, capsys):
         assert main(["obs", "flush"]) == 2
         err = capsys.readouterr().err
-        assert "unknown obs action" in err
+        assert "invalid choice" in err and "'flush'" in err
+        assert "trace" in err and "report" in err
         assert "timeline" in err and "monitor" in err
 
     def fabric_trace(self, tmp_path):
@@ -374,7 +385,7 @@ class TestObsCommands:
         trace = self.fabric_trace(tmp_path)
         argv = [
             "obs", "trace", "--input", str(trace),
-            "--type", "enqueue", "--kind", "depart",
+            "--type", "enqueue", "--type", "depart",
         ]
         assert main(argv) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -443,3 +454,66 @@ class TestNetCommands:
         out = capsys.readouterr().out
         assert "buffer-limited" in out
         assert "unattributed" in out
+
+
+SPEC = (
+    '{"name": "tiny", "workload": "table1", "scheme": "FIFO_NONE",'
+    ' "buffer_mb": 0.5, "sim_time": 0.5, "seeds": [1],'
+    ' "metrics": ["utilization"]}'
+)
+
+
+class TestOptionResolution:
+    """Each run option resolves per field: flag, then variable, then default."""
+
+    def test_cache_variable_reaches_run(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(SPEC)
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c"))
+        assert main(["run", "--spec", str(spec)]) == 0
+        assert len(list((tmp_path / "c").glob("*.json"))) > 0
+
+    def test_cache_variable_survives_workers_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c"))
+        assert main(["figure1", "--workers", "1"]) == 0
+        assert len(list((tmp_path / "c").glob("*.json"))) > 0
+
+    def test_figure_writes_telemetry(self, tmp_path, capsys):
+        from repro.obs.telemetry import read_telemetry_dir
+
+        telemetry = tmp_path / "t"
+        assert main(["figure1", "--telemetry-dir", str(telemetry)]) == 0
+        assert read_telemetry_dir(telemetry)
+
+    @pytest.mark.parametrize("value", ["four", "0"])
+    def test_malformed_workers_variable_fails(self, value):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "figure1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "REPRO_WORKERS": value},
+        )
+        assert result.returncode != 0
+        assert f"REPRO_WORKERS: expected a positive int, got {value!r}" in result.stderr
+
+
+class TestVerbsRefuseForeignOptions:
+    """A verb accepts only the options it reads; the rest are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--undersized"],
+            ["net", "demo", "--owner", "x"],
+            ["campaign", "status", "--flow", "3"],
+            ["figure1", "--workers", "0"],
+            ["campaign", "sweep", "run", "--spec", "s.json", "--heartbeat-timeout", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_two_with_usage(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro")
+        assert "error: " in err

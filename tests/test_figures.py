@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 import repro.experiments.figures as figures_module
-from repro.experiments.config import SweepConfig, full_mode_enabled, sweep_config
+from repro.experiments.config import SweepConfig, sweep_config
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import format_figure
 from repro.units import mbytes
@@ -99,13 +99,11 @@ class TestFigurePins:
 class TestSweepConfig:
     def test_fast_mode_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_mode_enabled()
         config = sweep_config()
         assert config.sim_time < 20.0
 
     def test_full_mode_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FULL", "1")
-        assert full_mode_enabled()
         config = sweep_config()
         assert config.sim_time == 20.0
         assert len(config.seeds) == 5
@@ -113,9 +111,6 @@ class TestSweepConfig:
     def test_explicit_fast_flag_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FULL", "1")
         assert sweep_config(fast=True).sim_time < 20.0
-
-    def test_runs_per_scheme(self):
-        assert TINY.n_runs_per_scheme == 2
 
 
 class TestFigureRegistry:

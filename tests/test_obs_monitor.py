@@ -33,6 +33,7 @@ from repro.obs.monitor import (
     Violation,
 )
 from repro.obs.sink import RingSink
+from repro.obs.timeline import Timeline
 from repro.sim.engine import Simulator
 
 
@@ -67,6 +68,18 @@ class TestAcceptance:
         for name in CHECKS:
             assert report.checks.get(name, 0) > 0, name
         assert report.sweeps > 0
+
+    def test_monitored_churnless_tandem_is_conformant(self):
+        monitor = ConformanceMonitor()
+        timeline = Timeline()
+        scenario = demo_tandem(
+            hops=2, sim_time=0.5, churn=False, delay_histograms=False
+        )
+        result = run_fabric(scenario, timeline=timeline, monitor=monitor)
+        report = result.monitor_report
+        assert report.ok, report.render()
+        assert report.events_seen > 0
+        assert timeline.summary().series
 
     def test_undersized_tandem_violates_conformant_drop(self):
         monitor = ConformanceMonitor()

@@ -303,7 +303,8 @@ class TestRunnerIntegration:
             assert telemetry.cache_hit is False
             assert telemetry.wall_time > 0
             assert telemetry.events == record.events_processed
-        engine = runner.last_report.engine
+        report = CampaignReport.from_telemetry([r.telemetry for r in records])
+        engine = report.engine
         assert engine["jobs"] == 2
         assert engine["events"] == sum(r.events_processed for r in records)
 
@@ -318,15 +319,12 @@ class TestRunnerIntegration:
 
     def test_last_report_aggregates_batch(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        runner = CampaignRunner(cache=cache)
-        runner.run(make_jobs(2))
-        report = runner.last_report
-        assert report is not None
+        records = CampaignRunner(cache=cache).run(make_jobs(2))
+        report = CampaignReport.from_telemetry([r.telemetry for r in records])
         assert report.jobs == 2
         assert report.executed == 2
-        rerun = CampaignRunner(cache=cache)
-        rerun.run(make_jobs(2))
-        assert rerun.last_report.cache_hits == 2
+        rerun = CampaignRunner(cache=cache).run(make_jobs(2))
+        assert CampaignReport.from_telemetry([r.telemetry for r in rerun]).cache_hits == 2
 
     def test_telemetry_written_to_dir(self, tmp_path):
         runner = CampaignRunner(telemetry_dir=tmp_path / "telemetry")
@@ -347,7 +345,7 @@ class TestRunnerIntegration:
         assert stripped == record
 
     def test_parallel_run_records_worker_ids(self, tmp_path):
-        runner = CampaignRunner(workers=2, chunk_size=1)
+        runner = CampaignRunner(workers=2)
         records = runner.run(make_jobs(4, sim_time=0.3))
         workers = {record.telemetry.worker for record in records}
         assert len(workers) >= 1  # pool may reuse one worker on tiny jobs
