@@ -75,11 +75,12 @@ class AdaptiveSharingManager(SharedHeadroomManager):
         return super().try_admit(flow_id, size)
 
     def _admits(self, flow_id: int, size: float) -> bool:
-        if self.occupancy(flow_id) + size <= self.threshold(flow_id):
+        occupancy, threshold = self.occupancy(flow_id), self.threshold(flow_id)
+        if occupancy + size <= threshold:
             # Reserved traffic is always served while space remains,
             # independent of adaptivity — reservations are sacred.
             return self.holes + self.headroom >= size
-        excess_after = self.occupancy(flow_id) - self.threshold(flow_id) + size
+        excess_after = occupancy - threshold + size
         if self.is_adaptive(flow_id):
             return size <= self.holes and excess_after <= self.holes
         allowance = self.nonadaptive_share * self.holes

@@ -54,7 +54,7 @@ class DynamicThresholdManager(BufferManager):
         call keeps the manager usable behind the uniform reprovisioning
         contract.
         """
-        if threshold < 0:
+        if not threshold >= 0:  # `not >=`, so that a NaN threshold raises too
             raise ConfigurationError(
                 f"threshold for flow {flow_id} must be non-negative, got {threshold}"
             )

@@ -43,11 +43,15 @@ class FixedThresholdManager(FlowThresholdManager):
         # path's admitted-beyond-capacity guard cannot fire below it.
         if new_total > self.capacity:
             return False
-        after = self._occupancy.get(flow_id, 0.0) + size
-        threshold = self.thresholds.get(flow_id, self.default_threshold)
+        try:
+            slot = self._flows[flow_id]
+        except KeyError:
+            return self._admit_first(flow_id, size)
+        after = slot.occupancy + size
+        threshold = slot.threshold
         if after > threshold:
             return False
-        self._occupancy[flow_id] = after
+        slot.occupancy = after
         self._total = new_total
         if self._sink is not None and after - size < threshold <= after:
             self._trace_crossing(flow_id, after, threshold, "up")

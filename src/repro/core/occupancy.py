@@ -43,7 +43,7 @@ from typing import ClassVar, Mapping
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import ReprovisionEvent, ThresholdCrossEvent
 
-__all__ = ["BufferManager", "FlowThresholdManager"]
+__all__ = ["BufferManager", "FlowSlot", "FlowThresholdManager"]
 
 
 class BufferManager:
@@ -82,7 +82,7 @@ class BufferManager:
     enforces_thresholds: ClassVar[bool] = False
 
     def __init__(self, capacity: float):
-        if capacity <= 0:
+        if not capacity > 0:  # `not >`, so that a NaN capacity raises too
             raise ConfigurationError(f"buffer capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
         self._occupancy: dict[int, float] = {}
@@ -253,8 +253,34 @@ class BufferManager:
         raise NotImplementedError(f"{type(self).__name__} has no _admits or try_admit")
 
 
+class FlowSlot:
+    """One flow's admission record: the bytes it holds and its threshold.
+
+    A packet finds its flow's slot with one subscript and updates it in
+    place; the threshold sits beside the occupancy it is tested against.
+    """
+
+    __slots__ = ("occupancy", "threshold")
+
+    def __init__(self, occupancy: float, threshold: float) -> None:
+        self.occupancy = occupancy
+        self.threshold = threshold
+
+
+def _check_threshold(threshold: float, what: str) -> None:
+    # `not >=`, so that a NaN threshold, which every comparison passes, raises too.
+    if not threshold >= 0:
+        raise ConfigurationError(f"{what} must be non-negative, got {threshold}")
+
+
 class FlowThresholdManager(BufferManager):
     """The live per-flow threshold table the paper's two policies share.
+
+    Each flow's occupancy and threshold live in one :class:`FlowSlot`
+    (``_flows``); the base class's float table stays empty.  A flow
+    absent from ``thresholds`` gets a slot at ``default_threshold`` when
+    its first packet is admitted.  Subclasses implement ``try_admit``
+    flat over the slot.
 
     Args:
         capacity: total buffer size ``B`` in bytes.
@@ -263,7 +289,7 @@ class FlowThresholdManager(BufferManager):
         default_threshold: threshold of flows absent from ``thresholds``.
     """
 
-    __slots__ = ("thresholds", "default_threshold")
+    __slots__ = ("_flows", "default_threshold")
 
     has_flow_thresholds = True
 
@@ -274,40 +300,61 @@ class FlowThresholdManager(BufferManager):
         default_threshold: float = 0.0,
     ) -> None:
         super().__init__(capacity)
+        self._flows: dict[int, FlowSlot] = {}
         for flow_id, threshold in thresholds.items():
-            if threshold < 0:
-                raise ConfigurationError(
-                    f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-                )
-        if default_threshold < 0:
-            raise ConfigurationError(
-                f"default threshold must be non-negative, got {default_threshold}"
-            )
-        self.thresholds = dict(thresholds)
+            _check_threshold(threshold, f"threshold for flow {flow_id}")
+            self._flows[flow_id] = FlowSlot(0.0, threshold)
+        _check_threshold(default_threshold, "default threshold")
         self.default_threshold = float(default_threshold)
+
+    def occupancy(self, flow_id: int) -> float:
+        """Bytes currently buffered for ``flow_id``."""
+        slot = self._flows.get(flow_id)
+        return 0.0 if slot is None else slot.occupancy
 
     def threshold(self, flow_id: int) -> float:
         """Threshold applied to ``flow_id``."""
-        return self.thresholds.get(flow_id, self.default_threshold)
+        slot = self._flows.get(flow_id)
+        return self.default_threshold if slot is None else slot.threshold
+
+    def _admit_first(self, flow_id: int, size: float) -> bool:
+        """A flow's first packet: admit it through a fresh default slot,
+        which stays only if the packet was admitted."""
+        self._flows[flow_id] = FlowSlot(0.0, self.default_threshold)
+        if self.try_admit(flow_id, size):
+            return True
+        del self._flows[flow_id]
+        return False
 
     def reprovision(self, flow_id: int, threshold: float) -> None:
         """Install or change ``flow_id``'s threshold while live.
 
         Drain-safe: a shrinking threshold only binds future admissions.
         No other counter moves — the sharing scheme's holes/headroom
-        track free space, not reservations.
+        track free space, not reservations.  A retired flow that is
+        reprovisioned is live again: its slot outlasts the drain.
         """
-        if threshold < 0:
-            raise ConfigurationError(
-                f"threshold for flow {flow_id} must be non-negative, got {threshold}"
-            )
-        previous = self.threshold(flow_id)
-        self.thresholds[flow_id] = threshold
+        _check_threshold(threshold, f"threshold for flow {flow_id}")
+        slot = self._flows.get(flow_id)
+        if slot is None:
+            previous = self.default_threshold
+            self._flows[flow_id] = FlowSlot(0.0, threshold)
+        else:
+            previous = slot.threshold
+            slot.threshold = threshold
+        if self._retired:
+            self._retired.discard(flow_id)
         self._trace_reprovision(flow_id, threshold, previous)
 
     def on_depart(self, flow_id: int, size: float) -> None:
         """Release the packet's space; a traced one reads its threshold here."""
-        occupancy = self._occupancy.get(flow_id, 0.0) - size
+        try:
+            slot = self._flows[flow_id]
+        except KeyError:
+            raise SimulationError(
+                f"flow {flow_id} departed without a matching admission"
+            ) from None
+        occupancy = slot.occupancy - size
         if occupancy < 0.0:
             if occupancy < -1e-6:
                 raise SimulationError(
@@ -315,19 +362,36 @@ class FlowThresholdManager(BufferManager):
                     "departure without matching admission"
                 )
             occupancy = 0.0
-        self._occupancy[flow_id] = occupancy
+        slot.occupancy = occupancy
         total = self._total - size
         self._total = total if total >= 0.0 else 0.0
         if self._sink is not None:
-            threshold = self.thresholds.get(flow_id, self.default_threshold)
+            threshold = slot.threshold
             if occupancy < threshold <= occupancy + size:
                 self._trace_crossing(flow_id, occupancy, threshold, "down")
         if self._retired:
             self._reclaim(flow_id, occupancy)
 
     def retire(self, flow_id: int) -> None:
-        """Withdraw the flow's threshold; queued packets still drain."""
-        previous = self.thresholds.pop(flow_id, None)
-        if previous is not None:
-            self._trace_reprovision(flow_id, self.default_threshold, previous)
-        super().retire(flow_id)
+        """Withdraw the flow's threshold; queued packets still drain.
+
+        The slot goes at once when the flow holds nothing, otherwise it
+        keeps the default threshold until its last packet departs.
+        """
+        slot = self._flows.get(flow_id)
+        if slot is None:
+            return
+        self._trace_reprovision(flow_id, self.default_threshold, slot.threshold)
+        if slot.occupancy <= 0.0:
+            del self._flows[flow_id]
+        else:
+            slot.threshold = self.default_threshold
+            if self._retired is None:
+                self._retired = set()
+            self._retired.add(flow_id)
+
+    def _reclaim(self, flow_id: int, occupancy: float) -> None:
+        """A retired flow's slot is reclaimed the moment it drains."""
+        if flow_id in self._retired and occupancy <= 1e-9:
+            del self._flows[flow_id]
+            self._retired.discard(flow_id)

@@ -67,7 +67,7 @@ class SharedHeadroomManager(FlowThresholdManager):
         default_threshold: float = 0.0,
     ) -> None:
         super().__init__(capacity, thresholds, default_threshold)
-        if headroom < 0:
+        if not headroom >= 0:  # `not >=`, so that a NaN headroom raises too
             raise ConfigurationError(f"headroom must be non-negative, got {headroom}")
         self.headroom_cap = float(headroom)
         self.headroom = min(self.headroom_cap, self.capacity)
@@ -82,9 +82,13 @@ class SharedHeadroomManager(FlowThresholdManager):
         """Guard, both Section-3.3 acceptance rules and the charge, flat."""
         if size <= 0:
             raise SimulationError(f"packet size must be positive, got {size}")
-        occupancy = self._occupancy.get(flow_id, 0.0)
+        try:
+            slot = self._flows[flow_id]
+        except KeyError:
+            return self._admit_first(flow_id, size)
+        occupancy = slot.occupancy
         after = occupancy + size
-        threshold = self.thresholds.get(flow_id, self.default_threshold)
+        threshold = slot.threshold
         holes = self.holes
         within = after <= threshold
         if within:
@@ -98,7 +102,7 @@ class SharedHeadroomManager(FlowThresholdManager):
                 f"policy {type(self).__name__} admitted beyond capacity "
                 f"({new_total} > {self.capacity})"
             )
-        self._occupancy[flow_id] = after
+        slot.occupancy = after
         self._total = new_total
         # Within the reservation the packet takes from holes first and
         # the remainder from headroom; beyond it, from holes only.
@@ -116,7 +120,13 @@ class SharedHeadroomManager(FlowThresholdManager):
 
     def on_depart(self, flow_id: int, size: float) -> None:
         """Release the packet's space; freed space refills the headroom first."""
-        occupancy = self._occupancy.get(flow_id, 0.0) - size
+        try:
+            slot = self._flows[flow_id]
+        except KeyError:
+            raise SimulationError(
+                f"flow {flow_id} departed without a matching admission"
+            ) from None
+        occupancy = slot.occupancy - size
         if occupancy < 0.0:
             if occupancy < -1e-6:
                 raise SimulationError(
@@ -124,7 +134,7 @@ class SharedHeadroomManager(FlowThresholdManager):
                     "departure without matching admission"
                 )
             occupancy = 0.0
-        self._occupancy[flow_id] = occupancy
+        slot.occupancy = occupancy
         total = self._total - size
         self._total = total if total >= 0.0 else 0.0
         headroom = self.headroom + size
@@ -135,7 +145,7 @@ class SharedHeadroomManager(FlowThresholdManager):
         self._check_counters()
         if self._sink is not None:
             self._trace_headroom()
-            threshold = self.thresholds.get(flow_id, self.default_threshold)
+            threshold = slot.threshold
             if occupancy < threshold <= occupancy + size:
                 self._trace_crossing(flow_id, occupancy, threshold, "down")
         if self._retired:

@@ -17,6 +17,8 @@ from repro.metrics.histogram import LogHistogram
 __all__ = [
     "DELAY_HI",
     "DELAY_LO",
+    "DELAY_LOG_BASE",
+    "DELAY_OVERFLOW",
     "FlowStats",
     "LinkMeasures",
     "StatsCollector",
@@ -27,7 +29,13 @@ __all__ = [
 
 @dataclass(slots=True)
 class FlowStats:
-    """Counters for one flow over the measurement window."""
+    """Counters for one flow over the measurement window.
+
+    ``bins`` holds the flow's delay-histogram counts when its collector
+    keeps histograms (``None`` until the first departure); it is not a
+    measurement of its own, so equality, ``repr`` and the serialized
+    form leave it out.
+    """
 
     offered_packets: int = 0
     offered_bytes: float = 0.0
@@ -37,6 +45,7 @@ class FlowStats:
     departed_bytes: float = 0.0
     delay_sum: float = 0.0
     delay_max: float = 0.0
+    bins: list[int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def accepted_packets(self) -> int:
@@ -107,11 +116,13 @@ class LinkMeasures:
 
 #: Binning of the per-flow delay histograms, in seconds.
 DELAY_LO, DELAY_HI = 1e-6, 100.0
-# The histogram's own binning, read once: on_depart indexes with the
-# expression LogHistogram.record uses.
+# The histogram's own binning, read once: a departure indexes with the
+# expression LogHistogram.record uses, ``1 + int(log(delay / DELAY_LO) /
+# DELAY_LOG_BASE)``, below DELAY_LO bin 0 and from DELAY_HI bin
+# DELAY_OVERFLOW.  StatsCollector.on_depart and OutputPort both bin so.
 _SHAPE = LogHistogram(DELAY_LO, DELAY_HI)
-_LOG_BASE = _SHAPE._log_base
-_OVERFLOW = _SHAPE.n_bins + 1
+DELAY_LOG_BASE = _SHAPE._log_base
+DELAY_OVERFLOW = _SHAPE.n_bins + 1
 
 
 @dataclass
@@ -127,17 +138,20 @@ class StatsCollector:
 
     A flow's histogram is not a second record: its count, total and
     maximum are the flow's ``departed_packets``, ``delay_sum`` and
-    ``delay_max``, so ``on_depart`` only adds one to a bin, in a list
-    kept beside ``flows``.
+    ``delay_max``, so ``on_depart`` only adds one to a bin, in the
+    flow's ``FlowStats.bins``.
+
+    The ``on_*`` methods are the reference API (the network's delivery
+    sink and direct callers drive them); :class:`~repro.sim.port.OutputPort`
+    updates its hop's ``flows`` inline with the same operations.
     """
 
     warmup: float = 0.0
     delay_histograms: bool = False
     flows: dict[int, FlowStats] = field(default_factory=dict)
-    _bins: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.warmup < 0:
+        if not self.warmup >= 0:  # `not >=`, so that a NaN warmup raises too
             raise ConfigurationError(f"warmup must be non-negative, got {self.warmup}")
 
     def delay_histogram(self, flow_id: int) -> LogHistogram:
@@ -150,10 +164,9 @@ class StatsCollector:
         if not self.delay_histograms:
             raise ConfigurationError("collector built without delay_histograms=True")
         histogram = LogHistogram(DELAY_LO, DELAY_HI)
-        bins = self._bins.get(flow_id)
-        if bins is not None:
-            stats = self.flows[flow_id]
-            histogram._counts[:] = bins
+        stats = self.flows.get(flow_id)
+        if stats is not None and stats.bins is not None:
+            histogram._counts[:] = stats.bins
             histogram.count = stats.departed_packets
             histogram.total = stats.delay_sum
             histogram.max_value = stats.delay_max
@@ -195,16 +208,15 @@ class StatsCollector:
         if delay > stats.delay_max:
             stats.delay_max = delay
         if self.delay_histograms:
-            try:
-                bins = self._bins[flow_id]
-            except KeyError:
-                bins = self._bins[flow_id] = [0] * (_OVERFLOW + 1)
+            bins = stats.bins
+            if bins is None:
+                bins = stats.bins = [0] * (DELAY_OVERFLOW + 1)
             if delay < DELAY_LO:
                 bins[0] += 1
             elif delay >= DELAY_HI:
-                bins[_OVERFLOW] += 1
+                bins[DELAY_OVERFLOW] += 1
             else:
-                bins[1 + int(log(delay / DELAY_LO) / _LOG_BASE)] += 1
+                bins[1 + int(log(delay / DELAY_LO) / DELAY_LOG_BASE)] += 1
 
     # -- aggregation ----------------------------------------------------
 

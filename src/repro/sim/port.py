@@ -16,10 +16,18 @@ are all instances of this one class.
 
 from __future__ import annotations
 
+from math import log
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.metrics.collector import StatsCollector
+from repro.metrics.collector import (
+    DELAY_HI,
+    DELAY_LO,
+    DELAY_LOG_BASE,
+    DELAY_OVERFLOW,
+    FlowStats,
+    StatsCollector,
+)
 from repro.obs.events import DepartEvent, DropEvent, EnqueueEvent
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -38,7 +46,10 @@ class OutputPort:
         rate: link rate in bytes/second.
         scheduler: service order for admitted packets.
         manager: buffer-admission policy.
-        collector: optional statistics sink.
+        collector: optional statistics sink.  The port counts into its
+            ``flows`` itself, with the operations of the collector's
+            ``on_offered``/``on_drop``/``on_depart``, one subscript per
+            event to find the flow's :class:`FlowStats`.
         downstream: optional next hop with a ``receive(packet)`` method;
             transmitted packets are handed to it, which is how multi-node
             topologies (:mod:`repro.net`) are chained.
@@ -118,12 +129,20 @@ class OutputPort:
         flow_id = packet.flow_id
         size = packet.size
         collector = self.collector
-        if collector is not None:
-            collector.on_offered(flow_id, size, now)
+        if collector is not None and now >= collector.warmup:
+            try:
+                stats = collector.flows[flow_id]
+            except KeyError:
+                stats = collector.flows[flow_id] = FlowStats()
+            stats.offered_packets += 1
+            stats.offered_bytes += size
+        else:
+            stats = None
         if not self.manager.try_admit(flow_id, size):
             self.dropped_packets += 1
-            if collector is not None:
-                collector.on_drop(flow_id, size, now)
+            if stats is not None:
+                stats.dropped_packets += 1
+                stats.dropped_bytes += size
             if self._sink is not None:
                 self._sink.emit(
                     DropEvent(now, flow_id, size, self._drop_reason(packet), self.label)
@@ -165,8 +184,27 @@ class OutputPort:
         self.manager.on_depart(flow_id, size)
         self.transmitted_packets += 1
         delay = now - enqueued
-        if self.collector is not None:
-            self.collector.on_depart(flow_id, size, delay, now)
+        collector = self.collector
+        if collector is not None and now >= collector.warmup:
+            try:
+                stats = collector.flows[flow_id]
+            except KeyError:
+                stats = collector.flows[flow_id] = FlowStats()
+            stats.departed_packets += 1
+            stats.departed_bytes += size
+            stats.delay_sum += delay
+            if delay > stats.delay_max:
+                stats.delay_max = delay
+            if collector.delay_histograms:
+                bins = stats.bins
+                if bins is None:
+                    bins = stats.bins = [0] * (DELAY_OVERFLOW + 1)
+                if delay < DELAY_LO:
+                    bins[0] += 1
+                elif delay >= DELAY_HI:
+                    bins[DELAY_OVERFLOW] += 1
+                else:
+                    bins[1 + int(log(delay / DELAY_LO) / DELAY_LOG_BASE)] += 1
         if self._sink is not None:
             self._sink.emit(DepartEvent(now, flow_id, size, delay, self.label))
         if self.downstream is not None:

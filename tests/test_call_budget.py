@@ -128,10 +128,12 @@ def churn(reclamation: bool):
 
 
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
-#: ``Simulator.run``).  Measured 21.345 / 23.062 / 22.379 / 22.384 /
-#: 25.904 on the bare port and 23.217 for WFQ with delay histograms on
-#: (24.064 / 27.602 / 25.744 for the WFQ, hybrid and histogram rows while
-#: WFQ and the hybrid read time through a ``lambda: sim.now`` twice a
+#: ``Simulator.run``).  Measured 16.549 / 18.266 / 17.556 / 17.561 /
+#: 21.093 on the bare port and 18.393 for WFQ with delay histograms on
+#: (21.345 / 23.062 / 22.379 / 22.384 / 25.904 and 23.217 before the
+#: cut the last paragraph describes, which the rest predates; 24.064 /
+#: 27.602 / 25.744 for the WFQ, hybrid and histogram rows while WFQ and
+#: the hybrid read time through a ``lambda: sim.now`` twice a
 #: packet and a departure's delay went through ``LogHistogram.record``
 #: behind a ``defaultdict``; the three sorted rows 30.75 / 26.38 / 39.80
 #: before the flat enqueue/dequeue bodies, when a packet also paid a
@@ -171,29 +173,37 @@ def churn(reclamation: bool):
 #: runs again began returning its next delay for the event queue to
 #: re-queue: each ``schedule_fast`` frame it saved became the one
 #: ``heappush`` C call the queue makes itself, so cost fell at the same
-#: count (``SCHEDULE_FAST_PINS`` pins the frames).  The ceilings leave
-#: ~4-5% for interpreter versions that count a builtin differently; a PR
-#: that shortens a path lowers its ceiling to ~5% above the new count.
+#: count (``SCHEDULE_FAST_PINS`` pins the frames).  Every row fell when
+#: the port began counting its hop's ``FlowStats`` inline (no
+#: ``on_offered``/``on_drop``/``on_depart`` frame) and the threshold
+#: managers kept occupancy and threshold in one slot (no ``dict.get``):
+#: 21.345 / 23.062 / 22.379 / 23.217 / 22.384 / 25.904 -> 16.549 /
+#: 18.266 / 17.556 / 18.393 / 17.561 / 21.093 on the port, 26.388 /
+#: 26.408 -> 21.003 / 21.023 on the tandem, 32.233 / 47.369 -> 26.389 /
+#: 41.530 on churn, 29.894 -> 24.261 with a sink and 46.005 -> 39.543
+#: on the observed tandem.  The ceilings leave ~5% for interpreter
+#: versions that count a builtin differently; a PR that shortens a path
+#: lowers its ceiling to ~5% above the new count.
 ROWS = {
-    "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 22.5),
-    "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 24.5),
-    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 23.5),
+    "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 17.4),
+    "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 19.2),
+    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 18.4),
     # port-wfq-manyflow's shape on nine flows: WFQ with the per-flow
-    # delay histograms on, so the collector's departure leg shows.
+    # delay histograms on, so the histogram leg of a departure shows.
     "WFQ_THRESHOLD-hist": (
-        lambda: port(Scheme.WFQ_THRESHOLD, delay_histograms=True), 24.4
+        lambda: port(Scheme.WFQ_THRESHOLD, delay_histograms=True), 19.3
     ),
     # SCFQ has no benchmark workload: this row is its only cost gate.
-    "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 23.5),
-    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 27.2),
-    "tandem-churn": (lambda: tandem(False), 27.7),
-    "tandem-churn-reclaim": (lambda: tandem(True), 27.7),
-    "churn": (lambda: churn(False), 33.8),
-    "churn-reclaim": (lambda: churn(True), 49.7),
+    "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 18.4),
+    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 22.1),
+    "tandem-churn": (lambda: tandem(False), 22.1),
+    "tandem-churn-reclaim": (lambda: tandem(True), 22.1),
+    "churn": (lambda: churn(False), 27.7),
+    "churn-reclaim": (lambda: churn(True), 43.6),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
-    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 31.4),
-    "tandem-observed": (observed_tandem, 48.3),
+    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 25.5),
+    "tandem-observed": (observed_tandem, 41.5),
 }
 
 #: Network row -> (events, offered packets, dropped packets, churn
@@ -357,7 +367,10 @@ FIXED_COST_SWEEPS = {
 #: is left is mostly describing, digesting and building the scenario,
 #: seeding its sources and extracting the record.  The counts depend a
 #: little on the depth of the cache path (pathlib parses it once per
-#: pass); ceilings sit ~5% above them.
+#: pass); ceilings sit ~5% above them.  One-link and network cold read
+#: 718.2 / 884.25 since each threshold manager builds one slot per flow
+#: (a constructor and a threshold check each, where it copied a dict);
+#: the ceilings hold.
 FIXED_COST_ROWS = {
     "one-link": (746.0, 172.5, 207.5),
     "network": (921.0, 218.5, 237.0),

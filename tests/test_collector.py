@@ -50,6 +50,10 @@ class TestCollector:
         with pytest.raises(ConfigurationError):
             StatsCollector(warmup=-1.0)
 
+    def test_nan_warmup_rejected(self):
+        with pytest.raises(ConfigurationError):
+            StatsCollector(warmup=float("nan"))
+
     def test_flow_ids_sorted(self):
         collector = StatsCollector()
         collector.on_offered(5, 1.0, 0.0)
@@ -58,6 +62,16 @@ class TestCollector:
 
 
 class TestDelayHistograms:
+    def test_bins_ride_on_flow_stats_outside_equality_and_repr(self):
+        collector = StatsCollector(delay_histograms=True)
+        collector.on_depart(0, 500.0, 0.01, 1.0)
+        stats = collector.flows[0]
+        assert sum(stats.bins) == 1
+        plain = FlowStats(departed_packets=1, departed_bytes=500.0, delay_sum=0.01,
+                          delay_max=0.01)
+        assert stats == plain and plain.bins is None
+        assert repr(stats) == repr(plain)
+
     def test_disabled_by_default(self):
         collector = StatsCollector()
         with pytest.raises(ConfigurationError):

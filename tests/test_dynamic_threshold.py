@@ -75,6 +75,8 @@ class TestReprovisionContract:
         assert type(manager).has_flow_thresholds is False
         with pytest.raises(ConfigurationError):
             manager.reprovision(3, -1.0)
+        with pytest.raises(ConfigurationError):
+            manager.reprovision(3, float("nan"))
 
     def test_retire_reclaims_drained_occupancy_entry(self):
         manager = DynamicThresholdManager(1000.0, alpha=1.0)

@@ -1,5 +1,7 @@
 """Fixed-partition threshold manager (Sections 2, 3.2)."""
 
+import math
+
 import pytest
 
 from repro.core.fixed_threshold import FixedThresholdManager
@@ -51,6 +53,7 @@ class TestUnknownFlows:
     def test_unknown_flow_dropped_by_default(self):
         manager = FixedThresholdManager(1000.0, {0: 400.0})
         assert not manager.try_admit(99, 100.0)
+        assert 99 not in manager._flows  # a rejection leaves no slot behind
 
     def test_default_threshold_applies_to_unknown_flows(self):
         manager = FixedThresholdManager(1000.0, {0: 400.0}, default_threshold=200.0)
@@ -108,7 +111,7 @@ class TestReprovisionRetire:
         manager.retire(0)
         assert manager.occupancy(0) == 200.0  # still draining
         manager.on_depart(0, 200.0)
-        assert 0 not in manager._occupancy  # entry reclaimed
+        assert 0 not in manager._flows  # slot reclaimed
 
     def test_negative_reprovision_rejected(self):
         manager = FixedThresholdManager(1000.0, {})
@@ -130,3 +133,27 @@ class TestReprovisionRetire:
             (manager.default_threshold, 250.0),
         ]
         assert kinds[0].node == "n0"
+
+
+class TestNaNRefused:
+    """A NaN passes every comparison, so it would switch the threshold test off."""
+
+    def test_nan_threshold_refused_at_construction(self):
+        with pytest.raises(ConfigurationError, match="flow 1"):
+            FixedThresholdManager(1000.0, {1: math.nan})
+
+    def test_nan_default_threshold_refused(self):
+        with pytest.raises(ConfigurationError, match="default threshold"):
+            FixedThresholdManager(1000.0, {}, default_threshold=math.nan)
+
+    def test_nan_reprovision_refused_and_threshold_kept(self):
+        manager = FixedThresholdManager(1000.0, {1: 400.0})
+        with pytest.raises(ConfigurationError, match="flow 1"):
+            manager.reprovision(1, math.nan)
+        assert manager.threshold(1) == 400.0
+        assert not manager.try_admit(1, 900.0)
+
+    def test_nan_capacity_refused(self):
+        with pytest.raises(ConfigurationError, match="capacity"):
+            FixedThresholdManager(math.nan, {1: 400.0})
+

@@ -14,6 +14,8 @@ Comparisons are exact (``==``): the flat paths promise the same float
 operations in the same order, not merely close results.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import HeadroomEvent, ReprovisionEvent, ThresholdCrossEvent
 from repro.sim.rng import Generator, SeedSequence
+from tests.conftest import examples
 
 CAPACITY = 10_000.0
 HEADROOM = 1_500.0
@@ -140,6 +143,9 @@ class HybridReference:
 
     def on_depart(self, flow, size):
         self._of(flow).on_depart(flow, size)
+
+    def threshold(self, flow):
+        return self._of(flow).threshold(flow)
 
     def reprovision(self, flow, threshold):
         self._of(flow).reprovision(flow, threshold)
@@ -372,6 +378,8 @@ class ManagerContract(RuleBasedStateMachine):
     def same_state(self):
         for flow in FLOWS:
             assert self.real.occupancy(flow) == self.ref.occupancy.get(flow, 0.0)
+            if self.kind in THRESHOLD_KINDS:
+                assert self.real.threshold(flow) == self.ref.threshold(flow)
         assert self.real.total_occupancy == self.ref.total
         pairs = [(self.real, self.ref)]
         if self.kind == "hybrid":
@@ -384,9 +392,34 @@ class ManagerContract(RuleBasedStateMachine):
 
 
 ManagerContract.TestCase.settings = settings(
-    max_examples=200, stateful_step_count=40, deadline=None
+    max_examples=examples(200), stateful_step_count=40, deadline=None
 )
 TestManagerContract = ManagerContract.TestCase
+
+
+@pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+def test_reprovisioned_retiree_keeps_its_threshold_through_the_drain(kind):
+    """Retire a flow with bytes queued, reprovision the same id, drain it.
+
+    The drain must not reclaim the flow's record with the new threshold
+    in it: the threshold survives and keeps gating admission, as in the
+    reference.
+    """
+    real, ref = build(kind, {0: 2_000.0, 1: 1_000.0}, SimpleNamespace(now=0.0))
+    for manager in (real, ref):
+        assert manager.try_admit(0, 1_500.0)
+        manager.retire(0)
+        manager.reprovision(0, 3_000.0)
+        manager.on_depart(0, 1_500.0)
+    assert real.threshold(0) == ref.threshold(0) == 3_000.0
+    assert real.occupancy(0) == 0.0
+    decisions = [
+        [manager.try_admit(0, size) for size in (2_500.0, 500.0, 1.0, 4_000.0)]
+        for manager in (real, ref)
+    ]
+    assert decisions[0] == decisions[1]
+    if kind in ("fixed", "hybrid"):  # flow 0 sits under a hard cap
+        assert decisions[0] == [True, True, False, False]
 
 
 # -- guards the state machine cannot reach from valid sequences --------------

@@ -20,6 +20,7 @@ from repro.core.red import REDManager
 from repro.core.shared_headroom import SharedHeadroomManager
 from repro.core.tail_drop import TailDropManager
 from repro.sim.rng import Generator, SeedSequence
+from tests.conftest import examples
 
 # An operation is (flow_id, size, depart_fraction); we admit, and later
 # depart queued packets driven by the fraction.
@@ -70,19 +71,19 @@ def check_core_invariants(manager, queued):
 
 class TestTailDropInvariants:
     @given(ops=operations)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_invariants(self, ops):
         drive(TailDropManager(10_000.0), ops)
 
 
 class TestFixedThresholdInvariants:
     @given(ops=operations, thresholds=thresholds_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_invariants(self, ops, thresholds):
         drive(FixedThresholdManager(10_000.0, thresholds), ops)
 
     @given(ops=operations, thresholds=thresholds_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_occupancy_never_exceeds_threshold(self, ops, thresholds):
         manager = FixedThresholdManager(10_000.0, thresholds)
         queued = []
@@ -101,7 +102,7 @@ class TestSharedHeadroomInvariants:
         thresholds=thresholds_strategy,
         headroom=st.floats(min_value=0.0, max_value=12_000.0, allow_nan=False),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_counter_invariant(self, ops, thresholds, headroom):
         manager = SharedHeadroomManager(10_000.0, thresholds, headroom)
         queued = []
@@ -122,7 +123,7 @@ class TestSharedHeadroomInvariants:
         ) < 1e-3
 
     @given(ops=operations, thresholds=thresholds_strategy)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_sharing_never_stricter_than_fixed_partition(self, ops, thresholds):
         # Any packet the fixed-partition manager admits, the sharing
         # manager (same thresholds, any headroom) admits too.
@@ -155,12 +156,12 @@ class TestDynamicThresholdInvariants:
         ops=operations,
         alpha=st.floats(min_value=0.1, max_value=4.0, allow_nan=False),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_invariants(self, ops, alpha):
         drive(DynamicThresholdManager(10_000.0, alpha=alpha), ops)
 
     @given(ops=operations)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_admission_respects_dynamic_threshold(self, ops):
         manager = DynamicThresholdManager(10_000.0, alpha=1.0)
         for flow_id, size, _ in ops:
@@ -172,7 +173,7 @@ class TestDynamicThresholdInvariants:
 
 class TestREDInvariants:
     @given(ops=operations)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_invariants(self, ops):
         manager = REDManager(
             10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(0)), SimpleNamespace(now=0.0)
@@ -180,7 +181,7 @@ class TestREDInvariants:
         drive(manager, ops)
 
     @given(ops=operations)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_average_stays_finite_and_nonnegative(self, ops):
         clock = SimpleNamespace(now=0.0)
         manager = REDManager(10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(1)), clock)
@@ -192,7 +193,7 @@ class TestREDInvariants:
 
 class TestFREDInvariants:
     @given(ops=operations)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_invariants(self, ops):
         manager = FREDManager(
             10_000.0, 2_000.0, 8_000.0, Generator(SeedSequence(2)),

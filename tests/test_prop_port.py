@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from repro.core.dynamic_threshold import DynamicThresholdManager
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.tail_drop import TailDropManager
-from repro.metrics.collector import StatsCollector
-from repro.obs.events import DepartEvent
+from repro.metrics.collector import FlowStats, StatsCollector
+from repro.obs.events import DepartEvent, DropEvent, EnqueueEvent
 from repro.obs.sink import RingSink
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.wfq import WFQScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
+from tests.conftest import examples
 
 arrivals_strategy = st.lists(
     st.tuples(
@@ -36,14 +37,17 @@ manager_factories = st.sampled_from([
 scheduler_factories = st.sampled_from(["fifo", "wfq"])
 
 
-def run_port(arrivals, manager, scheduler_kind):
+def run_port(arrivals, manager, scheduler_kind, collector=None, sink=None):
     sim = Simulator()
     if scheduler_kind == "fifo":
         scheduler = FIFOScheduler()
     else:
         scheduler = WFQScheduler(sim, 100_000.0, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0})
-    collector = StatsCollector()
+    if collector is None:
+        collector = StatsCollector()
     port = OutputPort(sim, 100_000.0, scheduler, manager, collector)
+    if sink is not None:
+        port.attach_trace(sink)
     time = 0.0
     for gap, flow_id, size in arrivals:
         time += gap
@@ -133,3 +137,62 @@ class TestConservation:
         for stats in collector.flows.values():
             assert stats.delay_max <= bound + 1e-9
             assert stats.delay_sum >= 0.0
+
+
+def bits(stats: FlowStats) -> tuple:
+    """The eight counters, floats as their exact hex spelling."""
+    return (
+        stats.offered_packets,
+        stats.offered_bytes.hex(),
+        stats.dropped_packets,
+        stats.dropped_bytes.hex(),
+        stats.departed_packets,
+        stats.departed_bytes.hex(),
+        stats.delay_sum.hex(),
+        stats.delay_max.hex(),
+    )
+
+
+def histogram_bits(histogram) -> tuple:
+    return (
+        tuple(histogram._counts),
+        histogram.count,
+        float(histogram.total).hex(),
+        float(histogram.max_value).hex(),
+    )
+
+
+class TestPortCountsLikeCollector:
+    """The port counts its hop's ``FlowStats`` inline; the collector's
+    ``on_offered``/``on_drop``/``on_depart`` are the reference.  Fed the
+    port's own trace, they must produce the same records to the bit."""
+
+    @given(
+        arrivals=arrivals_strategy,
+        make_manager=manager_factories,
+        scheduler_kind=scheduler_factories,
+        warmup=st.floats(min_value=0.0, max_value=1.0),
+        delay_histograms=st.booleans(),
+    )
+    @settings(max_examples=examples(60), deadline=None)
+    def test_flow_stats_equal_collector_fed_from_the_trace(
+        self, arrivals, make_manager, scheduler_kind, warmup, delay_histograms
+    ):
+        collector = StatsCollector(warmup=warmup, delay_histograms=delay_histograms)
+        sink = RingSink()
+        run_port(arrivals, make_manager(), scheduler_kind, collector, sink)
+        reference = StatsCollector(warmup=warmup, delay_histograms=delay_histograms)
+        for event in sink.events():
+            if isinstance(event, (EnqueueEvent, DropEvent)):
+                reference.on_offered(event.flow_id, event.size, event.time)
+            if isinstance(event, DropEvent):
+                reference.on_drop(event.flow_id, event.size, event.time)
+            elif isinstance(event, DepartEvent):
+                reference.on_depart(event.flow_id, event.size, event.delay, event.time)
+        assert collector.flows.keys() == reference.flows.keys()
+        for flow_id, stats in collector.flows.items():
+            assert bits(stats) == bits(reference.flows[flow_id])
+            if delay_histograms:
+                assert histogram_bits(collector.delay_histogram(flow_id)) == histogram_bits(
+                    reference.delay_histogram(flow_id)
+                )

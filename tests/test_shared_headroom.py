@@ -1,5 +1,7 @@
 """Buffer sharing with headroom and holes (Section 3.3)."""
 
+import math
+
 import pytest
 
 from repro.core.shared_headroom import SharedHeadroomManager
@@ -187,3 +189,25 @@ class TestZeroHeadroomAndValidation:
         manager = SharedHeadroomManager(500.0, {0: 100.0}, headroom=500.0)
         assert manager.try_admit(0, 100.0)
         assert not manager.try_admit(0, 100.0)
+
+
+class TestNaNRefused:
+    """A NaN threshold would let every packet through the reservation test."""
+
+    def test_nan_threshold_refused_at_construction(self):
+        with pytest.raises(ConfigurationError, match="flow 1"):
+            SharedHeadroomManager(1000.0, {1: math.nan}, headroom=200.0)
+
+    def test_nan_default_threshold_refused(self):
+        with pytest.raises(ConfigurationError, match="default threshold"):
+            SharedHeadroomManager(1000.0, {}, headroom=200.0, default_threshold=math.nan)
+
+    def test_nan_reprovision_refused_and_threshold_kept(self):
+        manager = make_manager()
+        with pytest.raises(ConfigurationError, match="flow 0"):
+            manager.reprovision(0, math.nan)
+        assert manager.threshold(0) == 300.0
+
+    def test_nan_headroom_refused(self):
+        with pytest.raises(ConfigurationError, match="headroom"):
+            SharedHeadroomManager(1000.0, {0: 300.0}, headroom=math.nan)
