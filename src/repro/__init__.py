@@ -56,7 +56,6 @@ from repro.experiments import (
     Scheme,
     build_scheme,
     run_fabric,
-    run_replications,
     run_scenario,
     table1_flows,
     table2_flows,
@@ -96,7 +95,7 @@ __all__ = [
     "FlowStats", "StatsCollector", "MeanCI", "mean_ci",
     # experiments
     "LINK_RATE", "Scheme", "build_scheme", "run_scenario",
-    "run_replications", "table1_flows", "table2_flows",
+    "table1_flows", "table2_flows",
     # campaigns: a job is a scenario, a record is its links
     "NetworkScenario", "run_fabric",
     "ScenarioJob", "ScenarioRecord", "CampaignRunner", "ResultCache",

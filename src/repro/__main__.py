@@ -243,19 +243,22 @@ def run_spec_file(args: argparse.Namespace) -> int:
 def run_campaign_status(args: argparse.Namespace) -> int:
     """Cache entries, lifetime hit/miss/store counts and claims."""
     from repro import units
-    from repro.experiments.sweep import scan_queue
+    from repro.experiments.sweep import scan_claims
 
     cache = default_runner(cache_dir=args.cache_dir).cache
     entries = cache.entries()
     stats = cache.persisted_stats()
-    queue = scan_queue(cache.root, args.heartbeat_timeout)
+    claims = scan_claims(cache.root, args.heartbeat_timeout)
+    failed = sum(claim.failed for claim in claims)
+    orphaned = sum(claim.stale for claim in claims)
     print(f"cache directory : {cache.root}")
     print(f"schema tag      : {CAMPAIGN_SCHEMA}")
     print(f"entries         : {len(entries)}")
     print(f"size            : {units.to_mbytes(cache.size_bytes()):.3f} MB")
     print(f"cached bytes    : {cache.size_bytes()}")
-    print(f"claimed         : {queue.claimed}")
-    print(f"orphaned claims : {queue.orphaned}")
+    print(f"claimed         : {len(claims) - failed - orphaned}")
+    print(f"orphaned claims : {orphaned}")
+    print(f"failed claims   : {failed}")
     print(f"lifetime hits   : {stats['hits']}")
     print(f"lifetime misses : {stats['misses']}")
     print(f"lifetime stores : {stats['stores']}")
@@ -263,10 +266,18 @@ def run_campaign_status(args: argparse.Namespace) -> int:
 
 
 def run_campaign_clear(args: argparse.Namespace) -> int:
-    """Delete every cached result."""
+    """Delete every cached result and failure claim (never a live claim)."""
+    from repro.experiments.sweep import release_claim, scan_claims
+
     cache = default_runner(cache_dir=args.cache_dir).cache
     removed = cache.clear()
-    print(f"removed {removed} cached result(s) from {cache.root}")
+    failed = [claim.digest for claim in scan_claims(cache.root) if claim.failed]
+    for digest in failed:
+        release_claim(cache.root / f"{digest}.claim")
+    print(
+        f"removed {removed} cached result(s) and {len(failed)} failure "
+        f"claim(s) from {cache.root}"
+    )
     return 0
 
 
@@ -293,6 +304,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     print(f"passes          : {summary.passes}")
     print(f"cells           : {status.cells}")
     print(f"completed       : {status.completed}")
+    print(f"failed          : {status.failed}")
     print(f"outstanding     : {summary.outstanding}")
     return 0 if status.complete else 1
 
@@ -311,6 +323,7 @@ def run_sweep_status(args: argparse.Namespace) -> int:
     print(f"claimed         : {status.claimed}")
     print(f"orphaned claims : {status.orphaned}")
     print(f"pending         : {status.pending}")
+    print(f"failed          : {status.failed}")
     return 0 if status.complete else 1
 
 

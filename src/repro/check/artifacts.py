@@ -365,7 +365,8 @@ def _check_trace_pool_lines(
 
 
 def _check_claim_artifact(path: pathlib.Path, text: str) -> list[Finding]:
-    """A live claim file: current schema, digest matching the file name."""
+    """A claim file, live or a failure record: current schema, digest
+    matching the file name."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,6 +15,12 @@ campaigns cheap at figure scale:
   ``concurrent.futures.ProcessPoolExecutor`` in digest order with
   chunked scheduling.  Results are keyed by digest and re-emitted in
   submission order, so a parallel run is byte-identical to a serial one.
+
+Both executors — this runner and the sweep worker
+(:func:`~repro.experiments.sweep.queue.run_sweep_worker`) — run
+:func:`execute_job` and hand each finished record to :func:`store`, the
+one place a record enters the cache, as soon as it is finished: a batch
+that raises keeps every record finished before the raise.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.cache import (
@@ -44,6 +50,7 @@ __all__ = [
     "default_runner",
     "execute_job",
     "preflight_jobs",
+    "store",
 ]
 
 
@@ -110,6 +117,14 @@ def execute_job(job: ScenarioJob) -> ScenarioRecord:
             compactions=result.compactions,
         ),
     )
+
+
+def store(cache: ResultCache | None, record: ScenarioRecord) -> ScenarioRecord:
+    """The store step of both executors: put a finished record in
+    ``cache`` (when there is one) and return it."""
+    if cache is not None:
+        cache.put(record)
+    return record
 
 
 @dataclass(frozen=True)
@@ -191,15 +206,9 @@ class CampaignRunner:
                     )
         cache_hits = len(records)
 
-        pending = [
-            (digest, job) for digest, job in unique.items() if digest not in records
-        ]
-        if pending:
-            fresh = self._execute([job for _digest, job in pending])
-            for (digest, _job), record in zip(pending, fresh):
-                records[digest] = record
-                if self.cache is not None:
-                    self.cache.put(record)
+        pending = [job for digest, job in unique.items() if digest not in records]
+        for record in self._execute(pending):
+            records[record.job_digest] = store(self.cache, record)
 
         self.last_stats = CampaignStats(
             submitted=len(jobs),
@@ -215,16 +224,18 @@ class CampaignRunner:
             self.cache.persist_stats()
         return [records[digest] for digest in digests]
 
-    def _execute(self, jobs: list[ScenarioJob]) -> list[ScenarioRecord]:
+    def _execute(self, jobs: list[ScenarioJob]) -> Iterator[ScenarioRecord]:
+        """Each job's record, in job order, as it finishes."""
         workers = min(self.workers, len(jobs))
         if workers <= 1:
-            return [execute_job(job) for job in jobs]
+            yield from map(execute_job, jobs)
+            return
         # Aim for ~4 chunks per worker: coarse enough to amortise dispatch,
         # fine enough that a slow chunk cannot serialise the tail of the
         # batch.
         chunk = max(1, len(jobs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(execute_job, jobs, chunksize=chunk))
+            yield from pool.map(execute_job, jobs, chunksize=chunk)
 
 
 def default_runner(

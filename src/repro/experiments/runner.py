@@ -1,29 +1,29 @@
-"""Scenario runner: the paper's single-port experiment, and replications.
+"""Scenario runner: the paper's single-port experiment.
 
 ``run_scenario`` reproduces the paper's simulation setup: every flow is a
 Markov-modulated on-off source; conformant flows pass through a leaky-
 bucket regulator; all flows share one output port whose scheduler and
 buffer manager are chosen by the scheme under study.  It is the one-link
 case of :func:`~repro.experiments.fabric.run_fabric` and returns that
-link's measurements.  Statistics are collected after a warmup period,
-and ``run_replications`` repeats a scenario over several seeds and
-returns mean ± 95% CI series, matching the paper's 5-run methodology.
+link's measurements.  Statistics are collected after a warmup period.
+Replications over seeds (the paper's 5-run mean ± 95% CI) are campaign
+batches folded by :func:`~repro.experiments.sweep.aggregate.fold_seeds`,
+through :func:`~repro.experiments.spec.run_spec` or a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme
 from repro.experiments.workloads import LINK_RATE, PACKET_SIZE
 from repro.metrics.collector import FlowStats, LinkMeasures, StatsCollector
-from repro.metrics.stats import MeanCI, mean_ci
 from repro.traffic.profiles import FlowSpec
 
-__all__ = ["ScenarioResult", "ReplicationResult", "run_scenario", "run_replications"]
+__all__ = ["ScenarioResult", "run_scenario"]
 
 
 @dataclass
@@ -142,57 +142,3 @@ def run_scenario(
         result.flow_stats.setdefault(flow.flow_id, FlowStats())
     return result
 
-
-@dataclass(frozen=True)
-class ReplicationResult(MeanCI):
-    """A :class:`~repro.metrics.stats.MeanCI` plus the per-seed samples.
-
-    Campaigns reuse the raw samples (e.g. for pooled statistics or
-    re-summarising at a different confidence level) without re-running
-    the simulations.
-    """
-
-    samples: tuple[float, ...] = ()
-
-
-def run_replications(
-    flows: Sequence[FlowSpec],
-    scheme: Scheme,
-    buffer_size: float,
-    metric: Callable[..., float],
-    *,
-    seeds: Sequence[int],
-    runner=None,
-    **keywords,
-) -> ReplicationResult:
-    """Repeat a scenario over seeds and summarise ``metric`` with a 95% CI.
-
-    A thin wrapper over a campaign batch: one
-    :class:`~repro.experiments.campaign.ScenarioJob` per seed, executed
-    by ``runner`` (a :class:`~repro.experiments.campaign.CampaignRunner`;
-    default serial, no cache).  ``metric`` receives the serializable
-    :class:`~repro.experiments.campaign.ScenarioRecord`, which exposes
-    the same measurement API as :class:`ScenarioResult`.
-    """
-    # Imported lazily: the campaign package's execute stage imports
-    # run_scenario from this module.
-    from repro.experiments.campaign import CampaignRunner, ScenarioJob
-
-    if not seeds:
-        raise ConfigurationError("run_replications needs at least one seed")
-    if runner is None:
-        runner = CampaignRunner()
-    jobs = [
-        ScenarioJob.for_scenario(
-            flows, scheme, buffer_size, seed=seed, **keywords
-        )
-        for seed in seeds
-    ]
-    samples = [metric(record) for record in runner.run(jobs)]
-    summary = mean_ci(samples)
-    return ReplicationResult(
-        mean=summary.mean,
-        halfwidth=summary.halfwidth,
-        n=summary.n,
-        samples=tuple(samples),
-    )

@@ -19,7 +19,6 @@ from repro.experiments.sweep.aggregate import (
     AGGREGATE_SCHEMA,
     SHARD_SCHEMA,
     aggregate_sweep,
-    append_shard_row,
     default_aggregate_path,
     fold_seeds,
     metric_row,
@@ -33,19 +32,15 @@ from repro.experiments.sweep.queue import (
     CLAIM_SCHEMA,
     DEFAULT_HEARTBEAT_TIMEOUT,
     ClaimInfo,
-    QueueState,
     SweepStatus,
     WorkerSummary,
-    claim_path,
     default_owner,
     read_claim,
     reap_stale_claims,
     release_claim,
     run_sweep_worker,
     scan_claims,
-    scan_queue,
     sweep_status,
-    try_claim,
 )
 from repro.experiments.sweep.spec import (
     SWEEP_SPEC_SCHEMA,
@@ -62,15 +57,12 @@ __all__ = [
     "SHARD_SCHEMA",
     "SWEEP_SPEC_SCHEMA",
     "ClaimInfo",
-    "QueueState",
     "SweepAxis",
     "SweepConstraint",
     "SweepSpec",
     "SweepStatus",
     "WorkerSummary",
     "aggregate_sweep",
-    "append_shard_row",
-    "claim_path",
     "default_aggregate_path",
     "default_owner",
     "fold_seeds",
@@ -83,10 +75,8 @@ __all__ = [
     "run_grid",
     "run_sweep_worker",
     "scan_claims",
-    "scan_queue",
     "shard_dir",
     "shard_path",
     "sweep_status",
-    "try_claim",
     "write_aggregate",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "AGGREGATE_SCHEMA",
     "SHARD_SCHEMA",
     "aggregate_sweep",
-    "append_shard_row",
     "default_aggregate_path",
     "fold_seeds",
     "metric_row",
@@ -110,28 +109,14 @@ def metric_row(spec: SweepSpec, scenario: NetworkScenario, record) -> dict:
 # -- shard I/O ------------------------------------------------------------
 
 
-def append_shard_row(
-    cache_root: str | os.PathLike,
-    sweep_digest: str,
-    owner: str,
-    digest: str,
-    params,
-    metrics,
-) -> pathlib.Path:
-    """Append one cell's row to this worker's shard (single write).
+def _append_shard_row(path: str, sweep_digest: str, digest: str, params, metrics) -> None:
+    """Append one cell's row to a worker's shard file (:func:`shard_path`,
+    which the worker names once, not once per cell).
 
     The line goes out as one ``O_APPEND`` write, so concurrent workers
     never interleave *within* a line; a worker killed mid-write leaves
     at most one torn final line, which readers skip.
     """
-    path = shard_path(cache_root, sweep_digest, owner)
-    _append_shard_row(os.fspath(path), sweep_digest, digest, params, metrics)
-    return path
-
-
-def _append_shard_row(path: str, sweep_digest: str, digest: str, params, metrics) -> None:
-    """:func:`append_shard_row` into a known shard file: a worker names
-    its shard once, not once per cell."""
     line = (
         json.dumps(
             {
@@ -260,13 +245,16 @@ def aggregate_sweep(spec: SweepSpec, cache: ResultCache) -> dict:
     the shard index or, failing that, from the result cache one record
     at a time — the full record set is never held in memory.  Raises
     :class:`~repro.errors.ConfigurationError` when cells are missing
-    (the sweep has not finished).
+    (the sweep has not finished) or failed (their claims carry the
+    failure record).  An entry that exists but does not decode (torn)
+    is deleted on the way, so that status and the next worker see its
+    cell as pending and run it again.
     """
     index = read_shard_index(cache.root, spec.digest())
-    cells = missing = 0
+    cells = missing = failed = dropped = 0
 
     def rows():
-        nonlocal cells, missing
+        nonlocal cells, missing, failed, dropped
         for params, job in spec.jobs():
             cells += 1
             digest = job.digest()
@@ -274,17 +262,36 @@ def aggregate_sweep(spec: SweepSpec, cache: ResultCache) -> dict:
             if metrics is None:
                 record = cache.get(digest)
                 if record is None:
+                    # Lazy: the queue module builds on this one.
+                    from repro.experiments.sweep.queue import read_claim
+
+                    if "failed" in (read_claim(cache.root / f"{digest}.claim") or ()):
+                        failed += 1
+                        continue
                     missing += 1
+                    if digest in cache:
+                        cache.path(digest).unlink(missing_ok=True)
+                        dropped += 1
                     continue
                 metrics = metric_row(spec, job.scenario, record)
             yield params, metrics
 
     groups = fold_seeds(spec.metrics, rows())
-    if missing:
+    if failed or missing:
+        problems = []
+        if failed:
+            problems.append(
+                f"{failed} of {cells} cells failed (their .claim files hold "
+                "the error; repro campaign clear-cache removes them)"
+            )
+        if missing:
+            torn = f" ({dropped} unreadable, now deleted)" if dropped else ""
+            problems.append(
+                f"{missing} of {cells} cells have no cached record{torn}; run "
+                "more workers (repro campaign sweep run) before aggregating"
+            )
         raise ConfigurationError(
-            f"sweep {spec.name!r} is incomplete: {missing} of {cells} cells "
-            "have no cached record; run more workers (repro campaign sweep "
-            "run) before aggregating"
+            f"sweep {spec.name!r} is incomplete: " + "; ".join(problems)
         )
     return _aggregate(spec, cells, groups)
 

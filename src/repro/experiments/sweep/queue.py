@@ -16,6 +16,12 @@ server, nothing to deploy.  Three file conventions do all the work:
   per-process tomb name with ``os.replace`` before deleting it, so when
   several workers notice the same corpse exactly one wins the rename
   and counts the reap; the losers get ``FileNotFoundError`` and move on.
+* a failure claim — a claim its worker rewrote, by atomic rename, with a
+  ``failed`` record (exception type, message, traceback digest) when the
+  cell's job or its store step raised.  It never goes stale, so it is
+  never reaped and, holding the ``O_EXCL`` name, never claimed again: a
+  job is deterministic, so a raise would only repeat.  ``campaign
+  clear-cache`` removes failure claims (never live ones).
 
 Re-executing a reaped cell is always safe: jobs are content-addressed
 and deterministic, so the second execution produces the byte-identical
@@ -29,21 +35,24 @@ Sharing the cache directory over NFS works when the export honours
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import platform
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.cache import (
     ResultCache,
+    _tmp_name,
     open_creating_parents,
     write_telemetry,
 )
-from repro.experiments.campaign.runner import execute_job, preflight_jobs
+from repro.experiments.campaign.runner import execute_job, preflight_jobs, store
 from repro.experiments.sweep.aggregate import _append_shard_row, metric_row, shard_path
 from repro.experiments.sweep.spec import SweepSpec
 
@@ -51,18 +60,14 @@ __all__ = [
     "CLAIM_SCHEMA",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "ClaimInfo",
-    "QueueState",
     "SweepStatus",
     "WorkerSummary",
-    "claim_path",
     "read_claim",
     "reap_stale_claims",
     "release_claim",
     "run_sweep_worker",
     "scan_claims",
-    "scan_queue",
     "sweep_status",
-    "try_claim",
 ]
 
 #: Version tag inside every claim file (audited by ``repro check``).
@@ -94,35 +99,48 @@ def default_owner() -> str:
 # -- claim files ----------------------------------------------------------
 
 
-def claim_path(cache_root: str | os.PathLike, digest: str) -> pathlib.Path:
-    """Where the claim for ``digest`` lives (whether or not it exists)."""
-    return pathlib.Path(cache_root) / f"{digest}.claim"
-
-
-def try_claim(
-    cache_root: str | os.PathLike, digest: str, owner: str
-) -> pathlib.Path | None:
-    """Atomically claim a cell; ``None`` when someone else holds it.
+def _claim(path: str, digest: str, owner: str) -> bool:
+    """Atomically claim a cell at its claim path (``<root>/<digest>.claim``);
+    False when someone else holds it.
 
     ``O_CREAT | O_EXCL`` makes the filesystem the arbiter: of N racing
     workers exactly one sees the create succeed.
     """
-    path = claim_path(cache_root, digest)
-    return path if _claim(os.fspath(path), digest, owner) else None
-
-
-def _claim(path: str, digest: str, owner: str) -> bool:
-    """:func:`try_claim` at a known claim path; False when it is held."""
     try:
         fd = open_creating_parents(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
     except FileExistsError:
         return False
-    payload = {"schema": CLAIM_SCHEMA, "digest": digest, "owner": owner, "pid": os.getpid()}
     try:
-        os.write(fd, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+        os.write(fd, _claim_bytes(digest, owner))
     finally:
         os.close(fd)
     return True
+
+
+def _claim_bytes(digest: str, owner: str, **fields) -> bytes:
+    """A claim file's payload: who holds ``digest``, plus ``fields``."""
+    payload = {
+        "schema": CLAIM_SCHEMA, "digest": digest, "owner": owner, "pid": os.getpid(),
+        **fields,
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _fail_claim(path: str, digest: str, owner: str, error: Exception) -> None:
+    """Rewrite a held claim as its cell's failure record (atomic rename)."""
+    trace = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+    failed = {
+        "type": type(error).__name__,
+        "message": str(error),
+        "traceback_sha256": hashlib.sha256(trace.encode("utf-8")).hexdigest(),
+    }
+    tmp = _tmp_name(path)
+    fd = open_creating_parents(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        os.write(fd, _claim_bytes(digest, owner, failed=failed))
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
 
 
 def release_claim(path: str | os.PathLike) -> None:
@@ -146,12 +164,16 @@ def read_claim(path: str | os.PathLike) -> dict | None:
 
 @dataclass(frozen=True)
 class ClaimInfo:
-    """One live or orphaned claim, as seen by a queue scan."""
+    """One live, orphaned or failed claim, as seen by a queue scan.
+
+    A failure claim is never ``stale``: it stays until removed.
+    """
 
     digest: str
     owner: str
     age: float
     stale: bool
+    failed: bool
 
 
 def scan_claims(
@@ -176,12 +198,14 @@ def scan_claims(
         except OSError:
             continue
         payload = read_claim(path) or {}
+        failed = "failed" in payload
         found.append(
             ClaimInfo(
                 digest=path.name[: -len(".claim")],
                 owner=str(payload.get("owner", "?")),
                 age=age,
-                stale=age > heartbeat_timeout,
+                stale=not failed and age > heartbeat_timeout,
+                failed=failed,
             )
         )
     return found
@@ -203,7 +227,7 @@ def reap_stale_claims(
     for claim in scan_claims(cache_root, heartbeat_timeout, now=now):
         if not claim.stale:
             continue
-        path = claim_path(cache_root, claim.digest)
+        path = pathlib.Path(cache_root) / f"{claim.digest}.claim"
         tomb = path.with_name(f"{path.name}.tomb.{os.getpid()}")
         try:
             os.replace(path, tomb)
@@ -263,7 +287,8 @@ class WorkerSummary:
         reaped: stale claims this worker removed (exactly-once counts).
         passes: grid passes made before exiting.
         outstanding: cells still claimed by *other* workers at exit
-            (zero means the sweep was complete when this worker left).
+            (zero means every cell was complete or failed when this
+            worker left).
     """
 
     owner: str
@@ -290,8 +315,8 @@ def run_sweep_worker(
     The worker streams the grid (never materializing it), skipping
     completed cells, claiming and executing unclaimed ones, and reaping
     stale claims at the top of each pass.  It exits when every cell is
-    complete — or, with ``wait=False`` (the default), as soon as the
-    only cells left are claimed by live peers.  ``wait=True`` keeps
+    complete or failed — or, with ``wait=False`` (the default), as soon
+    as the only cells left are claimed by live peers.  ``wait=True`` keeps
     polling until the whole sweep is done, which makes the call a
     barrier: when it returns with ``outstanding == 0`` the aggregate
     can be built.  Only the first pass walks the grid; later passes
@@ -299,9 +324,19 @@ def run_sweep_worker(
     (so a cache cleared mid-sweep is not noticed: cells this call saw
     complete stay done).
 
-    One heartbeat thread, started at the first cell this call executes,
-    keeps the executing cell's claim fresh; it is stopped and joined
-    before the call returns or raises.
+    Each claimed cell runs :func:`~repro.experiments.campaign.runner.execute_job`
+    and the runner's one store step
+    (:func:`~repro.experiments.campaign.runner.store`); what the queue
+    adds around them is the claim, its heartbeat, the shard row and the
+    release.  One heartbeat thread, started at the first cell this call
+    executes, keeps the executing cell's claim fresh; it is stopped and
+    joined before the call returns or raises.
+
+    Failure rule: when a cell's job or its store step raises an
+    :class:`Exception`, its claim becomes a failure claim (see the
+    module notes) and the worker goes on with the other cells; the
+    first such exception is re-raised once the grid is done.  Anything
+    else (``KeyboardInterrupt``, a kill) leaves the claim to go stale.
 
     Interruption-safety: a killed worker leaves its claim to go stale
     (reaped by the next pass of any peer after ``heartbeat_timeout``)
@@ -328,6 +363,7 @@ def run_sweep_worker(
     passes = 0
     entries = []
     heartbeat = None
+    failure = None
     # The first pass streams the grid; a later one revisits only the
     # cells the pass before found claimed by a live peer.
     cells = spec.jobs()
@@ -349,7 +385,8 @@ def run_sweep_worker(
                     continue
                 claim = f"{claim_prefix}{digest}.claim"
                 if not _claim(claim, digest, owner):
-                    claimed_elsewhere.append((params, job))
+                    if "failed" not in (read_claim(claim) or ()):
+                        claimed_elsewhere.append((params, job))
                     continue
                 if digest in cache:
                     # Completed between our membership check and the claim.
@@ -368,10 +405,14 @@ def run_sweep_worker(
                     heartbeat.start()
                 heartbeat.claim = claim
                 try:
-                    record = execute_job(job)
-                finally:
+                    record = store(cache, execute_job(job))
+                except Exception as error:
                     heartbeat.claim = None
-                cache.put(record)
+                    _fail_claim(claim, digest, owner, error)
+                    if failure is None:
+                        failure = error
+                    continue
+                heartbeat.claim = None
                 _append_shard_row(
                     shard, sweep_digest, digest, params,
                     metric_row(spec, job.scenario, record),
@@ -395,6 +436,8 @@ def run_sweep_worker(
     if telemetry_dir is not None and entries:
         write_telemetry(telemetry_dir, entries)
     cache.persist_stats()
+    if failure is not None:
+        raise failure
     return WorkerSummary(
         owner=owner,
         executed=executed,
@@ -416,6 +459,7 @@ class SweepStatus:
     claimed: int
     orphaned: int
     pending: int
+    failed: int
 
     @property
     def complete(self) -> bool:
@@ -428,16 +472,22 @@ def sweep_status(
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
 ) -> SweepStatus:
     """Walk the grid and classify every cell (streaming, O(1) memory)."""
+    failed_digests = set()
     stale_digests = set()
     live_digests = set()
     for claim in scan_claims(cache.root, heartbeat_timeout):
-        (stale_digests if claim.stale else live_digests).add(claim.digest)
-    cells = completed = claimed = orphaned = pending = 0
+        if claim.failed:
+            failed_digests.add(claim.digest)
+        else:
+            (stale_digests if claim.stale else live_digests).add(claim.digest)
+    cells = completed = claimed = orphaned = pending = failed = 0
     for _params, job in spec.jobs():
         digest = job.digest()
         cells += 1
         if digest in cache:
             completed += 1
+        elif digest in failed_digests:
+            failed += 1
         elif digest in live_digests:
             claimed += 1
         elif digest in stale_digests:
@@ -450,30 +500,6 @@ def sweep_status(
         claimed=claimed,
         orphaned=orphaned,
         pending=pending,
+        failed=failed,
     )
 
-
-@dataclass(frozen=True)
-class QueueState:
-    """Spec-free queue view of a cache directory (for campaign status)."""
-
-    claimed: int
-    orphaned: int
-
-    @property
-    def total(self) -> int:
-        return self.claimed + self.orphaned
-
-
-def scan_queue(
-    cache_root: str | os.PathLike,
-    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-) -> QueueState:
-    """Count live vs orphaned claims without needing the sweep spec."""
-    claimed = orphaned = 0
-    for claim in scan_claims(cache_root, heartbeat_timeout):
-        if claim.stale:
-            orphaned += 1
-        else:
-            claimed += 1
-    return QueueState(claimed=claimed, orphaned=orphaned)

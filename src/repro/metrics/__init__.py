@@ -8,7 +8,7 @@ from repro.metrics.records import (
     flow_stats_from_dict,
     flow_stats_to_dict,
 )
-from repro.metrics.stats import MeanCI, mean_ci, replicate
+from repro.metrics.stats import MeanCI, mean_ci
 
 __all__ = [
     "FlowStats",
@@ -20,5 +20,4 @@ __all__ = [
     "flow_stats_to_dict",
     "MeanCI",
     "mean_ci",
-    "replicate",
 ]

@@ -17,11 +17,11 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MeanCI", "mean_ci", "replicate"]
+__all__ = ["MeanCI", "mean_ci"]
 
 #: pi to 60 digits, for the odd-df series.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
@@ -72,13 +72,6 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
     t_crit = _t_quantile(0.5 + confidence / 2.0, n - 1)
     halfwidth = t_crit * math.sqrt(variance / n)
     return MeanCI(mean=mean, halfwidth=halfwidth, n=n)
-
-
-def replicate(run: Callable[[int], float], seeds: Sequence[int], confidence: float = 0.95) -> MeanCI:
-    """Run ``run(seed)`` for every seed and summarise the results."""
-    if not seeds:
-        raise ConfigurationError("replicate needs at least one seed")
-    return mean_ci([run(seed) for seed in seeds], confidence=confidence)
 
 
 @functools.lru_cache(maxsize=None)

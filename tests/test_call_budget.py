@@ -369,8 +369,10 @@ FIXED_COST_SWEEPS = {
 #: little on the depth of the cache path (pathlib parses it once per
 #: pass); ceilings sit ~5% above them.  One-link and network cold read
 #: 718.2 / 884.25 since each threshold manager builds one slot per flow
-#: (a constructor and a threshold check each, where it copied a dict);
-#: the ceilings hold.
+#: (a constructor and a threshold check each, where it copied a dict),
+#: and 720.2 / 886.25 since the worker stores through the runner's one
+#: store step and builds its claim payload in a helper shared with the
+#: failure record (two calls a cell); the ceilings hold.
 FIXED_COST_ROWS = {
     "one-link": (746.0, 172.5, 207.5),
     "network": (921.0, 218.5, 237.0),

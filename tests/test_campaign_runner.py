@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign import (
     CampaignRunner,
     ResultCache,
@@ -121,6 +121,19 @@ class TestCaching:
         second = CampaignRunner(cache=ResultCache(cache_dir))
         second.run(jobs)
         assert second.last_stats.cache_hits == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_finished_before_a_raise_are_stored(self, tmp_path, workers):
+        good = sweep_jobs()[:2]
+        poison = ScenarioJob.for_scenario(
+            FLOWS, Scheme.FIFO_NONE, mbytes(1), seed=1, max_events=50, **FAST
+        )
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SimulationError, match="max_events=50"):
+            CampaignRunner(workers=workers, cache=cache).run([*good, poison])
+        assert [path.stem for path in cache.entries()] == sorted(
+            job.digest() for job in good
+        )
 
 
 class TestValidation:

@@ -22,8 +22,8 @@ from repro.experiments.sweep import (
     SHARD_SCHEMA,
     SWEEP_SPEC_SCHEMA,
     SweepSpec,
-    try_claim,
 )
+from repro.experiments.sweep.queue import _claim
 from repro.obs.events import TRACE_SCHEMA
 from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA, Timeline
@@ -276,7 +276,8 @@ class TestSweepArtifacts:
 
     def test_live_claim_file_is_clean(self, tmp_path):
         digest = "a" * 64
-        path = try_claim(tmp_path, digest, "auditor")
+        path = tmp_path / f"{digest}.claim"
+        assert _claim(str(path), digest, "auditor")
         assert check_artifact_file(path) == []
 
     def test_claim_digest_mismatch_is_flagged(self, tmp_path):

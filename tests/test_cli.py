@@ -145,11 +145,11 @@ class TestCampaignCommands:
         assert "cached bytes    : " in out
 
     def test_status_reports_queue_state(self, tmp_path, capsys):
-        from repro.experiments.sweep import try_claim
+        from repro.experiments.sweep.queue import _claim
 
         cache_dir = tmp_path / "c"
         cache_dir.mkdir()
-        try_claim(cache_dir, "a" * 64, "w1")
+        _claim(str(cache_dir / f"{'a' * 64}.claim"), "a" * 64, "w1")
         assert main(["campaign", "status", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "claimed         : 1" in out
@@ -229,6 +229,39 @@ class TestSweepCommands:
         spec = self.write_spec(tmp_path)
         with pytest.raises(ConfigurationError, match="incomplete"):
             main(self.argv("aggregate", spec, tmp_path))
+
+    def test_failed_cells_show_in_status_and_clear_with_the_cache(
+        self, tmp_path, capsys
+    ):
+        from repro.errors import SimulationError
+        from repro.experiments.sweep.queue import _claim
+
+        spec = tmp_path / "sweep.json"
+        spec.write_text(SWEEP_SPEC.replace(
+            '"values": ["FIFO_NONE"]}', '"values": ["FIFO_NONE"]}, '
+            '{"name": "max_events", "values": [null, 50]}'
+        ))
+        with pytest.raises(SimulationError):
+            main(self.argv("run", spec, tmp_path, "--wait"))
+        capsys.readouterr()
+        assert main(self.argv("status", spec, tmp_path)) == 1
+        out = capsys.readouterr().out
+        assert "completed       : 2" in out
+        assert "failed          : 2" in out
+        assert main(self.argv("run", spec, tmp_path)) == 1
+        assert "executed        : 0" in capsys.readouterr().out
+
+        cache_dir = tmp_path / "cache"
+        assert main(["campaign", "status", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "claimed         : 0" in out and "failed claims   : 2" in out
+        live = cache_dir / f"{'a' * 64}.claim"
+        assert _claim(str(live), "a" * 64, "peer")
+        assert main(["campaign", "clear-cache", "--cache-dir", str(cache_dir)]) == 0
+        assert "removed 2 cached result(s) and 2 failure claim(s)" in (
+            capsys.readouterr().out
+        )
+        assert list(cache_dir.glob("*.claim")) == [live]
 
     def test_aggregate_default_path_is_digest_keyed(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)

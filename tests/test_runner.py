@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import run_replications, run_scenario
+from repro.experiments.campaign import CampaignRunner
+from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
+from repro.experiments.spec import ScenarioSpec, run_spec
 from repro.experiments.workloads import (
     CASE1_GROUPS,
     TABLE1_CONFORMANT,
@@ -134,49 +136,39 @@ class TestValidation:
 
 
 class TestReplications:
+    """Seeds replicate a scenario through ``run_spec``: one campaign job
+    per seed, folded by the seed fold of sweeps and figures."""
+
+    @staticmethod
+    def spec(seeds):
+        return ScenarioSpec.from_dict({
+            "name": "replications", "workload": "table1", "scheme": "FIFO_NONE",
+            "buffer_mb": 1.0, "seeds": list(seeds), **FAST,
+        })
+
     def test_mean_over_seeds(self):
-        result = run_replications(
-            FLOWS, Scheme.FIFO_NONE, mbytes(1),
-            metric=lambda r: r.utilization(),
-            seeds=[1, 2], **FAST,
-        )
+        result = run_spec(self.spec([1, 2]))["utilization"]
         assert result.n == 2
-        assert 0.0 < result.mean <= 1.0 + 1e-6
+        assert 0.0 < result.mean <= 100.0 + 1e-4
 
     def test_single_seed_zero_halfwidth(self):
-        result = run_replications(
-            FLOWS, Scheme.FIFO_NONE, mbytes(1),
-            metric=lambda r: r.utilization(),
-            seeds=[1], **FAST,
-        )
-        assert result.halfwidth == 0.0
+        assert run_spec(self.spec([1]))["utilization"].halfwidth == 0.0
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_replications(
-                FLOWS, Scheme.FIFO_NONE, mbytes(1),
-                metric=lambda r: r.utilization(),
-                seeds=[], **FAST,
-            )
+        with pytest.raises(ConfigurationError, match="seeds must be non-empty"):
+            self.spec([])
 
     def test_per_seed_samples_returned(self):
-        result = run_replications(
-            FLOWS, Scheme.FIFO_NONE, mbytes(1),
-            metric=lambda r: r.utilization(),
-            seeds=[1, 2, 3], **FAST,
-        )
-        assert len(result.samples) == 3
-        assert result.mean == pytest.approx(sum(result.samples) / 3)
+        spec = self.spec([1, 2, 3])
+        samples = [100.0 * r.utilization() for r in CampaignRunner().run(spec.jobs())]
+        assert len(samples) == 3
+        assert run_spec(spec)["utilization"].mean == pytest.approx(sum(samples) / 3)
 
     def test_samples_follow_seed_order(self):
         seeds = [5, 1, 9]
-        result = run_replications(
-            FLOWS, Scheme.FIFO_NONE, mbytes(1),
-            metric=lambda r: r.utilization(),
-            seeds=seeds, **FAST,
-        )
+        records = CampaignRunner().run(self.spec(seeds).jobs())
         singles = [
             run_scenario(FLOWS, Scheme.FIFO_NONE, mbytes(1), seed=s, **FAST).utilization()
             for s in seeds
         ]
-        assert list(result.samples) == pytest.approx(singles)
+        assert [record.utilization() for record in records] == pytest.approx(singles)

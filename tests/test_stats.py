@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.metrics import stats
-from repro.metrics.stats import MeanCI, mean_ci, replicate
+from repro.metrics.stats import MeanCI, mean_ci
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -183,23 +183,6 @@ class TestValidation:
             mean_ci([1.0], confidence=1.0)
         with pytest.raises(ConfigurationError):
             mean_ci([1.0], confidence=0.0)
-
-
-class TestReplicate:
-    def test_runs_once_per_seed(self):
-        seen = []
-
-        def run(seed):
-            seen.append(seed)
-            return float(seed)
-
-        result = replicate(run, seeds=[1, 2, 3])
-        assert seen == [1, 2, 3]
-        assert result.mean == pytest.approx(2.0)
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replicate(lambda seed: 0.0, seeds=[])
 
 
 #: P(|T| <= sqrt(df) tan theta) and its derivative, in the current context.

@@ -17,7 +17,6 @@ from repro.experiments.sweep import (
     SweepAxis,
     SweepSpec,
     aggregate_sweep,
-    append_shard_row,
     default_aggregate_path,
     load_sweep,
     metric_row,
@@ -28,6 +27,7 @@ from repro.experiments.sweep import (
     shard_path,
     write_aggregate,
 )
+from repro.experiments.sweep.aggregate import _append_shard_row
 from repro.metrics.stats import MeanCI
 
 FAST = {"sim_time": 0.5, "warmup": 0.1}
@@ -83,11 +83,10 @@ class TestMetricRow:
 class TestShardIO:
     def test_append_then_read_round_trip(self, tmp_path):
         spec = small_spec()
-        path = append_shard_row(
-            tmp_path, spec.digest(), "w1", "d" * 64,
-            {"seed": 1}, {"utilization": 42.0},
+        path = shard_path(tmp_path, spec.digest(), "w1")
+        _append_shard_row(
+            path, spec.digest(), "d" * 64, {"seed": 1}, {"utilization": 42.0}
         )
-        assert path == shard_path(tmp_path, spec.digest(), "w1")
         assert path.parent == shard_dir(tmp_path)
         index = read_shard_index(tmp_path, spec.digest())
         assert index == {"d" * 64: {"utilization": 42.0}}
@@ -100,9 +99,8 @@ class TestShardIO:
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         digest = small_spec().digest()
-        path = append_shard_row(
-            tmp_path, digest, "w1", "a" * 64, {"seed": 1}, {"m": 1.0}
-        )
+        path = shard_path(tmp_path, digest, "w1")
+        _append_shard_row(path, digest, "a" * 64, {"seed": 1}, {"m": 1.0})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"schema": "repro-sweep-shard-v1", "dig')  # SIGKILL
         index = read_shard_index(tmp_path, digest)
@@ -110,7 +108,9 @@ class TestShardIO:
 
     def test_foreign_sweeps_and_schemas_are_ignored(self, tmp_path):
         digest = small_spec().digest()
-        append_shard_row(tmp_path, digest, "w1", "a" * 64, {}, {"m": 1.0})
+        _append_shard_row(
+            shard_path(tmp_path, digest, "w1"), digest, "a" * 64, {}, {"m": 1.0}
+        )
         # A row from a different sweep whose file-name prefix collides.
         path = shard_path(tmp_path, digest, "w2")
         foreign = {
@@ -130,8 +130,9 @@ class TestShardIO:
     def test_duplicate_digests_collapse(self, tmp_path):
         digest = small_spec().digest()
         for owner in ("w1", "w2"):
-            append_shard_row(
-                tmp_path, digest, owner, "a" * 64, {"seed": 1}, {"m": 2.5}
+            _append_shard_row(
+                shard_path(tmp_path, digest, owner), digest, "a" * 64,
+                {"seed": 1}, {"m": 2.5},
             )
         assert read_shard_index(tmp_path, digest) == {"a" * 64: {"m": 2.5}}
 
@@ -178,8 +179,9 @@ class TestAggregate:
         spec = small_spec()
         cache = run_serial(spec, tmp_path)
         [(params, job)] = list(spec.jobs())[:1]
-        append_shard_row(
-            cache.root, spec.digest(), "w1", job.digest(), params, {"loss": 0.0}
+        _append_shard_row(
+            shard_path(cache.root, spec.digest(), "w1"), spec.digest(),
+            job.digest(), params, {"loss": 0.0},
         )
         with pytest.raises(ConfigurationError, match="lacks metric"):
             aggregate_sweep(spec, cache)

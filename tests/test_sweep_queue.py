@@ -1,5 +1,6 @@
-"""Work-queue runner: claims, reaping, crash-resume, idempotence."""
+"""Work-queue runner: claims, reaping, failures, crash-resume, idempotence."""
 
+import errno
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign.cache import ResultCache
 from repro.experiments.campaign.runner import execute_job
 from repro.experiments.sweep import (
@@ -20,22 +21,19 @@ from repro.experiments.sweep import (
     SweepAxis,
     SweepSpec,
     aggregate_sweep,
-    append_shard_row,
-    claim_path,
     metric_row,
     read_claim,
     reap_stale_claims,
     release_claim,
     run_sweep_worker,
     scan_claims,
-    scan_queue,
     shard_dir,
     shard_path,
     sweep_status,
-    try_claim,
     write_aggregate,
 )
 from repro.experiments.sweep import queue as sweep_queue
+from repro.experiments.sweep.aggregate import _append_shard_row
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -54,6 +52,16 @@ def small_spec(**overrides):
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
+
+
+def claim_path(root, digest):
+    return pathlib.Path(root) / f"{digest}.claim"
+
+
+def try_claim(root, digest, owner):
+    """Claim a cell as a worker does; its claim path, or None when held."""
+    path = claim_path(root, digest)
+    return path if sweep_queue._claim(str(path), digest, owner) else None
 
 
 def age_claim(path, seconds=300.0):
@@ -131,8 +139,6 @@ class TestClaims:
         claims = {c.digest: c for c in scan_claims(tmp_path, 60.0)}
         assert not claims["a" * 64].stale
         assert claims["b" * 64].stale
-        state = scan_queue(tmp_path, 60.0)
-        assert (state.claimed, state.orphaned, state.total) == (1, 1, 2)
         release_claim(fresh)
 
     def test_reap_removes_only_stale(self, tmp_path):
@@ -386,9 +392,9 @@ class TestCrashResume:
             claim = try_claim(root, job.digest(), "victim")
             record = execute_job(job)
             cache.put(record)
-            append_shard_row(
-                root, spec.digest(), "victim", job.digest(), params,
-                metric_row(spec, job.scenario, record),
+            _append_shard_row(
+                shard_path(root, spec.digest(), "victim"), spec.digest(),
+                job.digest(), params, metric_row(spec, job.scenario, record),
             )
             release_claim(claim)
         _params, third = jobs[2]
@@ -475,3 +481,180 @@ class TestCrashResume:
         assert out.read_bytes() == serial_aggregate_bytes(
             spec, tmp_path / "serial"
         )
+
+
+def poison_spec():
+    """Two good cells and two whose engine exceeds its event budget."""
+    return small_spec(
+        name="poison",
+        axes=(SweepAxis("max_events", (None, 50)), SweepAxis("seed", (1, 2))),
+        metrics=("utilization",),
+    )
+
+
+class TestFailureClaims:
+    def test_poison_cells_fail_once_and_never_run_again(self, tmp_path):
+        spec = poison_spec()
+        with pytest.raises(SimulationError, match="max_events=50"):
+            run_sweep_worker(spec, ResultCache(tmp_path), "w1")
+        cache = ResultCache(tmp_path)
+        assert len(cache.entries()) == 2
+        claims = scan_claims(tmp_path, 60.0)
+        assert len(claims) == 2
+        assert all(claim.failed and not claim.stale for claim in claims)
+        for claim in claims:
+            failed = read_claim(claim_path(tmp_path, claim.digest))["failed"]
+            assert failed["type"] == "SimulationError"
+            assert failed["message"] == "exceeded max_events=50"
+            assert len(failed["traceback_sha256"]) == 64
+        status = sweep_status(spec, cache)
+        assert (status.completed, status.failed, status.pending) == (2, 2, 0)
+        assert (status.claimed, status.orphaned) == (0, 0)
+        assert not status.complete
+
+        # A second worker, even a waiting one, runs nothing and returns
+        # (in a daemon thread, so that a worker polling forever fails
+        # the test instead of hanging it).
+        summaries = []
+        waiting = threading.Thread(
+            target=lambda: summaries.append(run_sweep_worker(
+                spec, ResultCache(tmp_path), "w2", wait=True, poll_interval=0.01
+            )),
+            daemon=True,
+        )
+        waiting.start()
+        waiting.join(timeout=60)
+        assert not waiting.is_alive(), "a waiting worker polls failed cells forever"
+        [summary] = summaries
+        assert (summary.executed, summary.outstanding, summary.passes) == (0, 0, 1)
+
+    def test_failure_claims_are_never_reaped(self, tmp_path):
+        spec = poison_spec()
+        with pytest.raises(SimulationError):
+            run_sweep_worker(spec, ResultCache(tmp_path), "w1")
+        for path in tmp_path.glob("*.claim"):
+            age_claim(path)
+        assert reap_stale_claims(tmp_path, 60.0) == []
+        assert len(list(tmp_path.glob("*.claim"))) == 2
+
+    def test_every_cell_runs_before_the_first_error_is_raised(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def failing_execute(job):
+            calls.append(job.digest())
+            raise RuntimeError(f"cell {len(calls)} exploded")
+
+        monkeypatch.setattr(sweep_queue, "execute_job", failing_execute)
+        with pytest.raises(RuntimeError, match="cell 1 exploded"):
+            run_sweep_worker(small_spec(), ResultCache(tmp_path), "w1")
+        assert len(calls) == 4
+        assert sweep_status(small_spec(), ResultCache(tmp_path)).failed == 4
+
+    def test_aggregate_names_failed_cells_apart_from_missing(self, tmp_path):
+        spec = poison_spec()
+        with pytest.raises(SimulationError):
+            run_sweep_worker(spec, ResultCache(tmp_path), "w1")
+        with pytest.raises(ConfigurationError) as excinfo:
+            aggregate_sweep(spec, ResultCache(tmp_path))
+        message = str(excinfo.value)
+        assert "2 of 4 cells failed" in message
+        assert "no cached record" not in message
+
+    def test_full_disk_is_an_ordinary_failure(self, tmp_path):
+        class FullDisk(ResultCache):
+            def put(self, record):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OSError) as excinfo:
+            run_sweep_worker(small_spec(), FullDisk(tmp_path), "w1")
+        assert excinfo.value.errno == errno.ENOSPC
+        claims = scan_claims(tmp_path, 60.0)
+        assert len(claims) == 4 and all(claim.failed for claim in claims)
+        for claim in claims:
+            failed = read_claim(claim_path(tmp_path, claim.digest))["failed"]
+            assert failed["type"] == "OSError"
+        assert ResultCache(tmp_path).entries() == []
+
+
+class TestTornEntry:
+    def test_torn_entry_is_redone_not_reported_complete(self, tmp_path):
+        spec = small_spec(axes=(SweepAxis("seed", (1, 2)),))
+        root = tmp_path / "shared"
+        run_sweep_worker(spec, ResultCache(root), "w1")
+        for path in shard_dir(root).glob("*.jsonl"):
+            path.unlink()
+        torn = ResultCache(root).entries()[0]
+        torn.write_bytes(torn.read_bytes()[:100])
+
+        with pytest.raises(ConfigurationError, match=r"1 unreadable, now deleted"):
+            aggregate_sweep(spec, ResultCache(root))
+        status = sweep_status(spec, ResultCache(root))
+        assert (status.completed, status.pending) == (1, 1)
+        assert run_sweep_worker(spec, ResultCache(root), "w2").executed == 1
+        out = root / "aggregate.json"
+        write_aggregate(aggregate_sweep(spec, ResultCache(root)), out)
+        assert out.read_bytes() == serial_aggregate_bytes(spec, tmp_path / "serial")
+
+
+class Kill(BaseException):
+    """Stands in for a SIGKILL: no ``except Exception`` catches it."""
+
+
+def kill_on_second_call(real, runs_first):
+    """A queue step that dies on the second cell: after running ``real``
+    when ``runs_first``, else in its place."""
+    calls = []
+
+    def step(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2 and not runs_first:
+            raise Kill
+        result = real(*args, **kwargs)
+        if len(calls) == 2:
+            raise Kill
+        return result
+
+    return step
+
+
+#: Each step around the store step -> (module attribute, whether the
+#: step itself completes before the kill).
+CRASH_POINTS = {
+    "after claim": ("_claim", True),
+    "after pre-flight": ("preflight_jobs", True),
+    "inside execute": ("execute_job", False),
+    "after put": ("store", True),
+    "after shard row": ("_append_shard_row", True),
+    "before release": ("release_claim", False),
+}
+
+
+class TestCrashPoints:
+    @pytest.mark.parametrize("point", list(CRASH_POINTS))
+    def test_a_kill_at_any_step_resumes_byte_identical(
+        self, point, tmp_path, monkeypatch
+    ):
+        spec = small_spec()
+        root = tmp_path / "shared"
+        name, runs_first = CRASH_POINTS[point]
+        step = kill_on_second_call(getattr(sweep_queue, name), runs_first)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_queue, name, step)
+            with pytest.raises(Kill):
+                run_sweep_worker(spec, ResultCache(root), "victim", preflight=True)
+        claims = scan_claims(root, 60.0)
+        assert not any(claim.failed for claim in claims)  # a kill is no failure
+        for path in root.glob("*.claim"):
+            age_claim(path)
+
+        summary = run_sweep_worker(spec, ResultCache(root), "rescuer", preflight=True)
+        assert summary.outstanding == 0
+        status = sweep_status(spec, ResultCache(root))
+        assert status.complete and status.completed == 4  # no cell lost
+        digests = shard_digests(root, spec)
+        assert len(digests) == len(set(digests))  # no duplicate rows
+        out = root / "resumed.json"
+        write_aggregate(aggregate_sweep(spec, ResultCache(root)), out)
+        assert out.read_bytes() == serial_aggregate_bytes(spec, tmp_path / "serial")
