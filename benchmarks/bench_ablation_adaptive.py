@@ -73,8 +73,8 @@ def _sweep():
     return {share: _run(share) for share in (0.0, 0.1, 0.25, 0.5, 1.0)}
 
 
-def test_ablation_adaptive_sharing(benchmark, publish):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_adaptive_sharing(publish):
+    results = _sweep()
     rows = [
         [f"{share:.2f}", f"{r['utilization']:.1f}", f"{r['conformant_loss']:.2f}",
          f"{r['moderate_rate']:.1f}", f"{r['aggressive_rate']:.1f}"]

@@ -17,7 +17,6 @@ from repro.core.tail_drop import TailDropManager
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.thresholds import compute_thresholds
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import (
     LINK_RATE,
@@ -91,8 +90,8 @@ def _run_all():
     return {name: _run_with_manager(factory) for name, factory in _factories().items()}
 
 
-def test_ablation_buffer_managers(benchmark, publish):
-    results = benchmark.pedantic(_run_all, rounds=1, iterations=1)
+def test_ablation_buffer_managers(publish):
+    results = _run_all()
     rows = [
         [name, f"{util:.1f}", f"{loss:.2f}"]
         for name, (util, loss) in results.items()

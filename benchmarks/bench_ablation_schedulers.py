@@ -138,8 +138,8 @@ def _sweep():
     }
 
 
-def test_ablation_schedulers(benchmark, publish):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_schedulers(publish):
+    results = _sweep()
     rows = [
         [name, f"{r['util']:.1f}", f"{r['conf_loss']:.2f}",
          f"{r['ratio']:.1f}", f"{r['us_per_pkt']:.1f}"]

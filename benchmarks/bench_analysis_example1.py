@@ -41,10 +41,8 @@ def _fluid_and_simulation():
     return trajectory, measured_rate1, measured_rate2, dropped1
 
 
-def test_example1_fluid_dynamics(benchmark, publish):
-    trajectory, rate1, rate2, dropped1 = benchmark.pedantic(
-        _fluid_and_simulation, rounds=1, iterations=1
-    )
+def test_example1_fluid_dynamics(publish):
+    trajectory, rate1, rate2, dropped1 = _fluid_and_simulation()
     rows = [
         [str(iv.index), f"{iv.length:.4f}", f"{iv.rate_flow1:,.0f}",
          f"{iv.rate_flow2:,.0f}", f"{iv.occupancy_flow1_end:,.0f}"]

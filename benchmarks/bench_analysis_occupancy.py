@@ -46,10 +46,8 @@ def _run():
     return trajectory, occupancy, threshold1, collector.flows[1].dropped_packets
 
 
-def test_example1_occupancy_trajectory(benchmark, publish):
-    trajectory, occupancy, threshold1, drops = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+def test_example1_occupancy_trajectory(publish):
+    trajectory, occupancy, threshold1, drops = _run()
     times, values = occupancy.times(), occupancy.values()
     rows = []
     for interval in trajectory.intervals:

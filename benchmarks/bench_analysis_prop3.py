@@ -41,10 +41,8 @@ def _compute():
     }, best3_groups, greedy3_groups
 
 
-def test_prop3_hybrid_buffer_savings(benchmark, publish):
-    results, best3_groups, greedy3_groups = benchmark.pedantic(
-        _compute, rounds=1, iterations=1
-    )
+def test_prop3_hybrid_buffer_savings(publish):
+    results, best3_groups, greedy3_groups = _compute()
     single = results["single FIFO (k=1)"]
     rows = [
         [name, f"{to_kbytes(value):.0f}", f"{100 * (single - value) / single:.1f}%"]

@@ -98,8 +98,8 @@ def _sweep():
     return results
 
 
-def test_extension_multihop(benchmark, publish):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_extension_multihop(publish):
+    results = _sweep()
     rows = []
     for hops, by_policy in results.items():
         drop_td, rate_td = by_policy["tail drop"]

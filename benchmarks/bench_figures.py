@@ -287,7 +287,7 @@ def archive_name(name):
 
 
 @pytest.mark.parametrize("name", list(ALL_FIGURES), ids=archive_name)
-def test_figure(name, benchmark, publish):
-    figure = benchmark.pedantic(ALL_FIGURES[name], rounds=1, iterations=1)
+def test_figure(name, publish):
+    figure = ALL_FIGURES[name]()
     publish(archive_name(name), format_figure(figure, chart=True))
     CHECKS[name](figure)

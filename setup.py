@@ -13,5 +13,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=[],
-    extras_require={"test": ["numpy>=1.23", "pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["numpy>=1.23", "pytest", "hypothesis"]},
 )

@@ -523,7 +523,7 @@ def run_net_demo(args: argparse.Namespace) -> int:
         print("  no packets delivered in the measurement window")
     else:
         quantiles = "  ".join(
-            f"p{q:g} {to_millis(result.end_to_end_percentile(TARGET_FLOW_ID, q)):.2f} ms"
+            f"p{q:g} {to_millis(result.delay_percentile(TARGET_FLOW_ID, q)):.2f} ms"
             for q in (50, 95, 99)
         )
         print(

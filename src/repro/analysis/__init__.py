@@ -22,7 +22,6 @@ from repro.analysis.delay import (
     OC48,
     OC192,
     max_buffer_for_delay,
-    threshold_delay_bound,
     worst_case_fifo_delay,
 )
 from repro.analysis.fluid import FluidInterval, FluidTrajectory, fluid_limits, two_flow_fluid
@@ -64,7 +63,6 @@ __all__ = [
     "OC48",
     "OC192",
     "max_buffer_for_delay",
-    "threshold_delay_bound",
     "worst_case_fifo_delay",
     "FluidInterval",
     "FluidTrajectory",

@@ -4,7 +4,7 @@ The paper trades tight per-flow delay control for scalability, arguing
 that on very high-speed links even the worst-case FIFO delay is small:
 "the worst case delay caused by a 1MByte buffer feeding an OC-48 link
 (2.4Gbits/sec) is less than 3.5msec".  This module provides those
-numbers, plus the per-flow backlog-based bound implied by a threshold.
+numbers, and the inverse design rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.units import mbps
 
 __all__ = [
     "worst_case_fifo_delay",
-    "threshold_delay_bound",
     "max_buffer_for_delay",
     "OC3", "OC12", "OC48", "OC192",
 ]
@@ -37,23 +36,6 @@ def worst_case_fifo_delay(buffer_size: float, link_rate: float) -> float:
     if link_rate <= 0:
         raise ConfigurationError(f"link rate must be positive, got {link_rate}")
     return buffer_size / link_rate
-
-
-def threshold_delay_bound(
-    threshold: float, buffer_size: float, link_rate: float
-) -> float:
-    """Delay bound for a flow with occupancy threshold ``T``.
-
-    A FIFO queue delivers every buffered bit within ``B / R``; a flow's
-    own packets additionally never queue behind more than ``B`` bits, so
-    the flow-specific bound is still ``B / R`` — the threshold controls
-    loss, not delay.  Returned for completeness: ``min(B, B) / R`` with a
-    sanity check that the threshold fits the buffer (a threshold larger
-    than B can never be reached).
-    """
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
-    return worst_case_fifo_delay(buffer_size, link_rate)
 
 
 def max_buffer_for_delay(delay_budget: float, link_rate: float) -> float:

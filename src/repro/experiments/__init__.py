@@ -11,7 +11,7 @@ from repro.experiments.config import SweepConfig, sweep_config
 from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.report import format_figure, format_table
-from repro.experiments.runner import ScenarioResult, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.experiments.spec import ScenarioSpec, load_specs, run_spec
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme, SchemeBuild, build_scheme
 from repro.experiments.workloads import (
@@ -42,7 +42,6 @@ __all__ = [
     "FigureResult",
     "format_figure",
     "format_table",
-    "ScenarioResult",
     "run_scenario",
     "ScenarioSpec",
     "load_specs",

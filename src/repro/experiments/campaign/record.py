@@ -10,21 +10,21 @@ That makes records picklable (so they can cross a process pool) and
 JSON-serializable (so they can live in the on-disk cache), and a record
 rebuilt from either representation compares equal to the original.
 
-A record of a one-link scenario also answers the one-link measurement
-API (``utilization()``, ``loss_fraction()``, ``flow_stats`` …) the
-figures and metric strings are written against, by delegating to its
-only link.
+A record answers the one-link measurement API
+(:class:`~repro.metrics.collector.LinkMeasures`: ``utilization()``,
+``loss_fraction()``, ``flow_stats`` …) the figures and metric strings
+are written against, as the live result does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
 from repro.experiments.fabric.churn import ChurnReport
-from repro.metrics.collector import FlowStats, LinkMeasures
+from repro.metrics.collector import FlowStats, LinkMeasures, accounted
 from repro.metrics.records import (
     DelaySummary,
     flow_stats_from_dict,
@@ -65,27 +65,15 @@ class LinkRecord:
     queue_buffers: tuple[float, ...] | None = None
 
     @staticmethod
-    def from_result(link: "LinkResult", static_ids: Iterable[int]) -> "LinkRecord":
-        """One live link as plain data, in canonical (sorted) order.
-
-        ``static_ids`` are the static flows routed over this link: one
-        that never offered a packet in the window still gets its (zero)
-        entry, so a record always accounts for every flow it was
-        configured with.
-        """
-        live = link.flow_stats
+    def from_result(link: "LinkResult") -> "LinkRecord":
+        """One live link as plain data, in canonical (sorted) order."""
         return LinkRecord(
             rate=link.rate,
             buffer_size=link.buffer_size,
-            flow_stats={
-                i: live[i] if i in live else FlowStats()
-                for i in sorted(live.keys() | set(static_ids))
-            },
+            flow_stats=link.flow_stats,
             thresholds={i: link.thresholds[i] for i in sorted(link.thresholds)},
-            queue_rates=None if link.queue_rates is None else tuple(link.queue_rates),
-            queue_buffers=None
-            if link.queue_buffers is None
-            else tuple(link.queue_buffers),
+            queue_rates=link.queue_rates,
+            queue_buffers=link.queue_buffers,
         )
 
     def to_dict(self) -> dict:
@@ -153,20 +141,13 @@ class ScenarioRecord(LinkMeasures):
         frees the record from referencing the live collector.
         """
         scenario = result.scenario
-        crossing: dict[str, list[int]] = {label: [] for label in result.links}
-        for routed in scenario.flows:
-            for src, dst in zip(routed.route, routed.route[1:]):
-                crossing[f"{src}->{dst}"].append(routed.spec.flow_id)
-        sink, collector = result.delivery, result.delivery_collector
-        if sink is None:
-            # One link: nothing was delivered past it, and its own
-            # collector already measures end to end.
-            (link,) = result.links.values()
-            sink, collector = DeliverySink(), link.collector
+        # One link: nothing was delivered past it.
+        sink = DeliverySink() if result.delivery is None else result.delivery
+        collector = result.end_to_end
         delays: dict[int, DelaySummary] = {}
         if collector.delay_histograms:
-            static_ids = {routed.spec.flow_id for routed in scenario.flows}
-            for flow_id in sorted(collector.flows.keys() | static_ids):
+            static_ids = (routed.spec.flow_id for routed in scenario.flows)
+            for flow_id in accounted(collector.flows, static_ids):
                 delays[flow_id] = DelaySummary.from_histogram(
                     collector.delay_histogram(flow_id)
                 )
@@ -177,7 +158,7 @@ class ScenarioRecord(LinkMeasures):
             seed=scenario.seed,
             events_processed=result.events_processed,
             links={
-                label: LinkRecord.from_result(link, crossing[label])
+                label: LinkRecord.from_result(link)
                 for label, link in sorted(result.links.items())
             },
             delivery_packets=dict(sorted(sink.packets.items())),
@@ -186,49 +167,6 @@ class ScenarioRecord(LinkMeasures):
             delays=delays,
             churn=result.churn,
         )
-
-    # -- the one-link measurement API (see LinkMeasures) ---------------------
-
-    @property
-    def sole_link(self) -> LinkRecord:
-        """The only link of a one-link record.
-
-        Raises :class:`~repro.errors.ConfigurationError` on a multi-link
-        record: utilization, loss and the other per-link figures have no
-        single meaning there — read ``record.links[label]``.
-        """
-        if len(self.links) != 1:
-            raise ConfigurationError(
-                f"this record has {len(self.links)} links "
-                f"({', '.join(self.links)}); one-link measurements are "
-                "only defined on a one-link record — read record.links[label]"
-            )
-        (link,) = self.links.values()
-        return link
-
-    @property
-    def flow_stats(self) -> dict[int, FlowStats]:
-        return self.sole_link.flow_stats
-
-    @property
-    def thresholds(self) -> dict[int, float]:
-        return self.sole_link.thresholds
-
-    @property
-    def queue_rates(self) -> tuple[float, ...] | None:
-        return self.sole_link.queue_rates
-
-    @property
-    def queue_buffers(self) -> tuple[float, ...] | None:
-        return self.sole_link.queue_buffers
-
-    @property
-    def link_rate(self) -> float:
-        return self.sole_link.rate
-
-    @property
-    def buffer_size(self) -> float:
-        return self.sole_link.buffer_size
 
     # -- any-shape measurement API -------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.experiments.fabric.churn import (
 )
 from repro.experiments.fabric.scenario import DYNAMIC_FLOW_BASE, NetworkScenario
 from repro.experiments.schemes import Scheme, SchemeBuild, build_scheme
-from repro.metrics.collector import FlowStats, StatsCollector
+from repro.metrics.collector import FlowStats, LinkMeasures, StatsCollector, accounted
 from repro.net.topology import DeliverySink, Network
 from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
@@ -62,17 +62,25 @@ class LinkResult:
     buffer_size: float
     collector: StatsCollector
     thresholds: dict[int, float] = field(default_factory=dict)
-    queue_rates: list[float] | None = None
-    queue_buffers: list[float] | None = None
+    queue_rates: tuple[float, ...] | None = None
+    queue_buffers: tuple[float, ...] | None = None
+    #: The static flows routed over this link: each has an entry in
+    #: :attr:`flow_stats`, a zero one if it sent nothing in the window.
+    routed: frozenset[int] = frozenset()
 
     @property
     def flow_stats(self) -> dict[int, FlowStats]:
-        return self.collector.flows
+        return accounted(self.collector.flows, self.routed)
 
 
 @dataclass
-class FabricResult:
-    """Measurements of one fabric run (any topology)."""
+class FabricResult(LinkMeasures):
+    """Measurements of one fabric run (any topology).
+
+    On a one-link run it also answers the one-link measurement API
+    (:class:`~repro.metrics.collector.LinkMeasures`) through its only
+    link, as its record does.
+    """
 
     scenario: NetworkScenario
     events_processed: int
@@ -95,12 +103,23 @@ class FabricResult:
     monitor_report: MonitorReport | None = None
 
     @property
+    def sim_time(self) -> float:
+        return self.scenario.sim_time
+
+    @property
     def warmup(self) -> float:
         return self.scenario.effective_warmup
 
     @property
-    def duration(self) -> float:
-        return self.scenario.sim_time - self.warmup
+    def end_to_end(self) -> StatsCollector:
+        """The collector that measures end to end.
+
+        The delivery sink's on a network; on one link, the link's own:
+        nothing is counted a second time past it.
+        """
+        if self.delivery_collector is None:
+            return self.sole_link.collector
+        return self.delivery_collector
 
     def link(self, src: str, dst: str) -> LinkResult:
         label = f"{src}->{dst}"
@@ -109,13 +128,9 @@ class FabricResult:
             raise ConfigurationError(f"no link {label} in this run")
         return result
 
-    def end_to_end_percentile(self, flow_id: int, q: float) -> float:
+    def delay_percentile(self, flow_id: int, q: float) -> float:
         """End-to-end delay percentile; needs ``delay_histograms=True``."""
-        if self.delivery_collector is None:
-            raise ConfigurationError(
-                "a one-link run has no delivery sink; read the link's delays"
-            )
-        return self.delivery_collector.delay_histogram(flow_id).percentile(q)
+        return self.end_to_end.delay_histogram(flow_id).percentile(q)
 
 
 def _admission_for(scheme: Scheme, mode: str, rate: float, buffer_size: float) -> AdmissionControl:
@@ -286,13 +301,12 @@ def run_fabric(
             thresholds=build.thresholds,
             queue_rates=build.queue_rates,
             queue_buffers=build.queue_buffers,
+            routed=frozenset(flow.flow_id for flow in effective),
         )
         if monitor is not None:
             _wire_link_monitor(monitor, label, build, node.buffer_size, link.rate)
         if timeline is not None:
-            _wire_link_timeline(
-                timeline, label, build, frozenset(flow.flow_id for flow in effective)
-            )
+            _wire_link_timeline(timeline, label, build, links[link.label].routed)
             if single:
                 timeline.probe(
                     "backlog_packets",

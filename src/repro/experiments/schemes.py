@@ -85,8 +85,8 @@ class SchemeBuild:
     scheduler: Scheduler
     manager: object
     thresholds: dict[int, float]
-    queue_rates: list[float] | None = None
-    queue_buffers: list[float] | None = None
+    queue_rates: tuple[float, ...] | None = None
+    queue_buffers: tuple[float, ...] | None = None
 
 
 def _flow_profiles(flows: Sequence[FlowSpec]) -> dict[int, tuple[float, float]]:
@@ -155,8 +155,8 @@ def _build_hybrid(
         scheduler=scheduler,
         manager=manager,
         thresholds=thresholds,
-        queue_rates=rates,
-        queue_buffers=queue_buffers,
+        queue_rates=tuple(rates),
+        queue_buffers=tuple(queue_buffers),
     )
 
 

@@ -227,24 +227,55 @@ class SweepSpec:
         for key, value in declared:
             check_param(self.kind, key, value)
         defaults = DEFAULTS[self.kind]
+
+        def values(name: str) -> list:
+            """Every value ``name`` can take in a cell of this grid."""
+            return [v for key, v in declared if key == name] or [defaults.get(name)]
+
         for constraint in self.constraints:
-            for param in (constraint.param, constraint.other):
-                if param is not None and param not in defaults:
-                    raise ConfigurationError(
-                        f"constraint references unknown parameter {param!r}"
-                    )
+            self._check_constraint(constraint, values)
 
         # ... and every metric must parse, and be answerable, for every
         # workload and tandem length the grid can produce.
-        def values(name: str) -> list:
-            return [v for key, v in declared if key == name] or [defaults.get(name)]
-
         for workload in values("workload"):
             for hops in values("hops"):
                 validate_metrics(
                     self.metrics,
                     CONFORMANT_SETS.get(workload, ()),
                     1 if hops is None else hops,
+                )
+
+    def _check_constraint(self, constraint: SweepConstraint, values) -> None:
+        """Refuse a constraint that would crash expansion or can never hold.
+
+        Its values are typed like the parameter it tests (a misspelt
+        scheme would prune every cell); an ordered comparison, or one
+        against another parameter, needs numbers on both sides in every
+        cell (``None < 1.0`` raises).
+        """
+        names = [n for n in (constraint.param, constraint.other) if n is not None]
+        for name in names:
+            if name not in DEFAULTS[self.kind]:
+                raise ConfigurationError(
+                    f"constraint references unknown parameter {name!r}"
+                )
+        label = f"constraint {constraint.to_dict()}"
+        operands = [value for name in names for value in values(name)]
+        if constraint.other is None:
+            listed = constraint.op in ("in", "not-in")
+            for value in constraint.value if listed else (constraint.value,):
+                try:
+                    check_param(self.kind, constraint.param, value)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"{label}: {exc}") from None
+                operands.append(value)
+            if constraint.op not in ("<", "<=", ">", ">="):
+                return
+        for value in operands:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"{label}: {constraint.op!r} needs numbers on both sides, "
+                    f"but a cell can hold {value!r}"
                 )
 
     # -- expansion -------------------------------------------------------

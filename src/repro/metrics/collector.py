@@ -22,6 +22,7 @@ __all__ = [
     "FlowStats",
     "LinkMeasures",
     "StatsCollector",
+    "accounted",
     "byte_loss_fraction",
     "total_departed_bytes",
 ]
@@ -86,15 +87,73 @@ def byte_loss_fraction(
     return dropped / offered
 
 
-class LinkMeasures:
-    """The measurement API of one link's results, live or serialized.
+def accounted(
+    flows: Mapping[int, FlowStats], flow_ids: Iterable[int]
+) -> dict[int, FlowStats]:
+    """``flows`` in flow-id order, plus a zero entry for each of ``flow_ids``.
 
-    For result types that carry ``flow_stats``, ``sim_time``, ``warmup``
-    and the ``link_rate``: metric callables written against a live
-    result work on its record unchanged.
+    A static flow that never offered a packet in the window still gets
+    its (zero) entry, so a result accounts for every flow it was
+    configured with.
+    """
+    return {
+        i: flows[i] if i in flows else FlowStats()
+        for i in sorted(flows.keys() | flow_ids)
+    }
+
+
+class LinkMeasures:
+    """The one-link measurement API of a run's results, live or serialized.
+
+    For result types that carry ``links`` (label -> a link with
+    ``flow_stats``, ``thresholds``, ``queue_rates``, ``queue_buffers``,
+    ``rate`` and ``buffer_size``), ``sim_time`` and ``warmup``: metric
+    callables written against a live result work on its record
+    unchanged.  On a multi-link result the one-link figures refuse.
     """
 
     __slots__ = ()
+
+    @property
+    def sole_link(self):
+        """The only link of a one-link result.
+
+        Raises :class:`~repro.errors.ConfigurationError` on a multi-link
+        result: utilization, loss and the other per-link figures have no
+        single meaning there — read ``record.links[label]``.
+        """
+        if len(self.links) != 1:
+            raise ConfigurationError(
+                f"this result has {len(self.links)} links "
+                f"({', '.join(self.links)}); one-link measurements are "
+                "only defined on a one-link result — read record.links[label]"
+            )
+        (link,) = self.links.values()
+        return link
+
+    @property
+    def flow_stats(self) -> dict[int, FlowStats]:
+        return self.sole_link.flow_stats
+
+    @property
+    def thresholds(self) -> dict[int, float]:
+        return self.sole_link.thresholds
+
+    @property
+    def queue_rates(self) -> tuple[float, ...] | None:
+        return self.sole_link.queue_rates
+
+    @property
+    def queue_buffers(self) -> tuple[float, ...] | None:
+        return self.sole_link.queue_buffers
+
+    @property
+    def link_rate(self) -> float:
+        return self.sole_link.rate
+
+    @property
+    def buffer_size(self) -> float:
+        return self.sole_link.buffer_size
 
     @property
     def duration(self) -> float:

@@ -7,7 +7,8 @@ serial == parallel — is asserted by one suite over two shapes: the
 paper's Table-1 port (the one-link case) and the three-hop reference
 tandem with churn and live reclamation.  What only one shape can show
 (the one-link measurement API; delivery counters and the churn report)
-sits beside the shared tests, unparametrised.
+sits beside the shared tests, unparametrised by shape; the one-link
+API is read both live (``run_fabric``) and stored (``execute_job``).
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
+from repro.metrics.records import DELAY_PERCENTILES
 from repro.units import mbytes
 
 FLOWS = table1_flows()
@@ -70,6 +72,14 @@ def tandem_job(seed=7, **overrides):
 SHAPES = {
     "one-link": lambda seed=7: make_job(sim_time=0.5, warmup=0.1, seed=seed),
     "tandem": tandem_job,
+}
+
+
+#: view -> how a job's measurements are read: live, from the fabric run,
+#: or stored, as the record the campaign pipeline keeps.
+VIEWS = {
+    "live": lambda job: run_fabric(job.scenario),
+    "stored": execute_job,
 }
 
 
@@ -298,20 +308,48 @@ class TestExecuteJob:
         with pytest.raises(ConfigurationError, match="schema"):
             ScenarioRecord.from_dict(dict(record.to_dict(), schema=schema))
 
-    def test_one_link_record_answers_the_one_link_api(self):
-        job = SHAPES["one-link"]()
-        record = execute_job(job)
-        (link,) = record.links.values()
-        assert record.flow_stats is link.flow_stats
-        assert sorted(record.flow_stats) == [flow.flow_id for flow in FLOWS]
-        assert record.thresholds == link.thresholds
-        assert (record.link_rate, record.buffer_size) == (link.rate, mbytes(1))
-        assert record.queue_rates is None and record.queue_buffers is None
-        assert 0.0 < record.utilization() <= 1.0
-        assert record.loss_fraction(range(6)) == 0.0
+    @pytest.mark.parametrize("view", list(VIEWS))
+    def test_one_link_record_answers_the_one_link_api(self, view):
+        result = VIEWS[view](SHAPES["one-link"]())
+        (link,) = result.links.values()
+        assert result.sole_link is link
+        assert result.flow_stats == link.flow_stats
+        assert sorted(result.flow_stats) == [flow.flow_id for flow in FLOWS]
+        assert result.thresholds == link.thresholds
+        assert (result.link_rate, result.buffer_size) == (link.rate, mbytes(1))
+        assert result.queue_rates is None and result.queue_buffers is None
+        assert 0.0 < result.utilization() <= 1.0
+        assert result.loss_fraction(range(6)) == 0.0
         # Nothing is counted a second time past the only link.
-        assert record.delivery_packets == {} and record.churn is None
-        assert record.blocking_probability() == 0.0
+        assert result.churn is None
+        if view == "live":
+            assert result.delivery is None
+        else:
+            assert result.delivery_packets == {}
+            assert result.blocking_probability() == 0.0
+
+    def test_live_and_stored_one_link_views_are_equal(self):
+        job = make_job(
+            scheme=Scheme.HYBRID_SHARING, groups=CASE1_GROUPS, sim_time=0.5,
+            warmup=0.1, delay_histograms=True,
+        )
+        live, stored = run_fabric(job.scenario), execute_job(job)
+        assert len(live.queue_rates) == len(live.queue_buffers) == len(CASE1_GROUPS)
+        for name in (
+            "flow_stats", "thresholds", "queue_rates", "queue_buffers",
+            "link_rate", "buffer_size", "duration",
+        ):
+            assert getattr(live, name) == getattr(stored, name), name
+        # Bit for bit: both views sum the same counters in the same order.
+        for flow_ids in (None, CASE1_GROUPS[0]):
+            assert live.utilization(flow_ids) == stored.utilization(flow_ids)
+            assert live.loss_fraction(flow_ids) == stored.loss_fraction(flow_ids)
+            assert live.throughput(flow_ids) == stored.throughput(flow_ids)
+        for flow_id in live.flow_stats:
+            for q in DELAY_PERCENTILES:
+                assert live.delay_percentile(flow_id, q) == (
+                    stored.delay_percentile(flow_id, q)
+                ), (flow_id, q)
 
     def test_silent_static_flow_still_has_its_entry(self):
         # A 0.05 s window is too short for some Table-1 sources to turn
@@ -331,14 +369,15 @@ class TestExecuteJob:
         assert 0.0 <= record.blocking_probability() <= 1.0
         assert record.delay_percentile(TARGET_FLOW_ID, 50.0) > 0.0
 
-    def test_multi_link_record_refuses_one_link_measurements(self):
-        record = execute_job(tandem_job(sim_time=0.5))
+    @pytest.mark.parametrize("view", list(VIEWS))
+    def test_multi_link_record_refuses_one_link_measurements(self, view):
+        result = VIEWS[view](tandem_job(sim_time=0.5))
         for read in (
-            lambda: record.flow_stats,
-            lambda: record.thresholds,
-            lambda: record.link_rate,
-            lambda: record.utilization(),
-            lambda: record.loss_fraction(),
+            lambda: result.flow_stats,
+            lambda: result.thresholds,
+            lambda: result.link_rate,
+            lambda: result.utilization(),
+            lambda: result.loss_fraction(),
         ):
             with pytest.raises(ConfigurationError, match="3 links"):
                 read()

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.delay import (
     OC48,
     max_buffer_for_delay,
-    threshold_delay_bound,
     worst_case_fifo_delay,
 )
 from repro.core.tail_drop import TailDropManager
@@ -48,16 +47,9 @@ class TestInverseDesignRule:
         buffer_size = max_buffer_for_delay(0.005, OC48)
         assert worst_case_fifo_delay(buffer_size, OC48) == pytest.approx(0.005)
 
-    def test_threshold_bound_equals_fifo_bound(self):
-        assert threshold_delay_bound(500.0, 10_000.0, 1000.0) == (
-            worst_case_fifo_delay(10_000.0, 1000.0)
-        )
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             max_buffer_for_delay(0.0, 1000.0)
-        with pytest.raises(ConfigurationError):
-            threshold_delay_bound(-1.0, 1000.0, 1000.0)
 
 
 class TestBoundHoldsInSimulation:

@@ -172,10 +172,12 @@ class TestOnePipeline:
         assert classic.flow_stats == link.flow_stats
         assert classic.thresholds == link.thresholds
         assert classic.events_processed == fabric.events_processed
-        # One link: its statistics already are end to end.
+        # One link: its statistics already are end to end, and the end-to-end
+        # delay is read from the link's own collector.
         assert fabric.delivery is None
-        with pytest.raises(ConfigurationError, match="delivery"):
-            fabric.end_to_end_percentile(0, 99.0)
+        assert fabric.delay_percentile(0, 99.0) == (
+            link.collector.delay_histogram(0).percentile(99.0)
+        )
 
     def test_flows_that_never_sent_get_a_zero_entry(self):
         # A 1 ms window: the link itself saw (at most) one of the flows.
@@ -183,7 +185,7 @@ class TestOnePipeline:
             [conformant(1), conformant(2)], Scheme.FIFO_THRESHOLD, BUF,
             link_rate=LINK, sim_time=1.0, warmup=0.999, seed=2,
         )
-        assert len(result.collector.flows) < 2
+        assert len(result.sole_link.collector.flows) < 2
         assert set(result.flow_stats) == {1, 2}
 
     def test_single_port_series_are_unlabelled(self):

@@ -151,6 +151,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="needs a list"):
             SweepConstraint("seed", "in", 1)
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [SweepConstraint("warmup", "<", 1.0), SweepConstraint("scheme", "<", 1.0)],
+        ids=["none-operand", "name-operand"],
+    )
+    def test_ordered_constraint_needs_numbers_at_the_describe_stage(self, constraint):
+        # Expanding either one compared None or a scheme name with a float:
+        # a bare TypeError in every worker.
+        with pytest.raises(ConfigurationError, match=f"constraint .*{constraint.param}"):
+            SweepSpec(
+                name="ordered",
+                axes=(SweepAxis("seed", (1, 2)),),
+                constraints=(constraint,),
+            )
+        # Where every cell sets the parameter to a number, the order holds.
+        spec = scenario_spec(constraints=(SweepConstraint("warmup", "<", 1.0),))
+        assert spec.count() == spec.total_cells()
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            SweepConstraint("scheme", "==", "FIFO_NON"),
+            SweepConstraint("scheme", "not-in", ["FIFO_NONE", "FIFO_NON"]),
+        ],
+        ids=["value", "member"],
+    )
+    def test_constraint_value_is_typed_like_its_parameter(self, constraint):
+        # A misspelt scheme used to prune every cell without a word.
+        with pytest.raises(ConfigurationError, match="constraint .*'FIFO_NON'"):
+            scenario_spec(constraints=(constraint,))
+
 
 class TestExpansion:
     def test_row_major_declared_order(self):
