@@ -8,8 +8,7 @@ bandwidth from the aggressive class to the adaptive class without
 touching conformant-flow protection.
 """
 
-import pytest
-
+from benchmarks.conftest import build_port
 from repro.core.adaptive import AdaptiveSharingManager
 from repro.core.thresholds import compute_thresholds
 from repro.experiments.report import format_table
@@ -20,13 +19,7 @@ from repro.experiments.workloads import (
     TABLE2_MODERATE,
     table2_flows,
 )
-from repro.metrics.collector import StatsCollector
 from repro.sched.fifo import FIFOScheduler
-from repro.sim.engine import Simulator
-from repro.sim.port import OutputPort
-from repro.sim.rng import Generator, SeedSequence
-from repro.traffic.shaper import LeakyBucketShaper
-from repro.traffic.sources import OnOffSource
 from repro.units import mbytes, to_mbps
 
 BUFFER = mbytes(2.0)
@@ -37,24 +30,16 @@ SEED = 21
 def _run(nonadaptive_share):
     flows = table2_flows()
     profiles = {flow.flow_id: flow.profile for flow in flows}
-    thresholds = compute_thresholds(profiles, BUFFER, LINK_RATE)
-    sim = Simulator()
     manager = AdaptiveSharingManager(
-        BUFFER, thresholds, headroom=mbytes(0.25),
+        BUFFER, compute_thresholds(profiles, BUFFER, LINK_RATE),
+        headroom=mbytes(0.25),
         adaptive_flows=set(TABLE2_MODERATE) | set(TABLE2_CONFORMANT),
         nonadaptive_share=nonadaptive_share,
     )
-    collector = StatsCollector(warmup=0.1 * SIM_TIME)
-    port = OutputPort(sim, LINK_RATE, FIFOScheduler(), manager, collector)
-    seed_seq = SeedSequence(SEED).spawn(len(flows))
-    for flow, child in zip(flows, seed_seq):
-        sink = port
-        if flow.conformant:
-            sink = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
-        OnOffSource(
-            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            sink, Generator(child), until=SIM_TIME,
-        )
+    sim, _, collector = build_port(
+        flows, LINK_RATE, lambda sim: (FIFOScheduler(), manager),
+        seed=SEED, sim_time=SIM_TIME,
+    )
     sim.run(until=SIM_TIME)
     duration = 0.9 * SIM_TIME
     return {

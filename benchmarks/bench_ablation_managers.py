@@ -7,72 +7,39 @@ the design point the paper argues for: per-flow reservations are what
 deliver heterogeneous guarantees; flow-agnostic AQM cannot.
 """
 
-import pytest
-
+from benchmarks.conftest import build_port
 from repro.core.dynamic_threshold import DynamicThresholdManager
 from repro.core.fred import FREDManager
 from repro.core.red import REDManager
-from repro.core.shared_headroom import SharedHeadroomManager
-from repro.core.tail_drop import TailDropManager
-from repro.core.fixed_threshold import FixedThresholdManager
-from repro.core.thresholds import compute_thresholds
 from repro.experiments.report import format_table
+from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import (
     LINK_RATE,
     TABLE1_CONFORMANT,
     table1_flows,
 )
-from repro.metrics.collector import StatsCollector
 from repro.sched.fifo import FIFOScheduler
-from repro.sim.engine import Simulator
-from repro.sim.port import OutputPort
 from repro.sim.rng import Generator, SeedSequence
-from repro.traffic.shaper import LeakyBucketShaper
-from repro.traffic.sources import OnOffSource
 from repro.units import mbytes
 
 BUFFER = mbytes(1.0)
 SIM_TIME = 4.0
 SEED = 11
+#: The sharing scheme's H; the other schemes do not read it.
+HEADROOM = mbytes(0.5)
+#: The paper's schemes: rows that need only the run's result.
+SCHEMES = {
+    "tail drop (no mgmt)": Scheme.FIFO_NONE,
+    "fixed thresholds (paper)": Scheme.FIFO_THRESHOLD,
+    "sharing H=0.5MB (paper)": Scheme.FIFO_SHARING,
+}
 
 
-def _run_with_manager(manager_factory):
-    """Run the Table-1 workload through an arbitrary manager under FIFO."""
-    flows = table1_flows()
-    sim = Simulator()
-    manager = manager_factory(sim)
-    collector = StatsCollector(warmup=0.1 * SIM_TIME)
-    port = OutputPort(sim, LINK_RATE, FIFOScheduler(), manager, collector)
-    seed_seq = SeedSequence(SEED).spawn(len(flows))
-    for flow, child in zip(flows, seed_seq):
-        sink = port
-        if flow.conformant:
-            sink = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
-        OnOffSource(
-            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            sink, Generator(child), until=SIM_TIME,
-        )
-    sim.run(until=SIM_TIME)
-    duration = 0.9 * SIM_TIME
-    util = 100.0 * collector.throughput(duration) / LINK_RATE
-    loss = 100.0 * collector.loss_fraction(TABLE1_CONFORMANT)
-    return util, loss
-
-
-def _factories():
-    flows = table1_flows()
-    profiles = {flow.flow_id: flow.profile for flow in flows}
-    thresholds = compute_thresholds(profiles, BUFFER, LINK_RATE)
+def _related_work():
+    """The cited policies no ``Scheme`` builds: sim -> manager under FIFO."""
     mean_tx = 500.0 / LINK_RATE
     return {
-        "tail drop (no mgmt)": lambda sim: TailDropManager(BUFFER),
-        "fixed thresholds (paper)": lambda sim: FixedThresholdManager(
-            BUFFER, thresholds
-        ),
-        "sharing H=0.5MB (paper)": lambda sim: SharedHeadroomManager(
-            BUFFER, thresholds, mbytes(0.5)
-        ),
         "dynamic threshold [1]": lambda sim: DynamicThresholdManager(BUFFER),
         "RED [3]": lambda sim: REDManager(
             BUFFER, 0.25 * BUFFER, 0.75 * BUFFER,
@@ -86,8 +53,29 @@ def _factories():
     }
 
 
+def _measures(collector):
+    util = 100.0 * collector.throughput(0.9 * SIM_TIME) / LINK_RATE
+    return util, 100.0 * collector.loss_fraction(TABLE1_CONFORMANT)
+
+
 def _run_all():
-    return {name: _run_with_manager(factory) for name, factory in _factories().items()}
+    flows = table1_flows()
+    results = {
+        name: _measures(
+            run_scenario(
+                flows, scheme, BUFFER, sim_time=SIM_TIME, seed=SEED, headroom=HEADROOM
+            ).sole_link.collector
+        )
+        for name, scheme in SCHEMES.items()
+    }
+    for name, manager in _related_work().items():
+        sim, _, collector = build_port(
+            flows, LINK_RATE, lambda sim: (FIFOScheduler(), manager(sim)),
+            seed=SEED, sim_time=SIM_TIME,
+        )
+        sim.run(until=SIM_TIME)
+        results[name] = _measures(collector)
+    return results
 
 
 def test_ablation_buffer_managers(publish):

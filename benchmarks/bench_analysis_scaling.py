@@ -54,16 +54,11 @@ import sys
 import time
 
 import repro
+from benchmarks.conftest import build_port, scheme_build
 from repro.experiments.report import format_table
-from repro.experiments.schemes import Scheme, build_scheme
-from repro.metrics.collector import StatsCollector
+from repro.experiments.schemes import Scheme
 from repro.obs.events import EnqueueEvent
-from repro.sim.engine import Simulator
-from repro.sim.port import OutputPort
-from repro.sim.rng import Generator, SeedSequence
 from repro.traffic.profiles import FlowSpec
-from repro.traffic.shaper import LeakyBucketShaper
-from repro.traffic.sources import OnOffSource
 from repro.units import kbytes, mbps, mbytes
 from tests.test_call_budget import count_calls
 
@@ -149,28 +144,14 @@ class HeadOfLineProbe:
         self.samples += 1
 
 
-def build_port(scheme: Scheme, n: int, path: int = 0):
-    """``(sim, port, collector)``: one port fed by ``n`` flows."""
+def scaled_port(scheme: Scheme, n: int, path: int = 0):
+    """``(sim, port, collector)``: one port fed by ``n`` flows, unrun."""
     flows = make_flows(n)
     link = mbps(LINK_MBPS_PER_FLOW * n)
-    sim = Simulator()
     # The hybrid's classes follow the recipe's three behaviours.
     groups = [[f.flow_id for f in flows if f.flow_id % K == g] for g in range(K)]
-    build = build_scheme(
-        sim, scheme, flows, mbytes(BUFFER_MB_PER_FLOW * n), link,
-        groups=groups if scheme.is_hybrid else None,
-    )
-    collector = StatsCollector(warmup=0.0)
-    port = OutputPort(sim, link, build.scheduler, build.manager, collector)
-    for flow, child in zip(flows, SeedSequence(SEED + path).spawn(n)):
-        destination = port
-        if flow.conformant:
-            destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
-        OnOffSource(
-            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            destination, Generator(child), until=SIM_TIME,
-        )
-    return sim, port, collector
+    build = scheme_build(scheme, flows, mbytes(BUFFER_MB_PER_FLOW * n), link, groups=groups)
+    return build_port(flows, link, build, seed=SEED + path, sim_time=SIM_TIME, warmup=0.0)
 
 
 def offered(collector) -> int:
@@ -179,7 +160,7 @@ def offered(collector) -> int:
 
 def timed_cops_per_pkt(scheme: Scheme, n: int, path: int) -> float:
     """One timed run of a sample path, in cops per offered packet."""
-    sim, _, collector = build_port(scheme, n, path)
+    sim, _, collector = scaled_port(scheme, n, path)
     gc.collect()
     gc.freeze()
     gc.disable()
@@ -197,7 +178,7 @@ def timed_cops_per_pkt(scheme: Scheme, n: int, path: int) -> float:
 
 def layer_shares(scheme: Scheme, n: int) -> dict:
     """Share of profiled self time per part, from a traced run of path 0."""
-    sim, _, collector = build_port(scheme, n)
+    sim, _, collector = scaled_port(scheme, n)
     profile = cProfile.Profile()
     gc.collect()
     gc.disable()
@@ -218,11 +199,11 @@ def layer_shares(scheme: Scheme, n: int) -> dict:
 
 def measure(scheme: Scheme, n: int) -> dict:
     """One cell: counted, probed and profiled on path 0, timed on every path."""
-    sim, _, collector = build_port(scheme, n)
+    sim, _, collector = scaled_port(scheme, n)
     calls, _ = count_calls(lambda: sim.run(until=SIM_TIME))
     packets = offered(collector)
 
-    sim, port, _ = build_port(scheme, n)
+    sim, port, _ = scaled_port(scheme, n)
     probe = HeadOfLineProbe(port.scheduler)
     port.attach_trace(probe)
     sim.run(until=SIM_TIME)

@@ -7,40 +7,15 @@ specified average rate and stay below its peak rate.
 
 import pytest
 
+from benchmarks.conftest import source_rates
 from repro.experiments.report import format_table
 from repro.experiments.workloads import table1_flows
-from repro.sim.engine import Simulator
-from repro.sim.rng import Generator, SeedSequence
-from repro.traffic.sources import OnOffSource
 from repro.units import to_kbytes, to_mbps
-
-
-class _Counter:
-    def __init__(self):
-        self.bytes = 0.0
-
-    def receive(self, packet):
-        self.bytes += packet.size
-
-
-def _measure_source_rates(flows, horizon=120.0, seed=1234):
-    measured = {}
-    for flow in flows:
-        sim = Simulator()
-        counter = _Counter()
-        OnOffSource(
-            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            counter, Generator(SeedSequence((seed, flow.flow_id))),
-            until=horizon,
-        )
-        sim.run(until=horizon)
-        measured[flow.flow_id] = counter.bytes / horizon
-    return measured
 
 
 def test_table1_workload(publish):
     flows = table1_flows()
-    measured = _measure_source_rates(flows)
+    measured = source_rates(flows, seed=1234)
     rows = []
     for flow in flows:
         rows.append([

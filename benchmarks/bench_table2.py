@@ -6,43 +6,18 @@ average rates on spec, aggressive flows offering ~8x their reservation.
 
 import pytest
 
+from benchmarks.conftest import source_rates
 from repro.experiments.report import format_table
 from repro.experiments.workloads import (
     TABLE2_AGGRESSIVE,
     table2_flows,
 )
-from repro.sim.engine import Simulator
-from repro.sim.rng import Generator, SeedSequence
-from repro.traffic.sources import OnOffSource
 from repro.units import to_kbytes, to_mbps
-
-
-class _Counter:
-    def __init__(self):
-        self.bytes = 0.0
-
-    def receive(self, packet):
-        self.bytes += packet.size
-
-
-def _measure_class_rates(flows, horizon=120.0, seed=99):
-    measured = {}
-    for flow in flows:
-        sim = Simulator()
-        counter = _Counter()
-        OnOffSource(
-            sim, flow.flow_id, flow.peak_rate, flow.avg_rate, flow.mean_burst,
-            counter, Generator(SeedSequence((seed, flow.flow_id))),
-            until=horizon,
-        )
-        sim.run(until=horizon)
-        measured[flow.flow_id] = counter.bytes / horizon
-    return measured
 
 
 def test_table2_workload(publish):
     flows = table2_flows()
-    measured = _measure_class_rates(flows)
+    measured = source_rates(flows, seed=99)
     classes = [("0-9", flows[0]), ("10-19", flows[10]), ("20-29", flows[20])]
     rows = []
     for label, flow in classes:

@@ -558,8 +558,8 @@ def run_net_demo(args: argparse.Namespace) -> int:
 def run_net_reclaim(args: argparse.Namespace) -> int:
     """Live reprovisioning against static thresholds, three seeds."""
     from repro.experiments.fabric import run_fabric
-    from repro.experiments.fabric.demo import demo_tandem
     from repro.experiments.reclaim import run_reclaim_study
+    from repro.experiments.spec import scenario_from_params
     from repro.obs import JsonlSink
 
     seeds = (args.seed, args.seed + 1, args.seed + 2)
@@ -572,15 +572,12 @@ def run_net_reclaim(args: argparse.Namespace) -> int:
     print()
     print(study.render())
     if args.trace_out is not None:
-        # One traced reclamation run so the pool's accounting can be
-        # audited offline: `repro check <trace-out>` applies RPR206.
-        scenario = demo_tandem(
-            hops=args.hops,
-            seed=seeds[0],
-            sim_time=study.sim_time,
-            churn=True,
-            reclamation=True,
-            delay_histograms=False,
+        # The study's first reclamation run, traced so the pool's accounting
+        # can be audited offline: `repro check <trace-out>` applies RPR206.
+        scenario = scenario_from_params(
+            "network",
+            {"hops": args.hops, "seed": seeds[0], "sim_time": study.sim_time,
+             "reclamation": True},
         )
         args.trace_out.parent.mkdir(parents=True, exist_ok=True)
         with JsonlSink(args.trace_out) as trace:

@@ -193,8 +193,7 @@ class ChurnReport:
             accepted=int(raw["accepted"]),
             blocked_bandwidth=int(raw["blocked_bandwidth"]),
             blocked_buffer=int(raw["blocked_buffer"]),
-            # Absent in records written before the unknown split.
-            blocked_unknown=int(raw.get("blocked_unknown", 0)),
+            blocked_unknown=int(raw["blocked_unknown"]),
             departures=int(raw["departures"]),
             active_at_end=int(raw["active_at_end"]),
             per_node={

@@ -58,6 +58,43 @@ _CROSS = dict(
     conformant=False,
     mean_burst=kbytes(250.0),
 )
+# The negative control's cross-traffic: bursts heavy enough to fill its
+# small buffer.
+_HEAVY_CROSS = dict(
+    peak_rate=mbps(40.0),
+    avg_rate=mbps(12.0),
+    bucket=kbytes(50.0),
+    token_rate=mbps(12.0),
+    conformant=False,
+    mean_burst=kbytes(400.0),
+)
+
+
+def _tandem(hops: int, scheme: Scheme, buffer_size: float, cross: dict):
+    """``(nodes, links, flows)`` of a ``hops``-hop tandem ``n0 -> … -> n<hops>``.
+
+    Every hop runs ``scheme`` over ``buffer_size``; the target flow
+    crosses every hop (its route is ``flows[0].route``), and two
+    ``cross``-shaped flows per hop enter at hop i and leave at node i+1.
+    """
+    names = [f"n{i}" for i in range(hops + 1)]
+    nodes = tuple(
+        NodeSpec(name=name, scheme=scheme, buffer_size=buffer_size)
+        for name in names[:-1]
+    ) + (NodeSpec(name=names[-1]),)
+    links = tuple(
+        LinkSpec(names[i], names[i + 1], _LINK_RATE) for i in range(hops)
+    )
+    flows = [RoutedFlow(spec=_TARGET, route=tuple(names))]
+    for hop in range(hops):
+        for lane in range(2):
+            flows.append(
+                RoutedFlow(
+                    spec=FlowSpec(flow_id=100 + 2 * hop + lane, **cross),
+                    route=(names[hop], names[hop + 1]),
+                )
+            )
+    return nodes, links, tuple(flows)
 
 
 def demo_tandem(
@@ -89,34 +126,14 @@ def demo_tandem(
         mean_holding: mean exponential holding time of accepted dynamic
             flows, simulated seconds (ignored without ``churn``).
     """
-    names = [f"n{i}" for i in range(hops + 1)]
-    nodes = tuple(
-        NodeSpec(name=name, scheme=Scheme.FIFO_THRESHOLD, buffer_size=_BUFFER_SIZE)
-        for name in names[:-1]
-    ) + (NodeSpec(name=names[-1]),)
-    links = tuple(
-        LinkSpec(names[i], names[i + 1], _LINK_RATE) for i in range(hops)
-    )
-
-    flows = [RoutedFlow(spec=_TARGET, route=tuple(names))]
-    # Two cross-traffic flows per hop, entering at hop i and leaving at
-    # node i+1.
-    for hop in range(hops):
-        for lane in range(2):
-            flows.append(
-                RoutedFlow(
-                    spec=FlowSpec(flow_id=100 + 2 * hop + lane, **_CROSS),
-                    route=(names[hop], names[hop + 1]),
-                )
-            )
-
+    nodes, links, flows = _tandem(hops, Scheme.FIFO_THRESHOLD, _BUFFER_SIZE, _CROSS)
     churn_spec = None
     if churn:
         churn_spec = ChurnSpec(
             arrival_rate=arrival_rate,
             mean_holding=mean_holding,
             templates=(_TARGET,),
-            routes=(tuple(names),),
+            routes=(flows[0].route,),
             admission="auto",
             reclamation=reclamation,
         )
@@ -124,7 +141,7 @@ def demo_tandem(
     return NetworkScenario(
         nodes=nodes,
         links=links,
-        flows=tuple(flows),
+        flows=flows,
         churn=churn_spec,
         sim_time=sim_time,
         seed=seed,
@@ -149,49 +166,11 @@ def undersized_tandem(
     failure mode, reproduced on demand (``repro obs monitor
     --undersized``).
     """
-    link_rate = mbps(48.0)
-    buffer_size = kbytes(40.0)
-    names = [f"n{i}" for i in range(hops + 1)]
-    nodes = tuple(
-        NodeSpec(name=name, scheme=Scheme.FIFO_NONE, buffer_size=buffer_size)
-        for name in names[:-1]
-    ) + (NodeSpec(name=names[-1]),)
-    links = tuple(
-        LinkSpec(names[i], names[i + 1], link_rate) for i in range(hops)
-    )
-
-    target = FlowSpec(
-        flow_id=TARGET_FLOW_ID,
-        peak_rate=mbps(8.0),
-        avg_rate=mbps(2.0),
-        bucket=kbytes(50.0),
-        token_rate=mbps(2.0),
-        conformant=True,
-        mean_burst=kbytes(50.0),
-    )
-    flows = [RoutedFlow(spec=target, route=tuple(names))]
-    for hop in range(hops):
-        for lane in range(2):
-            flow_id = 100 + 2 * hop + lane
-            flows.append(
-                RoutedFlow(
-                    spec=FlowSpec(
-                        flow_id=flow_id,
-                        peak_rate=mbps(40.0),
-                        avg_rate=mbps(12.0),
-                        bucket=kbytes(50.0),
-                        token_rate=mbps(12.0),
-                        conformant=False,
-                        mean_burst=kbytes(400.0),
-                    ),
-                    route=(names[hop], names[hop + 1]),
-                )
-            )
-
+    nodes, links, flows = _tandem(hops, Scheme.FIFO_NONE, kbytes(40.0), _HEAVY_CROSS)
     return NetworkScenario(
         nodes=nodes,
         links=links,
-        flows=tuple(flows),
+        flows=flows,
         sim_time=sim_time,
         seed=seed,
         delay_histograms=False,

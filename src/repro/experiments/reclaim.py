@@ -19,13 +19,12 @@ population.  The study runs both modes through the campaign pipeline
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import CampaignRunner, ScenarioJob, ScenarioRecord
-from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.report import format_table
+from repro.experiments.spec import scenario_from_params
 
 __all__ = ["ReclaimStudy", "record_loss", "run_reclaim_study"]
 
@@ -113,14 +112,13 @@ def run_reclaim_study(
         runner = CampaignRunner()
 
     def job(seed: int, reclamation: bool) -> ScenarioJob:
-        scenario = demo_tandem(
-            hops=hops,
-            sim_time=sim_time,
-            churn=True,
-            reclamation=reclamation,
-            delay_histograms=False,
+        # The network defaults: churn on, no delay histograms.
+        return ScenarioJob(
+            scenario_from_params(
+                "network",
+                {"hops": hops, "seed": seed, "sim_time": sim_time, "reclamation": reclamation},
+            )
         )
-        return ScenarioJob(dataclasses.replace(scenario, seed=seed))
 
     jobs = [job(seed, False) for seed in seeds]
     jobs += [job(seed, True) for seed in seeds]

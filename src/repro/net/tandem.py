@@ -3,8 +3,8 @@
 A tandem of ``n`` hops is the standard setting for end-to-end QoS
 analysis: the flow of interest traverses every hop while independent
 cross-traffic enters and leaves at each hop, congesting it locally.
-:func:`build_tandem` assembles that topology from per-hop buffer
-managers, returning the network plus the conventional node names
+:func:`build_tandem` assembles that topology of FIFO hops from per-hop
+buffer managers, returning the network plus the conventional node names
 ``n0 -> n1 -> ... -> n<k>``.
 """
 
@@ -26,8 +26,6 @@ def build_tandem(
     rates: Sequence[float],
     manager_factories: Sequence[Callable[[], object]],
     collectors: Sequence[StatsCollector] | None = None,
-    scheduler_factory: Callable[[], object] | None = None,
-    warmup: float = 0.0,
 ) -> tuple[Network, list[str]]:
     """Build an ``len(rates)``-hop linear network.
 
@@ -35,16 +33,9 @@ def build_tandem(
         sim: simulation engine.
         rates: link rate (bytes/second) for each hop, in path order.
         manager_factories: one buffer-manager factory per hop.
-        collectors: optional per-hop statistics sinks.  When omitted, one
-            :class:`StatsCollector` is created per hop with the given
-            ``warmup`` so every hop measures over the same steady-state
-            window.
-        scheduler_factory: scheduler per hop; defaults to FIFO (the
-            paper's discipline).
-        warmup: measurement warmup (seconds) for the auto-created
-            collectors; events before this time are excluded from hop
-            statistics.  Ignored when explicit ``collectors`` are passed
-            (they carry their own warmup).
+        collectors: optional per-hop statistics sinks (each carries its
+            own warmup); when omitted, every hop gets a
+            :class:`StatsCollector` measuring from time zero.
 
     Returns:
         ``(network, node_names)`` where node_names has ``len(rates)+1``
@@ -60,12 +51,8 @@ def build_tandem(
         raise ConfigurationError(
             f"got {len(collectors)} collectors for {len(rates)} hops"
         )
-    if warmup < 0:
-        raise ConfigurationError(f"warmup must be non-negative, got {warmup}")
     if collectors is None:
-        collectors = [StatsCollector(warmup=warmup) for _ in rates]
-    if scheduler_factory is None:
-        scheduler_factory = FIFOScheduler
+        collectors = [StatsCollector() for _ in rates]
 
     network = Network(sim)
     names = [f"n{i}" for i in range(len(rates) + 1)]
@@ -76,8 +63,8 @@ def build_tandem(
             names[index],
             names[index + 1],
             rate,
-            scheduler_factory(),
+            FIFOScheduler(),
             manager_factories[index](),
-            collector=collectors[index] if collectors is not None else None,
+            collector=collectors[index],
         )
     return network, names

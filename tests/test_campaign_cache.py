@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import ResultCache, ScenarioJob, execute_job
+from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import table1_flows
 from repro.units import mbytes
@@ -72,6 +73,18 @@ class TestRobustness:
         raw["schema"] = "repro-campaign-v999"
         path.write_text(json.dumps(raw))
         assert cache.get(job.digest()) is None
+
+    def test_churn_block_without_unknown_split_is_a_miss(self, cache):
+        # Every campaign-v2 writer records the unattributed blocks; an
+        # entry without them is unreadable, not a zero.
+        record = execute_job(ScenarioJob(demo_tandem(hops=1, sim_time=0.5)))
+        cache.put(record)
+        path = cache.path(record.job_digest)
+        raw = json.loads(path.read_text())
+        del raw["churn"]["blocked_unknown"]
+        path.write_text(json.dumps(raw))
+        assert cache.get(record.job_digest) is None
+        assert cache.misses == 1
 
     def test_renamed_entry_is_a_miss(self, cache, record_and_job):
         # Content addressing: the payload must match the file name.

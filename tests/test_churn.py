@@ -144,13 +144,6 @@ class TestBlockingAccounting:
         assert process.report.blocked_bandwidth == 0
         assert process.report.per_node["a"] == {"unknown": 1}
 
-    def test_old_records_without_unknown_still_load(self):
-        from repro.experiments.fabric import ChurnReport
-
-        raw = ChurnReport(arrivals=3, accepted=3).to_dict()
-        del raw["blocked_unknown"]
-        assert ChurnReport.from_dict(raw).blocked_unknown == 0
-
 
 class TestAdmissionRelease:
     def test_departures_release_capacity_for_later_arrivals(self):

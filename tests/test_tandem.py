@@ -38,26 +38,7 @@ class TestBuildTandem:
 
 
 class TestTandemWarmup:
-    """Auto-created hop collectors honour the warmup window."""
-
-    def run_cbr(self, warmup):
-        sim = Simulator()
-        net, names = build_tandem(
-            sim, [LINK], [lambda: TailDropManager(HOP_BUFFER)], warmup=warmup
-        )
-        net.set_route(1, names)
-        CBRSource(sim, 1, 100_000.0, net.entry(1), packet_size=PKT, until=10.0)
-        sim.run(until=12.0)
-        return net.links[("n0", "n1")].collector.flows[1]
-
-    def test_pre_warmup_packets_excluded(self):
-        # 200 pkt/s CBR for 10 s: a 5 s warmup must drop roughly the
-        # first half of the offered packets from the hop statistics.
-        full = self.run_cbr(warmup=0.0)
-        windowed = self.run_cbr(warmup=5.0)
-        assert full.offered_packets == pytest.approx(2000, abs=2)
-        assert windowed.offered_packets == pytest.approx(1000, abs=2)
-        assert windowed.offered_packets < full.offered_packets
+    """Hop collectors passed in are the hops' collectors, warmup and all."""
 
     def test_explicit_collectors_keep_their_own_warmup(self):
         sim = Simulator()
@@ -67,20 +48,12 @@ class TestTandemWarmup:
             [LINK],
             [lambda: TailDropManager(HOP_BUFFER)],
             collectors=[collector],
-            warmup=5.0,  # must be ignored: the collector carries its own
         )
         net.set_route(1, names)
         CBRSource(sim, 1, 100_000.0, net.entry(1), packet_size=PKT, until=10.0)
         sim.run(until=12.0)
         assert net.links[("n0", "n1")].collector is collector
         assert collector.flows[1].offered_packets == pytest.approx(1600, abs=2)
-
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_tandem(
-                Simulator(), [LINK], [lambda: TailDropManager(HOP_BUFFER)],
-                warmup=-1.0,
-            )
 
 
 class TestEndToEndGuarantee:
