@@ -6,17 +6,20 @@ fabric only enforces *while running*: per-node threshold sums, link
 capacity over reserved rates, connected routes, feasible churn admission
 regions.  This module verifies them statically, over a
 :class:`~repro.experiments.fabric.NetworkScenario` or a raw spec file,
-with the very functions :mod:`repro.experiments.fabric.build` applies at
-run time (burst inflation via
-:meth:`~repro.experiments.fabric.NetworkScenario.hop_sigmas`, region
-selection via the scheme family, eqs. 5-9 of the paper).
+by booking the scenario through the fabric's own admission code:
+burst inflation via
+:meth:`~repro.experiments.fabric.NetworkScenario.hop_sigmas`, and each
+hop's region (eqs. 5-9 of the paper) — or, under reclamation, its live
+buffer pool — via :func:`~repro.experiments.fabric.churn.book_hops` and
+:func:`~repro.experiments.fabric.churn.hop_decision`, the test every
+arriving flow gets.  What the auditor passes, the fabric books.
 
 Invariant findings reuse :class:`repro.check.findings.Finding` with
 ``RPR2##`` codes and a severity:
 
-* scenarios **with churn** must satisfy the full admission region — the
-  fabric raises :class:`~repro.errors.ConfigurationError` otherwise, so
-  violations are ``error`` severity;
+* scenarios **with churn** must book every static flow — the fabric
+  raises :class:`~repro.errors.ConfigurationError` otherwise, so
+  refusals are ``error`` severity;
 * scenarios **without churn** get ``warning`` severity, and only the
   conformant subpopulation is booked: overloading a buffer with
   non-conformant traffic is the paper's own experimental method, but a
@@ -29,10 +32,10 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.analysis.admission import AdmissionControl, Rejection
+from repro.analysis.admission import Rejection
 from repro.errors import ConfigurationError
-from repro.experiments.fabric.build import _CHURN_SCHEMES, _admission_for
-from repro.experiments.fabric.scenario import ChurnSpec, NetworkScenario
+from repro.experiments.fabric.churn import book_hops, churn_scheme_faults, hop_decision
+from repro.experiments.fabric.scenario import NetworkScenario
 from repro.check.findings import Finding
 from repro.net.topology import per_hop_sigma
 
@@ -52,125 +55,66 @@ def check_scenario(
     Structural validity (RPR203) is enforced by the constructors; use
     :func:`check_scenario_dict` to audit raw data through the same gate.
     """
-    findings: list[Finding] = []
     prefix = f"spec {name!r}: " if name else ""
     has_churn = scenario.churn is not None
     severity = "error" if has_churn else "warning"
-    mode = scenario.churn.admission if has_churn else "auto"
-    hop_sigmas = scenario.hop_sigmas()
-
-    regions: dict[tuple[str, str], AdmissionControl] = {}
-    for link in scenario.links:
-        node = scenario.node(link.src)
-        regions[(link.src, link.dst)] = _admission_for(
-            node.scheme, mode, link.rate, node.buffer_size
+    # With churn this is the fabric's own pre-booking (which raises on a
+    # refusal); without churn only the conformant flows carry a
+    # guarantee worth auditing.
+    booked = [flow for flow in scenario.flows if has_churn or flow.spec.conformant]
+    hops, refusals = book_hops(scenario, booked, scenario.hop_sigmas())
+    findings = [
+        Finding(
+            "RPR202" if decision.reason is Rejection.BANDWIDTH_LIMITED else "RPR201",
+            f"{prefix}flow {flow.flow_id} does not fit link {state.label} "
+            f"({decision.reason.value}): its reservation (sigma {sigma:.0f} bytes, "
+            f"rho {flow.token_rate:.0f} bytes/s) exceeds what is left of the "
+            f"{state.rate:.0f}-bytes/s link (eq. 5/7) or of the "
+            f"{state.buffer_size:.0f}-byte buffer (eq. 6/8-9; under reclamation, "
+            "of the pool, for the base threshold sigma + rho B/R)",
+            path,
+            1,
+            severity=severity,
         )
-
-    # Book the statics hop by hop: with churn this mirrors the fabric's
-    # pre-booking (which raises on failure); without churn only the
-    # conformant flows carry a guarantee worth auditing.
-    booked_clean = True
-    for routed in scenario.flows:
-        if not has_churn and not routed.spec.conformant:
-            continue
-        for key, sigma in hop_sigmas[routed.spec.flow_id].items():
-            region = regions[key]
-            decision = region.admit(sigma, routed.spec.token_rate)
-            if decision:
-                continue
-            booked_clean = False
-            label = f"{key[0]}->{key[1]}"
-            if decision.reason is Rejection.BANDWIDTH_LIMITED:
-                findings.append(
-                    Finding(
-                        "RPR202",
-                        f"{prefix}flow {routed.spec.flow_id} does not fit "
-                        f"link {label}: reserved rates would reach "
-                        f"{region.rho_total + routed.spec.token_rate:.0f} "
-                        f"of {region.link_rate:.0f} bytes/s (eq. 5/7)",
-                        path,
-                        1,
-                        severity=severity,
-                    )
-                )
-            else:
-                findings.append(
-                    Finding(
-                        "RPR201",
-                        f"{prefix}flow {routed.spec.flow_id} does not fit "
-                        f"the buffer at link {label}: burst sum "
-                        f"{region.sigma_total + sigma:.0f} bytes needs more "
-                        f"than the {region.buffer_size:.0f}-byte buffer "
-                        "under its admission region (eq. 6/8-9)",
-                        path,
-                        1,
-                        severity=severity,
-                    )
-                )
-
+        for flow, state, sigma, decision in refusals
+    ]
     if has_churn:
-        findings.extend(
-            _check_churn(scenario, scenario.churn, regions, booked_clean, path, prefix)
-        )
+        findings.extend(_check_churn(scenario, hops, not refusals, path, prefix))
     return findings
 
 
 def _check_churn(
-    scenario: NetworkScenario,
-    churn: ChurnSpec,
-    regions: dict[tuple[str, str], AdmissionControl],
-    booked_clean: bool,
-    path: str,
-    prefix: str,
+    scenario: NetworkScenario, hops: dict, booked_clean: bool, path: str, prefix: str
 ) -> list[Finding]:
     """RPR204: scheme family at churn hops and residual-region feasibility."""
-    findings: list[Finding] = []
-    churn_nodes = {name for route in churn.routes for name in route[:-1]}
-    schemes_ok = True
-    for node_name in sorted(churn_nodes):
-        node = scenario.node(node_name)
-        if node.scheme not in _CHURN_SCHEMES:
-            schemes_ok = False
-            findings.append(
-                Finding(
-                    "RPR204",
-                    f"{prefix}churn requires a FIFO-family scheme at every "
-                    f"hop; node {node_name} runs {node.scheme.name} whose "
-                    "scheduler cannot accept dynamically arriving flows",
-                    path,
-                    1,
-                )
-            )
-    if not booked_clean or not schemes_ok:
+    faults = churn_scheme_faults(scenario)
+    findings = [Finding("RPR204", f"{prefix}{fault}", path, 1) for fault in faults]
+    if not booked_clean or faults:
         # The fabric raises before churn starts; feasibility over a
         # partially booked or mis-schemed region would be noise.
         return findings
 
-    admissible_pairs = 0
+    churn = scenario.churn
     for template in churn.templates:
         for route in churn.routes:
-            hops = list(zip(route, route[1:]))
-            sigmas = per_hop_sigma(
-                template.bucket,
-                template.token_rate,
-                [regions[hop].buffer_size / regions[hop].link_rate for hop in hops],
-            )
+            states = [hops[hop] for hop in zip(route, route[1:])]
+            delays = [state.delay_bound for state in states]
+            sigmas = per_hop_sigma(template.bucket, template.token_rate, delays)
             if all(
-                regions[hop].check(sigma, template.token_rate)
-                for hop, sigma in zip(hops, sigmas)
+                hop_decision(state, sigma, template.token_rate)
+                for state, sigma in zip(states, sigmas)
             ):
-                admissible_pairs += 1
-    if admissible_pairs == 0:
-        findings.append(
-            Finding(
-                "RPR204",
-                f"{prefix}churn admission region is infeasible: after "
-                "booking the static flows, no template/route pair fits at "
-                "every hop — every dynamic arrival would be blocked",
-                path,
-                1,
-            )
+                return findings
+    findings.append(
+        Finding(
+            "RPR204",
+            f"{prefix}churn admission region is infeasible: after "
+            "booking the static flows, no template/route pair fits at "
+            "every hop — every dynamic arrival would be blocked",
+            path,
+            1,
         )
+    )
     return findings
 
 

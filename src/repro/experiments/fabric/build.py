@@ -21,20 +21,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.analysis.admission import AdmissionControl, FIFOAdmission, WFQAdmission
 from repro.analysis.delay import worst_case_fifo_delay
-from repro.core.pool import BufferPool
-from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
 from repro.experiments.fabric.churn import (
     ChurnReport,
     FlowChurnProcess,
-    HopState,
     _check_occupancy,
     _start_source,
+    book_hops,
+    churn_scheme_faults,
 )
 from repro.experiments.fabric.scenario import DYNAMIC_FLOW_BASE, NetworkScenario
-from repro.experiments.schemes import Scheme, SchemeBuild, build_scheme
+from repro.experiments.schemes import SchemeBuild, build_scheme
 from repro.metrics.collector import FlowStats, LinkMeasures, StatsCollector, accounted
 from repro.net.topology import DeliverySink, Network
 from repro.obs.monitor import MonitorReport
@@ -43,12 +41,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequence
 
 __all__ = ["LinkResult", "FabricResult", "run_fabric"]
-
-#: Schemes whose scheduler accepts packets from flows it has never seen
-#: (FIFO keeps one queue).  Churn requires these at every hop: WFQ/SCFQ
-#: weights are fixed at construction, so a dynamically arriving flow
-#: would have no weight.
-_CHURN_SCHEMES = (Scheme.FIFO_NONE, Scheme.FIFO_THRESHOLD, Scheme.FIFO_SHARING)
 
 
 @dataclass
@@ -131,16 +123,6 @@ class FabricResult(LinkMeasures):
     def delay_percentile(self, flow_id: int, q: float) -> float:
         """End-to-end delay percentile; needs ``delay_histograms=True``."""
         return self.end_to_end.delay_histogram(flow_id).percentile(q)
-
-
-def _admission_for(scheme: Scheme, mode: str, rate: float, buffer_size: float) -> AdmissionControl:
-    if mode == "fifo":
-        return FIFOAdmission(rate, buffer_size)
-    if mode == "wfq":
-        return WFQAdmission(rate, buffer_size)
-    if scheme in _CHURN_SCHEMES:
-        return FIFOAdmission(rate, buffer_size)
-    return WFQAdmission(rate, buffer_size)
 
 
 def _wire_link_monitor(
@@ -258,7 +240,7 @@ def run_fabric(
     hop_sigmas = scenario.hop_sigmas()
 
     links: dict[str, LinkResult] = {}
-    builds: dict[tuple[str, str], SchemeBuild] = {}
+    managers: dict[tuple[str, str], object] = {}
     for link in scenario.links:
         node = scenario.node(link.src)
         key = (link.src, link.dst)
@@ -290,7 +272,7 @@ def run_fabric(
             link.src, link.dst, link.rate, build.scheduler, build.manager,
             collector=collector, label=label, deliver=not single,
         )
-        builds[key] = build
+        managers[key] = build.manager
         links[link.label] = LinkResult(
             label=link.label,
             src=link.src,
@@ -337,7 +319,7 @@ def run_fabric(
     churn_process = None
     if scenario.churn is not None:
         churn_process = _start_churn(
-            sim, net, scenario, builds, hop_sigmas, seed_seq,
+            sim, net, scenario, managers, hop_sigmas, seed_seq,
             sink=effective_sink, monitor=monitor,
         )
         if timeline is not None:
@@ -365,72 +347,28 @@ def _start_churn(
     sim: Simulator,
     net: Network,
     scenario: NetworkScenario,
-    builds: dict[tuple[str, str], SchemeBuild],
+    managers: dict[tuple[str, str], object],
     hop_sigmas: dict[int, dict[tuple[str, str], float]],
     seed_seq: SeedSequence,
     *,
     sink=None,
     monitor=None,
 ) -> FlowChurnProcess:
-    """Build per-hop admission state, pre-book statics, start the process."""
-    spec = scenario.churn
-    churn_nodes = {name for route in spec.routes for name in route[:-1]}
-    for name in sorted(churn_nodes):
-        node = scenario.node(name)
-        if node.scheme not in _CHURN_SCHEMES:
-            raise ConfigurationError(
-                f"churn requires a FIFO-family scheme at every hop; node "
-                f"{name} runs {node.scheme} whose scheduler cannot accept "
-                "dynamically arriving flows"
-            )
-
-    hops: dict[tuple[str, str], HopState] = {}
-    for link in scenario.links:
-        key = (link.src, link.dst)
-        node = scenario.node(link.src)
-        pool = None
-        if spec.reclamation:
-            pool = BufferPool(node.buffer_size, node=link.label)
-            if sink is not None:
-                pool.attach_trace(sink, lambda: sim.now)
-        hops[key] = HopState(
-            src=link.src,
-            label=link.label,
-            admission=_admission_for(
-                node.scheme, spec.admission, link.rate, node.buffer_size
-            ),
-            manager=builds[key].manager,
-            buffer_size=node.buffer_size,
-            rate=link.rate,
-            pool=pool,
+    """Book the statics on every hop's admission state, start the process."""
+    faults = churn_scheme_faults(scenario)
+    if faults:
+        raise ConfigurationError(faults[0])
+    hops, refusals = book_hops(
+        scenario, scenario.flows, hop_sigmas,
+        sink=sink, clock=lambda: sim.now, managers=managers,
+    )
+    if refusals:
+        flow, state, _sigma, decision = refusals[0]
+        raise ConfigurationError(
+            f"static flow {flow.flow_id} does not fit the admission region "
+            f"at link {state.label} ({decision.reason.value}); churn blocking "
+            "would be meaningless over an over-booked network"
         )
-
-    # Pre-book the static population: churn must see the residual region.
-    # With reclamation the statics' base (pre-rescale) thresholds are also
-    # reserved in each pool — in scenario.flows order, so the pool's
-    # reservation sums match build_scheme's threshold computation exactly.
-    for routed in scenario.flows:
-        for key, sigma in hop_sigmas[routed.spec.flow_id].items():
-            decision = hops[key].admission.admit(sigma, routed.spec.token_rate)
-            if not decision:
-                raise ConfigurationError(
-                    f"static flow {routed.spec.flow_id} does not fit the "
-                    f"admission region at link {hops[key].label} "
-                    f"({decision.reason.value}); churn blocking would be "
-                    "meaningless over an over-booked network"
-                )
-            state = hops[key]
-            if state.pool is not None:
-                state.pool.reserve(
-                    routed.spec.flow_id,
-                    flow_threshold(
-                        sigma,
-                        routed.spec.token_rate,
-                        state.buffer_size,
-                        state.rate,
-                    ),
-                )
-
     return FlowChurnProcess(
         sim, net, scenario, hops, seed_seq.spawn(1)[0], DYNAMIC_FLOW_BASE,
         monitor=monitor,

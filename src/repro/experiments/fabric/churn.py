@@ -27,6 +27,11 @@ triggers the footnote-5 proportional rescale of the surviving
 population's thresholds — pushed into the buffer managers through
 :meth:`~repro.core.occupancy.BufferManager.reprovision`, drain-safely.
 
+Admission is decided here only: :func:`book_hops` books the static
+flows through :func:`hop_decision`, the test every arrival gets, for
+the fabric before churn starts and for the static auditor (``repro
+check``) alike, so the two cannot disagree about which flows fit.
+
 All randomness (interarrivals, template and route choice, holding
 times, and the per-flow source streams) derives from one
 ``SeedSequence`` child, spawned *after* the static flows' children —
@@ -39,10 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.admission import AdmissionControl, Decision, Rejection
+from repro.analysis.admission import (
+    AdmissionControl, Decision, FIFOAdmission, Rejection, WFQAdmission,
+)
 from repro.core.pool import BufferPool
 from repro.core.thresholds import flow_threshold
-from repro.errors import ConfigurationError
+from repro.experiments.schemes import Scheme
 from repro.net.topology import Network, per_hop_sigma
 from repro.sim.engine import Simulator
 from repro.sim.rng import Generator, SeedSequence
@@ -50,7 +57,16 @@ from repro.traffic.profiles import FlowSpec
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
-__all__ = ["HopState", "ChurnReport", "FlowChurnProcess"]
+__all__ = [
+    "HopState", "ChurnReport", "FlowChurnProcess", "book_hops", "churn_scheme_faults",
+    "hop_decision",
+]
+
+#: Schemes whose scheduler accepts packets from flows it has never seen
+#: (FIFO keeps one queue).  Churn requires these at every hop: WFQ/SCFQ
+#: weights are fixed at construction, so a dynamically arriving flow
+#: would have no weight.
+CHURN_SCHEMES = (Scheme.FIFO_NONE, Scheme.FIFO_THRESHOLD, Scheme.FIFO_SHARING)
 
 
 def _start_source(
@@ -108,7 +124,8 @@ class HopState:
             static flows crossing the link.
         manager: the link's buffer manager; dynamic per-flow thresholds
             are installed (and withdrawn) through its ``reprovision`` /
-            ``retire`` API when it has per-flow thresholds.
+            ``retire`` API when it has per-flow thresholds.  ``None``
+            where nothing is simulated (the static auditor).
         buffer_size: the hop's buffer ``B`` in bytes.
         rate: the hop's link rate ``R`` in bytes/second.
         pool: the hop's live buffer pool; only set under reclamation.
@@ -138,6 +155,93 @@ class HopState:
     def delay_bound(self) -> float:
         """Worst-case queueing delay ``B / R`` used for sigma inflation."""
         return self.buffer_size / self.rate
+
+
+def hop_decision(state: HopState, sigma: float, rho: float) -> Decision:
+    """One hop's admission test for a candidate ``(sigma, rho)``.
+
+    Without a pool the hop's region decides.  With one (reclamation)
+    the test splits: bandwidth from the region's rate books, buffer from
+    the live pool — the paper's eq.-9 requirement restated over base
+    reservations, whatever region the admission mode chose.
+    """
+    if state.pool is None:
+        return state.admission.check(sigma, rho)
+    decision = state.admission.check_bandwidth(rho)
+    if not decision:
+        return decision
+    base = flow_threshold(sigma, rho, state.buffer_size, state.rate)
+    if not state.pool.can_reserve(base):
+        return Decision(False, Rejection.BUFFER_LIMITED)
+    return Decision(True)
+
+
+def churn_scheme_faults(scenario) -> list[str]:
+    """One message per node on a churn route that cannot take a dynamic flow."""
+    churn_nodes = {name for route in scenario.churn.routes for name in route[:-1]}
+    return [
+        f"churn requires a FIFO-family scheme at every hop; node {name} runs "
+        f"{scenario.node(name).scheme.name} whose scheduler cannot accept "
+        "dynamically arriving flows"
+        for name in sorted(churn_nodes)
+        if scenario.node(name).scheme not in CHURN_SCHEMES
+    ]
+
+
+def book_hops(scenario, flows, hop_sigmas, *, sink=None, clock=None, managers=None):
+    """Build every link's :class:`HopState` and book the routed ``flows`` on it.
+
+    A hop's region is FIFO (eqs. 7-9) or WFQ (eqs. 5-6) by the churn
+    spec's admission mode (``"auto"`` reads the node's scheme); under
+    reclamation it also gets a pool, traced into ``sink`` before any
+    reservation.  Each flow is then booked in order, hop by hop, where
+    :func:`hop_decision` admits it; a refused hop is skipped.  Returns
+    ``(hops, refusals)``: states keyed by ``(src, dst)``, and one
+    ``(flow, state, sigma, decision)`` per refused hop.
+    """
+    churn = scenario.churn
+    mode = "auto" if churn is None else churn.admission
+    reclamation = churn is not None and churn.reclamation
+    hops: dict[tuple[str, str], HopState] = {}
+    for link in scenario.links:
+        key = (link.src, link.dst)
+        node = scenario.node(link.src)
+        if mode == "fifo" or (mode == "auto" and node.scheme in CHURN_SCHEMES):
+            admission = FIFOAdmission(link.rate, node.buffer_size)
+        else:
+            admission = WFQAdmission(link.rate, node.buffer_size)
+        pool = None
+        if reclamation:
+            pool = BufferPool(node.buffer_size, node=link.label)
+            pool.attach_trace(sink, clock)
+        manager = None if managers is None else managers[key]
+        hops[key] = HopState(
+            link.src, link.label, admission, manager, node.buffer_size, link.rate, pool
+        )
+
+    # In scenario.flows order, so each pool's reservation sums match
+    # build_scheme's threshold computation exactly.
+    refusals = []
+    for routed in flows:
+        flow = routed.spec
+        rho = flow.token_rate
+        for key, sigma in hop_sigmas[flow.flow_id].items():
+            state = hops[key]
+            if state.pool is None:
+                # Without a pool hop_decision is the region's check, and
+                # admit is that check plus the booking.
+                decision = state.admission.admit(sigma, rho)
+            else:
+                decision = hop_decision(state, sigma, rho)
+                if decision:
+                    state.admission.book(sigma, rho)
+                    state.pool.reserve(
+                        flow.flow_id,
+                        flow_threshold(sigma, rho, state.buffer_size, state.rate),
+                    )
+            if not decision:
+                refusals.append((flow, state, sigma, decision))
+    return hops, refusals
 
 
 @dataclass
@@ -236,30 +340,11 @@ class FlowChurnProcess:
         monitor=None,
     ) -> None:
         spec = scenario.churn
-        if spec is None:
-            raise ConfigurationError("scenario has no churn spec")
-        for route in spec.routes:
-            for hop in zip(route, route[1:]):
-                if hop not in hops:
-                    raise ConfigurationError(
-                        f"churn route uses link {hop[0]}->{hop[1]} "
-                        "with no admission state"
-                    )
         self.sim = sim
         self.network = network
         self.scenario = scenario
         self.spec = spec
         self.hops = hops
-        self.reclamation = bool(spec.reclamation)
-        if self.reclamation:
-            missing = [
-                state.label for state in hops.values() if state.pool is None
-            ]
-            if missing:
-                raise ConfigurationError(
-                    "reclamation needs a BufferPool at every hop; missing at "
-                    + ", ".join(sorted(missing))
-                )
         self.report = ChurnReport()
         self.monitor = monitor
         self._seed_seq = seed_seq
@@ -272,35 +357,16 @@ class FlowChurnProcess:
 
     # -- arrival ----------------------------------------------------------
 
-    def _hop_decision(self, state: HopState, sigma: float, rho: float) -> Decision:
-        """One hop's admission test for a candidate ``(sigma, rho)``.
-
-        Static mode asks the pre-booked region; reclamation splits the
-        test — bandwidth from the region's rate books, buffer from the
-        live pool (the paper's eq.-9 requirement restated over base
-        reservations).
-        """
-        if not self.reclamation:
-            return state.admission.check(sigma, rho)
-        decision = state.admission.check_bandwidth(rho)
-        if not decision:
-            return decision
-        base = flow_threshold(sigma, rho, state.buffer_size, state.rate)
-        if not state.pool.can_reserve(base):
-            return Decision(False, Rejection.BUFFER_LIMITED)
-        return Decision(True)
-
     def _install(self, state: HopState, flow_id: int, sigma: float, rho: float) -> None:
         """Book one accepted flow at one hop.
 
-        Static mode reproduces the historical behaviour exactly: admit
-        into the region and register the flow's Prop.-2 threshold.
-        Reclamation books unconditionally (the pool already decided),
-        reserves the base threshold in the pool, and rescales the
-        survivors online.
+        Without a pool: admit into the region and register the flow's
+        Prop.-2 threshold.  With one (reclamation): book unconditionally
+        (the pool already decided), reserve the base threshold in the
+        pool, and rescale the survivors online.
         """
         base = flow_threshold(sigma, rho, state.buffer_size, state.rate)
-        if not self.reclamation:
+        if state.pool is None:
             state.admission.admit(sigma, rho)
             if state.manages_thresholds:
                 state.manager.reprovision(flow_id, base)
@@ -338,7 +404,7 @@ class FlowChurnProcess:
             template.bucket, template.token_rate, [s.delay_bound for s in states]
         )
         for state, sigma in zip(states, sigmas):
-            decision = self._hop_decision(state, sigma, template.token_rate)
+            decision = hop_decision(state, sigma, template.token_rate)
             if not decision:
                 self._record_rejection(state.src, decision.reason)
                 return
@@ -405,7 +471,7 @@ class FlowChurnProcess:
             state.admission.release(sigma, rho)
             if state.manages_thresholds:
                 state.manager.retire(flow_id)
-            if self.reclamation:
+            if state.pool is not None:
                 state.pool.retire(flow_id)
                 self._sync_thresholds(state)
         self.report.departures += 1

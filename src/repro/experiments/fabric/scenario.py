@@ -22,6 +22,7 @@ the paper, applied per node) before any source is created.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,11 +75,14 @@ class NodeSpec:
             raise ConfigurationError(
                 f"node {self.name}: scheme must be a Scheme, got {self.scheme!r}"
             )
-        if self.buffer_size is not None and self.buffer_size <= 0:
+        # `not 0 < x < inf` refuses NaN too: it fails every comparison.
+        if self.buffer_size is not None and not 0 < self.buffer_size < math.inf:
             raise ConfigurationError(
-                f"node {self.name}: buffer size must be positive, "
+                f"node {self.name}: buffer size must be positive and finite, "
                 f"got {self.buffer_size}"
             )
+        if not -math.inf < self.headroom < math.inf:
+            raise ConfigurationError(f"node {self.name}: headroom must be finite")
         if self.groups is not None:
             object.__setattr__(
                 self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups)
@@ -117,9 +121,9 @@ class LinkSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
+        if not 0 < self.rate < math.inf:
             raise ConfigurationError(
-                f"link {self.src}->{self.dst}: rate must be positive, got {self.rate}"
+                f"link {self.src}->{self.dst}: rate must be positive and finite, got {self.rate}"
             )
 
     @property
@@ -213,13 +217,13 @@ class ChurnSpec:
         object.__setattr__(
             self, "routes", tuple(tuple(route) for route in self.routes)
         )
-        if self.arrival_rate <= 0:
+        if not 0 < self.arrival_rate < math.inf:
             raise ConfigurationError(
-                f"churn arrival rate must be positive, got {self.arrival_rate}"
+                f"churn arrival rate must be positive and finite, got {self.arrival_rate}"
             )
-        if self.mean_holding <= 0:
+        if not 0 < self.mean_holding < math.inf:
             raise ConfigurationError(
-                f"churn mean holding time must be positive, got {self.mean_holding}"
+                f"churn mean holding time must be positive and finite, got {self.mean_holding}"
             )
         if not self.templates:
             raise ConfigurationError("churn needs at least one flow template")
@@ -294,8 +298,10 @@ class NetworkScenario:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "flows", tuple(self.flows))
-        if self.sim_time <= 0:
-            raise ConfigurationError(f"sim_time must be positive, got {self.sim_time}")
+        if not 0 < self.sim_time < math.inf:
+            raise ConfigurationError(f"sim_time must be positive and finite, got {self.sim_time}")
+        if not 0 < self.packet_size < math.inf:
+            raise ConfigurationError(f"packet_size must be positive and finite, got {self.packet_size}")
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.warmup is not None and not 0 <= self.warmup < self.sim_time:

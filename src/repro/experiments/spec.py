@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -159,6 +160,9 @@ def check_param(kind: str, name: str, value) -> None:
         raise ConfigurationError(
             f"parameter {name!r} must be {_TYPE_NAMES[expected]}, got {value!r}"
         )
+    # JSON reads NaN and Infinity; neither describes an experiment.
+    if expected is float and not -math.inf < value < math.inf:
+        raise ConfigurationError(f"parameter {name!r} must be finite, got {value!r}")
 
 
 def scenario_from_params(kind: str, params: Mapping) -> NetworkScenario:

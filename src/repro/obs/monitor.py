@@ -15,8 +15,10 @@ against the closed-form references:
   reference with the run; drain-safe shrinks are tracked through the
   ``reprovision`` events and tolerated while the flow drains down.
 * **hop-delay** — every departure's queueing delay at a FIFO hop is
-  bounded by B/R (:func:`repro.analysis.delay.worst_case_fifo_delay`);
-  per-queue bounds apply for WFQ-family schemes.
+  bounded by B/R (:func:`repro.analysis.delay.worst_case_fifo_delay`).
+  Only FIFO-family hops are armed: a sorted (WFQ, SCFQ) or hybrid hop
+  gets no hop bound, since its scheduler's packetisation slack would
+  flag legitimate runs.
 * **e2e-delay** — a watched flow's end-to-end network delay must stay
   within the sum of its per-hop bounds.  Shaped (conformant) flows are
   checked as the sum of observed per-hop maxima, because delivery

@@ -10,6 +10,7 @@ network unshaped — the paper's Tables 1 and 2 are built exactly this way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -43,19 +44,20 @@ class FlowSpec:
     mean_burst: float
 
     def __post_init__(self) -> None:
-        if self.peak_rate <= 0:
-            raise ConfigurationError(f"flow {self.flow_id}: peak rate must be positive")
+        # `not 0 < x < inf` refuses NaN too: it fails every comparison.
+        if not 0 < self.peak_rate < math.inf:
+            raise ConfigurationError(f"flow {self.flow_id}: peak rate must be positive and finite")
         if not 0 < self.avg_rate <= self.peak_rate:
             raise ConfigurationError(
                 f"flow {self.flow_id}: need 0 < avg_rate <= peak_rate, "
                 f"got avg={self.avg_rate}, peak={self.peak_rate}"
             )
-        if self.bucket <= 0:
-            raise ConfigurationError(f"flow {self.flow_id}: bucket must be positive")
-        if self.token_rate <= 0:
-            raise ConfigurationError(f"flow {self.flow_id}: token rate must be positive")
-        if self.mean_burst <= 0:
-            raise ConfigurationError(f"flow {self.flow_id}: mean burst must be positive")
+        if not 0 < self.bucket < math.inf:
+            raise ConfigurationError(f"flow {self.flow_id}: bucket must be positive and finite")
+        if not 0 < self.token_rate < math.inf:
+            raise ConfigurationError(f"flow {self.flow_id}: token rate must be positive and finite")
+        if not 0 < self.mean_burst < math.inf:
+            raise ConfigurationError(f"flow {self.flow_id}: mean burst must be positive and finite")
 
     def to_dict(self) -> dict:
         """Canonical JSON-friendly form; round-trips via :meth:`from_dict`.

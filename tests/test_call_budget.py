@@ -373,7 +373,10 @@ FIXED_COST_SWEEPS = {
 #: failure record (two calls a cell), and 724.2 / 891.25 since each live
 #: link names the static flows routed over it (one generator step a flow,
 #: where the record rebuilt that table with one append a flow) and the
-#: record picks its end-to-end collector through one property; the
+#: record picks its end-to-end collector through one property.  Network
+#: cold read 892.25 before, and 914.75 since, the pre-flight books a
+#: churn cell through the fabric's own ``book_hops`` (a ``HopState`` per
+#: link, one ``hop_decision`` per hop of the feasibility test); the
 #: ceilings hold.
 FIXED_COST_ROWS = {
     "one-link": (746.0, 172.5, 207.5),

@@ -15,6 +15,7 @@ from repro.check.invariants import check_scenario_dict
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import ScenarioJob
 from repro.experiments.fabric.scenario import NetworkScenario
+from repro.experiments.schemes import Scheme
 from repro.units import kbytes, mbps, mbytes
 
 
@@ -189,6 +190,96 @@ class TestStructuralRejections:
 
     def test_negative_sim_time(self):
         assert_both_reject(mutate(sim_time=-1.0), "sim_time must be positive")
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+def set_path(raw, path, value):
+    """``raw`` with the item at ``path`` (a key/index sequence) set to ``value``."""
+    target = raw
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return raw
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity are refused where a scenario is described.
+
+    Each of these used to construct: a NaN fails ``x <= 0``, and an
+    infinite rate or size passed every check until the run (or a
+    digest) tripped over it.  Negative infinity is listed only where no
+    positivity check already refused it.
+    """
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "path, fragment",
+        [
+            (("peak_rate",), "peak rate must be positive and finite"),
+            (("bucket",), "bucket must be positive and finite"),
+            (("token_rate",), "token rate must be positive and finite"),
+            (("mean_burst",), "mean burst must be positive and finite"),
+        ],
+    )
+    def test_flow_spec(self, path, fragment, value):
+        raw = set_path(base_dict(), ("flows", 0, "spec", *path), value)
+        assert_both_reject(raw, fragment)
+        raw = set_path(base_dict(), ("churn", "templates", 0, *path), value)
+        assert_both_reject(raw, fragment)
+
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("buffer_size", float("nan"), "buffer size must be positive and finite"),
+            ("buffer_size", float("inf"), "buffer size must be positive and finite"),
+            ("headroom", float("nan"), "headroom must be finite"),
+            ("headroom", float("inf"), "headroom must be finite"),
+            ("headroom", float("-inf"), "headroom must be finite"),
+        ],
+    )
+    def test_node_spec(self, field, value, fragment):
+        assert_both_reject(set_path(base_dict(), ("nodes", 0, field), value), fragment)
+
+    def test_single_node_buffer(self):
+        # Was clean under check_scenario, then "buffer capacity must be
+        # positive, got nan" from run_fabric.
+        with pytest.raises(ConfigurationError, match="buffer size must be positive"):
+            NetworkScenario.single_node(
+                [NetworkScenario.from_dict(base_dict()).flows[0].spec],
+                Scheme.FIFO_THRESHOLD,
+                float("nan"),
+            )
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_link_spec(self, value):
+        # An infinite link rate used to run (15,717 events on a port).
+        raw = set_path(base_dict(), ("links", 0, "rate"), value)
+        assert_both_reject(raw, "rate must be positive and finite")
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field, fragment",
+        [
+            ("arrival_rate", "arrival rate must be positive and finite"),
+            ("mean_holding", "mean holding time must be positive and finite"),
+        ],
+    )
+    def test_churn_spec(self, field, fragment, value):
+        assert_both_reject(set_path(base_dict(), ("churn", field), value), fragment)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field, fragment",
+        [
+            ("sim_time", "sim_time must be positive and finite"),
+            ("packet_size", "packet_size must be positive and finite"),
+        ],
+    )
+    def test_network_scenario(self, field, fragment, value):
+        # No warmup: a NaN sim_time used to fail only `warmup < sim_time`.
+        assert_both_reject(mutate(warmup=None, **{field: value}), fragment)
 
 
 class TestMalformedData:
