@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -234,6 +233,9 @@ class CampaignRunner:
         # fine enough that a slow chunk cannot serialise the tail of the
         # batch.
         chunk = max(1, len(jobs) // (workers * 4))
+        # Imported here: a serial process never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(execute_job, jobs, chunksize=chunk)
 

@@ -39,7 +39,6 @@ import hashlib
 import json
 import os
 import pathlib
-import platform
 import threading
 import time
 import traceback
@@ -93,6 +92,8 @@ def _wall_now() -> float:
 
 def default_owner() -> str:
     """A worker id unique across the hosts sharing one cache dir."""
+    import platform  # here, not at the top: only a sweep worker needs it
+
     return f"{platform.node() or 'worker'}-{os.getpid()}"
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from math import inf
 from typing import Mapping
 
 from repro.errors import ConfigurationError
@@ -39,11 +40,6 @@ class Scheduler(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Number of packets currently queued."""
-
-    @property
-    def backlog_bytes(self) -> float:
-        """Total bytes queued; subclasses track this incrementally."""
-        raise NotImplementedError
 
 
 class FlowQueue:
@@ -81,7 +77,7 @@ class FinishTagScheduler(Scheduler):
     per-packet path is the cost the paper compares against.
     """
 
-    __slots__ = ("_flows", "_hol", "_vtime", "_epoch", "_count", "_bytes")
+    __slots__ = ("_flows", "_hol", "_vtime", "_epoch", "_count")
 
     #: Discipline name used in error messages.
     NAME = ""
@@ -91,21 +87,20 @@ class FinishTagScheduler(Scheduler):
             raise ConfigurationError(f"{self.NAME} requires at least one flow weight")
         self._flows: dict[int, FlowQueue] = {}
         for key, weight in weights.items():
-            if weight <= 0:
-                raise ConfigurationError(f"weight for key {key} must be positive, got {weight}")
+            # A NaN weight would make finish tags compare false both
+            # ways, leaving service order to the heap layout.
+            if not 0.0 < weight < inf:
+                raise ConfigurationError(
+                    f"weight for key {key} must be positive and finite, got {weight}"
+                )
             self._flows[key] = FlowQueue(float(weight))
         self._hol: list[tuple[float, int, FlowQueue, Packet]] = []
         self._vtime = 0.0
         self._epoch = 0  # busy periods completed
         self._count = 0
-        self._bytes = 0.0
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def backlog_bytes(self) -> float:
-        return self._bytes
 
     def queue_length(self, key: int) -> int:
         """Number of packets queued under the given scheduling key."""

@@ -17,26 +17,18 @@ __all__ = ["FIFOScheduler"]
 class FIFOScheduler(Scheduler):
     """Serve packets strictly in arrival order."""
 
-    __slots__ = ("_queue", "_bytes")
+    __slots__ = ("_queue",)
 
     def __init__(self) -> None:
         self._queue: deque[Packet] = deque()
-        self._bytes: float = 0.0
 
     def enqueue(self, packet: Packet) -> None:
         self._queue.append(packet)
-        self._bytes += packet.size
 
     def dequeue(self) -> Packet | None:
         if not self._queue:
             return None
-        packet = self._queue.popleft()
-        self._bytes -= packet.size
-        return packet
+        return self._queue.popleft()
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def backlog_bytes(self) -> float:
-        return self._bytes

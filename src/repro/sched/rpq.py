@@ -54,7 +54,6 @@ class RPQScheduler(Scheduler):
         "_buckets",
         "_order",
         "_count",
-        "_bytes",
     )
 
     def __init__(
@@ -64,8 +63,8 @@ class RPQScheduler(Scheduler):
         class_of: Mapping[int, int],
         default_class: int | None = None,
     ) -> None:
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
+        if not 0.0 < delta < math.inf:  # refuses NaN too: it fails every comparison
+            raise ConfigurationError(f"delta must be positive and finite, got {delta}")
         for flow_id, klass in class_of.items():
             if klass < 0:
                 raise ConfigurationError(
@@ -82,7 +81,6 @@ class RPQScheduler(Scheduler):
         self._buckets: dict[int, deque[Packet]] = {}
         self._order: list[int] = []  # heap of non-empty bucket ids
         self._count = 0
-        self._bytes = 0.0
 
     def _epoch(self) -> int:
         return int(math.floor(self._sim.now / self.delta))
@@ -102,7 +100,6 @@ class RPQScheduler(Scheduler):
             heapq.heappush(self._order, bucket_id)
         bucket.append(packet)
         self._count += 1
-        self._bytes += packet.size
 
     def dequeue(self) -> Packet | None:
         while self._order:
@@ -114,7 +111,6 @@ class RPQScheduler(Scheduler):
                 continue
             packet = bucket.popleft()
             self._count -= 1
-            self._bytes -= packet.size
             if not bucket:
                 heapq.heappop(self._order)
                 self._buckets.pop(bucket_id, None)
@@ -123,10 +119,6 @@ class RPQScheduler(Scheduler):
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def backlog_bytes(self) -> float:
-        return self._bytes
 
     def bucket_count(self) -> int:
         """Number of currently non-empty buckets."""

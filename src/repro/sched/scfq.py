@@ -54,15 +54,13 @@ class SCFQScheduler(FinishTagScheduler):
             flow.epoch = self._epoch
         elif flow.last_finish > start:
             start = flow.last_finish
-        size = packet.size
-        flow.last_finish = tag = start + size / flow.weight
+        flow.last_finish = tag = start + packet.size / flow.weight
         entry = (tag, packet.seq, flow, packet)
         queue = flow.queue
         if not queue:
             heappush(self._hol, entry)
         queue.append(entry)
         self._count += 1
-        self._bytes += size
 
     def dequeue(self) -> Packet | None:
         hol = self._hol
@@ -79,7 +77,6 @@ class SCFQScheduler(FinishTagScheduler):
         self._vtime = entry[0]  # self-clocking: V := tag of the packet entering service
         packet = entry[3]
         self._count -= 1
-        self._bytes -= packet.size
         if self._count == 0:
             # New busy period: restart the clock so idle flows do not
             # carry stale credit or debt across idle gaps; their tags

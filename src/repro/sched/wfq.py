@@ -26,6 +26,7 @@ small number of FIFO queues).
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
+from math import inf
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
@@ -64,8 +65,8 @@ class WFQScheduler(FinishTagScheduler):
         weights: Mapping[int, float],
         class_of: Mapping[int, int] | None = None,
     ) -> None:
-        if link_rate <= 0:
-            raise ConfigurationError(f"link_rate must be positive, got {link_rate}")
+        if not 0.0 < link_rate < inf:  # refuses NaN too: it fails every comparison
+            raise ConfigurationError(f"link_rate must be positive and finite, got {link_rate}")
         super().__init__(weights)
         self.class_of = class_of
         self._sim = sim
@@ -107,8 +108,7 @@ class WFQScheduler(FinishTagScheduler):
             flow.epoch = self._epoch
         elif flow.last_finish > start:
             start = flow.last_finish
-        size = packet.size
-        flow.last_finish = finish = start + size / flow.weight
+        flow.last_finish = finish = start + packet.size / flow.weight
         entry = (finish, packet.seq, flow, packet)
         queue = flow.queue
         if not queue:
@@ -116,7 +116,6 @@ class WFQScheduler(FinishTagScheduler):
             heappush(self._hol, entry)
         queue.append(entry)
         self._count += 1
-        self._bytes += size
 
     def dequeue(self) -> Packet | None:
         hol = self._hol
@@ -141,7 +140,6 @@ class WFQScheduler(FinishTagScheduler):
                 self._active_weight = 0.0
         packet = entry[3]
         self._count -= 1
-        self._bytes -= packet.size
         if self._count == 0:
             # The queue drained: a new busy period starts from a clean
             # slate, or finish stamps would penalise (or credit) flows

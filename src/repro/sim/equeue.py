@@ -125,35 +125,46 @@ class EventQueue:
         ``schedule_fast`` as its last scheduling act would give it; any
         other return means done.  A callback that queues anything after
         its own next firing (churn's ``_arrival``) must call ``schedule_fast``.
+        A re-queue is one ``heappushpop``: it pushes the entry back and
+        hands out the next one to fire, which is the earliest of the two
+        because ``(time, seq)`` keys are unique.  The entry in hand is
+        pushed back when the loop stops before firing it.
         """
         sim = self._sim
         heap = self._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         limit = inf if max_events is None else max_events
         fired = 0
-        while heap:
-            entry = heappop(heap)
+        entry = heappop(heap) if heap else None
+        while entry is not None:
             event = entry[4]
             if event is not None and event.cancelled:
                 if self.cancelled_pending:
                     self.cancelled_pending -= 1
+                entry = heappop(heap) if heap else None
                 continue
             time = entry[0]
             if time > stop:
-                heappush(heap, entry)
+                heapq.heappush(heap, entry)
                 break
             if event is not None:
                 event.fired = True
             sim.now = time
             sim._events_processed += 1
-            delay = entry[2](*entry[3])
+            fn = entry[2]
+            args = entry[3]
+            delay = fn(*args) if args else fn()
             if delay.__class__ is float:
                 again = time + delay
                 if not again >= time:  # `not >=`, so that a NaN delay raises too
                     raise past_time_error(again, time)
                 sim._seq += 1
-                heappush(heap, (again, sim._seq, entry[2], entry[3], None))
+                entry = heappushpop(heap, (again, sim._seq, fn, args, None))
+            else:
+                entry = heappop(heap) if heap else None
             fired += 1
             if fired > limit:
+                if entry is not None:
+                    heapq.heappush(heap, entry)
                 raise SimulationError(f"exceeded max_events={max_events}")

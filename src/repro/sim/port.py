@@ -16,7 +16,7 @@ are all instances of this one class.
 
 from __future__ import annotations
 
-from math import log
+from math import inf, log
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -85,8 +85,8 @@ class OutputPort:
         recycle: bool = False,
         label: str = "",
     ) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"link rate must be positive, got {rate}")
+        if not 0.0 < rate < inf:  # refuses NaN too: it fails every comparison
+            raise ConfigurationError(f"link rate must be positive and finite, got {rate}")
         self.sim = sim
         self.rate = float(rate)
         self.scheduler = scheduler

@@ -115,7 +115,6 @@ class FillThenBurstSource:
         "packet_size",
         "until",
         "burst_fired",
-        "emitted_bytes",
         "_spacing",
     )
 
@@ -146,7 +145,6 @@ class FillThenBurstSource:
         self.packet_size = float(packet_size)
         self.until = until
         self.burst_fired = False
-        self.emitted_bytes = 0.0
         self._spacing = self.packet_size / self.rho
         sim.schedule(0.0, self._emit_cbr)
         sim.schedule_at(burst_at, self._dump_burst)
@@ -155,9 +153,7 @@ class FillThenBurstSource:
         return self.until is not None and self.sim.now >= self.until
 
     def _emit(self, size: float) -> None:
-        packet = Packet(self.flow_id, size, self.sim.now)
-        self.emitted_bytes += size
-        self.sink.receive(packet)
+        self.sink.receive(Packet(self.flow_id, size, self.sim.now))
 
     def _emit_cbr(self) -> float | None:
         """Emit one packet; return the spacing. Overrides return ``super()``'s."""

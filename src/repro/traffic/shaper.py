@@ -15,6 +15,7 @@ Two related components:
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
@@ -51,16 +52,15 @@ class LeakyBucketShaper:
         "_last_update",
         "_queue",
         "_release_pending",
-        "shaped_packets",
-        "delayed_packets",
         "_bound_release",
     )
 
     def __init__(self, sim: Simulator, sigma: float, rho: float, sink) -> None:
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        if rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {rho}")
+        # `not 0 < x < inf` refuses NaN too: it fails every comparison.
+        if not 0.0 < sigma < inf:
+            raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
+        if not 0.0 < rho < inf:
+            raise ConfigurationError(f"rho must be positive and finite, got {rho}")
         self.sim = sim
         self.sigma = float(sigma)
         self.rho = float(rho)
@@ -69,8 +69,6 @@ class LeakyBucketShaper:
         self._last_update = sim.now
         self._queue: deque[Packet] = deque()
         self._release_pending = False
-        self.shaped_packets = 0
-        self.delayed_packets = 0
         # Bound once: every release chain starts with this callback.
         self._bound_release = self._release
 
@@ -97,11 +95,9 @@ class LeakyBucketShaper:
         if not queue and tokens + _EPSILON_BYTES >= size:
             tokens -= size
             self._tokens = tokens if tokens >= 0.0 else 0.0
-            self.shaped_packets += 1
             self.sink.receive(packet)
             return
         self._tokens = tokens
-        self.delayed_packets += 1
         queue.append(packet)
         if not self._release_pending:
             # Releases are gated by _release_pending, never cancelled, so
@@ -130,7 +126,6 @@ class LeakyBucketShaper:
             if tokens < 0.0:
                 tokens = 0.0
             self._tokens = tokens
-            self.shaped_packets += 1
             self.sink.receive(packet)
         if queue:
             self._release_pending = True

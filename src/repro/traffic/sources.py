@@ -56,7 +56,7 @@ class OnOffSource:
         rng: the source's own random stream.
         packet_size: bytes per packet.
         start: time of the first burst decision.
-        until: stop emitting at this time (None = never stop).
+        until: stop emitting at this time (None = never stop; stored as ``inf``).
     """
 
     __slots__ = (
@@ -69,8 +69,6 @@ class OnOffSource:
         "rng",
         "packet_size",
         "until",
-        "emitted_packets",
-        "emitted_bytes",
         "_spacing",
         "_mean_burst_packets",
         "_burst_p",
@@ -112,9 +110,7 @@ class OnOffSource:
         self.sink = sink
         self.rng = rng
         self.packet_size = float(packet_size)
-        self.until = until
-        self.emitted_packets = 0
-        self.emitted_bytes = 0.0
+        self.until = inf if until is None else until
         self._spacing = self.packet_size / self.peak_rate
         self._mean_burst_packets = self.mean_burst / self.packet_size
         # Geometric number of packets with mean mean_burst_packets (>= 1).
@@ -141,13 +137,9 @@ class OnOffSource:
     def _emit(self) -> float | None:
         """Emit one packet; return the gap to the next. Overrides return ``super()``'s."""
         now = self.sim.now
-        if self.until is not None and now >= self.until:
+        if now >= self.until:
             return None
-        size = self.packet_size
-        packet = Packet(self.flow_id, size, now)
-        self.emitted_packets += 1
-        self.emitted_bytes += size
-        self.sink.receive(packet)
+        self.sink.receive(Packet(self.flow_id, self.packet_size, now))
         remaining = self._remaining - 1
         if remaining:
             self._remaining = remaining
@@ -174,8 +166,6 @@ class CBRSource:
         "sink",
         "packet_size",
         "until",
-        "emitted_packets",
-        "emitted_bytes",
         "_spacing",
     )
 
@@ -198,9 +188,7 @@ class CBRSource:
         self.rate = float(rate)
         self.sink = sink
         self.packet_size = float(packet_size)
-        self.until = until
-        self.emitted_packets = 0
-        self.emitted_bytes = 0.0
+        self.until = inf if until is None else until
         self._spacing = self.packet_size / self.rate
         sim.schedule_at(start, self._emit)
 
@@ -211,12 +199,9 @@ class CBRSource:
     def _emit(self) -> float | None:
         """Emit one packet; return the gap to the next. Overrides return ``super()``'s."""
         now = self.sim.now
-        if self.until is not None and now >= self.until:
+        if now >= self.until:
             return None
-        packet = Packet(self.flow_id, self.packet_size, now)
-        self.emitted_packets += 1
-        self.emitted_bytes += packet.size
-        self.sink.receive(packet)
+        self.sink.receive(Packet(self.flow_id, self.packet_size, now))
         return self._spacing
 
 
@@ -253,7 +238,7 @@ class GreedySource(CBRSource):
 class TraceSource:
     """Replay an explicit arrival schedule of ``(time, size)`` pairs."""
 
-    __slots__ = ("sim", "flow_id", "sink", "emitted_packets", "emitted_bytes")
+    __slots__ = ("sim", "flow_id", "sink")
 
     def __init__(
         self,
@@ -265,8 +250,6 @@ class TraceSource:
         self.sim = sim
         self.flow_id = flow_id
         self.sink = sink
-        self.emitted_packets = 0
-        self.emitted_bytes = 0.0
         last = -1.0
         for time, size in schedule:
             if not 0.0 < size < inf:
@@ -277,7 +260,4 @@ class TraceSource:
             sim.schedule_at(time, self._emit, size)
 
     def _emit(self, size: float) -> None:
-        packet = Packet(self.flow_id, size, self.sim.now)
-        self.emitted_packets += 1
-        self.emitted_bytes += size
-        self.sink.receive(packet)
+        self.sink.receive(Packet(self.flow_id, size, self.sim.now))

@@ -128,10 +128,14 @@ def churn(reclamation: bool):
 
 
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
-#: ``Simulator.run``).  Measured 16.549 / 18.266 / 17.556 / 17.561 /
-#: 21.093 on the bare port and 18.393 for WFQ with delay histograms on
-#: (21.345 / 23.062 / 22.379 / 22.384 / 25.904 and 23.217 before the
-#: cut the last paragraph describes, which the rest predates; 24.064 /
+#: ``Simulator.run``).  Measured 14.389 / 16.105 / 15.395 / 15.400 /
+#: 18.933 on the bare port and 16.233 for WFQ with delay histograms on,
+#: 19.606 / 19.627 on the tandem, 25.727 / 40.868 on churn, 22.101 with
+#: a sink and 38.137 on the observed tandem.  Before the one-heap-call
+#: re-queue described last: 16.549 / 18.266 / 17.556 / 17.561 / 21.093
+#: on the bare port and 18.393 for WFQ with delay histograms on (21.345
+#: / 23.062 / 22.379 / 22.384 / 25.904 and 23.217 before the inline
+#: ``FlowStats`` cut described next to last, which the rest predates; 24.064 /
 #: 27.602 / 25.744 for the WFQ, hybrid and histogram rows while WFQ and
 #: the hybrid read time through a ``lambda: sim.now`` twice a
 #: packet and a departure's delay went through ``LogHistogram.record``
@@ -181,29 +185,38 @@ def churn(reclamation: bool):
 #: 18.266 / 17.556 / 18.393 / 17.561 / 21.093 on the port, 26.388 /
 #: 26.408 -> 21.003 / 21.023 on the tandem, 32.233 / 47.369 -> 26.389 /
 #: 41.530 on churn, 29.894 -> 24.261 with a sink and 46.005 -> 39.543
-#: on the observed tandem.  The ceilings leave ~5% for interpreter
-#: versions that count a builtin differently; a PR that shortens a path
-#: lowers its ceiling to ~5% above the new count.
+#: on the observed tandem.  Every row fell again when the event queue
+#: began re-queueing a returned delay with one ``heappushpop`` (a
+#: ``heappush`` now and a ``heappop`` on the next turn were two C
+#: calls) and the sources, the shaper and the schedulers stopped
+#: counting packets and bytes nothing read: 16.549 / 18.266 / 17.556 /
+#: 18.393 / 17.561 / 21.093 -> 14.389 / 16.105 / 15.395 / 16.233 /
+#: 15.400 / 18.933 on the port, 21.003 / 21.023 -> 19.606 / 19.627 on
+#: the tandem, 26.389 / 41.530 -> 25.727 / 40.868 on churn, 24.261 ->
+#: 22.101 with a sink and 39.543 -> 38.137 on the observed tandem.  The
+#: ceilings leave ~5% for interpreter versions that count a builtin
+#: differently; a PR that shortens a path lowers its ceiling to ~5%
+#: above the new count.
 ROWS = {
-    "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 17.4),
-    "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 19.2),
-    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 18.4),
+    "FIFO_THRESHOLD": (lambda: port(Scheme.FIFO_THRESHOLD), 15.1),
+    "FIFO_SHARING": (lambda: port(Scheme.FIFO_SHARING), 16.9),
+    "WFQ_THRESHOLD": (lambda: port(Scheme.WFQ_THRESHOLD), 16.2),
     # port-wfq-manyflow's shape on nine flows: WFQ with the per-flow
     # delay histograms on, so the histogram leg of a departure shows.
     "WFQ_THRESHOLD-hist": (
-        lambda: port(Scheme.WFQ_THRESHOLD, delay_histograms=True), 19.3
+        lambda: port(Scheme.WFQ_THRESHOLD, delay_histograms=True), 17.0
     ),
     # SCFQ has no benchmark workload: this row is its only cost gate.
-    "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 18.4),
-    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 22.1),
-    "tandem-churn": (lambda: tandem(False), 22.1),
-    "tandem-churn-reclaim": (lambda: tandem(True), 22.1),
-    "churn": (lambda: churn(False), 27.7),
-    "churn-reclaim": (lambda: churn(True), 43.6),
+    "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 16.2),
+    "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 19.9),
+    "tandem-churn": (lambda: tandem(False), 20.6),
+    "tandem-churn-reclaim": (lambda: tandem(True), 20.6),
+    "churn": (lambda: churn(False), 27.0),
+    "churn-reclaim": (lambda: churn(True), 42.9),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
-    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 25.5),
-    "tandem-observed": (observed_tandem, 41.5),
+    "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 23.2),
+    "tandem-observed": (observed_tandem, 40.0),
 }
 
 #: Network row -> (events, offered packets, dropped packets, churn

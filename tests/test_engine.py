@@ -499,6 +499,83 @@ class TestRequeue:
         assert sim.now == 1.0
         assert sim.events_processed == 2
 
+    def test_requeue_beyond_until_keeps_its_key(self):
+        # At t=2 the re-queue for t=3 is the earliest entry, so the one
+        # heap operation hands it straight back; past `until`, the loop
+        # must push it back under the key it was given.
+        def drive(cuts):
+            sim = Simulator()
+            log = []
+
+            def tick():
+                log.append(sim.now)
+                return 1.0 if sim.now < 5.0 else None
+
+            sim.schedule_fast(0.0, tick)
+            sim.schedule_fast(3.5, log.append, "one-shot")
+            keys = []
+            for cut in cuts:
+                sim.run(until=cut)
+                keys.append((sim.now, sim.pending, sorted(entry[:2] for entry in sim._equeue._heap)))
+            sim.run()
+            return log, keys, sim.events_processed, sim.pending
+
+        whole = drive([])
+        cut = drive([2.5])
+        # seqs 1 and 2 by scheduling, 3, 4 and 5 by return at t = 0, 1, 2
+        assert cut[1] == [(2.5, 2, [(3.0, 5), (3.5, 2)])]
+        assert cut[0] == whole[0] == [0.0, 1.0, 2.0, 3.0, "one-shot", 4.0, 5.0]
+        assert cut[2:] == whole[2:] == (7, 0)
+
+    @pytest.mark.parametrize("returning", [True, False])
+    def test_max_events_leaves_the_last_requeue_pending(self, returning):
+        # The firing that trips the limit has already re-queued itself,
+        # by return or by `schedule_fast`; the raise leaves it queued,
+        # with the entry the loop took next.
+        sim = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if returning:
+                return 1.0
+            sim.schedule_fast(1.0, tick)
+            return None
+
+        sim.schedule_fast(0.0, tick)
+        sim.schedule_fast(100.0, fired.append, "late")
+        with pytest.raises(SimulationError, match="exceeded max_events=3"):
+            sim.run(max_events=3)
+        assert fired == [0.0, 1.0, 2.0, 3.0]
+        assert sim.events_processed == 4
+        assert sim.pending == 2  # the re-queue for t=4 and the "late" entry
+        sim.run(until=5.5)
+        assert fired == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sim.pending == 2
+
+    def test_callback_with_arguments_requeues_like_one_without(self):
+        # The timeline's and the monitor's shape: a bound method with
+        # arguments that returns its interval.
+        def drive(*args):
+            sim = Simulator()
+            log = []
+
+            def tick(*seen):
+                log.append((sim.now, seen))
+                return 0.5 if len(log) < 4 else None
+
+            sim.schedule_fast(0.25, tick, *args)
+            sim.run()
+            return log, sim.events_processed, sim.pending
+
+        bare = drive()
+        with_args = drive("series", 7)
+        assert [time for time, _ in bare[0]] == [time for time, _ in with_args[0]]
+        assert [time for time, _ in bare[0]] == [0.25, 0.75, 1.25, 1.75]
+        assert {seen for _, seen in bare[0]} == {()}
+        assert {seen for _, seen in with_args[0]} == {("series", 7)}
+        assert bare[1:] == with_args[1:] == (4, 0)
+
     @pytest.mark.parametrize("interval", [1, 1.0])
     def test_integer_intervals_tick_like_float_ones(self, interval):
         sim = Simulator()

