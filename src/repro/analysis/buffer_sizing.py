@@ -20,8 +20,6 @@ __all__ = [
     "wfq_min_buffer",
     "fifo_min_buffer",
     "buffer_vs_utilization",
-    "reserved_utilization",
-    "buffer_inflation_factor",
 ]
 
 
@@ -43,16 +41,6 @@ def wfq_min_buffer(sigmas: Sequence[float]) -> float:
     """Minimum total buffer for lossless WFQ service: ``sum(sigma_i)`` (eq. 6)."""
     _validate(sigmas)
     return float(sum(sigmas))
-
-
-def reserved_utilization(rhos: Sequence[float], link_rate: float) -> float:
-    """``u = sum(rho_i) / R``."""
-    if link_rate <= 0:
-        raise ConfigurationError(f"link rate must be positive, got {link_rate}")
-    for rho in rhos:
-        if rho < 0:
-            raise ConfigurationError(f"rates must be non-negative, got {rho}")
-    return float(sum(rhos)) / link_rate
 
 
 def fifo_min_buffer(sigmas: Sequence[float], rhos: Sequence[float], link_rate: float) -> float:
@@ -82,11 +70,3 @@ def buffer_vs_utilization(utilization: float, sigma_total: float) -> float:
     if sigma_total < 0:
         raise ConfigurationError(f"sigma_total must be non-negative, got {sigma_total}")
     return sigma_total / (1.0 - utilization)
-
-
-def buffer_inflation_factor(rhos: Sequence[float], link_rate: float) -> float:
-    """FIFO buffer requirement relative to WFQ's: ``1 / (1 - u)``."""
-    u = reserved_utilization(rhos, link_rate)
-    if u >= 1:
-        raise ConfigurationError(f"reserved utilisation {u} >= 1: factor unbounded")
-    return 1.0 / (1.0 - u)

@@ -10,9 +10,10 @@ emit instantaneously while staying conformant.  The proof of Proposition 2
 rests on the supermartingale-like bound ``M(t) = Q_1(t) + sigma_1(t) -
 sigma_1 < B_2 rho_1 / (R - rho_1)``.
 
-This module computes ``sigma(t)`` for a piecewise arrival sample path
-given as cumulative (time, bytes) points, and checks conformance of a
-path against its envelope (eq. 2).
+A live flow's ``sigma(t)`` is its meter's token level
+(:meth:`repro.traffic.shaper.TokenBucketMeter.burst_potential`).  This
+module checks a sampled arrival path, given as cumulative (time, bytes)
+points, against its envelope (eq. 2), and gives the proof's bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["burst_potential", "is_conformant_path", "proposition2_bound"]
+__all__ = ["is_conformant_path", "proposition2_bound"]
 
 
 def _validate_path(path: Sequence[tuple[float, float]]) -> None:
@@ -36,44 +37,7 @@ def _validate_path(path: Sequence[tuple[float, float]]) -> None:
         last_t, last_a = time, cumulative
 
 
-def burst_potential(
-    path: Sequence[tuple[float, float]], sigma: float, rho: float, at: float
-) -> float:
-    """Evaluate ``sigma(t)`` (eq. 3) at time ``at`` for a sampled path.
-
-    Args:
-        path: cumulative arrivals as (time, bytes) points; arrivals are
-            treated as instantaneous jumps at those points (right-
-            continuous ``A``).  A point after ``at`` is ignored.
-        sigma: bucket size in bytes.
-        rho: token rate in bytes/second.
-        at: evaluation time; must be >= the first path point.
-
-    Returns:
-        ``inf_s {A(s) + rho (t - s) + sigma} - A(t)`` where the infimum
-        runs over the sampled points and time 0 of the path.
-    """
-    _validate_path(path)
-    if sigma < 0 or rho < 0:
-        raise ConfigurationError(f"sigma and rho must be non-negative, got ({sigma}, {rho})")
-    relevant = [(t, a) for t, a in path if t <= at + 1e-12]
-    if not relevant:
-        raise ConfigurationError(f"evaluation time {at} precedes the arrival path")
-    a_t = relevant[-1][1]
-    # A is a right-continuous step function: at each sample point it jumps
-    # from the previous cumulative value (0 before the first point) to the
-    # listed one.  Along a flat segment A(s) + rho (t - s) decreases in s,
-    # so the infimum over each segment is attained at its right end — the
-    # *left limit* of the next jump — plus the final segment's right end
-    # s = t, where the expression equals A(t).
-    candidates = [a_t]
-    previous = 0.0
-    for s, a in relevant:
-        candidates.append(previous + rho * (at - s))
-        previous = a
-    return min(candidates) + sigma - a_t
-
-
+# repro: noqa RPR110 — oracle: tests/test_prop_shaper.py checks shaped output against eq. 2
 def is_conformant_path(
     path: Sequence[tuple[float, float]], sigma: float, rho: float, tolerance: float = 1e-6
 ) -> bool:
@@ -100,6 +64,7 @@ def is_conformant_path(
     return True
 
 
+# repro: noqa RPR110 — ROADMAP item 4 (Proposition 2's invariant as a live judge) will call it
 def proposition2_bound(
     sigma1: float, rho1: float, buffer_size: float, link_rate: float
 ) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["FluidInterval", "FluidTrajectory", "two_flow_fluid", "fluid_limits"]
+__all__ = ["two_flow_fluid"]
 
 
 @dataclass(frozen=True)

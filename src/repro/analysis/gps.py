@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 
-__all__ = ["GPSArrival", "GPSFinish", "gps_finish_times"]
+__all__ = ["gps_finish_times"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class _FlowState:
         self.boundaries: list[tuple[float, int]] = []  # (cum position, idx)
 
 
+# repro: noqa RPR110 — oracle: tests/test_prop_gps_wfq.py holds WFQ departures to GPS finish times
 def gps_finish_times(
     arrivals: Sequence[GPSArrival] | Sequence[tuple[float, int, float]],
     weights: Mapping[int, float],

@@ -27,7 +27,6 @@ from repro.analysis.hybrid_opt import QueueRequirement, hybrid_total_buffer
 from repro.errors import ConfigurationError, SimulationError
 
 __all__ = [
-    "group_requirements",
     "grouping_buffer",
     "best_grouping_exhaustive",
     "greedy_grouping",

@@ -26,7 +26,6 @@ __all__ = [
     "QueueRequirement",
     "optimal_alphas",
     "queue_rates",
-    "queue_min_buffer",
     "hybrid_min_buffers",
     "hybrid_total_buffer",
     "buffer_savings",
@@ -130,6 +129,7 @@ def hybrid_total_buffer(queues: Sequence[QueueRequirement], link_rate: float) ->
     return sigma_total + s * s / (link_rate - rho_total)
 
 
+# repro: noqa RPR110 — oracle: tests/test_prop_analysis.py bounds the optimum with it
 def hybrid_buffer_for_allocation(
     queues: Sequence[QueueRequirement], link_rate: float, alphas: Sequence[float]
 ) -> float:
@@ -158,6 +158,7 @@ def buffer_savings(queues: Sequence[QueueRequirement], link_rate: float) -> floa
     return b_fifo - hybrid_total_buffer(queues, link_rate)
 
 
+# repro: noqa RPR110 — oracle: tests/test_prop_analysis.py checks buffer_savings against it
 def buffer_savings_identity(queues: Sequence[QueueRequirement], link_rate: float) -> float:
     """Eq. (17): the savings as the non-negative double sum
 

@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError
 __all__ = ["effective_rate", "required_threshold", "degradation_fraction"]
 
 
+# repro: noqa RPR110 — ROADMAP item 3 (every armed bound shown tight) will call it
 def effective_rate(
     threshold: float, buffer_size: float, link_rate: float, sigma: float = 0.0
 ) -> float:
@@ -50,6 +51,7 @@ def effective_rate(
     return min(link_rate * rate_portion / buffer_size, link_rate)
 
 
+# repro: noqa RPR110 — ROADMAP item 3 (every armed bound shown tight) will call it
 def required_threshold(
     rate: float, buffer_size: float, link_rate: float, sigma: float = 0.0
 ) -> float:
@@ -65,6 +67,7 @@ def required_threshold(
     return sigma + rate * buffer_size / link_rate
 
 
+# repro: noqa RPR110 — ROADMAP item 3 (every armed bound shown tight) will call it
 def degradation_fraction(
     threshold: float,
     requested_rate: float,

@@ -61,11 +61,7 @@ from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA
 
 __all__ = [
-    "GOLDENS_SCHEMA",
-    "KNOWN_SCHEMAS",
-    "check_artifact_file",
     "check_data_file",
-    "schema_family",
 ]
 
 #: The tag tests/test_equivalence.py pins for the committed goldens.

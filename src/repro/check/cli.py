@@ -34,7 +34,7 @@ from repro.check.engine import catalog, check_paths, failing
 from repro.check.findings import LintParseError, LintUsageError
 from repro.check.reporters import render_json, render_text
 
-__all__ = ["main", "build_parser", "EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_ERROR"]
+__all__ = ["main"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1

@@ -65,11 +65,14 @@ def _apply_suppression(finding: Finding, table: SuppressionTable) -> None:
         table.mark_used(finding.line, finding.rule_id)
 
 
-def _stale_pragma_findings(path: str, table: SuppressionTable) -> list[Finding]:
-    """RPR002 meta-findings for pragma ids that never shielded anything."""
+def _stale_pragma_findings(
+    path: str, table: SuppressionTable, skipped: frozenset[str]
+) -> list[Finding]:
+    """RPR002 meta-findings for pragma ids that never shielded anything
+    (ids of rules that skipped this pass had nothing to shield)."""
     findings: list[Finding] = []
     for pragma in table.pragmas:
-        unused = pragma.unused_ids()
+        unused = [rule_id for rule_id in pragma.unused_ids() if rule_id not in skipped]
         if not unused:
             continue
         ids = ", ".join(unused)
@@ -98,17 +101,21 @@ def _analyze(contexts: Sequence[LintContext], select: Iterable[str] | None) -> l
         table, meta = scan_suppressions(ctx.source, ctx.path)
         tables[ctx.path] = table
         findings.extend(meta)
+        if not ctx.is_library:
+            continue  # every code rule is a library rule
         for rule in file_rules:
-            if rule.library_only and not ctx.is_library:
-                continue
             for finding in rule.check(ctx):
                 _apply_suppression(finding, table)
                 findings.append(finding)
+    skipped: frozenset[str] = frozenset()
     if project_rules:
-        from repro.check.project import build_project
+        from repro.check.project import ProjectContext
 
-        project = build_project(contexts)
+        project = ProjectContext(contexts)
+        skipped = frozenset(rule.id for rule in project_rules if not rule.applies(project))
         for rule in project_rules:
+            if rule.id in skipped:
+                continue
             for finding in rule.check_project(project):
                 table = tables.get(finding.path)
                 if table is not None:
@@ -119,7 +126,7 @@ def _analyze(contexts: Sequence[LintContext], select: Iterable[str] | None) -> l
         # a restricted --select pass leaves most pragmas legitimately
         # unexercised.  RPR001/RPR002 meta-findings are not suppressible.
         for path in sorted(tables):
-            findings.extend(_stale_pragma_findings(path, tables[path]))
+            findings.extend(_stale_pragma_findings(path, tables[path], skipped))
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -132,6 +139,7 @@ def _parse(source: str, path: str) -> LintContext:
     return LintContext(path, source, tree)
 
 
+# repro: noqa RPR110 — oracle: the rule tests drive every code rule through it
 def lint_source(
     source: str,
     path: str = "src/repro/<snippet>.py",

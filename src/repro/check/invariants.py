@@ -29,9 +29,6 @@ Invariant findings reuse :class:`repro.check.findings.Finding` with
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.analysis.admission import Rejection
 from repro.errors import ConfigurationError
 from repro.experiments.fabric.churn import book_hops, churn_scheme_faults, hop_decision
@@ -41,10 +38,7 @@ from repro.net.topology import per_hop_sigma
 
 __all__ = [
     "check_scenario",
-    "check_scenario_dict",
     "check_spec_data",
-    "check_spec_entry",
-    "check_spec_file",
 ]
 
 def check_scenario(
@@ -169,15 +163,3 @@ def check_spec_data(raw, path: str) -> list[Finding]:
     for index, entry in enumerate(entries):
         findings.extend(check_spec_entry(entry, path, index))
     return findings
-
-
-def check_spec_file(path: str | pathlib.Path) -> list[Finding]:
-    """Audit a JSON spec file (one spec object or a list of them)."""
-    file_path = str(path)
-    try:
-        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        return [Finding("RPR203", f"cannot read spec file: {exc}", file_path, 1)]
-    except ValueError as exc:  # not JSON, or not UTF-8
-        return [Finding("RPR203", f"not valid JSON: {exc}", file_path, 1)]
-    return check_spec_data(raw, file_path)

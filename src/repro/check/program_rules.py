@@ -16,10 +16,16 @@ run over the whole program at once (:class:`~repro.check.registry.ProjectRule`):
   simulation-time variable inside a loop in the hot-path packages
   accumulates float error packet by packet; derive times from a base
   value and a multiplication instead.
+* **RPR110** — exported without caller: every name a ``src/repro``
+  module lists in ``__all__`` must be referenced from another module
+  under ``src/``, ``benchmarks/`` or ``examples/`` (or be part of the
+  documented top-level ``repro.__all__``); a name only tests reach is
+  dead weight the library carries.
 
-RPR107/108 need cross-module name resolution, so they only see what the
-current pass parsed: checking a subtree without ``repro.obs`` simply skips
-the registration check rather than guessing.
+RPR107/108/110 need cross-module name resolution, so they only see what
+the current pass parsed: a pass without ``repro.obs`` skips the
+registration check, and one without ``repro/__init__.py`` and some
+``benchmarks/`` or ``examples/`` module the caller check, not guessing.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from repro.check.findings import Finding
 from repro.check.registry import LintContext, ProjectRule, Rule, register
 from repro.check.rules import SimTimeRule, _dotted_name
 
-__all__ = ["RngLineageRule", "TraceEventRegistryRule", "TimeAccumulationRule"]
+#: The rules register themselves; no other module imports them by name.
+__all__: list[str] = []
 
 
 def _finding(rule_id: str, message: str, mod: ModuleInfo, node: ast.AST) -> Finding:
@@ -348,3 +355,99 @@ class TimeAccumulationRule(Rule):
             for scoped in cls._HOT_DIRS
             for i in range(len(parts) - 1)
         )
+
+
+def _exported_names(mod: ModuleInfo) -> list[str]:
+    """The entries of a module's literal top-level ``__all__``."""
+    value = getattr(mod.symbols.get("__all__"), "value", None)
+    if not isinstance(value, (ast.List, ast.Tuple)):
+        return []
+    return [elt.value for elt in value.elts if isinstance(elt, ast.Constant)]
+
+
+@register
+class ExportedWithoutCallerRule(ProjectRule):
+    """RPR110: every name in a library ``__all__`` has a program caller."""
+
+    id = "RPR110"
+    name = "exported-without-caller"
+    description = (
+        "every name in a src/repro module's __all__ must be referenced "
+        "from another module under src/, benchmarks/ or examples/, or be "
+        "listed in repro.__all__; tests and sub-package re-exports do "
+        "not count"
+    )
+
+    _ROOT = "repro"
+    #: The top-level directories a module can live in; the last one on
+    #: its path decides whether the module is a program caller.
+    _CALLER_DIRS = frozenset({"src", "benchmarks", "examples"})
+    _ANCHOR_DIRS = _CALLER_DIRS | {"tests"}
+
+    def applies(self, project: ProjectContext) -> bool:
+        """Only a pass holding the package root and program code outside
+        ``src/`` sees every caller; anything less would guess."""
+        root = project.module(self._ROOT)
+        return (
+            root is not None
+            and root.is_package
+            and any(
+                self._anchor(mod) in ("benchmarks", "examples")
+                for mod in project.modules.values()
+            )
+        )
+
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        exported: dict[int, tuple[ModuleInfo, ast.AST, str]] = {}
+        for mod in project.modules.values():
+            if mod.is_library and mod.name.startswith(f"{self._ROOT}."):
+                for name in _exported_names(mod):
+                    resolved = project.resolve_symbol(mod, name)
+                    if resolved is not None:
+                        exported.setdefault(id(resolved[1]), (*resolved, name))
+        # The documented API is a caller of everything it lists.
+        root = project.module(self._ROOT)
+        targets = [project.resolve_symbol(root, name) for name in _exported_names(root)]
+        for mod in project.modules.values():
+            if not mod.is_package and self._anchor(mod) in self._CALLER_DIRS:
+                targets.extend(
+                    resolved
+                    for resolved in self._references(project, mod)
+                    if resolved is not None and resolved[0] is not mod
+                )
+        called = {id(resolved[1]) for resolved in targets if resolved is not None}
+        for key, (mod, node, name) in exported.items():
+            if key not in called:
+                yield _finding(
+                    self.id,
+                    f"{name} is in {mod.name}.__all__ but no other module "
+                    "under src/, benchmarks/ or examples/ references it; "
+                    "drop it from __all__ if its own module uses it, else "
+                    "delete it",
+                    mod,
+                    node,
+                )
+
+    @classmethod
+    def _anchor(cls, mod: ModuleInfo) -> str | None:
+        parts = mod.path.replace("\\", "/").split("/")
+        return next((part for part in reversed(parts) if part in cls._ANCHOR_DIRS), None)
+
+    @staticmethod
+    def _references(project: ProjectContext, mod: ModuleInfo) -> Iterator:
+        """The (module, node) definitions ``mod`` names, None where unresolved."""
+        # Function-local imports (lazy loading) count as much as top-level ones.
+        for stmt in mod.ctx.select(ast.ImportFrom):
+            source = project.module(mod.from_module(stmt) or "")
+            if source is not None:
+                for alias in stmt.names:
+                    yield project.resolve_symbol(source, alias.name)
+        # ``module.name`` through an imported module.
+        for node in mod.ctx.select(ast.Attribute):
+            dotted = _dotted_name(node)
+            head = dotted.partition(".")[0]
+            if head in mod.imports or head in mod.from_imports:
+                module_name, _sep, leaf = project.canonical_name(mod, dotted).rpartition(".")
+                target = project.module(module_name)
+                if target is not None:
+                    yield project.resolve_symbol(target, leaf)

@@ -13,9 +13,9 @@ indexing a broken or heavyweight module costs only a parse.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["ModuleInfo", "ProjectContext", "build_project", "module_name_for"]
+__all__ = ["ModuleInfo", "ProjectContext"]
 
 #: Re-export chains longer than this are treated as unresolvable.
 _MAX_HOPS = 8
@@ -81,7 +81,7 @@ class ModuleInfo:
                     head = alias.name.partition(".")[0]
                     self.imports[head] = head
         elif isinstance(stmt, ast.ImportFrom):
-            source = self._resolve_from_module(stmt)
+            source = self.from_module(stmt)
             if source is None:
                 return
             for alias in stmt.names:
@@ -103,7 +103,8 @@ class ModuleInfo:
                 if isinstance(sub, ast.stmt):
                     self._index_statement(sub)
 
-    def _resolve_from_module(self, stmt: ast.ImportFrom) -> str | None:
+    def from_module(self, stmt: ast.ImportFrom) -> str | None:
+        """The dotted module a ``from ... import`` in this module reads."""
         if stmt.level == 0:
             return stmt.module
         # Relative import: resolve against this module's package.
@@ -122,14 +123,13 @@ class ModuleInfo:
 class ProjectContext:
     """The whole parsed program: modules, symbols, cross-module lookup."""
 
-    __slots__ = ("files", "modules", "_by_name")
+    __slots__ = ("modules", "_by_name")
 
     def __init__(self, files: Sequence) -> None:
-        self.files = list(files)
-        #: file path -> ModuleInfo, aligned with ``files``.
+        #: file path -> ModuleInfo, in ``files`` order.
         self.modules: dict[str, ModuleInfo] = {}
         self._by_name: dict[str, ModuleInfo] = {}
-        for ctx in self.files:
+        for ctx in files:
             name = module_name_for(ctx.path)
             is_package = ctx.path.replace("\\", "/").endswith("/__init__.py")
             info = ModuleInfo(name, ctx, is_package)
@@ -212,8 +212,3 @@ class ProjectContext:
             return None
         _, node = resolved
         return node if isinstance(node, ast.ClassDef) else None
-
-
-def build_project(contexts: Iterable) -> ProjectContext:
-    """Assemble the whole-program view from parsed per-file contexts."""
-    return ProjectContext(list(contexts))

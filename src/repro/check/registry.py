@@ -47,13 +47,12 @@ class LintContext:
     re-walking the whole tree per rule.
     """
 
-    __slots__ = ("path", "source", "tree", "lines", "is_library", "_node_index")
+    __slots__ = ("path", "source", "tree", "is_library", "_node_index")
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
         self.is_library = _is_library_path(path)
         self._node_index: dict[type, list[ast.AST]] | None = None
 
@@ -104,14 +103,11 @@ class Rule(ABC):
         id: stable ``RPR###`` identifier used in reports and suppressions.
         name: short kebab-case name.
         description: one-line summary shown by ``--list-rules``.
-        library_only: when True (the default) the engine skips the rule
-            for test/benchmark/example files.
     """
 
     id: str = ""
     name: str = ""
     description: str = ""
-    library_only: bool = True
 
     @abstractmethod
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -123,13 +119,21 @@ class ProjectRule(Rule):
 
     Project rules run after every file has been parsed and indexed; they
     receive a :class:`repro.check.project.ProjectContext` (module symbol
-    tables + import graph) and may anchor findings in any file.  For
-    ``library_only`` project rules the per-file scoping cannot be applied
-    by the engine, so the rule itself must skip non-library modules.
+    tables + import graph) and may anchor findings in any file.  The
+    engine's per-file library scoping cannot apply here, so the rule
+    itself skips non-library modules where it must.
     """
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         return iter(())
+
+    def applies(self, project) -> bool:
+        """Whether this pass holds enough of the program for the rule.
+
+        A rule that skips a pass leaves its pragmas unexercised there;
+        the engine does not report them as stale.
+        """
+        return True
 
     @abstractmethod
     def check_project(self, project) -> Iterator[Finding]:

@@ -7,7 +7,7 @@ from typing import Iterable
 
 from repro.check.findings import Finding
 
-__all__ = ["render_text", "render_json", "summarize"]
+__all__ = ["render_text", "render_json"]
 
 
 def summarize(findings: Iterable[Finding]) -> dict[str, int]:

@@ -38,12 +38,7 @@ from repro.check.findings import Finding
 from repro.check.registry import LintContext, Rule, register
 
 __all__ = [
-    "DeterminismRule",
-    "UnitsRule",
-    "ErrorDisciplineRule",
     "SimTimeRule",
-    "HotPathRule",
-    "PortEncapsulationRule",
 ]
 
 

@@ -34,7 +34,7 @@ import tokenize
 
 from repro.check.findings import Finding
 
-__all__ = ["Pragma", "SuppressionTable", "scan_suppressions"]
+__all__ = ["SuppressionTable", "scan_suppressions"]
 
 #: Marker that makes a comment a suppression candidate.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\b(?P<rest>.*)", re.IGNORECASE)

@@ -43,7 +43,7 @@ from typing import ClassVar, Mapping
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import ReprovisionEvent, ThresholdCrossEvent
 
-__all__ = ["BufferManager", "FlowSlot", "FlowThresholdManager"]
+__all__ = ["BufferManager", "FlowThresholdManager"]
 
 
 class BufferManager:

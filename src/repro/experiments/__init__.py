@@ -2,12 +2,11 @@
 
 from repro.experiments.campaign import (
     CampaignRunner,
-    CampaignStats,
     ResultCache,
     ScenarioJob,
     ScenarioRecord,
 )
-from repro.experiments.config import SweepConfig, sweep_config
+from repro.experiments.config import sweep_config
 from repro.experiments.fabric import NetworkScenario, run_fabric
 from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.report import format_figure, format_table
@@ -20,7 +19,6 @@ from repro.experiments.workloads import (
     LINK_RATE,
     PACKET_SIZE,
     TABLE1_CONFORMANT,
-    TABLE1_NONCONFORMANT,
     TABLE2_AGGRESSIVE,
     TABLE2_CONFORMANT,
     TABLE2_MODERATE,
@@ -30,11 +28,9 @@ from repro.experiments.workloads import (
 
 __all__ = [
     "CampaignRunner",
-    "CampaignStats",
     "ResultCache",
     "ScenarioJob",
     "ScenarioRecord",
-    "SweepConfig",
     "sweep_config",
     "NetworkScenario",
     "run_fabric",
@@ -55,7 +51,6 @@ __all__ = [
     "LINK_RATE",
     "PACKET_SIZE",
     "TABLE1_CONFORMANT",
-    "TABLE1_NONCONFORMANT",
     "TABLE2_AGGRESSIVE",
     "TABLE2_CONFORMANT",
     "TABLE2_MODERATE",

@@ -24,10 +24,9 @@ See ``docs/campaigns.md`` for the full pipeline description and CLI.
 
 from repro.experiments.campaign.cache import ResultCache
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA, ScenarioJob
-from repro.experiments.campaign.record import LinkRecord, ScenarioRecord
+from repro.experiments.campaign.record import ScenarioRecord
 from repro.experiments.campaign.runner import (
     CampaignRunner,
-    CampaignStats,
     default_runner,
     execute_job,
 )
@@ -36,10 +35,8 @@ __all__ = [
     "CAMPAIGN_SCHEMA",
     "ScenarioJob",
     "ScenarioRecord",
-    "LinkRecord",
     "ResultCache",
     "CampaignRunner",
-    "CampaignStats",
     "default_runner",
     "execute_job",
 ]

@@ -36,7 +36,7 @@ from repro.obs.telemetry import JobTelemetry
 if TYPE_CHECKING:  # circular at runtime: the fabric builds records
     from repro.experiments.fabric.build import FabricResult, LinkResult
 
-__all__ = ["LinkRecord", "ScenarioRecord"]
+__all__ = ["ScenarioRecord"]
 
 
 def _dump_by_flow(table: dict, dump: Callable) -> dict:

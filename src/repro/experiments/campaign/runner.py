@@ -45,7 +45,6 @@ from repro.obs.telemetry import DEFAULT_TELEMETRY_DIR, JobTelemetry
 
 __all__ = [
     "CampaignRunner",
-    "CampaignStats",
     "default_runner",
     "execute_job",
     "preflight_jobs",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.units import mbytes
 
-__all__ = ["SweepConfig", "sweep_config", "positive"]
+__all__ = ["sweep_config", "positive"]
 
 
 def positive(text: str, convert: type = int):

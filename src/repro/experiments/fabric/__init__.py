@@ -10,7 +10,7 @@ See ``docs/networks.md`` for the model and the sizing rules.
 """
 
 from repro.experiments.fabric.build import FabricResult, LinkResult, run_fabric
-from repro.experiments.fabric.churn import ChurnReport, FlowChurnProcess, HopState
+from repro.experiments.fabric.churn import ChurnReport, FlowChurnProcess
 from repro.experiments.fabric.scenario import (
     DYNAMIC_FLOW_BASE,
     ChurnSpec,
@@ -28,7 +28,6 @@ __all__ = [
     "ChurnSpec",
     "ChurnReport",
     "FlowChurnProcess",
-    "HopState",
     "FabricResult",
     "LinkResult",
     "run_fabric",

@@ -58,7 +58,7 @@ from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
 __all__ = [
-    "HopState", "ChurnReport", "FlowChurnProcess", "book_hops", "churn_scheme_faults",
+    "ChurnReport", "FlowChurnProcess", "book_hops", "churn_scheme_faults",
     "hop_decision",
 ]
 

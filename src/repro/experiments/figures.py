@@ -36,7 +36,7 @@ from repro.experiments.workloads import TABLE2_AGGRESSIVE, TABLE2_MODERATE
 from repro.metrics.stats import MeanCI
 from repro.units import mbytes
 
-__all__ = ["FigureResult", "Figure", "FIGURES", "run_figure", "ALL_FIGURES"]
+__all__ = ["FigureResult", "FIGURES", "run_figure", "ALL_FIGURES"]
 
 
 @dataclass

@@ -26,7 +26,7 @@ from repro.experiments.campaign import CampaignRunner, ScenarioJob, ScenarioReco
 from repro.experiments.report import format_table
 from repro.experiments.spec import scenario_from_params
 
-__all__ = ["ReclaimStudy", "record_loss", "run_reclaim_study"]
+__all__ = ["run_reclaim_study"]
 
 
 def record_loss(record: ScenarioRecord) -> float:

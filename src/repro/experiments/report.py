@@ -12,7 +12,7 @@ from typing import Sequence
 from repro.experiments.figures import FigureResult
 from repro.metrics.stats import MeanCI
 
-__all__ = ["format_figure", "format_table", "ascii_chart"]
+__all__ = ["format_figure", "format_table"]
 
 
 def format_table(

@@ -82,10 +82,7 @@ __all__ = [
     "validate_metrics",
     "scenario_from_params",
     "check_param",
-    "PARAMETERS",
     "DEFAULTS",
-    "WORKLOADS",
-    "DEFAULT_GROUPS",
     "CONFORMANT_SETS",
 ]
 

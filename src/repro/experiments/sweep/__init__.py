@@ -22,21 +22,14 @@ from repro.experiments.sweep.aggregate import (
     default_aggregate_path,
     fold_seeds,
     metric_row,
-    read_shard_index,
     run_grid,
-    shard_dir,
     shard_path,
     write_aggregate,
 )
 from repro.experiments.sweep.queue import (
     CLAIM_SCHEMA,
     DEFAULT_HEARTBEAT_TIMEOUT,
-    ClaimInfo,
-    SweepStatus,
-    WorkerSummary,
-    default_owner,
     read_claim,
-    reap_stale_claims,
     release_claim,
     run_sweep_worker,
     scan_claims,
@@ -45,7 +38,6 @@ from repro.experiments.sweep.queue import (
 from repro.experiments.sweep.spec import (
     SWEEP_SPEC_SCHEMA,
     SweepAxis,
-    SweepConstraint,
     SweepSpec,
     load_sweep,
 )
@@ -56,26 +48,18 @@ __all__ = [
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "SHARD_SCHEMA",
     "SWEEP_SPEC_SCHEMA",
-    "ClaimInfo",
     "SweepAxis",
-    "SweepConstraint",
     "SweepSpec",
-    "SweepStatus",
-    "WorkerSummary",
     "aggregate_sweep",
     "default_aggregate_path",
-    "default_owner",
     "fold_seeds",
     "load_sweep",
     "metric_row",
     "read_claim",
-    "read_shard_index",
-    "reap_stale_claims",
     "release_claim",
     "run_grid",
     "run_sweep_worker",
     "scan_claims",
-    "shard_dir",
     "shard_path",
     "sweep_status",
     "write_aggregate",

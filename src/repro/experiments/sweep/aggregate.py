@@ -41,9 +41,7 @@ __all__ = [
     "default_aggregate_path",
     "fold_seeds",
     "metric_row",
-    "read_shard_index",
     "run_grid",
-    "shard_dir",
     "shard_path",
     "write_aggregate",
 ]

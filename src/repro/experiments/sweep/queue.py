@@ -58,11 +58,7 @@ from repro.experiments.sweep.spec import SweepSpec
 __all__ = [
     "CLAIM_SCHEMA",
     "DEFAULT_HEARTBEAT_TIMEOUT",
-    "ClaimInfo",
-    "SweepStatus",
-    "WorkerSummary",
     "read_claim",
-    "reap_stale_claims",
     "release_claim",
     "run_sweep_worker",
     "scan_claims",

@@ -46,7 +46,6 @@ from repro.experiments.spec import (
 __all__ = [
     "SWEEP_SPEC_SCHEMA",
     "SweepAxis",
-    "SweepConstraint",
     "SweepSpec",
     "load_sweep",
 ]

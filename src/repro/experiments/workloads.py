@@ -32,7 +32,6 @@ __all__ = [
     "table1_flows",
     "table2_flows",
     "TABLE1_CONFORMANT",
-    "TABLE1_NONCONFORMANT",
     "TABLE2_CONFORMANT",
     "TABLE2_MODERATE",
     "TABLE2_AGGRESSIVE",
@@ -57,7 +56,7 @@ TABLE2_AGGRESSIVE = tuple(range(20, 30))
 
 #: Case-1 hybrid grouping (Section 4.2): small conformant / large
 #: conformant / non-conformant.
-CASE1_GROUPS = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+CASE1_GROUPS = ((0, 1, 2), (3, 4, 5), TABLE1_NONCONFORMANT)
 
 #: Case-2 hybrid grouping: one queue per traffic class of Table 2.
 CASE2_GROUPS = (TABLE2_CONFORMANT, TABLE2_MODERATE, TABLE2_AGGRESSIVE)

@@ -3,7 +3,6 @@
 from repro.metrics.collector import FlowStats, StatsCollector
 from repro.metrics.histogram import LogHistogram
 from repro.metrics.records import (
-    DELAY_PERCENTILES,
     DelaySummary,
     flow_stats_from_dict,
     flow_stats_to_dict,
@@ -14,7 +13,6 @@ __all__ = [
     "FlowStats",
     "StatsCollector",
     "LogHistogram",
-    "DELAY_PERCENTILES",
     "DelaySummary",
     "flow_stats_from_dict",
     "flow_stats_to_dict",

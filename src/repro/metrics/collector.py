@@ -23,8 +23,6 @@ __all__ = [
     "LinkMeasures",
     "StatsCollector",
     "accounted",
-    "byte_loss_fraction",
-    "total_departed_bytes",
 ]
 
 

@@ -18,7 +18,6 @@ from repro.metrics.collector import FlowStats
 from repro.metrics.histogram import LogHistogram
 
 __all__ = [
-    "DELAY_PERCENTILES",
     "DelaySummary",
     "flow_stats_to_dict",
     "flow_stats_from_dict",

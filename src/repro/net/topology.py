@@ -34,7 +34,7 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 
-__all__ = ["DeliverySink", "Node", "Network", "per_hop_sigma"]
+__all__ = ["DeliverySink", "Network", "per_hop_sigma"]
 
 
 def per_hop_sigma(sigma: float, rho: float, hop_delays: list[float]) -> list[float]:

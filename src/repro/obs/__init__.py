@@ -39,17 +39,13 @@ from repro.obs.events import (
     event_from_dict,
     event_to_dict,
 )
-from repro.obs.monitor import ConformanceMonitor, MonitorReport, Violation
+from repro.obs.monitor import ConformanceMonitor, MonitorReport
 from repro.obs.reader import filter_events, read_events, replay_flow_counts
-from repro.obs.sink import JsonlSink, RingSink, TeeSink, TraceSink
+from repro.obs.sink import JsonlSink, RingSink, TeeSink
 from repro.obs.telemetry import CampaignReport, JobTelemetry
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,
-    SeriesStats,
     Timeline,
-    TimelineSeries,
-    TimelineSummary,
-    read_timeline,
 )
 
 __all__ = [
@@ -69,19 +65,13 @@ __all__ = [
     "ReprovisionEvent",
     "RingSink",
     "SampleEvent",
-    "SeriesStats",
     "ThresholdCrossEvent",
     "TeeSink",
     "Timeline",
-    "TimelineSeries",
-    "TimelineSummary",
-    "TraceSink",
-    "Violation",
     "ViolationEvent",
     "event_from_dict",
     "event_to_dict",
     "filter_events",
     "read_events",
-    "read_timeline",
     "replay_flow_counts",
 ]

@@ -45,8 +45,6 @@ from repro.obs.events import (
 )
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "Violation",
     "MonitorReport",
     "ConformanceMonitor",
 ]

@@ -26,7 +26,7 @@ from repro.obs.events import (
     event_from_dict,
 )
 
-__all__ = ["read_events", "filter_events", "replay_flow_counts", "FlowReplay"]
+__all__ = ["read_events", "filter_events", "replay_flow_counts"]
 
 
 def read_events(path: str | os.PathLike) -> Iterator:
@@ -125,6 +125,7 @@ class FlowReplay:
         return self.accepted_packets + self.dropped_packets
 
 
+# repro: noqa RPR110 — oracle: tests/test_obs_replay.py rebuilds a run's counts from its trace
 def replay_flow_counts(events: Iterable, warmup: float = 0.0) -> dict[int, FlowReplay]:
     """Reconstruct per-flow accounting from enqueue/drop/depart events.
 

@@ -27,7 +27,7 @@ from typing import Protocol, runtime_checkable
 from repro.errors import ConfigurationError
 from repro.obs.events import TRACE_SCHEMA, event_to_dict
 
-__all__ = ["TraceSink", "RingSink", "JsonlSink", "TeeSink"]
+__all__ = ["RingSink", "JsonlSink", "TeeSink"]
 
 
 @runtime_checkable

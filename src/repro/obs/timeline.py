@@ -30,11 +30,7 @@ from repro.obs.events import SampleEvent
 __all__ = [
     "TIMELINE_SCHEMA",
     "DEFAULT_INTERVAL",
-    "SeriesStats",
-    "TimelineSeries",
-    "TimelineSummary",
     "Timeline",
-    "read_timeline",
 ]
 
 #: Version tag written into every timeline JSONL header.  Registered in
@@ -442,41 +438,3 @@ class Timeline:
                 f"max={stats.maximum:.6g} last={stats.last:.6g}{suffix}"
             )
         return "\n".join(lines)
-
-
-def read_timeline(path: str | os.PathLike) -> tuple[dict, list[dict]]:
-    """Read a timeline JSONL file back: ``(header, sample_rows)``.
-
-    Validates the ``repro-timeline-v1`` header the same way trace
-    readers validate theirs.
-    """
-    src = pathlib.Path(path)
-    with src.open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            raise ConfigurationError(
-                f"{src}: first line is not a JSON header"
-            ) from None
-        if not isinstance(header, dict) or header.get("kind") != "header":
-            raise ConfigurationError(f"{src}: missing timeline header line")
-        schema = header.get("schema")
-        if schema != TIMELINE_SCHEMA:
-            raise ConfigurationError(
-                f"{src}: timeline schema mismatch: got {schema!r}, "
-                f"expected {TIMELINE_SCHEMA!r}"
-            )
-        samples = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{src}:{line_no}: unparsable timeline line"
-                ) from None
-            samples.append(raw)
-    return header, samples

@@ -16,7 +16,7 @@ from typing import Mapping
 from repro.errors import ConfigurationError
 from repro.sim.packet import Packet
 
-__all__ = ["Scheduler", "FlowQueue", "FinishTagScheduler"]
+__all__ = ["Scheduler", "FinishTagScheduler"]
 
 
 class Scheduler(ABC):

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: engine, packets, output port."""
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 
-__all__ = ["Event", "Simulator", "Packet", "OutputPort"]
+__all__ = ["Simulator", "Packet", "OutputPort"]

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from repro.sim.equeue import EventQueue, past_time_error
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["Simulator"]
 
 
 class Event:

@@ -37,7 +37,7 @@ from typing import Callable
 from repro.errors import SimulationError
 from repro.obs.events import HeapCompactEvent
 
-__all__ = ["COMPACT_MIN_PENDING", "EventQueue", "past_time_error"]
+__all__ = ["EventQueue", "past_time_error"]
 
 #: Smallest pending population worth compacting; below this lazy
 #: deletion is cheaper than a rebuild.

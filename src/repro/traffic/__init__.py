@@ -4,11 +4,9 @@ from repro.traffic.adversarial import FillThenBurstSource, ThresholdFillingSourc
 from repro.traffic.profiles import FlowSpec
 from repro.traffic.shaper import LeakyBucketShaper, TokenBucketMeter
 from repro.traffic.sources import (
-    DEFAULT_PACKET_SIZE,
     CBRSource,
     GreedySource,
     OnOffSource,
-    TraceSource,
 )
 
 __all__ = [
@@ -20,6 +18,4 @@ __all__ = [
     "OnOffSource",
     "CBRSource",
     "GreedySource",
-    "TraceSource",
-    "DEFAULT_PACKET_SIZE",
 ]

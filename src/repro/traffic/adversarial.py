@@ -17,6 +17,8 @@ Two worst-case behaviours drive the necessity arguments of Section 2:
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -64,10 +66,14 @@ class ThresholdFillingSource:
         period: float | None = None,
         until: float | None = None,
     ) -> None:
-        if target <= 0:
-            raise ConfigurationError(f"target must be positive, got {target}")
-        if packet_size <= 0:
-            raise ConfigurationError(f"packet size must be positive, got {packet_size}")
+        # `not 0 < x < inf` refuses NaN too: it fails every comparison.
+        if not (0.0 < target < inf and 0.0 < packet_size < inf):
+            raise ConfigurationError(
+                f"target and packet size must be positive and finite, got "
+                f"({target}, {packet_size})"
+            )
+        if period is not None and not 0.0 < period < inf:
+            raise ConfigurationError(f"period must be positive and finite, got {period}")
         self.sim = sim
         self.flow_id = flow_id
         self.port = port
@@ -92,6 +98,7 @@ class ThresholdFillingSource:
         return self.period
 
 
+# repro: noqa RPR110 — ROADMAP item 3 (every armed bound shown tight) will call it
 class FillThenBurstSource:
     """The Proposition-2 necessity adversary (conformant worst case).
 
@@ -129,13 +136,14 @@ class FillThenBurstSource:
         packet_size: float = 500.0,
         until: float | None = None,
     ) -> None:
-        if sigma < packet_size:
+        if not 0.0 < packet_size <= sigma < inf:
             raise ConfigurationError(
-                f"sigma ({sigma}) must cover at least one packet ({packet_size})"
+                f"sigma ({sigma}) must be finite and cover at least one packet "
+                f"({packet_size})"
             )
-        if rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {rho}")
-        if burst_at < 0:
+        if not 0.0 < rho < inf:
+            raise ConfigurationError(f"rho must be positive and finite, got {rho}")
+        if not burst_at >= 0.0:
             raise ConfigurationError(f"burst_at must be non-negative, got {burst_at}")
         self.sim = sim
         self.flow_id = flow_id

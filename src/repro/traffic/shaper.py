@@ -147,8 +147,10 @@ class TokenBucketMeter:
     __slots__ = ("sigma", "rho", "_tokens", "_last")
 
     def __init__(self, sigma: float, rho: float, start: float = 0.0) -> None:
-        if sigma <= 0 or rho <= 0:
-            raise ConfigurationError(f"sigma and rho must be positive, got ({sigma}, {rho})")
+        if not (0.0 < sigma < inf and 0.0 < rho < inf):  # refuses NaN too
+            raise ConfigurationError(
+                f"sigma and rho must be positive and finite, got ({sigma}, {rho})"
+            )
         self.sigma = float(sigma)
         self.rho = float(rho)
         self._tokens = float(sigma)

@@ -9,8 +9,6 @@ All sources emit :class:`repro.sim.packet.Packet` objects into a ``sink``
   flows (Proposition 1) and as a building block in tests.
 * :class:`GreedySource` — a CBR source faster than the link; emulates the
   "greedy" flow of Example 1 that always keeps its buffer share full.
-* :class:`TraceSource` — replays an explicit (time, size) schedule;
-  handy for deterministic tests.
 
 Each emission returns the gap to the next one and the event queue
 re-queues it (:meth:`~repro.sim.equeue.EventQueue.drain`; emissions are
@@ -21,14 +19,13 @@ and no event handle per emission.
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.rng import Generator
 
-__all__ = ["OnOffSource", "CBRSource", "GreedySource", "TraceSource"]
+__all__ = ["OnOffSource", "CBRSource", "GreedySource"]
 
 #: The paper's packet size: "maximum size (500 bytes) packets".
 DEFAULT_PACKET_SIZE = 500.0
@@ -98,9 +95,10 @@ class OnOffSource:
             raise ConfigurationError(
                 f"need 0 < avg_rate <= peak_rate, got ({avg_rate}, {peak_rate})"
             )
-        if mean_burst < packet_size:
+        if not packet_size <= mean_burst < inf:
             raise ConfigurationError(
-                f"mean burst {mean_burst} smaller than one packet ({packet_size})"
+                f"mean burst {mean_burst} must be finite and at least one packet "
+                f"({packet_size})"
             )
         self.sim = sim
         self.flow_id = flow_id
@@ -233,31 +231,3 @@ class GreedySource(CBRSource):
             sim, flow_id, link_rate * overdrive, sink,
             packet_size=packet_size, start=start, until=until,
         )
-
-
-class TraceSource:
-    """Replay an explicit arrival schedule of ``(time, size)`` pairs."""
-
-    __slots__ = ("sim", "flow_id", "sink")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        flow_id: int,
-        schedule: Iterable[tuple[float, float]] | Sequence[tuple[float, float]],
-        sink,
-    ) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
-        self.sink = sink
-        last = -1.0
-        for time, size in schedule:
-            if not 0.0 < size < inf:
-                raise ConfigurationError(f"packet size must be positive and finite, got {size}")
-            if time < last:
-                raise ConfigurationError("trace schedule must be time-ordered")
-            last = time
-            sim.schedule_at(time, self._emit, size)
-
-    def _emit(self, size: float) -> None:
-        self.sink.receive(Packet(self.flow_id, size, self.sim.now))

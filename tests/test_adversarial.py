@@ -67,8 +67,44 @@ class TestThresholdFillingSource:
         with pytest.raises(ConfigurationError):
             ThresholdFillingSource(sim, 0, port, 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"target": float("nan")},
+            {"target": float("inf")},
+            {"packet_size": float("nan")},
+            {"packet_size": float("inf")},
+            {"period": 0.0},
+            {"period": -1.0},
+            {"period": float("nan")},
+            {"period": float("inf")},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        sim, port, _ = build_port(FixedThresholdManager(1000.0, {0: 500.0}))
+        params = {"target": 500.0, **kwargs}
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            ThresholdFillingSource(sim, 0, port, **params)
+
 
 class TestFillThenBurstSource:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
+            {"rho": float("nan")},
+            {"rho": float("inf")},
+            {"burst_at": float("nan")},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        # A NaN rate used to build and then fail at the first re-queue,
+        # far from the bad argument.
+        params = {"sigma": 10_000.0, "rho": 100_000.0, "burst_at": 1.0, **kwargs}
+        with pytest.raises(ConfigurationError):
+            FillThenBurstSource(Simulator(), 1, sink=None, **params)
+
     def test_emitted_stream_is_conformant(self):
         sigma, rho = 20_000.0, 200_000.0
 

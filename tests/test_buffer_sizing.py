@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis.buffer_sizing import (
-    buffer_inflation_factor,
     buffer_vs_utilization,
     fifo_min_buffer,
-    reserved_utilization,
     wfq_min_buffer,
 )
 from repro.errors import ConfigurationError
@@ -56,14 +54,11 @@ class TestFIFOMinBuffer:
 
 
 class TestUtilizationForms:
-    def test_reserved_utilization(self):
-        assert reserved_utilization([200.0, 300.0], 1000.0) == pytest.approx(0.5)
-
     def test_equation10_matches_equation9(self):
         sigmas = [500.0, 700.0]
         rhos = [100.0, 400.0]
         link_rate = 1000.0
-        u = reserved_utilization(rhos, link_rate)
+        u = sum(rhos) / link_rate
         assert buffer_vs_utilization(u, sum(sigmas)) == pytest.approx(
             fifo_min_buffer(sigmas, rhos, link_rate)
         )
@@ -79,11 +74,9 @@ class TestUtilizationForms:
         with pytest.raises(ConfigurationError):
             buffer_vs_utilization(-0.1, 1000.0)
 
-    def test_inflation_factor(self):
-        assert buffer_inflation_factor([500.0], 1000.0) == pytest.approx(2.0)
-
     def test_inflation_is_fifo_over_wfq(self):
         sigmas = [100.0, 300.0]
         rhos = [250.0, 250.0]
         ratio = fifo_min_buffer(sigmas, rhos, 1000.0) / wfq_min_buffer(sigmas)
-        assert ratio == pytest.approx(buffer_inflation_factor(rhos, 1000.0))
+        u = sum(rhos) / 1000.0
+        assert ratio == pytest.approx(1.0 / (1.0 - u))

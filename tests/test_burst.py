@@ -2,50 +2,58 @@
 
 import pytest
 
-from repro.analysis.burst import burst_potential, is_conformant_path, proposition2_bound
-from repro.errors import ConfigurationError
+from repro.analysis.burst import is_conformant_path, proposition2_bound
+from repro.errors import ConfigurationError, SimulationError
+from repro.traffic.shaper import TokenBucketMeter
 
 
 class TestBurstPotential:
+    """``sigma(t)`` of eq. 3, read off a live meter's token level."""
+
     def test_fresh_flow_has_full_bucket(self):
         # No arrivals yet: sigma(t) = sigma.
-        path = [(0.0, 0.0)]
-        assert burst_potential(path, 1000.0, 100.0, at=0.0) == 1000.0
+        assert TokenBucketMeter(1000.0, 100.0).burst_potential(0.0) == 1000.0
 
     def test_instantaneous_burst_drains_potential(self):
-        path = [(0.0, 800.0)]
-        assert burst_potential(path, 1000.0, 100.0, at=0.0) == pytest.approx(200.0)
+        meter = TokenBucketMeter(1000.0, 100.0)
+        meter.observe(0.0, 800.0)
+        assert meter.burst_potential(0.0) == pytest.approx(200.0)
 
     def test_potential_recovers_at_token_rate(self):
-        path = [(0.0, 800.0)]
-        assert burst_potential(path, 1000.0, 100.0, at=2.0) == pytest.approx(400.0)
+        meter = TokenBucketMeter(1000.0, 100.0)
+        meter.observe(0.0, 800.0)
+        assert meter.burst_potential(2.0) == pytest.approx(400.0)
 
     def test_potential_capped_at_sigma(self):
-        path = [(0.0, 800.0)]
-        # Long after the burst, potential saturates at sigma (the infimum
-        # is attained at s = t).
-        assert burst_potential(path, 1000.0, 100.0, at=100.0) == pytest.approx(1000.0)
+        meter = TokenBucketMeter(1000.0, 100.0)
+        meter.observe(0.0, 800.0)
+        # Long after the burst, potential saturates at sigma.
+        assert meter.burst_potential(100.0) == pytest.approx(1000.0)
 
     def test_steady_rate_reaches_fixed_point(self):
-        # 100-byte jumps every second at rho = 100: each debit is exactly
-        # refilled before the next, so right after the jump at t the
-        # potential sits at sigma - 100.
-        path = [(float(t), 100.0 * t) for t in range(10)]
-        assert burst_potential(path, 500.0, 100.0, at=9.0) == pytest.approx(400.0)
+        # 100-byte arrivals every second at rho = 100: each debit is
+        # exactly refilled before the next, so right after the arrival at
+        # t the potential sits at sigma - 100.
+        meter = TokenBucketMeter(500.0, 100.0)
+        for t in range(10):
+            meter.observe(float(t), 100.0)
+        assert meter.burst_potential(9.0) == pytest.approx(400.0)
         # Half a second later, 50 bytes have been recredited.
-        assert burst_potential(path, 500.0, 100.0, at=9.5) == pytest.approx(450.0)
+        assert meter.burst_potential(9.5) == pytest.approx(450.0)
 
     def test_evaluation_before_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            burst_potential([(1.0, 0.0)], 100.0, 10.0, at=0.5)
+        meter = TokenBucketMeter(100.0, 10.0)
+        meter.observe(1.0, 10.0)
+        with pytest.raises(SimulationError):
+            meter.burst_potential(0.5)
 
     def test_unsorted_path_rejected(self):
         with pytest.raises(ConfigurationError):
-            burst_potential([(1.0, 0.0), (0.5, 10.0)], 100.0, 10.0, at=1.0)
+            is_conformant_path([(1.0, 0.0), (0.5, 10.0)], 100.0, 10.0)
 
     def test_decreasing_cumulative_rejected(self):
         with pytest.raises(ConfigurationError):
-            burst_potential([(0.0, 10.0), (1.0, 5.0)], 100.0, 10.0, at=1.0)
+            is_conformant_path([(0.0, 10.0), (1.0, 5.0)], 100.0, 10.0)
 
 
 class TestConformance:
@@ -69,12 +77,19 @@ class TestConformance:
         assert not is_conformant_path(path, sigma=100.0, rho=100.0)
 
     def test_burst_potential_nonnegative_iff_conformant(self):
+        # sigma(t) stays non-negative after every jump exactly when the
+        # path meets eq. 2: the meter's potential covers each jump.
         good = [(0.0, 300.0), (2.0, 500.0)]
-        assert is_conformant_path(good, 500.0, 100.0)
-        assert burst_potential(good, 500.0, 100.0, at=2.0) >= 0.0
         bad = [(0.0, 300.0), (1.0, 700.0)]
-        assert not is_conformant_path(bad, 500.0, 100.0)
-        assert burst_potential(bad, 500.0, 100.0, at=1.0) < 0.0
+        for path, conformant in ((good, True), (bad, False)):
+            assert is_conformant_path(path, 500.0, 100.0) is conformant
+            meter = TokenBucketMeter(500.0, 100.0)
+            previous, covered = 0.0, True
+            for time, cumulative in path:
+                covered = covered and meter.burst_potential(time) >= cumulative - previous
+                meter.observe(time, cumulative - previous)
+                previous = cumulative
+            assert covered is conformant
 
 
 class TestProposition2Bound:

@@ -59,6 +59,14 @@ class TestRepoGate:
         findings = self.under(gate_findings, "src")
         assert failing(findings, strict=True) == [], "\n" + render_text(findings)
 
+    def test_library_only_pass_is_clean(self):
+        # RPR110 needs benchmarks/ and examples/ in the pass to see every
+        # caller: over src/repro alone it skips, and its pragmas are not
+        # reported stale.
+        findings = check_paths([str(REPO_ROOT / "src" / "repro")])
+        assert failing(findings, strict=True) == [], "\n" + render_text(findings)
+        assert not [finding for finding in findings if finding.rule_id == "RPR110"]
+
     def test_tests_and_benchmarks_scan_without_findings(self, gate_findings):
         # Library rules do not apply outside src/, but the suppression
         # scanner does: malformed noqa comments anywhere are RPR001

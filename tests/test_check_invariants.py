@@ -7,12 +7,15 @@ at run time, so their findings carry ``error`` severity.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tests.conftest import examples
-from repro.check.invariants import check_scenario, check_spec_file
+from repro.check.artifacts import check_data_file
+from repro.check.engine import check_paths
+from repro.check.invariants import check_scenario
 from repro.check.registry import INVARIANT_CATALOG
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import ScenarioJob
@@ -285,17 +288,19 @@ class TestStaticAgreesWithLive:
 
 class TestSpecFiles:
     def test_shipped_example_specs_are_clean(self):
-        assert check_spec_file("examples/specs/table1_thresholds.json") == []
-        assert check_spec_file("examples/specs/tandem_churn.json") == []
+        assert check_paths(
+            ["examples/specs/table1_thresholds.json", "examples/specs/tandem_churn.json"]
+        ) == []
 
     def test_unreadable_file_is_rpr203(self):
-        findings = check_spec_file("examples/specs/does_not_exist.json")
+        missing = pathlib.Path("examples/specs/does_not_exist.json")
+        findings = check_data_file(missing, explicit=True)
         assert [finding.rule_id for finding in findings] == ["RPR203"]
 
     def test_invalid_json_is_rpr203(self, tmp_path):
         target = tmp_path / "broken.json"
         target.write_text("{not json", encoding="utf-8")
-        findings = check_spec_file(target)
+        findings = check_paths([str(target)])
         assert [finding.rule_id for finding in findings] == ["RPR203"]
 
     def test_non_finite_parameter_is_rpr203(self, tmp_path):
@@ -308,7 +313,7 @@ class TestSpecFiles:
             '"metrics": ["utilization"]}',
             encoding="utf-8",
         )
-        findings = check_spec_file(target)
+        findings = check_paths([str(target)])
         assert [finding.rule_id for finding in findings] == ["RPR203"]
         assert "'buffer_mb' must be finite" in findings[0].message
 
@@ -320,6 +325,6 @@ class TestSpecFiles:
             '"metrics": ["utilization"]}',
             encoding="utf-8",
         )
-        findings = check_spec_file(target)
+        findings = check_paths([str(target)])
         assert [finding.rule_id for finding in findings] == ["RPR203"]
         assert "'x'" in findings[0].message

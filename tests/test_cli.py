@@ -464,9 +464,10 @@ class TestObsTimelineCommands:
         ]
         assert main(argv) == 0
         assert "conformance: OK" in capsys.readouterr().out
-        from repro.obs.timeline import read_timeline
+        import json
 
-        header, samples = read_timeline(out_path)
+        header, *samples = out_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header)["schema"] == "repro-timeline-v1"
         assert samples
 
     def test_monitor_undersized_run_exits_one(self, capsys):

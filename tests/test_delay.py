@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.delay import (
-    OC48,
-    max_buffer_for_delay,
-    worst_case_fifo_delay,
-)
+from repro.analysis.delay import OC48, worst_case_fifo_delay
 from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError
 from repro.metrics.collector import StatsCollector
@@ -40,16 +36,6 @@ class TestWorstCaseDelay:
             worst_case_fifo_delay(0.0, 1000.0)
         with pytest.raises(ConfigurationError):
             worst_case_fifo_delay(1000.0, 0.0)
-
-
-class TestInverseDesignRule:
-    def test_roundtrip(self):
-        buffer_size = max_buffer_for_delay(0.005, OC48)
-        assert worst_case_fifo_delay(buffer_size, OC48) == pytest.approx(0.005)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            max_buffer_for_delay(0.0, 1000.0)
 
 
 class TestBoundHoldsInSimulation:

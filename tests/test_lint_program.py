@@ -9,8 +9,8 @@ it does over the repo.
 import ast
 import textwrap
 
-from repro.check.project import build_project, module_name_for
-from repro.check.engine import check_paths, lint_source
+from repro.check.project import ProjectContext, module_name_for
+from repro.check.engine import check_paths, failing, lint_source
 from repro.check.registry import LintContext
 
 SIM_PATH = "src/repro/sim/snippet.py"
@@ -44,7 +44,7 @@ class TestProjectIndexer:
             LintContext(path, textwrap.dedent(src), ast.parse(textwrap.dedent(src)))
             for path, src in sources.items()
         ]
-        return build_project(contexts)
+        return ProjectContext(contexts)
 
     def test_canonical_name_follows_import_alias(self):
         project = self._project(
@@ -80,7 +80,7 @@ class TestProjectIndexer:
 
     def test_each_file_parsed_once_shares_ast(self):
         ctx = LintContext("src/repro/x.py", "a = 1\n", ast.parse("a = 1\n"))
-        project = build_project([ctx])
+        project = ProjectContext([ctx])
         assert project.modules["src/repro/x.py"].ctx is ctx
 
 
@@ -377,3 +377,121 @@ class TestTimeAccumulationRPR109:
             """
         assert self.rule_ids(source, path=LIB_PATH) == []
         assert self.rule_ids(source, path="tests/test_snippet.py") == []
+
+
+#: A library module exporting one name another module calls and one that
+#: nothing outside it references.
+EXPORTER = """
+__all__ = ["called", "uncalled"]
+
+
+def called():
+    return 1
+
+
+def uncalled():
+    return 2
+"""
+
+
+class TestExportedWithoutCallerRPR110:
+    """A whole program: the package root, a caller, a benchmark."""
+
+    def findings(self, tmp_path, extra=(), select=("RPR110",)):
+        files = {
+            "src/repro/__init__.py": '"""Package root."""\n',
+            "src/repro/analysis/__init__.py": "",
+            "src/repro/analysis/sizing.py": EXPORTER,
+            "src/repro/core/user.py": "from repro.analysis.sizing import called\n",
+            "benchmarks/bench_nothing.py": "import repro\n",
+            **dict(extra),
+        }
+        write_project(tmp_path, files)
+        roots = [
+            str(tmp_path / root)
+            for root in ("src", "tests", "benchmarks", "examples")
+            if (tmp_path / root).is_dir()
+        ]
+        return check_paths(roots, select=select)
+
+    def test_uncalled_export_is_one_finding(self, tmp_path):
+        findings = self.findings(tmp_path)
+        assert [finding.rule_id for finding in findings] == ["RPR110"]
+        # Anchored on the def line of the uncalled name.
+        assert findings[0].path.endswith("sizing.py")
+        assert findings[0].line == EXPORTER.splitlines().index("def uncalled():") + 1
+        assert "uncalled" in findings[0].message
+
+    def test_reference_from_tests_still_a_finding(self, tmp_path):
+        extra = {"tests/test_sizing.py": "from repro.analysis.sizing import uncalled\n"}
+        assert [f.rule_id for f in self.findings(tmp_path, extra)] == ["RPR110"]
+
+    def test_subpackage_reexport_is_not_a_caller(self, tmp_path):
+        extra = {
+            "src/repro/analysis/__init__.py": (
+                "from repro.analysis.sizing import called, uncalled\n"
+                '__all__ = ["called", "uncalled"]\n'
+            )
+        }
+        assert [f.rule_id for f in self.findings(tmp_path, extra)] == ["RPR110"]
+
+    def test_benchmark_caller_counts(self, tmp_path):
+        extra = {
+            "benchmarks/bench_sizing.py": (
+                "import repro.analysis.sizing as sizing\n\n"
+                "def bench():\n    return sizing.uncalled()\n"
+            )
+        }
+        assert self.findings(tmp_path, extra) == []
+
+    def test_function_local_import_counts(self, tmp_path):
+        extra = {
+            "examples/demo.py": (
+                "def main():\n"
+                "    from repro.analysis.sizing import uncalled\n"
+                "    return uncalled()\n"
+            )
+        }
+        assert self.findings(tmp_path, extra) == []
+
+    def test_top_level_api_counts_as_caller(self, tmp_path):
+        extra = {
+            "src/repro/__init__.py": (
+                "from repro.analysis.sizing import uncalled\n"
+                '__all__ = ["uncalled"]\n'
+            )
+        }
+        assert self.findings(tmp_path, extra) == []
+
+    def test_pass_without_package_root_skips(self, tmp_path):
+        self.findings(tmp_path)
+        (tmp_path / "src" / "repro" / "__init__.py").unlink()
+        roots = [str(tmp_path / "src"), str(tmp_path / "benchmarks")]
+        assert check_paths(roots, select=["RPR110"]) == []
+
+    def test_library_only_pass_skips(self, tmp_path):
+        # Without benchmarks/ or examples/ the caller set is incomplete.
+        self.findings(tmp_path)
+        assert check_paths([str(tmp_path / "src")], select=["RPR110"]) == []
+
+    def test_pragma_keeps_an_uncalled_name(self, tmp_path):
+        pragma = "# repro: noqa RPR110 — oracle: tests/test_sizing.py\n"
+        extra = {
+            "src/repro/analysis/sizing.py": EXPORTER.replace(
+                "def uncalled", pragma + "def uncalled"
+            )
+        }
+        findings = self.findings(tmp_path, extra, select=None)
+        assert [(f.rule_id, f.suppressed) for f in findings] == [("RPR110", True)]
+        # A library-only pass skips the rule and so leaves the pragma alone.
+        assert check_paths([str(tmp_path / "src")]) == []
+
+    def test_pragma_on_a_called_name_is_stale(self, tmp_path):
+        pragma = "# repro: noqa RPR110 — oracle: tests/test_sizing.py\n"
+        extra = {
+            "src/repro/analysis/sizing.py": EXPORTER.replace(
+                "def called", pragma + "def called"
+            )
+        }
+        findings = self.findings(tmp_path, extra, select=None)
+        assert sorted(f.rule_id for f in failing(findings)) == ["RPR002", "RPR110"]

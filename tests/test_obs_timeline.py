@@ -7,12 +7,16 @@ The timeline's contract has three legs, each pinned here:
 * **Zero-cost when detached** — a constructed-but-uninstalled timeline
   schedules nothing and never perturbs the run it was built for; an
   installed one ticks exactly ``floor(T / interval)`` times.
-* **Export** — ``repro-timeline-v1`` JSONL/CSV round-trips through
-  :func:`~repro.obs.timeline.read_timeline` and the summary dict.
+* **Export** — the ``repro-timeline-v1`` JSONL file carries every
+  sample under its header, the auditor refuses a stale header, and the
+  summary dict round-trips.
 """
+
+import json
 
 import pytest
 
+from repro.check.artifacts import check_artifact_file
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.errors import ConfigurationError
 from repro.obs.sink import RingSink
@@ -23,7 +27,6 @@ from repro.obs.timeline import (
     Timeline,
     TimelineSeries,
     TimelineSummary,
-    read_timeline,
 )
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
@@ -242,7 +245,10 @@ class TestExport:
 
     def test_jsonl_round_trip(self, tmp_path):
         timeline, path = self.filled(tmp_path)
-        header, samples = read_timeline(path)
+        header, *samples = [
+            json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert header["kind"] == "header"
         assert header["schema"] == TIMELINE_SCHEMA
         assert header["interval"] == timeline.interval
         assert header["ticks"] == timeline.ticks
@@ -254,8 +260,8 @@ class TestExport:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header", "schema": "repro-timeline-v0"}\n')
-        with pytest.raises(ConfigurationError):
-            read_timeline(path)
+        findings = check_artifact_file(path)
+        assert [finding.rule_id for finding in findings] == ["RPR205"]
 
     def test_summary_round_trip(self, tmp_path):
         timeline, _ = self.filled(tmp_path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.analysis.buffer_sizing import (
     buffer_vs_utilization,
     fifo_min_buffer,
-    reserved_utilization,
     wfq_min_buffer,
 )
 from repro.analysis.fluid import two_flow_fluid
@@ -113,7 +112,7 @@ class TestBufferSizingProperties:
         sigmas = [s for s, _ in profiles]
         rhos = [r for _, r in profiles]
         link = 3.0 * sum(rhos)
-        u = reserved_utilization(rhos, link)
+        u = sum(rhos) / link
         via_u = buffer_vs_utilization(u, sum(sigmas))
         direct = fifo_min_buffer(sigmas, rhos, link)
         assert abs(via_u - direct) < 1e-6 * max(1.0, direct)

@@ -118,6 +118,15 @@ class TestValidation:
 
 
 class TestTokenBucketMeter:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["sigma", "rho"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        # A NaN rate refilled the bucket at every arrival (all conformant);
+        # a NaN bucket made every arrival non-conformant.
+        params = {"sigma": 1000.0, "rho": 1000.0, field: bad}
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            TokenBucketMeter(params["sigma"], params["rho"])
+
     def test_conformant_stream_accepted(self):
         meter = TokenBucketMeter(1000.0, 1000.0)
         assert meter.observe(0.0, 1000.0)

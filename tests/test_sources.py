@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.rng import Generator, SeedSequence
-from repro.traffic.sources import CBRSource, GreedySource, OnOffSource, TraceSource
+from repro.traffic.sources import CBRSource, GreedySource, OnOffSource
 
 
 def gaps(times):
@@ -134,6 +134,16 @@ class TestOnOffSource:
                 Generator(SeedSequence(0)), packet_size=100.0,
             )
 
+    @pytest.mark.parametrize("mean_burst", [float("nan"), float("inf")])
+    def test_non_finite_mean_burst_rejected(self, mean_burst):
+        # A NaN burst never turned the source off (it sent at peak rate);
+        # an infinite one divided by zero at the first emission.
+        with pytest.raises(ConfigurationError, match="mean burst"):
+            OnOffSource(
+                Simulator(), 0, 1_000.0, 500.0, mean_burst, Recorder(),
+                Generator(SeedSequence(0)), packet_size=100.0,
+            )
+
     def test_avg_above_peak_rejected(self):
         with pytest.raises(ConfigurationError):
             OnOffSource(
@@ -155,22 +165,6 @@ class TestOnOffSource:
         burst_count = 1 + sum(gap > 5 * (100.0 / 100_000.0) for gap in gaps(times))
         mean_burst = sum(p.size for p in sink.packets) / burst_count
         assert mean_burst == pytest.approx(1_000.0, rel=0.3)
-
-
-class TestTraceSource:
-    def test_replays_schedule(self):
-        sim = Simulator()
-        sink = Recorder()
-        TraceSource(sim, 3, [(0.5, 100.0), (1.5, 200.0)], sink)
-        sim.run()
-        assert [(p.created, p.size) for p in sink.packets] == [
-            (0.5, 100.0), (1.5, 200.0)
-        ]
-        assert all(p.flow_id == 3 for p in sink.packets)
-
-    def test_unordered_schedule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceSource(Simulator(), 0, [(1.0, 100.0), (0.5, 100.0)], Recorder())
 
 
 class TestOnOffDraws:
@@ -250,8 +244,3 @@ class TestDelaysThatCannotAdvanceTheClock:
                 Simulator(), 0, sink=Recorder(), rng=Generator(SeedSequence(0)),
                 **params,
             )
-
-    @pytest.mark.parametrize("size", [0.0, -1.0, float("inf"), float("nan")])
-    def test_trace_refuses(self, size):
-        with pytest.raises(ConfigurationError, match="positive and finite"):
-            TraceSource(Simulator(), 0, [(0.0, 100.0), (1.0, size)], Recorder())

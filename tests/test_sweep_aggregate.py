@@ -20,14 +20,12 @@ from repro.experiments.sweep import (
     default_aggregate_path,
     load_sweep,
     metric_row,
-    read_shard_index,
     run_grid,
     run_sweep_worker,
-    shard_dir,
     shard_path,
     write_aggregate,
 )
-from repro.experiments.sweep.aggregate import _append_shard_row
+from repro.experiments.sweep.aggregate import _append_shard_row, read_shard_index, shard_dir
 from repro.metrics.stats import MeanCI
 
 FAST = {"sim_time": 0.5, "warmup": 0.1}

@@ -23,17 +23,16 @@ from repro.experiments.sweep import (
     aggregate_sweep,
     metric_row,
     read_claim,
-    reap_stale_claims,
     release_claim,
     run_sweep_worker,
     scan_claims,
-    shard_dir,
     shard_path,
     sweep_status,
     write_aggregate,
 )
 from repro.experiments.sweep import queue as sweep_queue
-from repro.experiments.sweep.aggregate import _append_shard_row
+from repro.experiments.sweep.aggregate import _append_shard_row, shard_dir
+from repro.experiments.sweep.queue import reap_stale_claims
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 

@@ -11,10 +11,10 @@ from repro.experiments.campaign.job import ScenarioJob
 from repro.experiments.sweep import (
     SWEEP_SPEC_SCHEMA,
     SweepAxis,
-    SweepConstraint,
     SweepSpec,
     load_sweep,
 )
+from repro.experiments.sweep.spec import SweepConstraint
 
 
 def scenario_spec(**overrides):
