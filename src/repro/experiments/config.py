@@ -19,7 +19,7 @@ __all__ = ["sweep_config", "positive"]
 
 
 def positive(text: str, convert: type = int):
-    """``convert(text)`` when it is above zero, else a :class:`ConfigurationError`.
+    """``convert(text)`` when it is above zero and finite, else a :class:`ConfigurationError`.
 
     The one check behind ``--workers``, ``--hops``, ``--interval``,
     ``--heartbeat-timeout`` and ``REPRO_WORKERS``, so a flag and its
@@ -29,7 +29,7 @@ def positive(text: str, convert: type = int):
         value = convert(text)
     except ValueError:
         value = 0
-    if not value > 0:
+    if not 0 < value < float("inf"):  # refuses NaN and inf too
         raise ConfigurationError(
             f"expected a positive {convert.__name__}, got {text!r}"
         )

@@ -232,11 +232,11 @@ def run_fabric(
     net = Network(sim, sink=delivery)
     for node in scenario.nodes:
         net.add_node(node.name)
-    # What components attach: the recording sink, the monitor, or both.
+    # What components attach: the recording sink alone, or a tee of it and the monitor.
     effective_sink = sink
     if monitor is not None:
         monitor.attach_trace(sink)
-        effective_sink = monitor if sink is None else TeeSink(sink, monitor)
+        effective_sink = TeeSink(monitor) if sink is None else TeeSink(sink, monitor)
     hop_sigmas = scenario.hop_sigmas()
 
     links: dict[str, LinkResult] = {}
@@ -328,6 +328,7 @@ def run_fabric(
         timeline.install(sim, scenario.sim_time)
 
     sim.run(until=scenario.sim_time, max_events=scenario.max_events)
+    net.sink.sim = None  # the run is over: a kept result holds no simulator
 
     return FabricResult(
         scenario=scenario,

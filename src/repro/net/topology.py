@@ -9,10 +9,10 @@ with thresholds — can be studied.
 
 Model:
 
-* a :class:`Node` holds a routing table ``flow_id -> egress port`` (one
-  of its outgoing links' ports, ``None`` where the flow leaves);
-* packets entering a node are immediately offered to the egress port for
-  their flow (forwarding is instantaneous; only links cost time);
+* a node's routing table maps ``flow_id`` to the next hop's ``receive``
+  (its egress port's, the :class:`DeliverySink`'s where the flow leaves);
+* every link into the node holds that table and hands a packet on with
+  one subscript (forwarding is instantaneous; only links cost time);
 * at the route's last node the packet is *delivered*: end-to-end
   statistics land in :class:`DeliverySink`.
 
@@ -82,8 +82,11 @@ class DeliverySink:
 
     flows: dict[int, FlowStats] = field(default_factory=dict)
     collector: StatsCollector | None = None
+    #: The clock that stamps a delivery: set by the Network, not by a caller.
+    sim: Simulator | None = field(default=None, init=False, repr=False, compare=False)
 
-    def record(self, packet: Packet, now: float) -> None:
+    def receive(self, packet: Packet) -> None:
+        now = self.sim.now
         flow_id = packet.flow_id
         try:
             stats = self.flows[flow_id]
@@ -119,28 +122,14 @@ class DeliverySink:
         return 0.0 if stats is None else stats.departed_bytes / duration
 
 
-class Node:
-    """A forwarding element: a routing table onto its links' output ports."""
+class _Routes(dict):
+    """A node's routing table: flow id -> the next hop's ``receive``."""
 
-    def __init__(self, name: str, network: "Network"):
-        self.name = name
-        self.network = network
-        #: flow id -> egress port, or None at the route's last node;
-        #: resolved by :meth:`Network.set_route`.
-        self.next_hop: dict[int, OutputPort | None] = {}
+    def __init__(self, node: str) -> None:
+        self.node = node
 
-    def receive(self, packet: Packet) -> None:
-        """Forward a packet: egress port for transit, sink at the end."""
-        try:
-            port = self.next_hop[packet.flow_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"node {self.name}: no route for flow {packet.flow_id}"
-            ) from None
-        if port is None:
-            self.network.sink.record(packet, self.network.sim.now)
-        else:
-            port.receive(packet)
+    def __missing__(self, flow_id: int):
+        raise ConfigurationError(f"node {self.node}: no route for flow {flow_id}")
 
 
 class Network:
@@ -160,17 +149,16 @@ class Network:
 
     def __init__(self, sim: Simulator, sink: DeliverySink | None = None):
         self.sim = sim
-        self.nodes: dict[str, Node] = {}
+        self.nodes: dict[str, _Routes] = {}
         self.links: dict[tuple[str, str], OutputPort] = {}
         self.sink = DeliverySink() if sink is None else sink
-        self._entries: dict[int, OutputPort | Node] = {}
+        self.sink.sim = sim
+        self._entries: dict[int, OutputPort | DeliverySink] = {}
 
-    def add_node(self, name: str) -> Node:
+    def add_node(self, name: str) -> None:
         if name in self.nodes:
             raise ConfigurationError(f"duplicate node name {name!r}")
-        node = Node(name, self)
-        self.nodes[name] = node
-        return node
+        self.nodes[name] = _Routes(name)
 
     def add_link(
         self,
@@ -188,8 +176,8 @@ class Network:
 
         ``label`` is what the port stamps on trace events and metrics
         (default ``"src->dst"``; ``""`` leaves both unlabelled).  With
-        ``deliver=False`` transmitted packets are not handed to ``dst``:
-        for a link past which nothing forwards or counts them.
+        ``deliver=False`` the port has no routing table of ``dst``'s: for
+        a link past which nothing forwards or counts its packets.
         """
         if src not in self.nodes or dst not in self.nodes:
             raise ConfigurationError(f"unknown endpoint in link {src}->{dst}")
@@ -214,10 +202,10 @@ class Network:
             if (src, dst) not in self.links:
                 raise ConfigurationError(f"route uses missing link {src}->{dst}")
         for src, dst in zip(path, path[1:]):
-            self.nodes[src].next_hop[flow_id] = self.links[(src, dst)]
-        self.nodes[path[-1]].next_hop[flow_id] = None
+            self.nodes[src][flow_id] = self.links[(src, dst)].receive
+        self.nodes[path[-1]][flow_id] = self.sink.receive
         self._entries[flow_id] = (
-            self.links[(path[0], path[1])] if len(path) > 1 else self.nodes[path[0]]
+            self.links[(path[0], path[1])] if len(path) > 1 else self.sink
         )
 
     def attach_trace(self, sink) -> None:
@@ -231,11 +219,11 @@ class Network:
         for port in self.links.values():
             port.attach_trace(sink)
 
-    def entry(self, flow_id: int) -> OutputPort | Node:
+    def entry(self, flow_id: int) -> OutputPort | DeliverySink:
         """Where a routed flow enters: plug its source into this.
 
         The first-hop port, so sources skip the per-packet routing
-        lookup at ingress; the node itself for a one-node route.
+        lookup at ingress; the delivery sink for a one-node route.
         """
         if flow_id not in self._entries:
             raise ConfigurationError(f"no route installed for flow {flow_id}")

@@ -34,6 +34,7 @@ mirrored into the trace stream as ``violation`` events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -201,11 +202,13 @@ class ConformanceMonitor:
         "tolerance",
         "max_violations",
         "violations",
-        "events_seen",
         "sweeps",
         "suppressed",
         "last_report",
         "_checks",
+        "_emitted",
+        "_tees",
+        "_handlers",
         "_sink",
         "_sim",
         "_last_time",
@@ -224,10 +227,10 @@ class ConformanceMonitor:
         tolerance: float = DEFAULT_TOLERANCE,
         max_violations: int = 1000,
     ) -> None:
-        if interval <= 0.0:
-            raise ConfigurationError(f"interval must be > 0, got {interval}")
-        if tolerance < 0.0:
-            raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
+        if not 0.0 < interval < inf:  # refuses NaN too: it fails every comparison
+            raise ConfigurationError(f"interval must be > 0 and finite, got {interval}")
+        if not 0.0 <= tolerance < inf:
+            raise ConfigurationError(f"tolerance must be >= 0 and finite, got {tolerance}")
         if max_violations < 1:
             raise ConfigurationError(
                 f"max_violations must be >= 1, got {max_violations}"
@@ -236,11 +239,17 @@ class ConformanceMonitor:
         self.tolerance = tolerance
         self.max_violations = max_violations
         self.violations: list[Violation] = []
-        self.events_seen = 0
         self.sweeps = 0
         self.suppressed = 0
         self.last_report: MonitorReport | None = None
         self._checks: dict[str, int] = {name: 0 for name in CHECKS}
+        self._emitted = 0
+        self._tees: list = []
+        self._handlers = {
+            DropEvent: self._on_drop,
+            DepartEvent: self._on_depart,
+            ReprovisionEvent: self._on_reprovision,
+        }
         self._sink = None
         self._sim = None
         self._last_time = 0.0
@@ -280,8 +289,8 @@ class ConformanceMonitor:
 
     def set_hop_bound(self, node: str, bound: float) -> None:
         """Per-hop worst-case queueing delay for departures at ``node``."""
-        if bound <= 0.0:
-            raise ConfigurationError(f"hop bound must be > 0, got {bound}")
+        if not 0.0 < bound < inf:
+            raise ConfigurationError(f"hop bound must be > 0 and finite, got {bound}")
         self._hop_bounds[node] = bound
 
     def add_occupancy_check(
@@ -312,17 +321,27 @@ class ConformanceMonitor:
 
     # -- the event path (TraceSink protocol) ---------------------------
 
+    @property
+    def events_seen(self) -> int:
+        """Events offered so far: through :meth:`emit` and through each tee."""
+        return self._emitted + sum(tee.emitted for tee in self._tees)
+
+    def kind_handlers(self, tee) -> dict:
+        """The checks by class for ``tee``, whose events all count as seen; ``finalize`` reads the clock."""
+        self._tees.append(tee)
+        return dict(self._handlers)
+
     def emit(self, event) -> None:
-        self.events_seen += 1
+        self._emitted += 1
         try:
             time = event.time
         except AttributeError:
             return  # not a trace event: counted, nothing to check
         if time > self._last_time:
             self._last_time = time
-        handler = self._HANDLERS.get(type(event))
+        handler = self._handlers.get(type(event))
         if handler is not None:
-            handler(self, event)
+            handler(event)
 
     def _on_drop(self, event: DropEvent) -> None:
         self._checks["conformant-drop"] += 1
@@ -375,15 +394,6 @@ class ConformanceMonitor:
             if event.previous > self._drain_caps.get(key, 0.0):
                 self._drain_caps[key] = event.previous
 
-    #: Event class -> its check, built once.  Dispatch is by exact type:
-    #: a kind nothing checks (enqueue, half of every stream) costs one
-    #: dict miss.
-    _HANDLERS = {
-        DropEvent: _on_drop,
-        DepartEvent: _on_depart,
-        ReprovisionEvent: _on_reprovision,
-    }
-
     # -- the sweep path ------------------------------------------------
 
     def install(self, sim, until: float) -> None:
@@ -398,8 +408,6 @@ class ConformanceMonitor:
     def _sweep(self, until: float) -> float | None:
         """Sweep, then return the delay to the next sweep; overrides return ``super()``'s."""
         now = self._sim.now
-        if now > self._last_time:
-            self._last_time = now
         self.sweeps += 1
         self.sweep_once(now)
         return self.interval if now + self.interval <= until else None

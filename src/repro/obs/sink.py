@@ -25,7 +25,7 @@ from collections import deque
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
-from repro.obs.events import TRACE_SCHEMA, event_to_dict
+from repro.obs.events import EVENT_TYPES, TRACE_SCHEMA, event_to_dict
 
 __all__ = ["RingSink", "JsonlSink", "TeeSink"]
 
@@ -46,17 +46,28 @@ class RingSink:
             silently (``emitted`` still counts them).
     """
 
-    __slots__ = ("_ring", "emitted")
+    __slots__ = ("_ring", "_emitted", "_tees")
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._ring: deque = deque(maxlen=capacity)
-        self.emitted = 0
+        self._emitted = 0
+        self._tees: list = []
+
+    @property
+    def emitted(self) -> int:
+        """Events recorded, retained or not: by :meth:`emit` and by each tee."""
+        return self._emitted + sum(tee.emitted for tee in self._tees)
 
     def emit(self, event) -> None:
         self._ring.append(event)
-        self.emitted += 1
+        self._emitted += 1
+
+    def kind_handlers(self, tee) -> dict:
+        """Every event class to the deque's append: ``tee`` records with no frame."""
+        self._tees.append(tee)
+        return dict.fromkeys(EVENT_TYPES.values(), self._ring.append)
 
     def events(self) -> list:
         """The retained events, oldest first."""
@@ -70,31 +81,42 @@ class RingSink:
 
 
 class TeeSink:
-    """Fan one event stream out to several sinks, in argument order.
+    """Fan trace events out to several sinks, in argument order, for one frame an event.
 
-    Lets a live consumer (e.g. a
-    :class:`~repro.obs.monitor.ConformanceMonitor`) ride alongside a
-    recording sink on the same attachment point — components still see a
-    single sink and keep their one ``is not None`` guard.
+    Components still see one sink behind one ``is not None`` guard.  A
+    sink with ``kind_handlers(tee)`` gets the classes of the table it
+    returns through its handlers, and counts every event of the tee (a
+    :class:`RingSink` appends each to its deque, a monitor checks three
+    kinds); any other sink gets every event through ``emit``.  Only the
+    classes of ``EVENT_TYPES`` pass (RPR108 keeps every emitted class
+    there); any other object raises :class:`ConfigurationError`.
 
     Args:
         *sinks: downstream sinks; at least one is required.
     """
 
-    __slots__ = ("sinks", "emitted", "_emits")
+    __slots__ = ("emitted", "_by_kind")
 
     def __init__(self, *sinks) -> None:
         if not sinks:
             raise ConfigurationError("TeeSink needs at least one downstream sink")
-        self.sinks = tuple(sinks)
         self.emitted = 0
-        # Bound once: every event of an attached run passes through here.
-        self._emits = tuple(sink.emit for sink in sinks)
+        by_kind: dict[type, list] = {kind: [] for kind in EVENT_TYPES.values()}
+        for sink in sinks:
+            route = getattr(sink, "kind_handlers", None)
+            handlers = dict.fromkeys(by_kind, sink.emit) if route is None else route(self)
+            for kind, handler in handlers.items():
+                by_kind[kind].append(handler)
+        self._by_kind = {kind: tuple(deliveries) for kind, deliveries in by_kind.items()}
 
     def emit(self, event) -> None:
-        for emit in self._emits:
-            emit(event)
+        try:
+            deliveries = self._by_kind[type(event)]
+        except KeyError:
+            raise ConfigurationError(f"TeeSink takes trace events, not {type(event)}") from None
         self.emitted += 1
+        for deliver in deliveries:
+            deliver(event)
 
 
 class JsonlSink:

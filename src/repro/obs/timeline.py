@@ -22,6 +22,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
+from math import inf
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -297,8 +298,8 @@ class Timeline:
         capacity: int = DEFAULT_CAPACITY,
         flows: tuple = (),
     ) -> None:
-        if interval <= 0.0:
-            raise ConfigurationError(f"interval must be > 0, got {interval}")
+        if not 0.0 < interval < inf:  # refuses NaN too: it fails every comparison
+            raise ConfigurationError(f"interval must be > 0 and finite, got {interval}")
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.interval = float(interval)

@@ -50,9 +50,9 @@ class OutputPort:
             ``flows`` itself, with the operations of the collector's
             ``on_offered``/``on_drop``/``on_depart``, one subscript per
             event to find the flow's :class:`FlowStats`.
-        downstream: optional next hop with a ``receive(packet)`` method;
-            transmitted packets are handed to it, which is how multi-node
-            topologies (:mod:`repro.net`) are chained.
+        downstream: optional per-flow table, flow id -> the next hop's
+            ``receive(packet)``, which chains multi-node topologies
+            (:mod:`repro.net`): one subscript hands a departure on.
         recycle: accepted and ignored (packets are no longer pooled).
         label: node/link label stamped on emitted trace events ('' for
             single-port runs; :mod:`repro.net` uses ``"src->dst"``).
@@ -208,7 +208,7 @@ class OutputPort:
         if self._sink is not None:
             self._sink.emit(DepartEvent(now, flow_id, size, delay, self.label))
         if self.downstream is not None:
-            self.downstream.receive(packet)
+            self.downstream[flow_id](packet)
         head = self._serving = self.scheduler.dequeue()
         return None if head is None else head.size / self.rate
 

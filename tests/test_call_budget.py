@@ -130,8 +130,8 @@ def churn(reclamation: bool):
 #: row -> (the run, ceiling on Python + C calls per offered packet inside
 #: ``Simulator.run``).  Measured 14.389 / 16.105 / 15.395 / 15.400 /
 #: 18.933 on the bare port and 16.233 for WFQ with delay histograms on,
-#: 19.606 / 19.627 on the tandem, 25.727 / 40.868 on churn, 22.101 with
-#: a sink and 38.137 on the observed tandem.  Before the one-heap-call
+#: 18.529 / 18.550 on the tandem, 24.631 / 39.772 on churn, 22.101 with
+#: a sink and 30.591 on the observed tandem.  Before the one-heap-call
 #: re-queue described last: 16.549 / 18.266 / 17.556 / 17.561 / 21.093
 #: on the bare port and 18.393 for WFQ with delay histograms on (21.345
 #: / 23.062 / 22.379 / 22.384 / 25.904 and 23.217 before the inline
@@ -194,6 +194,16 @@ def churn(reclamation: bool):
 #: 15.400 / 18.933 on the port, 21.003 / 21.023 -> 19.606 / 19.627 on
 #: the tandem, 26.389 / 41.530 -> 25.727 / 40.868 on churn, 24.261 ->
 #: 22.101 with a sink and 39.543 -> 38.137 on the observed tandem.  The
+#: network rows fell when a port began handing a departure on through
+#: its per-flow table of next-hop ``receive``s (one subscript, where
+#: ``Node.receive`` was a frame), and the observed tandem further when
+#: its ``TeeSink`` began recording the ring inline and calling the
+#: monitor's checks only for the three kinds they read (``TeeSink.emit``,
+#: ``RingSink.emit``, ``ConformanceMonitor.emit`` and its ``dict.get``
+#: were four calls an event): 19.606 / 19.627 -> 18.529 / 18.550 on the
+#: tandem, 25.727 / 40.868 -> 24.631 / 39.772 on churn and 38.137 ->
+#: 30.591 on the observed tandem; the one-link rows never had a next
+#: hop and count the same to the digit.  The
 #: ceilings leave ~5% for interpreter versions that count a builtin
 #: differently; a PR that shortens a path lowers its ceiling to ~5%
 #: above the new count.
@@ -209,14 +219,14 @@ ROWS = {
     # SCFQ has no benchmark workload: this row is its only cost gate.
     "SCFQ_THRESHOLD": (lambda: port(Scheme.SCFQ_THRESHOLD), 16.2),
     "HYBRID_SHARING": (lambda: port(Scheme.HYBRID_SHARING), 19.9),
-    "tandem-churn": (lambda: tandem(False), 20.6),
-    "tandem-churn-reclaim": (lambda: tandem(True), 20.6),
-    "churn": (lambda: churn(False), 27.0),
-    "churn-reclaim": (lambda: churn(True), 42.9),
+    "tandem-churn": (lambda: tandem(False), 19.5),
+    "tandem-churn-reclaim": (lambda: tandem(True), 19.5),
+    "churn": (lambda: churn(False), 25.9),
+    "churn-reclaim": (lambda: churn(True), 41.8),
     # Same 14,641 events as detached: a dearer attached path shows here
     # before any benchmark can resolve it.
     "FIFO_THRESHOLD-sink": (lambda: port(Scheme.FIFO_THRESHOLD, sink=RingSink()), 23.2),
-    "tandem-observed": (observed_tandem, 40.0),
+    "tandem-observed": (observed_tandem, 32.1),
 }
 
 #: Network row -> (events, offered packets, dropped packets, churn

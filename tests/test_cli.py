@@ -456,6 +456,12 @@ class TestObsTimelineCommands:
         assert main(["obs", "timeline", "--interval", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("verb", ["timeline", "monitor"])
+    def test_infinite_interval_is_a_usage_error(self, verb, capsys):
+        # An infinite cadence would sample and sweep nothing.
+        assert main(["obs", verb, "--hops", "1", "--interval", "inf"]) == 2
+        assert "expected a positive float" in capsys.readouterr().err
+
     def test_monitor_conformant_run_exits_zero(self, tmp_path, capsys):
         out_path = tmp_path / "timeline.jsonl"
         argv = [

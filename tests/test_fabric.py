@@ -94,6 +94,10 @@ class TestDispatch:
         assert result.delivery is not None
         assert {e.node for e in sink.events() if hasattr(e, "node")} == {"n0->n1"}
 
+    def test_a_kept_result_holds_no_simulator(self):
+        result = run_fabric(two_hop_scenario(sim_time=0.5))
+        assert result.delivery.packets and result.delivery.sim is None
+
     def test_link_lookup(self):
         result = run_fabric(two_hop_scenario(sim_time=1.0))
         assert result.link("n0", "n1").label == "n0->n1"

@@ -109,6 +109,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ConformanceMonitor().set_hop_bound("n0->n1", 0.0)
 
+    # A non-finite setting would be accepted and then check nothing: an
+    # infinite interval never sweeps, a NaN tolerance or bound makes every
+    # comparison false, and a NaN interval fails only at install.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_interval_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError):
+            ConformanceMonitor(interval=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_tolerance_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError):
+            ConformanceMonitor(tolerance=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_hop_bound_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError):
+            ConformanceMonitor().set_hop_bound("n0->n1", value)
+
     def test_double_install_rejected(self):
         monitor = ConformanceMonitor()
         sim = Simulator()
@@ -288,6 +306,48 @@ class TestDispatch:
         assert monitor._hop_delay_max == {("a->b", 1): 0.004}
         assert monitor._drain_caps == {("a->b", 1): 2000.0}
         assert monitor.finalize().events_seen == len(self.STREAM)
+
+
+class TestMonitorBesideSink:
+    """A monitor teed with a recording sink behaves as each does alone.
+
+    The tee records the sink inline and calls the monitor's checks only
+    for the kinds they read: nothing may be dropped, reordered or
+    counted twice on the way, on a clean run or on one that mirrors
+    findings into the sink.
+    """
+
+    SCENARIOS = {
+        "reference-tandem": lambda: demo_tandem(
+            hops=3, seed=15, sim_time=1.0, churn=True, reclamation=True
+        ),
+        "undersized": lambda: undersized_tandem(hops=2, seed=0, sim_time=2.0),
+    }
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_together_equals_each_alone(self, name):
+        scenario = self.SCENARIOS[name]()
+        sink = RingSink(capacity=1_000_000)
+        both = run_fabric(scenario, sink=sink, monitor=ConformanceMonitor())
+        monitor_alone = run_fabric(scenario, monitor=ConformanceMonitor())
+        sink_alone = RingSink(capacity=1_000_000)
+        run_fabric(scenario, sink=sink_alone)
+
+        assert both.monitor_report.to_dict() == monitor_alone.monitor_report.to_dict()
+        recorded = sink.events()
+        assert sink.emitted == len(recorded)
+        traced = [event for event in recorded if not isinstance(event, ViolationEvent)]
+        assert traced == sink_alone.events()
+        assert both.monitor_report.events_seen == len(traced)
+        # A mirrored finding lands right after the drop that caused it.
+        mirrored = [i for i, event in enumerate(recorded) if isinstance(event, ViolationEvent)]
+        assert bool(mirrored) == (name == "undersized")
+        for index in mirrored:
+            finding, cause = recorded[index], recorded[index - 1]
+            assert isinstance(cause, DropEvent)
+            assert (cause.time, cause.flow_id, cause.node) == (
+                finding.time, finding.flow_id, finding.node
+            )
 
 
 class TestReport:

@@ -8,7 +8,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.fabric import run_fabric
 from repro.experiments.fabric.demo import demo_tandem
-from repro.obs.events import TRACE_SCHEMA, EnqueueEvent
+from repro.obs.events import (
+    TRACE_SCHEMA,
+    DepartEvent,
+    DropEvent,
+    EnqueueEvent,
+    HeapCompactEvent,
+    ReprovisionEvent,
+)
 from repro.obs.monitor import ConformanceMonitor
 from repro.obs.reader import read_events
 from repro.obs.sink import JsonlSink, RingSink, TeeSink, TraceSink
@@ -60,9 +67,93 @@ class TestTeeSink:
         assert seen == [("a", 1), ("b", 1), ("a", 2), ("b", 2)]
         assert tee.emitted == 2
 
+    # One event of each kind the monitor checks and of two it does not,
+    # in a fixed emission order.
+    STREAM = [
+        make_event(1),
+        DropEvent(1.5, 2, 500.0, "threshold", "a->b"),
+        DepartEvent(2.0, 1, 500.0, 0.001, "a->b"),
+        HeapCompactEvent(2.5, 10, 4),
+        ReprovisionEvent(3.0, 1, 1000.0, 2000.0, "a->b"),
+        make_event(4),
+    ]
+
+    class Routed:
+        """A kind-routed consumer: only drops and departures, by handler."""
+
+        def __init__(self):
+            self.got = []
+            self.tees = []
+
+        def kind_handlers(self, tee):
+            self.tees.append(tee)
+            return {DropEvent: self.got.append, DepartEvent: self.got.append}
+
+        def emit(self, event):
+            raise AssertionError("a routed consumer is never sent the whole stream")
+
+    class Plain:
+        def __init__(self):
+            self.got = []
+
+        def emit(self, event):
+            self.got.append(event)
+
+    def test_every_downstream_sees_events_in_emission_order(self):
+        ring, plain, monitor = RingSink(), self.Plain(), ConformanceMonitor()
+        monitor.watch_flow(2)  # the drop of flow 2 is a finding,
+        monitor.attach_trace(ring)  # mirrored into the ring
+        tee = TeeSink(ring, plain, monitor)
+        for event in self.STREAM:
+            tee.emit(event)
+        assert plain.got == self.STREAM
+        # The ring, given before the monitor, records the drop before the
+        # check that mirrors its finding runs.
+        recorded = ring.events()
+        assert [event.kind for event in recorded] == [
+            "enqueue", "drop", "violation", "depart", "compact", "reprovision", "enqueue"
+        ]
+        assert [event for event in recorded if event.kind != "violation"] == self.STREAM
+        assert monitor._checks["conformant-drop"] == 1
+        assert monitor._drain_caps == {("a->b", 1): 2000.0}
+
+    def test_kind_routed_consumer_gets_only_its_kinds(self):
+        routed = self.Routed()
+        tee = TeeSink(RingSink(), routed)
+        for event in self.STREAM:
+            tee.emit(event)
+        assert routed.tees == [tee]
+        assert routed.got == [self.STREAM[1], self.STREAM[2]]
+
+    def test_counts_are_exact(self):
+        ring, plain, monitor = RingSink(capacity=2), self.Plain(), ConformanceMonitor()
+        tee = TeeSink(ring, plain, monitor)
+        for event in self.STREAM:
+            tee.emit(event)
+        assert tee.emitted == ring.emitted == len(plain.got) == len(self.STREAM)
+        assert len(ring) == 2
+        # Every event through the tee counts as seen by the monitor, a
+        # direct emit on top of them too; a mirrored finding does not.
+        assert monitor.events_seen == len(self.STREAM)
+        monitor.emit(make_event(5))
+        assert monitor.events_seen == len(self.STREAM) + 1
+        monitor.watch_flow(2)
+        monitor.attach_trace(ring)
+        tee.emit(self.STREAM[1])
+        assert ring.events()[-1].kind == "violation"
+        assert monitor.events_seen == tee.emitted + 1 == len(self.STREAM) + 2
+        # The ring counts the finding, which reached it directly.
+        assert ring.emitted == tee.emitted + 1
+
     def test_needs_a_downstream_sink(self):
         with pytest.raises(ConfigurationError):
             TeeSink()
+
+    def test_refuses_a_non_trace_object_by_name(self):
+        tee = TeeSink(RingSink(), ConformanceMonitor())
+        with pytest.raises(ConfigurationError, match="not <class 'object'>"):
+            tee.emit(object())
+        assert tee.emitted == 0
 
     def test_satisfies_protocol(self):
         assert isinstance(TeeSink(RingSink()), TraceSink)

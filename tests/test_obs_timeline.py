@@ -150,6 +150,12 @@ class TestTimelineValidation:
         with pytest.raises(ConfigurationError):
             Timeline(interval=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_interval_must_be_finite(self, value):
+        # An infinite interval would never tick; a NaN one fails only at install.
+        with pytest.raises(ConfigurationError):
+            Timeline(interval=value)
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             Timeline(capacity=0)

@@ -156,17 +156,12 @@ class TestRecycleMode:
         # The next hop receives the very object the port was given.
         sim = Simulator()
         received = []
-
-        class Hop:
-            def receive(self, packet):
-                received.append(packet)
-
         port = OutputPort(
             sim,
             1000.0,
             FIFOScheduler(),
             TailDropManager(10_000.0),
-            downstream=Hop(),
+            downstream={0: received.append},  # flow 0's next hop
             recycle=True,
         )
         packet = Packet(0, 500.0, 0.0)

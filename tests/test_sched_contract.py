@@ -382,8 +382,9 @@ def _service(kind, trace):
     sim = Simulator()
     scheduler = make(cls, sim)
     departed, vtimes = [], []
-    delivered = SimpleNamespace(
-        receive=lambda packet: departed.append((sim.now, packet.flow_id, packet.size))
+    # The port hands each departure on through its per-flow table.
+    delivered = dict.fromkeys(
+        (0, 1), lambda packet: departed.append((sim.now, packet.flow_id, packet.size))
     )
     port = OutputPort(sim, LINK_RATE, scheduler, TailDropManager(1e6), downstream=delivered)
     sink = RingSink()

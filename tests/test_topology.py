@@ -5,7 +5,7 @@ import pytest
 from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError
 from repro.metrics.collector import StatsCollector
-from repro.net.topology import Network, per_hop_sigma
+from repro.net.topology import DeliverySink, Network, per_hop_sigma
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -126,20 +126,33 @@ class TestSharedLinkContention:
 
 class TestRoutingValidation:
     def test_unknown_flow_at_node_raises(self):
+        # Routes resolve at set_route; every node's table, the transit and
+        # the delivering node of flow 1 alike, refuses a flow it does not
+        # route, naming the node.
         sim, net = two_hop_network()
-        with pytest.raises(ConfigurationError):
-            net.nodes["a"].receive(Packet(99, 500.0, 0.0))
-        # Routes resolve to ports at set_route; the transit and the
-        # delivering node of flow 1 still refuse a flow they do not route.
-        for name in ("b", "c"):
+        for name in ("a", "b", "c"):
             with pytest.raises(ConfigurationError, match=f"node {name}: no route for flow 99"):
-                net.nodes[name].receive(Packet(99, 500.0, 0.0))
+                net.nodes[name][99]
+
+    @pytest.mark.parametrize("hop", [("a", "b"), ("b", "c")], ids=["a-b", "b-c"])
+    def test_unrouted_flow_raises_at_the_port(self, hop):
+        # The port admits and transmits a packet of a flow nobody routed;
+        # handing it on is where the missing route shows.
+        sim, net = two_hop_network()
+        net.port(*hop).receive(Packet(99, 500.0, 0.0))
+        with pytest.raises(ConfigurationError, match=f"node {hop[1]}: no route for flow 99"):
+            sim.run()
 
     def test_routes_resolve_to_the_egress_port(self):
+        # A departure is handed on with one subscript of the port's
+        # per-flow table: the next port's receive, the sink's at the end.
         sim, net = two_hop_network()
-        assert net.nodes["a"].next_hop[1] is net.port("a", "b")
-        assert net.nodes["b"].next_hop[1] is net.port("b", "c")
-        assert net.nodes["c"].next_hop[1] is None
+        first, second = net.port("a", "b"), net.port("b", "c")
+        assert first.downstream is net.nodes["b"]
+        assert second.downstream is net.nodes["c"]
+        assert first.downstream[1] == second.receive
+        assert second.downstream[1] == net.sink.receive
+        assert net.nodes["a"][1] == first.receive
 
     def test_route_with_missing_link_rejected(self):
         sim, net = two_hop_network()
@@ -174,14 +187,21 @@ class TestRoutingValidation:
         net.set_route(2, ["b", "c"])
         assert net.entry(2) is net.port("b", "c")
 
-    def test_entry_of_a_one_node_route_is_the_node(self):
+    def test_entry_of_a_one_node_route_is_the_delivery_sink(self):
         sim, net = two_hop_network()
         net.set_route(3, ["c"])
-        assert net.entry(3) is net.nodes["c"]
+        assert net.entry(3) is net.sink
         net.entry(3).receive(Packet(3, 500.0, 0.0))
         assert net.sink.packets[3] == 1
         # Delivered the instant it was created: no positive delay to keep.
         assert net.sink.delay_sum == {3: 0.0} and net.sink.delay_max == {}
+
+    def test_delivery_clock_is_set_by_the_network_only(self):
+        with pytest.raises(TypeError):
+            DeliverySink(sim=Simulator())
+        sim, net = two_hop_network()
+        assert net.sink.sim is sim
+        assert net.sink == DeliverySink() and "sim" not in repr(net.sink)
 
     def test_unlabelled_undelivering_link(self):
         # The one-link case of the fabric: its port carries no label and
@@ -198,6 +218,7 @@ class TestRoutingValidation:
         net.entry(1).receive(Packet(1, 500.0, 0.0))
         sim.run()
         assert port.label == "" and port.transmitted_packets == 1
+        assert port.downstream is None
         assert net.sink.packets == {}
 
     def test_port_lookup(self):
