@@ -69,6 +69,17 @@ def _positive(convert: type):
     return parse
 
 
+def _finite(text: str) -> float:
+    """An argparse type for a time bound: NaN or an infinity would switch the filter off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not -float("inf") < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     path, count, seconds = pathlib.Path, _positive(int), _positive(float)
 
@@ -127,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--flow", type=int, action="append", help="only this flow id")
     trace.add_argument("--type", action="append", dest="event_type", help="only this kind")
     trace.add_argument("--node", action="append", help="only this node ('': one port)")
-    trace.add_argument("--since", type=float, help="drop events before this sim time")
-    trace.add_argument("--until", type=float, help="drop events after this sim time")
+    trace.add_argument("--since", type=_finite, help="drop events before this sim time")
+    trace.add_argument("--until", type=_finite, help="drop events after this sim time")
     reclaim = options(runner(None), tandem)
     reclaim.add_argument("--trace-out", type=path, help="also trace one run, for RPR206")
 

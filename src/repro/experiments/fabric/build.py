@@ -302,13 +302,7 @@ def run_fabric(
     if monitor is not None:
         for routed in scenario.flows:
             if routed.spec.conformant:
-                monitor.watch_flow(
-                    routed.spec.flow_id,
-                    shaped=True,
-                    route=tuple(
-                        net.links[hop].label for hop in hop_sigmas[routed.spec.flow_id]
-                    ),
-                )
+                monitor.watch_flow(routed.spec.flow_id)
         monitor.install(sim, scenario.sim_time)
 
     seed_seq = SeedSequence(scenario.seed)
@@ -340,7 +334,7 @@ def run_fabric(
         delivery_collector=delivery_collector,
         churn=None if churn_process is None else churn_process.finalize(),
         timeline=timeline,
-        monitor_report=None if monitor is None else monitor.finalize(delivery),
+        monitor_report=None if monitor is None else monitor.finalize(),
     )
 
 

@@ -417,11 +417,7 @@ class FlowChurnProcess:
         self.network.set_route(flow_id, list(route))
         if self.monitor is not None:
             if template.conformant:
-                self.monitor.watch_flow(
-                    flow_id,
-                    shaped=True,
-                    route=tuple(state.label for state in states),
-                )
+                self.monitor.watch_flow(flow_id)
             for state in states:
                 if state.enforces_thresholds:
                     _check_occupancy(

@@ -69,8 +69,8 @@ def run_scenario(
             caller keeps the reference and reads the filled series).
         monitor: optional
             :class:`~repro.obs.monitor.ConformanceMonitor`; armed with
-            the run's analytic bounds and finalized by the fabric (read
-            ``monitor.last_report`` afterwards).
+            the run's analytic bounds and finalized by the fabric into
+            ``result.monitor_report``.
     """
     scenario = NetworkScenario.single_node(
         flows,

@@ -67,15 +67,6 @@ class Scheme(enum.Enum):
     def is_hybrid(self) -> bool:
         return self in (Scheme.HYBRID_THRESHOLD, Scheme.HYBRID_SHARING)
 
-    @property
-    def uses_sharing(self) -> bool:
-        return self in (
-            Scheme.FIFO_SHARING,
-            Scheme.WFQ_SHARING,
-            Scheme.SCFQ_SHARING,
-            Scheme.HYBRID_SHARING,
-        )
-
 
 @dataclass
 class SchemeBuild:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import pathlib
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -278,10 +277,6 @@ class SweepSpec:
                 )
 
     # -- expansion -------------------------------------------------------
-
-    def total_cells(self) -> int:
-        """Grid size before constraints (product of axis lengths)."""
-        return math.prod(len(axis.values) for axis in self.axes)
 
     def cells(self) -> Iterator[dict]:
         """Lazily yield one full parameter dict per surviving cell.

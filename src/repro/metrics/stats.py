@@ -43,13 +43,6 @@ class MeanCI:
     def high(self) -> float:
         return self.mean + self.halfwidth
 
-    @property
-    def relative_halfwidth(self) -> float:
-        """Half-width as a fraction of the mean (inf for zero mean)."""
-        if self.mean == 0:
-            return math.inf if self.halfwidth > 0 else 0.0
-        return abs(self.halfwidth / self.mean)
-
     def __str__(self) -> str:
         return f"{self.mean:.6g} ± {self.halfwidth:.2g} (n={self.n})"
 

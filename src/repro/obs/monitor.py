@@ -19,11 +19,11 @@ against the closed-form references:
   Only FIFO-family hops are armed: a sorted (WFQ, SCFQ) or hybrid hop
   gets no hop bound, since its scheduler's packetisation slack would
   flag legitimate runs.
-* **e2e-delay** — a watched flow's end-to-end network delay must stay
-  within the sum of its per-hop bounds.  Shaped (conformant) flows are
-  checked as the sum of observed per-hop maxima, because delivery
-  timestamps include leaky-bucket holding time, which is not part of
-  the network bound.
+
+There is no separate end-to-end delay check: the network bound is the
+sum of the per-hop bounds, so a path over it has at least one hop over
+its own limit, which **hop-delay** has already flagged (short of an
+excess below ``(n - 1)`` times the absolute slack, inside float noise).
 
 Violations are structured :class:`Violation` findings — severity,
 sim-time (plus detection window for sweep checks), flow/node, observed
@@ -59,7 +59,7 @@ DEFAULT_TOLERANCE = 1e-9
 _ABS_SLACK = 1e-9
 
 #: The guarantee families the monitor evaluates.
-CHECKS = ("conformant-drop", "occupancy-threshold", "hop-delay", "e2e-delay")
+CHECKS = ("conformant-drop", "occupancy-threshold", "hop-delay")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,20 +91,6 @@ class Violation:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Violation":
-        return cls(
-            check=raw["check"],
-            severity=raw["severity"],
-            time=float(raw["time"]),
-            flow_id=int(raw["flow_id"]),
-            node=raw["node"],
-            observed=float(raw["observed"]),
-            bound=float(raw["bound"]),
-            window=float(raw.get("window", 0.0)),
-            message=raw.get("message", ""),
-        )
-
     def render(self) -> str:
         flow = "-" if self.flow_id < 0 else str(self.flow_id)
         node = self.node if self.node else "-"
@@ -134,14 +120,6 @@ class MonitorReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def error_count(self) -> int:
-        return sum(1 for v in self.violations if v.severity == "error")
-
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for v in self.violations if v.severity == "warning")
-
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -151,16 +129,6 @@ class MonitorReport:
             "violations": [v.to_dict() for v in self.violations],
             "suppressed": self.suppressed,
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MonitorReport":
-        return cls(
-            violations=[Violation.from_dict(v) for v in raw.get("violations", ())],
-            events_seen=int(raw.get("events_seen", 0)),
-            sweeps=int(raw.get("sweeps", 0)),
-            checks=dict(raw.get("checks", ())),
-            suppressed=int(raw.get("suppressed", 0)),
-        )
 
     def render(self) -> str:
         verdict = "OK" if self.ok else f"{len(self.violations)} violation(s)"
@@ -191,7 +159,8 @@ class ConformanceMonitor:
 
     Args:
         interval: sweep cadence for the sampled occupancy checks.
-        tolerance: relative slack on every bound comparison.
+        tolerance: relative slack on every bound comparison (a hop's
+            delay limit is fixed with it at :meth:`set_hop_bound`).
         max_violations: hard cap on retained findings (an undersized
             scenario can violate per-packet; the count keeps climbing
             in the check counters either way).
@@ -204,21 +173,17 @@ class ConformanceMonitor:
         "violations",
         "sweeps",
         "suppressed",
-        "last_report",
         "_checks",
         "_emitted",
         "_tees",
         "_handlers",
         "_sink",
         "_sim",
-        "_last_time",
         "_hop_bounds",
+        "_hop_limits",
         "_watched",
-        "_shaped",
-        "_routes",
         "_occ_checks",
         "_drain_caps",
-        "_hop_delay_max",
     )
 
     def __init__(
@@ -241,7 +206,6 @@ class ConformanceMonitor:
         self.violations: list[Violation] = []
         self.sweeps = 0
         self.suppressed = 0
-        self.last_report: MonitorReport | None = None
         self._checks: dict[str, int] = {name: 0 for name in CHECKS}
         self._emitted = 0
         self._tees: list = []
@@ -252,46 +216,35 @@ class ConformanceMonitor:
         }
         self._sink = None
         self._sim = None
-        self._last_time = 0.0
         self._hop_bounds: dict[str, float] = {}
+        self._hop_limits: dict[str, float] = {}
         self._watched: set[int] = set()
-        self._shaped: set[int] = set()
-        self._routes: dict[int, tuple[str, ...]] = {}
         self._occ_checks: dict[
             tuple[str, int],
             tuple[Callable[[], float], Callable[[], float]],
         ] = {}
         self._drain_caps: dict[tuple[str, int], float] = {}
-        self._hop_delay_max: dict[tuple[str, int], float] = {}
 
     # -- configuration -------------------------------------------------
 
-    def watch_flow(
-        self, flow_id: int, *, shaped: bool = False, route: tuple = ()
-    ) -> None:
-        """Declare ``flow_id`` conformant: drops are violations.
-
-        ``shaped`` marks leaky-bucket-shaped flows (their delivery
-        timestamps include shaper holding time); ``route`` lists the
-        hop labels the flow traverses, enabling the end-to-end check.
-        """
+    def watch_flow(self, flow_id: int) -> None:
+        """Declare ``flow_id`` conformant: drops are violations."""
         self._watched.add(flow_id)
-        if shaped:
-            self._shaped.add(flow_id)
-        if route:
-            self._routes[flow_id] = tuple(route)
 
     def unwatch_flow(self, flow_id: int) -> None:
         """Stop treating ``flow_id`` as conformant (churn departure)."""
         self._watched.discard(flow_id)
-        self._shaped.discard(flow_id)
-        self._routes.pop(flow_id, None)
 
     def set_hop_bound(self, node: str, bound: float) -> None:
-        """Per-hop worst-case queueing delay for departures at ``node``."""
+        """Per-hop worst-case queueing delay for departures at ``node``.
+
+        The limit a departure is judged against, the bound with its
+        slack, is computed here once rather than at every departure.
+        """
         if not 0.0 < bound < inf:
             raise ConfigurationError(f"hop bound must be > 0 and finite, got {bound}")
         self._hop_bounds[node] = bound
+        self._hop_limits[node] = bound * (1.0 + self.tolerance) + _ABS_SLACK
 
     def add_occupancy_check(
         self,
@@ -327,18 +280,12 @@ class ConformanceMonitor:
         return self._emitted + sum(tee.emitted for tee in self._tees)
 
     def kind_handlers(self, tee) -> dict:
-        """The checks by class for ``tee``, whose events all count as seen; ``finalize`` reads the clock."""
+        """The checks by class for ``tee``, whose events all count as seen."""
         self._tees.append(tee)
         return dict(self._handlers)
 
     def emit(self, event) -> None:
         self._emitted += 1
-        try:
-            time = event.time
-        except AttributeError:
-            return  # not a trace event: counted, nothing to check
-        if time > self._last_time:
-            self._last_time = time
         handler = self._handlers.get(type(event))
         if handler is not None:
             handler(event)
@@ -361,29 +308,23 @@ class ConformanceMonitor:
 
     def _on_depart(self, event: DepartEvent) -> None:
         node = event.node
-        bound = self._hop_bounds.get(node)
-        if bound is None:
+        limits = self._hop_limits
+        if node not in limits:
             return
-        delay = event.delay
-        flow_id = event.flow_id
         self._checks["hop-delay"] += 1
-        if delay > bound * (1.0 + self.tolerance) + _ABS_SLACK:
+        if event.delay > limits[node]:
             self._record(
                 Violation(
                     check="hop-delay",
                     severity="error",
                     time=event.time,
-                    flow_id=flow_id,
+                    flow_id=event.flow_id,
                     node=node,
-                    observed=delay,
-                    bound=bound,
+                    observed=event.delay,
+                    bound=self._hop_bounds[node],
                     message="per-hop delay exceeded analytic bound",
                 )
             )
-        if flow_id in self._watched:
-            key = (node, flow_id)
-            if delay > self._hop_delay_max.get(key, 0.0):
-                self._hop_delay_max[key] = delay
 
     def _on_reprovision(self, event: ReprovisionEvent) -> None:
         # A drain-safe shrink: occupancy may sit above the new
@@ -448,54 +389,15 @@ class ConformanceMonitor:
 
     # -- finalization --------------------------------------------------
 
-    def finalize(self, delivery=None) -> MonitorReport:
-        """Run the end-to-end checks and build the report.
-
-        ``delivery`` is an optional
-        :class:`~repro.net.topology.DeliverySink`; its per-flow maximum
-        delays feed the end-to-end check for *unshaped* watched flows.
-        Shaped flows use the sum of observed per-hop maxima instead,
-        because delivery delay includes shaper holding time.
-        """
-        now = self._last_time if self._sim is None else max(self._sim.now, self._last_time)
-        delivered = None if delivery is None else delivery.delay_max
-        for flow_id in sorted(self._routes):
-            route = self._routes[flow_id]
-            bounds = [self._hop_bounds.get(node) for node in route]
-            if any(bound is None for bound in bounds):
-                continue
-            bound = sum(bounds)
-            if flow_id not in self._shaped and delivered is not None:
-                observed = delivered.get(flow_id, 0.0)
-                source = "delivery max delay"
-            else:
-                observed = sum(
-                    self._hop_delay_max.get((node, flow_id), 0.0) for node in route
-                )
-                source = "sum of observed per-hop maxima"
-            self._checks["e2e-delay"] += 1
-            if observed > bound * (1.0 + self.tolerance) + _ABS_SLACK:
-                self._record(
-                    Violation(
-                        check="e2e-delay",
-                        severity="error",
-                        time=now,
-                        flow_id=flow_id,
-                        node="",
-                        observed=observed,
-                        bound=bound,
-                        message=f"end-to-end delay ({source}) exceeded bound",
-                    )
-                )
-        report = MonitorReport(
+    def finalize(self) -> MonitorReport:
+        """The report of every check evaluated so far."""
+        return MonitorReport(
             violations=list(self.violations),
             events_seen=self.events_seen,
             sweeps=self.sweeps,
             checks=dict(self._checks),
             suppressed=self.suppressed,
         )
-        self.last_report = report
-        return report
 
     # -- internals -----------------------------------------------------
 

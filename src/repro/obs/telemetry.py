@@ -182,10 +182,6 @@ class CampaignReport:
             return 0.0
         return self.cache_hits / self.jobs
 
-    def wall_histogram(self) -> LogHistogram:
-        """Wall time per job, over every worker."""
-        return self._wall
-
     def to_dict(self) -> dict:
         histogram = self._wall
         return {

@@ -10,7 +10,7 @@ Two runs of the same scenario produce byte-identical series.
 
 Samples land in bounded ring storage (:class:`TimelineSeries`), export
 to JSONL under the ``repro-timeline-v1`` schema, and reduce to
-windowed statistics (min/mean/max, time-above-threshold).  The layer
+per-series statistics (count, min/mean/max, last value).  The layer
 follows the observability contract established in PR 3: a timeline
 that is constructed but never installed adds **zero** code to the hot
 path — probes are pull-based, components are never modified.
@@ -49,7 +49,7 @@ _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 @dataclass(frozen=True, slots=True)
 class SeriesStats:
-    """Windowed reduction of one series: count, min/mean/max, last value."""
+    """Reduction of one series: count, min/mean/max, last value."""
 
     count: int
     minimum: float
@@ -66,24 +66,12 @@ class SeriesStats:
             "last": self.last,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SeriesStats":
-        return cls(
-            count=int(raw["count"]),
-            minimum=float(raw["min"]),
-            mean=float(raw["mean"]),
-            maximum=float(raw["max"]),
-            last=float(raw["last"]),
-        )
-
 
 class TimelineSeries:
     """One named, bounded column of ``(sim_time, value)`` samples.
 
     The ring keeps the most recent ``capacity`` samples; ``dropped``
     counts evictions so truncation is visible rather than silent.
-    Values are treated as piecewise-constant between samples (each
-    sample holds until the next one) for the windowed reductions.
     """
 
     __slots__ = ("name", "node", "capacity", "dropped", "_times", "_values")
@@ -120,25 +108,11 @@ class TimelineSeries:
     def __len__(self) -> int:
         return len(self._times)
 
-    def _window(self, since: float | None, until: float | None) -> range:
-        lo = 0
-        hi = len(self._times)
-        if since is not None:
-            while lo < hi and self._times[lo] < since:
-                lo += 1
-        if until is not None:
-            while hi > lo and self._times[hi - 1] > until:
-                hi -= 1
-        return range(lo, hi)
-
-    def stats(
-        self, since: float | None = None, until: float | None = None
-    ) -> SeriesStats | None:
-        """Min/mean/max/last over the (inclusive) window; None if empty."""
-        window = self._window(since, until)
-        if not len(window):
+    def stats(self) -> SeriesStats | None:
+        """Count, min/mean/max and last value of the retained samples; None if empty."""
+        values = self._values
+        if not values:
             return None
-        values = self._values[window.start : window.stop]
         return SeriesStats(
             count=len(values),
             minimum=min(values),
@@ -146,39 +120,6 @@ class TimelineSeries:
             maximum=max(values),
             last=values[-1],
         )
-
-    def time_above(
-        self,
-        threshold: float,
-        since: float | None = None,
-        until: float | None = None,
-    ) -> float:
-        """Simulated seconds the series spent strictly above ``threshold``.
-
-        Piecewise-constant semantics: each sample's value holds until
-        the next sample.  The final sample extends to ``until`` when
-        given, otherwise it contributes nothing (its holding interval
-        is unknown).
-        """
-        window = self._window(since, until)
-        total = 0.0
-        for i in window:
-            if self._values[i] <= threshold:
-                continue
-            start = self._times[i]
-            if since is not None and start < since:
-                start = since
-            if i + 1 < len(self._times):
-                end = self._times[i + 1]
-                if until is not None and end > until:
-                    end = until
-            elif until is not None:
-                end = until
-            else:
-                continue
-            if end > start:
-                total += end - start
-        return total
 
     def sparkline(self, width: int = 32) -> str:
         """Unicode block-character rendering of the series shape."""
@@ -216,8 +157,8 @@ def _downsample(values: list[float], width: int) -> list[float]:
 class TimelineSummary:
     """Serializable digest of a timeline: cadence plus per-series stats.
 
-    This is what campaign records carry (one summary per job) instead
-    of the raw rings; keys are :attr:`TimelineSeries.key` strings.
+    ``repro obs timeline --json`` prints its :meth:`to_dict`; keys are
+    :attr:`TimelineSeries.key` strings.
     """
 
     interval: float
@@ -231,36 +172,6 @@ class TimelineSummary:
             "ticks": self.ticks,
             "series": {key: stats.to_dict() for key, stats in self.series.items()},
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TimelineSummary":
-        schema = raw.get("schema")
-        if schema != TIMELINE_SCHEMA:
-            raise ConfigurationError(
-                f"timeline schema mismatch: got {schema!r}, "
-                f"expected {TIMELINE_SCHEMA!r}"
-            )
-        return cls(
-            interval=float(raw["interval"]),
-            ticks=int(raw["ticks"]),
-            series={
-                key: SeriesStats.from_dict(value)
-                for key, value in raw["series"].items()
-            },
-        )
-
-    def render(self) -> str:
-        """Human-readable table: one line per series."""
-        lines = [f"timeline: {self.ticks} ticks @ {self.interval:g}s"]
-        width = max((len(key) for key in self.series), default=0)
-        for key in sorted(self.series):
-            s = self.series[key]
-            lines.append(
-                f"  {key.ljust(width)}  n={s.count:<5d} "
-                f"min={s.minimum:<12.6g} mean={s.mean:<12.6g} "
-                f"max={s.maximum:<12.6g} last={s.last:.6g}"
-            )
-        return "\n".join(lines)
 
 
 class Timeline:
@@ -320,10 +231,6 @@ class Timeline:
             self._series[key] = series
         return series
 
-    def all_series(self) -> list[TimelineSeries]:
-        """Every registered series, in registration order."""
-        return list(self._series.values())
-
     def probe(self, name: str, fn: Callable[[], float], node: str = "") -> None:
         """Register a pull-based probe sampled at every tick."""
         key = (node, name)
@@ -359,23 +266,11 @@ class Timeline:
         self.ticks += 1
         return self.interval if now + self.interval <= until else None
 
-    def sample_now(self, time: float) -> None:
-        """Take one out-of-band sample at ``time`` (e.g. a final flush)."""
-        sink = self._sink
-        for (node, name), fn in self._probes.items():
-            value = float(fn())
-            self._series[(node, name)].append(time, value)
-            if sink is not None:
-                sink.emit(SampleEvent(time, name, value, node))
-        self.ticks += 1
-
-    def summary(
-        self, since: float | None = None, until: float | None = None
-    ) -> TimelineSummary:
-        """Reduce every series to :class:`SeriesStats` over the window."""
+    def summary(self) -> TimelineSummary:
+        """Reduce every series to :class:`SeriesStats`."""
         reduced = {}
         for series in self._series.values():
-            stats = series.stats(since, until)
+            stats = series.stats()
             if stats is not None:
                 reduced[series.key] = stats
         return TimelineSummary(interval=self.interval, ticks=self.ticks, series=reduced)

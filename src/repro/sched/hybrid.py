@@ -75,7 +75,3 @@ class HybridScheduler(WFQScheduler):
         super().__init__(
             sim, link_rate, dict(enumerate(self.class_rates)), validate_grouping(groups)
         )
-
-    def class_queue_length(self, class_id: int) -> int:
-        """Number of packets queued in the given class queue."""
-        return self.queue_length(class_id)

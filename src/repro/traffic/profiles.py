@@ -93,8 +93,3 @@ class FlowSpec:
     def profile(self) -> tuple[float, float]:
         """The reserved ``(sigma, rho)`` pair in (bytes, bytes/second)."""
         return (self.bucket, self.token_rate)
-
-    @property
-    def overload_factor(self) -> float:
-        """Offered average rate relative to the reservation."""
-        return self.avg_rate / self.token_rate

@@ -27,6 +27,7 @@ from repro.experiments.sweep.queue import _claim
 from repro.obs.events import TRACE_SCHEMA
 from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.obs.timeline import TIMELINE_SCHEMA, Timeline
+from repro.sim.engine import Simulator
 from repro.units import mbytes
 
 GOLDENS = pathlib.Path("tests/data/equivalence_goldens.json")
@@ -310,10 +311,11 @@ class TestSweepArtifacts:
 
     def test_written_timeline_export_is_clean(self, tmp_path):
         timeline = Timeline(interval=0.5)
-        box = {"v": 0.0}
-        timeline.probe("occupancy", lambda: box["v"])
-        timeline.sample_now(0.5)
-        timeline.sample_now(1.0)
+        sim = Simulator()
+        timeline.probe("occupancy", lambda: sim.now)
+        timeline.install(sim, 1.0)
+        sim.run()
+        assert timeline.ticks == 2
         target = tmp_path / "timeline.jsonl"
         timeline.write_jsonl(target)
         assert check_artifact_file(target) == []

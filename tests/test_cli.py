@@ -362,6 +362,23 @@ class TestObsCommands:
         for line in capsys.readouterr().out.strip().splitlines():
             assert 0.1 <= json.loads(line)["time"] <= 0.2
 
+    @pytest.mark.parametrize("bound", ["--since", "--until"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_bound_is_a_usage_error(self, tmp_path, capsys, bound, value):
+        # NaN fails every comparison, so it would switch the filter off
+        # and print the whole trace; an infinity keeps all or nothing.
+        from repro.obs import JsonlSink
+        from repro.obs.events import DepartEvent
+
+        out_path = tmp_path / "trace.jsonl"
+        with JsonlSink(out_path) as sink:
+            sink.emit(DepartEvent(0.5, 1, 500.0, 0.001, "n0->n1"))
+        argv = ["obs", "trace", "--input", str(out_path), f"{bound}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a finite float" in captured.err
+
     def test_report_after_campaign_run(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
         telemetry_dir = tmp_path / "telemetry"

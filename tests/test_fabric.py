@@ -197,9 +197,10 @@ class TestOnePipeline:
         timeline = Timeline(interval=0.1)
         sink = RingSink()
         result = run_scenario(*args, sink=sink, timeline=timeline, **kwargs)
-        series = {s.key: s for s in timeline.all_series()}
-        assert set(series) == {"occupancy", "free_space", "backlog_packets"}
-        assert series["backlog_packets"].stats().minimum >= 0.0
+        assert set(timeline.summary().series) == {
+            "occupancy", "free_space", "backlog_packets"
+        }
+        assert timeline.series("backlog_packets").stats().minimum >= 0.0
         # Every admitted packet is enqueued once; with no warmup the
         # collector counts each of them as accepted.
         enqueued = sum(isinstance(event, EnqueueEvent) for event in sink.events())
@@ -210,7 +211,7 @@ class TestOnePipeline:
     def test_network_series_label_each_link(self):
         timeline = Timeline(interval=0.1)
         run_fabric(two_hop_scenario(sim_time=1.0), timeline=timeline)
-        assert {s.key for s in timeline.all_series()} == {
+        assert set(timeline.summary().series) == {
             f"{link}/{name}"
             for link in ("n0->n1", "n1->n2")
             for name in ("occupancy", "free_space")

@@ -76,8 +76,8 @@ class TestServiceOrder:
         _, hybrid = make_hybrid([[0, 1], [2]], [500.0, 500.0])
         hybrid.enqueue(pkt(0))
         hybrid.enqueue(pkt(1))
-        assert hybrid.class_queue_length(0) == 2
-        assert hybrid.class_queue_length(1) == 0
+        assert hybrid.queue_length(0) == 2
+        assert hybrid.queue_length(1) == 0
 
 
 class TestAccounting:

@@ -5,10 +5,15 @@ churn **and** live reclamation must finish with a clean report (the
 paper's guarantees hold under the most dynamic configuration we can
 build), while the deliberately undersized tandem must produce
 conformant-drop errors and a failing report.  The unit tests then pin
-each check in isolation with synthetic events.
+each check in isolation with synthetic events, and a property shows
+that a path over the sum of its hop bounds is always caught at a hop.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.fabric import run_fabric
@@ -27,6 +32,7 @@ from repro.obs.events import (
     ViolationEvent,
 )
 from repro.obs.monitor import (
+    _ABS_SLACK,
     CHECKS,
     ConformanceMonitor,
     MonitorReport,
@@ -35,6 +41,7 @@ from repro.obs.monitor import (
 from repro.obs.sink import RingSink
 from repro.obs.timeline import Timeline
 from repro.sim.engine import Simulator
+from tests.conftest import examples
 
 
 def sample_violation(**overrides):
@@ -89,7 +96,6 @@ class TestAcceptance:
         drops = [v for v in report.violations if v.check == "conformant-drop"]
         assert drops
         assert all(v.severity == "error" for v in drops)
-        assert report.error_count >= len(drops)
 
 
 class TestValidation:
@@ -213,22 +219,6 @@ class TestEventChecks:
         monitor.sweep_once(0.5)
         assert monitor.violations == []
 
-    def test_e2e_delay_uses_per_hop_maxima_for_shaped_flows(self):
-        monitor = ConformanceMonitor()
-        route = ("n0->n1", "n1->n2")
-        monitor.watch_flow(5, shaped=True, route=route)
-        for node in route:
-            monitor.set_hop_bound(node, 0.1)
-        for node in route:
-            monitor.emit(
-                DepartEvent(time=1.0, flow_id=5, size=500.0, delay=0.15, node=node)
-            )
-        report = monitor.finalize()
-        e2e = [v for v in report.violations if v.check == "e2e-delay"]
-        assert len(e2e) == 1
-        assert e2e[0].observed == pytest.approx(0.3)
-        assert e2e[0].bound == pytest.approx(0.2)
-
     def test_max_violations_suppresses_overflow(self):
         monitor = ConformanceMonitor(max_violations=3)
         monitor.watch_flow(1)
@@ -241,9 +231,11 @@ class TestEventChecks:
         report = monitor.finalize()
         # The check counter keeps the true magnitude either way.
         assert report.checks["conformant-drop"] == 10
-        # ... and so does the report, through its round trip.
-        assert report.suppressed == 7
-        assert MonitorReport.from_dict(report.to_dict()) == report
+        # ... and so does the report, in the form ``--json`` prints.
+        printed = report.to_dict()
+        assert printed["suppressed"] == 7
+        assert printed["checks"]["conformant-drop"] == 10
+        assert [v["time"] for v in printed["violations"]] == [0.0, 1.0, 2.0]
         assert "3 violation(s) (7 more suppressed)" in report.render()
 
     def test_attach_trace_mirrors_violations(self):
@@ -256,6 +248,48 @@ class TestEventChecks:
         assert len(mirrored) == 1
         assert mirrored[0].check == "conformant-drop"
         assert mirrored[0].flow_id == 1
+
+
+class TestPathBoundCaughtPerHop:
+    """No path exceeds the sum of its hop bounds unflagged by ``hop-delay``.
+
+    The network delay bound is the sum of the per-hop bounds, so a flow
+    whose per-hop maxima add up to more than every hop's limit together
+    (``bound * (1 + tolerance)`` plus the absolute slack, per hop) must
+    have crossed its own limit at one hop at least.  Both sums are taken
+    in route order, and float addition is monotone, so the implication
+    holds to the bit.
+    """
+
+    @given(
+        hops=st.lists(
+            st.tuples(
+                st.floats(1e-6, 1.0),  # the hop's bound
+                st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4),  # delays / bound
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        tolerance=st.sampled_from([0.0, 1e-9, 1e-3]),
+    )
+    @settings(max_examples=examples(200), deadline=None)
+    def test_path_over_summed_bound_has_a_hop_violation(self, hops, tolerance):
+        monitor = ConformanceMonitor(tolerance=tolerance)
+        route = [f"n{i}->n{i + 1}" for i in range(len(hops))]
+        summed_max = summed_limit = 0.0
+        for node, (bound, fractions) in zip(route, hops):
+            monitor.set_hop_bound(node, bound)
+            delays = [bound * fraction for fraction in fractions]
+            for time, delay in enumerate(delays):
+                monitor.emit(DepartEvent(float(time), 4, 500.0, delay, node))
+            summed_max += max(delays)
+            summed_limit += bound * (1.0 + tolerance) + _ABS_SLACK
+        flagged = {v.node for v in monitor.violations if v.check == "hop-delay"}
+        assert flagged <= set(route)
+        if summed_max > summed_limit:
+            assert flagged, (summed_max, summed_limit)
+        for violation in monitor.violations:
+            assert violation.observed > violation.bound
 
 
 class TestDispatch:
@@ -282,7 +316,6 @@ class TestDispatch:
             list(monitor.violations),
             dict(monitor._checks),
             dict(monitor._drain_caps),
-            dict(monitor._hop_delay_max),
         )
 
     def test_only_drop_depart_and_reprovision_reach_a_check(self):
@@ -290,20 +323,15 @@ class TestDispatch:
         monitor = ConformanceMonitor()
         monitor.watch_flow(1)
         monitor.set_hop_bound("a->b", 0.001)
-        last_time = 0.0
         for seen, event in enumerate(self.STREAM, start=1):
             before = self.state(monitor)
             monitor.emit(event)
             assert monitor.events_seen == seen
-            assert monitor._last_time >= last_time
-            last_time = monitor._last_time
             changed = self.state(monitor) != before
             assert changed == isinstance(
                 event, (DropEvent, DepartEvent, ReprovisionEvent)
             ), event
-        assert last_time == 1.0
         assert [v.check for v in monitor.violations] == ["conformant-drop", "hop-delay"]
-        assert monitor._hop_delay_max == {("a->b", 1): 0.004}
         assert monitor._drain_caps == {("a->b", 1): 2000.0}
         assert monitor.finalize().events_seen == len(self.STREAM)
 
@@ -352,8 +380,18 @@ class TestMonitorBesideSink:
 
 class TestReport:
     def test_violation_round_trip(self):
-        violation = sample_violation()
-        assert Violation.from_dict(violation.to_dict()) == violation
+        # Through JSON text, as ``obs monitor --json`` prints it.
+        assert json.loads(json.dumps(sample_violation().to_dict())) == {
+            "check": "hop-delay",
+            "severity": "error",
+            "time": 1.25,
+            "flow_id": 3,
+            "node": "n0->n1",
+            "observed": 0.2,
+            "bound": 0.1,
+            "window": 0.05,
+            "message": "per-hop delay exceeded analytic bound",
+        }
 
     def test_violation_render(self):
         text = sample_violation().render()
@@ -370,12 +408,15 @@ class TestReport:
             sweeps=7,
             checks={"hop-delay": 5},
         )
-        clone = MonitorReport.from_dict(report.to_dict())
-        assert clone == report
-        assert not clone.ok
-        assert clone.error_count == 1 and clone.warning_count == 0
-        # A report written before ``suppressed`` existed reads as none.
-        assert MonitorReport.from_dict({"events_seen": 1}).suppressed == 0
+        assert json.loads(json.dumps(report.to_dict())) == {
+            "ok": False,
+            "events_seen": 42,
+            "sweeps": 7,
+            "checks": {"hop-delay": 5},
+            "violations": [sample_violation().to_dict()],
+            "suppressed": 0,
+        }
+        assert MonitorReport(events_seen=1).to_dict()["ok"] is True
 
     def test_report_render(self):
         ok = MonitorReport(events_seen=10, sweeps=2)

@@ -231,7 +231,6 @@ class TestPinnedTrace:
             "conformant-drop": 0,
             "occupancy-threshold": 207,
             "hop-delay": 11_508,
-            "e2e-delay": 2,
         }
 
 

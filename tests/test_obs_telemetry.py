@@ -84,9 +84,11 @@ class TestCampaignReport:
                 make_entry("c", wall=10.0, worker=3),
             ]
         )
-        merged = report.wall_histogram()
-        assert merged.count == 3
-        assert merged.max_value == 10.0
+        raw = report.to_dict()
+        assert raw["workers"] == [1, 2, 3]
+        assert raw["wall_time_max"] == 10.0
+        # The median falls in the middle worker's bin, the 95th in the last's.
+        assert 0.1 < raw["wall_time_p50"] <= 1.0 < raw["wall_time_p95"] <= 10.0
 
     def test_render_and_to_dict(self):
         report = CampaignReport.from_telemetry([make_entry()])
@@ -99,7 +101,7 @@ class TestCampaignReport:
     def test_empty_report(self):
         report = CampaignReport()
         assert report.hit_fraction == 0.0
-        assert report.wall_histogram().count == 0
+        assert report.to_dict()["wall_time_max"] == 0.0
         report.render()  # must not raise on empty
 
 

@@ -3,13 +3,13 @@
 The timeline's contract has three legs, each pinned here:
 
 * **Series arithmetic** — bounded rings with eviction accounting,
-  piecewise-constant windowed reductions, sparkline downsampling.
+  min/mean/max reductions, sparkline downsampling.
 * **Zero-cost when detached** — a constructed-but-uninstalled timeline
   schedules nothing and never perturbs the run it was built for; an
   installed one ticks exactly ``floor(T / interval)`` times.
 * **Export** — the ``repro-timeline-v1`` JSONL file carries every
   sample under its header, the auditor refuses a stale header, and the
-  summary dict round-trips.
+  summary dict is what ``obs timeline --json`` prints.
 """
 
 import json
@@ -26,13 +26,14 @@ from repro.obs.timeline import (
     SeriesStats,
     Timeline,
     TimelineSeries,
-    TimelineSummary,
 )
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 
+#: The probes :func:`overloaded_port` registers on a timeline.
+PORT_SERIES = ("occupancy", "backlog")
 
 def overloaded_port(timeline=None, n_packets=400, sim_time=1.0):
     """Drive a port past saturation; optionally install ``timeline``."""
@@ -93,33 +94,17 @@ class TestTimelineSeries:
             series.append(t, v)
         stats = series.stats()
         assert stats == SeriesStats(count=3, minimum=2.0, mean=5.0, maximum=8.0, last=5.0)
-        assert SeriesStats.from_dict(stats.to_dict()) == stats
+        assert stats.to_dict() == {
+            "count": 3, "min": 2.0, "mean": 5.0, "max": 8.0, "last": 5.0
+        }
 
-    def test_windowed_stats(self):
-        series = TimelineSeries("x")
+    def test_stats_cover_only_the_retained_samples(self):
+        series = TimelineSeries("x", capacity=4)
         for i in range(10):
             series.append(float(i), float(i))
-        stats = series.stats(since=3.0, until=6.0)
+        stats = series.stats()
         assert stats.count == 4
-        assert stats.minimum == 3.0 and stats.maximum == 6.0
-
-    def test_time_above_is_strict_and_piecewise_constant(self):
-        series = TimelineSeries("x")
-        series.append(0.0, 1.0)
-        series.append(1.0, 5.0)
-        series.append(2.0, 5.0)
-        series.append(3.0, 1.0)
-        # Value 5 holds over [1, 3); the final sample has no successor
-        # and contributes nothing without an explicit ``until``.
-        assert series.time_above(4.0) == pytest.approx(2.0)
-        # Strictly above: a sample *at* the threshold does not count.
-        assert series.time_above(5.0) == pytest.approx(0.0)
-
-    def test_time_above_extends_last_sample_to_until(self):
-        series = TimelineSeries("x")
-        series.append(0.0, 9.0)
-        assert series.time_above(1.0) == 0.0
-        assert series.time_above(1.0, until=2.5) == pytest.approx(2.5)
+        assert stats.minimum == 6.0 and stats.maximum == 9.0
 
     def test_sparkline_flat_series_uses_lowest_block(self):
         series = TimelineSeries("x")
@@ -186,7 +171,7 @@ class TestSamplingContract:
         timeline = Timeline(interval=1e9)  # probed, never installed
         sim, port, _ = overloaded_port(timeline)
         assert timeline.ticks == 0
-        assert all(len(s) == 0 for s in timeline.all_series())
+        assert all(len(timeline.series(name)) == 0 for name in PORT_SERIES)
         assert sim.events_processed == sim_bare.events_processed
 
     def test_installed_timeline_does_not_perturb_the_run(self):
@@ -221,15 +206,6 @@ class TestSamplingContract:
         assert twice.times() == clock.times()
         assert twice.values() == [0.5, 1.0, 1.5, 2.0]
 
-    def test_sample_now_records_without_engine(self):
-        timeline = Timeline()
-        box = {"v": 3.0}
-        timeline.probe("x", lambda: box["v"])
-        timeline.sample_now(0.5)
-        box["v"] = 7.0
-        timeline.sample_now(1.5)
-        assert timeline.series("x").values() == [3.0, 7.0]
-
     def test_attach_trace_mirrors_samples(self):
         ring = RingSink()
         timeline = Timeline(interval=0.25)
@@ -258,8 +234,8 @@ class TestExport:
         assert header["schema"] == TIMELINE_SCHEMA
         assert header["interval"] == timeline.interval
         assert header["ticks"] == timeline.ticks
-        assert header["series"] == sorted(s.key for s in timeline.all_series())
-        assert len(samples) == sum(len(s) for s in timeline.all_series())
+        assert header["series"] == sorted(PORT_SERIES)
+        assert len(samples) == sum(len(timeline.series(name)) for name in PORT_SERIES)
         times = [s["time"] for s in samples]
         assert times == sorted(times)
 
@@ -270,17 +246,19 @@ class TestExport:
         assert [finding.rule_id for finding in findings] == ["RPR205"]
 
     def test_summary_round_trip(self, tmp_path):
+        # Through JSON text, as ``obs timeline --json`` prints it.
         timeline, _ = self.filled(tmp_path)
-        summary = timeline.summary()
-        raw = summary.to_dict()
-        assert raw["schema"] == TIMELINE_SCHEMA
-        assert TimelineSummary.from_dict(raw) == summary
-        raw["schema"] = "repro-timeline-v0"
-        with pytest.raises(ConfigurationError):
-            TimelineSummary.from_dict(raw)
+        assert json.loads(json.dumps(timeline.summary().to_dict())) == {
+            "schema": TIMELINE_SCHEMA,
+            "interval": 0.1,
+            "ticks": timeline.ticks,
+            "series": {
+                name: timeline.series(name).stats().to_dict() for name in PORT_SERIES
+            },
+        }
 
     def test_render_shows_every_series(self, tmp_path):
         timeline, _ = self.filled(tmp_path)
         text = timeline.render()
-        for series in timeline.all_series():
-            assert series.key in text
+        for name in PORT_SERIES:
+            assert name in text

@@ -53,13 +53,6 @@ class TestDerived:
     def test_profile_pair(self):
         assert spec().profile == (50_000.0, 250_000.0)
 
-    def test_overload_factor_conformant(self):
-        assert spec().overload_factor == pytest.approx(1.0)
-
-    def test_overload_factor_aggressive(self):
-        aggressive = spec(avg_rate=2_000_000.0, token_rate=250_000.0)
-        assert aggressive.overload_factor == pytest.approx(8.0)
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             spec().flow_id = 5

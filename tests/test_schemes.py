@@ -60,8 +60,6 @@ class TestComponentSelection:
     def test_scheme_flags(self):
         assert Scheme.HYBRID_SHARING.is_hybrid
         assert not Scheme.FIFO_SHARING.is_hybrid
-        assert Scheme.FIFO_SHARING.uses_sharing
-        assert not Scheme.FIFO_THRESHOLD.uses_sharing
 
 
 class TestThresholds:

@@ -161,14 +161,6 @@ class TestMeanCI:
         assert result.low == pytest.approx(result.mean - result.halfwidth)
         assert result.high == pytest.approx(result.mean + result.halfwidth)
 
-    def test_relative_halfwidth(self):
-        result = MeanCI(mean=10.0, halfwidth=0.5, n=5)
-        assert result.relative_halfwidth == pytest.approx(0.05)
-
-    def test_relative_halfwidth_zero_mean(self):
-        assert MeanCI(0.0, 1.0, 3).relative_halfwidth == math.inf
-        assert MeanCI(0.0, 0.0, 3).relative_halfwidth == 0.0
-
     def test_str_mentions_n(self):
         assert "n=3" in str(mean_ci([1.0, 2.0, 3.0]))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -167,7 +168,7 @@ class TestValidation:
             )
         # Where every cell sets the parameter to a number, the order holds.
         spec = scenario_spec(constraints=(SweepConstraint("warmup", "<", 1.0),))
-        assert spec.count() == spec.total_cells()
+        assert spec.count() == math.prod(len(axis.values) for axis in spec.axes)
 
     @pytest.mark.parametrize(
         "constraint",
@@ -187,7 +188,7 @@ class TestExpansion:
     def test_row_major_declared_order(self):
         spec = scenario_spec()
         cells = list(spec.cells())
-        assert len(cells) == 8 == spec.total_cells() == spec.count()
+        assert len(cells) == 8 == spec.count()
         expected = [
             (scheme, buffer_mb, seed)
             for scheme in ("FIFO_NONE", "FIFO_THRESHOLD")
@@ -362,4 +363,4 @@ class TestLaziness:
         assert all(isinstance(job, ScenarioJob) for _p, job in first)
 
     def test_count_does_not_materialize(self):
-        assert self._grid(100).total_cells() == 10_000
+        assert math.prod(len(axis.values) for axis in self._grid(100).axes) == 10_000

@@ -74,7 +74,8 @@ class TestTable1:
         assert 1.0 < total / LINK_RATE < 1.15
 
     def test_flow8_overloads_8x(self):
-        assert table1_flows()[8].overload_factor == pytest.approx(8.0)
+        flow8 = table1_flows()[8]
+        assert flow8.avg_rate / flow8.token_rate == pytest.approx(8.0)
 
     def test_partition_constants(self):
         assert set(TABLE1_CONFORMANT) | set(TABLE1_NONCONFORMANT) == set(range(9))
@@ -105,7 +106,7 @@ class TestTable2:
         # reservation rates ... average burst size is 500KBytes"
         for flow in table2_flows()[20:]:
             assert not flow.conformant
-            assert flow.overload_factor == pytest.approx(8.0)
+            assert flow.avg_rate / flow.token_rate == pytest.approx(8.0)
             assert flow.mean_burst == kbytes(500.0)
 
     def test_reserved_rate_below_link(self):
