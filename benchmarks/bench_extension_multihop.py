@@ -84,7 +84,8 @@ def _run(hops, with_thresholds):
     )
     sim.run(until=SIM_TIME + 5.0)
     drops = sum(c.flows[1].dropped_packets for c in collectors if 1 in c.flows)
-    delivered = to_mbps(net.sink.bytes.get(1, 0.0) / SIM_TIME)
+    sla = net.sink.flows.get(1)
+    delivered = to_mbps((0.0 if sla is None else sla.departed_bytes) / SIM_TIME)
     return drops, delivered
 
 

@@ -528,7 +528,7 @@ def run_net_demo(args: argparse.Namespace) -> int:
     )
     print()
 
-    delivered = result.delivery_collector.flows.get(TARGET_FLOW_ID)
+    delivered = result.end_to_end.flows.get(TARGET_FLOW_ID)
     print(f"end-to-end, target flow {TARGET_FLOW_ID} (conformant):")
     if delivered is None or delivered.departed_packets == 0:
         print("  no packets delivered in the measurement window")

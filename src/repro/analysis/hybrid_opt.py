@@ -108,16 +108,12 @@ def queue_min_buffer(queue: QueueRequirement, service_rate: float) -> float:
 
 
 def hybrid_min_buffers(
-    queues: Sequence[QueueRequirement],
-    link_rate: float,
-    alphas: Sequence[float] | None = None,
+    queues: Sequence[QueueRequirement], link_rate: float
 ) -> list[float]:
-    """Per-queue minimum buffers under a rate split (default: optimal).
-
-    With the optimal split these equal eq. (18):
+    """Per-queue minimum buffers under the optimal rate split, eq. (18):
     ``B_i = sigma_hat_i + S sqrt(sigma_hat_i rho_hat_i) / (R - rho)``.
     """
-    rates = queue_rates(queues, link_rate, alphas)
+    rates = queue_rates(queues, link_rate)
     return [queue_min_buffer(queue, rate) for queue, rate in zip(queues, rates)]
 
 

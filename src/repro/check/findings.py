@@ -57,8 +57,6 @@ class Finding:
         path: str,
         line: int,
         col: int = 0,
-        suppressed: bool = False,
-        suppress_reason: str = "",
         severity: str = "error",
     ) -> None:
         self.rule_id = rule_id
@@ -66,8 +64,8 @@ class Finding:
         self.path = path
         self.line = line
         self.col = col
-        self.suppressed = suppressed
-        self.suppress_reason = suppress_reason
+        self.suppressed = False
+        self.suppress_reason = ""
         self.severity = severity
 
     def sort_key(self) -> tuple:

@@ -112,18 +112,15 @@ def _check_churn(
     return findings
 
 
-def check_scenario_dict(raw, path: str = "<scenario>", name: str = "") -> list[Finding]:
+def check_scenario_dict(raw) -> list[Finding]:
     """Audit raw scenario data: construction errors become RPR203."""
-    prefix = f"spec {name!r}: " if name else ""
     try:
         scenario = NetworkScenario.from_dict(raw)
     except ConfigurationError as exc:
-        return [Finding("RPR203", f"{prefix}{exc}", path, 1)]
+        return [Finding("RPR203", str(exc), "<scenario>", 1)]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        return [
-            Finding("RPR203", f"{prefix}malformed scenario: {exc!r}", path, 1)
-        ]
-    return check_scenario(scenario, path, name)
+        return [Finding("RPR203", f"malformed scenario: {exc!r}", "<scenario>", 1)]
+    return check_scenario(scenario)
 
 
 def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:

@@ -42,7 +42,6 @@ class AdaptiveSharingManager(SharedHeadroomManager):
         adaptive_flows: flow ids allowed full sharing access.
         nonadaptive_share: fraction of the holes non-adaptive flows may
             collectively borrow beyond their reservations (0..1).
-        default_threshold: reservation for unknown flows.
     """
 
     __slots__ = ("adaptive_flows", "nonadaptive_share")
@@ -54,9 +53,8 @@ class AdaptiveSharingManager(SharedHeadroomManager):
         headroom: float,
         adaptive_flows: Iterable[int],
         nonadaptive_share: float = 0.25,
-        default_threshold: float = 0.0,
     ) -> None:
-        super().__init__(capacity, thresholds, headroom, default_threshold)
+        super().__init__(capacity, thresholds, headroom)
         if not 0.0 <= nonadaptive_share <= 1.0:
             raise ConfigurationError(
                 f"nonadaptive_share must be in [0, 1], got {nonadaptive_share}"

@@ -21,9 +21,9 @@ __all__ = ["FixedThresholdManager"]
 class FixedThresholdManager(FlowThresholdManager):
     """Per-flow occupancy thresholds over a shared buffer.
 
-    Arguments as for :class:`FlowThresholdManager`; the default
-    ``default_threshold`` of 0 drops unknown flows, which is the safe
-    choice for guaranteed-service buffers.
+    Arguments as for :class:`FlowThresholdManager`; a flow without a
+    reservation is judged at threshold 0 and so dropped, which is the
+    safe choice for guaranteed-service buffers.
     """
 
     __slots__ = ()

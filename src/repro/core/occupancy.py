@@ -278,18 +278,17 @@ class FlowThresholdManager(BufferManager):
 
     Each flow's occupancy and threshold live in one :class:`FlowSlot`
     (``_flows``); the base class's float table stays empty.  A flow
-    absent from ``thresholds`` gets a slot at ``default_threshold`` when
-    its first packet is admitted.  Subclasses implement ``try_admit``
-    flat over the slot.
+    absent from ``thresholds`` has no reservation: it is judged at
+    threshold 0.0, and gets a slot at 0.0 when its first packet is
+    admitted.  Subclasses implement ``try_admit`` flat over the slot.
 
     Args:
         capacity: total buffer size ``B`` in bytes.
         thresholds: mapping flow id -> threshold in bytes (typically
             from :func:`repro.core.thresholds.compute_thresholds`).
-        default_threshold: threshold of flows absent from ``thresholds``.
     """
 
-    __slots__ = ("_flows", "default_threshold")
+    __slots__ = ("_flows",)
 
     has_flow_thresholds = True
 
@@ -297,15 +296,12 @@ class FlowThresholdManager(BufferManager):
         self,
         capacity: float,
         thresholds: Mapping[int, float],
-        default_threshold: float = 0.0,
     ) -> None:
         super().__init__(capacity)
         self._flows: dict[int, FlowSlot] = {}
         for flow_id, threshold in thresholds.items():
             _check_threshold(threshold, f"threshold for flow {flow_id}")
             self._flows[flow_id] = FlowSlot(0.0, threshold)
-        _check_threshold(default_threshold, "default threshold")
-        self.default_threshold = float(default_threshold)
 
     def occupancy(self, flow_id: int) -> float:
         """Bytes currently buffered for ``flow_id``."""
@@ -315,12 +311,12 @@ class FlowThresholdManager(BufferManager):
     def threshold(self, flow_id: int) -> float:
         """Threshold applied to ``flow_id``."""
         slot = self._flows.get(flow_id)
-        return self.default_threshold if slot is None else slot.threshold
+        return 0.0 if slot is None else slot.threshold
 
     def _admit_first(self, flow_id: int, size: float) -> bool:
-        """A flow's first packet: admit it through a fresh default slot,
-        which stays only if the packet was admitted."""
-        self._flows[flow_id] = FlowSlot(0.0, self.default_threshold)
+        """A flow's first packet: admit it through a fresh slot at
+        threshold 0.0, which stays only if the packet was admitted."""
+        self._flows[flow_id] = FlowSlot(0.0, 0.0)
         if self.try_admit(flow_id, size):
             return True
         del self._flows[flow_id]
@@ -337,7 +333,7 @@ class FlowThresholdManager(BufferManager):
         _check_threshold(threshold, f"threshold for flow {flow_id}")
         slot = self._flows.get(flow_id)
         if slot is None:
-            previous = self.default_threshold
+            previous = 0.0
             self._flows[flow_id] = FlowSlot(0.0, threshold)
         else:
             previous = slot.threshold
@@ -376,16 +372,16 @@ class FlowThresholdManager(BufferManager):
         """Withdraw the flow's threshold; queued packets still drain.
 
         The slot goes at once when the flow holds nothing, otherwise it
-        keeps the default threshold until its last packet departs.
+        is judged at threshold 0.0 until its last packet departs.
         """
         slot = self._flows.get(flow_id)
         if slot is None:
             return
-        self._trace_reprovision(flow_id, self.default_threshold, slot.threshold)
+        self._trace_reprovision(flow_id, 0.0, slot.threshold)
         if slot.occupancy <= 0.0:
             del self._flows[flow_id]
         else:
-            slot.threshold = self.default_threshold
+            slot.threshold = 0.0
             if self._retired is None:
                 self._retired = set()
             self._retired.add(flow_id)

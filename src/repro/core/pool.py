@@ -177,8 +177,7 @@ class BufferPool:
 
         Base reservations are scaled up proportionally so they
         repartition the full capacity — the online analogue of
-        :func:`repro.core.thresholds.compute_thresholds` with
-        ``fully_partition=True``.
+        :func:`repro.core.thresholds.compute_thresholds`.
         """
         return scale_to_partition(self.reservations, self.capacity)
 

@@ -51,8 +51,8 @@ class SharedHeadroomManager(FlowThresholdManager):
         thresholds: mapping flow id -> reserved threshold ``T_i`` in bytes
             (computed exactly as in the fixed-partition case).
         headroom: the cap ``H`` in bytes on the protected headroom.
-        default_threshold: reservation applied to unknown flows
-            (0 = unknown flows may only use holes).
+
+    A flow without a reservation may only use holes.
     """
 
     __slots__ = ("headroom_cap", "headroom", "holes")
@@ -64,9 +64,8 @@ class SharedHeadroomManager(FlowThresholdManager):
         capacity: float,
         thresholds: Mapping[int, float],
         headroom: float,
-        default_threshold: float = 0.0,
     ) -> None:
-        super().__init__(capacity, thresholds, default_threshold)
+        super().__init__(capacity, thresholds)
         if not headroom >= 0:  # `not >=`, so that a NaN headroom raises too
             raise ConfigurationError(f"headroom must be non-negative, got {headroom}")
         self.headroom_cap = float(headroom)

@@ -47,16 +47,14 @@ def compute_thresholds(
     profiles: Mapping[int, tuple[float, float]],
     buffer_size: float,
     link_rate: float,
-    fully_partition: bool = True,
 ) -> dict[int, float]:
-    """Per-flow thresholds for a shared buffer (Section 3.2).
+    """Per-flow thresholds for a shared buffer (Section 3.2), scaled up
+    by footnote 5 when they sum to less than ``B``.
 
     Args:
         profiles: mapping flow id -> ``(sigma_bytes, rho_bytes_per_s)``.
         buffer_size: total buffer ``B`` in bytes.
         link_rate: link rate ``R`` in bytes/second.
-        fully_partition: apply the footnote-5 scale-up when the thresholds
-            sum to less than ``B``.
 
     Returns:
         Mapping flow id -> threshold in bytes.
@@ -65,9 +63,7 @@ def compute_thresholds(
         flow_id: flow_threshold(sigma, rho, buffer_size, link_rate)
         for flow_id, (sigma, rho) in profiles.items()
     }
-    if fully_partition:
-        thresholds = scale_to_partition(thresholds, buffer_size)
-    return thresholds
+    return scale_to_partition(thresholds, buffer_size)
 
 
 def scale_to_partition(thresholds: Mapping[int, float], buffer_size: float) -> dict[int, float]:

@@ -30,7 +30,6 @@ from repro.metrics.records import (
     flow_stats_from_dict,
     flow_stats_to_dict,
 )
-from repro.net.topology import DeliverySink
 from repro.obs.telemetry import JobTelemetry
 
 if TYPE_CHECKING:  # circular at runtime: the fabric builds records
@@ -142,7 +141,7 @@ class ScenarioRecord(LinkMeasures):
         """
         scenario = result.scenario
         # One link: nothing was delivered past it.
-        sink = DeliverySink() if result.delivery is None else result.delivery
+        delivered = () if result.delivery is None else sorted(result.delivery.flows.items())
         collector = result.end_to_end
         delays: dict[int, DelaySummary] = {}
         if collector.delay_histograms:
@@ -161,9 +160,10 @@ class ScenarioRecord(LinkMeasures):
                 label: LinkRecord.from_result(link)
                 for label, link in sorted(result.links.items())
             },
-            delivery_packets=dict(sorted(sink.packets.items())),
-            delivery_bytes=dict(sorted(sink.bytes.items())),
-            delivery_delay_max=dict(sorted(sink.delay_max.items())),
+            delivery_packets={i: s.departed_packets for i, s in delivered},
+            delivery_bytes={i: s.departed_bytes for i, s in delivered},
+            # A flow only ever delivered at zero delay has no entry.
+            delivery_delay_max={i: s.delay_max for i, s in delivered if s.delay_max > 0.0},
             delays=delays,
             churn=result.churn,
         )

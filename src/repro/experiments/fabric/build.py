@@ -85,7 +85,6 @@ class FabricResult(LinkMeasures):
     #: End-to-end delivery accounting; None on a one-link scenario,
     #: where the link's own statistics already are end to end.
     delivery: DeliverySink | None = None
-    delivery_collector: StatsCollector | None = None
     churn: ChurnReport | None = None
     #: The timeline passed into :func:`run_fabric`, post-run (series
     #: filled); None when sampling was not requested.
@@ -109,9 +108,9 @@ class FabricResult(LinkMeasures):
         The delivery sink's on a network; on one link, the link's own:
         nothing is counted a second time past it.
         """
-        if self.delivery_collector is None:
+        if self.delivery is None:
             return self.sole_link.collector
-        return self.delivery_collector
+        return self.delivery.collector
 
     def link(self, src: str, dst: str) -> LinkResult:
         label = f"{src}->{dst}"
@@ -223,12 +222,10 @@ def run_fabric(
     single = scenario.is_single_port
     warmup = scenario.effective_warmup
     sim = Simulator()
-    delivery = delivery_collector = None
+    delivery = None
     if not single:
-        delivery_collector = StatsCollector(
-            warmup=warmup, delay_histograms=scenario.delay_histograms
-        )
-        delivery = DeliverySink(collector=delivery_collector)
+        end_to_end = StatsCollector(warmup=warmup, delay_histograms=scenario.delay_histograms)
+        delivery = DeliverySink(collector=end_to_end)
     net = Network(sim, sink=delivery)
     for node in scenario.nodes:
         net.add_node(node.name)
@@ -331,7 +328,6 @@ def run_fabric(
         compactions=sim.compactions,
         links=links,
         delivery=delivery,
-        delivery_collector=delivery_collector,
         churn=None if churn_process is None else churn_process.finalize(),
         timeline=timeline,
         monitor_report=None if monitor is None else monitor.finalize(),

@@ -153,9 +153,8 @@ def undersized_tandem(
     *,
     hops: int = 2,
     seed: int = 0,
-    sim_time: float = 6.0,
 ) -> NetworkScenario:
-    """The negative control: an overloaded tail-drop tandem.
+    """The negative control: an overloaded tail-drop tandem, 6 s long.
 
     Same shaped target flow as :func:`demo_tandem`, but the hops run
     plain FIFO tail-drop over a buffer an order of magnitude smaller,
@@ -171,7 +170,7 @@ def undersized_tandem(
         nodes=nodes,
         links=links,
         flows=flows,
-        sim_time=sim_time,
+        sim_time=6.0,
         seed=seed,
         delay_histograms=False,
     )

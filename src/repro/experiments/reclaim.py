@@ -95,10 +95,9 @@ def run_reclaim_study(
     *,
     hops: int = 3,
     seeds: tuple[int, ...] = (1, 2, 3),
-    sim_time: float = 4.0,
     runner: CampaignRunner | None = None,
 ) -> ReclaimStudy:
-    """Run the paired comparison on the reference tandem.
+    """Run the paired comparison on the reference tandem, 4 s a run.
 
     One :class:`~repro.experiments.campaign.ScenarioJob` per
     (seed, mode): the static half runs the churn demo as-is, the
@@ -116,7 +115,7 @@ def run_reclaim_study(
         return ScenarioJob(
             scenario_from_params(
                 "network",
-                {"hops": hops, "seed": seed, "sim_time": sim_time, "reclamation": reclamation},
+                {"hops": hops, "seed": seed, "sim_time": 4.0, "reclamation": reclamation},
             )
         )
 
@@ -126,7 +125,7 @@ def run_reclaim_study(
     count = len(seeds)
     return ReclaimStudy(
         hops=hops,
-        sim_time=sim_time,
+        sim_time=4.0,
         seeds=tuple(seeds),
         static=tuple(records[:count]),
         reclaim=tuple(records[count:]),

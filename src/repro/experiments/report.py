@@ -15,11 +15,9 @@ from repro.metrics.stats import MeanCI
 __all__ = ["format_figure", "format_table"]
 
 
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[str]], min_width: int = 8
-) -> str:
-    """Render a simple aligned ASCII table."""
-    widths = [max(min_width, len(header)) for header in headers]
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Render a simple aligned ASCII table; each column is at least 8 wide."""
+    widths = [max(8, len(header)) for header in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
@@ -60,18 +58,19 @@ def format_figure(result: FigureResult, chart: bool = False) -> str:
 _CHART_SYMBOLS = "oxv*+#@%&$"
 
 
-def ascii_chart(result: FigureResult, height: int = 12, column_width: int = 6) -> str:
+def ascii_chart(result: FigureResult) -> str:
     """A terminal line chart of a figure's series means.
 
-    Each x grid point occupies ``column_width`` characters; each series
-    is drawn with its own symbol; rows are linear in y from the data
-    minimum to maximum.  Intended for quick visual inspection of shapes
-    in `results/` files and CI logs, not for publication.
+    Each x grid point occupies 6 characters; each series is drawn with
+    its own symbol; 12 rows are linear in y from the data minimum to
+    maximum.  Intended for quick visual inspection of shapes in
+    `results/` files and CI logs, not for publication.
     """
+    height, column_width = 12, 6
     values = [
         point.mean for series in result.series.values() for point in series
     ]
-    if not values or height < 2:
+    if not values:
         return "(no data)"
     y_min, y_max = min(values), max(values)
     if y_max == y_min:

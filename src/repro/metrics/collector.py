@@ -162,9 +162,9 @@ class LinkMeasures:
         """Delivered bytes/second over the given flows (default: all)."""
         return total_departed_bytes(self.flow_stats, flow_ids) / self.duration
 
-    def utilization(self, flow_ids: Iterable[int] | None = None) -> float:
-        """Throughput as a fraction of the link rate."""
-        return self.throughput(flow_ids) / self.link_rate
+    def utilization(self) -> float:
+        """Throughput of every flow as a fraction of the link rate."""
+        return self.throughput() / self.link_rate
 
     def loss_fraction(self, flow_ids: Iterable[int] | None = None) -> float:
         """Dropped / offered bytes over the given flows (default: all)."""

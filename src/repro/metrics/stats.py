@@ -47,22 +47,20 @@ class MeanCI:
         return f"{self.mean:.6g} ± {self.halfwidth:.2g} (n={self.n})"
 
 
-def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
-    """Student-t confidence interval for the mean of i.i.d. samples.
+def mean_ci(samples: Sequence[float]) -> MeanCI:
+    """Student-t 95% confidence interval for the mean of i.i.d. samples.
 
     A single sample yields a zero half-width (no variance information),
     which keeps sweep code simple when running in fast mode.
     """
     if not samples:
         raise ConfigurationError("mean_ci needs at least one sample")
-    if not 0 < confidence < 1:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     n = len(samples)
     mean = sum(samples) / n
     if n == 1:
         return MeanCI(mean=mean, halfwidth=0.0, n=1)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    t_crit = _t_quantile(0.5 + confidence / 2.0, n - 1)
+    t_crit = _t_quantile(0.975, n - 1)
     halfwidth = t_crit * math.sqrt(variance / n)
     return MeanCI(mean=mean, halfwidth=halfwidth, n=n)
 

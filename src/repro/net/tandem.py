@@ -25,7 +25,7 @@ def build_tandem(
     sim: Simulator,
     rates: Sequence[float],
     manager_factories: Sequence[Callable[[], object]],
-    collectors: Sequence[StatsCollector] | None = None,
+    collectors: Sequence[StatsCollector],
 ) -> tuple[Network, list[str]]:
     """Build an ``len(rates)``-hop linear network.
 
@@ -33,9 +33,8 @@ def build_tandem(
         sim: simulation engine.
         rates: link rate (bytes/second) for each hop, in path order.
         manager_factories: one buffer-manager factory per hop.
-        collectors: optional per-hop statistics sinks (each carries its
-            own warmup); when omitted, every hop gets a
-            :class:`StatsCollector` measuring from time zero.
+        collectors: one statistics sink per hop (each carries its own
+            warmup).
 
     Returns:
         ``(network, node_names)`` where node_names has ``len(rates)+1``
@@ -47,12 +46,10 @@ def build_tandem(
         raise ConfigurationError(
             f"got {len(manager_factories)} managers for {len(rates)} hops"
         )
-    if collectors is not None and len(collectors) != len(rates):
+    if len(collectors) != len(rates):
         raise ConfigurationError(
             f"got {len(collectors)} collectors for {len(rates)} hops"
         )
-    if collectors is None:
-        collectors = [StatsCollector() for _ in rates]
 
     network = Network(sim)
     names = [f"n{i}" for i in range(len(rates) + 1)]

@@ -70,8 +70,8 @@ def per_hop_sigma(sigma: float, rho: float, hop_delays: list[float]) -> list[flo
 class DeliverySink:
     """End-to-end statistics for packets leaving the network.
 
-    One :class:`~repro.metrics.collector.FlowStats` per delivered flow;
-    ``packets``, ``bytes``, ``delay_sum`` and ``delay_max`` read it.
+    One :class:`~repro.metrics.collector.FlowStats` per delivered flow
+    in ``flows``: departed packets and bytes, delay sum and maximum.
 
     Args:
         collector: optional :class:`StatsCollector` fed one ``on_depart``
@@ -102,25 +102,6 @@ class DeliverySink:
         if self.collector is not None:
             self.collector.on_depart(flow_id, size, delay, now)
 
-    #: ``{flow: value}`` views; a flow only ever delivered at zero delay
-    #: has no ``delay_max`` entry.
-    packets = property(lambda self: {i: s.departed_packets for i, s in self.flows.items()})
-    bytes = property(lambda self: {i: s.departed_bytes for i, s in self.flows.items()})
-    delay_sum = property(lambda self: {i: s.delay_sum for i, s in self.flows.items()})
-    delay_max = property(
-        lambda self: {i: s.delay_max for i, s in self.flows.items() if s.delay_max > 0.0}
-    )
-
-    def mean_delay(self, flow_id: int) -> float:
-        stats = self.flows.get(flow_id)
-        return 0.0 if stats is None else stats.mean_delay
-
-    def throughput(self, flow_id: int, duration: float) -> float:
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {duration}")
-        stats = self.flows.get(flow_id)
-        return 0.0 if stats is None else stats.departed_bytes / duration
-
 
 class _Routes(dict):
     """A node's routing table: flow id -> the next hop's ``receive``."""
@@ -144,7 +125,7 @@ class Network:
         net.set_route(flow_id=1, path=["a", "b", "c"])
         entry = net.entry(1)          # the a->b port: plug sources into this
         ...
-        net.sink.mean_delay(1)        # end-to-end results
+        net.sink.flows[1].mean_delay  # end-to-end results
     """
 
     def __init__(self, sim: Simulator, sink: DeliverySink | None = None):

@@ -11,6 +11,7 @@ replay matches, the trace is the run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -81,8 +82,11 @@ def filter_events(
     field (compact) whenever a node filter is given.  Single-port runs
     label their events with the empty string, so ``nodes=[""]`` selects
     them explicitly.  ``since``/``until`` bound ``event.time``
-    inclusively on both ends.
+    inclusively on both ends; a NaN or infinite bound is refused.
     """
+    for bound in (since, until):
+        if bound is not None and not -math.inf < bound < math.inf:
+            raise ConfigurationError(f"time bounds must be finite, got {bound}")
     if kinds is not None:
         unknown = set(kinds) - set(EVENT_TYPES)
         if unknown:

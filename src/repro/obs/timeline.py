@@ -121,7 +121,7 @@ class TimelineSeries:
             last=values[-1],
         )
 
-    def sparkline(self, width: int = 32) -> str:
+    def sparkline(self, width: int) -> str:
         """Unicode block-character rendering of the series shape."""
         if not self._values:
             return ""
@@ -317,8 +317,8 @@ class Timeline:
                     )
         return out
 
-    def render(self, width: int = 40) -> str:
-        """Sparkline view: one line per series with its reduction."""
+    def render(self) -> str:
+        """Sparkline view: one 40-wide line per series with its reduction."""
         lines = [f"timeline: {self.ticks} ticks @ {self.interval:g}s"]
         series_list = sorted(self._series.values(), key=lambda s: s.key)
         label_width = max((len(s.key) for s in series_list), default=0)
@@ -326,7 +326,7 @@ class Timeline:
             stats = series.stats()
             if stats is None:
                 continue
-            spark = series.sparkline(width)
+            spark = series.sparkline(40)
             suffix = f" (+{series.dropped} evicted)" if series.dropped else ""
             lines.append(
                 f"  {series.key.ljust(label_width)}  {spark}  "

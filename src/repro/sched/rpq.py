@@ -41,15 +41,12 @@ class RPQScheduler(Scheduler):
         class_of: mapping flow id -> deadline class, a non-negative
             integer; a packet of class ``c`` arriving in epoch ``e`` is
             served with bucket priority ``e + c`` (class 0 = most
-            urgent).
-        default_class: class for flows absent from ``class_of``; None
-            (default) rejects unknown flows.
+            urgent).  A flow absent from it is refused.
     """
 
     __slots__ = (
         "delta",
         "class_of",
-        "default_class",
         "_sim",
         "_buckets",
         "_order",
@@ -61,7 +58,6 @@ class RPQScheduler(Scheduler):
         sim: Simulator,
         delta: float,
         class_of: Mapping[int, int],
-        default_class: int | None = None,
     ) -> None:
         if not 0.0 < delta < math.inf:  # refuses NaN too: it fails every comparison
             raise ConfigurationError(f"delta must be positive and finite, got {delta}")
@@ -70,14 +66,9 @@ class RPQScheduler(Scheduler):
                 raise ConfigurationError(
                     f"deadline class for flow {flow_id} must be >= 0, got {klass}"
                 )
-        if default_class is not None and default_class < 0:
-            raise ConfigurationError(
-                f"default class must be >= 0, got {default_class}"
-            )
         self._sim = sim
         self.delta = float(delta)
         self.class_of = dict(class_of)
-        self.default_class = default_class
         self._buckets: dict[int, deque[Packet]] = {}
         self._order: list[int] = []  # heap of non-empty bucket ids
         self._count = 0
@@ -86,7 +77,7 @@ class RPQScheduler(Scheduler):
         return int(math.floor(self._sim.now / self.delta))
 
     def _class_for(self, flow_id: int) -> int:
-        klass = self.class_of.get(flow_id, self.default_class)
+        klass = self.class_of.get(flow_id)
         if klass is None:
             raise ConfigurationError(f"no deadline class for flow {flow_id}")
         return klass

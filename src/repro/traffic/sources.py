@@ -207,8 +207,8 @@ class GreedySource(CBRSource):
     """A source that offers more than the link can carry.
 
     Example 1 of the paper analyses a flow that "seeks to greedily always
-    occupy its maximum allowed buffer share"; offering a constant rate at
-    or above the link rate achieves exactly that against any admission
+    occupy its maximum allowed buffer share"; offering 1.25 times the
+    link rate from t = 0 achieves exactly that against any admission
     policy, since every departure is immediately replaced.
     """
 
@@ -220,14 +220,9 @@ class GreedySource(CBRSource):
         flow_id: int,
         link_rate: float,
         sink,
-        overdrive: float = 1.25,
         packet_size: float = DEFAULT_PACKET_SIZE,
-        start: float = 0.0,
         until: float | None = None,
     ) -> None:
-        if overdrive < 1.0:
-            raise ConfigurationError(f"overdrive must be >= 1, got {overdrive}")
         super().__init__(
-            sim, flow_id, link_rate * overdrive, sink,
-            packet_size=packet_size, start=start, until=until,
+            sim, flow_id, link_rate * 1.25, sink, packet_size=packet_size, until=until
         )

@@ -406,7 +406,10 @@ FIXED_COST_SWEEPS = {
 #: cold read 892.25 before, and 914.75 since, the pre-flight books a
 #: churn cell through the fabric's own ``book_hops`` (a ``HopState`` per
 #: link, one ``hop_decision`` per hop of the feasibility test); the
-#: ceilings hold.
+#: ceilings hold.  Cold fell 14.4 (one-link) and 12.5 (network) calls a
+#: cell once a record reads its delivery counters straight from the
+#: sink's ``flows``: no empty ``DeliverySink`` on one link, no
+#: ``{flow: value}`` property views to sort on a network.
 FIXED_COST_ROWS = {
     "one-link": (746.0, 172.5, 207.5),
     "network": (921.0, 218.5, 237.0),

@@ -96,7 +96,7 @@ class TestDispatch:
 
     def test_a_kept_result_holds_no_simulator(self):
         result = run_fabric(two_hop_scenario(sim_time=0.5))
-        assert result.delivery.packets and result.delivery.sim is None
+        assert result.delivery.flows and result.delivery.sim is None
 
     def test_link_lookup(self):
         result = run_fabric(two_hop_scenario(sim_time=1.0))
@@ -270,7 +270,7 @@ class TestEndToEndProtection:
             if flow_id != TARGET_FLOW_ID
         )
         assert cross_drops > 0
-        assert result.delivery.packets[TARGET_FLOW_ID] > 0
+        assert result.delivery.flows[TARGET_FLOW_ID].departed_packets > 0
 
 
 class TestScenarioValidation:

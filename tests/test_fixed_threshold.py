@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.core.adaptive import AdaptiveSharingManager
 from repro.core.fixed_threshold import FixedThresholdManager
+from repro.core.shared_headroom import SharedHeadroomManager
 from repro.errors import ConfigurationError
 
 
@@ -55,25 +57,46 @@ class TestUnknownFlows:
         assert not manager.try_admit(99, 100.0)
         assert 99 not in manager._flows  # a rejection leaves no slot behind
 
-    def test_default_threshold_applies_to_unknown_flows(self):
-        manager = FixedThresholdManager(1000.0, {0: 400.0}, default_threshold=200.0)
-        assert manager.try_admit(99, 200.0)
-        assert not manager.try_admit(99, 100.0)
-
     def test_threshold_lookup(self):
-        manager = FixedThresholdManager(1000.0, {0: 400.0}, default_threshold=50.0)
+        manager = FixedThresholdManager(1000.0, {0: 400.0})
         assert manager.threshold(0) == 400.0
-        assert manager.threshold(1) == 50.0
+        assert manager.threshold(1) == 0.0
+
+
+#: The three threshold policies over one buffer: 1000 bytes, flow 0
+#: reserving 400; the sharing schemes keep 200 bytes of headroom.
+THRESHOLD_POLICIES = {
+    "fixed": lambda: FixedThresholdManager(1000.0, {0: 400.0}),
+    "sharing": lambda: SharedHeadroomManager(1000.0, {0: 400.0}, headroom=200.0),
+    "adaptive": lambda: AdaptiveSharingManager(
+        1000.0, {0: 400.0}, headroom=200.0, adaptive_flows=[0, 99]
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", list(THRESHOLD_POLICIES))
+def test_a_flow_without_a_reservation_is_judged_at_zero(policy):
+    """An unknown flow, and a retired one while it drains, has threshold
+    0.0: the fixed partition refuses it, the sharing schemes admit it
+    from holes only."""
+    manager = THRESHOLD_POLICIES[policy]()
+    assert manager.try_admit(0, 100.0)
+    manager.retire(0)
+    assert manager.threshold(0) == manager.threshold(99) == 0.0
+    if policy == "fixed":
+        assert not manager.try_admit(99, 100.0) and 99 not in manager._flows
+        assert not manager.try_admit(0, 100.0)
+        return
+    # 700 bytes of holes are left beside the 200 of headroom.
+    assert manager.try_admit(99, 700.0)
+    assert manager.holes == 0.0 and manager.headroom == 200.0
+    assert not manager.try_admit(99, 1.0) and not manager.try_admit(0, 1.0)
 
 
 class TestValidation:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             FixedThresholdManager(1000.0, {0: -1.0})
-
-    def test_negative_default_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FixedThresholdManager(1000.0, {}, default_threshold=-1.0)
 
     def test_zero_threshold_blocks_flow(self):
         manager = FixedThresholdManager(1000.0, {0: 0.0})
@@ -102,7 +125,7 @@ class TestReprovisionRetire:
     def test_retire_withdraws_the_threshold(self):
         manager = FixedThresholdManager(1000.0, {0: 400.0})
         manager.retire(0)
-        assert manager.threshold(0) == manager.default_threshold
+        assert manager.threshold(0) == 0.0
         assert not manager.try_admit(0, 1.0)
 
     def test_retire_reclaims_occupancy_entry_after_drain(self):
@@ -130,7 +153,7 @@ class TestReprovisionRetire:
         kinds = [e for e in sink.events() if isinstance(e, ReprovisionEvent)]
         assert [(e.threshold, e.previous) for e in kinds] == [
             (250.0, 400.0),
-            (manager.default_threshold, 250.0),
+            (0.0, 250.0),
         ]
         assert kinds[0].node == "n0"
 
@@ -141,10 +164,6 @@ class TestNaNRefused:
     def test_nan_threshold_refused_at_construction(self):
         with pytest.raises(ConfigurationError, match="flow 1"):
             FixedThresholdManager(1000.0, {1: math.nan})
-
-    def test_nan_default_threshold_refused(self):
-        with pytest.raises(ConfigurationError, match="default threshold"):
-            FixedThresholdManager(1000.0, {}, default_threshold=math.nan)
 
     def test_nan_reprovision_refused_and_threshold_kept(self):
         manager = FixedThresholdManager(1000.0, {1: 400.0})

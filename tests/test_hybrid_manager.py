@@ -92,7 +92,7 @@ class TestReprovisionRetire:
         hybrid, managers = make_hybrid()
         hybrid.try_admit(0, 300.0)
         hybrid.retire(0)
-        assert managers[0].threshold(0) == managers[0].default_threshold
+        assert managers[0].threshold(0) == 0.0
         # The class mapping survives so in-flight packets still route to
         # the right sub-manager while they drain.
         hybrid.on_depart(0, 300.0)

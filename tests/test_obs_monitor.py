@@ -10,6 +10,7 @@ that a path over the sum of its hop bounds is always caught at a hop.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -349,7 +350,7 @@ class TestMonitorBesideSink:
         "reference-tandem": lambda: demo_tandem(
             hops=3, seed=15, sim_time=1.0, churn=True, reclamation=True
         ),
-        "undersized": lambda: undersized_tandem(hops=2, seed=0, sim_time=2.0),
+        "undersized": lambda: replace(undersized_tandem(hops=2, seed=0), sim_time=2.0),
     }
 
     @pytest.mark.parametrize("name", list(SCENARIOS))

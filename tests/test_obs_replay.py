@@ -7,7 +7,11 @@ departed counters from the trace alone — they must match the live
 matches, the trace is the run.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_scenario
@@ -20,7 +24,8 @@ from repro.obs import (
     read_events,
     replay_flow_counts,
 )
-from repro.obs.events import DropEvent, EnqueueEvent, ThresholdCrossEvent
+from repro.obs.events import DepartEvent, DropEvent, EnqueueEvent, ThresholdCrossEvent
+from tests.conftest import examples
 
 
 def traced_run(tmp_path, scheme, buffer_size, **kwargs):
@@ -102,7 +107,7 @@ class TestTraceContents:
 
         sim = Simulator()
         manager = FixedThresholdManager(
-            capacity=1_000_000.0, thresholds={}, default_threshold=1000.0
+            capacity=1_000_000.0, thresholds={1: 1000.0}
         )
         port = OutputPort(sim, 1e6, FIFOScheduler(), manager)
         with JsonlSink(path) as sink:
@@ -122,7 +127,7 @@ class TestTraceContents:
         sink = RingSink()
         clock = [0.0]
         manager = FixedThresholdManager(
-            capacity=10_000.0, thresholds={1: 1000.0}, default_threshold=1000.0
+            capacity=10_000.0, thresholds={1: 1000.0}
         )
         manager.attach_trace(sink, lambda: clock[0])
         for _ in range(2):
@@ -229,3 +234,41 @@ class TestFilters:
         assert all(type(event).kind != "compact" for event in selected)
         labelled = [e for e in events if hasattr(e, "node")]
         assert len(selected) == len(labelled)
+
+
+#: No bound, one among the event times, or any finite float.
+FINITE_BOUNDS = st.none() | st.floats(-12.0, 12.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTimeBounds:
+    """``since``/``until`` keep exactly the events in the closed window;
+    a NaN bound compares False with every time and would keep them all,
+    so a bound that is not finite is refused."""
+
+    @given(
+        times=st.lists(st.floats(-10.0, 10.0), max_size=30),
+        since=FINITE_BOUNDS,
+        until=FINITE_BOUNDS,
+    )
+    @settings(max_examples=examples(200), deadline=None)
+    def test_finite_bounds_keep_exactly_the_closed_window(self, times, since, until):
+        events = [DepartEvent(time, 1, 500.0, 0.0) for time in times]
+        kept = list(filter_events(events, since=since, until=until))
+        assert kept == [
+            event
+            for event in events
+            if (since is None or since <= event.time)
+            and (until is None or event.time <= until)
+        ]
+
+    @given(
+        bound=st.sampled_from([math.nan, math.inf, -math.inf]),
+        which=st.sampled_from(["since", "until"]),
+        other=FINITE_BOUNDS,
+    )
+    @settings(max_examples=examples(30), deadline=None)
+    def test_non_finite_bound_raises(self, bound, which, other):
+        events = [DepartEvent(time, 1, 500.0, 0.0) for time in (0.0, 0.5, 1.0)]
+        bounds = {which: bound, "until" if which == "since" else "since": other}
+        with pytest.raises(ConfigurationError, match="finite"):
+            list(filter_events(events, **bounds))

@@ -39,7 +39,7 @@ def overloaded_port(timeline=None, n_packets=400, sim_time=1.0):
     """Drive a port past saturation; optionally install ``timeline``."""
     sim = Simulator()
     manager = FixedThresholdManager(
-        capacity=50_000.0, thresholds={}, default_threshold=10_000.0
+        capacity=50_000.0, thresholds={flow: 10_000.0 for flow in range(4)}
     )
     port = OutputPort(sim, 1e6, FIFOScheduler(), manager)
     if timeline is not None:
@@ -127,7 +127,7 @@ class TestTimelineSeries:
         series.append(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             series.sparkline(width=0)
-        assert TimelineSeries("empty").sparkline() == ""
+        assert TimelineSeries("empty").sparkline(8) == ""
 
 
 class TestTimelineValidation:

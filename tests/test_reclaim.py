@@ -111,7 +111,7 @@ class TestTraceAudit:
 
 class TestStudy:
     def test_study_reports_blocking_no_worse_than_static(self):
-        study = run_reclaim_study(hops=2, seeds=(1, 2), sim_time=2.0)
+        study = run_reclaim_study(hops=2, seeds=(1, 2))
         assert len(study.static) == len(study.reclaim) == 2
         for static, reclaim in zip(study.static, study.reclaim):
             assert (
@@ -120,13 +120,13 @@ class TestStudy:
             )
 
     def test_render_mentions_both_modes(self):
-        study = run_reclaim_study(hops=2, seeds=(1,), sim_time=2.0)
+        study = run_reclaim_study(hops=2, seeds=(1,))
         text = study.render()
         assert "blocking static" in text
         assert "blocking reclaim" in text
         assert "means over 1 seed(s)" in text
 
     def test_record_loss_is_a_fraction(self):
-        study = run_reclaim_study(hops=2, seeds=(1,), sim_time=2.0)
+        study = run_reclaim_study(hops=2, seeds=(1,))
         for record in study.static + study.reclaim:
             assert 0.0 <= record_loss(record) < 1.0

@@ -90,8 +90,8 @@ class TestAsciiChart:
         chart = ascii_chart(self.make_result(series={
             "up": [MeanCI(0.0, 0.0, 1), MeanCI(50.0, 0.0, 1),
                    MeanCI(100.0, 0.0, 1)],
-        }), height=5)
-        lines = chart.splitlines()[:5]
+        }))
+        lines = chart.splitlines()[:12]
         rows = {}
         for row_index, line in enumerate(lines):
             for col, char in enumerate(line):

@@ -53,5 +53,6 @@ class TestFindingRepr:
         assert "suppressed" not in text
 
     def test_suppressed_finding(self):
-        finding = Finding("RPR102", "msg", "src/repro/x.py", 3, 0, suppressed=True)
+        finding = Finding("RPR102", "msg", "src/repro/x.py", 3, 0)
+        finding.suppressed = True  # as the engine marks a covered finding
         assert "[suppressed]" in repr(finding)

@@ -9,11 +9,11 @@ from repro.sched.rpq import RPQScheduler
 from repro.sim.packet import Packet
 
 
-def make_rpq(class_of=None, delta=1.0, default_class=None):
+def make_rpq(class_of=None, delta=1.0):
     clock = SimpleNamespace(now=0.0)
     if class_of is None:
         class_of = {0: 0, 1: 1, 2: 2}
-    return clock, RPQScheduler(clock, delta, class_of, default_class=default_class)
+    return clock, RPQScheduler(clock, delta, class_of)
 
 
 def pkt(flow_id, size=100.0):
@@ -38,11 +38,6 @@ class TestValidation:
         _, rpq = make_rpq()
         with pytest.raises(ConfigurationError):
             rpq.enqueue(pkt(42))
-
-    def test_default_class_accepts_unknown_flows(self):
-        _, rpq = make_rpq(default_class=3)
-        rpq.enqueue(pkt(42))
-        assert len(rpq) == 1
 
 
 class TestPriorityOrder:
@@ -119,7 +114,7 @@ class TestAccounting:
         assert rpq.bucket_count() == 1
 
     def test_conservation(self):
-        clock, rpq = make_rpq(default_class=1)
+        clock, rpq = make_rpq({0: 0, 1: 1, 2: 2, 3: 1, 4: 1})
         sent = []
         for i in range(30):
             clock.now = i * 0.3

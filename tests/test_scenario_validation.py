@@ -101,7 +101,7 @@ def assert_both_reject(raw, fragment):
     """Constructor raises; checker reports the same defect as RPR203."""
     with pytest.raises(ConfigurationError, match=fragment):
         NetworkScenario.from_dict(raw)
-    findings = check_scenario_dict(raw, path="bad.json")
+    findings = check_scenario_dict(raw)
     assert [finding.rule_id for finding in findings] == ["RPR203"]
     assert findings[0].severity == "error"
 
@@ -286,10 +286,10 @@ class TestMalformedData:
     def test_missing_required_key_is_rpr203(self):
         raw = base_dict()
         del raw["nodes"]
-        findings = check_scenario_dict(raw, path="bad.json")
+        findings = check_scenario_dict(raw)
         assert [finding.rule_id for finding in findings] == ["RPR203"]
         assert "malformed scenario" in findings[0].message
 
     def test_non_dict_payload_is_rpr203(self):
-        findings = check_scenario_dict([1, 2, 3], path="bad.json")
+        findings = check_scenario_dict([1, 2, 3])
         assert [finding.rule_id for finding in findings] == ["RPR203"]

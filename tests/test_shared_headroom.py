@@ -198,10 +198,6 @@ class TestNaNRefused:
         with pytest.raises(ConfigurationError, match="flow 1"):
             SharedHeadroomManager(1000.0, {1: math.nan}, headroom=200.0)
 
-    def test_nan_default_threshold_refused(self):
-        with pytest.raises(ConfigurationError, match="default threshold"):
-            SharedHeadroomManager(1000.0, {}, headroom=200.0, default_threshold=math.nan)
-
     def test_nan_reprovision_refused_and_threshold_kept(self):
         manager = make_manager()
         with pytest.raises(ConfigurationError, match="flow 0"):

@@ -69,10 +69,6 @@ class TestGreedySource:
         offered = sum(p.size for p in sink.packets)
         assert offered > 1000.0
 
-    def test_overdrive_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GreedySource(Simulator(), 0, 1000.0, Recorder(), overdrive=0.5)
-
 
 class TestOnOffSource:
     def test_long_run_average_rate(self):

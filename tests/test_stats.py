@@ -143,7 +143,8 @@ class TestMeanCI:
             mean_ci([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0]).halfwidth
             == 2.2315652001439417
         )
-        assert mean_ci([0.0, 2.0, 5.0], confidence=0.99).halfwidth == 14.42046284776319
+        # mean_ci is fixed at 95%; another level is the quantile's alone.
+        assert stats._t_quantile(0.5 + 0.99 / 2.0, 2) == 9.92484320091829
 
     def test_interval_narrows_with_more_samples(self):
         narrow = mean_ci([0.0, 2.0] * 10)
@@ -151,10 +152,8 @@ class TestMeanCI:
         assert narrow.halfwidth < wide.halfwidth
 
     def test_higher_confidence_is_wider(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert mean_ci(samples, confidence=0.99).halfwidth > mean_ci(
-            samples, confidence=0.9
-        ).halfwidth
+        assert stats._t_quantile(0.5 + 0.99 / 2.0, 3) > stats._t_quantile(0.975, 3)
+        assert stats._t_quantile(0.975, 3) > stats._t_quantile(0.5 + 0.9 / 2.0, 3)
 
     def test_bounds(self):
         result = mean_ci([1.0, 3.0, 5.0])
@@ -169,12 +168,6 @@ class TestValidation:
     def test_empty_samples_rejected(self):
         with pytest.raises(ConfigurationError):
             mean_ci([])
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean_ci([1.0], confidence=1.0)
-        with pytest.raises(ConfigurationError):
-            mean_ci([1.0], confidence=0.0)
 
 
 #: P(|T| <= sqrt(df) tan theta) and its derivative, in the current context.

@@ -23,18 +23,23 @@ class TestBuildTandem:
     def test_node_and_link_count(self):
         sim = Simulator()
         net, names = build_tandem(
-            sim, [LINK] * 3, [lambda: TailDropManager(HOP_BUFFER)] * 3
+            sim,
+            [LINK] * 3,
+            [lambda: TailDropManager(HOP_BUFFER)] * 3,
+            [StatsCollector() for _ in range(3)],
         )
         assert names == ["n0", "n1", "n2", "n3"]
         assert len(net.links) == 3
 
     def test_mismatched_managers_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_tandem(Simulator(), [LINK], [])
+            build_tandem(Simulator(), [LINK], [], [StatsCollector()])
+        with pytest.raises(ConfigurationError, match="collectors"):
+            build_tandem(Simulator(), [LINK], [lambda: TailDropManager(HOP_BUFFER)], [])
 
     def test_empty_tandem_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_tandem(Simulator(), [], [])
+            build_tandem(Simulator(), [], [], [])
 
 
 class TestTandemWarmup:
@@ -104,7 +109,7 @@ class TestEndToEndGuarantee:
             for collector in collectors
             if 1 in collector.flows
         )
-        delivered = net.sink.bytes.get(1, 0.0)
+        delivered = net.sink.flows[1].departed_bytes if 1 in net.sink.flows else 0.0
         return total_drops, delivered, net, collectors
 
     def test_thresholds_protect_across_every_hop(self):

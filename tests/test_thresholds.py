@@ -70,9 +70,10 @@ class TestComputeThresholds:
     PROFILES = {0: (50_000.0, 250_000.0), 1: (100_000.0, 1_000_000.0)}
 
     def test_per_flow_formula_applied(self):
-        thresholds = compute_thresholds(
-            self.PROFILES, 100_000.0, 6_000_000.0, fully_partition=False
-        )
+        thresholds = {
+            flow_id: flow_threshold(sigma, rho, 100_000.0, 6_000_000.0)
+            for flow_id, (sigma, rho) in self.PROFILES.items()
+        }
         assert thresholds[0] == pytest.approx(50_000.0 + 250_000.0 / 60.0)
         assert thresholds[1] == pytest.approx(100_000.0 + 1_000_000.0 / 60.0)
 
@@ -82,9 +83,10 @@ class TestComputeThresholds:
 
     def test_partition_keeps_thresholds_when_oversubscribed(self):
         small = compute_thresholds(self.PROFILES, 100_000.0, 6_000_000.0)
-        unscaled = compute_thresholds(
-            self.PROFILES, 100_000.0, 6_000_000.0, fully_partition=False
-        )
+        unscaled = {
+            flow_id: flow_threshold(sigma, rho, 100_000.0, 6_000_000.0)
+            for flow_id, (sigma, rho) in self.PROFILES.items()
+        }
         assert small == unscaled  # sum(T) > B already
 
 

@@ -1,9 +1,12 @@
 """Multi-node topology: routing, forwarding, delivery accounting."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError
+from repro.experiments.campaign.record import ScenarioRecord
 from repro.metrics.collector import StatsCollector
 from repro.net.topology import DeliverySink, Network, per_hop_sigma
 from repro.sched.fifo import FIFOScheduler
@@ -42,28 +45,28 @@ class TestForwarding:
         sim, net = two_hop_network()
         net.entry(1).receive(Packet(1, 500.0, 0.0))
         sim.run()
-        assert net.sink.packets[1] == 1
-        assert net.sink.bytes[1] == 500.0
+        assert net.sink.flows[1].departed_packets == 1
+        assert net.sink.flows[1].departed_bytes == 500.0
 
     def test_end_to_end_delay_sums_hop_delays(self):
         sim, net = two_hop_network()
         net.entry(1).receive(Packet(1, 500.0, 0.0))
         sim.run()
         # Two transmission times, no queueing: 2 * 500/100000.
-        assert net.sink.mean_delay(1) == pytest.approx(0.01)
+        assert net.sink.flows[1].mean_delay == pytest.approx(0.01)
 
     def test_cbr_rate_preserved_through_hops(self):
         sim, net = two_hop_network()
         CBRSource(sim, 1, 20_000.0, net.entry(1), packet_size=500.0, until=10.0)
         sim.run(until=11.0)
-        assert net.sink.throughput(1, 10.0) == pytest.approx(20_000.0, rel=0.02)
+        assert net.sink.flows[1].departed_bytes / 10.0 == pytest.approx(20_000.0, rel=0.02)
 
     def test_flow_ending_mid_network(self):
         sim, net = two_hop_network()
         net.set_route(2, ["a", "b"])  # delivered at b
         net.entry(2).receive(Packet(2, 500.0, 0.0))
         sim.run()
-        assert net.sink.packets[2] == 1
+        assert net.sink.flows[2].departed_packets == 1
 
     def test_congested_first_hop_limits_delivery_rate(self):
         # First hop at half rate: while the source is active, deliveries
@@ -79,9 +82,9 @@ class TestForwarding:
         emitted = ByteCounter(net.entry(1))
         CBRSource(sim, 1, RATE, emitted, packet_size=500.0, until=10.0)
         sim.run(until=10.0)
-        assert net.sink.bytes[1] <= RATE / 2 * 10.0 + 1000.0
+        assert net.sink.flows[1].departed_bytes <= RATE / 2 * 10.0 + 1000.0
         sim.run()  # drain
-        assert net.sink.bytes[1] == pytest.approx(emitted.bytes)
+        assert net.sink.flows[1].departed_bytes == pytest.approx(emitted.bytes)
 
 
 class TestSharedLinkContention:
@@ -111,7 +114,7 @@ class TestSharedLinkContention:
         net, collector = self.build_diamond(per_flow_rate=0.4 * RATE)
         for flow_id in (1, 2):
             assert collector.flows[flow_id].dropped_packets == 0
-            assert net.sink.packets[flow_id] > 0
+            assert net.sink.flows[flow_id].departed_packets > 0
 
     def test_overloaded_merge_drops_at_the_shared_link(self):
         net, collector = self.build_diamond(per_flow_rate=0.7 * RATE)
@@ -119,7 +122,7 @@ class TestSharedLinkContention:
             collector.flows[flow_id].dropped_packets for flow_id in (1, 2)
         )
         assert total_drops > 0
-        delivered = net.sink.bytes[1] + net.sink.bytes[2]
+        delivered = net.sink.flows[1].departed_bytes + net.sink.flows[2].departed_bytes
         # The shared link caps aggregate delivery near its rate.
         assert delivered <= RATE * 10.0 + 25_000.0
 
@@ -192,9 +195,19 @@ class TestRoutingValidation:
         net.set_route(3, ["c"])
         assert net.entry(3) is net.sink
         net.entry(3).receive(Packet(3, 500.0, 0.0))
-        assert net.sink.packets[3] == 1
-        # Delivered the instant it was created: no positive delay to keep.
-        assert net.sink.delay_sum == {3: 0.0} and net.sink.delay_max == {}
+        stats = net.sink.flows[3]
+        assert stats.departed_packets == 1
+        # Delivered the instant it was created: zero delay, which a
+        # record keeps no delay maximum for.
+        assert stats.delay_sum == 0.0 and stats.delay_max == 0.0
+        result = SimpleNamespace(
+            scenario=SimpleNamespace(flows=(), sim_time=1.0, seed=0),
+            warmup=0.0, events_processed=1, links={}, churn=None, delivery=net.sink,
+            end_to_end=StatsCollector(),
+        )
+        record = ScenarioRecord.from_result(result, "digest")
+        assert record.delivery_packets == {3: 1} and record.delivery_bytes == {3: 500.0}
+        assert record.delivery_delay_max == {}
 
     def test_delivery_clock_is_set_by_the_network_only(self):
         with pytest.raises(TypeError):
@@ -219,7 +232,7 @@ class TestRoutingValidation:
         sim.run()
         assert port.label == "" and port.transmitted_packets == 1
         assert port.downstream is None
-        assert net.sink.packets == {}
+        assert net.sink.flows == {}
 
     def test_port_lookup(self):
         sim, net = two_hop_network()
