@@ -27,12 +27,10 @@ schema bump that forgets to regenerate goldens/caches fails CI at the
   per line;
 * JSONL timeline exports — the :data:`repro.obs.timeline.TIMELINE_SCHEMA`
   header written by :meth:`repro.obs.timeline.Timeline.write_jsonl`;
-* sweep specs / worker shards / aggregates — the
-  :mod:`repro.experiments.sweep` family
-  (``repro-sweep-spec-v1`` round-trips through the DSL loader,
-  ``repro-sweep-shard-v1`` is checked per line, and a
-  ``repro-sweep-v1`` aggregate must carry the digest of its embedded
-  spec);
+* sweep specs / aggregates — the :mod:`repro.experiments.sweep`
+  family (``repro-sweep-spec-v1`` round-trips through the DSL loader,
+  and a ``repro-sweep-v1`` aggregate must carry the digest of its
+  embedded spec);
 * work-queue claim files (``<digest>.claim``) — the
   :data:`repro.experiments.sweep.queue.CLAIM_SCHEMA` payload, whose
   ``digest`` field must match the file name.
@@ -53,7 +51,7 @@ from repro.check.invariants import check_spec_data
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
 from repro.experiments.campaign.record import ScenarioRecord
-from repro.experiments.sweep.aggregate import AGGREGATE_SCHEMA, SHARD_SCHEMA
+from repro.experiments.sweep.aggregate import AGGREGATE_SCHEMA
 from repro.experiments.sweep.queue import CLAIM_SCHEMA
 from repro.experiments.sweep.spec import SWEEP_SPEC_SCHEMA, SweepSpec
 from repro.obs.events import TRACE_SCHEMA
@@ -76,7 +74,6 @@ KNOWN_SCHEMAS: dict[str, str] = {
     "repro-timeline": TIMELINE_SCHEMA,
     "repro-sweep": AGGREGATE_SCHEMA,
     "repro-sweep-spec": SWEEP_SPEC_SCHEMA,
-    "repro-sweep-shard": SHARD_SCHEMA,
     "repro-claim": CLAIM_SCHEMA,
 }
 
@@ -85,10 +82,6 @@ _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 #: Top-level keys that make a JSON object a scenario spec (with ``name``).
 _SPEC_KEYS = ("scheme", "network")
-
-#: JSONL families whose every line carries (and must agree on) the tag;
-#: other JSONL artifacts only tag their header line.
-_PER_LINE_FAMILIES = frozenset({"repro-telemetry", "repro-sweep-shard"})
 
 
 def schema_family(tag: str) -> str:
@@ -259,7 +252,7 @@ def _check_jsonl_artifact(path: pathlib.Path, text: str) -> list[Finding]:
                 # in them are auditable for conservation (RPR206).
                 findings.extend(_check_trace_pool_lines(path, text, number))
                 break
-            if schema_family(first_tag) not in _PER_LINE_FAMILIES:
+            if schema_family(first_tag) != "repro-telemetry":
                 break  # other artifacts only tag the header line
         elif tag is not None and tag != first_tag:
             findings.append(
@@ -392,7 +385,7 @@ def _check_claim_artifact(path: pathlib.Path, text: str) -> list[Finding]:
 def check_artifact_file(path: str | pathlib.Path) -> list[Finding]:
     """Audit one artifact file; [] when its schema tags are current.
 
-    ``.jsonl`` files are treated as trace/telemetry/shard streams,
+    ``.jsonl`` files are treated as trace/telemetry/timeline streams,
     ``.claim`` files as work-queue claims; ``.json`` files must be
     objects carrying a top-level ``schema`` tag.
     """

@@ -46,8 +46,8 @@ def check_scenario(
 ) -> list[Finding]:
     """Audit one constructed scenario; returns RPR201/202/204 findings.
 
-    Structural validity (RPR203) is enforced by the constructors; use
-    :func:`check_scenario_dict` to audit raw data through the same gate.
+    Structural validity (RPR203) is enforced by the constructors; raw
+    data goes through the same gate in :func:`check_spec_entry`.
     """
     prefix = f"spec {name!r}: " if name else ""
     has_churn = scenario.churn is not None
@@ -110,17 +110,6 @@ def _check_churn(
         )
     )
     return findings
-
-
-def check_scenario_dict(raw) -> list[Finding]:
-    """Audit raw scenario data: construction errors become RPR203."""
-    try:
-        scenario = NetworkScenario.from_dict(raw)
-    except ConfigurationError as exc:
-        return [Finding("RPR203", str(exc), "<scenario>", 1)]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        return [Finding("RPR203", f"malformed scenario: {exc!r}", "<scenario>", 1)]
-    return check_scenario(scenario)
 
 
 def check_spec_entry(raw: dict, path: str, index: int = 0) -> list[Finding]:

@@ -43,7 +43,7 @@ def open_creating_parents(path: str, flags: int) -> int:
     """``os.open(path, flags, 0o644)``, making missing directories on a miss.
 
     A cache directory exists from its first file on, so its writers
-    (entry, stats, claim, shard row) open first and create directories
+    (entry, stats, claim, telemetry) open first and create directories
     only on the ``FileNotFoundError`` of a first write, instead of a
     ``mkdir(parents=True, exist_ok=True)`` before every one.
     """
@@ -114,11 +114,9 @@ class ResultCache:
         fail :meth:`ScenarioRecord.from_dict` and are misses like any
         other unreadable file: they are re-simulated, never migrated.
         """
-        path = self.path(digest)
         try:
-            record = ScenarioRecord.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
+            with open(f"{self._prefix}{digest}.json", encoding="utf-8") as handle:
+                record = ScenarioRecord.from_dict(json.loads(handle.read()))
         except (
             OSError, ConfigurationError, AttributeError, KeyError, TypeError, ValueError
         ):

@@ -3,12 +3,12 @@
 The scale-out layer over :mod:`repro.experiments.campaign`: a frozen,
 JSON-round-trippable :class:`~repro.experiments.sweep.spec.SweepSpec`
 expands cartesian parameter grids lazily into content-addressed jobs; a
-serverless work queue (:mod:`~repro.experiments.sweep.queue`) shards one
+serverless work queue (:mod:`~repro.experiments.sweep.queue`) spreads one
 grid across N worker processes on N hosts using only atomic claim files
 in the shared cache directory; streaming aggregation
-(:mod:`~repro.experiments.sweep.aggregate`) folds the results into one
-deterministic ``repro-sweep-v1`` artifact, byte-identical however the
-work was sharded, killed, or resumed — and ``run_grid`` folds the same
+(:mod:`~repro.experiments.sweep.aggregate`) folds the cached records into
+one deterministic ``repro-sweep-v1`` artifact, byte-identical however the
+work was split, killed, or resumed — and ``run_grid`` folds the same
 artifact in memory from one campaign batch, which is how a figure runs.
 
 CLI surface: ``repro campaign sweep run | status | aggregate``; see
@@ -17,13 +17,10 @@ CLI surface: ``repro campaign sweep run | status | aggregate``; see
 
 from repro.experiments.sweep.aggregate import (
     AGGREGATE_SCHEMA,
-    SHARD_SCHEMA,
     aggregate_sweep,
     default_aggregate_path,
     fold_seeds,
-    metric_row,
     run_grid,
-    shard_path,
     write_aggregate,
 )
 from repro.experiments.sweep.queue import (
@@ -46,7 +43,6 @@ __all__ = [
     "AGGREGATE_SCHEMA",
     "CLAIM_SCHEMA",
     "DEFAULT_HEARTBEAT_TIMEOUT",
-    "SHARD_SCHEMA",
     "SWEEP_SPEC_SCHEMA",
     "SweepAxis",
     "SweepSpec",
@@ -54,13 +50,11 @@ __all__ = [
     "default_aggregate_path",
     "fold_seeds",
     "load_sweep",
-    "metric_row",
     "read_claim",
     "release_claim",
     "run_grid",
     "run_sweep_worker",
     "scan_claims",
-    "shard_path",
     "sweep_status",
     "write_aggregate",
 ]

@@ -1,4 +1,4 @@
-"""The work-queue runner: serverless sweep sharding over a cache dir.
+"""The work-queue runner: one sweep spread over workers sharing a cache dir.
 
 The coordination point is the cache directory itself — no broker, no
 server, nothing to deploy.  Three file conventions do all the work:
@@ -52,7 +52,6 @@ from repro.experiments.campaign.cache import (
     write_telemetry,
 )
 from repro.experiments.campaign.runner import execute_job, preflight_jobs, store
-from repro.experiments.sweep.aggregate import _append_shard_row, metric_row, shard_path
 from repro.experiments.sweep.spec import SweepSpec
 
 __all__ = [
@@ -279,7 +278,7 @@ class WorkerSummary:
     """What one :func:`run_sweep_worker` call did.
 
     Attributes:
-        owner: the worker id used for claims and the shard file.
+        owner: the worker id written into its claims.
         executed: cells this worker simulated and cached.
         reaped: stale claims this worker removed (exactly-once counts).
         passes: grid passes made before exiting.
@@ -324,10 +323,10 @@ def run_sweep_worker(
     Each claimed cell runs :func:`~repro.experiments.campaign.runner.execute_job`
     and the runner's one store step
     (:func:`~repro.experiments.campaign.runner.store`); what the queue
-    adds around them is the claim, its heartbeat, the shard row and the
-    release.  One heartbeat thread, started at the first cell this call
-    executes, keeps the executing cell's claim fresh; it is stopped and
-    joined before the call returns or raises.
+    adds around them is the claim, its heartbeat and the release.  One
+    heartbeat thread, started at the first cell this call executes,
+    keeps the executing cell's claim fresh; it is stopped and joined
+    before the call returns or raises.
 
     Failure rule: when a cell's job or its store step raises an
     :class:`Exception`, its claim becomes a failure claim (see the
@@ -336,10 +335,9 @@ def run_sweep_worker(
     else (``KeyboardInterrupt``, a kill) leaves the claim to go stale.
 
     Interruption-safety: a killed worker leaves its claim to go stale
-    (reaped by the next pass of any peer after ``heartbeat_timeout``)
-    and at most one torn shard line (skipped by the aggregator); cells
-    it completed are ordinary cache entries, so its replacement resumes
-    exactly where it died.
+    (reaped by the next pass of any peer after ``heartbeat_timeout``);
+    cells it completed are ordinary cache entries, so its replacement
+    resumes exactly where it died.
     """
     if heartbeat_timeout <= 0:
         raise ConfigurationError(
@@ -349,11 +347,9 @@ def run_sweep_worker(
         owner = default_owner()
     if heartbeat_interval is None:
         heartbeat_interval = max(0.05, heartbeat_timeout / 4.0)
-    sweep_digest = spec.digest()
-    # Claim and shard names, built once: pathlib would re-parse the cache
-    # root for every cell.
+    # The claim prefix, built once: pathlib would re-parse the cache root
+    # for every cell.
     claim_prefix = os.path.join(cache.root, "")
-    shard = os.fspath(shard_path(cache.root, sweep_digest, owner))
 
     executed = 0
     reaped = 0
@@ -410,10 +406,6 @@ def run_sweep_worker(
                         failure = error
                     continue
                 heartbeat.claim = None
-                _append_shard_row(
-                    shard, sweep_digest, digest, params,
-                    metric_row(spec, job.scenario, record),
-                )
                 release_claim(claim)
                 executed += 1
                 progress = True

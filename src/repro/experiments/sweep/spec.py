@@ -16,11 +16,6 @@ from — ``"scenario"`` (one link over a named workload) or ``"network"``
 (the reference tandem); the table types every declared value at the
 describe stage and :func:`~repro.experiments.spec.scenario_from_params`
 turns each cell into its job, exactly as it does for a spec entry.
-
-Optional :class:`SweepConstraint` predicates prune the product — e.g.
-"only sweep headroom where the scheme shares buffer" — as data, not
-code, so a spec file stays hermetic and its digest covers everything
-that determines the result set.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -61,12 +57,21 @@ DEFAULT_METRICS = {
     "network": ("delivered", "blocking"),
 }
 
-_CONSTRAINT_OPS = ("==", "!=", "<", "<=", ">", ">=", "in", "not-in")
 _SCALAR_TYPES = (str, int, float, bool)
 
 
 def _is_scalar(value) -> bool:
     return value is None or isinstance(value, _SCALAR_TYPES)
+
+
+def _refuse_unknown_keys(raw: Mapping, what: str, valid: tuple[str, ...]) -> None:
+    """Every key is honoured or refused: a misspelt one would otherwise
+    fall back to its default without a word."""
+    for key in raw:
+        if key not in valid:
+            raise ConfigurationError(
+                f"unknown {what} key {key!r}; valid: {sorted(valid)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,78 +100,8 @@ class SweepAxis:
 
     @staticmethod
     def from_dict(raw: dict) -> "SweepAxis":
+        _refuse_unknown_keys(raw, "axis", ("name", "values"))
         return SweepAxis(name=str(raw["name"]), values=tuple(raw["values"]))
-
-
-@dataclass(frozen=True)
-class SweepConstraint:
-    """A data-only predicate pruning the cartesian product.
-
-    ``param <op> value`` or, with ``other`` set, ``param <op> <other
-    param>``.  Operators: ``== != < <= > >= in not-in`` (the membership
-    forms expect ``value`` to be a list).
-    """
-
-    param: str
-    op: str
-    value: object = None
-    other: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.op not in _CONSTRAINT_OPS:
-            raise ConfigurationError(
-                f"unknown constraint op {self.op!r}; valid: {_CONSTRAINT_OPS}"
-            )
-        if self.other is not None and self.op in ("in", "not-in"):
-            raise ConfigurationError(
-                f"constraint on {self.param!r}: membership ops take a "
-                "value list, not another parameter"
-            )
-        if self.op in ("in", "not-in"):
-            if not isinstance(self.value, (list, tuple)):
-                raise ConfigurationError(
-                    f"constraint on {self.param!r}: {self.op!r} needs a list value"
-                )
-            object.__setattr__(self, "value", tuple(self.value))
-
-    def admits(self, params: Mapping) -> bool:
-        """True when the cell described by ``params`` survives."""
-        lhs = params[self.param]
-        rhs = params[self.other] if self.other is not None else self.value
-        if self.op == "==":
-            return lhs == rhs
-        if self.op == "!=":
-            return lhs != rhs
-        if self.op == "<":
-            return lhs < rhs
-        if self.op == "<=":
-            return lhs <= rhs
-        if self.op == ">":
-            return lhs > rhs
-        if self.op == ">=":
-            return lhs >= rhs
-        if self.op == "in":
-            return lhs in self.value
-        return lhs not in self.value
-
-    def to_dict(self) -> dict:
-        raw: dict = {"param": self.param, "op": self.op}
-        if self.other is not None:
-            raw["other"] = self.other
-        else:
-            raw["value"] = (
-                list(self.value) if isinstance(self.value, tuple) else self.value
-            )
-        return raw
-
-    @staticmethod
-    def from_dict(raw: dict) -> "SweepConstraint":
-        return SweepConstraint(
-            param=str(raw["param"]),
-            op=str(raw["op"]),
-            value=raw.get("value"),
-            other=None if raw.get("other") is None else str(raw["other"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -180,7 +115,6 @@ class SweepSpec:
         axes: the swept parameters, outermost first — expansion is
             row-major over the declared order, which fixes the cell
             order for workers and aggregation alike.
-        constraints: optional predicates pruning the product.
         base: fixed parameter overrides applied to every cell (stored
             as sorted ``(key, value)`` pairs so the spec stays frozen
             and its digest canonical).
@@ -190,7 +124,6 @@ class SweepSpec:
     name: str
     axes: tuple[SweepAxis, ...]
     kind: str = "scenario"
-    constraints: tuple[SweepConstraint, ...] = ()
     base: tuple[tuple[str, object], ...] = ()
     metrics: tuple[str, ...] = ()
 
@@ -202,7 +135,6 @@ class SweepSpec:
                 f"unknown sweep kind {self.kind!r}; valid: {sorted(DEFAULTS)}"
             )
         object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "base", tuple(sorted(dict(self.base).items())))
         object.__setattr__(
             self, "metrics", tuple(self.metrics) or DEFAULT_METRICS[self.kind]
@@ -230,9 +162,6 @@ class SweepSpec:
             """Every value ``name`` can take in a cell of this grid."""
             return [v for key, v in declared if key == name] or [defaults.get(name)]
 
-        for constraint in self.constraints:
-            self._check_constraint(constraint, values)
-
         # ... and every metric must parse, and be answerable, for every
         # workload and tandem length the grid can produce.
         for workload in values("workload"):
@@ -243,43 +172,10 @@ class SweepSpec:
                     1 if hops is None else hops,
                 )
 
-    def _check_constraint(self, constraint: SweepConstraint, values) -> None:
-        """Refuse a constraint that would crash expansion or can never hold.
-
-        Its values are typed like the parameter it tests (a misspelt
-        scheme would prune every cell); an ordered comparison, or one
-        against another parameter, needs numbers on both sides in every
-        cell (``None < 1.0`` raises).
-        """
-        names = [n for n in (constraint.param, constraint.other) if n is not None]
-        for name in names:
-            if name not in DEFAULTS[self.kind]:
-                raise ConfigurationError(
-                    f"constraint references unknown parameter {name!r}"
-                )
-        label = f"constraint {constraint.to_dict()}"
-        operands = [value for name in names for value in values(name)]
-        if constraint.other is None:
-            listed = constraint.op in ("in", "not-in")
-            for value in constraint.value if listed else (constraint.value,):
-                try:
-                    check_param(self.kind, constraint.param, value)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"{label}: {exc}") from None
-                operands.append(value)
-            if constraint.op not in ("<", "<=", ">", ">="):
-                return
-        for value in operands:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"{label}: {constraint.op!r} needs numbers on both sides, "
-                    f"but a cell can hold {value!r}"
-                )
-
     # -- expansion -------------------------------------------------------
 
     def cells(self) -> Iterator[dict]:
-        """Lazily yield one full parameter dict per surviving cell.
+        """Lazily yield one full parameter dict per cell.
 
         Row-major over the declared axis order; peak memory is
         O(axes), independent of the grid size.
@@ -289,12 +185,11 @@ class SweepSpec:
         for combo in itertools.product(*(axis.values for axis in self.axes)):
             params = dict(template)
             params.update(zip(names, combo))
-            if all(constraint.admits(params) for constraint in self.constraints):
-                yield params
+            yield params
 
     def count(self) -> int:
-        """Number of cells after constraints (iterates, stays lazy)."""
-        return sum(1 for _params in self.cells())
+        """Number of cells: the product of the axis lengths."""
+        return math.prod(len(axis.values) for axis in self.axes)
 
     def job_for_cell(self, params: Mapping) -> ScenarioJob:
         """The content-addressed job executing one cell."""
@@ -324,7 +219,6 @@ class SweepSpec:
             "name": self.name,
             "kind": self.kind,
             "axes": [axis.to_dict() for axis in self.axes],
-            "constraints": [c.to_dict() for c in self.constraints],
             "base": {key: value for key, value in self.base},
             "metrics": list(self.metrics),
         }
@@ -337,14 +231,13 @@ class SweepSpec:
                 f"sweep schema mismatch: got {schema!r}, expected "
                 f"{SWEEP_SPEC_SCHEMA!r}"
             )
+        _refuse_unknown_keys(
+            raw, "sweep", ("schema", "name", "kind", "axes", "base", "metrics")
+        )
         return SweepSpec(
             name=str(raw["name"]),
             kind=str(raw.get("kind", "scenario")),
             axes=tuple(SweepAxis.from_dict(entry) for entry in raw["axes"]),
-            constraints=tuple(
-                SweepConstraint.from_dict(entry)
-                for entry in raw.get("constraints", ())
-            ),
             base=raw.get("base", {}),
             metrics=tuple(raw.get("metrics", ())),
         )

@@ -82,7 +82,8 @@ def filter_events(
     field (compact) whenever a node filter is given.  Single-port runs
     label their events with the empty string, so ``nodes=[""]`` selects
     them explicitly.  ``since``/``until`` bound ``event.time``
-    inclusively on both ends; a NaN or infinite bound is refused.
+    inclusively on both ends; a NaN or infinite bound is refused.  Bad
+    arguments raise at the call, not at the first ``next()``.
     """
     for bound in (since, until):
         if bound is not None and not -math.inf < bound < math.inf:
@@ -93,11 +94,20 @@ def filter_events(
             raise ConfigurationError(
                 f"unknown event kinds {sorted(unknown)}; valid: {sorted(EVENT_TYPES)}"
             )
-        kind_set = frozenset(kinds)
-    flow_set = None if flows is None else frozenset(flows)
-    node_set = None if nodes is None else frozenset(nodes)
+    return _filtered(
+        events,
+        None if flows is None else frozenset(flows),
+        None if kinds is None else frozenset(kinds),
+        None if nodes is None else frozenset(nodes),
+        since,
+        until,
+    )
+
+
+def _filtered(events, flow_set, kind_set, node_set, since, until) -> Iterator:
+    """The selection :func:`filter_events` returns, over checked arguments."""
     for event in events:
-        if kinds is not None and type(event).kind not in kind_set:
+        if kind_set is not None and type(event).kind not in kind_set:
             continue
         if flow_set is not None and getattr(event, "flow_id", None) not in flow_set:
             continue

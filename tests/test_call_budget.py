@@ -23,8 +23,8 @@ the ``tandem-observed`` benchmark workload is the judge of cost.
 The same counter, inverted, pins the other half of a campaign's cost:
 what one sweep cell spends *outside* ``Simulator.run`` — expanding the
 grid, building and digesting the job, claim traffic, pre-flight, fabric
-build, record, ``cache.put``, shard append — on a cold pass, a warm
-pass and an aggregation (``FIXED_COST_ROWS``).  Wall-time gates cannot
+build, record, ``cache.put`` — on a cold pass, a warm pass and an
+aggregation, which decodes every cell's cache entry (``FIXED_COST_ROWS``).  Wall-time gates cannot
 resolve it (``setup_s`` is mostly imports and spreads 15-36% run to run
 on the sweep workload); a call count can.
 """
@@ -409,10 +409,17 @@ FIXED_COST_SWEEPS = {
 #: ceilings hold.  Cold fell 14.4 (one-link) and 12.5 (network) calls a
 #: cell once a record reads its delivery counters straight from the
 #: sink's ``flows``: no empty ``DeliverySink`` on one link, no
-#: ``{flow: value}`` property views to sort on a network.
+#: ``{flow: value}`` property views to sort on a network.  Measured
+#: 711.0 / 164.7 / 197.5 one-link and 905.25 / 209.25 / 226.75 network
+#: while each executed cell appended a shard row that aggregation read
+#: before the cache.  Without it, metric extraction moves from the cold
+#: pass into aggregation, which decodes every cell's entry: 617.6 /
+#: 154.1 / 295.9 and 849.5 / 185.75 / 273.0.  The one-link sum falls
+#: 0.5%; the network sum falls 2.5%, because the sweep digest and shard
+#: name a worker built once per call weigh most on a four-cell sweep.
 FIXED_COST_ROWS = {
-    "one-link": (746.0, 172.5, 207.5),
-    "network": (921.0, 218.5, 237.0),
+    "one-link": (648.5, 162.0, 311.0),
+    "network": (892.0, 195.0, 287.0),
 }
 
 

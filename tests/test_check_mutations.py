@@ -15,7 +15,7 @@ import pathlib
 import textwrap
 
 from repro.check.engine import check_paths, failing
-from repro.check.invariants import check_scenario, check_scenario_dict
+from repro.check.invariants import check_scenario, check_spec_entry
 from repro.obs.events import TRACE_SCHEMA
 from repro.experiments.fabric.demo import demo_tandem
 
@@ -58,7 +58,8 @@ class TestInvariantMutations:
     def test_broken_route_raises_rpr203(self):
         raw = demo_tandem(hops=2).to_dict()
         raw["flows"][0]["route"] = ["n0", "n2"]  # skips the n0->n1 hop
-        assert seeded_codes(check_scenario_dict(raw)) == ["RPR203"]
+        entry = {"name": "broken", "network": raw}
+        assert seeded_codes(check_spec_entry(entry, "<scenario>")) == ["RPR203"]
 
     def test_infeasible_churn_raises_rpr204(self):
         scenario = demo_tandem(hops=2)

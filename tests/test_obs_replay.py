@@ -187,8 +187,8 @@ class TestFilters:
         assert all(0.2 <= event.time <= 0.4 for event in selected)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            list(filter_events([], kinds=["martian"]))
+        with pytest.raises(ConfigurationError, match="unknown event kinds"):
+            filter_events([], kinds=["martian"])
 
     def test_flow_filter_excludes_flowless_events(self, tmp_path):
         _flows, path, _result = traced_run(tmp_path, Scheme.FIFO_SHARING, 12_000.0)
@@ -270,5 +270,8 @@ class TestTimeBounds:
     def test_non_finite_bound_raises(self, bound, which, other):
         events = [DepartEvent(time, 1, 500.0, 0.0) for time in (0.0, 0.5, 1.0)]
         bounds = {which: bound, "until" if which == "since" else "since": other}
+        # Refused at the call, before the first ``next()``.
         with pytest.raises(ConfigurationError, match="finite"):
-            list(filter_events(events, **bounds))
+            filter_events(events, **bounds)
+        with pytest.raises(ConfigurationError, match="finite"):
+            filter_events([], since=float("nan"))

@@ -2,16 +2,16 @@
 
 Every malformed input is pushed through both gates — direct
 construction (``NetworkScenario.from_dict`` raising
-``ConfigurationError``) and the static auditor
-(``check_scenario_dict`` returning an RPR203 finding) — so the two can
-never drift apart on what counts as a valid scenario.
+``ConfigurationError``) and the static auditor (``check_spec_entry`` on
+an entry carrying the raw scenario inline, returning an RPR203 finding)
+— so the two can never drift apart on what counts as a valid scenario.
 """
 
 import copy
 
 import pytest
 
-from repro.check.invariants import check_scenario_dict
+from repro.check.invariants import check_spec_entry
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import ScenarioJob
 from repro.experiments.fabric.scenario import NetworkScenario
@@ -97,11 +97,16 @@ def mutate(**overrides):
     return raw
 
 
+def audit_raw(raw):
+    """The auditor's findings on raw scenario data, through its spec gate."""
+    return check_spec_entry({"name": "raw", "network": raw}, "<scenario>")
+
+
 def assert_both_reject(raw, fragment):
     """Constructor raises; checker reports the same defect as RPR203."""
     with pytest.raises(ConfigurationError, match=fragment):
         NetworkScenario.from_dict(raw)
-    findings = check_scenario_dict(raw)
+    findings = audit_raw(raw)
     assert [finding.rule_id for finding in findings] == ["RPR203"]
     assert findings[0].severity == "error"
 
@@ -110,7 +115,7 @@ class TestBaseDictIsValid:
     def test_constructs_and_audits_clean(self):
         scenario = NetworkScenario.from_dict(base_dict())
         assert len(scenario.flows) == 1
-        assert check_scenario_dict(base_dict()) == []
+        assert audit_raw(base_dict()) == []
         # The stale v2 key loads (ignored) and is not written back ...
         assert "recycle" not in scenario.to_dict()
         # ... but a whole job of the retired fabric family is refused by
@@ -130,7 +135,7 @@ class TestStructuralRejections:
         raw = base_dict()
         raw["nodes"][0]["scheme"] = "FIFO_TRESHOLD"
         assert_both_reject(raw, "unknown scheme 'FIFO_TRESHOLD'; valid: FIFO_NONE")
-        [finding] = check_scenario_dict(raw)
+        [finding] = audit_raw(raw)
         assert "malformed" not in finding.message
 
     def test_route_over_missing_link(self):
@@ -286,10 +291,10 @@ class TestMalformedData:
     def test_missing_required_key_is_rpr203(self):
         raw = base_dict()
         del raw["nodes"]
-        findings = check_scenario_dict(raw)
+        findings = audit_raw(raw)
         assert [finding.rule_id for finding in findings] == ["RPR203"]
-        assert "malformed scenario" in findings[0].message
+        assert "malformed entry" in findings[0].message
 
     def test_non_dict_payload_is_rpr203(self):
-        findings = check_scenario_dict([1, 2, 3])
+        findings = audit_raw([1, 2, 3])
         assert [finding.rule_id for finding in findings] == ["RPR203"]

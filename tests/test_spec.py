@@ -278,7 +278,9 @@ class TestDigestsHeld:
         from repro.experiments.sweep import load_sweep
 
         spec = load_sweep("examples/sweeps/ci_grid.json")
-        assert spec.digest()[:16] == "d9cdadb59b6b5e7c"
+        # The sweep digest moved once when the "constraints" key left the
+        # canonical form; the job digests below did not.
+        assert spec.digest()[:16] == "f9af3355181fe69c"
         cells = hashlib.sha256(
             "".join(job.digest() for _params, job in spec.jobs()).encode("ascii")
         )

@@ -1,4 +1,4 @@
-"""Streaming aggregation: shards, torn lines, byte-identical folds."""
+"""Streaming aggregation: cache replay, byte-identical folds."""
 
 import dataclasses
 import json
@@ -13,19 +13,16 @@ from repro.experiments.campaign.runner import CampaignRunner, execute_job
 from repro.experiments.spec import ScenarioSpec, run_spec
 from repro.experiments.sweep import (
     AGGREGATE_SCHEMA,
-    SHARD_SCHEMA,
     SweepAxis,
     SweepSpec,
     aggregate_sweep,
     default_aggregate_path,
     load_sweep,
-    metric_row,
     run_grid,
     run_sweep_worker,
-    shard_path,
     write_aggregate,
 )
-from repro.experiments.sweep.aggregate import _append_shard_row, read_shard_index, shard_dir
+from repro.experiments.sweep.aggregate import metric_row
 from repro.metrics.stats import MeanCI
 
 FAST = {"sim_time": 0.5, "warmup": 0.1}
@@ -78,66 +75,6 @@ class TestMetricRow:
         assert row["events"] > 0
 
 
-class TestShardIO:
-    def test_append_then_read_round_trip(self, tmp_path):
-        spec = small_spec()
-        path = shard_path(tmp_path, spec.digest(), "w1")
-        _append_shard_row(
-            path, spec.digest(), "d" * 64, {"seed": 1}, {"utilization": 42.0}
-        )
-        assert path.parent == shard_dir(tmp_path)
-        index = read_shard_index(tmp_path, spec.digest())
-        assert index == {"d" * 64: {"utilization": 42.0}}
-        line = json.loads(path.read_text().splitlines()[0])
-        assert line["schema"] == SHARD_SCHEMA
-
-    def test_owner_name_is_sanitized(self, tmp_path):
-        path = shard_path(tmp_path, "a" * 64, "host/with:odd chars")
-        assert "/" not in path.name and ":" not in path.name
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        digest = small_spec().digest()
-        path = shard_path(tmp_path, digest, "w1")
-        _append_shard_row(path, digest, "a" * 64, {"seed": 1}, {"m": 1.0})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-sweep-shard-v1", "dig')  # SIGKILL
-        index = read_shard_index(tmp_path, digest)
-        assert index == {"a" * 64: {"m": 1.0}}
-
-    def test_foreign_sweeps_and_schemas_are_ignored(self, tmp_path):
-        digest = small_spec().digest()
-        _append_shard_row(
-            shard_path(tmp_path, digest, "w1"), digest, "a" * 64, {}, {"m": 1.0}
-        )
-        # A row from a different sweep whose file-name prefix collides.
-        path = shard_path(tmp_path, digest, "w2")
-        foreign = {
-            "schema": SHARD_SCHEMA,
-            "sweep": "f" * 64,
-            "digest": "b" * 64,
-            "params": {},
-            "metrics": {"m": 9.0},
-        }
-        alien = {"schema": "other-v1", "digest": "c" * 64, "metrics": {}}
-        path.write_text(
-            json.dumps(foreign) + "\n" + json.dumps(alien) + "\n"
-        )
-        index = read_shard_index(tmp_path, digest)
-        assert set(index) == {"a" * 64}
-
-    def test_duplicate_digests_collapse(self, tmp_path):
-        digest = small_spec().digest()
-        for owner in ("w1", "w2"):
-            _append_shard_row(
-                shard_path(tmp_path, digest, owner), digest, "a" * 64,
-                {"seed": 1}, {"m": 2.5},
-            )
-        assert read_shard_index(tmp_path, digest) == {"a" * 64: {"m": 2.5}}
-
-    def test_missing_shard_dir_is_empty_index(self, tmp_path):
-        assert read_shard_index(tmp_path, "a" * 64) == {}
-
-
 class TestAggregate:
     def test_incomplete_sweep_raises(self, tmp_path):
         spec = small_spec()
@@ -159,29 +96,23 @@ class TestAggregate:
                 assert cell["n"] == 2
                 assert cell["halfwidth"] >= 0.0
 
-    def test_cache_replay_equals_shard_fed_aggregate(self, tmp_path):
+    def test_cache_replay_equals_serial_aggregate(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "queue")
         run_sweep_worker(spec, cache, "w1", heartbeat_timeout=30.0)
-        via_shards = aggregate_sweep(spec, cache)
-        # Destroy the shards: aggregation must rebuild the identical
-        # rows from the cached records alone (pure cache replay).
-        for path in shard_dir(cache.root).glob("*.jsonl"):
-            path.unlink()
+        # The worker's cache entries are the only per-cell record: the
+        # aggregate rebuilt from them equals a serial run's, every time.
         via_cache = aggregate_sweep(spec, cache)
         serial = aggregate_sweep(spec, run_serial(spec, tmp_path / "serial"))
         dumps = lambda agg: json.dumps(agg, sort_keys=True)
-        assert dumps(via_shards) == dumps(via_cache) == dumps(serial)
+        assert dumps(via_cache) == dumps(aggregate_sweep(spec, cache)) == dumps(serial)
 
-    def test_shard_row_missing_metric_is_fatal(self, tmp_path):
+    def test_cleared_cache_is_incomplete(self, tmp_path):
         spec = small_spec()
-        cache = run_serial(spec, tmp_path)
-        [(params, job)] = list(spec.jobs())[:1]
-        _append_shard_row(
-            shard_path(cache.root, spec.digest(), "w1"), spec.digest(),
-            job.digest(), params, {"loss": 0.0},
-        )
-        with pytest.raises(ConfigurationError, match="lacks metric"):
+        cache = ResultCache(tmp_path)
+        run_sweep_worker(spec, cache, "w1")
+        assert cache.clear() == 4
+        with pytest.raises(ConfigurationError, match="incomplete.*4 of 4 cells"):
             aggregate_sweep(spec, cache)
 
     def test_write_aggregate_is_canonical_and_atomic(self, tmp_path):
@@ -278,12 +209,9 @@ class TestDescribersAgree:
         }
         queue = ResultCache(tmp_path)
         run_sweep_worker(grid, queue, "w1")
-        assert aggregate_sweep(grid, queue) == in_memory  # shard rows
-        for path in shard_dir(queue.root).glob("*.jsonl"):
-            path.unlink()
-        assert aggregate_sweep(grid, queue) == in_memory  # cached records
+        assert aggregate_sweep(grid, queue) == in_memory
 
-    def test_in_memory_grid_equals_the_shard_and_cache_routes(self, tmp_path):
+    def test_in_memory_grid_equals_the_batch_and_worker_caches(self, tmp_path):
         spec = dataclasses.replace(
             load_sweep("examples/sweeps/ci_grid.json"),
             base={"sim_time": 0.3, "warmup": 0.05},
@@ -291,7 +219,7 @@ class TestDescribersAgree:
         cache = ResultCache(tmp_path / "batch")
         in_memory = run_grid(spec, CampaignRunner(cache=cache))
         assert in_memory["cells"] == 12 and len(in_memory["groups"]) == 4
-        assert aggregate_sweep(spec, cache) == in_memory  # records, no shards
+        assert aggregate_sweep(spec, cache) == in_memory
         queue = ResultCache(tmp_path / "queue")
         run_sweep_worker(spec, queue, "w1", heartbeat_timeout=30.0)
-        assert aggregate_sweep(spec, queue) == in_memory  # shard rows
+        assert aggregate_sweep(spec, queue) == in_memory

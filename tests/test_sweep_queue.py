@@ -21,17 +21,14 @@ from repro.experiments.sweep import (
     SweepAxis,
     SweepSpec,
     aggregate_sweep,
-    metric_row,
     read_claim,
     release_claim,
     run_sweep_worker,
     scan_claims,
-    shard_path,
     sweep_status,
     write_aggregate,
 )
 from repro.experiments.sweep import queue as sweep_queue
-from repro.experiments.sweep.aggregate import _append_shard_row, shard_dir
 from repro.experiments.sweep.queue import reap_stale_claims
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -77,20 +74,6 @@ def serial_aggregate_bytes(spec, root):
     out = pathlib.Path(root) / "aggregate.json"
     write_aggregate(aggregate_sweep(spec, cache), out)
     return out.read_bytes()
-
-
-def shard_digests(root, spec):
-    """Every digest appended to any shard of this sweep, with repeats."""
-    digests = []
-    for path in sorted(shard_dir(root).glob("*.jsonl")):
-        for line in path.read_text().splitlines():
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue
-            if row.get("sweep") == spec.digest():
-                digests.append(row["digest"])
-    return digests
 
 
 # Module-level so ProcessPoolExecutor can pickle them by reference.
@@ -180,7 +163,6 @@ class TestWorker:
         assert status.complete
         assert (status.completed, status.pending) == (4, 0)
         assert scan_claims(tmp_path) == []  # all claims released
-        assert len(shard_digests(tmp_path, spec)) == 4
 
     def test_warm_rerun_is_pure_cache_replay(self, tmp_path):
         spec = small_spec()
@@ -192,7 +174,6 @@ class TestWorker:
         # Lifetime stats record the replay: every cell was a cache hit
         # (the worker folds its counters into stats.meta on exit).
         assert cache.persisted_stats()["hits"] == 4
-        assert len(shard_digests(tmp_path, spec)) == 4  # no new rows
 
     def test_live_peer_claim_is_respected(self, tmp_path):
         spec = small_spec()
@@ -283,10 +264,7 @@ class TestWorker:
         for thread in threads:
             thread.join()
         executed = sum(s.executed for s in summaries.values())
-        assert executed == 6
-        digests = shard_digests(tmp_path, spec)
-        assert len(digests) == 6
-        assert len(set(digests)) == 6  # no cell executed twice
+        assert executed == 6  # six cells, so none executed twice
         assert sweep_status(spec, ResultCache(tmp_path)).complete
 
     def test_later_passes_revisit_only_cells_claimed_elsewhere(
@@ -384,22 +362,14 @@ class TestCrashResume:
         cache = ResultCache(root)
         jobs = list(spec.jobs())
 
-        # Worker A completes k=2 cells by hand, claims a third, appends a
-        # torn half-line to its shard (SIGKILL mid-write), and vanishes
-        # without releasing the claim.
-        for params, job in jobs[:2]:
+        # Worker A completes k=2 cells by hand, claims a third, and
+        # vanishes without releasing the claim.
+        for _params, job in jobs[:2]:
             claim = try_claim(root, job.digest(), "victim")
-            record = execute_job(job)
-            cache.put(record)
-            _append_shard_row(
-                shard_path(root, spec.digest(), "victim"), spec.digest(),
-                job.digest(), params, metric_row(spec, job.scenario, record),
-            )
+            cache.put(execute_job(job))
             release_claim(claim)
         _params, third = jobs[2]
         corpse = try_claim(root, third.digest(), "victim")
-        with open(shard_path(root, spec.digest(), "victim"), "a") as handle:
-            handle.write('{"schema": "repro-sweep-shard-v1", "dig')
         age_claim(corpse)
 
         # Worker B resumes: reaps the corpse exactly once, executes only
@@ -410,10 +380,6 @@ class TestCrashResume:
         assert summary.reaped == 1
         assert summary.executed == 2  # cells 3 and 4 only — no re-runs
         assert sweep_status(spec, resume_cache).complete
-
-        digests = [d for d in shard_digests(root, spec)]
-        assert len(digests) == 4
-        assert len(set(digests)) == 4  # no duplicate records
 
         out = root / "resumed.json"
         write_aggregate(aggregate_sweep(spec, resume_cache), out)
@@ -465,15 +431,6 @@ class TestCrashResume:
         summary = run_sweep_worker(spec, resume_cache, "rescuer")
         assert summary.outstanding == 0
         assert sweep_status(spec, resume_cache).complete
-        # Every shard row belongs to the grid.  A victim killed between
-        # cache.put and its shard append leaves a cell with no row at
-        # all (served from the cache at aggregation time), and one
-        # killed between the append and the claim release leaves a
-        # duplicate row (collapsed by the reader) — so neither exact
-        # coverage nor strict uniqueness can be asserted here; the
-        # byte-identity check below is the real invariant.
-        digests = shard_digests(root, spec)
-        assert set(digests) <= {job.digest() for _p, job in spec.jobs()}
 
         out = root / "resumed.json"
         write_aggregate(aggregate_sweep(spec, resume_cache), out)
@@ -582,8 +539,6 @@ class TestTornEntry:
         spec = small_spec(axes=(SweepAxis("seed", (1, 2)),))
         root = tmp_path / "shared"
         run_sweep_worker(spec, ResultCache(root), "w1")
-        for path in shard_dir(root).glob("*.jsonl"):
-            path.unlink()
         torn = ResultCache(root).entries()[0]
         torn.write_bytes(torn.read_bytes()[:100])
 
@@ -625,7 +580,6 @@ CRASH_POINTS = {
     "after pre-flight": ("preflight_jobs", True),
     "inside execute": ("execute_job", False),
     "after put": ("store", True),
-    "after shard row": ("_append_shard_row", True),
     "before release": ("release_claim", False),
 }
 
@@ -647,13 +601,13 @@ class TestCrashPoints:
         assert not any(claim.failed for claim in claims)  # a kill is no failure
         for path in root.glob("*.claim"):
             age_claim(path)
+        stored = len(ResultCache(root).entries())
 
         summary = run_sweep_worker(spec, ResultCache(root), "rescuer", preflight=True)
         assert summary.outstanding == 0
+        assert summary.executed == 4 - stored  # no stored cell runs again
         status = sweep_status(spec, ResultCache(root))
         assert status.complete and status.completed == 4  # no cell lost
-        digests = shard_digests(root, spec)
-        assert len(digests) == len(set(digests))  # no duplicate rows
         out = root / "resumed.json"
         write_aggregate(aggregate_sweep(spec, ResultCache(root)), out)
         assert out.read_bytes() == serial_aggregate_bytes(spec, tmp_path / "serial")

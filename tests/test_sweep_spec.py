@@ -1,8 +1,7 @@
-"""Sweep DSL: validation, lazy expansion, constraints, round-trips."""
+"""Sweep DSL: validation, lazy expansion, round-trips."""
 
 import itertools
 import json
-import math
 import tracemalloc
 
 import pytest
@@ -15,7 +14,6 @@ from repro.experiments.sweep import (
     SweepSpec,
     load_sweep,
 )
-from repro.experiments.sweep.spec import SweepConstraint
 
 
 def scenario_spec(**overrides):
@@ -138,51 +136,6 @@ class TestValidation:
         [job] = [job for _params, job in list(spec.jobs())[:1]]
         assert job.scenario.sim_time == 1.0 and job.scenario.warmup is None
 
-    def test_constraint_on_unknown_parameter_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown parameter"):
-            scenario_spec(
-                constraints=(SweepConstraint("bandwidth", "==", 1),)
-            )
-
-    def test_constraint_bad_op_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown constraint op"):
-            SweepConstraint("seed", "~=", 1)
-
-    def test_membership_op_needs_list(self):
-        with pytest.raises(ConfigurationError, match="needs a list"):
-            SweepConstraint("seed", "in", 1)
-
-    @pytest.mark.parametrize(
-        "constraint",
-        [SweepConstraint("warmup", "<", 1.0), SweepConstraint("scheme", "<", 1.0)],
-        ids=["none-operand", "name-operand"],
-    )
-    def test_ordered_constraint_needs_numbers_at_the_describe_stage(self, constraint):
-        # Expanding either one compared None or a scheme name with a float:
-        # a bare TypeError in every worker.
-        with pytest.raises(ConfigurationError, match=f"constraint .*{constraint.param}"):
-            SweepSpec(
-                name="ordered",
-                axes=(SweepAxis("seed", (1, 2)),),
-                constraints=(constraint,),
-            )
-        # Where every cell sets the parameter to a number, the order holds.
-        spec = scenario_spec(constraints=(SweepConstraint("warmup", "<", 1.0),))
-        assert spec.count() == math.prod(len(axis.values) for axis in spec.axes)
-
-    @pytest.mark.parametrize(
-        "constraint",
-        [
-            SweepConstraint("scheme", "==", "FIFO_NON"),
-            SweepConstraint("scheme", "not-in", ["FIFO_NONE", "FIFO_NON"]),
-        ],
-        ids=["value", "member"],
-    )
-    def test_constraint_value_is_typed_like_its_parameter(self, constraint):
-        # A misspelt scheme used to prune every cell without a word.
-        with pytest.raises(ConfigurationError, match="constraint .*'FIFO_NON'"):
-            scenario_spec(constraints=(constraint,))
-
 
 class TestExpansion:
     def test_row_major_declared_order(self):
@@ -203,34 +156,6 @@ class TestExpansion:
             assert cell["sim_time"] == 0.5
             assert cell["warmup"] == 0.1
             assert cell["workload"] == "table1"  # untouched default
-
-    def test_value_constraint_prunes(self):
-        spec = scenario_spec(
-            constraints=(SweepConstraint("buffer_mb", ">=", 1.0),)
-        )
-        assert spec.count() == 4
-        assert all(c["buffer_mb"] >= 1.0 for c in spec.cells())
-
-    def test_cross_parameter_constraint(self):
-        spec = scenario_spec(
-            axes=(
-                SweepAxis("buffer_mb", (0.5, 1.0)),
-                SweepAxis("headroom_mb", (0.25, 0.5, 1.0)),
-                SweepAxis("seed", (1,)),
-            ),
-            constraints=(
-                SweepConstraint("headroom_mb", "<", None, other="buffer_mb"),
-            ),
-        )
-        for cell in spec.cells():
-            assert cell["headroom_mb"] < cell["buffer_mb"]
-        assert spec.count() == 3
-
-    def test_membership_constraint(self):
-        spec = scenario_spec(
-            constraints=(SweepConstraint("scheme", "in", ["FIFO_NONE"]),)
-        )
-        assert {c["scheme"] for c in spec.cells()} == {"FIFO_NONE"}
 
     def test_scenario_jobs_are_campaign_jobs(self):
         spec = scenario_spec()
@@ -276,13 +201,27 @@ class TestExpansion:
 
 class TestRoundTrip:
     def test_dict_round_trip_preserves_digest(self):
-        spec = scenario_spec(
-            constraints=(SweepConstraint("buffer_mb", ">=", 0.5),),
-            metrics=("utilization", "loss:conformant"),
-        )
+        spec = scenario_spec(metrics=("utilization", "loss:conformant"))
         clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.digest() == spec.digest()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("metric", ["loss"]), ("bases", {"sim_time": 0.1}), ("constraints", [])],
+    )
+    def test_unknown_key_is_refused_naming_the_valid_ones(self, key, value):
+        # Each used to be ignored: the sweep ran its default metrics and
+        # an empty base without a word.
+        raw = dict(scenario_spec().to_dict(), **{key: value})
+        with pytest.raises(ConfigurationError, match=f"unknown sweep key '{key}'.*'metrics'"):
+            SweepSpec.from_dict(raw)
+
+    def test_unknown_axis_key_is_refused(self):
+        raw = scenario_spec().to_dict()
+        raw["axes"][0]["value"] = ["FIFO_NONE"]
+        with pytest.raises(ConfigurationError, match="unknown axis key 'value'.*'values'"):
+            SweepSpec.from_dict(raw)
 
     def test_schema_tag_present_and_pinned(self):
         raw = scenario_spec().to_dict()
@@ -363,4 +302,4 @@ class TestLaziness:
         assert all(isinstance(job, ScenarioJob) for _p, job in first)
 
     def test_count_does_not_materialize(self):
-        assert math.prod(len(axis.values) for axis in self._grid(100).axes) == 10_000
+        assert self._grid(100).count() == 10_000
