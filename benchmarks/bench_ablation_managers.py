@@ -64,7 +64,7 @@ def _run_all():
         name: _measures(
             run_scenario(
                 flows, scheme, BUFFER, sim_time=SIM_TIME, seed=SEED, headroom=HEADROOM
-            ).sole_link.collector
+            ).end_to_end
         )
         for name, scheme in SCHEMES.items()
     }

@@ -612,7 +612,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         # A usage error (2) or --help (0); argparse has printed it.
         return stop.code
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        # Refused input found past parsing (a spec, a cache, a variable):
+        # argparse's code and form, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

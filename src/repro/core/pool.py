@@ -88,10 +88,6 @@ class BufferPool:
         """Unreserved capacity (holes + reclaimed headroom)."""
         return self.holes + self.headroom
 
-    def reservation(self, flow_id: int) -> float:
-        """Base reservation held for ``flow_id`` (0 when absent)."""
-        return self.reservations.get(flow_id, 0.0)
-
     def can_reserve(self, amount: float) -> bool:
         """Would a reservation of ``amount`` bytes fit the pool now?
 

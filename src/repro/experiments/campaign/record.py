@@ -19,84 +19,21 @@ are written against, as the live result does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign.job import CAMPAIGN_SCHEMA
+from repro.experiments.fabric.build import FabricResult
 from repro.experiments.fabric.churn import ChurnReport
-from repro.metrics.collector import FlowStats, LinkMeasures, accounted
+from repro.metrics.collector import LinkMeasures, accounted
 from repro.metrics.records import (
     DelaySummary,
-    flow_stats_from_dict,
-    flow_stats_to_dict,
+    LinkRecord,
+    _dump_by_flow,
+    _load_by_flow,
 )
 from repro.obs.telemetry import JobTelemetry
 
-if TYPE_CHECKING:  # circular at runtime: the fabric builds records
-    from repro.experiments.fabric.build import FabricResult, LinkResult
-
 __all__ = ["ScenarioRecord"]
-
-
-def _dump_by_flow(table: dict, dump: Callable) -> dict:
-    """A flow-keyed table as JSON: string keys, flow-id order."""
-    return {str(i): dump(table[i]) for i in sorted(table)}
-
-
-def _load_by_flow(raw: dict, load: Callable) -> dict:
-    """The inverse of :func:`_dump_by_flow`."""
-    return {i: load(raw[str(i)]) for i in sorted(map(int, raw))}
-
-
-def _floats(values) -> list[float] | None:
-    return None if values is None else [float(value) for value in values]
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    """Serializable per-link measurements over ``[warmup, sim_time]``."""
-
-    rate: float
-    buffer_size: float
-    flow_stats: dict[int, FlowStats] = field(default_factory=dict)
-    thresholds: dict[int, float] = field(default_factory=dict)
-    queue_rates: tuple[float, ...] | None = None
-    queue_buffers: tuple[float, ...] | None = None
-
-    @staticmethod
-    def from_result(link: "LinkResult") -> "LinkRecord":
-        """One live link as plain data, in canonical (sorted) order."""
-        return LinkRecord(
-            rate=link.rate,
-            buffer_size=link.buffer_size,
-            flow_stats=link.flow_stats,
-            thresholds={i: link.thresholds[i] for i in sorted(link.thresholds)},
-            queue_rates=link.queue_rates,
-            queue_buffers=link.queue_buffers,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "rate": float(self.rate),
-            "buffer_size": float(self.buffer_size),
-            "flow_stats": _dump_by_flow(self.flow_stats, flow_stats_to_dict),
-            "thresholds": _dump_by_flow(self.thresholds, float),
-            "queue_rates": _floats(self.queue_rates),
-            "queue_buffers": _floats(self.queue_buffers),
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "LinkRecord":
-        queue_rates = raw.get("queue_rates")
-        queue_buffers = raw.get("queue_buffers")
-        return LinkRecord(
-            rate=float(raw["rate"]),
-            buffer_size=float(raw["buffer_size"]),
-            flow_stats=_load_by_flow(raw["flow_stats"], flow_stats_from_dict),
-            thresholds=_load_by_flow(raw["thresholds"], float),
-            queue_rates=None if queue_rates is None else tuple(queue_rates),
-            queue_buffers=None if queue_buffers is None else tuple(queue_buffers),
-        )
 
 
 @dataclass(frozen=True)
@@ -104,12 +41,11 @@ class ScenarioRecord(LinkMeasures):
     """Measurements of one simulation run, as plain data.
 
     ``delivery_*`` counters cover packets that reached the end of a
-    multi-link route (whole run, like the live
-    :class:`~repro.net.topology.DeliverySink`; empty on a one-link
-    record, whose link statistics already are end to end).  ``delays``
-    holds end-to-end delay summaries over the measurement window when
-    the job recorded histograms.  ``churn`` carries the blocking split
-    when the scenario had dynamic flows.
+    multi-link route (whole run, like the live result's ``delivery``
+    table; empty on a one-link record, whose link statistics already
+    are end to end).  ``delays`` holds end-to-end delay summaries over
+    the measurement window when the job recorded histograms.  ``churn``
+    carries the blocking split when the scenario had dynamic flows.
     """
 
     job_digest: str
@@ -132,16 +68,18 @@ class ScenarioRecord(LinkMeasures):
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_result(result: "FabricResult", job_digest: str) -> "ScenarioRecord":
+    def from_result(result: FabricResult, job_digest: str) -> "ScenarioRecord":
         """Extract the serializable measurements from a live result.
 
-        Delay percentiles are pulled out of the end-to-end collector's
-        histograms eagerly (when the run recorded them), which is what
-        frees the record from referencing the live collector.
+        The run already measured each link into a
+        :class:`~repro.metrics.records.LinkRecord`; delay percentiles are
+        pulled out of the end-to-end collector's histograms eagerly (when
+        the run recorded them), which is what frees the record from
+        referencing the live collector.
         """
         scenario = result.scenario
         # One link: nothing was delivered past it.
-        delivered = () if result.delivery is None else sorted(result.delivery.flows.items())
+        delivered = () if result.delivery is None else sorted(result.delivery.items())
         collector = result.end_to_end
         delays: dict[int, DelaySummary] = {}
         if collector.delay_histograms:
@@ -156,10 +94,7 @@ class ScenarioRecord(LinkMeasures):
             warmup=result.warmup,
             seed=scenario.seed,
             events_processed=result.events_processed,
-            links={
-                label: LinkRecord.from_result(link)
-                for label, link in sorted(result.links.items())
-            },
+            links=dict(sorted(result.links.items())),
             delivery_packets={i: s.departed_packets for i, s in delivered},
             delivery_bytes={i: s.departed_bytes for i, s in delivered},
             # A flow only ever delivered at zero delay has no entry.

@@ -9,7 +9,7 @@ is the one-link case and delegates here.
 See ``docs/networks.md`` for the model and the sizing rules.
 """
 
-from repro.experiments.fabric.build import FabricResult, LinkResult, run_fabric
+from repro.experiments.fabric.build import FabricResult, run_fabric
 from repro.experiments.fabric.churn import ChurnReport, FlowChurnProcess
 from repro.experiments.fabric.scenario import (
     DYNAMIC_FLOW_BASE,
@@ -29,7 +29,6 @@ __all__ = [
     "ChurnReport",
     "FlowChurnProcess",
     "FabricResult",
-    "LinkResult",
     "run_fabric",
     "DYNAMIC_FLOW_BASE",
 ]

@@ -34,35 +34,14 @@ from repro.experiments.fabric.churn import (
 from repro.experiments.fabric.scenario import DYNAMIC_FLOW_BASE, NetworkScenario
 from repro.experiments.schemes import SchemeBuild, build_scheme
 from repro.metrics.collector import FlowStats, LinkMeasures, StatsCollector, accounted
+from repro.metrics.records import LinkRecord
 from repro.net.topology import DeliverySink, Network
 from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequence
 
-__all__ = ["LinkResult", "FabricResult", "run_fabric"]
-
-
-@dataclass
-class LinkResult:
-    """Per-link measurements of one fabric run."""
-
-    label: str
-    src: str
-    dst: str
-    rate: float
-    buffer_size: float
-    collector: StatsCollector
-    thresholds: dict[int, float] = field(default_factory=dict)
-    queue_rates: tuple[float, ...] | None = None
-    queue_buffers: tuple[float, ...] | None = None
-    #: The static flows routed over this link: each has an entry in
-    #: :attr:`flow_stats`, a zero one if it sent nothing in the window.
-    routed: frozenset[int] = frozenset()
-
-    @property
-    def flow_stats(self) -> dict[int, FlowStats]:
-        return accounted(self.collector.flows, self.routed)
+__all__ = ["FabricResult", "run_fabric"]
 
 
 @dataclass
@@ -76,19 +55,22 @@ class FabricResult(LinkMeasures):
 
     scenario: NetworkScenario
     events_processed: int
+    #: The collector that measured end to end: the delivery collector
+    #: on a network; on one link, the link's own (nothing is counted a
+    #: second time past it).
+    end_to_end: StatsCollector
     #: Engine execution stats for telemetry: the event queue's
     #: end-of-run lazy-deletion counters.  Execution detail, not
     #: measurement — never serialized into records.
     cancelled_pending: int = 0
     compactions: int = 0
-    links: dict[str, LinkResult] = field(default_factory=dict)
-    #: End-to-end delivery accounting; None on a one-link scenario,
-    #: where the link's own statistics already are end to end.
-    delivery: DeliverySink | None = None
+    #: Each link's measurements, already plain data.
+    links: dict[str, LinkRecord] = field(default_factory=dict)
+    #: Whole-run per-flow delivery counters at the end of the routes;
+    #: None on a one-link scenario, where the link's own statistics
+    #: already are end to end.
+    delivery: dict[int, FlowStats] | None = None
     churn: ChurnReport | None = None
-    #: The timeline passed into :func:`run_fabric`, post-run (series
-    #: filled); None when sampling was not requested.
-    timeline: object | None = None
     #: The conformance monitor's finalized findings; None when no
     #: monitor was attached.
     monitor_report: MonitorReport | None = None
@@ -100,24 +82,6 @@ class FabricResult(LinkMeasures):
     @property
     def warmup(self) -> float:
         return self.scenario.effective_warmup
-
-    @property
-    def end_to_end(self) -> StatsCollector:
-        """The collector that measures end to end.
-
-        The delivery sink's on a network; on one link, the link's own:
-        nothing is counted a second time past it.
-        """
-        if self.delivery is None:
-            return self.sole_link.collector
-        return self.delivery.collector
-
-    def link(self, src: str, dst: str) -> LinkResult:
-        label = f"{src}->{dst}"
-        result = self.links.get(label)
-        if result is None:
-            raise ConfigurationError(f"no link {label} in this run")
-        return result
 
     def delay_percentile(self, flow_id: int, q: float) -> float:
         """End-to-end delay percentile; needs ``delay_histograms=True``."""
@@ -208,8 +172,8 @@ def run_fabric(
             for every hop's occupancy/free space (plus headroom, pool
             split and churn counts where applicable, and per-flow
             occupancy for ``timeline.flows``) are wired and the sampler
-            installed for the run.  The filled timeline is returned on
-            :attr:`FabricResult.timeline`.
+            installed for the run; the caller keeps it and reads the
+            filled series.
         monitor: optional :class:`~repro.obs.monitor.ConformanceMonitor`;
             attached alongside ``sink`` (teed), armed with the
             scenario's analytic bounds, and finalized into
@@ -236,7 +200,9 @@ def run_fabric(
         effective_sink = TeeSink(monitor) if sink is None else TeeSink(sink, monitor)
     hop_sigmas = scenario.hop_sigmas()
 
-    links: dict[str, LinkResult] = {}
+    # Each link with its buffer, collector, routed static flows and scheme
+    # build: measured into a LinkRecord once the run is over.
+    measured = []
     managers: dict[tuple[str, str], object] = {}
     for link in scenario.links:
         node = scenario.node(link.src)
@@ -270,22 +236,14 @@ def run_fabric(
             collector=collector, label=label, deliver=not single,
         )
         managers[key] = build.manager
-        links[link.label] = LinkResult(
-            label=link.label,
-            src=link.src,
-            dst=link.dst,
-            rate=link.rate,
-            buffer_size=node.buffer_size,
-            collector=collector,
-            thresholds=build.thresholds,
-            queue_rates=build.queue_rates,
-            queue_buffers=build.queue_buffers,
-            routed=frozenset(flow.flow_id for flow in effective),
-        )
+        routed_ids = frozenset(flow.flow_id for flow in effective)
+        measured.append((link, node.buffer_size, collector, routed_ids, build))
+        if single:
+            end_to_end = collector
         if monitor is not None:
             _wire_link_monitor(monitor, label, build, node.buffer_size, link.rate)
         if timeline is not None:
-            _wire_link_timeline(timeline, label, build, links[link.label].routed)
+            _wire_link_timeline(timeline, label, build, routed_ids)
             if single:
                 timeline.probe(
                     "backlog_packets",
@@ -319,17 +277,26 @@ def run_fabric(
         timeline.install(sim, scenario.sim_time)
 
     sim.run(until=scenario.sim_time, max_events=scenario.max_events)
-    net.sink.sim = None  # the run is over: a kept result holds no simulator
 
     return FabricResult(
         scenario=scenario,
         events_processed=sim.events_processed,
+        end_to_end=end_to_end,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
-        links=links,
-        delivery=delivery,
+        links={
+            link.label: LinkRecord(
+                rate=link.rate,
+                buffer_size=buffer_size,
+                flow_stats=accounted(collector.flows, routed_ids),
+                thresholds={i: build.thresholds[i] for i in sorted(build.thresholds)},
+                queue_rates=build.queue_rates,
+                queue_buffers=build.queue_buffers,
+            )
+            for link, buffer_size, collector, routed_ids, build in measured
+        },
+        delivery=None if delivery is None else delivery.flows,
         churn=None if churn_process is None else churn_process.finalize(),
-        timeline=timeline,
         monitor_report=None if monitor is None else monitor.finalize(),
     )
 

@@ -382,12 +382,6 @@ class NetworkScenario:
                 return node
         raise ConfigurationError(f"no node named {name!r}")
 
-    def link(self, src: str, dst: str) -> LinkSpec:
-        for link in self.links:
-            if link.src == src and link.dst == dst:
-                return link
-        raise ConfigurationError(f"no link {src}->{dst}")
-
     @property
     def effective_warmup(self) -> float:
         return 0.1 * self.sim_time if self.warmup is None else self.warmup

@@ -64,14 +64,25 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, _SCALAR_TYPES)
 
 
-def _refuse_unknown_keys(raw: Mapping, what: str, valid: tuple[str, ...]) -> None:
+def _check_keys(
+    raw: object, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
     """Every key is honoured or refused: a misspelt one would otherwise
-    fall back to its default without a word."""
+    fall back to its default without a word, and a missing one is named
+    rather than left to a ``KeyError``."""
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(raw).__name__} {raw!r}"
+        )
+    valid = required + optional
     for key in raw:
         if key not in valid:
             raise ConfigurationError(
                 f"unknown {what} key {key!r}; valid: {sorted(valid)}"
             )
+    for key in required:
+        if key not in raw:
+            raise ConfigurationError(f"{what} missing required key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,12 @@ class SweepAxis:
 
     @staticmethod
     def from_dict(raw: dict) -> "SweepAxis":
-        _refuse_unknown_keys(raw, "axis", ("name", "values"))
+        _check_keys(raw, "axis", ("name", "values"))
+        if not isinstance(raw["values"], list):
+            # A string would otherwise sweep over its characters.
+            raise ConfigurationError(
+                f"axis {raw['name']!r} values must be a list, got {raw['values']!r}"
+            )
         return SweepAxis(name=str(raw["name"]), values=tuple(raw["values"]))
 
 
@@ -231,9 +247,11 @@ class SweepSpec:
                 f"sweep schema mismatch: got {schema!r}, expected "
                 f"{SWEEP_SPEC_SCHEMA!r}"
             )
-        _refuse_unknown_keys(
-            raw, "sweep", ("schema", "name", "kind", "axes", "base", "metrics")
+        _check_keys(
+            raw, "sweep", ("schema", "name", "axes"), ("kind", "base", "metrics")
         )
+        if not isinstance(raw["axes"], list):
+            raise ConfigurationError(f"sweep axes must be a list, got {raw['axes']!r}")
         return SweepSpec(
             name=str(raw["name"]),
             kind=str(raw.get("kind", "scenario")),

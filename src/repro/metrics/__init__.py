@@ -2,11 +2,7 @@
 
 from repro.metrics.collector import FlowStats, StatsCollector
 from repro.metrics.histogram import LogHistogram
-from repro.metrics.records import (
-    DelaySummary,
-    flow_stats_from_dict,
-    flow_stats_to_dict,
-)
+from repro.metrics.records import DelaySummary
 from repro.metrics.stats import MeanCI, mean_ci
 
 __all__ = [
@@ -14,8 +10,6 @@ __all__ = [
     "StatsCollector",
     "LogHistogram",
     "DelaySummary",
-    "flow_stats_from_dict",
-    "flow_stats_to_dict",
     "MeanCI",
     "mean_ci",
 ]

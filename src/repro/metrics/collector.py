@@ -277,9 +277,6 @@ class StatsCollector:
 
     # -- aggregation ----------------------------------------------------
 
-    def flow_ids(self) -> list[int]:
-        return sorted(self.flows)
-
     def total_departed_bytes(self, flow_ids=None) -> float:
         """Departed bytes summed over the given flows (default: all)."""
         return total_departed_bytes(self.flows, flow_ids)

@@ -6,22 +6,20 @@ opposite — frozen, picklable, JSON-friendly records that survive a trip
 through a worker process and an on-disk cache byte-identically.  This
 module provides the conversion layer: delay percentiles are extracted
 *eagerly* from a histogram into a :class:`DelaySummary`, so the record
-carries numbers instead of a live object graph.
+carries numbers instead of a live object graph, and a run measures each
+link straight into a :class:`LinkRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.metrics.collector import FlowStats
 from repro.metrics.histogram import LogHistogram
 
-__all__ = [
-    "DelaySummary",
-    "flow_stats_to_dict",
-    "flow_stats_from_dict",
-]
+__all__ = ["DelaySummary", "LinkRecord"]
 
 #: Percentile grid extracted from delay histograms.  Eager extraction
 #: trades arbitrary-q queries for serializability; this grid covers the
@@ -124,3 +122,57 @@ def flow_stats_from_dict(raw: dict) -> FlowStats:
         delay_sum=float(raw["delay_sum"]),
         delay_max=float(raw["delay_max"]),
     )
+
+
+def _dump_by_flow(table: dict, dump: Callable) -> dict:
+    """A flow-keyed table as JSON: string keys, flow-id order."""
+    return {str(i): dump(table[i]) for i in sorted(table)}
+
+
+def _load_by_flow(raw: dict, load: Callable) -> dict:
+    """The inverse of :func:`_dump_by_flow`."""
+    return {i: load(raw[str(i)]) for i in sorted(map(int, raw))}
+
+
+def _floats(values) -> list[float] | None:
+    return None if values is None else [float(value) for value in values]
+
+
+@dataclass(frozen=True)
+class LinkRecord:
+    """Serializable per-link measurements over ``[warmup, sim_time]``.
+
+    ``flow_stats`` and ``thresholds`` are in flow-id order; a static
+    flow routed over the link has an entry in ``flow_stats``, a zero one
+    if it sent nothing in the window.
+    """
+
+    rate: float
+    buffer_size: float
+    flow_stats: dict[int, FlowStats] = field(default_factory=dict)
+    thresholds: dict[int, float] = field(default_factory=dict)
+    queue_rates: tuple[float, ...] | None = None
+    queue_buffers: tuple[float, ...] | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "rate": float(self.rate),
+            "buffer_size": float(self.buffer_size),
+            "flow_stats": _dump_by_flow(self.flow_stats, flow_stats_to_dict),
+            "thresholds": _dump_by_flow(self.thresholds, float),
+            "queue_rates": _floats(self.queue_rates),
+            "queue_buffers": _floats(self.queue_buffers),
+        }
+
+    @staticmethod
+    def from_dict(raw: dict) -> "LinkRecord":
+        queue_rates = raw.get("queue_rates")
+        queue_buffers = raw.get("queue_buffers")
+        return LinkRecord(
+            rate=float(raw["rate"]),
+            buffer_size=float(raw["buffer_size"]),
+            flow_stats=_load_by_flow(raw["flow_stats"], flow_stats_from_dict),
+            thresholds=_load_by_flow(raw["thresholds"], float),
+            queue_rates=None if queue_rates is None else tuple(queue_rates),
+            queue_buffers=None if queue_buffers is None else tuple(queue_buffers),
+        )

@@ -35,14 +35,6 @@ class MeanCI:
     halfwidth: float
     n: int
 
-    @property
-    def low(self) -> float:
-        return self.mean - self.halfwidth
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.halfwidth
-
     def __str__(self) -> str:
         return f"{self.mean:.6g} ± {self.halfwidth:.2g} (n={self.n})"
 

@@ -210,9 +210,3 @@ class Network:
             raise ConfigurationError(f"no route installed for flow {flow_id}")
         return self._entries[flow_id]
 
-    def port(self, src: str, dst: str) -> OutputPort:
-        """Look up a link's output port."""
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise ConfigurationError(f"no link {src}->{dst}") from None

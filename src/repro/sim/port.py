@@ -213,11 +213,6 @@ class OutputPort:
         return None if head is None else head.size / self.rate
 
     @property
-    def busy(self) -> bool:
-        """Whether a packet is on the link."""
-        return self._serving is not None
-
-    @property
     def backlog_packets(self) -> int:
         """Packets in the buffer, including the one in service."""
         return len(self.scheduler) + (self._serving is not None)

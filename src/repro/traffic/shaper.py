@@ -72,11 +72,6 @@ class LeakyBucketShaper:
         # Bound once: every release chain starts with this callback.
         self._bound_release = self._release
 
-    @property
-    def backlog(self) -> int:
-        """Packets currently waiting in the shaping queue."""
-        return len(self._queue)
-
     def receive(self, packet: Packet) -> None:
         """Accept a packet from the source; forward now or later."""
         size = packet.size

@@ -417,6 +417,11 @@ FIXED_COST_SWEEPS = {
 #: 154.1 / 295.9 and 849.5 / 185.75 / 273.0.  The one-link sum falls
 #: 0.5%; the network sum falls 2.5%, because the sweep digest and shard
 #: name a worker built once per call weigh most on a four-cell sweep.
+#: Cold falls 7.0 (one-link, 617.3 -> 610.3) and 8.5 (network, 848.75 ->
+#: 840.25) calls a cell, taken under one cache path for both, once the
+#: fabric measures each link straight into the ``LinkRecord`` the record
+#: stores: no live per-link result built before the run and converted
+#: after it.  Warm and aggregate are unchanged.
 FIXED_COST_ROWS = {
     "one-link": (648.5, 162.0, 311.0),
     "network": (892.0, 195.0, 287.0),

@@ -219,6 +219,25 @@ class TestSweepArtifacts:
         assert codes(findings) == ["RPR205"]
         assert "sweep spec rejected" in findings[0].message
 
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"schema": SWEEP_SPEC_SCHEMA, "axes": []}, "missing required key 'name'"),
+            (
+                dict(SWEEP_SPEC_DICT, axes=[["scheme", ["FIFO_NONE"]]]),
+                "axis must be a JSON object, got list",
+            ),
+        ],
+        ids=["no-name", "list-axis"],
+    )
+    def test_incomplete_spec_is_a_finding_not_a_crash(self, tmp_path, raw, named):
+        target = tmp_path / "sweep.json"
+        target.write_text(json.dumps(raw), encoding="utf-8")
+        findings = check_artifact_file(target)
+        assert codes(findings) == ["RPR205"]
+        assert "sweep spec rejected" in findings[0].message
+        assert named in findings[0].message
+
     def test_aggregate_with_matching_digest_is_clean(self, tmp_path):
         spec = SweepSpec.from_dict(SWEEP_SPEC_DICT)
         aggregate = {

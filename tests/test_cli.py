@@ -224,11 +224,20 @@ class TestSweepCommands:
         assert "executed        : 0" in out
 
     def test_aggregate_before_completion_fails(self, tmp_path, capsys):
-        from repro.errors import ConfigurationError
-
+        # The verb's ConfigurationError: one line and argparse's exit code,
+        # not a traceback.
         spec = self.write_spec(tmp_path)
-        with pytest.raises(ConfigurationError, match="incomplete"):
-            main(self.argv("aggregate", spec, tmp_path))
+        assert main(self.argv("aggregate", spec, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep 'cli' is incomplete") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["run", "status"])
+    def test_refused_spec_key_is_one_error_line(self, verb, tmp_path, capsys):
+        spec = self.write_spec(tmp_path)
+        spec.write_text(SWEEP_SPEC.replace('"metrics"', '"metric"'))
+        assert main(self.argv(verb, spec, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown sweep key 'metric'") and err.count("\n") == 1
 
     def test_failed_cells_show_in_status_and_clear_with_the_cache(
         self, tmp_path, capsys

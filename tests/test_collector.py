@@ -54,11 +54,11 @@ class TestCollector:
         with pytest.raises(ConfigurationError):
             StatsCollector(warmup=float("nan"))
 
-    def test_flow_ids_sorted(self):
+    def test_each_offered_flow_gets_an_entry(self):
         collector = StatsCollector()
         collector.on_offered(5, 1.0, 0.0)
         collector.on_offered(1, 1.0, 0.0)
-        assert collector.flow_ids() == [1, 5]
+        assert collector.flows.keys() == {1, 5}
 
 
 class TestDelayHistograms:

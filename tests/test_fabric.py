@@ -19,6 +19,8 @@ from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
 from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import CASE1_GROUPS, table1_flows
+from repro.metrics.collector import FlowStats
+from repro.metrics.records import LinkRecord
 from repro.obs import ConformanceMonitor, EnqueueEvent, RingSink, Timeline
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
@@ -96,13 +98,18 @@ class TestDispatch:
 
     def test_a_kept_result_holds_no_simulator(self):
         result = run_fabric(two_hop_scenario(sim_time=0.5))
-        assert result.delivery.flows and result.delivery.sim is None
+        # The per-flow delivery table, not the sink that read the clock.
+        assert type(result.delivery) is dict and result.delivery
+        assert all(type(stats) is FlowStats for stats in result.delivery.values())
 
-    def test_link_lookup(self):
+    def test_every_link_is_a_plain_record(self):
         result = run_fabric(two_hop_scenario(sim_time=1.0))
-        assert result.link("n0", "n1").label == "n0->n1"
-        with pytest.raises(ConfigurationError):
-            result.link("n0", "n2")
+        assert list(result.links) == ["n0->n1", "n1->n2"]
+        assert all(type(link) is LinkRecord for link in result.links.values())
+        # The stored record copies the run's links: no per-link conversion.
+        record = ScenarioRecord.from_result(result, "digest")
+        assert record.links == result.links
+        assert all(record.links[label] is link for label, link in result.links.items())
 
 
 def table1_port(scheme, **kwargs):
@@ -160,10 +167,9 @@ class TestOnePipeline:
         first = longer.links["n0->n1"]
         assert alone.flow_stats == first.flow_stats
         assert alone.thresholds == first.thresholds
-        for flow_id in alone.flow_stats:
-            assert alone.delay_percentile(flow_id, 99.0) == (
-                first.collector.delay_histogram(flow_id).percentile(99.0)
-            )
+        # Delay histograms too, bin for bin (equality leaves ``bins`` out).
+        for flow_id, stats in alone.flow_stats.items():
+            assert stats.bins == first.flow_stats[flow_id].bins
 
     def test_run_scenario_is_link_zero_of_the_fabric(self):
         args, kwargs = table1_port(Scheme.FIFO_THRESHOLD)
@@ -171,17 +177,17 @@ class TestOnePipeline:
         assert scenario.is_single_port
         classic = run_scenario(*args, **kwargs)
         fabric = run_fabric(scenario)
-        (link,) = fabric.links.values()
-        assert link.label == "n0->n1"
+        ((label, link),) = fabric.links.items()
+        assert label == "n0->n1"
         assert classic.flow_stats == link.flow_stats
         assert classic.thresholds == link.thresholds
         assert classic.events_processed == fabric.events_processed
         # One link: its statistics already are end to end, and the end-to-end
-        # delay is read from the link's own collector.
+        # collector is the link's own.
         assert fabric.delivery is None
-        assert fabric.delay_percentile(0, 99.0) == (
-            link.collector.delay_histogram(0).percentile(99.0)
-        )
+        assert fabric.end_to_end.flows
+        for flow_id, stats in fabric.end_to_end.flows.items():
+            assert stats is link.flow_stats[flow_id]
 
     def test_flows_that_never_sent_get_a_zero_entry(self):
         # A 1 ms window: the link itself saw (at most) one of the flows.
@@ -189,7 +195,7 @@ class TestOnePipeline:
             [conformant(1), conformant(2)], Scheme.FIFO_THRESHOLD, BUF,
             link_rate=LINK, sim_time=1.0, warmup=0.999, seed=2,
         )
-        assert len(result.sole_link.collector.flows) < 2
+        assert len(result.end_to_end.flows) < 2
         assert set(result.flow_stats) == {1, 2}
 
     def test_single_port_series_are_unlabelled(self):
@@ -258,10 +264,10 @@ class TestEndToEndProtection:
         # Churn on: the link load includes the dynamic population, which
         # is what makes the zero-drop guarantee non-trivial below.
         result = run_fabric(demo_tandem(hops=3, churn=True))
-        for link in result.links.values():
+        for label, link in result.links.items():
             stats = link.flow_stats.get(TARGET_FLOW_ID)
-            assert stats is not None, f"target flow missing at {link.label}"
-            assert stats.dropped_packets == 0, f"target flow dropped at {link.label}"
+            assert stats is not None, f"target flow missing at {label}"
+            assert stats.dropped_packets == 0, f"target flow dropped at {label}"
         # The guarantee is non-trivial: other traffic loses somewhere.
         cross_drops = sum(
             stats.dropped_packets
@@ -270,7 +276,7 @@ class TestEndToEndProtection:
             if flow_id != TARGET_FLOW_ID
         )
         assert cross_drops > 0
-        assert result.delivery.flows[TARGET_FLOW_ID].departed_packets > 0
+        assert result.delivery[TARGET_FLOW_ID].departed_packets > 0
 
 
 class TestScenarioValidation:

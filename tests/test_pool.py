@@ -71,7 +71,7 @@ class TestRetire:
         assert pool.retire(1) == 250.0
         assert pool.headroom == 250.0
         assert pool.holes == 750.0
-        assert pool.reservation(1) == 0.0
+        assert 1 not in pool.reservations
         assert invariant(pool) == pytest.approx(pool.capacity)
 
     def test_retire_unknown_flow_rejected(self):
@@ -84,7 +84,7 @@ class TestReprovision:
         pool = BufferPool(1000.0)
         pool.reserve(1, 200.0)
         pool.reprovision(1, 500.0)
-        assert pool.reservation(1) == 500.0
+        assert pool.reservations[1] == 500.0
         assert pool.holes == 500.0
         assert invariant(pool) == pytest.approx(pool.capacity)
 

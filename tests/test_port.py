@@ -85,8 +85,7 @@ class TestAdmission:
     def test_drop_does_not_touch_scheduler(self):
         sim, port, _ = make_port(capacity=400.0)
         port.receive(Packet(0, 500.0, 0.0))
-        assert len(port.scheduler) == 0
-        assert not port.busy
+        assert port.backlog_packets == 0
 
 
 class TestAccountingIntegrity:

@@ -83,7 +83,6 @@ class TestConservation:
     def test_buffer_empty_after_drain(self, arrivals, make_manager, scheduler_kind):
         port, _ = run_port(arrivals, make_manager(), scheduler_kind)
         assert port.backlog_packets == 0
-        assert not port.busy
         assert abs(port.manager.total_occupancy) < 1e-6
 
     @given(

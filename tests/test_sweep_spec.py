@@ -223,6 +223,34 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match="unknown axis key 'value'.*'values'"):
             SweepSpec.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["name", "axes"])
+    def test_missing_required_key_is_named(self, key):
+        raw = scenario_spec().to_dict()
+        del raw[key]
+        with pytest.raises(ConfigurationError, match=f"sweep missing required key '{key}'"):
+            SweepSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["name", "values"])
+    def test_axis_missing_required_key_is_named(self, key):
+        raw = scenario_spec().to_dict()
+        del raw["axes"][0][key]
+        with pytest.raises(ConfigurationError, match=f"axis missing required key '{key}'"):
+            SweepSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "axes, refused",
+        [
+            ([["scheme", ["FIFO_NONE"]]], "axis must be a JSON object, got list"),
+            ({"scheme": ["FIFO_NONE"]}, "sweep axes must be a list"),
+            ([{"name": "scheme", "values": "FIFO_NONE"}], "'scheme' values must be a list"),
+        ],
+        ids=["list-axis", "mapping-axes", "string-values"],
+    )
+    def test_axes_of_the_wrong_shape_are_refused(self, axes, refused):
+        raw = dict(scenario_spec().to_dict(), axes=axes)
+        with pytest.raises(ConfigurationError, match=refused):
+            SweepSpec.from_dict(raw)
+
     def test_schema_tag_present_and_pinned(self):
         raw = scenario_spec().to_dict()
         assert raw["schema"] == SWEEP_SPEC_SCHEMA

@@ -142,7 +142,7 @@ class TestRoutingValidation:
         # The port admits and transmits a packet of a flow nobody routed;
         # handing it on is where the missing route shows.
         sim, net = two_hop_network()
-        net.port(*hop).receive(Packet(99, 500.0, 0.0))
+        net.links[hop].receive(Packet(99, 500.0, 0.0))
         with pytest.raises(ConfigurationError, match=f"node {hop[1]}: no route for flow 99"):
             sim.run()
 
@@ -150,7 +150,7 @@ class TestRoutingValidation:
         # A departure is handed on with one subscript of the port's
         # per-flow table: the next port's receive, the sink's at the end.
         sim, net = two_hop_network()
-        first, second = net.port("a", "b"), net.port("b", "c")
+        first, second = net.links[("a", "b")], net.links[("b", "c")]
         assert first.downstream is net.nodes["b"]
         assert second.downstream is net.nodes["c"]
         assert first.downstream[1] == second.receive
@@ -186,9 +186,9 @@ class TestRoutingValidation:
         # Sources plug straight into the port: the "no route" guard fired
         # above, at wiring time, so no per-packet lookup is left at ingress.
         sim, net = two_hop_network()
-        assert net.entry(1) is net.port("a", "b")
+        assert net.entry(1) is net.links[("a", "b")]
         net.set_route(2, ["b", "c"])
-        assert net.entry(2) is net.port("b", "c")
+        assert net.entry(2) is net.links[("b", "c")]
 
     def test_entry_of_a_one_node_route_is_the_delivery_sink(self):
         sim, net = two_hop_network()
@@ -202,7 +202,7 @@ class TestRoutingValidation:
         assert stats.delay_sum == 0.0 and stats.delay_max == 0.0
         result = SimpleNamespace(
             scenario=SimpleNamespace(flows=(), sim_time=1.0, seed=0),
-            warmup=0.0, events_processed=1, links={}, churn=None, delivery=net.sink,
+            warmup=0.0, events_processed=1, links={}, churn=None, delivery=net.sink.flows,
             end_to_end=StatsCollector(),
         )
         record = ScenarioRecord.from_result(result, "digest")
@@ -236,9 +236,8 @@ class TestRoutingValidation:
 
     def test_port_lookup(self):
         sim, net = two_hop_network()
-        assert net.port("a", "b").rate == RATE
-        with pytest.raises(ConfigurationError):
-            net.port("c", "a")
+        assert net.links[("a", "b")].rate == RATE
+        assert ("c", "a") not in net.links
 
 
 class TestPerHopSigma:
