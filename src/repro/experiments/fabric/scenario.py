@@ -345,6 +345,14 @@ class NetworkScenario:
                 for name in route:
                     if name not in by_name:
                         raise ConfigurationError(f"churn route uses unknown node {name}")
+        templates = () if self.churn is None else self.churn.templates
+        shapes = [(f"flow {flow.spec.flow_id}", flow.spec) for flow in self.flows]
+        for who, spec in shapes + [(f"churn template {i}", t) for i, t in enumerate(templates)]:
+            size = self.packet_size  # the source, and a shaper, refuse less mid-run
+            if spec.mean_burst < size or spec.conformant and spec.bucket < size:
+                raise ConfigurationError(
+                    f"{who}: mean burst {spec.mean_burst} or bucket {spec.bucket} under {size} B"
+                )
 
     @staticmethod
     def _check_route(route: Sequence[str], links: set, who: str) -> None:

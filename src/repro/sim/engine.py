@@ -93,6 +93,8 @@ class Simulator:
         "_push",
         "_seq",
         "_events_processed",
+        "_event_limit",
+        "_holders",
         "_sink",
     )
 
@@ -102,11 +104,13 @@ class Simulator:
         self._push = self._equeue.raw_push()
         self._seq: int = 0
         self._events_processed: int = 0
+        self._event_limit: float = inf  # run's max_events as a count; replays check it too
+        self._holders: dict = {}  # shapers pulling a source: drain replays them up to `until`
         self._sink = None
 
     @property
     def events_processed(self) -> int:
-        """Number of events that have fired (cancelled ones excluded)."""
+        """Events fired, cancelled ones not; a replayed emission is the event it replaces."""
         return self._events_processed
 
     @property
@@ -187,7 +191,7 @@ class Simulator:
                 left at ``until`` so measurement windows have an exact end.
                 ``None`` runs until the queue drains.
             max_events: optional safety valve for tests; raises
-                :class:`SimulationError` when exceeded.
+                :class:`SimulationError` when exceeded (replays count).
 
         The loop consumes each entry exactly once.  An entry beyond
         ``until`` is left queued under its original ``(time, seq)`` key,
@@ -196,6 +200,7 @@ class Simulator:
         queue and are never reset by an overshoot.  Handle-free entries
         (:meth:`schedule_fast`) skip the cancelled-event branch entirely.
         """
+        self._event_limit = inf if max_events is None else self._events_processed + max_events
         self._equeue.drain(inf if until is None else until, max_events)
         if until is not None and self.now < until:
             self.now = until

@@ -15,8 +15,8 @@ The simulator talks to the queue through five methods:
 * ``drain(stop, max_events)`` owns the run loop: it fires entries in
   ``(time, seq)`` order, re-queues a callback that returns a delay,
   skips cancelled ones, stops *before* the first live entry beyond
-  ``stop`` (leaving it queued), and raises ``SimulationError`` once
-  more than ``max_events`` entries have fired;
+  ``stop`` (leaving it queued), replays held chains up to ``stop`` and raises
+  ``SimulationError`` once ``events_processed`` passes the run's limit;
 * ``note_cancelled()`` is the lazy-deletion bookkeeping hook: cancelled
   entries stay queued until reached, and the heap is rebuilt without
   them once they outnumber the live ones in a population of at least
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from math import inf
+from math import inf, nextafter
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -128,14 +128,14 @@ class EventQueue:
         A re-queue is one ``heappushpop``: it pushes the entry back and
         hands out the next one to fire, which is the earliest of the two
         because ``(time, seq)`` keys are unique.  The entry in hand is
-        pushed back when the loop stops before firing it.
+        pushed back when the loop stops; then held chains replay up to ``stop``.
         """
         sim = self._sim
         heap = self._heap
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        limit = inf if max_events is None else max_events
-        fired = 0
+        # With max_events, held emissions due before each event are made first.
+        careful = -1 if max_events is not None else inf
         entry = heappop(heap) if heap else None
         while entry is not None:
             event = entry[4]
@@ -148,6 +148,8 @@ class EventQueue:
             if time > stop:
                 heapq.heappush(heap, entry)
                 break
+            if sim._events_processed > careful:
+                self._catch_up(nextafter(time, -inf), entry, max_events)
             if event is not None:
                 event.fired = True
             sim.now = time
@@ -163,8 +165,14 @@ class EventQueue:
                 entry = heappushpop(heap, (again, sim._seq, fn, args, None))
             else:
                 entry = heappop(heap) if heap else None
-            fired += 1
-            if fired > limit:
-                if entry is not None:
-                    heapq.heappush(heap, entry)
-                raise SimulationError(f"exceeded max_events={max_events}")
+        self._catch_up(stop, None, max_events)
+
+    def _catch_up(self, due: float, entry: tuple | None, max_events: int | None) -> None:
+        """Make held emissions due by ``due``; past the limit, push ``entry`` back and raise."""
+        sim = self._sim
+        for holder in list(sim._holders):
+            holder._replay(due)
+        if sim._events_processed > sim._event_limit:
+            if entry is not None:
+                heapq.heappush(self._heap, entry)
+            raise SimulationError(f"exceeded max_events={max_events}")

@@ -6,7 +6,8 @@ Two related components:
   the network.  Packets leave only when the ``(sigma, rho)`` token bucket
   has enough tokens, so the *output* stream satisfies
   ``A(t) - A(s) <= sigma + rho (t - s)`` (eq. 2 of the paper).  This is
-  how the paper's conformant flows are produced.
+  how the paper's conformant flows are produced.  While backlogged it pulls
+  its on-off source, firing each emission at its own time at a release.
 * :class:`TokenBucketMeter` — a pure observer that tags each arrival as
   conformant or not and exposes the remaining *burst potential*
   ``sigma(t)`` of eq. (3).  Used by the analysis and the tests.
@@ -15,7 +16,7 @@ Two related components:
 from __future__ import annotations
 
 from collections import deque
-from math import inf
+from math import inf, nextafter
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
@@ -53,6 +54,8 @@ class LeakyBucketShaper:
         "_queue",
         "_release_pending",
         "_bound_release",
+        "_held",
+        "_held_at",
     )
 
     def __init__(self, sim: Simulator, sigma: float, rho: float, sink) -> None:
@@ -71,15 +74,20 @@ class LeakyBucketShaper:
         self._release_pending = False
         # Bound once: every release chain starts with this callback.
         self._bound_release = self._release
+        # The on-off source pulled while backlogged, and its next emission's
+        # due time (``inf``: none).
+        self._held, self._held_at = None, inf
 
-    def receive(self, packet: Packet) -> None:
-        """Accept a packet from the source; forward now or later."""
+    def receive(self, packet: Packet) -> LeakyBucketShaper | None:
+        """Accept a packet; forward now or later; return self if queued and pulling no source."""
         size = packet.size
         if size > self.sigma:
             raise SimulationError(
                 f"packet of {size} bytes can never conform to sigma={self.sigma}"
             )
         now = self.sim.now
+        if self._held_at <= now:  # another feeder: the held source's due emissions go first
+            self._replay(now)
         tokens = self._tokens
         if now > self._last_update:
             tokens += self.rho * (now - self._last_update)
@@ -102,11 +110,42 @@ class LeakyBucketShaper:
             self.sim.schedule_fast(
                 (deficit if deficit >= 0.0 else 0.0) / self.rho, self._bound_release
             )
+        return self if self._held is None else None
+
+    def _take(self, source, at: float) -> None:  # pull `source` from its emission due `at`
+        self._held, self._held_at = source, at
+        self.sim._holders[self] = None
+
+    def _replay(self, due: float) -> bool:
+        """Make the held emissions due by ``due`` as their events would; False past max_events."""
+        sim = self.sim
+        source, at = self._held, self._held_at
+        while at <= due and sim._events_processed <= sim._event_limit:
+            sim._events_processed += 1
+            if at >= source.until:  # stopped: the chain ends, as a pushed emission's would
+                self._held, at = None, inf
+                del sim._holders[self]
+                break
+            if at > self._last_update:  # receive()'s refill, at the emission's time
+                tokens = self._tokens + self.rho * (at - self._last_update)
+                self._tokens = self.sigma if tokens > self.sigma else tokens
+                self._last_update = at
+            self._queue.append(Packet(source.flow_id, source.packet_size, at))
+            source._remaining -= 1  # the key the event queue would give the next:
+            at = at + (source._spacing if source._remaining else source._burst_end())
+        self._held_at = at
+        return sim._events_processed <= sim._event_limit
 
     def _release(self) -> float | None:
         """Release what tokens cover; return the next wait. Overrides return ``super()``'s."""
+        sim = self.sim
+        now = sim.now
+        if self._held_at < now:  # held emissions first, counted before this release
+            sim._events_processed -= 1
+            if not self._replay(nextafter(now, -inf)):  # one due at `now` comes after it
+                return 0.0  # past max_events: this release has not fired yet
+            sim._events_processed += 1
         self._release_pending = False
-        now = self.sim.now
         tokens = self._tokens
         if now > self._last_update:
             tokens += self.rho * (now - self._last_update)
@@ -126,6 +165,10 @@ class LeakyBucketShaper:
             self._release_pending = True
             deficit = queue[0].size - tokens
             return (deficit if deficit >= 0.0 else 0.0) / self.rho
+        if self._held is not None:  # backlog gone: the chain goes back, keyed absolutely
+            sim.schedule_at(self._held_at, self._held._emit)
+            self._held, self._held_at = None, inf
+            del sim._holders[self]
         return None
 
 

@@ -13,7 +13,7 @@ All sources emit :class:`repro.sim.packet.Packet` objects into a ``sink``
 Each emission returns the gap to the next one and the event queue
 re-queues it (:meth:`~repro.sim.equeue.EventQueue.drain`; emissions are
 never cancelled), so the steady-state emission path allocates one packet
-and no event handle per emission.
+and no event handle per emission, or hands the chain to a backlogged shaper.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class OnOffSource:
 
         Dynamic-flow teardown (:mod:`repro.experiments.fabric`) calls
         this when a churning flow departs: the pending emission has no
-        handle to cancel, so it fires and ends the chain instead.
+        handle to cancel, so it fires (queued or shaper-held) and ends the chain.
         """
         self.until = self.sim.now
 
@@ -137,21 +137,33 @@ class OnOffSource:
         now = self.sim.now
         if now >= self.until:
             return None
-        self.sink.receive(Packet(self.flow_id, self.packet_size, now))
+        taken = self.sink.receive(Packet(self.flow_id, self.packet_size, now)) is self.sink
         remaining = self._remaining - 1
         if remaining:
             self._remaining = remaining
-            return self._spacing
-        # The last packet of the burst "occupies" one spacing at peak
-        # rate before the OFF period starts, so the ON-state rate is
-        # exactly the peak rate.  The next burst's geometric length
-        # (mean >= 1 packets) is drawn with its OFF gap: the stream's
-        # order stays OFF, burst, OFF, burst.
-        off = self._spacing
+            gap = self._spacing
+        else:  # inline, as in _burst_end: no frame per emission
+            # The last packet of the burst "occupies" one spacing at peak
+            # rate before the OFF period starts, so the ON-state rate is
+            # exactly the peak rate.  The next burst's geometric length
+            # (mean >= 1 packets) is drawn with its OFF gap: the stream's
+            # order stays OFF, burst, OFF, burst.
+            gap = self._spacing
+            if self._mean_off > 0:
+                gap += self.rng.exponential(self._mean_off)
+            self._remaining = self.rng.geometric(self._burst_p)
+        if taken:  # a backlogged shaper pulls the chain until its queue empties
+            self.sink._take(self, now + gap)
+            return None
+        return gap
+
+    def _burst_end(self) -> float:
+        """What ``_emit`` does after a burst's last packet, for a shaper pulling the source."""
+        gap = self._spacing
         if self._mean_off > 0:
-            off += self.rng.exponential(self._mean_off)
+            gap += self.rng.exponential(self._mean_off)
         self._remaining = self.rng.geometric(self._burst_p)
-        return off
+        return gap
 
 
 class CBRSource:

@@ -8,12 +8,14 @@ an entry carrying the raw scenario inline, returning an RPR203 finding)
 """
 
 import copy
+import dataclasses
 
 import pytest
 
 from repro.check.invariants import check_spec_entry
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import ScenarioJob
+from repro.experiments.fabric.demo import demo_tandem
 from repro.experiments.fabric.scenario import NetworkScenario
 from repro.experiments.schemes import Scheme
 from repro.units import kbytes, mbps, mbytes
@@ -298,3 +300,40 @@ class TestMalformedData:
     def test_non_dict_payload_is_rpr203(self):
         findings = audit_raw([1, 2, 3])
         assert [finding.rule_id for finding in findings] == ["RPR203"]
+
+
+class TestPacketMustFit:
+    """A flow whose source or shaper cannot carry one packet is refused up front.
+
+    Both used to audit clean and construct: the source refused a mean
+    burst below one packet only when the run started it, and the shaper
+    raised ``SimulationError`` at the first packet its bucket could not hold.
+    """
+
+    @pytest.mark.parametrize(
+        "path, value, fragment",
+        [
+            (("flows", 0, "spec", "bucket"), 999.0, "flow 0: mean burst 50000.0 or bucket 999.0 under 1000.0 B"),
+            (("flows", 0, "spec", "mean_burst"), 999.0, "flow 0: mean burst 999.0 or"),
+            (("churn", "templates", 0, "bucket"), 999.0, "churn template 0: mean burst 50000.0 or bucket 999.0"),
+            (("churn", "templates", 0, "mean_burst"), 500.0, "churn template 0: mean burst 500.0"),
+        ],
+    )
+    def test_refused_by_both_gates(self, path, value, fragment):
+        assert_both_reject(set_path(base_dict(), path, value), fragment)
+
+    def test_unshaped_flow_may_reserve_less_than_a_packet(self):
+        raw = set_path(base_dict(), ("flows", 0, "spec", "conformant"), False)
+        raw = set_path(raw, ("flows", 0, "spec", "bucket"), 400.0)
+        assert NetworkScenario.from_dict(raw).flows[0].spec.bucket == 400.0
+        assert audit_raw(raw) == []
+
+    def test_a_one_hop_tandem_with_a_small_bucket_fails_before_it_runs(self):
+        scenario = demo_tandem(hops=1, sim_time=2.0)
+        flows = list(scenario.flows)
+        flows[0] = dataclasses.replace(
+            flows[0], spec=dataclasses.replace(flows[0].spec, bucket=400.0)
+        )
+        assert flows[0].spec.conformant and scenario.packet_size == 500.0
+        with pytest.raises(ConfigurationError, match="flow 0: .* bucket 400.0"):
+            dataclasses.replace(scenario, flows=tuple(flows))
