@@ -312,7 +312,7 @@ class SimTimeRule(Rule):
     _TIME_NAME_RE = re.compile(
         r"(?:^|_)(?:time|now|enqueued|deadline|timestamp)(?:_|$)|_at$"
     )
-    _SCHEDULE_CALLS = frozenset({"schedule", "schedule_at", "call_later"})
+    _SCHEDULE_CALLS = frozenset({"schedule_fast", "schedule_at"})
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ctx.select(ast.Compare):

@@ -37,7 +37,7 @@ class DynamicThresholdManager(BufferManager):
 
     def __init__(self, capacity: float, alpha: float = 1.0) -> None:
         super().__init__(capacity)
-        if alpha <= 0:
+        if not alpha > 0:  # `not >`, so that a NaN alpha raises too
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
 

@@ -64,7 +64,7 @@ class BufferPool:
     )
 
     def __init__(self, capacity: float, node: str = "") -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # `not >`, so that a NaN capacity raises too
             raise ConfigurationError(
                 f"pool capacity must be positive, got {capacity}"
             )
@@ -95,7 +95,7 @@ class BufferPool:
         flow's base threshold must fit next to the reservations already
         held.
         """
-        if amount < 0:
+        if not amount >= 0:
             raise ConfigurationError(
                 f"reservation must be non-negative, got {amount}"
             )
@@ -148,7 +148,7 @@ class BufferPool:
             raise ConfigurationError(
                 f"flow {flow_id} holds no reservation in this pool"
             )
-        if amount < 0:
+        if not amount >= 0:
             raise ConfigurationError(
                 f"reservation must be non-negative, got {amount}"
             )
@@ -181,13 +181,14 @@ class BufferPool:
 
     def check(self) -> None:
         """Raise :class:`SimulationError` if the pool invariant broke."""
-        if self.holes < -_EPS or self.headroom < -_EPS:
+        # `not >=` and `not <=`, so that a NaN counter fails too
+        if not (self.holes >= -_EPS and self.headroom >= -_EPS):
             raise SimulationError(
-                f"pool counters went negative (holes={self.holes}, "
+                f"pool counters went negative or NaN (holes={self.holes}, "
                 f"headroom={self.headroom})"
             )
         total = self.reserved_total + self.headroom + self.holes
-        if abs(total - self.capacity) > 1e-3:
+        if not abs(total - self.capacity) <= 1e-3:
             raise SimulationError(
                 "pool invariant violated: reservations + headroom + holes "
                 f"= {total}, capacity = {self.capacity}"

@@ -79,7 +79,7 @@ class REDManager(BufferManager):
             raise ConfigurationError(f"max_p must be in (0, 1], got {max_p}")
         if not 0 < weight <= 1:
             raise ConfigurationError(f"weight must be in (0, 1], got {weight}")
-        if mean_tx_time <= 0:
+        if not mean_tx_time > 0:  # `not >`, so that a NaN time raises too
             raise ConfigurationError(f"mean_tx_time must be positive, got {mean_tx_time}")
         self.min_th = float(min_th)
         self.max_th = float(max_th)

@@ -110,9 +110,6 @@ def execute_job(job: ScenarioJob) -> ScenarioRecord:
             events=record.events_processed,
             cache_hit=False,
             worker=os.getpid(),
-            # The engine's execution stats, outside the serialized form.
-            cancelled_pending=result.cancelled_pending,
-            compactions=result.compactions,
         ),
     )
 

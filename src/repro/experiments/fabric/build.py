@@ -59,11 +59,9 @@ class FabricResult(LinkMeasures):
     #: on a network; on one link, the link's own (nothing is counted a
     #: second time past it).
     end_to_end: StatsCollector
-    #: Engine execution stats for telemetry: the event queue's
-    #: end-of-run lazy-deletion counters.  Execution detail, not
-    #: measurement — never serialized into records.
-    cancelled_pending: int = 0
-    compactions: int = 0
+    #: Not fields: read by benchmarks/e2e/workloads.py; the engine cannot cancel.
+    cancelled_pending = 0
+    compactions = 0
     #: Each link's measurements, already plain data.
     links: dict[str, LinkRecord] = field(default_factory=dict)
     #: Whole-run per-flow delivery counters at the end of the routes;
@@ -282,8 +280,6 @@ def run_fabric(
         scenario=scenario,
         events_processed=sim.events_processed,
         end_to_end=end_to_end,
-        cancelled_pending=sim.cancelled_pending,
-        compactions=sim.compactions,
         links={
             link.label: LinkRecord(
                 rate=link.rate,

@@ -196,7 +196,6 @@ class Network:
         merged event stream stays attributable per hop.  Pass ``None`` to
         detach everywhere.
         """
-        self.sim.attach_trace(sink)
         for port in self.links.values():
             port.attach_trace(sink)
 

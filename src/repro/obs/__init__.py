@@ -30,7 +30,6 @@ from repro.obs.events import (
     DropEvent,
     EnqueueEvent,
     HeadroomEvent,
-    HeapCompactEvent,
     PoolEvent,
     ReprovisionEvent,
     SampleEvent,
@@ -57,7 +56,6 @@ __all__ = [
     "DropEvent",
     "EnqueueEvent",
     "HeadroomEvent",
-    "HeapCompactEvent",
     "JobTelemetry",
     "JsonlSink",
     "MonitorReport",

@@ -33,7 +33,6 @@ __all__ = [
     "HeadroomEvent",
     "ReprovisionEvent",
     "PoolEvent",
-    "HeapCompactEvent",
     "SampleEvent",
     "ViolationEvent",
     "event_to_dict",
@@ -61,6 +60,9 @@ __all__ = [
 #: v5: added a ``bucket-resize`` housekeeping kind for a second
 #: event-queue implementation.  The kind left with that implementation;
 #: traces of heap-queue runs never contained it, so the tag stays.
+#: The ``compact`` kind (a heap rebuild purging cancelled events) left
+#: with event cancellation; no program module ever cancelled, so no
+#: trace the program wrote holds a ``compact`` line and the tag stays.
 TRACE_SCHEMA = "repro-trace-v5"
 
 
@@ -177,20 +179,6 @@ class PoolEvent(NamedTuple):
     node: str = ""
 
 
-class HeapCompactEvent(NamedTuple):
-    """The engine rebuilt its event structure to purge cancelled events.
-
-    Emitted by :class:`~repro.sim.equeue.EventQueue` when cancelled
-    entries outnumber live ones in a non-trivial heap and it re-heapifies
-    the survivors in place.
-    """
-
-    kind = "compact"
-    time: float
-    removed: int
-    remaining: int
-
-
 class SampleEvent(NamedTuple):
     """One periodic sim-time measurement of a named series.
 
@@ -241,7 +229,6 @@ EVENT_TYPES: dict[str, type] = {
         HeadroomEvent,
         ReprovisionEvent,
         PoolEvent,
-        HeapCompactEvent,
         SampleEvent,
         ViolationEvent,
     )

@@ -77,9 +77,8 @@ def filter_events(
 ) -> Iterator:
     """Select events by flow id, kind tag, node label, and time window.
 
-    Events without a ``flow_id`` field (headroom, compact) are excluded
-    whenever a flow filter is given; likewise events without a ``node``
-    field (compact) whenever a node filter is given.  Single-port runs
+    Events without a ``flow_id`` field (headroom, pool, sample) are
+    excluded whenever a flow filter is given.  Single-port runs
     label their events with the empty string, so ``nodes=[""]`` selects
     them explicitly.  ``since``/``until`` bound ``event.time``
     inclusively on both ends; a NaN or infinite bound is refused.  Bad

@@ -57,13 +57,9 @@ class JobTelemetry:
         cache_hit: True when the record came from the result cache.
         worker: OS process id that produced the record; distinguishes
             pool workers from the coordinating process.
-        cancelled_pending: cancelled events still queued at end of run.
-        compactions: queue rebuilds performed to purge cancelled events.
 
-    The engine fields are additive to the v1 schema: old telemetry
-    lines deserialize with the defaults below (and keys this version no
-    longer writes are ignored), so mixed-generation telemetry
-    directories keep aggregating.
+    Keys this version no longer writes are ignored on read, so
+    mixed-generation telemetry directories keep aggregating.
     """
 
     job_digest: str
@@ -71,8 +67,9 @@ class JobTelemetry:
     events: int
     cache_hit: bool
     worker: int
-    cancelled_pending: int = 0
-    compactions: int = 0
+    #: Not fields: read by benchmarks/e2e/layers.py; the engine cannot cancel.
+    cancelled_pending = 0
+    compactions = 0
 
     def to_dict(self) -> dict:
         return {
@@ -82,8 +79,6 @@ class JobTelemetry:
             "events": int(self.events),
             "cache_hit": bool(self.cache_hit),
             "worker": int(self.worker),
-            "cancelled_pending": int(self.cancelled_pending),
-            "compactions": int(self.compactions),
         }
 
     @staticmethod
@@ -100,8 +95,6 @@ class JobTelemetry:
             events=int(raw["events"]),
             cache_hit=bool(raw["cache_hit"]),
             worker=int(raw["worker"]),
-            cancelled_pending=int(raw.get("cancelled_pending", 0)),
-            compactions=int(raw.get("compactions", 0)),
         )
 
 
@@ -130,13 +123,7 @@ class CampaignReport:
         self._wall = LogHistogram(lo=1e-4, hi=1e4, bins_per_decade=5)
         #: Engine accounting over *executed* jobs (a cache hit runs no
         #: engine).
-        self._engine = {
-            "jobs": 0,
-            "events": 0,
-            "wall_time": 0.0,
-            "cancelled_pending": 0,
-            "compactions": 0,
-        }
+        self._engine = {"jobs": 0, "events": 0, "wall_time": 0.0}
 
     @staticmethod
     def from_telemetry(entries: Iterable[JobTelemetry]) -> "CampaignReport":
@@ -155,8 +142,6 @@ class CampaignReport:
             engine["jobs"] += 1
             engine["events"] += entry.events
             engine["wall_time"] += entry.wall_time
-            engine["cancelled_pending"] += entry.cancelled_pending
-            engine["compactions"] += entry.compactions
         self.total_wall_time += entry.wall_time
         self.total_events += entry.events
         self._workers.add(entry.worker)
@@ -166,8 +151,8 @@ class CampaignReport:
     def engine(self) -> dict:
         """Engine totals over executed jobs (a copy).
 
-        Sums ``jobs``, ``events``, ``wall_time``, ``cancelled_pending``
-        and ``compactions`` over every entry with ``cache_hit`` false.
+        Sums ``jobs``, ``events`` and ``wall_time`` over every entry
+        with ``cache_hit`` false.
         """
         return dict(self._engine)
 
@@ -215,9 +200,7 @@ class CampaignReport:
         engine = self._engine
         lines.append(
             f"engine          : {engine['jobs']} job(s), "
-            f"{engine['events']} events in {engine['wall_time']:.3f} s, "
-            f"{engine['compactions']} compaction(s), "
-            f"{engine['cancelled_pending']} cancelled pending"
+            f"{engine['events']} events in {engine['wall_time']:.3f} s"
         )
         return "\n".join(lines)
 

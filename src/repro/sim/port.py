@@ -106,12 +106,11 @@ class OutputPort:
         """Wire a :class:`~repro.obs.sink.TraceSink` through the whole port.
 
         The port emits every packet event itself (enqueue, drop, depart)
-        and fans the sink out to the engine (heap compactions) and the
-        manager (threshold crossings, headroom), so one call traces every
-        layer.  Pass ``None`` to detach everywhere.
+        and fans the sink out to the manager (threshold crossings,
+        headroom), so one call traces every layer.  Pass ``None`` to
+        detach everywhere.
         """
         self._sink = sink
-        self.sim.attach_trace(sink)
         if hasattr(self.manager, "attach_trace"):
             clock = None if sink is None else (lambda: self.sim.now)
             self.manager.attach_trace(sink, clock, self.label)

@@ -82,7 +82,7 @@ class ThresholdFillingSource:
         self.period = float(period if period is not None else packet_size / port.rate)
         self.until = until
         self.offered_packets = 0
-        sim.schedule(0.0, self._top_up)
+        sim.schedule_at(sim.now, self._top_up)
 
     def _top_up(self) -> float | None:
         """Refill to ``target``; return the period. Overrides return ``super()``'s."""
@@ -154,7 +154,7 @@ class FillThenBurstSource:
         self.until = until
         self.burst_fired = False
         self._spacing = self.packet_size / self.rho
-        sim.schedule(0.0, self._emit_cbr)
+        sim.schedule_at(sim.now, self._emit_cbr)
         sim.schedule_at(burst_at, self._dump_burst)
 
     def _stopped(self) -> bool:

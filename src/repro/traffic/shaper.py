@@ -103,8 +103,7 @@ class LeakyBucketShaper:
         self._tokens = tokens
         queue.append(packet)
         if not self._release_pending:
-            # Releases are gated by _release_pending, never cancelled, so
-            # the handle-free scheduling path is safe.
+            # Releases are gated by _release_pending: one queued at a time.
             self._release_pending = True
             deficit = queue[0].size - tokens
             self.sim.schedule_fast(

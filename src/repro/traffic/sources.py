@@ -11,9 +11,9 @@ All sources emit :class:`repro.sim.packet.Packet` objects into a ``sink``
   "greedy" flow of Example 1 that always keeps its buffer share full.
 
 Each emission returns the gap to the next one and the event queue
-re-queues it (:meth:`~repro.sim.equeue.EventQueue.drain`; emissions are
-never cancelled), so the steady-state emission path allocates one packet
-and no event handle per emission, or hands the chain to a backlogged shaper.
+re-queues it (:meth:`~repro.sim.equeue.EventQueue.drain`), so the
+steady-state emission path allocates one packet and no event entry per
+emission, or hands the chain to a backlogged shaper.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ class OnOffSource:
         """Silence the source from the current instant onwards.
 
         Dynamic-flow teardown (:mod:`repro.experiments.fabric`) calls
-        this when a churning flow departs: the pending emission has no
-        handle to cancel, so it fires (queued or shaper-held) and ends the chain.
+        this when a churning flow departs: a queued event cannot be
+        withdrawn, so the pending emission fires (queued or shaper-held)
+        and ends the chain.
         """
         self.until = self.sim.now
 

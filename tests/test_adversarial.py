@@ -164,7 +164,7 @@ class TestFillThenBurstSource:
         def sample():
             peak[0] = max(peak[0], manager.occupancy(1))
             if sim.now < 20.0:
-                sim.schedule(0.005, sample)
+                sim.schedule_fast(0.005, sample)
 
         sim.schedule_at(0.0, sample)
         sim.run(until=20.0)

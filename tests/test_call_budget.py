@@ -220,7 +220,11 @@ def churn(reclamation: bool):
 #: 39.599 on churn, 22.101 -> 21.130 with a sink and 29.257 -> 29.149
 #: on the observed tandem, whose shaped flows are rarely backlogged.
 #: The event counts are logical (a pulled emission counts as the event
-#: it replaces), so ``NETWORK_PINS`` did not move.
+#: it replaces), so ``NETWORK_PINS`` did not move.  A ``schedule_at``
+#: stopped building an ``Event`` handle (one ``__init__`` frame) when the
+#: engine lost cancellation: 7 calls fewer on each port and tandem row,
+#: 176 on each churn row (24.458 / 39.599 -> 24.373 / 39.514); the
+#: ceilings hold.
 #: The
 #: ceilings leave ~5% for interpreter versions that count a builtin
 #: differently; a PR that shortens a path lowers its ceiling to ~5%
@@ -439,6 +443,9 @@ FIXED_COST_SWEEPS = {
 #: each taken after a first pass had done the imports) since a
 #: ``NetworkScenario`` refuses a flow or churn template that cannot carry
 #: one packet: two list comprehensions where a cell builds its scenario.
+#: Cold falls 11.0 (one-link, 612.3 -> 601.3) and 8.0 (network, 842.25
+#: -> 834.25) calls a cell since a ``schedule_at`` builds no ``Event``
+#: handle; the ceilings hold.
 FIXED_COST_ROWS = {
     "one-link": (648.5, 162.0, 311.0),
     "network": (892.0, 195.0, 287.0),

@@ -61,6 +61,13 @@ class TestAlpha:
         # Fixed point: q = alpha (B - q) -> q = B/5.
         assert admitted <= 200.0
 
+    @pytest.mark.parametrize("field", ["capacity", "alpha"])
+    def test_nan_input_rejected(self, field):
+        # A NaN alpha would make every admission test false: all drops.
+        inputs = {"capacity": 1000.0, "alpha": 1.0, field: float("nan")}
+        with pytest.raises(ConfigurationError):
+            DynamicThresholdManager(**inputs)
+
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             DynamicThresholdManager(1000.0, alpha=0.0)

@@ -21,23 +21,23 @@ class TestScheduling:
     def test_schedule_fires_callback_with_args(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.0, seen.append, "x")
+        sim.schedule_fast(1.0, seen.append, "x")
         sim.run()
         assert seen == ["x"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         times = []
-        sim.schedule(2.5, lambda: times.append(sim.now))
+        sim.schedule_fast(2.5, lambda: times.append(sim.now))
         sim.run()
         assert times == [2.5]
 
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(3.0, order.append, 3)
-        sim.schedule(1.0, order.append, 1)
-        sim.schedule(2.0, order.append, 2)
+        sim.schedule_fast(3.0, order.append, 3)
+        sim.schedule_fast(1.0, order.append, 1)
+        sim.schedule_fast(2.0, order.append, 2)
         sim.run()
         assert order == [1, 2, 3]
 
@@ -45,7 +45,7 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for i in range(5):
-            sim.schedule(1.0, order.append, i)
+            sim.schedule_fast(1.0, order.append, i)
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
@@ -58,7 +58,7 @@ class TestScheduling:
 
     def test_scheduling_in_the_past_raises(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_fast(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
@@ -70,9 +70,9 @@ class TestScheduling:
         def chain(n):
             seen.append(n)
             if n < 3:
-                sim.schedule(1.0, chain, n + 1)
+                sim.schedule_fast(1.0, chain, n + 1)
 
-        sim.schedule(0.0, chain, 0)
+        sim.schedule_fast(0.0, chain, 0)
         sim.run()
         assert seen == [0, 1, 2, 3]
         assert sim.now == 3.0
@@ -82,21 +82,21 @@ class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "early")
-        sim.schedule(5.0, fired.append, "late")
+        sim.schedule_fast(1.0, fired.append, "early")
+        sim.schedule_fast(5.0, fired.append, "late")
         sim.run(until=2.0)
         assert fired == ["early"]
 
     def test_run_until_leaves_clock_at_until(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_fast(1.0, lambda: None)
         sim.run(until=10.0)
         assert sim.now == 10.0
 
     def test_run_until_keeps_pending_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "late")
+        sim.schedule_fast(5.0, fired.append, "late")
         sim.run(until=2.0)
         assert sim.pending == 1
         sim.run(until=6.0)
@@ -105,7 +105,7 @@ class TestRunUntil:
     def test_event_exactly_at_until_fires(self):
         sim = Simulator()
         fired = []
-        sim.schedule(2.0, fired.append, "boundary")
+        sim.schedule_fast(2.0, fired.append, "boundary")
         sim.run(until=2.0)
         assert fired == ["boundary"]
 
@@ -113,127 +113,33 @@ class TestRunUntil:
         sim = Simulator()
 
         def forever():
-            sim.schedule(1.0, forever)
+            sim.schedule_fast(1.0, forever)
 
-        sim.schedule(0.0, forever)
+        sim.schedule_fast(0.0, forever)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        sim.run()
-
-    def test_cancelled_events_not_counted_as_processed(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 1
-
-
-class TestHeapCompaction:
-    """Cancel-heavy workloads must not grow the heap without bound."""
-
-    def test_mass_cancellation_shrinks_heap(self):
-        # Regression: before compaction, 10k cancelled events with far-off
-        # deadlines would sit in the heap until their time was reached.
-        sim = Simulator()
-        keeper = sim.schedule(1e9, lambda: None)
-        events = [sim.schedule(1e6 + i, lambda: None) for i in range(10_000)]
-        for event in events:
-            event.cancel()
-        assert sim.pending < 100
-        assert sim.compactions > 0
-        assert not keeper.cancelled
-
-    def test_compaction_preserves_firing_order(self):
-        sim = Simulator()
-        order = []
-        doomed = []
-        for i in range(150):
-            sim.schedule(float(2 * i), order.append, i)
-            doomed.append(sim.schedule(float(2 * i + 1), order.append, -i))
-        # Two doomed cohorts so cancellations clearly exceed half the heap.
-        doomed.extend(sim.schedule(1000.0 + i, order.append, -i) for i in range(150))
-        for event in doomed:
-            event.cancel()
-        assert sim.compactions > 0
-        sim.run()
-        assert order == list(range(150))
-
-    def test_small_heaps_skip_compaction(self):
-        # Below COMPACT_MIN_PENDING lazy deletion is cheaper than a rebuild.
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None).cancel()
-        assert sim.compactions == 0
-        assert sim.cancelled_pending == 10
-
-    def test_pop_of_cancelled_event_rebalances_counter(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert sim.cancelled_pending == 0
-
-    def test_cancel_during_run_is_safe(self):
-        # A callback cancelling enough events to trigger a compaction must
-        # not desynchronise the loop's view of the heap.
-        sim = Simulator()
-        fired = []
-        doomed = [sim.schedule(10.0 + i, fired.append, -i) for i in range(100)]
-
-        def cancel_all():
-            for event in doomed:
-                event.cancel()
-
-        sim.schedule(1.0, cancel_all)
-        sim.schedule(2.0, fired.append, "survivor")
-        sim.run()
-        assert fired == ["survivor"]
-        assert sim.compactions > 0
 
 
 class TestStep:
     def test_step_fires_one_event(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
+        sim.schedule_fast(1.0, fired.append, 1)
+        sim.schedule_fast(2.0, fired.append, 2)
         assert sim.step()
         assert fired == [1]
 
     def test_step_on_empty_heap_returns_false(self):
         assert not Simulator().step()
 
-    def test_step_skips_cancelled(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a").cancel()
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step()
-        assert fired == ["b"]
-
 
 class TestScheduleFast:
-    """The handle-free hot path: same ordering, no Event allocation."""
+    """The delay entry point: same ordering as ``schedule_at``, no handle."""
 
     def test_returns_no_handle(self):
         sim = Simulator()
         assert sim.schedule_fast(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
 
     def test_fires_with_args(self):
         sim = Simulator()
@@ -250,9 +156,9 @@ class TestScheduleFast:
     def test_ties_break_in_scheduling_order_across_both_apis(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, order.append, "a")
+        sim.schedule_at(1.0, order.append, "a")
         sim.schedule_fast(1.0, order.append, "b")
-        sim.schedule(1.0, order.append, "c")
+        sim.schedule_at(1.0, order.append, "c")
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -278,11 +184,11 @@ class TestScheduleFast:
 class TestScheduleGuards:
     """No entry point lets a negative or NaN time reach the queue."""
 
-    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_fast"])
+    @pytest.mark.parametrize("entry", ["schedule_at", "schedule_fast"])
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_negative_and_nan_times_raise(self, entry, bad):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_fast(1.0, lambda: None)
         sim.run()
         # schedule_at takes an absolute time: now + bad is in the past or NaN.
         argument = sim.now + bad if entry == "schedule_at" else bad
@@ -292,36 +198,12 @@ class TestScheduleGuards:
 
 
 class TestRunAccounting:
-    """run() keeps the pending/cancelled books exactly like step() did."""
-
-    def test_cancelled_pending_drained_by_run(self):
-        sim = Simulator()
-        fired = []
-        events = [sim.schedule(i * 0.1, fired.append, i) for i in range(10)]
-        for event in events[::2]:
-            event.cancel()
-        assert sim.cancelled_pending == 5
-        assert sim.pending == 10
-        sim.run()
-        assert fired == [1, 3, 5, 7, 9]
-        assert sim.cancelled_pending == 0
-        assert sim.pending == 0
-
-    def test_cancelled_event_beyond_until_still_drained(self):
-        # Legacy semantics: the drain happens when the cancelled entry
-        # reaches the top of the heap, even past the `until` horizon.
-        sim = Simulator()
-        live = []
-        sim.schedule(5.0, live.append, "late").cancel()
-        sim.run(until=1.0)
-        assert sim.cancelled_pending == 0
-        assert sim.pending == 0
-        assert live == []
+    """run() keeps the pending and processed books exactly like step() does."""
 
     def test_live_event_beyond_until_survives(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "late")
+        sim.schedule_fast(5.0, fired.append, "late")
         sim.run(until=1.0)
         assert sim.now == 1.0
         assert fired == []
@@ -343,7 +225,7 @@ class TestRunAccounting:
 
 #: Delays on a coarse grid, 0.0 included, so same-instant ties are common.
 GRID = (0.0, 0.25, 0.5, 1.0)
-ONE_SHOT_KINDS = ("schedule", "schedule_fast", "cancelled")
+ONE_SHOT_KINDS = ("schedule_at", "schedule_fast")
 one_shot_strategy = st.tuples(st.sampled_from(GRID), st.sampled_from(ONE_SHOT_KINDS))
 
 chains_strategy = st.lists(
@@ -360,16 +242,14 @@ one_shots_strategy = st.lists(one_shot_strategy, max_size=6)
 
 
 def one_shot(sim, log, delay, kind, name):
-    """Queue a callback that only logs; ``cancelled`` queues and cancels one."""
+    """Queue a callback that only logs, through the entry point ``kind``."""
     def note():
         log.append((sim.now, name))
 
     if kind == "schedule_fast":
         sim.schedule_fast(delay, note)
     else:
-        event = sim.schedule(delay, note)
-        if kind == "cancelled":
-            event.cancel()
+        sim.schedule_at(sim.now + delay, note)
 
 
 class Chain:
@@ -454,7 +334,7 @@ class TestRequeue:
     @pytest.mark.parametrize("drive", [run_all, step_all])
     def test_bad_delay_raises(self, bad, drive):
         sim = Simulator()
-        sim.schedule(1.0, lambda: bad)
+        sim.schedule_fast(1.0, lambda: bad)
         with pytest.raises(SimulationError, match="before current time"):
             drive(sim)
         assert sim.pending == 0
@@ -482,12 +362,12 @@ class TestRequeue:
             fired.append(sim.now)
             return 1.0 if len(fired) < 3 else None
 
-        event = sim.schedule(0.0, callback)
+        sim.schedule_at(0.0, callback)
+        sim.run(until=1.5)
+        # seq 1 by scheduling, 2 by return at t=0, 3 by return at t=1
+        assert sim._equeue._heap == [(2.0, 3, callback, ())]
         sim.run()
         assert fired == [0.0, 1.0, 2.0]
-        assert event.fired
-        event.cancel()  # a fired handle: no phantom weight
-        assert sim.cancelled_pending == 0
 
     def test_port_receive_scheduled_directly_still_works(self):
         # ``receive`` returns a bool: done, not a delay.

@@ -160,7 +160,7 @@ class TestGoldenEquivalence:
 
 
 class TestScheduleFastEquivalence:
-    """schedule_fast orders identically to schedule at equal timestamps."""
+    """schedule_fast orders identically to schedule_at at equal timestamps."""
 
     def test_interleaved_ordering_matches_schedule(self):
         fired_mixed, fired_plain = [], []
@@ -171,8 +171,8 @@ class TestScheduleFastEquivalence:
             if i % 2:
                 sim_a.schedule_fast(delay, fired_mixed.append, i)
             else:
-                sim_a.schedule(delay, fired_mixed.append, i)
-            sim_b.schedule(delay, fired_plain.append, i)
+                sim_a.schedule_at(delay, fired_mixed.append, i)
+            sim_b.schedule_at(delay, fired_plain.append, i)
         sim_a.run()
         sim_b.run()
         assert fired_mixed == fired_plain

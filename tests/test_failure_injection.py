@@ -32,13 +32,13 @@ class OveradmittingManager(BufferManager):
 class TestEngineFaults:
     def test_callback_exception_propagates(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: 1 / 0)
+        sim.schedule_fast(1.0, lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             sim.run()
 
     def test_clock_reflects_failing_event(self):
         sim = Simulator()
-        sim.schedule(2.5, lambda: 1 / 0)
+        sim.schedule_fast(2.5, lambda: 1 / 0)
         try:
             sim.run()
         except ZeroDivisionError:
@@ -48,8 +48,8 @@ class TestEngineFaults:
     def test_engine_usable_after_caught_exception(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: 1 / 0)
-        sim.schedule(2.0, fired.append, "later")
+        sim.schedule_fast(1.0, lambda: 1 / 0)
+        sim.schedule_fast(2.0, fired.append, "later")
         try:
             sim.run()
         except ZeroDivisionError:

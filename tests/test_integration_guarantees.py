@@ -153,7 +153,7 @@ class TestProposition2:
             nonlocal peak
             peak = max(peak, manager.occupancy(1))
             if sim.now < 10.0:
-                sim.schedule(0.01, sample)
+                sim.schedule_fast(0.01, sample)
 
         sim.schedule_at(0.0, sample)
         sim.run(until=12.0)

@@ -162,7 +162,7 @@ class TestSimTimeRPR104:
         assert "RPR104" in rule_ids(
             """
             def rewind(sim, fn):
-                sim.schedule(-0.5, fn)
+                sim.schedule_fast(-0.5, fn)
             """
         )
 
@@ -171,7 +171,7 @@ class TestSimTimeRPR104:
             def fine(packet, now, sim, fn):
                 late = now - packet.enqueued > 1e-9
                 idle = packet.enqueued is None
-                sim.schedule(0.5, fn)
+                sim.schedule_fast(0.5, fn)
                 return late or idle or sim.now <= now
             """
         assert rule_ids(clean, select=["RPR104"]) == []

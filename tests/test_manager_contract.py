@@ -115,6 +115,7 @@ class Reference:
     def reprovision(self, flow, threshold):
         previous = self.threshold(flow)
         self.thresholds[flow] = threshold
+        self.retired.discard(flow)  # live again: its slot outlasts the drain
         if threshold != previous:
             self.events.append(("reprovision", flow, threshold, previous))
 
@@ -397,22 +398,32 @@ ManagerContract.TestCase.settings = settings(
 TestManagerContract = ManagerContract.TestCase
 
 
-@pytest.mark.parametrize("kind", THRESHOLD_KINDS)
-def test_reprovisioned_retiree_keeps_its_threshold_through_the_drain(kind):
+@pytest.mark.parametrize(
+    ("kind", "sizes"),
+    [pytest.param(kind, (1_500.0,), id=kind) for kind in THRESHOLD_KINDS]
+    + [  # these sizes drain to a 2.27e-13 residue
+        pytest.param(kind, (1_000.0, 1_048.2102085463373), id=f"{kind}-residue")
+        for kind in THRESHOLD_KINDS
+    ],
+)
+def test_reprovisioned_retiree_keeps_its_threshold_through_the_drain(kind, sizes):
     """Retire a flow with bytes queued, reprovision the same id, drain it.
 
     The drain must not reclaim the flow's record with the new threshold
-    in it: the threshold survives and keeps gating admission, as in the
+    in it: the threshold survives and keeps gating admission, and the
+    flow keeps whatever float residue the drain leaves, as in the
     reference.
     """
-    real, ref = build(kind, {0: 2_000.0, 1: 1_000.0}, SimpleNamespace(now=0.0))
+    real, ref = build(kind, {0: 2_500.0, 1: 1_000.0}, SimpleNamespace(now=0.0))
     for manager in (real, ref):
-        assert manager.try_admit(0, 1_500.0)
+        for size in sizes:
+            assert manager.try_admit(0, size)
         manager.retire(0)
         manager.reprovision(0, 3_000.0)
-        manager.on_depart(0, 1_500.0)
+        for size in sizes:
+            manager.on_depart(0, size)
     assert real.threshold(0) == ref.threshold(0) == 3_000.0
-    assert real.occupancy(0) == 0.0
+    assert real.occupancy(0) == ref.occupancy.get(0, 0.0) < 1e-9
     decisions = [
         [manager.try_admit(0, size) for size in (2_500.0, 500.0, 1.0, 4_000.0)]
         for manager in (real, ref)

@@ -9,7 +9,6 @@ from repro.obs.events import (
     DropEvent,
     EnqueueEvent,
     HeadroomEvent,
-    HeapCompactEvent,
     PoolEvent,
     ReprovisionEvent,
     SampleEvent,
@@ -27,7 +26,6 @@ SAMPLES = [
         time=3.0, flow_id=3, occupancy=4000.0, threshold=4000.0, direction="up"
     ),
     HeadroomEvent(time=4.0, headroom=1500.0, holes=2.0),
-    HeapCompactEvent(time=5.0, removed=120, remaining=40),
     EnqueueEvent(time=6.0, flow_id=3, size=500.0, backlog=7, node="n1"),
     DropEvent(time=6.5, flow_id=9, size=500.0, reason="threshold", node="n2"),
     DepartEvent(time=7.0, flow_id=3, size=500.0, delay=0.004, node="n1"),
@@ -64,7 +62,6 @@ class TestVocabulary:
             "depart",
             "threshold",
             "headroom",
-            "compact",
             "reprovision",
             "pool",
             "sample",

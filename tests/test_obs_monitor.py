@@ -25,7 +25,6 @@ from repro.obs.events import (
     DropEvent,
     EnqueueEvent,
     HeadroomEvent,
-    HeapCompactEvent,
     PoolEvent,
     ReprovisionEvent,
     SampleEvent,
@@ -301,7 +300,6 @@ class TestDispatch:
         ThresholdCrossEvent(0.2, 1, 4000.0, 4000.0, "up", "a->b"),
         HeadroomEvent(0.3, 1500.0, 2.0, "a->b"),
         PoolEvent(0.4, 6000.0, 1000.0, 3000.0, 10000.0, 2, "a"),
-        HeapCompactEvent(0.5, 120, 40),
         SampleEvent(0.6, "occupancy", 4500.0, "a->b"),
         ViolationEvent(0.7, "hop-delay", "error", 0.03, 0.02, 1, "a->b"),
         object(),  # no .time: counted, otherwise ignored

@@ -146,21 +146,6 @@ class TestTraceContents:
         kinds = {type(event).kind for event in read_events(path)}
         assert "headroom" in kinds
 
-    def test_compact_event_from_engine(self):
-        from repro.sim.engine import Simulator
-
-        sink = RingSink()
-        sim = Simulator()
-        sim.attach_trace(sink)
-        handles = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(200)]
-        for handle in handles[:150]:
-            handle.cancel()
-        compacts = [
-            event for event in sink.events() if type(event).kind == "compact"
-        ]
-        assert compacts, "cancelling >50% of a large heap must compact"
-        assert compacts[0].removed > 0
-
 
 class TestFilters:
     def events(self, tmp_path):

@@ -13,7 +13,7 @@ from repro.obs.events import (
     DepartEvent,
     DropEvent,
     EnqueueEvent,
-    HeapCompactEvent,
+    HeadroomEvent,
     ReprovisionEvent,
 )
 from repro.obs.monitor import ConformanceMonitor
@@ -73,7 +73,7 @@ class TestTeeSink:
         make_event(1),
         DropEvent(1.5, 2, 500.0, "threshold", "a->b"),
         DepartEvent(2.0, 1, 500.0, 0.001, "a->b"),
-        HeapCompactEvent(2.5, 10, 4),
+        HeadroomEvent(2.5, 10.0, 4.0, "a"),
         ReprovisionEvent(3.0, 1, 1000.0, 2000.0, "a->b"),
         make_event(4),
     ]
@@ -111,7 +111,7 @@ class TestTeeSink:
         # check that mirrors its finding runs.
         recorded = ring.events()
         assert [event.kind for event in recorded] == [
-            "enqueue", "drop", "violation", "depart", "compact", "reprovision", "enqueue"
+            "enqueue", "drop", "violation", "depart", "headroom", "reprovision", "enqueue"
         ]
         assert [event for event in recorded if event.kind != "violation"] == self.STREAM
         assert monitor._checks["conformant-drop"] == 1

@@ -111,15 +111,15 @@ class TestPinnedReport:
     only, so it is pinned whole."""
 
     ROWS = [
-        # digest, wall, events, hit, worker, cancelled_pending, compactions
-        ("a", 5e-05, 100, False, 303, 1, 0),
-        ("b", 0.0, 40, True, 101, 0, 0),
-        ("c", 0.003, 250, False, 202, 0, 1),
-        ("d", 0.25, 1000, False, 101, 2, 0),
-        ("e", 1.7, 30, True, 303, 0, 0),
-        ("f", 42.0, 5000, False, 202, 3, 2),
-        ("g", 20000.0, 7, False, 101, 0, 0),
-        ("h", 0.25, 60, True, 202, 0, 0),
+        # digest, wall, events, hit, worker
+        ("a", 5e-05, 100, False, 303),
+        ("b", 0.0, 40, True, 101),
+        ("c", 0.003, 250, False, 202),
+        ("d", 0.25, 1000, False, 101),
+        ("e", 1.7, 30, True, 303),
+        ("f", 42.0, 5000, False, 202),
+        ("g", 20000.0, 7, False, 101),
+        ("h", 0.25, 60, True, 202),
     ]
 
     def report(self):
@@ -130,10 +130,8 @@ class TestPinnedReport:
                 events=events,
                 cache_hit=hit,
                 worker=worker,
-                cancelled_pending=cancelled,
-                compactions=compactions,
             )
-            for digest, wall, events, hit, worker, cancelled, compactions in self.ROWS
+            for digest, wall, events, hit, worker in self.ROWS
         )
 
     def test_to_dict(self):
@@ -152,8 +150,6 @@ class TestPinnedReport:
                 "jobs": 5,
                 "events": 6357,
                 "wall_time": 20042.25305,
-                "cancelled_pending": 6,
-                "compactions": 3,
             },
         }
 
@@ -168,8 +164,7 @@ class TestPinnedReport:
             "wall time p50   : 0.1995 s\n"
             "wall time p95   : 20000.0000 s\n"
             "wall time max   : 20000.0000 s\n"
-            "engine          : 5 job(s), 6357 events in 20042.253 s, "
-            "3 compaction(s), 6 cancelled pending"
+            "engine          : 5 job(s), 6357 events in 20042.253 s"
         )
 
 class TestEngineAccounting:
@@ -189,8 +184,6 @@ class TestEngineAccounting:
             "jobs": 3,
             "events": 70,
             "wall_time": pytest.approx(7.0),
-            "cancelled_pending": 0,
-            "compactions": 0,
         }
 
     def test_cache_hits_excluded_from_engine_totals(self):
@@ -204,21 +197,23 @@ class TestEngineAccounting:
         assert report.engine["events"] == 100
 
     def test_engine_counters_accumulate(self):
+        # Lines written while telemetry still carried the engine's
+        # cancellation counters read back, and the keys are ignored.
         entries = [
-            JobTelemetry(
-                job_digest=d,
-                wall_time=0.1,
-                events=5,
-                cache_hit=False,
-                worker=1,
-                cancelled_pending=2,
-                compactions=1,
+            JobTelemetry.from_dict(
+                dict(
+                    make_entry(d, wall=0.1, events=5).to_dict(),
+                    cancelled_pending=2,
+                    compactions=1,
+                )
             )
             for d in ("a", "b")
         ]
-        engine = CampaignReport.from_telemetry(entries).engine
-        assert engine["cancelled_pending"] == 4
-        assert engine["compactions"] == 2
+        assert CampaignReport.from_telemetry(entries).engine == {
+            "jobs": 2,
+            "events": 10,
+            "wall_time": pytest.approx(0.2),
+        }
 
     def test_engine_in_render_and_to_dict(self):
         report = CampaignReport.from_telemetry([make_entry("a", events=7)])

@@ -198,7 +198,7 @@ class TestSamplingContract:
         timeline.probe("clock", lambda: sim.now)
         timeline.probe("twice", lambda: 2.0 * sim.now)
         timeline.install(sim, until=1.0)
-        sim.schedule(10.0, lambda: None)  # the engine outlives the window
+        sim.schedule_fast(10.0, lambda: None)  # the engine outlives the window
         sim.run()
         clock, twice = timeline.series("clock"), timeline.series("twice")
         # Each tick reads every probe at the tick's own instant.

@@ -149,6 +149,23 @@ class TestConsistency:
         with pytest.raises(SimulationError, match="invariant"):
             pool.check()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda pool: BufferPool(float("nan")),
+            lambda pool: pool.reserve(2, float("nan")),
+            lambda pool: pool.reprovision(1, float("nan")),
+            lambda pool: (setattr(pool, "headroom", float("nan")), pool.check()),
+            lambda pool: (setattr(pool, "holes", float("nan")), pool.check()),
+        ],
+        ids=["capacity", "reserve", "reprovision", "headroom", "holes"],
+    )
+    def test_nan_is_refused(self, corrupt):
+        pool = BufferPool(1000.0)
+        pool.reserve(1, 100.0)
+        with pytest.raises((ConfigurationError, SimulationError)):
+            corrupt(pool)
+
     def test_check_catches_negative_counters(self):
         pool = BufferPool(1000.0)
         pool.headroom = -1.0

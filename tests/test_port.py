@@ -98,7 +98,7 @@ class TestAccountingIntegrity:
         sim, port, _ = make_port()
         rogue = Packet(0, 500.0, 0.0)
         port._serving = rogue  # pretend the link grabbed it directly
-        sim.schedule(0.5, port._finish_transmission)
+        sim.schedule_fast(0.5, port._finish_transmission)
         with pytest.raises(SimulationError, match="enqueue"):
             sim.run()
 
@@ -182,7 +182,7 @@ class TestRecycleMode:
                 recycle=recycle,
             )
             for i in range(8):
-                sim.schedule(
+                sim.schedule_fast(
                     i * 0.1,
                     lambda i=i: port.receive(Packet(0, 500.0, sim.now)),
                 )

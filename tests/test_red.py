@@ -39,6 +39,16 @@ class TestValidation:
             REDManager(1000.0, 100.0, 400.0, rng, clock, max_p=1.5)
 
 
+    @pytest.mark.parametrize(
+        "field", ["capacity", "min_th", "max_th", "max_p", "weight", "mean_tx_time"]
+    )
+    def test_nan_input_rejected(self, field):
+        inputs = {"capacity": 1000.0, "min_th": 100.0, "max_th": 400.0, field: float("nan")}
+        rng = Generator(SeedSequence(0))
+        with pytest.raises(ConfigurationError):
+            REDManager(rng=rng, sim=SimpleNamespace(now=0.0), **inputs)
+
+
 class TestDropBehaviour:
     def test_all_accepted_below_min_threshold(self):
         manager, _ = make_red()

@@ -6,33 +6,7 @@ and keeps coverage pragmas honest.
 """
 
 from repro.check.findings import Finding
-from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-
-
-class TestEventRepr:
-    def test_pending_event(self):
-        sim = Simulator()
-        event = sim.schedule(1.25, lambda: None)
-        text = repr(event)
-        assert "Event(" in text
-        assert "t=1.250000" in text
-        assert "pending" in text
-
-    def test_cancelled_event(self):
-        sim = Simulator()
-        event = sim.schedule(2.0, lambda: None)
-        event.cancel()
-        assert "cancelled" in repr(event)
-
-    def test_named_callback_shown(self):
-        sim = Simulator()
-
-        def tick():
-            return None
-
-        event = sim.schedule(0.5, tick)
-        assert "tick" in repr(event)
 
 
 class TestPacketRepr:

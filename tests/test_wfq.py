@@ -94,7 +94,7 @@ class TestVirtualTime:
     def test_virtual_time_frozen_when_idle(self):
         sim, wfq = make_wfq({0: 1.0})
         v0 = wfq.virtual_time
-        sim.schedule(5.0, lambda: None)
+        sim.schedule_fast(5.0, lambda: None)
         sim.run()
         assert wfq.virtual_time == v0
 
@@ -102,7 +102,7 @@ class TestVirtualTime:
         sim, wfq = make_wfq({0: 500.0}, rate=1000.0)
         wfq.enqueue(pkt(0))
         v0 = wfq.virtual_time
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_fast(1.0, lambda: None)
         sim.run()
         # Only flow 0 (weight 500) backlogged: dV/dt = R / 500 = 2.
         assert wfq.virtual_time == pytest.approx(v0 + 2.0)
@@ -113,7 +113,7 @@ class TestVirtualTime:
         sim, wfq = make_wfq({0: 1.0, 1: 1.0}, rate=1000.0)
         wfq.enqueue(pkt(0, size=100.0))
         assert wfq.dequeue().flow_id == 0
-        sim.schedule(10.0, lambda: None)
+        sim.schedule_fast(10.0, lambda: None)
         sim.run()
         wfq.enqueue(pkt(0, size=100.0))
         wfq.enqueue(pkt(1, size=100.0))
