@@ -317,7 +317,7 @@ def _check_trace_pool_lines(
             ("headroom", headroom),
             ("holes", holes),
         ):
-            if value < -_POOL_COMPONENT_TOL:
+            if not value >= -_POOL_COMPONENT_TOL:  # `not >=`, so that NaN is flagged too
                 findings.append(
                     Finding(
                         "RPR206",
@@ -338,7 +338,7 @@ def _check_trace_pool_lines(
                 )
             )
         imbalance = reserved + headroom + holes - capacity
-        if abs(imbalance) > _POOL_BALANCE_TOL:
+        if not abs(imbalance) <= _POOL_BALANCE_TOL:
             findings.append(
                 Finding(
                     "RPR206",

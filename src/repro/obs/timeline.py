@@ -256,7 +256,12 @@ class Timeline:
 
     def _tick(self, until: float) -> float | None:
         """Sample, then return the delay to the next tick; overrides return ``super()``'s."""
-        now = self._sim.now
+        sim = self._sim
+        now = sim.now
+        holders = sim._holders
+        for holder in [*holders]:  # a link that pulls its departures makes those due first
+            if holders[holder]:
+                holder.settle()
         sink = self._sink
         for (node, name), fn in self._probes.items():
             value = float(fn())

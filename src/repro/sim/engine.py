@@ -19,11 +19,14 @@ about packets or networking.
 from __future__ import annotations
 
 from math import inf
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.sim.equeue import EventQueue, past_time_error
 
 __all__ = ["Simulator"]
+
+_held_due = attrgetter("_due")
 
 
 class Simulator:
@@ -48,6 +51,7 @@ class Simulator:
         "_events_processed",
         "_event_limit",
         "_holders",
+        "_fired_seq",
     )
 
     def __init__(self) -> None:
@@ -57,16 +61,23 @@ class Simulator:
         self._seq: int = 0
         self._events_processed: int = 0
         self._event_limit: float = inf  # run's max_events as a count; replays check it too
-        self._holders: dict = {}  # shapers pulling a source: drain replays them up to `until`
+        # Components that make some of their events themselves: a backlogged
+        # shaper pulling its source (-> None) and a busy link nothing else
+        # watches (-> True: a mid-run reader settles it first).  Each has
+        # `_due`, its earliest held event's time (`inf`: none), and
+        # `_replay(due, seq=inf)`, which makes what fires before an event
+        # keyed (due, seq); `drain` makes what is due by `until`.
+        self._holders: dict = {}
+        self._fired_seq: int = 0  # the seq of the entry firing (or last fired)
 
     @property
     def events_processed(self) -> int:
-        """Events fired; a replayed emission is the event it replaces."""
+        """Events fired; a pulled emission or departure counts as the event it replaces."""
         return self._events_processed
 
     @property
     def pending(self) -> int:
-        """Number of events still queued."""
+        """Number of entries still queued (work a holder keeps is not among them)."""
         return len(self._equeue)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -90,20 +101,36 @@ class Simulator:
         self._push((time, self._seq, fn, args))
 
     def step(self) -> bool:
-        """Fire the next pending event.
+        """Fire the next event: the earliest entry, or held work that comes first.
 
-        Returns ``False`` when the queue is empty, ``True`` otherwise.
+        Returns ``False`` when nothing is queued or held, ``True`` otherwise.
         """
+        self._event_limit = inf
         entry = self._equeue.pop_live()
+        time, seq = (inf, inf) if entry is None else entry[:2]
+        if self._fire_held(time, seq):
+            if entry is not None:  # it waits under its own key
+                self._push(entry)
+            return True
         if entry is None:
             return False
-        time, _, fn, args = entry
+        time, seq, fn, args = entry
         self.now = time
+        self._fired_seq = seq
         self._events_processed += 1
         delay = fn(*args)
         if delay.__class__ is float:  # the re-queue rule of EventQueue.drain
             self.schedule_fast(delay, fn, *args)
         return True
+
+    def _fire_held(self, time: float, seq: float) -> bool:
+        """Make the earliest held event if it fires before one keyed ``(time, seq)``."""
+        held = min(self._holders, key=_held_due, default=None)
+        if held is None or held._due > time:
+            return False
+        made = self._events_processed
+        held._replay(held._due, inf if held._due < time else seq)
+        return self._events_processed > made
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the event loop.

@@ -13,8 +13,9 @@ The simulator talks to the queue through four methods:
 * ``drain(stop, max_events)`` owns the run loop: it fires entries in
   ``(time, seq)`` order, re-queues a callback that returns a delay,
   stops *before* the first entry beyond ``stop`` (leaving it queued),
-  replays held chains up to ``stop`` and raises ``SimulationError`` once
-  ``events_processed`` passes the run's limit;
+  has each holder (``Simulator._holders``) make its held events due by
+  ``stop`` and raises ``SimulationError`` once ``events_processed``
+  passes the run's limit;
 * ``len()`` is the pending population.
 
 There is one queue on purpose; ``docs/engine.md`` records the numbers
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from math import inf, nextafter
+from math import inf
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -66,23 +67,24 @@ class EventQueue:
         A re-queue is one ``heappushpop``: it pushes the entry back and
         hands out the next one to fire, which is the earliest of the two
         because ``(time, seq)`` keys are unique.  The entry in hand is
-        pushed back when the loop stops; then held chains replay up to ``stop``.
+        pushed back when the loop stops; then holders make what is due by ``stop``.
         """
         sim = self._sim
         heap = self._heap
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        # With max_events, held emissions due before each event are made first.
+        # With max_events, held events that fire before each entry are made first.
         careful = -1 if max_events is not None else inf
         entry = heappop(heap) if heap else None
         while entry is not None:
-            time, _, fn, args = entry
+            time, seq, fn, args = entry
             if time > stop:
                 heapq.heappush(heap, entry)
                 break
             if sim._events_processed > careful:
-                self._catch_up(nextafter(time, -inf), entry, max_events)
+                self._catch_up(time, seq, entry, max_events)
             sim.now = time
+            sim._fired_seq = seq
             sim._events_processed += 1
             delay = fn(*args) if args else fn()
             if delay.__class__ is float:
@@ -93,13 +95,21 @@ class EventQueue:
                 entry = heappushpop(heap, (again, sim._seq, fn, args))
             else:
                 entry = heappop(heap) if heap else None
-        self._catch_up(stop, None, max_events)
+        self._catch_up(stop, inf, None, max_events)
 
-    def _catch_up(self, due: float, entry: tuple | None, max_events: int | None) -> None:
-        """Make held emissions due by ``due``; past the limit, push ``entry`` back and raise."""
+    def _catch_up(self, time: float, seq: float, entry: tuple | None, max_events) -> None:
+        """Make held events that fire before ``(time, seq)``; past the limit, push ``entry`` back and raise.
+
+        With a limit they are made earliest first, so it strikes where it
+        would on the pushed run; without one, holder by holder.
+        """
         sim = self._sim
-        for holder in list(sim._holders):
-            holder._replay(due)
+        if sim._event_limit == inf:
+            for holder in list(sim._holders):
+                holder._replay(time, seq)
+            return
+        while sim._events_processed <= sim._event_limit and sim._fire_held(time, seq):
+            pass
         if sim._events_processed > sim._event_limit:
             if entry is not None:
                 heapq.heappush(self._heap, entry)

@@ -6,6 +6,12 @@ The port is the meeting point of the paper's two mechanisms:
 * when the link is free it asks the **scheduler** for the next packet and
   models its transmission time ``size / rate``.
 
+A departure that nothing else watches (no ``downstream``, no trace sink)
+is not an engine event: the busy link holds its next departure's key and
+makes the departures due before whatever reads it next (an arrival, a
+timeline tick, the end of the run) through the one departure body,
+``_finish_transmission``.
+
 Any object with ``try_admit`` / ``on_depart`` works as a manager (both
 :class:`repro.core.occupancy.BufferManager` subclasses and the composite
 :class:`repro.core.hybrid.HybridBufferManager`), and any
@@ -30,6 +36,7 @@ from repro.metrics.collector import (
 )
 from repro.obs.events import DepartEvent, DropEvent, EnqueueEvent
 from repro.sim.engine import Simulator
+from repro.sim.equeue import past_time_error
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # imported lazily to avoid a sim <-> sched import cycle
@@ -72,6 +79,8 @@ class OutputPort:
         "_sink",
         "_serving",
         "_bound_finish",
+        "_due",
+        "_due_seq",
     )
 
     def __init__(
@@ -101,6 +110,9 @@ class OutputPort:
         self._serving: Packet | None = None  # the packet on the link
         # Bound once: every idle-link start schedules this callback.
         self._bound_finish = self._finish_transmission
+        # A pulled link's next departure: the (time, seq) key its event
+        # would have had (``inf``: none held).
+        self._due, self._due_seq = inf, 0
 
     def attach_trace(self, sink) -> None:
         """Wire a :class:`~repro.obs.sink.TraceSink` through the whole port.
@@ -125,6 +137,8 @@ class OutputPort:
         """Handle an arriving packet; returns True if admitted."""
         sim = self.sim
         now = sim.now
+        if self._due <= now:  # a pulled link first sends what leaves before this event
+            self._replay(now, sim._fired_seq)
         flow_id = packet.flow_id
         size = packet.size
         collector = self.collector
@@ -162,8 +176,56 @@ class OutputPort:
             head = scheduler.dequeue()
             if head is not None:
                 self._serving = head
-                sim.schedule_fast(head.size / self.rate, self._bound_finish)
+                if self.downstream is not None or self._sink is not None:
+                    sim.schedule_fast(head.size / self.rate, self._bound_finish)
+                else:  # nothing watches the departure: hold its key, pull it when read
+                    due = now + head.size / self.rate
+                    if not due >= now:  # schedule_fast's guard
+                        raise past_time_error(due, now)
+                    sim._seq += 1
+                    self._due, self._due_seq = due, sim._seq
+                    sim._holders[self] = True
         return True
+
+    def settle(self) -> None:
+        """Make the held departures that come before the current event.
+
+        A reader of a pulled link's state between events calls this first
+        (a push-path or idle link holds nothing, so it costs one test).
+        """
+        sim = self.sim
+        if self._due <= sim.now:
+            self._replay(sim.now, sim._fired_seq)
+
+    def _replay(self, due: float, seq: float = inf) -> None:
+        """Make the held departures that fire before an event keyed ``(due, seq)``.
+
+        Each runs the departure body at its own time, counted, with the
+        key ``drain`` would have re-queued it under; ``seq=inf`` makes
+        every departure due by ``due``.  The clock is left at the later of
+        where it was and the last departure made.  Past ``max_events`` it
+        stops, as the pushed run would have.
+        """
+        sim = self.sim
+        now = sim.now
+        time, rank = self._due, self._due_seq
+        limit = sim._event_limit
+        while time <= due and (time < due or rank < seq) and sim._events_processed <= limit:
+            sim.now = time
+            sim._events_processed += 1
+            delay = self._finish_transmission()
+            if delay is None:  # the link goes idle
+                time = inf
+                del sim._holders[self]
+                break
+            again = time + delay
+            if not again >= time:
+                raise past_time_error(again, time)
+            sim._seq += 1
+            time, rank = again, sim._seq
+        self._due, self._due_seq = time, rank
+        if sim.now < now:
+            sim.now = now
 
     def _finish_transmission(self) -> float | None:
         """Return the next packet's time on the link, if any; overrides return ``super()``'s."""

@@ -88,6 +88,7 @@ class ThresholdFillingSource:
         """Refill to ``target``; return the period. Overrides return ``super()``'s."""
         if self.until is not None and self.sim.now >= self.until:
             return None
+        self.port.settle()  # departures that come before this poll first
         occupancy = self.port.manager.occupancy(self.flow_id)
         while occupancy + self.packet_size <= self.target:
             packet = Packet(self.flow_id, self.packet_size, self.sim.now)

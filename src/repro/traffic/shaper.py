@@ -55,7 +55,7 @@ class LeakyBucketShaper:
         "_release_pending",
         "_bound_release",
         "_held",
-        "_held_at",
+        "_due",
     )
 
     def __init__(self, sim: Simulator, sigma: float, rho: float, sink) -> None:
@@ -76,7 +76,7 @@ class LeakyBucketShaper:
         self._bound_release = self._release
         # The on-off source pulled while backlogged, and its next emission's
         # due time (``inf``: none).
-        self._held, self._held_at = None, inf
+        self._held, self._due = None, inf
 
     def receive(self, packet: Packet) -> LeakyBucketShaper | None:
         """Accept a packet; forward now or later; return self if queued and pulling no source."""
@@ -86,7 +86,7 @@ class LeakyBucketShaper:
                 f"packet of {size} bytes can never conform to sigma={self.sigma}"
             )
         now = self.sim.now
-        if self._held_at <= now:  # another feeder: the held source's due emissions go first
+        if self._due <= now:  # another feeder: the held source's due emissions go first
             self._replay(now)
         tokens = self._tokens
         if now > self._last_update:
@@ -112,13 +112,19 @@ class LeakyBucketShaper:
         return self if self._held is None else None
 
     def _take(self, source, at: float) -> None:  # pull `source` from its emission due `at`
-        self._held, self._held_at = source, at
+        self._held, self._due = source, at
         self.sim._holders[self] = None
 
-    def _replay(self, due: float) -> bool:
-        """Make the held emissions due by ``due`` as their events would; False past max_events."""
+    def _replay(self, due: float, seq: float = inf) -> bool:
+        """Make the held emissions due by ``due`` as their events would; False past max_events.
+
+        Given an event's ``seq``, only those due before ``due``: an emission
+        due at an event's time comes after it ("Same-instant order").
+        """
+        if seq < inf:
+            due = nextafter(due, -inf)
         sim = self.sim
-        source, at = self._held, self._held_at
+        source, at = self._held, self._due
         while at <= due and sim._events_processed <= sim._event_limit:
             sim._events_processed += 1
             if at >= source.until:  # stopped: the chain ends, as a pushed emission's would
@@ -132,14 +138,14 @@ class LeakyBucketShaper:
             self._queue.append(Packet(source.flow_id, source.packet_size, at))
             source._remaining -= 1  # the key the event queue would give the next:
             at = at + (source._spacing if source._remaining else source._burst_end())
-        self._held_at = at
+        self._due = at
         return sim._events_processed <= sim._event_limit
 
     def _release(self) -> float | None:
         """Release what tokens cover; return the next wait. Overrides return ``super()``'s."""
         sim = self.sim
         now = sim.now
-        if self._held_at < now:  # held emissions first, counted before this release
+        if self._due < now:  # held emissions first, counted before this release
             sim._events_processed -= 1
             if not self._replay(nextafter(now, -inf)):  # one due at `now` comes after it
                 return 0.0  # past max_events: this release has not fired yet
@@ -165,8 +171,8 @@ class LeakyBucketShaper:
             deficit = queue[0].size - tokens
             return (deficit if deficit >= 0.0 else 0.0) / self.rho
         if self._held is not None:  # backlog gone: the chain goes back, keyed absolutely
-            sim.schedule_at(self._held_at, self._held._emit)
-            self._held, self._held_at = None, inf
+            sim.schedule_at(self._due, self._held._emit)
+            self._held, self._due = None, inf
             del sim._holders[self]
         return None
 

@@ -14,6 +14,8 @@ import json
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.check.engine import check_paths, failing
 from repro.check.invariants import check_scenario, check_spec_entry
 from repro.obs.events import TRACE_SCHEMA
@@ -97,6 +99,24 @@ class TestInvariantMutations:
         }
         target.write_text(
             json.dumps(header) + "\n" + json.dumps(leaky) + "\n", encoding="utf-8"
+        )
+        findings = check_paths([str(target)])
+        assert seeded_codes(findings) == ["RPR206"]
+        assert failing(findings)
+
+    @pytest.mark.parametrize("component", ["reserved", "headroom", "holes", "capacity"])
+    def test_nan_pool_component_raises_rpr206(self, tmp_path, component):
+        # NaN fails every comparison, so a test written `value < -tol` or
+        # `abs(imbalance) > tol` lets it through.
+        target = tmp_path / "trace.jsonl"
+        line = {
+            "kind": "pool", "time": 1.0, "reserved": 400.0, "headroom": 100.0,
+            "holes": 500.0, "capacity": 1000.0, "flows": 1, "node": "n0->n1",
+        }
+        line[component] = float("nan")
+        target.write_text(
+            json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(line) + "\n",
+            encoding="utf-8",
         )
         findings = check_paths([str(target)])
         assert seeded_codes(findings) == ["RPR206"]

@@ -5,10 +5,14 @@ import pytest
 from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError
 from repro.metrics.collector import StatsCollector
+from repro.obs.events import DepartEvent
+from repro.obs.sink import RingSink
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
+from repro.sim.rng import Generator, SeedSequence
+from repro.traffic.sources import CBRSource, OnOffSource
 
 
 def make_port(rate=1000.0, capacity=10_000.0, warmup=0.0):
@@ -198,3 +202,64 @@ class TestRecycleMode:
             )
 
         assert drive(recycle=True) == drive(recycle=False)
+
+
+def two_source_port(sim, horizon):
+    """A FIFO port fed by a CBR flow and an on-off flow, both stopping at ``horizon``."""
+    collector = StatsCollector()
+    port = OutputPort(sim, 64_000.0, FIFOScheduler(), TailDropManager(8_000.0), collector)
+    CBRSource(sim, 0, 32_000.0, port, packet_size=500.0, until=horizon)
+    OnOffSource(sim, 1, 96_000.0, 24_000.0, 4_000.0, port,
+                Generator(SeedSequence(5)), packet_size=500.0, until=horizon)
+    return port, collector
+
+
+class TestPulledDepartures:
+    """A link with no downstream and no sink makes its departures itself."""
+
+    def test_departures_are_not_queued_events(self):
+        sim, port, _ = make_port(rate=1000.0)
+        port.receive(Packet(0, 500.0, 0.0))
+        port.receive(Packet(0, 500.0, 0.0))
+        assert sim.pending == 0
+        assert sim._holders == {port: True}
+        sim.run()
+        assert (sim.events_processed, port.transmitted_packets, sim._holders) == (2, 2, {})
+
+    def test_stepping_makes_the_departures_run_makes(self):
+        # The last departure comes after the last queued entry: a step
+        # that looked only at the queue would stop one event short.
+        runs = []
+        for drive in ("run", "step"):
+            sim = Simulator()
+            port, collector = two_source_port(sim, 2.0)
+            if drive == "run":
+                sim.run()
+            else:
+                while sim.step():
+                    pass
+            runs.append((sim.events_processed, sim.now, port.transmitted_packets,
+                         {f: s.departed_packets for f, s in collector.flows.items()}))
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 200
+
+    def test_sink_attached_mid_run_sees_each_later_departure(self):
+        # The held departures left are made through the one departure
+        # body, which emits each now that a sink is attached.
+        traces = []
+        for attach_at in (0.0, 0.3):
+            sim = Simulator()
+            port, collector = two_source_port(sim, 1.0)
+            sink = RingSink()
+            sim.run(until=attach_at)
+            assert port._due < float("inf") or attach_at == 0.0
+            port.attach_trace(sink)
+            sim.run()
+            departs = [e for e in sink.events() if isinstance(e, DepartEvent)]
+            traces.append((
+                [e for e in departs if e.time > 0.3],
+                sim.events_processed,
+                {f: s.departed_packets for f, s in collector.flows.items()},
+            ))
+        assert traces[0] == traces[1]
+        assert traces[0][0]
